@@ -15,6 +15,7 @@ from functools import cached_property
 from .polyhedral import (
     Lattice,
     RationalCone,
+    _dd,
     hilbert_basis_with_units,
     integer_kernel,
     monoid_membership,
@@ -82,22 +83,40 @@ class WeightMonoid:
         return Lattice.span(list(self.gen_vectors), self.dim)
 
     @cached_property
+    def _dual_rays(self) -> tuple[tuple[int, ...], ...]:
+        """Extreme rays of the dual cone {phi : phi.g >= 0 for every
+        generator g}, modulo its lineality.  The lineality is the
+        annihilator of the span of the monoid, so it vanishes on every
+        generator and only the rays are kept.  `localize` seeds this
+        attribute on the localized monoid instead of running DD again."""
+        return tuple(_dd(self.dim, self.gen_vectors)[1])
+
+    @cached_property
     def _invertible_flags(self) -> tuple[bool, ...]:
-        flags = []
-        for g in self.gen_vectors:
-            neg = tuple(-x for x in g)
-            ok, _ = monoid_membership(neg, list(self.gen_vectors))
-            flags.append(ok)
-        return tuple(flags)
+        """Whether -g lies in the monoid, for each generator g.
+
+        -g is in the monoid iff g lies in the lineality space of
+        C = cone(generators), that is iff every ray of the dual cone
+        vanishes on g.  Conversely, the lineality space is a face of C,
+        so it is the cone over the generators it contains; a rational
+        nonnegative relation -g = sum q_i l_i among them, scaled by a
+        common denominator D, gives -g = (D - 1) g + sum D q_i l_i, a
+        monoid element (Bruns–Gubeladze, Polytopes, Rings and K-Theory,
+        ch. 2).
+        """
+        rays = self._dual_rays
+        return tuple(all(sum(a * b for a, b in zip(r, g)) == 0 for r in rays)
+                     for g in self.gen_vectors)
 
     @cached_property
     def extended_generators(self) -> tuple[tuple[int, ...], ...]:
         """Generators plus negatives of the invertible ones: a generating
         set of the monoid closed enough for membership queries.
 
-        If mu and -mu are both nonnegative combinations of the generators,
-        every generator occurring in mu's combination is itself invertible,
-        so the invertible part is generated by {g : -g in the monoid}.
+        The invertible part of the monoid is its intersection with the
+        lineality space of cone(generators), which is generated by the
+        generators lying in that space (see `_invertible_flags`), so
+        adjoining their negatives generates the whole group of units.
         """
         ext = list(self.gen_vectors)
         for g, inv in zip(self.gen_vectors, self._invertible_flags):
@@ -162,11 +181,22 @@ class WeightMonoid:
 
         The Levi shrinks to the simple roots orthogonal to mu, which keeps
         the dominance invariant meaningful for the localized monoid.
+
+        The dual of cone(M ∪ {-mu}) is the face C^∨ ∩ mu^⊥ of the dual
+        C^∨ of cone(M).  Since mu lies in cone(M), every ray of C^∨ is
+        nonnegative on mu and the lineality of C^∨ vanishes on it, so the
+        rays of that face are exactly the rays of C^∨ vanishing on mu.
+        They are handed to the localized monoid, which then needs no
+        double description of its own to decide invertibility.
         """
         if not self.contains(mu):
             raise MonoidError("can only localize at an element of the monoid")
         new_levi = frozenset(i for i in self.active_roots if mu.coords[i] == 0)
-        return WeightMonoid(self.rd, self.generators + (-mu,), new_levi)
+        loc = WeightMonoid(self.rd, self.generators + (-mu,), new_levi)
+        v = mu.int_coords()
+        loc.__dict__["_dual_rays"] = tuple(
+            r for r in self._dual_rays if sum(a * b for a, b in zip(r, v)) == 0)
+        return loc
 
     def equals(self, other: "WeightMonoid") -> bool:
         """Set equality, decided by mutual membership of generating sets."""
@@ -199,22 +229,6 @@ class WeightMonoid:
             if not self.contains_vector(h)[0]:
                 return False
         return True
-
-
-def invertible_part(m: WeightMonoid) -> Lattice:
-    return m.invertible_lattice
-
-
-def minimal_generators(m: WeightMonoid) -> tuple[WeightVec, ...]:
-    return m.minimal_generators
-
-
-def localize(m: WeightMonoid, mu: WeightVec) -> WeightMonoid:
-    return m.localize(mu)
-
-
-def is_saturated(m: WeightMonoid) -> bool:
-    return m.is_saturated()
 
 
 def _coordinate_blocks(spec, factor_split, central_split):

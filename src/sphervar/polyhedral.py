@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 Vec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
@@ -560,15 +560,6 @@ class RationalCone:
             dim=self.dim)
 
 
-def dual_cone(cone: RationalCone) -> RationalCone:
-    return cone.dual()
-
-
-def cone_facets(cone: RationalCone) -> list[Vec]:
-    """Minimal facet normals (valid within the cone's linear span)."""
-    return list(cone.facet_normals)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert bases
 # ---------------------------------------------------------------------------
@@ -748,7 +739,33 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _hadamard_bound(rows: list[list[int]]) -> int:
+    """An upper bound on every absolute minor of an integer matrix.
+
+    A k x k minor is at most the product of the Euclidean norms of its
+    rows (Hadamard), and a row of a minor is no longer than the matrix
+    row it is cut from, so the product of the k largest row norms of the
+    matrix bounds every k x k minor.
+    The product is taken exactly on squared norms and rounded up.
+    """
+    sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
+    n = len(rows[0]) if rows else 0
+    best = 0
+    prod = 1
+    for k in range(min(len(sq), n)):
+        prod *= sq[k]
+        root = isqrt(prod)
+        best = max(best, root + (root * root != prod))
+    return best
+
+
 def _max_abs_minor(rows: list[list[int]], cap: int = 500000) -> int:
+    """The largest absolute minor of an integer matrix (at least 1).
+
+    When the matrix has more than `cap` minors of order two or more the
+    scan stops and the Hadamard bound is returned instead: no longer the
+    largest minor, but still an upper bound on it.
+    """
     m = len(rows)
     n = len(rows[0]) if rows else 0
     best = max((abs(x) for r in rows for x in r), default=1)
@@ -758,7 +775,7 @@ def _max_abs_minor(rows: list[list[int]], cap: int = 500000) -> int:
             for ci in itertools.combinations(range(n), k):
                 count += 1
                 if count > cap:
-                    return best
+                    return max(_hadamard_bound(rows), 1)
                 sub = [[rows[i][j] for j in ci] for i in ri]
                 best = max(best, abs(_int_det(sub)))
     return max(best, 1)
@@ -770,7 +787,9 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
     Termination: if a nonnegative integer combination exists then one
     exists with every coefficient bounded by the largest absolute minor of
     the augmented matrix [generators | v] (Borosh–Treybig), so the search
-    space is finite.
+    space is finite.  The search uses `_max_abs_minor`, which is that
+    minor or, for matrices with too many minors to scan, Hadamard's upper
+    bound on it; either way no solution within the bound is missed.
     """
     v = tuple(map(int, v))
     gens = [tuple(map(int, g)) for g in generators]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .luna import BDivisorRecord, LatticeFunctional, LunaDatum, RootTypeTable
-from .monoid import WeightMonoid
+from .monoid import MonoidError, WeightMonoid
 from .polyhedral import (
     Lattice,
     Polytope,
@@ -462,7 +462,7 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
     # (vi) monoid recovery from the divisor half-spaces (saturated case)
     try:
         saturated = m.is_saturated()
-    except Exception:
+    except MonoidError:
         saturated = None
         rep.warnings.append("saturation not checked (lattice too large)")
     if saturated:

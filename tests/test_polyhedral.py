@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphervar.polyhedral import (
@@ -11,6 +11,7 @@ from sphervar.polyhedral import (
     PolyhedralError,
     Polytope,
     RationalCone,
+    _max_abs_minor,
     hilbert_basis,
     hilbert_basis_with_units,
     integer_kernel,
@@ -390,6 +391,26 @@ def test_membership_certificate_recombines(gens, target):
             total[0] += c * g[0]
             total[1] += c * g[1]
         assert tuple(total) == tuple(target)
+
+
+def largest_minor_oracle(rows):
+    m, n = len(rows), len(rows[0])
+    return max(abs(det_oracle([[rows[i][j] for j in ci] for i in ri]))
+               for k in range(1, min(m, n) + 1)
+               for ri in itertools.combinations(range(m), k)
+               for ci in itertools.combinations(range(n), k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=1, max_size=3))
+@example([[1, 1, 0, 0], [-1, 1, 0, 0]])  # largest minor 2 > every entry
+def test_minor_bound_is_sound_past_the_cap(rows):
+    true_max = max(largest_minor_oracle(rows), 1)
+    assert _max_abs_minor(rows) == true_max
+    # with the scan cut short the result is still an upper bound
+    for cap in (0, 1, 5):
+        assert _max_abs_minor(rows, cap=cap) >= true_max
 
 
 # -- polytopes ----------------------------------------------------------------

@@ -5,11 +5,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphervar.monoid import torus_monoid
 from sphervar.polyhedral import (
     Lattice,
     RationalCone,
     hnf,
     lattice_span,
+    monoid_membership,
     primitive,
     smith_diagonalize,
 )
@@ -120,3 +122,36 @@ def test_cone_rays_lie_in_cone(gens):
     for l in cone.lineality:
         assert cone.contains(l)
         assert cone.contains(tuple(-x for x in l))
+
+
+@st.composite
+def torus_generators(draw):
+    """Up to 5 generators of rank <= 3 with entries in [-2, 2], drawn to
+    include zero vectors and pairs g, -g (invertible generators)."""
+    rank = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * rank)
+    gens = draw(st.lists(st.one_of(vec, st.just((0,) * rank)),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
+    return rank, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(torus_generators())
+def test_invertibility_matches_membership_search(data):
+    rank, gens = data
+    rd = build_root_data(GroupSpec((), rank))
+    m = torus_monoid(rd, gens)
+    expected = tuple(monoid_membership(tuple(-x for x in g), gens)[0]
+                     for g in gens)
+    assert m._invertible_flags == expected
+    for g, inv in zip(gens, expected):
+        if inv:
+            continue
+        loc = m.localize(rd.weight(g))
+        # the dual rays are inherited from m, not recomputed
+        assert "_dual_rays" in loc.__dict__
+        fresh = torus_monoid(rd, [w.int_coords() for w in loc.generators])
+        assert loc._invertible_flags == fresh._invertible_flags
+        assert loc.invertible_lattice == fresh.invertible_lattice

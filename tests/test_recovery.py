@@ -1,11 +1,12 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from corpus import build_corpus, corpus_by_name
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
-from sphervar.monoid import WeightMonoid
+from sphervar.monoid import MonoidError, WeightMonoid, torus_monoid
 from sphervar.recovery import (
     RecoveryError,
     localize_datum,
@@ -16,7 +17,7 @@ from sphervar.recovery import (
     thin_to_elementary,
     validate_luna_datum,
 )
-from sphervar.rootsys import GroupSpec, ParabolicSet, build_root_data
+from sphervar.rootsys import GroupSpec, ParabolicSet, build_root_data, support
 from sphervar.spherical import (
     classify_root_types,
     hidden_divisors,
@@ -402,6 +403,29 @@ def test_fault_invertible_vanishing():
     assert "phi_invertible_vanishing" in {c for c, _ in rep.violations}
 
 
+def test_saturation_refusal_becomes_a_warning(monkeypatch):
+    datum = recover_entry(corpus_by_name()["toric2"])
+
+    def refuse(self):
+        raise MonoidError("saturation check limited")
+
+    monkeypatch.setattr(WeightMonoid, "is_saturated", refuse)
+    rep = validate_luna_datum(datum)
+    assert rep.passed
+    assert "saturation not checked (lattice too large)" in rep.warnings
+
+
+def test_saturation_internal_error_propagates(monkeypatch):
+    datum = recover_entry(corpus_by_name()["toric2"])
+
+    def broken(self):
+        raise ZeroDivisionError("internal")
+
+    monkeypatch.setattr(WeightMonoid, "is_saturated", broken)
+    with pytest.raises(ZeroDivisionError):
+        validate_luna_datum(datum)
+
+
 # -- localization of data -------------------------------------------------------
 
 def test_localize_datum_sl2_pair():
@@ -447,6 +471,78 @@ def test_localize_datum_at_invertible_keeps_everything():
     again = localize_datum(once, e.rd.weight((1, 0)))
     assert len(again.divisors) == len(once.divisors) == 1
     assert once.monoid.localize(e.rd.weight((1, 0))).equals(again.monoid)
+
+
+def _divisor_table(datum):
+    return sorted((d.phi.values, tuple(sorted(d.stabilizer.roots)))
+                  for d in datum.divisors)
+
+
+def test_localization_commutes_with_recovery():
+    pairs = 0
+    for e in build_corpus():
+        if e.monoid.lattice.rank > 4:
+            continue
+        datum = recover_entry(e)
+        for mu in e.monoid.minimal_generators:
+            loc = localize_datum(datum, mu)
+            roots = [g for g in e.psi.roots
+                     if support(g, e.rd) <= loc.levi_roots]
+            direct = recover_divisors(e.monoid.localize(mu),
+                                      make_spherical_roots(e.rd, roots))
+            assert direct.monoid.lattice == loc.monoid.lattice
+            assert _divisor_table(direct) == _divisor_table(loc), \
+                (e.name, mu.coords)
+            pairs += 1
+    assert pairs == 40
+
+
+# -- toric cones over lattice polygons -------------------------------------------
+
+def _hull(points):
+    """Vertices of the convex hull, counterclockwise (monotone chain)."""
+    pts = sorted(set(points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _inward_facet_normals(points):
+    """Primitive inward normals of the cone over the polygon at height 1,
+    as functionals (a, b, c) with a x + b y + c >= 0 on the polygon."""
+    hull = _hull(points)
+    out = set()
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        a, b = p[1] - q[1], q[0] - p[0]
+        c = -(a * p[0] + b * p[1])
+        g = gcd(gcd(a, b), c)
+        out.add((a // g, b // g, c // g))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("points", [
+    [(x, y) for x in range(3) for y in range(2)],
+    [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)],
+], ids=["rectangle_2x1", "hexagon"])
+def test_toric_polygon_cone_divisors_are_facets(points):
+    rd = build_root_data(GroupSpec((), 3))
+    m = torus_monoid(rd, [(x, y, 1) for x, y in points])
+    datum = recover_divisors(m, make_spherical_roots(rd, ()))
+    units = [rd.weight(tuple(int(i == j) for j in range(3))) for i in range(3)]
+    got = sorted(tuple(int(d.phi.eval_weight(u)) for u in units)
+                 for d in datum.divisors)
+    assert got == _inward_facet_normals(points)
 
 
 def test_recovery_generator_count_guard():
