@@ -109,7 +109,7 @@ def parse_input(text: str | bytes) -> InputDocument:
         data = json.loads(text.decode(), object_pairs_hook=no_duplicates)
     except ParseError:
         raise
-    except Exception as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")

@@ -64,9 +64,6 @@ class LatticeFunctional:
         return LatticeFunctional(self.lattice,
                                  tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def sort_key(self):
-        return self.values
-
 
 @dataclass(frozen=True)
 class BDivisorRecord:

@@ -127,8 +127,6 @@ class WeightMonoid:
     @cached_property
     def invertible_lattice(self) -> Lattice:
         inv_gens = [g for g, f in zip(self.gen_vectors, self._invertible_flags) if f]
-        if not inv_gens:
-            return Lattice(self.dim, ())
         return Lattice.span(inv_gens, self.dim)
 
     def contains_vector(self, vec) -> tuple[bool, list[int] | None]:
@@ -155,7 +153,7 @@ class WeightMonoid:
         for g, f in zip(self.gen_vectors, self._invertible_flags):
             if f:
                 continue
-            rep = inv.reduce_mod(g) if inv.rank else g
+            rep = inv.reduce_mod(g)
             reps[rep] = rep
         out = []
         for rep in reps:
@@ -170,7 +168,7 @@ class WeightMonoid:
                 continue
             diff = tuple(a - b for a, b in zip(vec, g))
             ok, _ = self.contains_vector(diff)
-            if ok and not (inv.contains(diff) if inv.rank else not any(diff)):
+            if ok and not inv.contains(diff):
                 return True
         return False
 
@@ -218,12 +216,11 @@ class WeightMonoid:
                 f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
         if lat.rank == 0:
             return True
-        cone = RationalCone.from_generators(list(self.gen_vectors), dim=self.dim) \
-            if any(any(v) for v in self.gen_vectors) else RationalCone.zero(self.dim)
+        cone = RationalCone.from_generators(list(self.gen_vectors), dim=self.dim)
         units, basis = hilbert_basis_with_units(cone, lat)
         inv = self.invertible_lattice
         for u in units.basis:
-            if not (inv.contains(u) if inv.rank else not any(u)):
+            if not inv.contains(u):
                 return False
         for h in basis:
             if not self.contains_vector(h)[0]:
@@ -291,7 +288,7 @@ def trivial_factors(m: WeightMonoid) -> tuple[frozenset[int], Lattice]:
             kernel = Lattice.full(c)
         else:
             ker = integer_kernel(rows)
-            kernel = Lattice.span(ker, c) if ker else Lattice(c, ())
+            kernel = Lattice.span(ker, c)
     return frozenset(trivial), kernel
 
 

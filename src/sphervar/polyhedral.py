@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 Vec = tuple[int, ...]
@@ -457,10 +458,17 @@ class RationalCone:
 
     rays: extreme rays modulo lineality, primitive, orthogonal to the
         lineality span, sorted.
-    lineality: canonical (HNF) basis of the lineality lattice.
+    lineality: HNF basis of the lattice spanned by the lineality basis
+        of `_dd`, which is the echelon basis of the lineality space and so
+        depends on that space alone.
     facet_normals: minimal inequality description, canonical modulo
         span_equations.
-    span_equations: primitive functionals cutting out the linear span.
+    span_equations: primitive functionals cutting out the linear span,
+        in the same form as the lineality.
+
+    Each constructor runs double description twice, once for the rays
+    and once for the facets.  Its output is minimal modulo its lineality
+    (Fukuda–Prodon), so `_canonical` only projects and sorts.
     """
 
     dim: int
@@ -482,9 +490,9 @@ class RationalCone:
             if len(v) != dim:
                 raise PolyhedralError("mixed dimensions among cone generators")
         # facets of the cone = extreme rays of {phi : phi.g >= 0, phi.l = 0}
-        ieqs = gens + lns + [tuple(-x for x in l) for l in lns]
-        ann, facets = _dd(dim, ieqs)
-        return RationalCone._from_facets(dim, facets, ann)
+        ann, facets = _dd(dim, gens + lns + [tuple(-x for x in l) for l in lns])
+        lin, rays = _dd(dim, facets + ann + [tuple(-x for x in a) for a in ann])
+        return RationalCone._canonical(dim, rays, lin, facets, ann)
 
     @staticmethod
     def from_inequalities(normals, equations=(), dim: int | None = None) -> "RationalCone":
@@ -495,24 +503,20 @@ class RationalCone:
             if not probe:
                 raise PolyhedralError("ambient dimension needed for the full cone")
             dim = len(probe[0])
-        return RationalCone._from_facets(dim, nrm, eqs)
+        lin, rays = _dd(dim, nrm + eqs + [tuple(-x for x in e) for e in eqs])
+        # the facets from the generator side drop redundant input constraints
+        ann, facets = _dd(dim, rays + lin + [tuple(-x for x in l) for l in lin])
+        return RationalCone._canonical(dim, rays, lin, facets, ann)
 
     @staticmethod
-    def _from_facets(dim: int, facets, ann) -> "RationalCone":
-        ieqs = list(facets) + list(ann) + [tuple(-x for x in a) for a in ann]
-        lin, rays = _dd(dim, ieqs)
-        # recompute the minimal facet description from the generator side so
-        # that redundant input constraints are dropped and the form is
-        # canonical
-        ieqs2 = rays + lin + [tuple(-x for x in l) for l in lin]
-        ann2, facets2 = _dd(dim, ieqs2)
-        lin_lat = Lattice.span(lin, dim) if lin else Lattice(dim, ())
-        ann_lat = Lattice.span(ann2, dim) if ann2 else Lattice(dim, ())
+    def _canonical(dim: int, rays, lin, facets, ann) -> "RationalCone":
+        lin_lat = Lattice.span(lin, dim)
+        ann_lat = Lattice.span(ann, dim)
         return RationalCone(
             dim,
             tuple(_project_off(rays, lin_lat)),
             lin_lat.basis,
-            tuple(_project_off(facets2, ann_lat)),
+            tuple(_project_off(facets, ann_lat)),
             ann_lat.basis,
         )
 
@@ -628,7 +632,7 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
             kernel = [tuple(int(i == j) for j in range(m)) for i in range(m)]
         for k in kernel:
             unit_rows.append(tuple(int(x) for x in lattice.from_coords(k)))
-    units = Lattice.span(unit_rows, dim) if unit_rows else Lattice(dim, ())
+    units = Lattice.span(unit_rows, dim)
 
     if m == 0:
         return units, []
@@ -850,7 +854,11 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
 @dataclass(frozen=True)
 class Polytope:
     """Polyhedron {x : n.x >= c} in coordinate space, reported relative to
-    an affine basepoint."""
+    an affine basepoint.
+
+    Every query reads one cone, the homogenization {(x, t) : n.x >= c t,
+    t >= 0}, built on first use and kept on the instance.
+    """
 
     dim: int
     halfspaces: tuple[tuple[Vec, Fraction], ...]
@@ -872,6 +880,7 @@ class Polytope:
             hs.append((tuple(int(x * den) for x in nf), off * den))
         return Polytope(dim, tuple(hs), base)
 
+    @cached_property
     def _homogenized(self) -> RationalCone:
         ieqs = []
         for nvec, c in self.halfspaces:
@@ -883,7 +892,7 @@ class Polytope:
         """(vertices, recession rays, lines); vertices are translated by the
         basepoint.  With lines present the 'vertices' are representatives of
         the minimal faces."""
-        cone = self._homogenized()
+        cone = self._homogenized
         verts: list[QVec] = []
         rays: list[Vec] = []
         lines: list[Vec] = []
@@ -903,13 +912,11 @@ class Polytope:
         return sorted(verts), sorted(rays), sorted(lines)
 
     def is_empty(self) -> bool:
-        return not any(r[-1] > 0 for r in self._homogenized().rays)
+        return not self.vertices()
 
     def is_bounded(self) -> bool:
-        if self.is_empty():
-            return True
-        _, rays, lines = self.vertex_description()
-        return not rays and not lines
+        verts, rays, lines = self.vertex_description()
+        return not verts or (not rays and not lines)
 
     def vertices(self) -> list[QVec]:
         return self.vertex_description()[0]

@@ -23,7 +23,7 @@ from .polyhedral import (
     Lattice,
     Polytope,
     RationalCone,
-    hilbert_basis_with_units,
+    hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     integer_kernel,
 )
 from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, support
@@ -58,10 +58,6 @@ def _half_coroot(rd: RootData, i: int) -> CovectorVec:
     return rd.simple_coroot(i).scale(Fraction(1, 2))
 
 
-def _phi_from_covector(cov: CovectorVec, lattice: Lattice) -> LatticeFunctional:
-    return LatticeFunctional.from_covector(cov, lattice)
-
-
 def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
                              table: RootTypeTable) -> list[BDivisorRecord]:
     """Divisors attached to type-c and type-d roots: one per c-root with
@@ -71,20 +67,20 @@ def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
     out: list[BDivisorRecord] = []
     for i in table.roots_of_type("c"):
         cov = _half_coroot(rd, i)
-        out.append(BDivisorRecord("?", _phi_from_covector(cov, X), None,
-                                  "type_c", (i,), cov))
+        phi = LatticeFunctional.from_covector(cov, X)
+        out.append(BDivisorRecord("?", phi, None, "type_c", (i,), cov))
     done: set[int] = set()
     for i in table.roots_of_type("d"):
         if i in done:
             continue
         j = table.partner_of(i)
         cov = rd.simple_coroot(i)
-        phi = _phi_from_covector(cov, X)
+        phi = LatticeFunctional.from_covector(cov, X)
         if j is None:
             out.append(BDivisorRecord("?", phi, None, "type_d", (i,), cov))
             done.add(i)
         else:
-            phi_j = _phi_from_covector(rd.simple_coroot(j), X)
+            phi_j = LatticeFunctional.from_covector(rd.simple_coroot(j), X)
             if phi_j.values != phi.values:
                 raise RecoveryError(
                     "invalid datum: partnered d-roots restrict differently "
@@ -196,7 +192,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                             case = "2"
                             case2 = True
                             cov = _half_coroot(rd, alpha)
-                            phi = _phi_from_covector(cov, X)
+                            phi = LatticeFunctional.from_covector(cov, X)
                             _check_node_pattern(phi, mins, subset)
                             for _ in range(2):
                                 minted.append(BDivisorRecord(
@@ -222,7 +218,8 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                         if len(ones) != 1:
                             continue
                         base = ones[0]
-                        phi = _phi_from_covector(rd.simple_coroot(alpha), X) - base.phi
+                        phi = LatticeFunctional.from_covector(
+                            rd.simple_coroot(alpha), X) - base.phi
                         cov = rd.simple_coroot(alpha) - base.coroot_form \
                             if base.coroot_form is not None else None
                         if phi.values in new:
@@ -485,25 +482,20 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
 
 
 def _monoid_recovery_identity(datum: LunaDatum) -> bool:
+    """Whether the divisor functionals cut the monoid out of its lattice
+    X, on the side check (i) leaves open: X ∩ {phi_D >= 0 for every D}
+    lies in M.  For saturated M, which is X ∩ cone(M), that holds iff the
+    cut cone lies in cone(M), since a rational cone is the cone over its
+    lattice points (Bruns–Gubeladze, Polytopes, Rings and K-Theory,
+    ch. 2).  Both cones are taken in the coordinates of the basis of X.
+    """
     m = datum.monoid
     X = m.lattice
-    rank = X.rank
-    if rank == 0:
-        return True
-    rows = [tuple(d.phi.values) for d in datum.divisors]
-    cone = RationalCone.from_inequalities(rows, dim=rank) if rows \
-        else RationalCone.full_space(rank)
-    units, basis = hilbert_basis_with_units(cone, Lattice.full(rank))
-    inv = m.invertible_lattice
-    for u in units.basis:
-        amb = X.from_coords(u)
-        if not (inv.contains(amb) if inv.rank else not any(amb)):
-            return False
-    for h in basis:
-        amb = tuple(int(x) for x in X.from_coords(h))
-        if not m.contains_vector(amb)[0]:
-            return False
-    return True
+    cut = RationalCone.from_inequalities(
+        [d.phi.values for d in datum.divisors], dim=X.rank)
+    cone = RationalCone.from_generators(
+        [X.coords(g) for g in m.gen_vectors], dim=X.rank)
+    return cut.intersection(cone) == cut
 
 
 # ---------------------------------------------------------------------------

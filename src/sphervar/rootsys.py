@@ -340,15 +340,7 @@ def support(w: WeightVec, rd: RootData) -> frozenset[int]:
 
     Raises if w has a central component or otherwise leaves the root span.
     """
-    n = rd.n_simple
-    for x in w.coords[n:]:
-        if x != 0:
-            raise RootDataError("weight is not in the span of the simple roots")
-    cols = [tuple(Fraction(rd.cartan[r][j]) for r in range(n)) for j in range(n)]
-    sol = rational_solve(cols, [Fraction(x) for x in w.coords[:n]])
-    if sol is None:
-        raise RootDataError("weight is not in the span of the simple roots")
-    return frozenset(j for j, c in enumerate(sol) if c != 0)
+    return frozenset(j for j, c in enumerate(root_coefficients(w, rd)) if c != 0)
 
 
 def root_coefficients(w: WeightVec, rd: RootData) -> tuple[Fraction, ...]:

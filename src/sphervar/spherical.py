@@ -16,6 +16,7 @@ from .monoid import WeightMonoid
 from .polyhedral import Lattice, RationalCone, lattice_span
 from .rootsys import (
     RootData,
+    RootDataError,
     WeightVec,
     root_coefficients,
     support,
@@ -56,7 +57,7 @@ def make_spherical_roots(rd: RootData, roots) -> SphericalRootSet:
             raise SphericalError("zero vector cannot be a spherical root")
         try:
             support(g, rd)
-        except Exception as exc:
+        except RootDataError as exc:
             raise SphericalError(f"spherical root outside the root span: {exc}")
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -88,28 +89,28 @@ def validate_roots_in_lattice(psi: SphericalRootSet, lattice: Lattice) -> None:
 # cones
 # ---------------------------------------------------------------------------
 
-def tail_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
-    """Cone generated by the spherical roots, in lattice-basis coordinates."""
-    rank = lattice.rank
-    gens = []
+def _root_coords(psi: SphericalRootSet, lattice: Lattice) -> list:
+    """The spherical roots in lattice-basis coordinates."""
+    out = []
     for g in psi.roots:
         c = lattice.coords(g.int_coords())
         if c is None:
             raise SphericalError("spherical root outside the weight lattice span")
-        gens.append(tuple(c))
-    if not gens:
-        return RationalCone.zero(rank)
-    return RationalCone.from_generators(gens, dim=rank)
+        out.append(c)
+    return out
+
+
+def tail_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
+    """Cone generated by the spherical roots, in lattice-basis coordinates."""
+    return RationalCone.from_generators(_root_coords(psi, lattice),
+                                        dim=lattice.rank)
 
 
 def valuation_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
     """Functionals nonpositive on the tail cone: minus the dual of it,
     in the basis dual to the lattice basis."""
-    d = tail_cone(psi, lattice).dual()
-    if not d.rays and not d.lineality:
-        return RationalCone.zero(lattice.rank)
-    return RationalCone.from_generators(
-        [tuple(-x for x in r) for r in d.rays], lines=d.lineality,
+    return RationalCone.from_inequalities(
+        [tuple(-x for x in c) for c in _root_coords(psi, lattice)],
         dim=lattice.rank)
 
 

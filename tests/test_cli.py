@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from sphervar import cli
 from sphervar.cli import ParseError, main, parse_input
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run_cli(args, check=True):
@@ -210,6 +212,37 @@ def test_parse_error_exit_2(tmp_path):
     path.write_text("{")
     proc = run_cli(["recover", "--input", str(path)], check=False)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("text", [b"\xff{}", "[" * 100000])
+def test_undecodable_or_too_deep_document_exit_2(tmp_path, capsys, text):
+    with pytest.raises(ParseError):
+        parse_input(text)
+    path = tmp_path / "bad.json"
+    if isinstance(text, str):
+        text = text.encode()
+    path.write_bytes(text)
+    assert main(["recover", "--input", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_parse_lets_unexpected_errors_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("internal")
+
+    monkeypatch.setattr(cli.json, "loads", broken)
+    with pytest.raises(ZeroDivisionError):
+        parse_input(json.dumps(MINIMAL))
+
+
+def test_bench_tracer_finds_every_traced_name():
+    """The benchmark tracer wraps each traced function in the module that
+    looks it up; a name that leaves its module stops `--trace 1` runs."""
+    code = ('import sys; sys.path[:0] = ["bench", "src"]; '
+            'import sphervar.cli, tracing; tracing.Tracer().install()')
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_file_exit_2():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sphervar import polyhedral
 from sphervar.polyhedral import (
     Lattice,
     PolyhedralError,
@@ -126,6 +127,11 @@ def test_primitive_examples():
 def test_lattice_span_gcd():
     lat = lattice_span([(2, 0), (3, 0)])
     assert lat.basis == ((1, 0),)
+    # the empty span: rank 0, holding only the zero vector, reducing nothing
+    empty = Lattice.span([], 3)
+    assert empty == Lattice(3, ())
+    assert empty.contains((0, 0, 0)) and not empty.contains((0, 1, 0))
+    assert empty.reduce_mod((2, -1, 5)) == (2, -1, 5)
 
 
 def test_lattice_span_identity():
@@ -241,6 +247,34 @@ def test_cone_with_lines():
     assert c.lineality == ((0, 1),)
     assert c.rays == ((1, 0),)
     assert c.contains((1, -5)) and not c.contains((-1, 0))
+
+
+def test_each_cone_constructor_runs_two_double_descriptions(monkeypatch):
+    calls = []
+    real = polyhedral._dd
+
+    def counting(dim, inequalities):
+        calls.append(dim)
+        return real(dim, inequalities)
+
+    monkeypatch.setattr(polyhedral, "_dd", counting)
+    c = RationalCone.from_generators([(1, 0, 0), (1, 2, 0)], lines=[(0, 1, 1)])
+    d = RationalCone.from_inequalities([(0, 1, 0)])
+    builds = [
+        lambda: RationalCone.from_generators([(1, 0, 0), (1, 2, 0)],
+                                             lines=[(0, 1, 1)]),
+        lambda: RationalCone.from_inequalities([(1, 0, 0), (2, 1, 0)],
+                                               [(0, 1, -1)]),
+        lambda: RationalCone.from_generators([], dim=3),
+        lambda: RationalCone.full_space(3),
+        lambda: RationalCone.zero(3),
+        lambda: c.dual(),
+        lambda: c.intersection(d),
+    ]
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 2
 
 
 def test_facets_and_dual_generators_agree():

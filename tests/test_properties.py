@@ -30,6 +30,49 @@ def test_dual_involution_property(gens):
     assert cone.dual().dual() == cone
 
 
+@st.composite
+def cone_inputs(draw, dim=None):
+    """(dim, generators, lines) in ranks 2-4, entries in [-3, 3]."""
+    if dim is None:
+        dim = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    return (dim, draw(st.lists(vec, max_size=5)),
+            draw(st.lists(vec, max_size=1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cone_inputs(), st.data())
+def test_every_cone_route_gives_the_same_canonical_form(inputs, data):
+    dim, gens, lines = inputs
+    cone = RationalCone.from_generators(gens, lines=lines, dim=dim)
+    shuffled = data.draw(st.permutations(gens))
+    total = tuple(sum(g[i] for g in gens) for i in range(dim))
+    assert RationalCone.from_generators(
+        shuffled + [total], lines=lines, dim=dim) == cone
+    assert RationalCone.from_inequalities(
+        cone.facet_normals, cone.span_equations, dim=dim) == cone
+    assert RationalCone.from_generators(
+        cone.rays, lines=cone.lineality, dim=dim) == cone
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.tuples(cone_inputs(d), cone_inputs(d))), st.booleans())
+def test_intersection_is_self_exactly_on_containment(inputs, nested):
+    (dim, gens_a, lines_a), (_, gens_b, lines_b) = inputs
+    a = RationalCone.from_generators(gens_a, lines=lines_a, dim=dim)
+    if nested:
+        # B contains A, so both outcomes are exercised
+        gens_b, lines_b = gens_b + gens_a, lines_b + lines_a
+    b = RationalCone.from_generators(gens_b, lines=lines_b, dim=dim)
+    inside = all(b.contains(r) for r in a.rays) and \
+        all(b.contains(l) and b.contains(tuple(-x for x in l))
+            for l in a.lineality)
+    assert (a.intersection(b) == a) == inside
+    if nested:
+        assert inside
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(vec3, min_size=1, max_size=4))
 def test_facets_support_generators(gens):

@@ -1,14 +1,18 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from corpus import build_corpus, corpus_by_name
+from sphervar import polyhedral
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
 from sphervar.monoid import MonoidError, WeightMonoid, torus_monoid
+from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
 from sphervar.recovery import (
     RecoveryError,
+    _monoid_recovery_identity,
     localize_datum,
     moment_polytope,
     recover_divisors,
@@ -305,6 +309,46 @@ def test_monoid_recovery_identity_on_corpus():
         assert not any(c == "monoid_recovery" for c, _ in rep.violations)
 
 
+def _hilbert_recovery_reference(datum):
+    """The recovery identity by its Hilbert-basis form: every unit of the
+    cut cone X ∩ {phi_D >= 0} is invertible in M and every element of its
+    Hilbert basis lies in M."""
+    m = datum.monoid
+    X = m.lattice
+    cut = RationalCone.from_inequalities(
+        [d.phi.values for d in datum.divisors], dim=X.rank)
+    units, basis = hilbert_basis_with_units(cut, Lattice.full(X.rank))
+    if not all(m.invertible_lattice.contains(X.from_coords(u))
+               for u in units.basis):
+        return False
+    return all(m.contains_vector(tuple(int(x) for x in X.from_coords(h)))[0]
+               for h in basis)
+
+
+def test_recovery_identity_matches_hilbert_reference():
+    """The cone inclusion agrees with the Hilbert-basis check it replaced
+    on every corpus datum, and on each variant with one divisor dropped,
+    negated or doubled."""
+    outcomes = []
+    for e in build_corpus():
+        datum = recover_entry(e)
+        assert e.monoid.is_saturated(), e.name
+        divs = datum.divisors
+        variants = [divs]
+        for i, d in enumerate(divs):
+            variants.append(divs[:i] + divs[i + 1:])
+            for scale in (-1, 2):
+                phi = LatticeFunctional(d.phi.lattice,
+                                        tuple(scale * v for v in d.phi.values))
+                variants.append(divs[:i] + (replace(d, phi=phi),) + divs[i + 1:])
+        for divisors in variants:
+            variant = replace(datum, divisors=divisors)
+            got = _monoid_recovery_identity(variant)
+            assert got == _hilbert_recovery_reference(variant), e.name
+            outcomes.append(got)
+    assert True in outcomes and False in outcomes
+
+
 # -- validator fault injection -------------------------------------------------
 
 def _tamper(datum, **changes):
@@ -556,6 +600,25 @@ def test_recovery_generator_count_guard():
 
 
 # -- moment polytopes -----------------------------------------------------------
+
+def test_moment_polytope_queries_share_one_cone(monkeypatch):
+    e = corpus_by_name()["toric2"]
+    datum = recover_entry(e)
+    mp = moment_polytope(datum, e.rd.weight((0, 0)),
+                         {d.divisor_id: 1 for d in datum.divisors})
+    calls = []
+    real = polyhedral._dd
+
+    def counting(dim, inequalities):
+        calls.append(dim)
+        return real(dim, inequalities)
+
+    monkeypatch.setattr(polyhedral, "_dd", counting)
+    mp.vertices_ambient()
+    mp.rays_ambient()
+    assert mp.is_bounded() is False and mp.is_empty() is False
+    assert len(calls) == 2
+
 
 def test_moment_polytope_ray():
     e = corpus_by_name()["so3_x0"]

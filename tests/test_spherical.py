@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from sphervar import spherical
 from sphervar.monoid import WeightMonoid, torus_monoid
 from sphervar.polyhedral import RationalCone
-from sphervar.rootsys import GroupSpec, build_root_data
+from sphervar.rootsys import GroupSpec, RootDataError, build_root_data
 from sphervar.spherical import (
     SphericalError,
     classify_root_types,
@@ -45,6 +46,21 @@ def test_make_spherical_roots_rejects_central():
     rd = rd_of(("A", 1), central=1)
     with pytest.raises(SphericalError):
         make_spherical_roots(rd, (rd.weight((0, 1)),))
+
+
+@pytest.mark.parametrize("raised, expected", [
+    (RootDataError("off the root span"), SphericalError),
+    (ZeroDivisionError("internal"), ZeroDivisionError),
+])
+def test_make_spherical_roots_converts_only_root_data_errors(
+        monkeypatch, raised, expected):
+    def broken(w, rd):
+        raise raised
+
+    monkeypatch.setattr(spherical, "support", broken)
+    rd = rd_of(("A", 1))
+    with pytest.raises(expected):
+        make_spherical_roots(rd, (rd.simple_root(0),))
 
 
 def test_tail_and_valuation_cones_horospherical():
