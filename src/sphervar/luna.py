@@ -50,7 +50,7 @@ class LatticeFunctional:
         return sum(v * c for v, c in zip(self.values, coords))
 
     def eval_weight(self, w: WeightVec) -> Fraction:
-        return self.evaluate([Fraction(x) for x in w.coords])
+        return self.evaluate(w.coords)
 
     def __add__(self, other: "LatticeFunctional") -> "LatticeFunctional":
         if self.lattice != other.lattice:

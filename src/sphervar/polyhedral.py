@@ -1,10 +1,18 @@
 """Exact rational lattice and cone algebra.
 
-Everything here is computed over Q with arbitrary-precision integers and
-fractions; no floating point is used anywhere.  Cones carry a canonical
-double description (extreme rays modulo lineality, plus a minimal facet
-description), which makes equality of cones a tuple comparison and the
-dual an involution on the nose.
+Everything here is exact; no floating point is used anywhere.  The
+kernels (double description, `primitive`, cone membership and the linear
+solves) compute on Python integers.  Every vector that double
+description carries is an integer vector kept primitive up to a positive
+factor: after each projection or combination it is divided by the gcd of
+its entries, so it points exactly as the rational vector of textbook
+elimination does.  `Fraction` appears only at the solve and coordinate
+boundary: the solved coordinates of `rational_solve` and `Lattice.coords`,
+and what is built from them, such as lattice points from coordinates and
+polytope vertices.  Cones carry a canonical double description (extreme
+rays modulo lineality, plus a minimal facet description), which makes
+equality of cones a tuple comparison and the dual an involution on the
+nose.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 Vec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
@@ -41,19 +50,36 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _clear_denominators(v) -> tuple[int, list[int]]:
+    """(d, w) with d > 0 the least common denominator of the rational
+    vector v and w = d*v an integer vector."""
+    if all(isinstance(x, int) for x in v):
+        return 1, list(v)
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in fr))
+    return den, [x.numerator * (den // x.denominator) for x in fr]
+
+
+def _reduced_combination(s: int, u, t: int, w) -> Vec:
+    """s*u - t*w divided by the gcd of its entries; zero stays zero."""
+    v = [s * x - t * y for x, y in zip(u, w)]
+    g = gcd(*v)
+    if g > 1:
+        return tuple(x // g for x in v)
+    return tuple(v)
+
+
 def primitive(v) -> Vec:
     """Scale a nonzero rational vector to the primitive integer vector on
     the same ray (direction preserved)."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    ints = _clear_denominators(v)[1]
+    g = gcd(*ints)
+    if not g:
         raise PolyhedralError("zero vector has no primitive representative")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
     return tuple(x // g for x in ints)
 
 
@@ -205,34 +231,42 @@ def integer_solve(cols: list, target) -> list[int] | None:
 
 
 def rational_solve(cols: list, target) -> list[Fraction] | None:
-    """Solve sum_i c_i * cols[i] = target over Q; None if inconsistent."""
+    """Solve sum_i c_i * cols[i] = target over Q; None if inconsistent.
+
+    Fraction-free Gauss–Jordan: each equation is scaled to integers, and
+    every row operation is a cross-multiplication followed by division by
+    the row's gcd, so each row stays a nonzero multiple of the row that
+    rational elimination would hold.  The free coordinates are zero; each
+    pivot coordinate is one `Fraction(rhs, pivot)`.
+    """
+    n = len(target)
+    if any(len(c) != n for c in cols):
+        raise PolyhedralError("rational_solve: column and target lengths differ")
     if not cols:
-        return [] if all(Fraction(x) == 0 for x in target) else None
-    n = len(cols[0])
+        return [] if not any(target) else None
     m = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(m)] + [Fraction(target[i])]
-           for i in range(n)]
+    rows = [_clear_denominators([c[i] for c in cols] + [target[i]])[1]
+            for i in range(n)]
     piv_cols: list[int] = []
     r = 0
     for c in range(m):
-        p = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
         if p is None:
             continue
-        aug[r], aug[p] = aug[p], aug[r]
-        fac = aug[r][c]
-        aug[r] = [x / fac for x in aug[r]]
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _reduced_combination(pv, rows[i], f, prow)
         piv_cols.append(c)
         r += 1
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
+    if any(rows[i][m] for i in range(r, n)):
+        return None
     sol = [Fraction(0)] * m
     for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][m]
+        sol[c] = Fraction(rows[i][m], rows[i][c])
     return sol
 
 
@@ -268,11 +302,39 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row."""
+        return tuple(next(j for j, x in enumerate(b) if x) for b in self.basis)
+
     def coords(self, v) -> QVec | None:
         """Coordinates of v in the lattice basis; None if v is outside the
-        rational span."""
-        sol = rational_solve(list(self.basis), v)
-        return tuple(sol) if sol is not None else None
+        rational span.
+
+        The basis is in HNF, so the rows after row i vanish at its pivot
+        column and to the left of it: coordinate i is read at that column
+        once the earlier rows are subtracted.  The residual stays integral
+        over a common denominator, scaled up only when a pivot does not
+        divide its entry.
+        """
+        if len(v) != self.dim:
+            raise PolyhedralError("vector length does not match the lattice")
+        den, res = _clear_denominators(v)
+        out = []
+        for b, p in zip(self.basis, self._pivots):
+            x, piv = res[p], b[p]
+            if x % piv:
+                s = piv // gcd(x, piv)
+                res = [s * y for y in res]
+                den *= s
+                x *= s
+            q = x // piv
+            if q:
+                res = [y - q * z for y, z in zip(res, b)]
+            out.append(Fraction(q, den))
+        if any(res):
+            return None
+        return tuple(out)
 
     def contains(self, v) -> bool:
         c = self.coords(v)
@@ -300,8 +362,7 @@ class Lattice:
     def reduce_mod(self, v) -> Vec:
         """Canonical representative of v modulo this lattice (HNF reduction)."""
         out = [int(x) for x in v]
-        for b in self.basis:
-            p = next(j for j in range(self.dim) if b[j] != 0)
+        for b, p in zip(self.basis, self._pivots):
             q = out[p] // b[p]
             if q:
                 out = [a - q * c for a, c in zip(out, b)]
@@ -344,65 +405,61 @@ def _dd(dim: int, inequalities) -> tuple[list[Vec], list[Vec]]:
     list always spans the kernel of the processed constraints, the ray set
     is minimal modulo it, and each ray's bit mask records exactly which
     processed constraints vanish on it (needed for the combinatorial
-    adjacency test of Fukuda–Prodon).
+    adjacency test of Fukuda–Prodon).  Every vector is an integer vector,
+    divided by the gcd of its entries after each projection or
+    combination, so it is primitive and a positive multiple of the vector
+    the same steps over Q would give; the output needs no rescaling.
     """
-    lin: list[QVec] = [tuple(Fraction(int(i == j)) for j in range(dim))
-                       for i in range(dim)]
-    rays: list[QVec] = []
+    lin: list[Vec] = [tuple(int(i == j) for j in range(dim))
+                      for i in range(dim)]
+    rays: list[Vec] = []
     masks: list[int] = []
-    n_processed = 0
 
     seen = set()
     todo: list[Vec] = []
     for a in inequalities:
-        af = [Fraction(x) for x in a]
-        if all(x == 0 for x in af):
+        if not any(a):
             continue
-        ap = primitive(af)
+        ap = primitive(a)
         if ap not in seen:
             seen.add(ap)
             todo.append(ap)
 
-    def dot(a, r) -> Fraction:
-        return sum(Fraction(x) * y for x, y in zip(a, r))
-
-    for a in todo:
-        k = n_processed
-        v0_orig = next((v for v in lin if dot(a, v) != 0), None)
+    for k, a in enumerate(todo):
+        v0_orig = next((v for v in lin if _dot(a, v)), None)
         if v0_orig is not None:
             # constraint cuts the lineality space: one dimension of it
             # becomes a new extreme ray, everything else is projected into
-            # the constraint hyperplane along v0.  Earlier constraints all
-            # vanish on v0, so existing masks stay valid.
-            v0 = v0_orig if dot(a, v0_orig) > 0 else tuple(-x for x in v0_orig)
-            pv = dot(a, v0)
+            # the constraint hyperplane along v0, as pv*v - (a.v)*v0 with
+            # pv > 0.  Earlier constraints all vanish on v0, so existing
+            # masks stay valid.
+            pv = _dot(a, v0_orig)
+            v0 = v0_orig
+            if pv < 0:
+                v0, pv = tuple(-x for x in v0_orig), -pv
             new_lin = []
             for v in lin:
                 if v is v0_orig:
                     continue
-                w = tuple(x - dot(a, v) / pv * y for x, y in zip(v, v0))
-                if any(x != 0 for x in w):
+                w = _reduced_combination(pv, v, _dot(a, v), v0)
+                if any(w):
                     new_lin.append(w)
             lin = new_lin
             # every projected ray now lies inside {a = 0}; v0 does not
-            rays = [tuple(x - dot(a, r) / pv * y for x, y in zip(r, v0))
-                    for r in rays]
+            rays = [_reduced_combination(pv, r, _dot(a, r), v0) for r in rays]
             masks = [mk | (1 << k) for mk in masks]
             rays.append(v0)
             masks.append((1 << k) - 1)
-            n_processed += 1
             continue
-        vals = [dot(a, r) for r in rays]
+        vals = [_dot(a, r) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         if not neg:
             for i in zero:
                 masks[i] |= 1 << k
-            n_processed += 1
             continue
-        zero_set = set(zero)
-        new_rays: list[QVec] = []
+        new_rays: list[Vec] = []
         new_masks: list[int] = []
         for i in pos:
             new_rays.append(rays[i])
@@ -419,16 +476,12 @@ def _dd(dim: int, inequalities) -> tuple[list[Vec], list[Vec]]:
                     break
             if not adjacent:
                 continue
-            w = tuple(vals[i] * x - vals[j] * y for x, y in zip(rays[j], rays[i]))
-            new_rays.append(w)
+            new_rays.append(_reduced_combination(vals[i], rays[j], vals[j], rays[i]))
             new_masks.append(common | (1 << k))
         rays = new_rays
         masks = new_masks
-        n_processed += 1
 
-    lin_basis = [primitive(v) for v in lin if any(x != 0 for x in v)]
-    ray_vecs = [primitive(r) for r in rays if any(x != 0 for x in r)]
-    return lin_basis, ray_vecs
+    return lin, [r for r in rays if any(r)]
 
 
 def _project_off(rays, lin: Lattice) -> list[Vec]:
@@ -436,18 +489,19 @@ def _project_off(rays, lin: Lattice) -> list[Vec]:
     deduplicated and sorted: the canonical ray list modulo lineality."""
     if lin.rank == 0:
         return sorted(set(primitive(r) for r in rays))
-    basis = [tuple(Fraction(x) for x in b) for b in lin.basis]
-    gram_cols = [tuple(sum(a * b for a, b in zip(bi, bj)) for bi in basis)
-                 for bj in basis]
+    basis = lin.basis
+    gram_cols = [tuple(_dot(bi, bj) for bi in basis) for bj in basis]
     out = set()
     for r in rays:
-        rv = [Fraction(x) for x in r]
-        rhs = [sum(a * b for a, b in zip(bi, rv)) for bi in basis]
-        sol = rational_solve(gram_cols, rhs)
-        proj = rv[:]
+        sol = rational_solve(gram_cols, [_dot(bi, r) for bi in basis])
+        # den * (r - sum c_i b_i), a positive multiple of the projection
+        den = lcm(*(c.denominator for c in sol))
+        proj = [den * x for x in r]
         for c, bi in zip(sol, basis):
-            proj = [p - c * b for p, b in zip(proj, bi)]
-        if any(x != 0 for x in proj):
+            k = c.numerator * (den // c.denominator)
+            if k:
+                proj = [p - k * b for p, b in zip(proj, bi)]
+        if any(proj):
             out.add(primitive(proj))
     return sorted(out)
 
@@ -479,8 +533,8 @@ class RationalCone:
 
     @staticmethod
     def from_generators(generators, lines=(), dim: int | None = None) -> "RationalCone":
-        gens = [primitive(g) for g in generators if any(Fraction(x) != 0 for x in g)]
-        lns = [primitive(l) for l in lines if any(Fraction(x) != 0 for x in l)]
+        gens = [primitive(g) for g in generators if any(g)]
+        lns = [primitive(l) for l in lines if any(l)]
         if dim is None:
             probe = gens + lns
             if not probe:
@@ -496,8 +550,8 @@ class RationalCone:
 
     @staticmethod
     def from_inequalities(normals, equations=(), dim: int | None = None) -> "RationalCone":
-        nrm = [primitive(n) for n in normals if any(Fraction(x) != 0 for x in n)]
-        eqs = [primitive(e) for e in equations if any(Fraction(x) != 0 for x in e)]
+        nrm = [primitive(n) for n in normals if any(n)]
+        eqs = [primitive(e) for e in equations if any(e)]
         if dim is None:
             probe = nrm + eqs
             if not probe:
@@ -541,14 +595,10 @@ class RationalCone:
         return self.dim - len(self.span_equations)
 
     def contains(self, v) -> bool:
-        vf = [Fraction(x) for x in v]
-        for e in self.span_equations:
-            if sum(a * b for a, b in zip(e, vf)) != 0:
-                return False
-        for n in self.facet_normals:
-            if sum(a * b for a, b in zip(n, vf)) < 0:
-                return False
-        return True
+        if len(v) != self.dim:
+            raise PolyhedralError("vector length does not match the cone")
+        return (not any(_dot(e, v) for e in self.span_equations)
+                and all(_dot(n, v) >= 0 for n in self.facet_normals))
 
     def dual(self) -> "RationalCone":
         """The cone {phi : phi.v >= 0 for all v in this cone}."""

@@ -297,10 +297,13 @@ def build_root_data(spec: GroupSpec) -> RootData:
     pos = 0
     for blk in blocks:
         b = len(blk)
-        inv = _invert_rational([[Fraction(x) for x in row] for row in blk])
+        # column i of C^{-1} solves C x = e_i, so (C^{-1})_{ji} = inv[i][j]
+        cols = [[row[j] for row in blk] for j in range(b)]
+        inv = [rational_solve(cols, [int(r == i) for r in range(b)])
+               for i in range(b)]
         for i in range(b):
             for j in range(b):
-                sym[pos + i][pos + j] = inv[j][i] * lengths[pos + j]
+                sym[pos + i][pos + j] = inv[i][j] * lengths[pos + j]
         pos += b
     for i in range(spec.central_rank):
         sym[n + i][n + i] = Fraction(1)
@@ -311,22 +314,6 @@ def build_root_data(spec: GroupSpec) -> RootData:
         factor_of=tuple(factor_of),
         sym_form=tuple(tuple(row) for row in sym),
     )
-
-
-def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[p] = aug[p], aug[c]
-        fac = aug[c][c]
-        aug[c] = [x / fac for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def pairing(c: CovectorVec, w: WeightVec) -> Fraction:
@@ -349,8 +336,8 @@ def root_coefficients(w: WeightVec, rd: RootData) -> tuple[Fraction, ...]:
     for x in w.coords[n:]:
         if x != 0:
             raise RootDataError("weight is not in the span of the simple roots")
-    cols = [tuple(Fraction(rd.cartan[r][j]) for r in range(n)) for j in range(n)]
-    sol = rational_solve(cols, [Fraction(x) for x in w.coords[:n]])
+    cols = [tuple(rd.cartan[r][j] for r in range(n)) for j in range(n)]
+    sol = rational_solve(cols, w.coords[:n])
     if sol is None:
         raise RootDataError("weight is not in the span of the simple roots")
     return tuple(sol)

@@ -20,6 +20,7 @@ from sphervar.polyhedral import (
     lattice_span,
     monoid_membership,
     primitive,
+    rational_solve,
     smith_diagonalize,
 )
 
@@ -184,6 +185,21 @@ def test_integer_solve_prefers_integral():
     assert integer_solve([(2,)], (3,)) is None
 
 
+def test_rational_solve_rejects_length_mismatch():
+    with pytest.raises(PolyhedralError):
+        rational_solve([(1, 0)], (1, 0, 7))
+    with pytest.raises(PolyhedralError):
+        rational_solve([(1, 0), (0, 1, 0)], (1, 0))
+
+
+def test_lattice_coords_rejects_length_mismatch():
+    lat = Lattice.span([(1, 0)], 2)
+    with pytest.raises(PolyhedralError):
+        lat.contains((1, 0, 7))
+    with pytest.raises(PolyhedralError):
+        lat.coords((1,))
+
+
 def test_integer_kernel():
     ker = integer_kernel([[1, 1, 1]])
     assert len(ker) == 2
@@ -317,6 +333,14 @@ def test_cone_membership_against_oracle():
         for _ in range(12):
             p = tuple(rng.randint(-4, 4) for _ in range(dim))
             assert c.contains(p) == cone_member_oracle(p, gens)
+
+
+def test_cone_contains_rejects_length_mismatch():
+    c = RationalCone.from_generators([(1, 0)], dim=2)
+    with pytest.raises(PolyhedralError):
+        c.contains((1, 0, -5))
+    with pytest.raises(PolyhedralError):
+        c.contains((1,))
 
 
 # -- Hilbert bases ------------------------------------------------------------

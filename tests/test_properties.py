@@ -1,10 +1,13 @@
 """Hypothesis-driven property tests for the algebraic invariants."""
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sphervar import polyhedral
 from sphervar.monoid import torus_monoid
 from sphervar.polyhedral import (
     Lattice,
@@ -13,6 +16,7 @@ from sphervar.polyhedral import (
     lattice_span,
     monoid_membership,
     primitive,
+    rational_solve,
     smith_diagonalize,
 )
 from sphervar.rootsys import GroupSpec, build_root_data, pairing, symmetric_form
@@ -198,3 +202,239 @@ def test_invertibility_matches_membership_search(data):
         fresh = torus_monoid(rd, [w.int_coords() for w in loc.generators])
         assert loc._invertible_flags == fresh._invertible_flags
         assert loc.invertible_lattice == fresh.invertible_lattice
+
+
+# -- the integer kernels against rational references -------------------------
+#
+# The references below are the rational-arithmetic versions of `_dd`,
+# `rational_solve` and `Lattice.coords` that the integer kernels replaced.
+# They compute on `Fraction` throughout and share no code with the kernels.
+
+def reference_primitive(v):
+    fr = [Fraction(x) for x in v]
+    den = 1
+    for x in fr:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in fr]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def reference_dd(dim, inequalities):
+    lin = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    rays = []
+    masks = []
+    n_processed = 0
+    seen = set()
+    todo = []
+    for a in inequalities:
+        af = [Fraction(x) for x in a]
+        if all(x == 0 for x in af):
+            continue
+        ap = reference_primitive(af)
+        if ap not in seen:
+            seen.add(ap)
+            todo.append(ap)
+
+    def dot(a, r):
+        return sum(Fraction(x) * y for x, y in zip(a, r))
+
+    for a in todo:
+        k = n_processed
+        v0_orig = next((v for v in lin if dot(a, v) != 0), None)
+        if v0_orig is not None:
+            v0 = v0_orig if dot(a, v0_orig) > 0 else tuple(-x for x in v0_orig)
+            pv = dot(a, v0)
+            new_lin = []
+            for v in lin:
+                if v is v0_orig:
+                    continue
+                w = tuple(x - dot(a, v) / pv * y for x, y in zip(v, v0))
+                if any(x != 0 for x in w):
+                    new_lin.append(w)
+            lin = new_lin
+            rays = [tuple(x - dot(a, r) / pv * y for x, y in zip(r, v0))
+                    for r in rays]
+            masks = [mk | (1 << k) for mk in masks]
+            rays.append(v0)
+            masks.append((1 << k) - 1)
+            n_processed += 1
+            continue
+        vals = [dot(a, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        if not neg:
+            for i in zero:
+                masks[i] |= 1 << k
+            n_processed += 1
+            continue
+        new_rays = []
+        new_masks = []
+        for i in pos:
+            new_rays.append(rays[i])
+            new_masks.append(masks[i])
+        for i in zero:
+            new_rays.append(rays[i])
+            new_masks.append(masks[i] | (1 << k))
+        for i, j in itertools.product(pos, neg):
+            common = masks[i] & masks[j]
+            adjacent = True
+            for t in range(len(rays)):
+                if t != i and t != j and (masks[t] & common) == common:
+                    adjacent = False
+                    break
+            if not adjacent:
+                continue
+            w = tuple(vals[i] * x - vals[j] * y for x, y in zip(rays[j], rays[i]))
+            new_rays.append(w)
+            new_masks.append(common | (1 << k))
+        rays = new_rays
+        masks = new_masks
+        n_processed += 1
+
+    lin_basis = [reference_primitive(v) for v in lin if any(x != 0 for x in v)]
+    ray_vecs = [reference_primitive(r) for r in rays if any(x != 0 for x in r)]
+    return lin_basis, ray_vecs
+
+
+def reference_rational_solve(cols, target):
+    if not cols:
+        return [] if all(Fraction(x) == 0 for x in target) else None
+    n = len(cols[0])
+    m = len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(m)] + [Fraction(target[i])]
+           for i in range(n)]
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        p = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        fac = aug[r][c]
+        aug[r] = [x / fac for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][m] != 0:
+            return None
+    sol = [Fraction(0)] * m
+    for i, c in enumerate(piv_cols):
+        sol[c] = aug[i][m]
+    return sol
+
+
+def reference_coords(lattice, v):
+    sol = reference_rational_solve(list(lattice.basis), v)
+    return tuple(sol) if sol is not None else None
+
+
+def _combination(coeffs, vectors, dim):
+    return tuple(sum(c * v[i] for c, v in zip(coeffs, vectors))
+                 for i in range(dim))
+
+
+@st.composite
+def dd_systems(draw):
+    """(dim, rows) in ranks 1-6, with zero, duplicate (positively
+    rescaled, possibly rational), negated and redundant rows and equality
+    pairs mixed in."""
+    dim = draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    rows = draw(st.lists(vec, max_size=6))
+    extras = st.sampled_from(
+        ["zero", "duplicate", "negated", "redundant", "equality"])
+    for kind in draw(st.lists(extras, max_size=4)):
+        if kind == "zero" or not rows:
+            rows.append((0,) * dim)
+            continue
+        a = draw(st.sampled_from(rows))
+        if kind == "duplicate":
+            c = draw(st.sampled_from([2, 3, Fraction(1, 2), Fraction(2, 3)]))
+            rows.append(tuple(c * x for x in a))
+        elif kind == "negated":
+            rows.append(tuple(-x for x in a))
+        elif kind == "redundant":
+            b = draw(st.sampled_from(rows))
+            rows.append(tuple(x + y for x, y in zip(a, b)))
+        else:
+            b = draw(vec)
+            rows += [b, tuple(-x for x in b)]
+    order = draw(st.permutations(range(len(rows))))
+    return dim, [rows[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dd_systems())
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]))
+@example((4, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (0, 1, -1, 0),
+              (0, -1, 1, 0), (1, 1, 0, 0)]))
+def test_integer_dd_matches_rational_reference(system):
+    dim, rows = system
+    assert polyhedral._dd(dim, rows) == reference_dd(dim, rows)
+
+
+entries = st.one_of(st.integers(-4, 4),
+                    st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def linear_systems(draw):
+    """(cols, target): up to 4 columns in Q^1..Q^4, with a dependent column
+    mixed in, and a target in the column span or drawn at random."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[entries] * n)
+    cols = draw(st.lists(vec, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        c = draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
+        cols.insert(draw(st.integers(0, len(cols))), _combination(c, cols, n))
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
+        target = _combination(x, cols, n)
+    else:
+        target = draw(st.one_of(st.tuples(*[st.integers(-4, 4)] * n), vec))
+    return cols, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+@example(([(1, 2), (2, 4)], (1, 3)))
+@example(([(1, 2), (2, 4)], (Fraction(1, 2), 1)))
+@example(([(0, 0)], (0, 1)))
+def test_integer_solve_matches_rational_reference(system):
+    cols, target = system
+    assert rational_solve(cols, target) == reference_rational_solve(cols, target)
+
+
+@st.composite
+def lattice_vectors(draw):
+    """(lattice, v) with v in the lattice, in its rational span but not
+    (in general) in it, or drawn from the whole space."""
+    dim = draw(st.integers(1, 5))
+    vec = st.tuples(*[st.integers(-4, 4)] * dim)
+    lat = Lattice.span(draw(st.lists(vec, max_size=4)), dim)
+    kind = draw(st.sampled_from(["lattice", "span", "outside"]))
+    if kind == "outside" or not lat.basis:
+        return lat, draw(vec)
+    if kind == "lattice":
+        c = draw(st.lists(st.integers(-3, 3), min_size=lat.rank,
+                          max_size=lat.rank))
+    else:
+        den = draw(st.integers(2, 5))
+        c = [Fraction(x, den) for x in draw(st.lists(
+            st.integers(-6, 6), min_size=lat.rank, max_size=lat.rank))]
+    return lat, _combination(c, lat.basis, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_vectors())
+def test_echelon_coords_match_rational_reference(data):
+    lat, v = data
+    assert lat.coords(v) == reference_coords(lat, v)

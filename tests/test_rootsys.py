@@ -172,6 +172,23 @@ def test_symmetric_form_matches_cartan_scaling():
                 assert lhs == rhs
 
 
+def test_symmetric_form_inverts_the_cartan_matrix():
+    # (alpha_l, omega_j) = d_j [j == l], with alpha_l = sum_i C[i][l] omega_i
+    for factors in [(("A", 1),), (("A", 2),), (("A", 4),), (("B", 2),),
+                    (("B", 4),), (("C", 2),), (("C", 3),), (("C", 4),),
+                    (("D", 3),), (("D", 5),), (("E", 6),), (("E", 7),),
+                    (("E", 8),), (("F", 4),), (("G", 2),),
+                    (("C", 2), ("A", 1))]:
+        rd = rd_of(*factors, central=1)
+        n = rd.n_simple
+        for l in range(n):
+            for j in range(rd.dim):
+                lhs = sum(rd.cartan[i][l] * rd.sym_form[i][j] for i in range(n))
+                assert lhs == (rd.root_lengths[l] if j == l else 0)
+        assert all(rd.sym_form[i][j] == rd.sym_form[j][i]
+                   for i in range(rd.dim) for j in range(rd.dim))
+
+
 def test_central_block_identity():
     rd = rd_of(("A", 1), central=2)
     e1 = rd.weight((0, 1, 0))
