@@ -1,10 +1,13 @@
 """Weight monoids: finitely generated submonoids of the character lattice.
 
 A monoid is given by dominant integral generators.  Everything derived
-(the spanned lattice, the invertible sublattice, the minimal generators
-modulo invertibles) is cached on the instance; canonical representatives
-modulo the invertible part are chosen by Hermite reduction so that all
-downstream computations are deterministic.
+is cached on the instance: the spanned lattice, the rays of the dual
+cone, the invertible sublattice, the minimal generators modulo
+invertibles, and the membership search table (`MonoidSearch`: search
+order, pruning tables and the target-free part of the Borosh–Treybig
+bound), which every membership query to the monoid reuses.  Canonical
+representatives modulo the invertible part are chosen by Hermite
+reduction so that all downstream computations are deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from functools import cached_property
 
 from .polyhedral import (
     Lattice,
+    MonoidSearch,
     RationalCone,
     _dd,
     hilbert_basis_with_units,
@@ -129,9 +133,15 @@ class WeightMonoid:
         inv_gens = [g for g, f in zip(self.gen_vectors, self._invertible_flags) if f]
         return Lattice.span(inv_gens, self.dim)
 
+    @cached_property
+    def _search(self) -> MonoidSearch:
+        """The membership search table over `extended_generators`, built
+        once and shared by every query to this monoid.  A localized
+        monoid has other generators and builds its own."""
+        return MonoidSearch(self.extended_generators)
+
     def contains_vector(self, vec) -> tuple[bool, list[int] | None]:
-        return monoid_membership(tuple(int(x) for x in vec),
-                                 list(self.extended_generators))
+        return monoid_membership(tuple(int(x) for x in vec), self._search)
 
     def contains(self, w: WeightVec) -> bool:
         if w.spec != self.rd.spec:

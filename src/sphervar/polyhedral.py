@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 Vec = tuple[int, ...]
@@ -773,26 +773,6 @@ def hilbert_basis(cone: RationalCone, lattice: Lattice) -> list[Vec]:
 # monoid membership by bounded search
 # ---------------------------------------------------------------------------
 
-def _int_det(mat: list[list[int]]) -> int:
-    # Bareiss fraction-free determinant
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _hadamard_bound(rows: list[list[int]]) -> int:
     """An upper bound on every absolute minor of an integer matrix.
 
@@ -813,61 +793,126 @@ def _hadamard_bound(rows: list[list[int]]) -> int:
     return best
 
 
-def _max_abs_minor(rows: list[list[int]], cap: int = 500000) -> int:
-    """The largest absolute minor of an integer matrix (at least 1).
+class MonoidSearch:
+    """Everything about a membership search in Z≥0-span(generators) that
+    does not depend on the target vector v.
 
-    When the matrix has more than `cap` minors of order two or more the
-    scan stops and the Hadamard bound is returned instead: no longer the
-    largest minor, but still an upper bound on it.
+    - `order`, `supp`, `nneg`, `npos`: the depth-first order of the
+      generators and, for each suffix of that order, which coordinates
+      some generator touches and which no generator can lower or raise.
+    - the Borosh–Treybig bound, the largest absolute minor of the
+      augmented matrix [G | v] (G has the generators as columns).  A minor
+      that avoids the v column is a minor of G; their maximum is `_fixed`.
+      A minor on rows R that uses the v column equals w·v by Laplace
+      expansion along that column, where w is the cofactor covector
+      supported on R whose entries are the signed minors of G on R minus
+      one row.  The distinct nonzero covectors, up to sign, are
+      `_covectors`, so `bound(v)` costs one dot product per covector.
+
+    When [G | v] has more than `cap` minors of order two or more (a count
+    fixed by the shape alone), no minor is computed and `bound(v)` is
+    Hadamard's bound on the augmented rows instead: an upper bound on the
+    largest minor rather than the minor itself.
     """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    best = max((abs(x) for r in rows for x in r), default=1)
-    count = 0
-    for k in range(2, min(m, n) + 1):
-        for ri in itertools.combinations(range(m), k):
-            for ci in itertools.combinations(range(n), k):
-                count += 1
-                if count > cap:
-                    return max(_hadamard_bound(rows), 1)
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                best = max(best, abs(_int_det(sub)))
-    return max(best, 1)
+
+    def __init__(self, generators, cap: int = 500000):
+        gens = [tuple(map(int, g)) for g in generators]
+        if len({len(g) for g in gens}) > 1:
+            raise PolyhedralError("monoid generators differ in length")
+        self.gens = gens
+        self.dim = len(gens[0]) if gens else 0
+        dim, n = self.dim, len(gens)
+        self.order = sorted(range(n), key=lambda i: gens[i], reverse=True)
+        self.supp = [[False] * dim for _ in range(n + 1)]
+        self.nneg = [[True] * dim for _ in range(n + 1)]
+        self.npos = [[True] * dim for _ in range(n + 1)]
+        for pos in reversed(range(n)):
+            g = gens[self.order[pos]]
+            for i in range(dim):
+                self.supp[pos][i] = self.supp[pos + 1][i] or g[i] != 0
+                self.nneg[pos][i] = self.nneg[pos + 1][i] and g[i] >= 0
+                self.npos[pos][i] = self.npos[pos + 1][i] and g[i] <= 0
+        count = sum(comb(dim, k) * comb(n + 1, k)
+                    for k in range(2, min(dim, n + 1) + 1))
+        if count > cap:
+            self._fixed = None
+            self._rows = [[g[i] for g in gens] for i in range(dim)]
+        else:
+            self._fixed, self._covectors = self._minors_and_covectors()
+
+    def _minors_and_covectors(self) -> tuple[int, tuple[Vec, ...]]:
+        """The largest absolute minor of G and the cofactor covectors.
+
+        Built order by order.  The covector of rows R (|R| = j + 1) and
+        columns C (|C| = j) carries (-1)^(p + j) det G[R - R[p], C] at
+        row R[p], so by Laplace expansion along the last column it dots
+        with generator c > max(C) to det G[R, C + (c,)]: the minors of
+        order j + 1 come from those of order j, and only one order's
+        nonzero minors are kept at a time.
+        """
+        gens, dim, n = self.gens, self.dim, len(self.gens)
+        minors: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
+        fixed = 0
+        covectors: set[Vec] = set()
+        for j in range(min(dim, n + 1)):
+            nxt = {}
+            for rows in itertools.combinations(range(dim), j + 1):
+                for cols in itertools.combinations(range(n), j):
+                    w = [0] * dim
+                    for p, r in enumerate(rows):
+                        d = minors.get((rows[:p] + rows[p + 1:], cols), 0)
+                        w[r] = -d if (p + j) % 2 else d
+                    if not any(w):
+                        continue
+                    lead = next(x for x in w if x)
+                    covectors.add(tuple(w) if lead > 0 else tuple(-x for x in w))
+                    for c in range(cols[-1] + 1 if cols else 0, n):
+                        d = _dot(w, gens[c])
+                        if d:
+                            nxt[rows, cols + (c,)] = d
+                            fixed = max(fixed, abs(d))
+            minors = nxt
+        return fixed, tuple(covectors)
+
+    def bound(self, v) -> int:
+        """The largest absolute minor of [G | v], at least 1 (past the cap,
+        Hadamard's bound on it)."""
+        if self._fixed is None:
+            return max(_hadamard_bound(
+                [r + [x] for r, x in zip(self._rows, v)]), 1)
+        return max(self._fixed, 1,
+                   max((abs(_dot(w, v)) for w in self._covectors), default=0))
 
 
 def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
     """Decide v ∈ Z≥0-span(generators), with a certificate.
 
+    `generators` is a list of integer vectors or a prebuilt `MonoidSearch`
+    over them; a caller that asks many questions of one monoid builds the
+    search once and passes it each time.
+
     Termination: if a nonnegative integer combination exists then one
     exists with every coefficient bounded by the largest absolute minor of
     the augmented matrix [generators | v] (Borosh–Treybig), so the search
-    space is finite.  The search uses `_max_abs_minor`, which is that
-    minor or, for matrices with too many minors to scan, Hadamard's upper
-    bound on it; either way no solution within the bound is missed.
+    space is finite.  `MonoidSearch.bound` is that minor or, for matrices
+    with too many minors to compute, Hadamard's upper bound on it; either
+    way no solution within the bound is missed.
     """
+    table = generators if isinstance(generators, MonoidSearch) \
+        else MonoidSearch(generators)
+    gens, order = table.gens, table.order
+    supp, nneg, npos = table.supp, table.nneg, table.npos
     v = tuple(map(int, v))
-    gens = [tuple(map(int, g)) for g in generators]
+    if gens and len(v) != table.dim:
+        raise PolyhedralError(
+            f"vector of length {len(v)} against generators of length {table.dim}")
     if not any(v):
         return True, [0] * len(gens)
     if not gens:
         return False, None
     dim = len(v)
-    aug_rows = [[g[i] for g in gens] + [v[i]] for i in range(dim)]
-    bound = _max_abs_minor(aug_rows)
-
-    order = sorted(range(len(gens)), key=lambda i: gens[i], reverse=True)
+    bound = table.bound(v)
     n = len(order)
-    # per-suffix coordinate facts for pruning
-    supp = [[False] * dim for _ in range(n + 1)]
-    nneg = [[True] * dim for _ in range(n + 1)]
-    npos = [[True] * dim for _ in range(n + 1)]
-    for pos in reversed(range(n)):
-        g = gens[order[pos]]
-        for i in range(dim):
-            supp[pos][i] = supp[pos + 1][i] or g[i] != 0
-            nneg[pos][i] = nneg[pos + 1][i] and g[i] >= 0
-            npos[pos][i] = npos[pos + 1][i] and g[i] <= 0
-
     coeffs = [0] * len(gens)
 
     def search(pos: int, residual: tuple[int, ...]) -> bool:

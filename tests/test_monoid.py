@@ -1,5 +1,6 @@
 import pytest
 
+from sphervar import monoid as monoid_module
 from sphervar.monoid import (
     MonoidError,
     WeightMonoid,
@@ -103,6 +104,31 @@ def test_localize_idempotent():
     m = torus_monoid(rd, [(1, 0), (0, 1)])
     e1 = rd.weight((1, 0))
     assert m.localize(e1).localize(e1).equals(m.localize(e1))
+
+
+def test_one_search_table_per_monoid(monkeypatch):
+    built = []
+
+    class CountingSearch(monoid_module.MonoidSearch):
+        def __init__(self, generators, *args, **kwargs):
+            built.append(tuple(generators))
+            super().__init__(generators, *args, **kwargs)
+
+    monkeypatch.setattr(monoid_module, "MonoidSearch", CountingSearch)
+    rd = torus(2)
+    m = torus_monoid(rd, [(1, 0), (1, 1), (1, 2), (2, 1)])
+    assert tuple(g.int_coords() for g in m.minimal_generators) == \
+        ((1, 0), (1, 1), (1, 2))
+    assert m.is_saturated()
+    assert m.contains(rd.weight((3, 2)))
+    assert not m.contains(rd.weight((0, 1)))
+    loc = m.localize(rd.weight((1, 0)))
+    assert built == [m.extended_generators]
+    # the localized monoid has other generators and builds its own table
+    assert "_search" not in loc.__dict__
+    assert loc.contains(rd.weight((-1, 0)))
+    assert built == [m.extended_generators, loc.extended_generators]
+    assert loc._search is not m._search
 
 
 def test_saturation():

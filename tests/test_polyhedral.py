@@ -11,8 +11,8 @@ from sphervar.polyhedral import (
     Lattice,
     PolyhedralError,
     Polytope,
+    MonoidSearch,
     RationalCone,
-    _max_abs_minor,
     hilbert_basis,
     hilbert_basis_with_units,
     integer_kernel,
@@ -433,6 +433,22 @@ def test_membership_mixed_signs():
     assert tuple(v) == (-1, 0)
 
 
+def test_membership_rejects_a_shorter_vector():
+    # zip would drop the 5 and certify (1,) = 1 * (1, 5)
+    with pytest.raises(PolyhedralError):
+        monoid_membership((1,), [(1, 5)])
+
+
+def test_membership_rejects_a_longer_vector():
+    with pytest.raises(PolyhedralError):
+        monoid_membership((1, 0), [(1,)])
+
+
+def test_membership_rejects_generators_of_different_lengths():
+    with pytest.raises(PolyhedralError):
+        monoid_membership((1, 0), [(1, 0), (1,)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
                 min_size=1, max_size=4),
@@ -465,10 +481,13 @@ def largest_minor_oracle(rows):
 @example([[1, 1, 0, 0], [-1, 1, 0, 0]])  # largest minor 2 > every entry
 def test_minor_bound_is_sound_past_the_cap(rows):
     true_max = max(largest_minor_oracle(rows), 1)
-    assert _max_abs_minor(rows) == true_max
-    # with the scan cut short the result is still an upper bound
+    # rows of [G | v]: the first three columns are the generators
+    gens = [tuple(r[j] for r in rows) for j in range(3)]
+    v = tuple(r[3] for r in rows)
+    assert MonoidSearch(gens).bound(v) == true_max
+    # with too many minors to compute the result is still an upper bound
     for cap in (0, 1, 5):
-        assert _max_abs_minor(rows, cap=cap) >= true_max
+        assert MonoidSearch(gens, cap=cap).bound(v) >= true_max
 
 
 # -- polytopes ----------------------------------------------------------------

@@ -7,10 +7,12 @@ from math import gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpus import build_corpus
 from sphervar import polyhedral
 from sphervar.monoid import torus_monoid
 from sphervar.polyhedral import (
     Lattice,
+    MonoidSearch,
     RationalCone,
     hnf,
     lattice_span,
@@ -438,3 +440,167 @@ def lattice_vectors(draw):
 def test_echelon_coords_match_rational_reference(data):
     lat, v = data
     assert lat.coords(v) == reference_coords(lat, v)
+
+
+# -- the membership search table against the per-query bound -----------------
+#
+# The references below are `monoid_membership` as it was before the search
+# table, with the Borosh–Treybig bound computed per query by a Bareiss
+# determinant of every minor of [generators | v].
+
+def reference_int_det(mat):
+    # Bareiss fraction-free determinant
+    a = [row[:] for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reference_max_abs_minor(rows, cap=500000):
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    best = max((abs(x) for r in rows for x in r), default=1)
+    count = 0
+    for k in range(2, min(m, n) + 1):
+        for ri in itertools.combinations(range(m), k):
+            for ci in itertools.combinations(range(n), k):
+                count += 1
+                if count > cap:
+                    return max(polyhedral._hadamard_bound(rows), 1)
+                sub = [[rows[i][j] for j in ci] for i in ri]
+                best = max(best, abs(reference_int_det(sub)))
+    return max(best, 1)
+
+
+def reference_monoid_membership(v, generators):
+    v = tuple(map(int, v))
+    gens = [tuple(map(int, g)) for g in generators]
+    if not any(v):
+        return True, [0] * len(gens)
+    if not gens:
+        return False, None
+    dim = len(v)
+    aug_rows = [[g[i] for g in gens] + [v[i]] for i in range(dim)]
+    bound = reference_max_abs_minor(aug_rows)
+
+    order = sorted(range(len(gens)), key=lambda i: gens[i], reverse=True)
+    n = len(order)
+    supp = [[False] * dim for _ in range(n + 1)]
+    nneg = [[True] * dim for _ in range(n + 1)]
+    npos = [[True] * dim for _ in range(n + 1)]
+    for pos in reversed(range(n)):
+        g = gens[order[pos]]
+        for i in range(dim):
+            supp[pos][i] = supp[pos + 1][i] or g[i] != 0
+            nneg[pos][i] = nneg[pos + 1][i] and g[i] >= 0
+            npos[pos][i] = npos[pos + 1][i] and g[i] <= 0
+
+    coeffs = [0] * len(gens)
+
+    def search(pos, residual):
+        if not any(residual):
+            for p in range(pos, n):
+                coeffs[order[p]] = 0
+            return True
+        if pos >= n:
+            return False
+        for i in range(dim):
+            r = residual[i]
+            if r != 0 and not supp[pos][i]:
+                return False
+            if r < 0 and nneg[pos][i]:
+                return False
+            if r > 0 and npos[pos][i]:
+                return False
+        g = gens[order[pos]]
+        for c in range(bound + 1):
+            coeffs[order[pos]] = c
+            if search(pos + 1, tuple(r - c * x for r, x in zip(residual, g))):
+                return True
+        return False
+
+    if search(0, v):
+        return True, coeffs[:]
+    return False, None
+
+
+@st.composite
+def generator_matrices(draw, max_dim=5, max_gens=6, entries=3):
+    """(generators, v) in dims 1 to max_dim, drawn to include zero,
+    duplicate and negated generators."""
+    dim = draw(st.integers(1, max_dim))
+    vec = st.tuples(*[st.integers(-entries, entries)] * dim)
+    gens = draw(st.lists(vec, min_size=1, max_size=max_gens - 2))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "negated"]))
+        g = draw(st.sampled_from(gens))
+        gens.append((0,) * dim if kind == "zero" else
+                    g if kind == "duplicate" else tuple(-x for x in g))
+    return draw(st.permutations(gens)), draw(vec)
+
+
+def _augmented(gens, v):
+    return [[g[i] for g in gens] + [v[i]] for i in range(len(v))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_matrices())
+@example(([(1, 0), (0, 1)], (0, 0)))
+@example(([(0, 0, 0)], (0, 0, 0)))
+@example(([(1, 1, 0, 0), (-1, 1, 0, 0)], (0, 0, 0, 0)))
+def test_search_bound_matches_the_largest_minor(data):
+    gens, v = data
+    assert MonoidSearch(gens).bound(v) == \
+        reference_max_abs_minor(_augmented(gens, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_matrices(), st.sampled_from([0, 1, 5]))
+def test_search_bound_past_the_cap_matches_hadamard(data, cap):
+    gens, v = data
+    aug = _augmented(gens, v)
+    assert MonoidSearch(gens, cap=cap).bound(v) == \
+        reference_max_abs_minor(aug, cap=cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_matrices(max_dim=3, max_gens=5, entries=2))
+def test_membership_matches_the_per_query_reference(data):
+    gens, v = data
+    assert monoid_membership(v, gens) == reference_monoid_membership(v, gens)
+    table = MonoidSearch(gens)
+    assert monoid_membership(v, table) == reference_monoid_membership(v, gens)
+
+
+def _corpus_monoids():
+    """Every corpus monoid and its localization at each minimal generator."""
+    out = []
+    for e in build_corpus():
+        out.append(e.monoid)
+        out.extend(e.monoid.localize(g) for g in e.monoid.minimal_generators)
+    return out
+
+
+CORPUS_MONOIDS = _corpus_monoids()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CORPUS_MONOIDS), st.data())
+def test_membership_matches_reference_on_corpus_monoids(m, data):
+    ext = m.extended_generators
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(ext),
+                                max_size=len(ext)))
+    v = tuple(sum(c * g[i] for c, g in zip(coeffs, ext)) for i in range(m.dim))
+    assert m.contains_vector(v) == reference_monoid_membership(v, ext)
