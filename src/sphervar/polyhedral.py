@@ -1,18 +1,23 @@
 """Exact rational lattice and cone algebra.
 
 Everything here is exact; no floating point is used anywhere.  The
-kernels (double description, `primitive`, cone membership and the linear
-solves) compute on Python integers.  Every vector that double
-description carries is an integer vector kept primitive up to a positive
-factor: after each projection or combination it is divided by the gcd of
-its entries, so it points exactly as the rational vector of textbook
-elimination does.  `Fraction` appears only at the solve and coordinate
-boundary: the solved coordinates of `rational_solve` and `Lattice.coords`,
-and what is built from them, such as lattice points from coordinates and
-polytope vertices.  Cones carry a canonical double description (extreme
-rays modulo lineality, plus a minimal facet description), which makes
-equality of cones a tuple comparison and the dual an involution on the
-nose.
+kernels (double description, `primitive`, cone membership, the linear
+solves and the Hilbert basis) compute on Python integers.  Every vector
+that double description carries is an integer vector kept primitive up
+to a positive factor: after each projection or combination it is divided
+by the gcd of its entries, so it points exactly as the rational vector of
+textbook elimination does.  `Fraction` appears only at the solve and
+coordinate boundary: the solved coordinates of `rational_solve` and
+`Lattice.coords`, and what is built from them, such as lattice points
+from coordinates and polytope vertices.  Cones carry a canonical double
+description (extreme rays modulo lineality, plus a minimal facet
+description), which makes equality of cones a tuple comparison and the
+dual an involution on the nose.
+
+A Hilbert basis is read off one pulling triangulation of the pointed
+quotient cone, built from the facet-ray incidences alone: the candidates
+are the extreme rays and the parallelepiped points of the maximal
+simplices, each point computed from an integer adjugate.
 """
 
 from __future__ import annotations
@@ -587,10 +592,6 @@ class RationalCone:
     def lineality_rank(self) -> int:
         return len(self.lineality)
 
-    @property
-    def is_pointed(self) -> bool:
-        return not self.lineality
-
     def span_rank(self) -> int:
         return self.dim - len(self.span_equations)
 
@@ -618,42 +619,101 @@ class RationalCone:
 # Hilbert bases
 # ---------------------------------------------------------------------------
 
-def _box_residues(coord_rows: list[list[int]]) -> list[Vec]:
-    """Canonical coset representatives of Z^s modulo the row lattice of a
-    full-rank integer matrix, as the HNF pivot box."""
-    s = len(coord_rows)
-    H = hnf(coord_rows)
-    if len(H) != s:
+def _scaled_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]]:
+    """(p, p M^-1) with p = ±det M, for a nonsingular square integer
+    matrix M with the given rows.
+
+    Fraction-free Gauss–Jordan (Bareiss) on [M | I]: after step k every
+    entry is, up to the sign of the row swaps, a minor of order k+1 of
+    [M | I], so the division by the previous pivot is exact.  At the end
+    every diagonal entry is the last pivot p, with p M^-1 on the right.
+    """
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise PolyhedralError("internal: singular simplex")
+        a[k], a[p] = a[p], a[k]
+        pk = a[k]
+        piv = pk[k]
+        for i in range(n):
+            f = a[i][k]
+            if i != k:
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = piv
+    return prev, [r[n:] for r in a]
+
+
+def _box_residues(rows: list[Vec]) -> list[Vec]:
+    """Canonical coset representatives of Z^n modulo the row lattice of a
+    nonsingular n x n integer matrix: the box under the diagonal of its
+    HNF."""
+    H = hnf(rows)
+    if len(H) != len(rows):
         raise PolyhedralError("internal: expected a full-rank residue lattice")
-    diag = []
-    for j in range(s):
-        row = next((r for r in H if next(i for i in range(s) if r[i]) == j), None)
-        if row is None:
-            raise PolyhedralError("internal: expected a full-rank residue lattice")
-        diag.append(row[j])
-    return [combo for combo in itertools.product(*(range(d) for d in diag))]
+    return list(itertools.product(*(range(h[j]) for j, h in enumerate(H))))
 
 
-def _parallelepiped_points(rays: list[Vec], dim: int) -> list[Vec]:
-    """Nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for linearly
-    independent integer rays."""
-    sat = Lattice.span(list(rays), dim).saturation()
-    coord_rows = [[int(x) for x in sat.coords(r)] for r in rays]
-    out: set[Vec] = set()
-    for rep in _box_residues(coord_rows):
-        amb = sat.from_coords(rep)
-        t = rational_solve(list(rays), amb)
-        t_frac = [x - (x.numerator // x.denominator) for x in t]
-        pt = [Fraction(0)] * dim
-        for c, r in zip(t_frac, rays):
-            if c:
-                for i in range(dim):
-                    pt[i] += c * r[i]
-        if any(x != 0 for x in pt):
-            if any(x.denominator != 1 for x in pt):
-                raise PolyhedralError("internal: non-integral parallelepiped point")
-            out.add(tuple(int(x) for x in pt))
-    return sorted(out)
+def _parallelepiped_points(rays: list[Vec]) -> list[Vec]:
+    """Nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for n
+    linearly independent rays in Z^n.
+
+    With R the matrix of the rays and (p, A) = (p, p R^-1) from
+    `_scaled_inverse`, a residue x of Z^n modulo the rays is t R for
+    t = x A / p.  With D = |p|, ((x A) mod D) R / D is frac(t) R when
+    p > 0 and frac(-t) R when p < 0: the point of x or of -x, and both
+    run over all residues.  It is an integer vector because (x A) R = p x.
+    """
+    det, inv = _scaled_inverse(rays)
+    det = abs(det)
+    if det == 1:
+        return []
+    inv_cols = list(zip(*inv))
+    ray_cols = list(zip(*rays))
+    out = []
+    for x in _box_residues(rays):
+        y = [_dot(x, col) % det for col in inv_cols]
+        pt = tuple(_dot(y, col) // det for col in ray_cols)
+        if any(pt):
+            out.append(pt)
+    return out
+
+
+def _pulling_triangulation(face: int, facets: list[int], rank: int) -> list[int]:
+    """Maximal simplices of a pulling triangulation of a pointed cone of
+    the given rank, each as the bitmask of its extreme rays.
+
+    `face` is the mask of the cone's extreme rays and `facets` the masks
+    of its facets.  A simplicial cone is its own triangulation; otherwise
+    the first ray is joined to the triangulation of each facet that does
+    not contain it.  The facets of a facet F are the maximal sets among
+    F ∩ G for the other facets G.  The first ray of a face depends on the
+    face alone, so two facets triangulate a common face alike.
+    """
+    if face.bit_count() == rank:
+        return [face]
+    apex = face & -face
+    out = []
+    for f in facets:
+        if f & apex:
+            continue
+        meets = {f & g for g in facets if g != f}
+        sub = [m for m in meets if not any(m != o and m & o == m for o in meets)]
+        out.extend(s | apex for s in _pulling_triangulation(f, sub, rank - 1))
+    return out
+
+
+def _triangulation(cone: RationalCone) -> list[tuple[int, ...]]:
+    """Maximal simplices of the pulling triangulation of a pointed cone,
+    each as the indices of its extreme rays in `cone.rays`."""
+    rays = cone.rays
+    facets = [sum(1 << i for i, r in enumerate(rays) if not _dot(n, r))
+              for n in cone.facet_normals]
+    return [tuple(i for i in range(len(rays)) if s >> i & 1)
+            for s in _pulling_triangulation((1 << len(rays)) - 1, facets,
+                                            cone.span_rank())]
 
 
 def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
@@ -664,6 +724,16 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     (cone lineality ∩ lattice) and `basis` is the unique minimal generating
     set of the quotient monoid, lifted to canonical representatives modulo
     the units.
+
+    The quotient by the units is a pointed cone `qcone` in Z^q.  One
+    pulling triangulation of `qcone` gives the candidates: its extreme
+    rays and the parallelepiped points of its maximal simplices, taken on
+    integers in the saturated lattice of its span (rank `span_rank`,
+    which can be less than q).  The simplices cover the cone and each
+    simplex's lattice points are generated by its rays and parallelepiped
+    points, so the candidates generate the monoid; a candidate is kept
+    unless, in order of a positive grading, it is a kept one plus an
+    element of the cone.
     """
     dim = cone.dim
     if lattice.dim != dim:
@@ -696,40 +766,39 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     if q == 0:
         return units, []
 
-    def to_quotient(vec_ambient) -> QVec:
-        c = lattice.coords(vec_ambient)
+    proj_rays = set()
+    for r in cone.rays:
+        c = lattice.coords(r)
         if c is None:
             raise PolyhedralError("internal: point outside lattice span")
-        return tuple(sum(Fraction(r[i]) * c[i] for i in range(m))
-                     for r in quot_rows)
-
-    proj_rays = []
-    for r in cone.rays:
-        img = to_quotient(r)
+        # the image over the common denominator of the coordinates
+        c = _clear_denominators(c)[1]
+        img = [_dot(row, c) for row in quot_rows]
         if any(img):
-            proj_rays.append(primitive(img))
-    proj_rays = sorted(set(proj_rays))
+            proj_rays.add(primitive(img))
     if not proj_rays:
         return units, []
-    qcone = RationalCone.from_generators(proj_rays, dim=q)
+    qcone = RationalCone.from_generators(sorted(proj_rays), dim=q)
     if qcone.lineality:
         raise PolyhedralError("internal: quotient cone not pointed")
 
     grading = tuple(sum(n[i] for n in qcone.facet_normals) for i in range(q))
-
-    def grade(p) -> int:
-        return sum(a * b for a, b in zip(grading, p))
-
-    candidates: set[Vec] = set(proj_rays)
-    ray_list = list(proj_rays)
-    for size in range(2, min(len(ray_list), q) + 1):
-        for sub in itertools.combinations(ray_list, size):
-            if len(hnf([list(r) for r in sub])) != size:
-                continue
-            for p in _parallelepiped_points(list(sub), q):
-                if qcone.contains(p):
-                    candidates.add(p)
-    ordered = sorted(candidates, key=lambda p: (grade(p), p))
+    rays = qcone.rays
+    span_cols = None
+    ray_coords = rays
+    if qcone.span_rank() < q:
+        # coordinates in a basis of span(qcone) ∩ Z^q, where the rays have
+        # full rank; integral, as the rays lie in that lattice
+        sat = Lattice.span(rays, q).saturation()
+        span_cols = list(zip(*sat.basis))
+        ray_coords = [tuple(int(x) for x in sat.coords(r)) for r in rays]
+    candidates: set[Vec] = set(rays)
+    for simplex in _triangulation(qcone):
+        for p in _parallelepiped_points([ray_coords[i] for i in simplex]):
+            if span_cols:
+                p = tuple(_dot(p, col) for col in span_cols)
+            candidates.add(p)
+    ordered = sorted(candidates, key=lambda p: (_dot(grading, p), p))
     kept: list[Vec] = []
     for p in ordered:
         reducible = False
@@ -742,8 +811,9 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
             kept.append(p)
 
     # lift canonically: any preimage lies in the cone because the kernel of
-    # the quotient map spans the cone's lineality
-    lift_cols = [tuple(int(x) for x in to_quotient(b)) for b in lattice.basis]
+    # the quotient map spans the cone's lineality; the image of basis
+    # vector j is column j of quot_rows
+    lift_cols = list(zip(*quot_rows))
     lifted: list[Vec] = []
     for p in kept:
         sol = integer_solve(lift_cols, p)

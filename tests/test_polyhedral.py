@@ -15,6 +15,7 @@ from sphervar.polyhedral import (
     RationalCone,
     hilbert_basis,
     hilbert_basis_with_units,
+    hnf,
     integer_kernel,
     integer_solve,
     lattice_span,
@@ -400,6 +401,112 @@ def test_hilbert_matches_oracle_small_random():
         got = hilbert_basis(c, Lattice.full(dim))
         assert got == enumerate_hilbert_oracle(gens, dim, member=fast_member(c))
         done += 1
+
+
+# -- the triangulation behind the Hilbert basis --------------------------------
+
+def _simplices(cone):
+    return [[cone.rays[i] for i in s] for s in polyhedral._triangulation(cone)]
+
+
+@st.composite
+def pointed_cones(draw):
+    """Pointed cones in dims 2-4: full-dimensional ones, mostly not
+    simplicial, and cones of lower rank than the ambient lattice."""
+    dim = draw(st.integers(2, 4))
+    b = 2 if dim <= 3 else 1
+    upper = st.tuples(*[st.integers(-b, b)] * (dim - 1), st.integers(1, b + 1))
+    gens = draw(st.lists(upper, min_size=1, max_size=dim + 3))
+    if draw(st.booleans()):
+        # embed in one more dimension along a fixed line: rank < lattice
+        gens = [g + (g[0],) for g in gens]
+        dim += 1
+    return RationalCone.from_generators(gens, dim=dim)
+
+
+CUBE = RationalCone.from_generators(
+    [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+OCTAHEDRON = RationalCone.from_generators(
+    [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1),
+     (0, 0, 1, 1), (0, 0, -1, 1)])
+PLANAR_IN_SPACE = RationalCone.from_generators(
+    [(1, 0, 1), (0, 1, 1), (2, 1, 3), (1, 2, 3)], dim=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pointed_cones())
+@example(CUBE)
+@example(OCTAHEDRON)
+@example(PLANAR_IN_SPACE)
+def test_triangulation_simplices_have_independent_extreme_rays(cone):
+    for simplex in _simplices(cone):
+        assert len(simplex) == cone.span_rank()
+        assert len(hnf(simplex)) == cone.span_rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointed_cones())
+@example(CUBE)
+@example(OCTAHEDRON)
+@example(PLANAR_IN_SPACE)
+def test_triangulation_covers_the_cone(cone):
+    simplices = _simplices(cone)
+    for p in itertools.product(range(-2, 3), repeat=cone.dim):
+        if cone.contains(p):
+            assert any(c is not None and min(c) >= 0
+                       for c in (rational_solve(s, p) for s in simplices)), p
+
+
+@settings(max_examples=100, deadline=None)
+@given(pointed_cones())
+@example(CUBE)
+@example(OCTAHEDRON)
+@example(PLANAR_IN_SPACE)
+def test_triangulation_interiors_are_disjoint(cone):
+    simplices = _simplices(cone)
+    for i, s in enumerate(simplices):
+        inner = tuple(map(sum, zip(*s)))
+        for j, t in enumerate(simplices):
+            if j != i:
+                c = rational_solve(t, inner)
+                assert c is not None and min(c) <= 0
+
+
+def _count_simplices(monkeypatch):
+    """Count calls of `_parallelepiped_points`: one per maximal simplex."""
+    calls = []
+    real = polyhedral._parallelepiped_points
+
+    def counted(rays):
+        calls.append(rays)
+        return real(rays)
+
+    monkeypatch.setattr(polyhedral, "_parallelepiped_points", counted)
+    return calls
+
+
+@pytest.mark.parametrize("polygon", [
+    [(0, 0), (1, 0), (0, 1)],
+    [(0, 0), (1, 0), (1, 1), (0, 1)],
+    [(0, 0), (2, 0), (3, 1), (1, 3), (0, 2)],
+    [(1, 0), (2, 0), (3, 1), (2, 2), (1, 2), (0, 1)],
+    [(0, 0), (3, 0), (4, 1), (4, 3), (2, 4), (0, 3), (-1, 1)],
+], ids=["triangle", "square", "pentagon", "hexagon", "heptagon"])
+def test_triangulation_of_a_polygon_cone_has_k_minus_2_simplices(
+        polygon, monkeypatch):
+    calls = _count_simplices(monkeypatch)
+    cone = RationalCone.from_generators([(x, y, 1) for x, y in polygon])
+    assert len(cone.rays) == len(polygon)
+    hilbert_basis(cone, Lattice.full(3))
+    assert len(calls) == len(polygon) - 2
+
+
+def test_a_simplicial_cone_is_one_simplex(monkeypatch):
+    calls = _count_simplices(monkeypatch)
+    cone = RationalCone.from_generators([(1, 0, 0), (1, 3, 0), (1, 1, 5)])
+    basis = hilbert_basis(cone, Lattice.full(3))
+    assert len(calls) == 1
+    assert len(basis) > 3
 
 
 # -- monoid membership --------------------------------------------------------

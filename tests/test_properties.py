@@ -14,7 +14,10 @@ from sphervar.polyhedral import (
     Lattice,
     MonoidSearch,
     RationalCone,
+    hilbert_basis_with_units,
     hnf,
+    integer_kernel,
+    integer_solve,
     lattice_span,
     monoid_membership,
     primitive,
@@ -604,3 +607,139 @@ def test_membership_matches_reference_on_corpus_monoids(m, data):
                                 max_size=len(ext)))
     v = tuple(sum(c * g[i] for c, g in zip(coeffs, ext)) for i in range(m.dim))
     assert m.contains_vector(v) == reference_monoid_membership(v, ext)
+
+
+# -- the triangulated Hilbert basis against the all-subsets reference --------
+#
+# The reference below is `hilbert_basis_with_units` as it was before the
+# triangulation: candidates from the parallelepiped of every linearly
+# independent subset of the quotient cone's rays, each point found by a
+# rational solve.
+
+def reference_box_residues(coord_rows):
+    s = len(coord_rows)
+    H = hnf(coord_rows)
+    diag = []
+    for j in range(s):
+        row = next(r for r in H if next(i for i in range(s) if r[i]) == j)
+        diag.append(row[j])
+    return list(itertools.product(*(range(d) for d in diag)))
+
+
+def reference_parallelepiped_points(rays, dim):
+    sat = Lattice.span(list(rays), dim).saturation()
+    coord_rows = [[int(x) for x in sat.coords(r)] for r in rays]
+    out = set()
+    for rep in reference_box_residues(coord_rows):
+        amb = sat.from_coords(rep)
+        t = rational_solve(list(rays), amb)
+        t_frac = [x - (x.numerator // x.denominator) for x in t]
+        pt = [Fraction(0)] * dim
+        for c, r in zip(t_frac, rays):
+            for i in range(dim):
+                pt[i] += c * r[i]
+        if any(pt):
+            assert all(x.denominator == 1 for x in pt)
+            out.add(tuple(int(x) for x in pt))
+    return sorted(out)
+
+
+def reference_hilbert_basis_with_units(cone, lattice):
+    dim = cone.dim
+    cone = cone.intersection(RationalCone.from_inequalities(
+        [], lattice.annihilator_rows(), dim=dim))
+    m = lattice.rank
+    unit_rows = []
+    if cone.lineality and m:
+        constraints = list(cone.facet_normals) + list(cone.span_equations)
+        rows = [[sum(c[i] * b[i] for i in range(dim)) for b in lattice.basis]
+                for c in constraints]
+        kernel = integer_kernel(rows) if rows else \
+            [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        for k in kernel:
+            unit_rows.append(tuple(int(x) for x in lattice.from_coords(k)))
+    units = Lattice.span(unit_rows, dim)
+    if m == 0:
+        return units, []
+    if units.rank:
+        unit_coords = [[int(x) for x in lattice.coords(b)] for b in units.basis]
+        quot_rows = integer_kernel(unit_coords)
+    else:
+        quot_rows = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    q = len(quot_rows)
+    if q == 0:
+        return units, []
+
+    def to_quotient(v):
+        c = lattice.coords(v)
+        return tuple(sum(Fraction(r[i]) * c[i] for i in range(m))
+                     for r in quot_rows)
+
+    proj_rays = sorted({primitive(img) for img in map(to_quotient, cone.rays)
+                        if any(img)})
+    if not proj_rays:
+        return units, []
+    qcone = RationalCone.from_generators(proj_rays, dim=q)
+    grading = [sum(n[i] for n in qcone.facet_normals) for i in range(q)]
+    candidates = set(proj_rays)
+    for size in range(2, min(len(proj_rays), q) + 1):
+        for sub in itertools.combinations(proj_rays, size):
+            if len(hnf(sub)) != size:
+                continue
+            for p in reference_parallelepiped_points(sub, q):
+                if qcone.contains(p):
+                    candidates.add(p)
+    kept = []
+    for p in sorted(candidates,
+                    key=lambda p: (sum(a * b for a, b in zip(grading, p)), p)):
+        if not any(qcone.contains(tuple(a - b for a, b in zip(p, k)))
+                   for k in kept):
+            kept.append(p)
+    lift_cols = [tuple(int(x) for x in to_quotient(b)) for b in lattice.basis]
+    lifted = []
+    for p in kept:
+        vec = tuple(int(x) for x in
+                    lattice.from_coords(integer_solve(lift_cols, p)))
+        lifted.append(units.reduce_mod(vec) if units.rank else vec)
+    return units, sorted(lifted)
+
+
+@st.composite
+def hilbert_inputs(draw):
+    """(cone, lattice) in dims 2-5: full lattices, random sublattices,
+    cones with lineality, and cones of lower rank than their lattice."""
+    dim = draw(st.integers(2, 5))
+    b = 2 if dim <= 3 else 1
+    vec = st.tuples(*[st.integers(-b, b)] * dim)
+    # a positive last coordinate keeps the cone pointed, so that many
+    # drawn cones are not simplicial
+    upper = st.tuples(*[st.integers(-b, b)] * (dim - 1), st.integers(1, b + 1))
+    kind = draw(st.sampled_from(["full", "sublattice", "lineality", "lower rank"]))
+    size = draw(st.integers(1, dim - 1) if kind == "lower rank"
+                else st.integers(dim, dim + 2))
+    gens = draw(st.lists(draw(st.sampled_from([upper, vec])),
+                         min_size=size, max_size=size))
+    lines = [draw(vec)] if kind == "lineality" else []
+    lattice = Lattice.full(dim)
+    if kind == "sublattice":
+        basis = draw(st.lists(vec, min_size=1, max_size=dim))
+        if any(any(v) for v in basis):
+            lattice = Lattice.span(basis, dim)
+    return RationalCone.from_generators(gens, lines, dim=dim), lattice
+
+
+@settings(max_examples=300, deadline=None)
+@given(hilbert_inputs())
+@example((RationalCone.from_generators([(1, 0, 1), (0, 1, 2)], dim=3),
+          Lattice.full(3)))
+@example((RationalCone.from_generators([(1, 2, 0, 0)], [(0, 0, 1, 1)], dim=4),
+          Lattice.span([(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)], 4)))
+@example((RationalCone.from_generators(
+    [(0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 2, 1)], dim=3),
+    Lattice.span([(1, 1, 0), (1, -1, 0), (0, 0, 1)], 3)))
+def test_triangulated_hilbert_basis_matches_all_subsets_reference(inputs):
+    cone, lattice = inputs
+    units, basis = hilbert_basis_with_units(cone, lattice)
+    ref_units, ref_basis = reference_hilbert_basis_with_units(cone, lattice)
+    assert units == ref_units
+    assert basis == ref_basis

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from corpus import build_corpus, corpus_by_name
+from sphervar import monoid as monoid_module
 from sphervar import polyhedral
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
 from sphervar.monoid import MonoidError, WeightMonoid, torus_monoid
@@ -645,3 +646,31 @@ def test_moment_polytope_shifted_orthant():
     orders = {d.divisor_id: 1 for d in datum.divisors}
     mp = moment_polytope(datum, e.rd.weight((0, 0)), orders)
     assert mp.vertices_ambient() == [(Fraction(-1), Fraction(-1))]
+
+
+@pytest.mark.parametrize("factor", [
+    ("G", 2), ("A", 2), ("C", 3), ("F", 4), ("D", 4), ("B", 5), ("D", 5),
+], ids=lambda f: f"{f[0]}{f[1]}")
+def test_full_flag_hilbert_bases_use_one_simplex(factor, monkeypatch):
+    # every cone a full-flag recovery takes a Hilbert basis of is simplicial
+    simplices = []
+    hilbert_calls = []
+    real_points = polyhedral._parallelepiped_points
+    real_hilbert = monoid_module.hilbert_basis_with_units
+
+    def points(rays):
+        simplices.append(rays)
+        return real_points(rays)
+
+    def hilbert(cone, lattice):
+        hilbert_calls.append(cone)
+        return real_hilbert(cone, lattice)
+
+    monkeypatch.setattr(polyhedral, "_parallelepiped_points", points)
+    monkeypatch.setattr(monoid_module, "hilbert_basis_with_units", hilbert)
+    rd = build_root_data(GroupSpec((factor,)))
+    m = WeightMonoid(rd, rd.fundamental_weights)
+    datum = recover_divisors(m, make_spherical_roots(rd, ()))
+    assert len(datum.divisors) == rd.n_simple
+    assert hilbert_calls
+    assert len(simplices) == len(hilbert_calls)
