@@ -4,15 +4,23 @@ A divisor's valuation vector is primarily a functional on the weight
 lattice X, stored by its values on the canonical lattice basis; when the
 divisor comes from an explicit coroot formula the coroot presentation is
 kept alongside for cross-checks against simple roots outside X.
+
+Each functional also carries one integer form, computed once: a
+denominator d > 0, least possible, and an integer covector w on Z^dim,
+supported on the pivot columns of the HNF basis of X, with
+phi(v) = w.v / d on span_Q(X).  Evaluation is a span check against the
+annihilator rows of X, one integer dot product and one `Fraction`; since
+d > 0, the sign of w.v is the sign of phi(v).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .monoid import WeightMonoid
-from .polyhedral import Lattice
+from .polyhedral import Lattice, PolyhedralError, _clear_denominators, _dot
 from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec
 
 
@@ -35,19 +43,27 @@ class LatticeFunctional:
 
     @staticmethod
     def from_covector(cov: CovectorVec, lattice: Lattice) -> "LatticeFunctional":
-        vals = tuple(sum(c * Fraction(b) for c, b in zip(cov.coords, basis))
-                     for basis in lattice.basis)
+        den, c = _clear_denominators(cov.coords)
+        vals = tuple(Fraction(_dot(c, b), den) for b in lattice.basis)
         return LatticeFunctional(lattice, vals)
 
     @staticmethod
     def from_values(lattice: Lattice, values) -> "LatticeFunctional":
         return LatticeFunctional(lattice, tuple(Fraction(x) for x in values))
 
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(d, w) with phi(v) = w.v / d on the span of the lattice."""
+        return self.lattice.integer_form(self.values)
+
     def evaluate(self, vec) -> Fraction:
-        coords = self.lattice.coords(vec)
-        if coords is None:
+        if len(vec) != self.lattice.dim:
+            raise PolyhedralError("vector length does not match the lattice")
+        den, v = _clear_denominators(vec)
+        if not self.lattice.in_span(v):
             raise LunaError("vector outside the lattice span")
-        return sum(v * c for v, c in zip(self.values, coords))
+        d, w = self.integer_form
+        return Fraction(_dot(w, v), d * den)
 
     def eval_weight(self, w: WeightVec) -> Fraction:
         return self.evaluate(w.coords)

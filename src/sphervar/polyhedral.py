@@ -345,6 +345,34 @@ class Lattice:
         c = self.coords(v)
         return c is not None and all(x.denominator == 1 for x in c)
 
+    @cached_property
+    def _annihilator(self) -> tuple[Vec, ...]:
+        return tuple(self.annihilator_rows())
+
+    def in_span(self, v) -> bool:
+        """Whether the integer vector v lies in the rational span: every
+        annihilator row vanishes on it."""
+        return not any(_dot(a, v) for a in self._annihilator)
+
+    def integer_form(self, values) -> tuple[int, Vec]:
+        """(d, w) for the functional with the given values on the basis:
+        the least d > 0 and an integer covector w, supported on the pivot
+        columns, with w.b = d * value for each basis vector b, so that the
+        functional is w.v / d on the rational span.  Restricted to its
+        pivot columns the HNF basis is upper triangular (a row vanishes
+        left of its own pivot), so w is read off by back substitution."""
+        piv = self._pivots
+        x: list[Fraction] = []
+        for b, p, val in zip(reversed(self.basis), reversed(piv),
+                             reversed(values)):
+            rest = sum(b[q] * y for q, y in zip(piv[len(piv) - len(x):], x))
+            x.insert(0, (Fraction(val) - rest) / b[p])
+        d, num = _clear_denominators(x)
+        w = [0] * self.dim
+        for p, n in zip(piv, num):
+            w[p] = n
+        return d, tuple(w)
+
     def from_coords(self, c) -> QVec:
         out = [Fraction(0)] * self.dim
         for x, b in zip(c, self.basis):

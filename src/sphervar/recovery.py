@@ -9,6 +9,15 @@ subset localizes the monoid, and at each node one of five exclusive
 situations determines which new divisors appear with which valuation
 functionals.  Stabilizers are then read off from the pairing of the
 functional against the type-b roots.
+
+The walk computes on integers.  A node weight mu is the integer sum of
+its minimal generators; a `WeightVec` is built from it only to localize
+and for the trace.  Every test of a recovered functional at a node (does
+it vanish at mu, its sign at a type-b root, whether it pairs to 1 with
+one, its pattern on the minimal generators) is a sign or equality test
+of w.v against the functional's integer form (d, w): d > 0 and w an
+integer covector on the pivot columns of the lattice basis, with
+phi(v) = w.v / d (see `sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -17,12 +26,19 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .luna import BDivisorRecord, LatticeFunctional, LunaDatum, RootTypeTable
+from .luna import (
+    BDivisorRecord,
+    LatticeFunctional,
+    LunaDatum,
+    LunaError,
+    RootTypeTable,
+)
 from .monoid import MonoidError, WeightMonoid
 from .polyhedral import (
     Lattice,
     Polytope,
     RationalCone,
+    _dot,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     integer_kernel,
 )
@@ -91,11 +107,12 @@ def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
     return out
 
 
-def _class_functional(m: WeightMonoid, loc: WeightMonoid) -> LatticeFunctional:
+def _class_functional(X: Lattice, gen_coords,
+                      loc: WeightMonoid) -> LatticeFunctional:
     """The functional on the weight lattice vanishing on the invertible
     part of a corank-1 localization, normalized to 1 on the class
-    generator of the localized monoid."""
-    X = m.lattice
+    generator of the localized monoid.  `gen_coords` holds the minimal
+    generators in coordinates of the basis of X."""
     inv = loc.invertible_lattice
     inv_coords = [[int(x) for x in X.coords(b)] for b in inv.basis]
     if inv_coords:
@@ -105,26 +122,29 @@ def _class_functional(m: WeightMonoid, loc: WeightMonoid) -> LatticeFunctional:
     if len(kernel) != 1:
         raise RecoveryError("internal: localization is not of corank one")
     f = kernel[0]
-
-    def f_of(w: WeightVec) -> Fraction:
-        c = X.coords(w.int_coords())
-        return sum(Fraction(a) * b for a, b in zip(f, c))
-
-    images = [(g, f_of(g)) for g in m.minimal_generators]
-    nonzero = [v for _, v in images if v != 0]
+    images = [_dot(f, c) for c in gen_coords]
+    nonzero = [v for v in images if v != 0]
     if not nonzero:
         raise RecoveryError("internal: corank-one localization with no class")
     if any(v > 0 for v in nonzero) and any(v < 0 for v in nonzero):
         raise RecoveryError("internal: localization class monoid not pointed")
     sign = 1 if nonzero[0] > 0 else -1
-    vals = [sign * v for _, v in images]
-    pos = sorted(v for v in vals if v > 0)
-    g0 = pos[0]
-    if any(v % g0 != 0 for v in pos):
+    g0 = min(sign * v for v in nonzero)
+    if any(v % g0 != 0 for v in nonzero):
         raise RecoveryError(
             "invalid monoid: localized class monoid has no single generator")
-    values = tuple(Fraction(sign * x, 1) / g0 for x in f)
-    return LatticeFunctional(X, values)
+    return LatticeFunctional(X, tuple(Fraction(sign * x, g0) for x in f))
+
+
+def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
+    """`classify_root_types(m, psi)`, computed once per monoid and root
+    set: the table is cached on the monoid, keyed by the roots, the way
+    `WeightMonoid.localize` seeds `_dual_rays`."""
+    tables = m.__dict__.setdefault("_root_types", {})
+    table = tables.get(psi.roots)
+    if table is None:
+        table = tables[psi.roots] = classify_root_types(m, psi)
+    return table
 
 
 def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
@@ -140,30 +160,40 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     if k > MAX_MINIMAL_GENERATORS:
         raise RecoveryError(
             f"recovery limited to {MAX_MINIMAL_GENERATORS} minimal generators")
-    table = classify_root_types(m, psi)
+    table = _root_types(m, psi)
     pi_a = frozenset(table.roots_of_type("a"))
     pi_b = frozenset(table.roots_of_type("b"))
     active = sorted(m.active_roots)
+    gens = [g.int_coords() for g in mins]
+    gen_coords = [tuple(int(x) for x in X.coords(g)) for g in gens]
+    root_vecs = {alpha: rd.simple_root(alpha).int_coords() for alpha in pi_b}
+
+    def root_pairing(rec: BDivisorRecord, alpha: int) -> tuple[int, int]:
+        """(w.alpha, d) for the integer form (d, w) of the functional."""
+        a = root_vecs[alpha]
+        if not X.in_span(a):
+            raise LunaError("vector outside the lattice span")
+        d, w = rec.phi.integer_form
+        return _dot(w, a), d
 
     pool: list[BDivisorRecord] = []
-    local_cache: dict[tuple[Fraction, ...], WeightMonoid] = {}
-    zero = rd.zero_weight()
+    local_cache: dict[tuple[int, ...], WeightMonoid] = {}
 
     for size in range(k, -1, -1):
         for subset in itertools.combinations(range(k), size):
-            mu = zero
-            for i in subset:
-                mu = mu + mins[i]
-            levi = frozenset(i for i in active if mu.coords[i] == 0)
-            overline = [rec for rec in pool if rec.phi.eval_weight(mu) == 0]
+            mu = tuple(map(sum, zip(*(gens[i] for i in subset)))) \
+                if subset else (0,) * X.dim
+            levi = frozenset(i for i in active if mu[i] == 0)
+            overline = [rec for rec in pool
+                        if _dot(rec.phi.integer_form[1], mu) == 0]
             minted: list[BDivisorRecord] = []
             case = ""
             note = ""
             if levi == pi_a:
-                loc = local_cache.get(mu.coords)
+                loc = local_cache.get(mu)
                 if loc is None:
-                    loc = m.localize(mu) if not mu.is_zero else m
-                    local_cache[mu.coords] = loc
+                    loc = m.localize(rd.weight(mu)) if any(mu) else m
+                    local_cache[mu] = loc
                 inv_rank = loc.invertible_lattice.rank
                 if inv_rank == X.rank:
                     case = "1a"
@@ -172,11 +202,11 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                     note = "rank drop >= 2; no divisors at this node"
                 else:
                     case = "1c"
-                    phi = _class_functional(m, loc)
+                    phi = _class_functional(X, gen_coords, loc)
                     if any(r.phi.values == phi.values for r in overline):
                         note = "class divisor already recovered above"
                     else:
-                        _check_node_pattern(phi, mins, subset)
+                        _check_node_pattern(phi, gens, subset)
                         minted.append(BDivisorRecord(
                             "?", phi, None, "case_1c", ()))
             else:
@@ -185,15 +215,13 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                 if len(extra) == 1:
                     (alpha,) = extra
                     if alpha in pi_b:
-                        signs_ok = all(
-                            rec.phi.eval_weight(rd.simple_root(alpha)) <= 0
-                            for rec in overline)
-                        if signs_ok:
+                        if all(root_pairing(rec, alpha)[0] <= 0
+                               for rec in overline):
                             case = "2"
                             case2 = True
                             cov = _half_coroot(rd, alpha)
                             phi = LatticeFunctional.from_covector(cov, X)
-                            _check_node_pattern(phi, mins, subset)
+                            _check_node_pattern(phi, gens, subset)
                             for _ in range(2):
                                 minted.append(BDivisorRecord(
                                     "?", phi, None, "case_2", (alpha,), cov))
@@ -207,14 +235,16 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                     case = "3"
                     excluded = set()
                     for alpha in levi:
-                        if any(mins[j].coords[alpha] == 0
+                        if any(gens[j][alpha] == 0
                                for j in range(k) if j not in subset):
                             excluded.add(alpha)
                     new: dict[tuple[Fraction, ...], tuple[list[int], BDivisorRecord]] = {}
                     for alpha in sorted((levi & pi_b) - excluded):
-                        a_wt = rd.simple_root(alpha)
-                        ones = [rec for rec in overline
-                                if rec.phi.eval_weight(a_wt) == 1]
+                        ones = []
+                        for rec in overline:
+                            num, d = root_pairing(rec, alpha)
+                            if num == d:
+                                ones.append(rec)
                         if len(ones) != 1:
                             continue
                         base = ones[0]
@@ -234,24 +264,25 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                             raise RecoveryError(
                                 "invalid datum: reconstructed divisor "
                                 "duplicates a recovered one")
-                        _check_node_pattern(rec.phi, mins, subset)
+                        _check_node_pattern(rec.phi, gens, subset)
                         minted.append(BDivisorRecord(
                             "?", rec.phi, None, "case_3",
                             tuple(sorted(roots)), rec.coroot_form))
             pool.extend(minted)
             if trace is not None:
                 trace.append(RecursionNode(
-                    tuple(i + 1 for i in subset), mu.coords,
+                    tuple(i + 1 for i in subset), rd.weight(mu).coords,
                     tuple(sorted(levi)), case or "-",
                     tuple(r.phi.values for r in minted), note))
     return pool
 
 
-def _check_node_pattern(phi: LatticeFunctional, mins, subset) -> None:
+def _check_node_pattern(phi: LatticeFunctional, gens, subset) -> None:
     """A divisor recovered at a node must pair to zero with exactly the
-    node's minimal generators."""
-    for j, g in enumerate(mins):
-        v = phi.eval_weight(g)
+    node's minimal generators (given as integer vectors)."""
+    _, w = phi.integer_form
+    for j, g in enumerate(gens):
+        v = _dot(w, g)
         if j in subset and v != 0:
             raise RecoveryError(
                 "invalid datum: recovered divisor does not vanish on its node")
@@ -310,7 +341,7 @@ def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
     """Full divisor recovery: the recursive walk plus the c/d divisors,
     stabilizers filled in, assembled and validated."""
     validate_roots_in_lattice(psi, m.lattice)
-    table = classify_root_types(m, psi)
+    table = _root_types(m, psi)
     recs = recover_prime(m, psi, trace, warnings) \
         + recover_type_cd_divisors(m, psi, table)
     recs = [r.with_stabilizer(stabilizer_of(r, table, m)) for r in recs]
@@ -325,6 +356,8 @@ def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
         raise RecoveryError(
             "recovered datum fails validation: "
             + "; ".join(f"{c}: {d}" for c, d in report.violations))
+    if warnings is not None:
+        warnings.extend(report.warnings)
     return datum
 
 

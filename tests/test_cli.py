@@ -325,3 +325,28 @@ def test_main_entry_direct(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["command"] == "recover"
+
+
+def test_recover_passes_on_a_skipped_saturation_check(tmp_path):
+    # a central torus of rank 7 is past the saturation rank limit, so the
+    # recovery identity goes unchecked; recover and polytope say so, as
+    # validate of the recovered document does
+    warning = "saturation not checked (lattice too large)"
+    doc = {
+        "schema": 1,
+        "group": {"factors": [], "central_rank": 7},
+        "monoid_generators": [[int(i == j) for j in range(7)]
+                              for i in range(7)],
+    }
+    path = write_doc(tmp_path, "torus7.json", doc)
+    for command in ("recover", "polytope"):
+        proc = run_cli([command, "--input", path, "--format", "machine"])
+        assert json.loads(proc.stdout)["warnings"] == [warning]
+    proc = run_cli(["recover", "--input", path])
+    assert f"warning: {warning}" in proc.stdout.splitlines()
+    recovered = write_doc(tmp_path, "recovered.json",
+                          machine_payload(run_cli(
+                              ["recover", "--input", path,
+                               "--format", "machine"]))["document"])
+    proc = run_cli(["validate", "--input", recovered, "--format", "machine"])
+    assert json.loads(proc.stdout)["warnings"] == [warning]

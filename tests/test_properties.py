@@ -4,15 +4,18 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus
 from sphervar import polyhedral
+from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaError
 from sphervar.monoid import torus_monoid
 from sphervar.polyhedral import (
     Lattice,
     MonoidSearch,
+    PolyhedralError,
     RationalCone,
     hilbert_basis_with_units,
     hnf,
@@ -24,7 +27,23 @@ from sphervar.polyhedral import (
     rational_solve,
     smith_diagonalize,
 )
-from sphervar.rootsys import GroupSpec, build_root_data, pairing, symmetric_form
+from sphervar.recovery import (
+    MAX_MINIMAL_GENERATORS,
+    RecoveryError,
+    RecursionNode,
+    _half_coroot,
+    localize_datum,
+    recover_divisors,
+    recover_prime,
+)
+from sphervar.rootsys import (
+    CovectorVec,
+    GroupSpec,
+    build_root_data,
+    pairing,
+    symmetric_form,
+)
+from sphervar.spherical import classify_root_types, make_spherical_roots
 
 vec2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 vec3 = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -743,3 +762,304 @@ def test_triangulated_hilbert_basis_matches_all_subsets_reference(inputs):
     ref_units, ref_basis = reference_hilbert_basis_with_units(cone, lattice)
     assert units == ref_units
     assert basis == ref_basis
+
+
+# -- the integer form of a functional and the integer walk ---------------------
+#
+# The references below are `LatticeFunctional.evaluate` and `from_covector`
+# as they were before the integer form (lattice coordinates solved per
+# call, sums of Fractions), and `recover_prime` as it was before the walk
+# moved onto integers: node weights as `WeightVec` sums and every test of a
+# functional a reference evaluation.
+
+def reference_evaluate(phi, vec):
+    coords = phi.lattice.coords(vec)
+    if coords is None:
+        raise LunaError("vector outside the lattice span")
+    return sum(v * c for v, c in zip(phi.values, coords))
+
+
+def reference_from_covector(cov, lattice):
+    vals = tuple(sum(c * Fraction(b) for c, b in zip(cov.coords, basis))
+                 for basis in lattice.basis)
+    return LatticeFunctional(lattice, vals)
+
+
+def _reference_class_functional(m, loc):
+    X = m.lattice
+    inv = loc.invertible_lattice
+    inv_coords = [[int(x) for x in X.coords(b)] for b in inv.basis]
+    if inv_coords:
+        kernel = integer_kernel(inv_coords)
+    else:
+        kernel = [(1,)] if X.rank == 1 else []
+    if len(kernel) != 1:
+        raise RecoveryError("internal: localization is not of corank one")
+    f = kernel[0]
+
+    def f_of(w):
+        c = X.coords(w.int_coords())
+        return sum(Fraction(a) * b for a, b in zip(f, c))
+
+    images = [(g, f_of(g)) for g in m.minimal_generators]
+    nonzero = [v for _, v in images if v != 0]
+    if not nonzero:
+        raise RecoveryError("internal: corank-one localization with no class")
+    if any(v > 0 for v in nonzero) and any(v < 0 for v in nonzero):
+        raise RecoveryError("internal: localization class monoid not pointed")
+    sign = 1 if nonzero[0] > 0 else -1
+    vals = [sign * v for _, v in images]
+    pos = sorted(v for v in vals if v > 0)
+    g0 = pos[0]
+    if any(v % g0 != 0 for v in pos):
+        raise RecoveryError(
+            "invalid monoid: localized class monoid has no single generator")
+    values = tuple(Fraction(sign * x, 1) / g0 for x in f)
+    return LatticeFunctional(X, values)
+
+
+def _reference_check_node_pattern(phi, mins, subset):
+    for j, g in enumerate(mins):
+        v = reference_evaluate(phi, g.coords)
+        if j in subset and v != 0:
+            raise RecoveryError(
+                "invalid datum: recovered divisor does not vanish on its node")
+        if j not in subset and v <= 0:
+            raise RecoveryError(
+                "invalid datum: recovered divisor escapes its node")
+
+
+def reference_recover_prime(m, psi, trace=None, warnings=None):
+    rd = m.rd
+    X = m.lattice
+    mins = m.minimal_generators
+    k = len(mins)
+    if k > MAX_MINIMAL_GENERATORS:
+        raise RecoveryError(
+            f"recovery limited to {MAX_MINIMAL_GENERATORS} minimal generators")
+    table = classify_root_types(m, psi)
+    pi_a = frozenset(table.roots_of_type("a"))
+    pi_b = frozenset(table.roots_of_type("b"))
+    active = sorted(m.active_roots)
+
+    pool = []
+    local_cache = {}
+    zero = rd.zero_weight()
+
+    for size in range(k, -1, -1):
+        for subset in itertools.combinations(range(k), size):
+            mu = zero
+            for i in subset:
+                mu = mu + mins[i]
+            levi = frozenset(i for i in active if mu.coords[i] == 0)
+            overline = [rec for rec in pool
+                        if reference_evaluate(rec.phi, mu.coords) == 0]
+            minted = []
+            case = ""
+            note = ""
+            if levi == pi_a:
+                loc = local_cache.get(mu.coords)
+                if loc is None:
+                    loc = m.localize(mu) if not mu.is_zero else m
+                    local_cache[mu.coords] = loc
+                inv_rank = loc.invertible_lattice.rank
+                if inv_rank == X.rank:
+                    case = "1a"
+                elif inv_rank <= X.rank - 2:
+                    case = "1b"
+                    note = "rank drop >= 2; no divisors at this node"
+                else:
+                    case = "1c"
+                    phi = _reference_class_functional(m, loc)
+                    if any(r.phi.values == phi.values for r in overline):
+                        note = "class divisor already recovered above"
+                    else:
+                        _reference_check_node_pattern(phi, mins, subset)
+                        minted.append(BDivisorRecord(
+                            "?", phi, None, "case_1c", ()))
+            else:
+                extra = levi - pi_a
+                case2 = False
+                if len(extra) == 1:
+                    (alpha,) = extra
+                    if alpha in pi_b:
+                        a_wt = rd.simple_root(alpha)
+                        signs_ok = all(
+                            reference_evaluate(rec.phi, a_wt.coords) <= 0
+                            for rec in overline)
+                        if signs_ok:
+                            case = "2"
+                            case2 = True
+                            cov = _half_coroot(rd, alpha)
+                            phi = reference_from_covector(cov, X)
+                            _reference_check_node_pattern(phi, mins, subset)
+                            for _ in range(2):
+                                minted.append(BDivisorRecord(
+                                    "?", phi, None, "case_2", (alpha,), cov))
+                        elif warnings is not None:
+                            warnings.append(
+                                "case-2 sign hypothesis failed at node "
+                                f"{tuple(i + 1 for i in subset)}; "
+                                "falling through")
+                if not case2:
+                    case = "3"
+                    excluded = set()
+                    for alpha in levi:
+                        if any(mins[j].coords[alpha] == 0
+                               for j in range(k) if j not in subset):
+                            excluded.add(alpha)
+                    new = {}
+                    for alpha in sorted((levi & pi_b) - excluded):
+                        a_wt = rd.simple_root(alpha)
+                        ones = [rec for rec in overline
+                                if reference_evaluate(rec.phi, a_wt.coords) == 1]
+                        if len(ones) != 1:
+                            continue
+                        base = ones[0]
+                        phi = reference_from_covector(
+                            rd.simple_coroot(alpha), X) - base.phi
+                        cov = rd.simple_coroot(alpha) - base.coroot_form \
+                            if base.coroot_form is not None else None
+                        if phi.values in new:
+                            new[phi.values][0].append(alpha)
+                        else:
+                            new[phi.values] = ([alpha], BDivisorRecord(
+                                "?", phi, None, "case_3", (), cov))
+                    for values in sorted(new):
+                        roots, rec = new[values]
+                        if any(r.phi.values == values for r in overline):
+                            raise RecoveryError(
+                                "invalid datum: reconstructed divisor "
+                                "duplicates a recovered one")
+                        _reference_check_node_pattern(rec.phi, mins, subset)
+                        minted.append(BDivisorRecord(
+                            "?", rec.phi, None, "case_3",
+                            tuple(sorted(roots)), rec.coroot_form))
+            pool.extend(minted)
+            if trace is not None:
+                trace.append(RecursionNode(
+                    tuple(i + 1 for i in subset), mu.coords,
+                    tuple(sorted(levi)), case or "-",
+                    tuple(r.phi.values for r in minted), note))
+    return pool
+
+
+def _walk_outcome(walk, m, psi):
+    """(records, trace, warnings) of one walk, or the error it raised."""
+    trace, warnings = [], []
+    try:
+        recs = walk(m, psi, trace, warnings)
+    except ValueError as exc:  # LunaError, RecoveryError, SphericalError
+        return type(exc), str(exc)
+    return recs, trace, warnings
+
+
+@st.composite
+def functional_inputs(draw):
+    """(phi, v): rational values on a lattice of `lattice_vectors` (full,
+    a sublattice or of lower rank), and v in the lattice, in its rational
+    span, or drawn from the whole space (often off the span)."""
+    lat, v = draw(lattice_vectors())
+    values = draw(st.lists(entries, min_size=lat.rank, max_size=lat.rank))
+    return LatticeFunctional(lat, tuple(values)), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(functional_inputs())
+@example((LatticeFunctional(Lattice.span([(2, 0), (1, 3)], 2),
+                            (Fraction(1, 2), Fraction(-2, 3))), (1, 1)))
+@example((LatticeFunctional(Lattice.span([(1, 1, 0)], 3), (Fraction(3, 4),)),
+          (1, 0, 0)))
+@example((LatticeFunctional(Lattice(2, ()), ()), (0, 0)))
+def test_integer_form_evaluation_matches_the_coordinate_reference(data):
+    phi, v = data
+    lat = phi.lattice
+    d, w = phi.integer_form
+    assert d > 0 and gcd(d, *w) == 1
+    pivots = {next(j for j, x in enumerate(b) if x) for b in lat.basis}
+    assert all(x == 0 for j, x in enumerate(w) if j not in pivots)
+    try:
+        expected = reference_evaluate(phi, v)
+    except LunaError:
+        with pytest.raises(LunaError):
+            phi.evaluate(v)
+    else:
+        assert phi.evaluate(v) == expected
+    with pytest.raises(PolyhedralError):
+        phi.evaluate(tuple(v) + (0,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_vectors(), st.data())
+def test_from_covector_matches_the_reference(data, draw):
+    lat, v = data
+    cov = CovectorVec(GroupSpec((), lat.dim), tuple(draw.draw(
+        st.lists(entries, min_size=lat.dim, max_size=lat.dim))))
+    phi = LatticeFunctional.from_covector(cov, lat)
+    assert phi == reference_from_covector(cov, lat)
+    if lat.coords(v) is not None:
+        assert phi.evaluate(v) == sum(a * b for a, b in zip(cov.coords, v))
+
+
+@pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.name)
+def test_integer_walk_matches_the_reference_on_the_corpus(entry):
+    assert _walk_outcome(recover_prime, entry.monoid, entry.psi) == \
+        _walk_outcome(reference_recover_prime, entry.monoid, entry.psi)
+
+
+TORUS3 = build_root_data(GroupSpec((), 3))
+NO_ROOTS = make_spherical_roots(TORUS3, ())
+
+
+@st.composite
+def polygon_cones(draw, max_points=7):
+    """Generators of a saturated toric monoid: the lattice points (x, y, 1)
+    of a lattice polygon in [0, 2]^2 (or a segment, or a point) at
+    height 1, at most `max_points` of them.  A lattice polygon is normal,
+    so they generate the lattice points of their cone."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                        min_size=1, max_size=min(4, max_points), unique=True))
+    cone = RationalCone.from_generators([(x, y, 1) for x, y in pts], dim=3)
+    gens = [(x, y, 1) for x in range(3) for y in range(3)
+            if cone.contains((x, y, 1))]
+    assume(len(gens) <= max_points)
+    return gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygon_cones())
+@example([(x, y, 1) for x in range(3) for y in range(2)])
+@example([(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1),
+          (1, 1, 1)])
+def test_integer_walk_matches_the_reference_on_toric_cones(gens):
+    m = torus_monoid(TORUS3, gens)
+    ref = torus_monoid(TORUS3, gens)
+    assert _walk_outcome(recover_prime, m, NO_ROOTS) == \
+        _walk_outcome(reference_recover_prime, ref, NO_ROOTS)
+
+
+def _divisor_table(datum):
+    return sorted((d.phi.values, tuple(sorted(d.stabilizer.roots)))
+                  for d in datum.divisors)
+
+
+# At most 3 lattice points: past that, the minimal generators of some
+# localized monoids take minutes, in the backtracking membership search
+# (the cone over (1, 0), (1, 1), (1, 2), (2, 0) localized at (1, 2, 1) runs
+# for more than 25 s), and even among these a localization can take 3 s.
+@settings(max_examples=20, deadline=None)
+@given(polygon_cones(max_points=3), st.data())
+def test_localization_commutes_with_recovery_on_toric_cones(gens, data):
+    m = torus_monoid(TORUS3, gens)
+    datum = recover_divisors(m, NO_ROOTS)
+    mins = m.minimal_generators
+    subset = data.draw(st.lists(st.sampled_from(mins), min_size=1,
+                                max_size=len(mins), unique=True))
+    mu = subset[0]
+    for g in subset[1:]:
+        mu = mu + g
+    loc = localize_datum(datum, mu)
+    # no spherical roots, so their restriction to the Levi is empty too
+    direct = recover_divisors(m.localize(mu), NO_ROOTS)
+    assert direct.monoid.lattice == loc.monoid.lattice
+    assert _divisor_table(direct) == _divisor_table(loc)

@@ -8,6 +8,7 @@ import pytest
 from corpus import build_corpus, corpus_by_name
 from sphervar import monoid as monoid_module
 from sphervar import polyhedral
+from sphervar import recovery as recovery_module
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
 from sphervar.monoid import MonoidError, WeightMonoid, torus_monoid
 from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
@@ -24,6 +25,7 @@ from sphervar.recovery import (
 )
 from sphervar.rootsys import GroupSpec, ParabolicSet, build_root_data, support
 from sphervar.spherical import (
+    SphericalError,
     classify_root_types,
     hidden_divisors,
     hidden_spherical_roots,
@@ -598,6 +600,50 @@ def test_recovery_generator_count_guard():
     psi = make_spherical_roots(rd, ())
     with pytest.raises(RecoveryError):
         recover_prime(m, psi)
+
+
+def test_invalid_roots_are_refused_before_the_generator_count():
+    # 3 alpha is primitive in the lattice and passes the group-level
+    # checks, but no simple root has a multiple 3 among spherical roots;
+    # the monoid has 14 minimal generators, past the walk's limit
+    rd = build_root_data(GroupSpec((("A", 1),), 1))
+    gens = (rd.weight((6, 0)),) + tuple(rd.weight((0, 13 + i))
+                                         for i in range(13))
+    m = WeightMonoid(rd, gens)
+    assert len(m.minimal_generators) == 14
+    psi = make_spherical_roots(rd, (rd.weight((6, 0)),))
+    with pytest.raises(SphericalError, match="non-root multiple"):
+        recover_divisors(m, psi)
+    with pytest.raises(RecoveryError, match="minimal generators"):
+        recover_prime(WeightMonoid(rd, gens), psi)
+
+
+def test_root_types_are_classified_once_per_recovery(monkeypatch):
+    calls = []
+
+    def counted(m, psi):
+        calls.append(m)
+        return classify_root_types(m, psi)
+
+    monkeypatch.setattr(recovery_module, "classify_root_types", counted)
+    for e in build_corpus():
+        expected = _divisor_table(recover_entry(e))
+        m = WeightMonoid(e.rd, e.monoid.generators)
+        calls.clear()
+        assert _divisor_table(recover_divisors(m, e.psi)) == expected, e.name
+        assert len(calls) == 1 and calls[0] is m, e.name
+
+
+def test_recover_passes_on_the_validation_warnings():
+    seen = set()
+    for e in build_corpus():
+        warnings = []
+        datum = recover_divisors(e.monoid, e.psi, warnings=warnings)
+        report = validate_luna_datum(datum)
+        walk = [w for w in warnings if w.startswith("case-2 ")]
+        assert warnings == walk + report.warnings, e.name
+        seen.update(report.warnings)
+    assert any(w.startswith("type-a roots complete") for w in seen)
 
 
 # -- moment polytopes -----------------------------------------------------------
