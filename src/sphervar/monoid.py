@@ -3,9 +3,14 @@
 A monoid is given by dominant integral generators.  Everything derived
 is cached on the instance: the spanned lattice, the rays of the dual
 cone, the invertible sublattice, the minimal generators modulo
-invertibles, and the membership search table (`MonoidSearch`: search
-order, pruning tables and the target-free part of the Borosh–Treybig
-bound), which every membership query to the monoid reuses.  Canonical
+invertibles, and the membership search table (`MonoidSearch`), which
+every membership query to the monoid reuses.
+
+Membership is bounded by the rays of the dual cone: they are
+nonnegative on the monoid and vanish exactly on its units, so the
+monoid is Z≥0·(generators some ray is positive on) + Z·(generators
+every ray vanishes on), and each ray r caps the coefficient of a
+generator g in a representation of v at r.v // r.g.  Canonical
 representatives modulo the invertible part are chosen by Hermite
 reduction so that all downstream computations are deterministic.
 """
@@ -97,7 +102,8 @@ class WeightMonoid:
 
     @cached_property
     def _invertible_flags(self) -> tuple[bool, ...]:
-        """Whether -g lies in the monoid, for each generator g.
+        """Whether -g lies in the monoid, for each generator g: the units
+        of the search table.
 
         -g is in the monoid iff g lies in the lineality space of
         C = cone(generators), that is iff every ray of the dual cone
@@ -108,37 +114,21 @@ class WeightMonoid:
         monoid element (Bruns–Gubeladze, Polytopes, Rings and K-Theory,
         ch. 2).
         """
-        rays = self._dual_rays
-        return tuple(all(sum(a * b for a, b in zip(r, g)) == 0 for r in rays)
-                     for g in self.gen_vectors)
-
-    @cached_property
-    def extended_generators(self) -> tuple[tuple[int, ...], ...]:
-        """Generators plus negatives of the invertible ones: a generating
-        set of the monoid closed enough for membership queries.
-
-        The invertible part of the monoid is its intersection with the
-        lineality space of cone(generators), which is generated by the
-        generators lying in that space (see `_invertible_flags`), so
-        adjoining their negatives generates the whole group of units.
-        """
-        ext = list(self.gen_vectors)
-        for g, inv in zip(self.gen_vectors, self._invertible_flags):
-            if inv:
-                ext.append(tuple(-x for x in g))
-        return tuple(ext)
+        units = set(self._search.units)
+        return tuple(i in units for i in range(len(self.gen_vectors)))
 
     @cached_property
     def invertible_lattice(self) -> Lattice:
-        inv_gens = [g for g, f in zip(self.gen_vectors, self._invertible_flags) if f]
-        return Lattice.span(inv_gens, self.dim)
+        """The group of units, spanned by the invertible generators."""
+        return self._search.unit_lattice
 
     @cached_property
     def _search(self) -> MonoidSearch:
-        """The membership search table over `extended_generators`, built
-        once and shared by every query to this monoid.  A localized
-        monoid has other generators and builds its own."""
-        return MonoidSearch(self.extended_generators)
+        """The membership search table over the generators and the dual
+        rays, built once and shared by every query to this monoid.  A
+        localized monoid has other generators and builds its own, from
+        the rays `localize` seeds."""
+        return MonoidSearch(self.gen_vectors, self._dual_rays)
 
     def contains_vector(self, vec) -> tuple[bool, list[int] | None]:
         return monoid_membership(tuple(int(x) for x in vec), self._search)
@@ -207,19 +197,23 @@ class WeightMonoid:
         return loc
 
     def equals(self, other: "WeightMonoid") -> bool:
-        """Set equality, decided by mutual membership of generating sets."""
+        """Set equality, decided by mutual membership of generators: a
+        monoid contains another exactly when it contains its generators."""
         if self.rd.spec != other.rd.spec:
             raise MonoidError("mismatched group specs")
-        for v in self.extended_generators:
-            if not other.contains_vector(v)[0]:
-                return False
-        for v in other.extended_generators:
-            if not self.contains_vector(v)[0]:
-                return False
-        return True
+        return (all(other.contains_vector(v)[0] for v in self.gen_vectors)
+                and all(self.contains_vector(v)[0] for v in other.gen_vectors))
 
     def is_saturated(self) -> bool:
-        """Whether the monoid equals cone(monoid) ∩ lattice."""
+        """Whether the monoid equals cone(monoid) ∩ lattice.
+
+        The saturation S contains the monoid, so it has at least its
+        units; the two must have the same.  Then the monoid is S iff it
+        contains the Hilbert basis of S modulo the units.  An element of
+        that basis is irreducible in S and every noninvertible generator
+        is nonzero modulo the units, so the element lies in the monoid
+        only if it equals a generator modulo the units.
+        """
         lat = self.lattice
         if lat.rank > SATURATION_RANK_LIMIT:
             raise MonoidError(
@@ -228,14 +222,11 @@ class WeightMonoid:
             return True
         cone = RationalCone.from_generators(list(self.gen_vectors), dim=self.dim)
         units, basis = hilbert_basis_with_units(cone, lat)
-        inv = self.invertible_lattice
-        for u in units.basis:
-            if not inv.contains(u):
-                return False
-        for h in basis:
-            if not self.contains_vector(h)[0]:
-                return False
-        return True
+        if units != self.invertible_lattice:
+            return False
+        reps = {units.reduce_mod(g) for g, f in
+                zip(self.gen_vectors, self._invertible_flags) if not f}
+        return set(basis) <= reps
 
 
 def _coordinate_blocks(spec, factor_split, central_split):

@@ -18,6 +18,12 @@ A Hilbert basis is read off one pulling triangulation of the pointed
 quotient cone, built from the facet-ray incidences alone: the candidates
 are the extreme rays and the parallelepiped points of the maximal
 simplices, each point computed from an integer adjugate.
+
+Monoid membership is a depth-first search over the generators, bounded
+by the extreme rays of the dual cone: every ray is nonnegative on the
+monoid, so a ray r with r.g > 0 caps the coefficient of g at
+r.v // r.g, and the generators on which every ray vanishes are units,
+whose part of v is one integer solve.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
 Vec = tuple[int, ...]
@@ -868,118 +874,72 @@ def hilbert_basis(cone: RationalCone, lattice: Lattice) -> list[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# monoid membership by bounded search
+# monoid membership, bounded by the dual cone's rays
 # ---------------------------------------------------------------------------
 
-def _hadamard_bound(rows: list[list[int]]) -> int:
-    """An upper bound on every absolute minor of an integer matrix.
-
-    A k x k minor is at most the product of the Euclidean norms of its
-    rows (Hadamard), and a row of a minor is no longer than the matrix
-    row it is cut from, so the product of the k largest row norms of the
-    matrix bounds every k x k minor.
-    The product is taken exactly on squared norms and rounded up.
-    """
-    sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
-    n = len(rows[0]) if rows else 0
-    best = 0
-    prod = 1
-    for k in range(min(len(sq), n)):
-        prod *= sq[k]
-        root = isqrt(prod)
-        best = max(best, root + (root * root != prod))
-    return best
-
-
 class MonoidSearch:
-    """Everything about a membership search in Z≥0-span(generators) that
-    does not depend on the target vector v.
+    """Everything about membership in M = Z≥0-span(generators) that does
+    not depend on the target vector.
 
-    - `order`, `supp`, `nneg`, `npos`: the depth-first order of the
-      generators and, for each suffix of that order, which coordinates
-      some generator touches and which no generator can lower or raise.
-    - the Borosh–Treybig bound, the largest absolute minor of the
-      augmented matrix [G | v] (G has the generators as columns).  A minor
-      that avoids the v column is a minor of G; their maximum is `_fixed`.
-      A minor on rows R that uses the v column equals w·v by Laplace
-      expansion along that column, where w is the cofactor covector
-      supported on R whose entries are the signed minors of G on R minus
-      one row.  The distinct nonzero covectors, up to sign, are
-      `_covectors`, so `bound(v)` costs one dot product per covector.
+    `rays` are the extreme rays of the dual cone {phi : phi.g >= 0 for
+    every generator g} modulo its lineality; double description computes
+    them when the caller does not pass them.  Every ray is nonnegative
+    on every generator.  A generator on which every ray vanishes lies in
+    the lineality space of cone(generators); that space is a face, so it
+    is the cone over the generators it contains and the negative of such
+    a generator is a nonnegative combination of them (Bruns–Gubeladze,
+    Polytopes, Rings and K-Theory, ch. 2).  These generators are the
+    `units`; every other generator is `free`, with some ray positive on
+    it.  Hence M = Z≥0·free + Z·units.
 
-    When [G | v] has more than `cap` minors of order two or more (a count
-    fixed by the shape alone), no minor is computed and `bound(v)` is
-    Hadamard's bound on the augmented rows instead: an upper bound on the
-    largest minor rather than the minor itself.
+    - `free`: the free generators in depth-first order, with `values`,
+      the ray values of every generator;
+    - `reach[pos]`: for each ray, whether some free generator from
+      position pos on is positive on it;
+    - `unit_lattice`: Z·units.
     """
 
-    def __init__(self, generators, cap: int = 500000):
+    def __init__(self, generators, rays=None):
         gens = [tuple(map(int, g)) for g in generators]
         if len({len(g) for g in gens}) > 1:
             raise PolyhedralError("monoid generators differ in length")
         self.gens = gens
         self.dim = len(gens[0]) if gens else 0
-        dim, n = self.dim, len(gens)
-        self.order = sorted(range(n), key=lambda i: gens[i], reverse=True)
-        self.supp = [[False] * dim for _ in range(n + 1)]
-        self.nneg = [[True] * dim for _ in range(n + 1)]
-        self.npos = [[True] * dim for _ in range(n + 1)]
-        for pos in reversed(range(n)):
-            g = gens[self.order[pos]]
-            for i in range(dim):
-                self.supp[pos][i] = self.supp[pos + 1][i] or g[i] != 0
-                self.nneg[pos][i] = self.nneg[pos + 1][i] and g[i] >= 0
-                self.npos[pos][i] = self.npos[pos + 1][i] and g[i] <= 0
-        count = sum(comb(dim, k) * comb(n + 1, k)
-                    for k in range(2, min(dim, n + 1) + 1))
-        if count > cap:
-            self._fixed = None
-            self._rows = [[g[i] for g in gens] for i in range(dim)]
-        else:
-            self._fixed, self._covectors = self._minors_and_covectors()
+        if rays is None:
+            rays = _dd(self.dim, gens)[1]
+        self.rays = [tuple(r) for r in rays]
+        self.values = [[_dot(r, g) for r in self.rays] for g in gens]
+        self.units = [i for i, vals in enumerate(self.values) if not any(vals)]
+        self.free = sorted((i for i, vals in enumerate(self.values) if any(vals)),
+                           key=lambda i: gens[i], reverse=True)
+        self.unit_lattice = Lattice.span([gens[i] for i in self.units], self.dim)
+        reach = [[False] * len(self.rays)]
+        for i in reversed(self.free):
+            reach.append([a or b > 0 for a, b in zip(reach[-1], self.values[i])])
+        self.reach = reach[::-1]
 
-    def _minors_and_covectors(self) -> tuple[int, tuple[Vec, ...]]:
-        """The largest absolute minor of G and the cofactor covectors.
+    @cached_property
+    def positive_relation(self) -> list[int]:
+        """p with every p_i > 0 and sum_i p_i * units[i] = 0: the sum of
+        the extreme rays of {l >= 0 : sum_i l_i * units[i] = 0}.  Each
+        unit's negative is a nonnegative combination of the units, so
+        some ray is positive at each index."""
+        k = len(self.units)
+        eye = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        rows = [tuple(self.gens[u][d] for u in self.units) for d in range(self.dim)]
+        rays = _dd(k, eye + rows + [tuple(-x for x in r) for r in rows])[1]
+        return [sum(col) for col in zip(*rays)]
 
-        Built order by order.  The covector of rows R (|R| = j + 1) and
-        columns C (|C| = j) carries (-1)^(p + j) det G[R - R[p], C] at
-        row R[p], so by Laplace expansion along the last column it dots
-        with generator c > max(C) to det G[R, C + (c,)]: the minors of
-        order j + 1 come from those of order j, and only one order's
-        nonzero minors are kept at a time.
-        """
-        gens, dim, n = self.gens, self.dim, len(self.gens)
-        minors: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
-        fixed = 0
-        covectors: set[Vec] = set()
-        for j in range(min(dim, n + 1)):
-            nxt = {}
-            for rows in itertools.combinations(range(dim), j + 1):
-                for cols in itertools.combinations(range(n), j):
-                    w = [0] * dim
-                    for p, r in enumerate(rows):
-                        d = minors.get((rows[:p] + rows[p + 1:], cols), 0)
-                        w[r] = -d if (p + j) % 2 else d
-                    if not any(w):
-                        continue
-                    lead = next(x for x in w if x)
-                    covectors.add(tuple(w) if lead > 0 else tuple(-x for x in w))
-                    for c in range(cols[-1] + 1 if cols else 0, n):
-                        d = _dot(w, gens[c])
-                        if d:
-                            nxt[rows, cols + (c,)] = d
-                            fixed = max(fixed, abs(d))
-            minors = nxt
-        return fixed, tuple(covectors)
-
-    def bound(self, v) -> int:
-        """The largest absolute minor of [G | v], at least 1 (past the cap,
-        Hadamard's bound on it)."""
-        if self._fixed is None:
-            return max(_hadamard_bound(
-                [r + [x] for r, x in zip(self._rows, v)]), 1)
-        return max(self._fixed, 1,
-                   max((abs(_dot(w, v)) for w in self._covectors), default=0))
+    def unit_coefficients(self, residual) -> list[int]:
+        """Nonnegative coefficients on the units summing to a residual in
+        `unit_lattice`: an integer solution, plus the least multiple of
+        `positive_relation` that lifts its negative entries to zero."""
+        sol = integer_solve([self.gens[i] for i in self.units], residual)
+        if min(sol, default=0) >= 0:
+            return sol
+        p = self.positive_relation
+        t = max(-(c // q) for c, q in zip(sol, p))
+        return [c + t * q for c, q in zip(sol, p)]
 
 
 def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
@@ -989,17 +949,21 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
     over them; a caller that asks many questions of one monoid builds the
     search once and passes it each time.
 
-    Termination: if a nonnegative integer combination exists then one
-    exists with every coefficient bounded by the largest absolute minor of
-    the augmented matrix [generators | v] (Borosh–Treybig), so the search
-    space is finite.  `MonoidSearch.bound` is that minor or, for matrices
-    with too many minors to compute, Hadamard's upper bound on it; either
-    way no solution within the bound is missed.
+    With M = Z≥0·free + Z·units as in `MonoidSearch`, every ray r of the
+    dual cone is nonnegative on M, so v is not in M when some r.v < 0.
+    Otherwise a depth-first search picks the coefficient c of each free
+    generator g in turn.  The generators still to come are nonnegative on
+    every ray and the units vanish on all of them, so a solution keeps
+    r.residual >= 0: c <= r.residual // r.g for every ray with r.g > 0,
+    and a ray positive on the residual but on no generator still to come
+    ends the branch.  Once every ray vanishes on the residual, every free
+    coefficient still to come is zero and the residual must lie in
+    Z·units.  Every coefficient is bounded, so the search is finite and
+    misses no solution.
     """
     table = generators if isinstance(generators, MonoidSearch) \
         else MonoidSearch(generators)
-    gens, order = table.gens, table.order
-    supp, nneg, npos = table.supp, table.nneg, table.npos
+    gens, free, values, reach = table.gens, table.free, table.values, table.reach
     v = tuple(map(int, v))
     if gens and len(v) != table.dim:
         raise PolyhedralError(
@@ -1008,35 +972,35 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
         return True, [0] * len(gens)
     if not gens:
         return False, None
-    dim = len(v)
-    bound = table.bound(v)
-    n = len(order)
+    v_values = [_dot(r, v) for r in table.rays]
+    if any(x < 0 for x in v_values):
+        return False, None
+    n = len(free)
     coeffs = [0] * len(gens)
 
-    def search(pos: int, residual: tuple[int, ...]) -> bool:
-        if not any(residual):
+    def search(pos: int, residual: Vec, res_values: list[int]) -> bool:
+        if not any(res_values):
+            if not table.unit_lattice.contains(residual):
+                return False
             for p in range(pos, n):
-                coeffs[order[p]] = 0
+                coeffs[free[p]] = 0
+            for i, c in zip(table.units, table.unit_coefficients(residual)):
+                coeffs[i] = c
             return True
-        if pos >= n:
+        if any(x and not ok for x, ok in zip(res_values, reach[pos])):
             return False
-        for i in range(dim):
-            r = residual[i]
-            if r != 0 and not supp[pos][i]:
-                return False
-            if r < 0 and nneg[pos][i]:
-                return False
-            if r > 0 and npos[pos][i]:
-                return False
-        g = gens[order[pos]]
-        for c in range(bound + 1):
-            coeffs[order[pos]] = c
-            if search(pos + 1, tuple(r - c * x for r, x in zip(residual, g))):
+        i = free[pos]
+        g, g_values = gens[i], values[i]
+        top = min(x // y for x, y in zip(res_values, g_values) if y)
+        for c in range(top + 1):
+            coeffs[i] = c
+            if search(pos + 1, tuple(a - c * b for a, b in zip(residual, g)),
+                      [a - c * b for a, b in zip(res_values, g_values)]):
                 return True
         return False
 
-    if search(0, v):
-        return True, coeffs[:]
+    if search(0, v, v_values):
+        return True, coeffs
     return False, None
 
 

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from sphervar import monoid as monoid_module
+from sphervar import polyhedral
 from sphervar.monoid import (
     MonoidError,
     WeightMonoid,
@@ -8,7 +11,7 @@ from sphervar.monoid import (
     torus_monoid,
     trivial_factors,
 )
-from sphervar.polyhedral import lattice_span
+from sphervar.polyhedral import RationalCone, hilbert_basis_with_units, lattice_span
 from sphervar.rootsys import GroupSpec, build_root_data
 
 
@@ -123,12 +126,57 @@ def test_one_search_table_per_monoid(monkeypatch):
     assert m.contains(rd.weight((3, 2)))
     assert not m.contains(rd.weight((0, 1)))
     loc = m.localize(rd.weight((1, 0)))
-    assert built == [m.extended_generators]
-    # the localized monoid has other generators and builds its own table
+    assert built == [m.gen_vectors]
+    # the localized monoid has other generators and builds its own table,
+    # from the dual rays that `localize` seeds
     assert "_search" not in loc.__dict__
+    dd_calls = []
+    real_dd = polyhedral._dd
+    monkeypatch.setattr(polyhedral, "_dd",
+                        lambda *a: dd_calls.append(a) or real_dd(*a))
+    table = loc._search
+    assert dd_calls == []
     assert loc.contains(rd.weight((-1, 0)))
-    assert built == [m.extended_generators, loc.extended_generators]
-    assert loc._search is not m._search
+    assert built == [m.gen_vectors, loc.gen_vectors]
+    assert table is not m._search
+
+
+def test_minimal_generators_modulo_a_unit_line():
+    # each query searches within the dual rays' bounds, so the whole
+    # localization takes milliseconds
+    rd = torus(3)
+    m = torus_monoid(rd, [(1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 1)])
+    loc = m.localize(rd.weight((1, 2, 1)))
+    assert loc.invertible_lattice.basis == ((1, 2, 1),)
+    # the classes of (2, 0, 1) and (1, 1, 1) modulo the unit line
+    assert tuple(g.int_coords() for g in loc.minimal_generators) == \
+        ((0, -4, -1), (0, -1, 0))
+
+
+def test_localizations_of_four_point_cones():
+    """The saturated monoid of the cone over every four lattice points of
+    [0, 2]^2 at height 1, localized at every sum of its minimal
+    generators, against the Hilbert basis of the localized cone: a
+    localization of a saturated monoid is saturated."""
+    rd = torus(3)
+    grid = [(x, y, 1) for x in range(3) for y in range(3)]
+    count = 0
+    for pts in itertools.combinations(grid, 4):
+        cone = RationalCone.from_generators(pts)
+        m = torus_monoid(rd, [g for g in grid if cone.contains(g)])
+        mins = m.minimal_generators
+        for k in range(1, len(mins) + 1):
+            for subset in itertools.combinations(mins, k):
+                mu = subset[0]
+                for g in subset[1:]:
+                    mu = mu + g
+                loc = m.localize(mu)
+                units, basis = hilbert_basis_with_units(
+                    RationalCone.from_generators(loc.gen_vectors), loc.lattice)
+                assert loc.invertible_lattice == units
+                assert [g.int_coords() for g in loc.minimal_generators] == basis
+                count += 1
+    assert count == 5154
 
 
 def test_saturation():

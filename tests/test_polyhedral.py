@@ -11,7 +11,6 @@ from sphervar.polyhedral import (
     Lattice,
     PolyhedralError,
     Polytope,
-    MonoidSearch,
     RationalCone,
     hilbert_basis,
     hilbert_basis_with_units,
@@ -572,29 +571,6 @@ def test_membership_certificate_recombines(gens, target):
             total[0] += c * g[0]
             total[1] += c * g[1]
         assert tuple(total) == tuple(target)
-
-
-def largest_minor_oracle(rows):
-    m, n = len(rows), len(rows[0])
-    return max(abs(det_oracle([[rows[i][j] for j in ci] for i in ri]))
-               for k in range(1, min(m, n) + 1)
-               for ri in itertools.combinations(range(m), k)
-               for ci in itertools.combinations(range(n), k))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-                min_size=1, max_size=3))
-@example([[1, 1, 0, 0], [-1, 1, 0, 0]])  # largest minor 2 > every entry
-def test_minor_bound_is_sound_past_the_cap(rows):
-    true_max = max(largest_minor_oracle(rows), 1)
-    # rows of [G | v]: the first three columns are the generators
-    gens = [tuple(r[j] for r in rows) for j in range(3)]
-    v = tuple(r[3] for r in rows)
-    assert MonoidSearch(gens).bound(v) == true_max
-    # with too many minors to compute the result is still an upper bound
-    for cap in (0, 1, 5):
-        assert MonoidSearch(gens, cap=cap).bound(v) >= true_max
 
 
 # -- polytopes ----------------------------------------------------------------

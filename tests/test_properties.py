@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -226,6 +226,32 @@ def test_invertibility_matches_membership_search(data):
         fresh = torus_monoid(rd, [w.int_coords() for w in loc.generators])
         assert loc._invertible_flags == fresh._invertible_flags
         assert loc.invertible_lattice == fresh.invertible_lattice
+
+
+def reference_is_saturated(m):
+    # `WeightMonoid.is_saturated` as it was before it read the generators:
+    # every Hilbert-basis element of the saturation found by membership
+    lat = m.lattice
+    if lat.rank == 0:
+        return True
+    cone = RationalCone.from_generators(list(m.gen_vectors), dim=m.dim)
+    units, basis = hilbert_basis_with_units(cone, lat)
+    return (all(m.invertible_lattice.contains(u) for u in units.basis)
+            and all(m.contains_vector(h)[0] for h in basis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus_generators())
+@example((2, [(1, 0), (1, 2)]))
+@example((2, [(2, 0), (3, 0), (0, 1)]))
+@example((2, [(2, 0), (-2, 0), (0, 1)]))
+@example((2, [(1, 1), (-1, -1), (1, -1)]))
+# (1, 0) = (1, 1) - (0, 1) is a unit of the saturation but not of the monoid
+@example((2, [(2, 0), (-2, 0), (1, 1), (0, 1)]))
+def test_saturation_matches_the_membership_reference(data):
+    rank, gens = data
+    m = torus_monoid(build_root_data(GroupSpec((), rank)), gens)
+    assert m.is_saturated() == reference_is_saturated(m)
 
 
 # -- the integer kernels against rational references -------------------------
@@ -464,11 +490,15 @@ def test_echelon_coords_match_rational_reference(data):
     assert lat.coords(v) == reference_coords(lat, v)
 
 
-# -- the membership search table against the per-query bound -----------------
+# -- the ray-bounded membership search against the minor-bounded one ---------
 #
-# The references below are `monoid_membership` as it was before the search
-# table, with the Borosh–Treybig bound computed per query by a Bareiss
-# determinant of every minor of [generators | v].
+# The reference below is `monoid_membership` as it was before the search
+# table and before the dual-ray bound: a backtracking search with every
+# coefficient bounded by the largest absolute minor of [generators | v]
+# (Borosh–Treybig), computed per query by a Bareiss determinant of every
+# minor, or past `cap` minors by Hadamard's bound on it.  The two searches
+# may find different certificates, so the properties compare the answers
+# and check each certificate.
 
 def reference_int_det(mat):
     # Bareiss fraction-free determinant
@@ -490,6 +520,19 @@ def reference_int_det(mat):
     return sign * a[n - 1][n - 1]
 
 
+def reference_hadamard_bound(rows):
+    # the product of the k largest row norms bounds every k x k minor
+    sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
+    n = len(rows[0]) if rows else 0
+    best = 0
+    prod = 1
+    for k in range(min(len(sq), n)):
+        prod *= sq[k]
+        root = isqrt(prod)
+        best = max(best, root + (root * root != prod))
+    return best
+
+
 def reference_max_abs_minor(rows, cap=500000):
     m = len(rows)
     n = len(rows[0]) if rows else 0
@@ -500,7 +543,7 @@ def reference_max_abs_minor(rows, cap=500000):
             for ci in itertools.combinations(range(n), k):
                 count += 1
                 if count > cap:
-                    return max(polyhedral._hadamard_bound(rows), 1)
+                    return max(reference_hadamard_bound(rows), 1)
                 sub = [[rows[i][j] for j in ci] for i in ri]
                 best = max(best, abs(reference_int_det(sub)))
     return max(best, 1)
@@ -573,37 +616,22 @@ def generator_matrices(draw, max_dim=5, max_gens=6, entries=3):
     return draw(st.permutations(gens)), draw(vec)
 
 
-def _augmented(gens, v):
-    return [[g[i] for g in gens] + [v[i]] for i in range(len(v))]
-
-
-@settings(max_examples=200, deadline=None)
-@given(generator_matrices())
-@example(([(1, 0), (0, 1)], (0, 0)))
-@example(([(0, 0, 0)], (0, 0, 0)))
-@example(([(1, 1, 0, 0), (-1, 1, 0, 0)], (0, 0, 0, 0)))
-def test_search_bound_matches_the_largest_minor(data):
-    gens, v = data
-    assert MonoidSearch(gens).bound(v) == \
-        reference_max_abs_minor(_augmented(gens, v))
-
-
-@settings(max_examples=100, deadline=None)
-@given(generator_matrices(), st.sampled_from([0, 1, 5]))
-def test_search_bound_past_the_cap_matches_hadamard(data, cap):
-    gens, v = data
-    aug = _augmented(gens, v)
-    assert MonoidSearch(gens, cap=cap).bound(v) == \
-        reference_max_abs_minor(aug, cap=cap)
-
-
 @settings(max_examples=150, deadline=None)
 @given(generator_matrices(max_dim=3, max_gens=5, entries=2))
 def test_membership_matches_the_per_query_reference(data):
     gens, v = data
-    assert monoid_membership(v, gens) == reference_monoid_membership(v, gens)
-    table = MonoidSearch(gens)
-    assert monoid_membership(v, table) == reference_monoid_membership(v, gens)
+    expected = reference_monoid_membership(v, gens)[0]
+    for query in (gens, MonoidSearch(gens)):
+        ok, cert = monoid_membership(v, query)
+        assert ok == expected
+        if ok:
+            assert_certificate(cert, gens, v)
+
+
+def assert_certificate(cert, gens, v):
+    assert len(cert) == len(gens) and min(cert, default=0) >= 0
+    assert tuple(sum(c * g[i] for c, g in zip(cert, gens))
+                 for i in range(len(v))) == tuple(v)
 
 
 def _corpus_monoids():
@@ -621,11 +649,17 @@ CORPUS_MONOIDS = _corpus_monoids()
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(CORPUS_MONOIDS), st.data())
 def test_membership_matches_reference_on_corpus_monoids(m, data):
-    ext = m.extended_generators
+    # the generators and the negatives of the invertible ones, a generating
+    # set on which the reference search stays small
+    ext = m.gen_vectors + tuple(tuple(-x for x in g) for g, f in
+                                zip(m.gen_vectors, m._invertible_flags) if f)
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(ext),
                                 max_size=len(ext)))
     v = tuple(sum(c * g[i] for c, g in zip(coeffs, ext)) for i in range(m.dim))
-    assert m.contains_vector(v) == reference_monoid_membership(v, ext)
+    ok, cert = m.contains_vector(v)
+    assert ok == reference_monoid_membership(v, ext)[0]
+    if ok:
+        assert_certificate(cert, m.gen_vectors, v)
 
 
 # -- the triangulated Hilbert basis against the all-subsets reference --------
@@ -1038,17 +1072,35 @@ def test_integer_walk_matches_the_reference_on_toric_cones(gens):
         _walk_outcome(reference_recover_prime, ref, NO_ROOTS)
 
 
+@settings(max_examples=100, deadline=None)
+@given(polygon_cones(), st.data())
+def test_membership_in_a_saturated_cone_is_cone_and_lattice(gens, data):
+    """A saturated monoid, and each of its localizations, is the set of
+    lattice points of its cone."""
+    m = torus_monoid(TORUS3, gens)
+    if data.draw(st.booleans()):
+        mins = m.minimal_generators
+        mu = data.draw(st.sampled_from(mins))
+        for _ in range(data.draw(st.integers(0, 2))):
+            mu = mu + data.draw(st.sampled_from(mins))
+        m = m.localize(mu)
+    cone = RationalCone.from_generators(m.gen_vectors)
+    for _ in range(10):
+        v = data.draw(st.tuples(st.integers(-4, 6), st.integers(-4, 6),
+                                st.integers(-2, 4)))
+        ok, cert = m.contains_vector(v)
+        assert ok == (cone.contains(v) and m.lattice.contains(v))
+        if ok:
+            assert_certificate(cert, m.gen_vectors, v)
+
+
 def _divisor_table(datum):
     return sorted((d.phi.values, tuple(sorted(d.stabilizer.roots)))
                   for d in datum.divisors)
 
 
-# At most 3 lattice points: past that, the minimal generators of some
-# localized monoids take minutes, in the backtracking membership search
-# (the cone over (1, 0), (1, 1), (1, 2), (2, 0) localized at (1, 2, 1) runs
-# for more than 25 s), and even among these a localization can take 3 s.
 @settings(max_examples=20, deadline=None)
-@given(polygon_cones(max_points=3), st.data())
+@given(polygon_cones(), st.data())
 def test_localization_commutes_with_recovery_on_toric_cones(gens, data):
     m = torus_monoid(TORUS3, gens)
     datum = recover_divisors(m, NO_ROOTS)
