@@ -44,8 +44,8 @@ class WeightMonoid:
     """Monoid of dominant weights, possibly relative to a Levi subgroup.
 
     levi_roots restricts which simple roots must pair nonnegatively with
-    the generators (None means all of them); localized monoids produced
-    during divisor recovery are dominant only for the Levi.
+    the generators (None means all of them); a monoid from `localize` is
+    dominant only for the Levi of the weight it is localized at.
     """
 
     rd: RootData
@@ -139,10 +139,6 @@ class WeightMonoid:
         if not w.is_integral:
             return False
         return self.contains_vector(w.int_coords())[0]
-
-    def is_invertible(self, w: WeightVec) -> bool:
-        return self.invertible_lattice.contains(w.int_coords()) \
-            if w.is_integral else False
 
     @cached_property
     def minimal_generators(self) -> tuple[WeightVec, ...]:

@@ -29,6 +29,7 @@ whose part of v is one integer solve.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -952,14 +953,15 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
     With M = Z≥0·free + Z·units as in `MonoidSearch`, every ray r of the
     dual cone is nonnegative on M, so v is not in M when some r.v < 0.
     Otherwise a depth-first search picks the coefficient c of each free
-    generator g in turn.  The generators still to come are nonnegative on
-    every ray and the units vanish on all of them, so a solution keeps
-    r.residual >= 0: c <= r.residual // r.g for every ray with r.g > 0,
-    and a ray positive on the residual but on no generator still to come
-    ends the branch.  Once every ray vanishes on the residual, every free
-    coefficient still to come is zero and the residual must lie in
-    Z·units.  Every coefficient is bounded, so the search is finite and
-    misses no solution.
+    generator g in turn, on an explicit stack, so that no recursion limit
+    bounds the number of generators.  The generators still to come are
+    nonnegative on every ray and the units vanish on all of them, so a
+    solution keeps r.residual >= 0: c <= r.residual // r.g for every ray
+    with r.g > 0, and a ray positive on the residual but on no generator
+    still to come ends the branch.  Once every ray vanishes on the
+    residual, every free coefficient still to come is zero and the
+    residual must lie in Z·units.  Every coefficient is bounded, so the
+    search is finite and misses no solution.
     """
     table = generators if isinstance(generators, MonoidSearch) \
         else MonoidSearch(generators)
@@ -975,33 +977,33 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
     v_values = [_dot(r, v) for r in table.rays]
     if any(x < 0 for x in v_values):
         return False, None
-    n = len(free)
     coeffs = [0] * len(gens)
-
-    def search(pos: int, residual: Vec, res_values: list[int]) -> bool:
+    # one frame per free generator on the current branch: its position,
+    # the residual before it and the coefficients still to try for it
+    stack: list[tuple[int, Vec, list[int], Iterator[int]]] = []
+    pos, residual, res_values = 0, v, v_values
+    while True:
         if not any(res_values):
-            if not table.unit_lattice.contains(residual):
-                return False
-            for p in range(pos, n):
-                coeffs[free[p]] = 0
-            for i, c in zip(table.units, table.unit_coefficients(residual)):
-                coeffs[i] = c
-            return True
-        if any(x and not ok for x, ok in zip(res_values, reach[pos])):
-            return False
+            if table.unit_lattice.contains(residual):
+                for i in free[pos:]:
+                    coeffs[i] = 0
+                for i, c in zip(table.units, table.unit_coefficients(residual)):
+                    coeffs[i] = c
+                return True, coeffs
+        elif not any(x and not ok for x, ok in zip(res_values, reach[pos])):
+            g_values = values[free[pos]]
+            top = min(x // y for x, y in zip(res_values, g_values) if y)
+            stack.append((pos, residual, res_values, iter(range(top + 1))))
+        while stack and (c := next(stack[-1][3], None)) is None:
+            stack.pop()
+        if not stack:
+            return False, None
+        pos, residual, res_values, _ = stack[-1]
         i = free[pos]
-        g, g_values = gens[i], values[i]
-        top = min(x // y for x, y in zip(res_values, g_values) if y)
-        for c in range(top + 1):
-            coeffs[i] = c
-            if search(pos + 1, tuple(a - c * b for a, b in zip(residual, g)),
-                      [a - c * b for a, b in zip(res_values, g_values)]):
-                return True
-        return False
-
-    if search(0, v, v_values):
-        return True, coeffs
-    return False, None
+        coeffs[i] = c
+        residual = tuple(a - c * b for a, b in zip(residual, gens[i]))
+        res_values = [a - c * b for a, b in zip(res_values, values[i])]
+        pos += 1
 
 
 # ---------------------------------------------------------------------------

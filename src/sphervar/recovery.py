@@ -4,20 +4,25 @@ The divisors split into two groups.  Those attached to type-c and type-d
 simple roots are written down directly from the root (one divisor per
 root, or per partnered pair of d-roots).  The rest — the stable divisors
 and the pairs attached to type-b roots — are recovered by walking the
-subsets of the minimal generator set from largest to smallest: each
-subset localizes the monoid, and at each node one of five exclusive
-situations determines which new divisors appear with which valuation
-functionals.  Stabilizers are then read off from the pairing of the
-functional against the type-b roots.
+subsets of the minimal generator set from largest to smallest: at each
+node one of five exclusive situations determines which new divisors
+appear with which valuation functionals.  Stabilizers are then read off
+from the pairing of the functional against the type-b roots.
 
-The walk computes on integers.  A node weight mu is the integer sum of
-its minimal generators; a `WeightVec` is built from it only to localize
-and for the trace.  Every test of a recovered functional at a node (does
-it vanish at mu, its sign at a type-b root, whether it pairs to 1 with
-one, its pattern on the minimal generators) is a sign or equality test
-of w.v against the functional's integer form (d, w): d > 0 and w an
-integer covector on the pivot columns of the lattice basis, with
-phi(v) = w.v / d (see `sphervar.luna`).
+The walk computes on integers and builds no localized monoid.  A node
+weight mu is the integer sum of its minimal generators; a `WeightVec` is
+built from it only for the trace.  The localization at mu depends only
+on the face of cone(M) with mu in its relative interior (Bruns–Gubeladze,
+Polytopes, Rings and K-Theory, ch. 2), read off the dual rays of M: the
+rays vanishing on mu are those vanishing on each generator of the node,
+the unit rank of the localization is the rank of X less the rank of
+those rays on X, and at a facet its one ray is the class functional up
+to scale.  Every test of a recovered functional at a node (does it
+vanish at mu, its sign at a type-b root, whether it pairs to 1 with one,
+its pattern on the minimal generators) is a sign or equality test of
+w.v against the functional's integer form (d, w): d > 0 and w an integer
+covector on the pivot columns of the lattice basis, with phi(v) = w.v / d
+(see `sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .polyhedral import (
     RationalCone,
     _dot,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
-    integer_kernel,
+    hnf,
 )
 from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, support
 from .spherical import (
@@ -60,7 +65,7 @@ class RecoveryError(ValueError):
 
 @dataclass(frozen=True)
 class RecursionNode:
-    """Trace of one localization node of the recovery walk."""
+    """Trace of one node of the recovery walk."""
 
     subset: tuple[int, ...]
     mu: tuple[Fraction, ...]
@@ -107,33 +112,18 @@ def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
     return out
 
 
-def _class_functional(X: Lattice, gen_coords,
-                      loc: WeightMonoid) -> LatticeFunctional:
-    """The functional on the weight lattice vanishing on the invertible
-    part of a corank-1 localization, normalized to 1 on the class
-    generator of the localized monoid.  `gen_coords` holds the minimal
-    generators in coordinates of the basis of X."""
-    inv = loc.invertible_lattice
-    inv_coords = [[int(x) for x in X.coords(b)] for b in inv.basis]
-    if inv_coords:
-        kernel = integer_kernel(inv_coords)
-    else:
-        kernel = [(1,)] if X.rank == 1 else []
-    if len(kernel) != 1:
-        raise RecoveryError("internal: localization is not of corank one")
-    f = kernel[0]
-    images = [_dot(f, c) for c in gen_coords]
-    nonzero = [v for v in images if v != 0]
-    if not nonzero:
-        raise RecoveryError("internal: corank-one localization with no class")
-    if any(v > 0 for v in nonzero) and any(v < 0 for v in nonzero):
-        raise RecoveryError("internal: localization class monoid not pointed")
-    sign = 1 if nonzero[0] > 0 else -1
-    g0 = min(sign * v for v in nonzero)
-    if any(v % g0 != 0 for v in nonzero):
+def _facet_functional(X: Lattice, ray, ray_coords, gens) -> LatticeFunctional:
+    """The class functional at a facet of cone(M) with inward normal
+    `ray`: the ray on the basis of X (`ray_coords`) divided by g0, its
+    least positive value on the minimal generators `gens`, so that it is
+    1 on the generator of the localized class monoid.  The ray is
+    nonnegative on M and positive on some minimal generator."""
+    values = [_dot(ray, g) for g in gens]
+    g0 = min(v for v in values if v)
+    if any(v % g0 for v in values):
         raise RecoveryError(
             "invalid monoid: localized class monoid has no single generator")
-    return LatticeFunctional(X, tuple(Fraction(sign * x, g0) for x in f))
+    return LatticeFunctional(X, tuple(Fraction(x, g0) for x in ray_coords))
 
 
 def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
@@ -165,7 +155,11 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     pi_b = frozenset(table.roots_of_type("b"))
     active = sorted(m.active_roots)
     gens = [g.int_coords() for g in mins]
-    gen_coords = [tuple(int(x) for x in X.coords(g)) for g in gens]
+    rays = m._dual_rays
+    ray_coords = [tuple(_dot(r, b) for b in X.basis) for r in rays]
+    vanishing = [sum(1 << i for i, r in enumerate(rays) if _dot(r, g) == 0)
+                 for g in gens]
+    ray_ranks: dict[int, int] = {}
     root_vecs = {alpha: rd.simple_root(alpha).int_coords() for alpha in pi_b}
 
     def root_pairing(rec: BDivisorRecord, alpha: int) -> tuple[int, int]:
@@ -177,7 +171,6 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
         return _dot(w, a), d
 
     pool: list[BDivisorRecord] = []
-    local_cache: dict[tuple[int, ...], WeightMonoid] = {}
 
     for size in range(k, -1, -1):
         for subset in itertools.combinations(range(k), size):
@@ -190,19 +183,23 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
             case = ""
             note = ""
             if levi == pi_a:
-                loc = local_cache.get(mu)
-                if loc is None:
-                    loc = m.localize(rd.weight(mu)) if any(mu) else m
-                    local_cache[mu] = loc
-                inv_rank = loc.invertible_lattice.rank
-                if inv_rank == X.rank:
+                mask = (1 << len(rays)) - 1
+                for j in subset:
+                    mask &= vanishing[j]
+                rank = ray_ranks.get(mask)
+                if rank is None:
+                    rank = ray_ranks[mask] = len(hnf(
+                        [c for i, c in enumerate(ray_coords) if mask >> i & 1]))
+                if rank == 0:
                     case = "1a"
-                elif inv_rank <= X.rank - 2:
+                elif rank >= 2:
                     case = "1b"
                     note = "rank drop >= 2; no divisors at this node"
                 else:
                     case = "1c"
-                    phi = _class_functional(X, gen_coords, loc)
+                    facet = (mask & -mask).bit_length() - 1
+                    phi = _facet_functional(X, rays[facet], ray_coords[facet],
+                                            gens)
                     if any(r.phi.values == phi.values for r in overline):
                         note = "class divisor already recovered above"
                     else:

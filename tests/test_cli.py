@@ -257,8 +257,9 @@ def test_validate_without_divisor_block_exit_2():
 
 
 def test_invalid_datum_keeps_machine_report(tmp_path):
-    # an unsaturated monoid makes the recovery walk fail; the error is
-    # still reported as a machine block
+    # an unsaturated monoid makes the recovery walk fail: the class monoid
+    # <2, 3> at the facet through the origin has no single generator; the
+    # error is still reported as a machine block
     doc = {
         "schema": 1,
         "group": {"factors": [], "central_rank": 1},
@@ -267,8 +268,30 @@ def test_invalid_datum_keeps_machine_report(tmp_path):
     path = write_doc(tmp_path, "unsat.json", doc)
     proc = run_cli(["recover", "--input", path], check=False)
     assert proc.returncode == 1
+    message = ("invalid datum: invalid monoid: localized class monoid has "
+               "no single generator")
+    assert proc.stderr == f"error: {message}\n"
     block = json.loads(proc.stdout)
-    assert "invalid datum" in block["payload"]["error"]
+    assert block["payload"]["error"] == message
+
+
+def test_compare_a_thousand_generators_with_itself(tmp_path):
+    # the membership search descends once per free generator; no
+    # recursion limit ends it
+    doc = {
+        "schema": 1,
+        "group": {"factors": [], "central_rank": 2},
+        "monoid_generators": [[k, 1] for k in range(1000)],
+    }
+    path = write_doc(tmp_path, "fan.json", doc)
+    proc = run_cli(["compare", "--input", path, "--input", path,
+                    "--format", "machine"])
+    payload = machine_payload(proc)
+    assert payload["monoid_equal"] is True
+    assert payload["recovered_data_identical"] is None
+    assert json.loads(proc.stdout)["warnings"] == [
+        "divisor recovery unavailable: recovery limited to 12 minimal "
+        "generators"]
 
 
 def test_byte_identical_output():

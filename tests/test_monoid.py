@@ -141,6 +141,19 @@ def test_one_search_table_per_monoid(monkeypatch):
     assert table is not m._search
 
 
+def test_membership_search_deeper_than_the_recursion_limit():
+    # (0, 1) is the last of 1,000 free generators in search order: the
+    # search fixes every other coefficient at 0 on the way down
+    rd = torus(2)
+    m = torus_monoid(rd, [(k, 1) for k in range(1000)])
+    ok, cert = m.contains_vector((0, 1))
+    assert ok and cert == [1] + [0] * 999
+    ok, cert = m.contains_vector((1, 2))
+    assert ok and sum(cert) == 2
+    assert sum(c * k for k, c in enumerate(cert)) == 1
+    assert m.contains_vector((0, -1)) == (False, None)
+
+
 def test_minimal_generators_modulo_a_unit_line():
     # each query searches within the dual rays' bounds, so the whole
     # localization takes milliseconds

@@ -516,6 +516,9 @@ def test_membership_numerical():
     assert 2 * cert[0] + 3 * cert[1] == 7
     ok, cert = monoid_membership((1,), [(2,), (3,)])
     assert not ok and cert is None
+    # the branch with no 3 sets the coefficient of 2 to 1 before it fails;
+    # the certificate found under 3 resets it
+    assert monoid_membership((3,), [(2,), (3,)]) == (True, [0, 1])
 
 
 def test_membership_2d():

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from corpus import build_corpus
 from sphervar import polyhedral
+from sphervar.cli import parse_input
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaError
 from sphervar.monoid import torus_monoid
 from sphervar.polyhedral import (
@@ -1041,8 +1043,33 @@ def test_integer_walk_matches_the_reference_on_the_corpus(entry):
         _walk_outcome(reference_recover_prime, entry.monoid, entry.psi)
 
 
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+BENCH_DOCUMENTS = sorted(BENCH_INPUTS.glob("*/*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_DOCUMENTS,
+                         ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_integer_walk_matches_the_reference_on_the_bench_documents(path):
+    # the ladders and cliffs: non-simplicial cones and every flag type
+    doc = parse_input(path.read_bytes())
+    ref = parse_input(path.read_bytes())
+    assert _walk_outcome(recover_prime, doc.monoid, doc.psi) == \
+        _walk_outcome(reference_recover_prime, ref.monoid, ref.psi)
+
+
 TORUS3 = build_root_data(GroupSpec((), 3))
 NO_ROOTS = make_spherical_roots(TORUS3, ())
+
+
+def test_integer_walk_matches_the_reference_on_the_3x4_grid():
+    # 12 minimal generators, the most the walk takes
+    gens = [(x, y, 1) for x in range(3) for y in range(4)]
+    m = torus_monoid(TORUS3, gens)
+    assert len(m.minimal_generators) == MAX_MINIMAL_GENERATORS
+    outcome = _walk_outcome(recover_prime, m, NO_ROOTS)
+    assert len(outcome[0]) == 4
+    assert outcome == _walk_outcome(reference_recover_prime,
+                                    torus_monoid(TORUS3, gens), NO_ROOTS)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from corpus import build_corpus, corpus_by_name
 from sphervar import monoid as monoid_module
 from sphervar import polyhedral
 from sphervar import recovery as recovery_module
+from sphervar.cli import parse_input
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
 from sphervar.monoid import MonoidError, WeightMonoid, torus_monoid
 from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
@@ -616,6 +618,37 @@ def test_invalid_roots_are_refused_before_the_generator_count():
         recover_divisors(m, psi)
     with pytest.raises(RecoveryError, match="minimal generators"):
         recover_prime(WeightMonoid(rd, gens), psi)
+
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+
+
+def test_the_walk_builds_no_localized_monoid(monkeypatch):
+    # every walk node is read off the dual rays of the monoid itself
+    calls = []
+    real = WeightMonoid.localize
+
+    def counted(self, mu):
+        calls.append(mu)
+        return real(self, mu)
+
+    monkeypatch.setattr(WeightMonoid, "localize", counted)
+    data = [(e.name, e.rd, e.monoid.generators, e.psi) for e in build_corpus()]
+    for path in sorted(BENCH_INPUTS.glob("*/*.json")):
+        doc = parse_input(path.read_bytes())
+        data.append((path.stem, doc.rd, doc.monoid.generators, doc.psi))
+    for name, rd, gens, psi in data:
+        datum = recover_divisors(WeightMonoid(rd, gens), psi)
+        assert datum.divisors, name
+        assert calls == [], name
+
+
+def test_class_monoid_without_a_single_generator_is_refused():
+    # <2, 3> in Z: the facet at the origin has class values 2 and 3
+    rd = build_root_data(GroupSpec((), 1))
+    m = torus_monoid(rd, [(2,), (3,)])
+    with pytest.raises(RecoveryError, match="has no single generator"):
+        recover_divisors(m, make_spherical_roots(rd, ()))
 
 
 def test_root_types_are_classified_once_per_recovery(monkeypatch):
