@@ -159,8 +159,11 @@ class WeightMonoid:
 
     def _is_reducible(self, vec: tuple[int, ...]) -> bool:
         inv = self.invertible_lattice
-        for g, f in zip(self.gen_vectors, self._invertible_flags):
-            if f:
+        vals = [sum(a * b for a, b in zip(r, vec)) for r in self._search.rays]
+        for g, f, caps in zip(self.gen_vectors, self._invertible_flags,
+                              self._search.values):
+            # a ray r with r.vec < r.g puts vec - g outside the monoid
+            if f or any(a < b for a, b in zip(vals, caps)):
                 continue
             diff = tuple(a - b for a, b in zip(vec, g))
             ok, _ = self.contains_vector(diff)

@@ -993,6 +993,9 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
         elif not any(x and not ok for x, ok in zip(res_values, reach[pos])):
             g_values = values[free[pos]]
             top = min(x // y for x, y in zip(res_values, g_values) if y)
+            if top == 0:  # no frame for a generator whose coefficient is 0
+                coeffs[free[pos]], pos = 0, pos + 1
+                continue
             stack.append((pos, residual, res_values, iter(range(top + 1))))
         while stack and (c := next(stack[-1][3], None)) is None:
             stack.pop()

@@ -4,30 +4,29 @@ The divisors split into two groups.  Those attached to type-c and type-d
 simple roots are written down directly from the root (one divisor per
 root, or per partnered pair of d-roots).  The rest — the stable divisors
 and the pairs attached to type-b roots — are recovered by walking the
-subsets of the minimal generator set from largest to smallest: at each
-node one of five exclusive situations determines which new divisors
-appear with which valuation functionals.  Stabilizers are then read off
-from the pairing of the functional against the type-b roots.
+faces of cone(M) from largest to smallest: at each face one of five
+exclusive situations determines which new divisors appear with which
+valuation functionals.  Stabilizers are then read off from the pairing
+of the functional against the type-b roots.
 
-The walk computes on integers and builds no localized monoid.  A node
-weight mu is the integer sum of its minimal generators; a `WeightVec` is
-built from it only for the trace.  The localization at mu depends only
-on the face of cone(M) with mu in its relative interior (Bruns–Gubeladze,
-Polytopes, Rings and K-Theory, ch. 2), read off the dual rays of M: the
-rays vanishing on mu are those vanishing on each generator of the node,
-the unit rank of the localization is the rank of X less the rank of
-those rays on X, and at a facet its one ray is the class functional up
-to scale.  Every test of a recovered functional at a node (does it
-vanish at mu, its sign at a type-b root, whether it pairs to 1 with one,
-its pattern on the minimal generators) is a sign or equality test of
-w.v against the functional's integer form (d, w): d > 0 and w an integer
-covector on the pivot columns of the lattice basis, with phi(v) = w.v / d
-(see `sphervar.luna`).
+The walk computes on integers and builds no localized monoid.  A node is
+a face, given by its minimal generators, and its weight mu, their integer
+sum, lies in its relative interior; the localization at mu depends only
+on that face (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
+The faces are the intersections of the zero sets of the dual rays of M
+(Kaibel–Pfetsch, Comput. Geom. 23, 2002), so each comes with the rays
+vanishing on it: the unit rank of the localization is the rank of X less
+the rank of those rays on X, and at a facet its one ray is the class
+functional up to scale.  Every test of a recovered functional at a node
+(does it vanish at mu, its sign at a type-b root, whether it pairs to 1
+with one, its pattern on the minimal generators) is a sign or equality
+test of w.v against the functional's integer form (d, w): d > 0 and w an
+integer covector on the pivot columns of the lattice basis, with
+phi(v) = w.v / d (see `sphervar.luna`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,7 +55,7 @@ from .spherical import (
     validate_roots_in_lattice,
 )
 
-MAX_MINIMAL_GENERATORS = 12
+MAX_FACES = 4096
 
 
 class RecoveryError(ValueError):
@@ -65,7 +64,7 @@ class RecoveryError(ValueError):
 
 @dataclass(frozen=True)
 class RecursionNode:
-    """Trace of one node of the recovery walk."""
+    """Trace of one node of the recovery walk, a face of cone(M)."""
 
     subset: tuple[int, ...]
     mu: tuple[Fraction, ...]
@@ -137,29 +136,40 @@ def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
     return table
 
 
+def _faces(gens, rays) -> list[tuple[tuple[int, ...], int]]:
+    """The faces of cone(gens), as (indices of the generators on the face,
+    bitmask of the `rays` vanishing on it), largest first and then
+    lexicographic.  Each face found so far is cut with each ray's zero
+    set in turn, which also hands the ray's bit to every face in it."""
+    faces = {(1 << len(gens)) - 1: 0}
+    for i, r in enumerate(rays):
+        zero = sum(1 << j for j, g in enumerate(gens) if _dot(r, g) == 0)
+        for face, mask in list(faces.items()):
+            faces[face & zero] = faces.get(face & zero, 0) | mask | (1 << i)
+        if len(faces) > MAX_FACES:
+            raise RecoveryError(
+                f"recovery limited to {MAX_FACES} faces of the weight cone")
+    nodes = [(tuple([j for j in range(len(gens)) if face >> j & 1]), mask)
+             for face, mask in faces.items()]
+    return sorted(nodes, key=lambda node: (-len(node[0]), node[0]))
+
+
 def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                   trace: list[RecursionNode] | None = None,
                   warnings: list[str] | None = None) -> list[BDivisorRecord]:
     """The stable divisors and the type-b divisor pairs, with their
-    valuation functionals, recovered over the subset lattice of the
-    minimal generators (largest subsets first)."""
+    valuation functionals, recovered over the faces of cone(M) (largest
+    faces first)."""
     rd = m.rd
     X = m.lattice
-    mins = m.minimal_generators
-    k = len(mins)
-    if k > MAX_MINIMAL_GENERATORS:
-        raise RecoveryError(
-            f"recovery limited to {MAX_MINIMAL_GENERATORS} minimal generators")
+    gens = [g.int_coords() for g in m.minimal_generators]
+    rays = m._dual_rays
+    nodes = _faces(gens, rays)
     table = _root_types(m, psi)
     pi_a = frozenset(table.roots_of_type("a"))
     pi_b = frozenset(table.roots_of_type("b"))
     active = sorted(m.active_roots)
-    gens = [g.int_coords() for g in mins]
-    rays = m._dual_rays
     ray_coords = [tuple(_dot(r, b) for b in X.basis) for r in rays]
-    vanishing = [sum(1 << i for i, r in enumerate(rays) if _dot(r, g) == 0)
-                 for g in gens]
-    ray_ranks: dict[int, int] = {}
     root_vecs = {alpha: rd.simple_root(alpha).int_coords() for alpha in pi_b}
 
     def root_pairing(rec: BDivisorRecord, alpha: int) -> tuple[int, int]:
@@ -172,105 +182,89 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
 
     pool: list[BDivisorRecord] = []
 
-    for size in range(k, -1, -1):
-        for subset in itertools.combinations(range(k), size):
-            mu = tuple(map(sum, zip(*(gens[i] for i in subset)))) \
-                if subset else (0,) * X.dim
-            levi = frozenset(i for i in active if mu[i] == 0)
+    for subset, mask in nodes:
+        mu = tuple(map(sum, zip(*(gens[i] for i in subset)))) \
+            if subset else (0,) * X.dim
+        levi = frozenset(i for i in active if mu[i] == 0)
+        minted: list[BDivisorRecord] = []
+        case = ""
+        note = ""
+        if levi == pi_a:
+            rank = len(hnf([c for i, c in enumerate(ray_coords)
+                            if mask >> i & 1]))
+            if rank == 0:
+                case = "1a"
+            elif rank >= 2:
+                case = "1b"
+                note = "rank drop >= 2; no divisors at this node"
+            else:
+                case = "1c"
+                facet = (mask & -mask).bit_length() - 1
+                phi = _facet_functional(X, rays[facet], ray_coords[facet], gens)
+                _check_node_pattern(phi, gens, subset)
+                minted.append(BDivisorRecord("?", phi, None, "case_1c", ()))
+        else:
             overline = [rec for rec in pool
                         if _dot(rec.phi.integer_form[1], mu) == 0]
-            minted: list[BDivisorRecord] = []
-            case = ""
-            note = ""
-            if levi == pi_a:
-                mask = (1 << len(rays)) - 1
-                for j in subset:
-                    mask &= vanishing[j]
-                rank = ray_ranks.get(mask)
-                if rank is None:
-                    rank = ray_ranks[mask] = len(hnf(
-                        [c for i, c in enumerate(ray_coords) if mask >> i & 1]))
-                if rank == 0:
-                    case = "1a"
-                elif rank >= 2:
-                    case = "1b"
-                    note = "rank drop >= 2; no divisors at this node"
-                else:
-                    case = "1c"
-                    facet = (mask & -mask).bit_length() - 1
-                    phi = _facet_functional(X, rays[facet], ray_coords[facet],
-                                            gens)
-                    if any(r.phi.values == phi.values for r in overline):
-                        note = "class divisor already recovered above"
-                    else:
+            extra = levi - pi_a
+            case2 = False
+            if len(extra) == 1:
+                (alpha,) = extra
+                if alpha in pi_b:
+                    if all(root_pairing(rec, alpha)[0] <= 0
+                           for rec in overline):
+                        case = "2"
+                        case2 = True
+                        cov = _half_coroot(rd, alpha)
+                        phi = LatticeFunctional.from_covector(cov, X)
                         _check_node_pattern(phi, gens, subset)
-                        minted.append(BDivisorRecord(
-                            "?", phi, None, "case_1c", ()))
-            else:
-                extra = levi - pi_a
-                case2 = False
-                if len(extra) == 1:
-                    (alpha,) = extra
-                    if alpha in pi_b:
-                        if all(root_pairing(rec, alpha)[0] <= 0
-                               for rec in overline):
-                            case = "2"
-                            case2 = True
-                            cov = _half_coroot(rd, alpha)
-                            phi = LatticeFunctional.from_covector(cov, X)
-                            _check_node_pattern(phi, gens, subset)
-                            for _ in range(2):
-                                minted.append(BDivisorRecord(
-                                    "?", phi, None, "case_2", (alpha,), cov))
-                        else:
-                            if warnings is not None:
-                                warnings.append(
-                                    "case-2 sign hypothesis failed at node "
-                                    f"{tuple(i + 1 for i in subset)}; "
-                                    "falling through")
-                if not case2:
-                    case = "3"
-                    excluded = set()
-                    for alpha in levi:
-                        if any(gens[j][alpha] == 0
-                               for j in range(k) if j not in subset):
-                            excluded.add(alpha)
-                    new: dict[tuple[Fraction, ...], tuple[list[int], BDivisorRecord]] = {}
-                    for alpha in sorted((levi & pi_b) - excluded):
-                        ones = []
-                        for rec in overline:
-                            num, d = root_pairing(rec, alpha)
-                            if num == d:
-                                ones.append(rec)
-                        if len(ones) != 1:
-                            continue
-                        base = ones[0]
-                        phi = LatticeFunctional.from_covector(
-                            rd.simple_coroot(alpha), X) - base.phi
-                        cov = rd.simple_coroot(alpha) - base.coroot_form \
-                            if base.coroot_form is not None else None
-                        if phi.values in new:
-                            new[phi.values][0].append(alpha)
-                        else:
-                            new[phi.values] = ([alpha],
-                                               BDivisorRecord("?", phi, None,
-                                                              "case_3", (), cov))
-                    for values in sorted(new):
-                        roots, rec = new[values]
-                        if any(r.phi.values == values for r in overline):
-                            raise RecoveryError(
-                                "invalid datum: reconstructed divisor "
-                                "duplicates a recovered one")
-                        _check_node_pattern(rec.phi, gens, subset)
-                        minted.append(BDivisorRecord(
-                            "?", rec.phi, None, "case_3",
-                            tuple(sorted(roots)), rec.coroot_form))
-            pool.extend(minted)
-            if trace is not None:
-                trace.append(RecursionNode(
-                    tuple(i + 1 for i in subset), rd.weight(mu).coords,
-                    tuple(sorted(levi)), case or "-",
-                    tuple(r.phi.values for r in minted), note))
+                        for _ in range(2):
+                            minted.append(BDivisorRecord(
+                                "?", phi, None, "case_2", (alpha,), cov))
+                    elif warnings is not None:
+                        warnings.append(
+                            "case-2 sign hypothesis failed at node "
+                            f"{tuple(i + 1 for i in subset)}; "
+                            "falling through")
+            if not case2:
+                case = "3"
+                excluded = {alpha for alpha in levi if any(
+                    g[alpha] == 0 for j, g in enumerate(gens) if j not in subset)}
+                new: dict[tuple[Fraction, ...], tuple[list[int], BDivisorRecord]] = {}
+                for alpha in sorted((levi & pi_b) - excluded):
+                    ones = []
+                    for rec in overline:
+                        num, d = root_pairing(rec, alpha)
+                        if num == d:
+                            ones.append(rec)
+                    if len(ones) != 1:
+                        continue
+                    base = ones[0]
+                    phi = LatticeFunctional.from_covector(
+                        rd.simple_coroot(alpha), X) - base.phi
+                    cov = rd.simple_coroot(alpha) - base.coroot_form \
+                        if base.coroot_form is not None else None
+                    if phi.values in new:
+                        new[phi.values][0].append(alpha)
+                    else:
+                        new[phi.values] = ([alpha], BDivisorRecord(
+                            "?", phi, None, "case_3", (), cov))
+                for values in sorted(new):
+                    roots, rec = new[values]
+                    if any(r.phi.values == values for r in overline):
+                        raise RecoveryError(
+                            "invalid datum: reconstructed divisor "
+                            "duplicates a recovered one")
+                    _check_node_pattern(rec.phi, gens, subset)
+                    minted.append(BDivisorRecord(
+                        "?", rec.phi, None, "case_3",
+                        tuple(sorted(roots)), rec.coroot_form))
+        pool.extend(minted)
+        if trace is not None:
+            trace.append(RecursionNode(
+                tuple(i + 1 for i in subset), rd.weight(mu).coords,
+                tuple(sorted(levi)), case or "-",
+                tuple(r.phi.values for r in minted), note))
     return pool
 
 
@@ -536,10 +530,10 @@ def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
     """The datum of the localization at mu: monoid localized, roots
     restricted to the Levi, divisors filtered to those pairing to zero
     with mu, stabilizers intersected with the Levi."""
-    m = datum.monoid
-    if not m.contains(mu):
-        raise RecoveryError("can only localize a datum at a monoid element")
-    loc = m.localize(mu)
+    try:
+        loc = datum.monoid.localize(mu)
+    except MonoidError as exc:
+        raise RecoveryError(str(exc)) from exc
     return _assemble_localized(datum, loc, loc.active_roots, mu)
 
 

@@ -13,7 +13,7 @@ from corpus import build_corpus
 from sphervar import polyhedral
 from sphervar.cli import parse_input
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaError
-from sphervar.monoid import torus_monoid
+from sphervar.monoid import WeightMonoid, torus_monoid
 from sphervar.polyhedral import (
     Lattice,
     MonoidSearch,
@@ -30,7 +30,6 @@ from sphervar.polyhedral import (
     smith_diagonalize,
 )
 from sphervar.recovery import (
-    MAX_MINIMAL_GENERATORS,
     RecoveryError,
     RecursionNode,
     _half_coroot,
@@ -865,14 +864,20 @@ def _reference_check_node_pattern(phi, mins, subset):
                 "invalid datum: recovered divisor escapes its node")
 
 
+REFERENCE_MAX_MINIMAL_GENERATORS = 12
+
+
 def reference_recover_prime(m, psi, trace=None, warnings=None):
+    """The walk over every subset of the minimal generators, largest
+    first, localizing the monoid at each node."""
     rd = m.rd
     X = m.lattice
     mins = m.minimal_generators
     k = len(mins)
-    if k > MAX_MINIMAL_GENERATORS:
+    if k > REFERENCE_MAX_MINIMAL_GENERATORS:
         raise RecoveryError(
-            f"recovery limited to {MAX_MINIMAL_GENERATORS} minimal generators")
+            f"recovery limited to {REFERENCE_MAX_MINIMAL_GENERATORS} "
+            "minimal generators")
     table = classify_root_types(m, psi)
     pi_a = frozenset(table.roots_of_type("a"))
     pi_b = frozenset(table.roots_of_type("b"))
@@ -990,6 +995,41 @@ def _walk_outcome(walk, m, psi):
     return recs, trace, warnings
 
 
+def _face_nodes(m):
+    """The subsets of the minimal generators (1-based) that are the
+    generators on some face of cone(M), from the facet normals of the
+    cone: a subset is a face iff it holds every generator on the facets
+    containing it."""
+    mins = [g.int_coords() for g in m.minimal_generators]
+    facets = RationalCone.from_generators(m.gen_vectors, dim=m.dim).facet_normals
+    out = set()
+    for size in range(len(mins) + 1):
+        for subset in itertools.combinations(range(len(mins)), size):
+            normals = [n for n in facets
+                       if all(sum(a * b for a, b in zip(n, mins[j])) == 0
+                              for j in subset)]
+            closure = tuple(j for j, g in enumerate(mins)
+                            if all(sum(a * b for a, b in zip(n, g)) == 0
+                                   for n in normals))
+            if closure == subset:
+                out.add(tuple(j + 1 for j in subset))
+    return out
+
+
+def _reference_outcome_on_faces(m, psi):
+    """The outcome of the subset walk with its trace and its warnings
+    kept at the nodes that are faces of cone(M) only."""
+    outcome = _walk_outcome(reference_recover_prime, m, psi)
+    if isinstance(outcome[0], type):
+        return outcome
+    recs, trace, warnings = outcome
+    faces = _face_nodes(m)
+    names = {str(face) for face in faces}
+    return (recs, [node for node in trace if node.subset in faces],
+            [w for w in warnings
+             if w.split(" at node ")[1].split(";")[0] in names])
+
+
 @st.composite
 def functional_inputs(draw):
     """(phi, v): rational values on a lattice of `lattice_vectors` (full,
@@ -1040,7 +1080,7 @@ def test_from_covector_matches_the_reference(data, draw):
 @pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.name)
 def test_integer_walk_matches_the_reference_on_the_corpus(entry):
     assert _walk_outcome(recover_prime, entry.monoid, entry.psi) == \
-        _walk_outcome(reference_recover_prime, entry.monoid, entry.psi)
+        _reference_outcome_on_faces(entry.monoid, entry.psi)
 
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
@@ -1054,7 +1094,7 @@ def test_integer_walk_matches_the_reference_on_the_bench_documents(path):
     doc = parse_input(path.read_bytes())
     ref = parse_input(path.read_bytes())
     assert _walk_outcome(recover_prime, doc.monoid, doc.psi) == \
-        _walk_outcome(reference_recover_prime, ref.monoid, ref.psi)
+        _reference_outcome_on_faces(ref.monoid, ref.psi)
 
 
 TORUS3 = build_root_data(GroupSpec((), 3))
@@ -1062,14 +1102,33 @@ NO_ROOTS = make_spherical_roots(TORUS3, ())
 
 
 def test_integer_walk_matches_the_reference_on_the_3x4_grid():
-    # 12 minimal generators, the most the walk takes
+    # 12 minimal generators, the most the reference takes; 10 faces
     gens = [(x, y, 1) for x in range(3) for y in range(4)]
     m = torus_monoid(TORUS3, gens)
-    assert len(m.minimal_generators) == MAX_MINIMAL_GENERATORS
+    assert len(m.minimal_generators) == REFERENCE_MAX_MINIMAL_GENERATORS
     outcome = _walk_outcome(recover_prime, m, NO_ROOTS)
     assert len(outcome[0]) == 4
-    assert outcome == _walk_outcome(reference_recover_prime,
-                                    torus_monoid(TORUS3, gens), NO_ROOTS)
+    assert len(outcome[1]) == 10
+    assert outcome == _reference_outcome_on_faces(torus_monoid(TORUS3, gens),
+                                                  NO_ROOTS)
+
+
+def test_face_walk_keeps_the_case2_warnings_at_faces():
+    # so3_x1 times the cone over the unit square: A1 x T^3 with a type-b
+    # root on a non-simplicial cone.  The subset walk warns at 15 nodes,
+    # 6 of them off the faces; the face walk keeps the other 9 and every
+    # divisor
+    rd = build_root_data(GroupSpec((("A", 1),), 3))
+    gens = [(2, 0, 0, 0)] + [(0, x, y, 1) for x in (0, 1) for y in (0, 1)]
+    psi = make_spherical_roots(rd, (rd.weight(gens[0]),))
+
+    def monoid():
+        return WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
+
+    outcome = _walk_outcome(recover_prime, monoid(), psi)
+    assert len(outcome[2]) == 9
+    assert len(_walk_outcome(reference_recover_prime, monoid(), psi)[2]) == 15
+    assert outcome == _reference_outcome_on_faces(monoid(), psi)
 
 
 @st.composite
@@ -1096,7 +1155,7 @@ def test_integer_walk_matches_the_reference_on_toric_cones(gens):
     m = torus_monoid(TORUS3, gens)
     ref = torus_monoid(TORUS3, gens)
     assert _walk_outcome(recover_prime, m, NO_ROOTS) == \
-        _walk_outcome(reference_recover_prime, ref, NO_ROOTS)
+        _reference_outcome_on_faces(ref, NO_ROOTS)
 
 
 @settings(max_examples=100, deadline=None)

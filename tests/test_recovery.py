@@ -511,6 +511,22 @@ def test_localize_datum_requires_membership():
         localize_datum(datum, e.rd.weight((-1, 0)))
 
 
+def test_localize_datum_asks_the_membership_of_mu_once(monkeypatch):
+    rd = build_root_data(GroupSpec((), 2))
+    m = torus_monoid(rd, [(1, 0), (1, 1), (1, 2)])
+    datum = recover_divisors(m, make_spherical_roots(rd, ()))
+    queries = []
+    search = monoid_module.monoid_membership
+
+    def counted(v, generators):
+        queries.append(tuple(v))
+        return search(v, generators)
+
+    monkeypatch.setattr(monoid_module, "monoid_membership", counted)
+    localize_datum(datum, rd.weight((1, 0)))
+    assert queries.count((1, 0)) == 1
+
+
 def test_localize_datum_at_invertible_keeps_everything():
     # localizing at an element pairing to zero with every functional keeps
     # the full divisor set while the monoid only gains invertibles
@@ -583,7 +599,8 @@ def _inward_facet_normals(points):
 @pytest.mark.parametrize("points", [
     [(x, y) for x in range(3) for y in range(2)],
     [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)],
-], ids=["rectangle_2x1", "hexagon"])
+    [(x, y) for x in range(4) for y in range(4)],
+], ids=["rectangle_2x1", "hexagon", "grid_4x4"])
 def test_toric_polygon_cone_divisors_are_facets(points):
     rd = build_root_data(GroupSpec((), 3))
     m = torus_monoid(rd, [(x, y, 1) for x, y in points])
@@ -594,30 +611,48 @@ def test_toric_polygon_cone_divisors_are_facets(points):
     assert got == _inward_facet_normals(points)
 
 
-def test_recovery_generator_count_guard():
-    rd = build_root_data(GroupSpec((), 1))
-    gens = tuple(rd.weight((13 + i,)) for i in range(13))
-    m = WeightMonoid(rd, gens)
-    assert len(m.minimal_generators) == 13
+def test_four_cube_cone_divisors_are_facets():
+    # 16 minimal generators in rank 5, and 82 faces
+    rd = build_root_data(GroupSpec((), 5))
+    m = torus_monoid(rd, [p + (1,) for p in itertools.product((0, 1), repeat=4)])
+    assert len(m.minimal_generators) == 16
+    datum = recover_divisors(m, make_spherical_roots(rd, ()))
+    units = [rd.weight(tuple(int(i == j) for j in range(5))) for i in range(5)]
+    got = sorted(tuple(int(d.phi.eval_weight(u)) for u in units)
+                 for d in datum.divisors)
+    lower = [tuple(int(i == j) for j in range(5)) for i in range(4)]
+    upper = [tuple(-x for x in v[:4]) + (1,) for v in lower]
+    assert got == sorted(lower + upper)
+
+
+def _unit_vectors(n, offset=0):
+    return [tuple(int(j == i + offset) for j in range(n + offset))
+            for i in range(n)]
+
+
+def test_recovery_face_count_guard():
+    # the simplicial cone on 13 unit vectors has 2^13 faces
+    rd = build_root_data(GroupSpec((), 13))
+    m = torus_monoid(rd, _unit_vectors(13))
     psi = make_spherical_roots(rd, ())
-    with pytest.raises(RecoveryError):
+    with pytest.raises(RecoveryError, match="limited to 4096 faces"):
         recover_prime(m, psi)
 
 
-def test_invalid_roots_are_refused_before_the_generator_count():
+def test_invalid_roots_are_refused_before_the_face_count():
     # 3 alpha is primitive in the lattice and passes the group-level
     # checks, but no simple root has a multiple 3 among spherical roots;
-    # the monoid has 14 minimal generators, past the walk's limit
-    rd = build_root_data(GroupSpec((("A", 1),), 1))
-    gens = (rd.weight((6, 0)),) + tuple(rd.weight((0, 13 + i))
-                                         for i in range(13))
-    m = WeightMonoid(rd, gens)
+    # the monoid's cone is simplicial on 14 generators, past the walk's
+    # limit of faces
+    rd = build_root_data(GroupSpec((("A", 1),), 13))
+    gens = [(6,) + (0,) * 13] + _unit_vectors(13, offset=1)
+    m = WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
     assert len(m.minimal_generators) == 14
-    psi = make_spherical_roots(rd, (rd.weight((6, 0)),))
+    psi = make_spherical_roots(rd, (rd.weight(gens[0]),))
     with pytest.raises(SphericalError, match="non-root multiple"):
         recover_divisors(m, psi)
-    with pytest.raises(RecoveryError, match="minimal generators"):
-        recover_prime(WeightMonoid(rd, gens), psi)
+    with pytest.raises(RecoveryError, match="limited to 4096 faces"):
+        recover_prime(WeightMonoid(rd, tuple(rd.weight(g) for g in gens)), psi)
 
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
