@@ -1,10 +1,12 @@
 """Weight monoids: finitely generated submonoids of the character lattice.
 
 A monoid is given by dominant integral generators.  Everything derived
-is cached on the instance: the spanned lattice, the rays of the dual
-cone, the invertible sublattice, the minimal generators modulo
+is cached on the instance: the spanned lattice, the canonical cone over
+the generators, the invertible sublattice, the minimal generators modulo
 invertibles, and the membership search table (`MonoidSearch`), which
-every membership query to the monoid reuses.
+every membership query to the monoid reuses.  The cone is built once:
+its facet normals are the rays of the dual cone, and the saturation
+check and the recovery identity read cone(M) off it.
 
 Membership is bounded by the rays of the dual cone: they are
 nonnegative on the monoid and vanish exactly on its units, so the
@@ -24,7 +26,6 @@ from .polyhedral import (
     Lattice,
     MonoidSearch,
     RationalCone,
-    _dd,
     hilbert_basis_with_units,
     integer_kernel,
     monoid_membership,
@@ -92,13 +93,19 @@ class WeightMonoid:
         return Lattice.span(list(self.gen_vectors), self.dim)
 
     @cached_property
+    def cone(self) -> RationalCone:
+        """cone(M), the canonical cone over the generators."""
+        return RationalCone.from_generators(self.gen_vectors, dim=self.dim)
+
+    @cached_property
     def _dual_rays(self) -> tuple[tuple[int, ...], ...]:
         """Extreme rays of the dual cone {phi : phi.g >= 0 for every
-        generator g}, modulo its lineality.  The lineality is the
-        annihilator of the span of the monoid, so it vanishes on every
-        generator and only the rays are kept.  `localize` seeds this
-        attribute on the localized monoid instead of running DD again."""
-        return tuple(_dd(self.dim, self.gen_vectors)[1])
+        generator g}, modulo its lineality: the facet normals of `cone`.
+        The lineality is the annihilator of the span of the monoid, so it
+        vanishes on every generator and only the rays are kept.
+        `localize` seeds this attribute on the localized monoid, which
+        then builds no cone to read it."""
+        return self.cone.facet_normals
 
     @cached_property
     def _invertible_flags(self) -> tuple[bool, ...]:
@@ -219,8 +226,7 @@ class WeightMonoid:
                 f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
         if lat.rank == 0:
             return True
-        cone = RationalCone.from_generators(list(self.gen_vectors), dim=self.dim)
-        units, basis = hilbert_basis_with_units(cone, lat)
+        units, basis = hilbert_basis_with_units(self.cone, lat)
         if units != self.invertible_lattice:
             return False
         reps = {units.reduce_mod(g) for g, f in

@@ -760,6 +760,10 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     set of the quotient monoid, lifted to canonical representatives modulo
     the units.
 
+    The cone is cut down to the rational span of the lattice only when
+    it leaves that span; a cone whose rays and lineality lie in it, such
+    as the cone over a monoid's own generators, is used as it is.
+
     The quotient by the units is a pointed cone `qcone` in Z^q.  One
     pulling triangulation of `qcone` gives the candidates: its extreme
     rays and the parallelepiped points of its maximal simplices, taken on
@@ -773,8 +777,9 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     dim = cone.dim
     if lattice.dim != dim:
         raise PolyhedralError("dimension mismatch")
-    cone = cone.intersection(RationalCone.from_inequalities(
-        [], lattice.annihilator_rows(), dim=dim))
+    if not all(map(lattice.in_span, cone.rays + cone.lineality)):
+        cone = cone.intersection(RationalCone.from_inequalities(
+            [], lattice.annihilator_rows(), dim=dim))
     m = lattice.rank
     unit_rows: list[Vec] = []
     if cone.lineality and m:

@@ -511,15 +511,16 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     lies in M.  For saturated M, which is X ∩ cone(M), that holds iff the
     cut cone lies in cone(M), since a rational cone is the cone over its
     lattice points (Bruns–Gubeladze, Polytopes, Rings and K-Theory,
-    ch. 2).  Both cones are taken in the coordinates of the basis of X.
+    ch. 2).  The cut cone is built in the coordinates of the basis of X,
+    and lies in cone(M) iff its rays and both signs of its lineality
+    vectors do, read as weights and tested against the monoid's cone.
     """
     m = datum.monoid
     X = m.lattice
     cut = RationalCone.from_inequalities(
         [d.phi.values for d in datum.divisors], dim=X.rank)
-    cone = RationalCone.from_generators(
-        [X.coords(g) for g in m.gen_vectors], dim=X.rank)
-    return cut.intersection(cone) == cut
+    lines = cut.lineality + tuple(tuple(-x for x in v) for v in cut.lineality)
+    return all(m.cone.contains(X.from_coords(v)) for v in cut.rays + lines)
 
 
 # ---------------------------------------------------------------------------

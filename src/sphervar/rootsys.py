@@ -247,17 +247,8 @@ class RootData:
         return tuple(self.simple_root(i) for i in range(self.n_simple))
 
     @property
-    def simple_coroots(self) -> tuple[CovectorVec, ...]:
-        return tuple(self.simple_coroot(i) for i in range(self.n_simple))
-
-    @property
     def fundamental_weights(self) -> tuple[WeightVec, ...]:
         return tuple(self.fundamental_weight(i) for i in range(self.n_simple))
-
-    def coroot_pairing(self, i: int, w: WeightVec) -> Fraction:
-        if w.spec != self.spec:
-            raise RootDataError("mismatched group specs")
-        return w.coords[i]
 
     def root_name(self, i: int) -> str:
         if len(self.spec.factors) <= 1:
@@ -265,10 +256,6 @@ class RootData:
         f = self.factor_of[i]
         start = sum(r for _, r in self.spec.factors[:f])
         return f"f{f + 1}.alpha{i - start + 1}"
-
-    def is_dominant(self, w: WeightVec, levi=None) -> bool:
-        idx = range(self.n_simple) if levi is None else sorted(levi)
-        return all(w.coords[i] >= 0 for i in idx)
 
 
 def build_root_data(spec: GroupSpec) -> RootData:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_contract
 from sphervar import cli
 from sphervar.cli import ParseError, main, parse_input
 
@@ -291,6 +292,12 @@ def test_compare_a_thousand_generators_with_itself(tmp_path):
     assert payload["monoid_equal"] is True
     assert payload["recovered_data_identical"] is True
     assert json.loads(proc.stdout)["warnings"] == []
+
+
+def test_cli_contract_on_the_data_documents():
+    # exit codes and stdout digests as committed in tests/cli_contract.json
+    expected = json.loads(cli_contract.TABLE.read_text())
+    assert cli_contract.contract() == expected
 
 
 def test_byte_identical_output():

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -791,6 +792,15 @@ def hilbert_inputs(draw):
 @example((RationalCone.from_generators(
     [(0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 2, 1)], dim=3),
     Lattice.span([(1, 1, 0), (1, -1, 0), (0, 0, 1)], 3)))
+# a cone inside the span of a lattice of lower rank, used as it is
+@example((RationalCone.from_generators([(1, 0, 1), (1, 2, 1)], dim=3),
+          Lattice.span([(1, 0, 1), (0, 1, 0)], 3)))
+# cones leaving the span of the lattice, by a ray and by the lineality
+@example((RationalCone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 1)],
+                                       dim=3),
+          Lattice.span([(1, 0, 0), (0, 2, 0)], 3)))
+@example((RationalCone.from_generators([(1, 0, 0)], [(0, 1, 1)], dim=3),
+          Lattice.span([(1, 0, 0), (0, 1, 0)], 3)))
 def test_triangulated_hilbert_basis_matches_all_subsets_reference(inputs):
     cone, lattice = inputs
     units, basis = hilbert_basis_with_units(cone, lattice)
@@ -1201,3 +1211,52 @@ def test_localization_commutes_with_recovery_on_toric_cones(gens, data):
     direct = recover_divisors(m.localize(mu), NO_ROOTS)
     assert direct.monoid.lattice == loc.monoid.lattice
     assert _divisor_table(direct) == _divisor_table(loc)
+
+
+# -- recovery does not depend on how the monoid's generators are listed -------
+
+def _full_divisor_table(datum):
+    return [(d.divisor_id, d.phi.values, tuple(sorted(d.stabilizer.roots)),
+             d.source, d.source_roots) for d in datum.divisors]
+
+
+def _relisted(gens, orders):
+    """Other generator lists of the same monoid: `gens` in each of the
+    given orders, with its first generator repeated, and with g1 + gk
+    added for each k (2·g1 at k = 1)."""
+    first = gens[0]
+    return ([[gens[i] for i in order] for order in orders]
+            + [gens + [first]]
+            + [gens + [first + g] for g in gens])
+
+
+def _assert_relisting_keeps_the_table(rd, gens, psi, orders):
+    expected = _full_divisor_table(
+        recover_divisors(WeightMonoid(rd, tuple(gens)), psi))
+    variants = _relisted(gens, orders)
+    for variant in variants:
+        datum = recover_divisors(WeightMonoid(rd, tuple(variant)), psi)
+        assert _full_divisor_table(datum) == expected, variant
+    return len(variants)
+
+
+def test_recovery_ignores_the_listing_of_the_generators_on_the_corpus():
+    rng = Random(5)
+    count = 0
+    for e in build_corpus():
+        gens = list(e.monoid.generators)
+        shuffled = list(range(len(gens)))
+        rng.shuffle(shuffled)
+        orders = [shuffled, list(reversed(range(len(gens))))]
+        count += _assert_relisting_keeps_the_table(e.rd, gens, e.psi, orders)
+    assert count == 109
+
+
+@settings(max_examples=30, deadline=None)
+@given(polygon_cones(), st.data())
+def test_recovery_ignores_the_listing_of_the_generators_on_toric_cones(
+        vectors, data):
+    gens = [TORUS3.weight(v) for v in vectors]
+    order = data.draw(st.permutations(range(len(gens))))
+    # a torus has no simple roots, so every relisting passes dominance
+    _assert_relisting_keeps_the_table(TORUS3, gens, NO_ROOTS, [order])

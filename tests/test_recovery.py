@@ -306,12 +306,26 @@ def test_thinned_root_set_regression():
             [(r.phi.values, r.source) for r in thin], e.name
 
 
+def _cone_inclusion_reference(datum):
+    """The recovery identity as the cone inclusion cut ⊆ cone(M), with
+    both cones built in the coordinates of X and compared through their
+    intersection."""
+    m = datum.monoid
+    X = m.lattice
+    cut = RationalCone.from_inequalities(
+        [d.phi.values for d in datum.divisors], dim=X.rank)
+    cone = RationalCone.from_generators(
+        [X.coords(g) for g in m.gen_vectors], dim=X.rank)
+    return cut.intersection(cone) == cut
+
+
 def test_monoid_recovery_identity_on_corpus():
     for e in build_corpus():
         datum = recover_entry(e)
         rep = validate_luna_datum(datum)
         assert rep.passed
         assert not any(c == "monoid_recovery" for c, _ in rep.violations)
+        assert _cone_inclusion_reference(datum), e.name
 
 
 def _hilbert_recovery_reference(datum):
@@ -331,9 +345,10 @@ def _hilbert_recovery_reference(datum):
 
 
 def test_recovery_identity_matches_hilbert_reference():
-    """The cone inclusion agrees with the Hilbert-basis check it replaced
-    on every corpus datum, and on each variant with one divisor dropped,
-    negated or doubled."""
+    """The cone inclusion agrees with the Hilbert-basis check it replaced,
+    and with the inclusion tested by intersecting the two cones, on every
+    corpus datum and on each variant with one divisor dropped, negated or
+    doubled."""
     outcomes = []
     for e in build_corpus():
         datum = recover_entry(e)
@@ -350,6 +365,7 @@ def test_recovery_identity_matches_hilbert_reference():
             variant = replace(datum, divisors=divisors)
             got = _monoid_recovery_identity(variant)
             assert got == _hilbert_recovery_reference(variant), e.name
+            assert got == _cone_inclusion_reference(variant), e.name
             outcomes.append(got)
     assert True in outcomes and False in outcomes
 
@@ -700,6 +716,27 @@ def test_root_types_are_classified_once_per_recovery(monkeypatch):
         calls.clear()
         assert _divisor_table(recover_divisors(m, e.psi)) == expected, e.name
         assert len(calls) == 1 and calls[0] is m, e.name
+
+
+def test_a_validated_recovery_builds_three_cones(monkeypatch):
+    # cone(M), the quotient cone of the saturation check's Hilbert basis
+    # and the cut cone of the recovery identity; the dual rays, the
+    # saturation check and the identity read cone(M) off the monoid
+    e = corpus_by_name()["g2_hidden"]
+    m = WeightMonoid(e.rd, e.monoid.generators)
+    builds = []
+    for name in ("from_generators", "from_inequalities"):
+        real = getattr(RationalCone, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            builds.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(RationalCone, name, staticmethod(counted))
+    datum = recover_divisors(m, e.psi)
+    assert len(datum.divisors) == e.n_divisors
+    assert sorted(builds) == ["from_generators"] * 2 + ["from_inequalities"]
+    assert m._dual_rays == m.cone.facet_normals
 
 
 def test_recover_passes_on_the_validation_warnings():
