@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import ge, mul
 
 Vec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
@@ -764,15 +764,26 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     it leaves that span; a cone whose rays and lineality lie in it, such
     as the cone over a monoid's own generators, is used as it is.
 
-    The quotient by the units is a pointed cone `qcone` in Z^q.  One
-    pulling triangulation of `qcone` gives the candidates: its extreme
-    rays and the parallelepiped points of its maximal simplices, taken on
-    integers in the saturated lattice of its span (rank `span_rank`,
-    which can be less than q).  The simplices cover the cone and each
-    simplex's lattice points are generated by its rays and parallelepiped
-    points, so the candidates generate the monoid; a candidate is kept
-    unless, in order of a positive grading, it is a kept one plus an
-    element of the cone.
+    The quotient by the units is a pointed cone `qcone` in Z^q.  When
+    there are no units and the cone spans the lattice, `qcone` is the
+    cone itself in lattice coordinates, so it is read off the cone: its
+    rays are the rays' coordinates made primitive, and its facets are the
+    cone's facet normals n read on the lattice basis, n.b for each basis
+    vector b, made primitive (a full-dimensional cone has one primitive
+    normal per facet).  Otherwise it is built from the projected rays.
+
+    One pulling triangulation of `qcone` gives the candidates: its
+    extreme rays and the parallelepiped points of its maximal simplices,
+    taken on integers in the saturated lattice of its span (rank
+    `span_rank`, which can be less than q).  The simplices cover the cone
+    and each simplex's lattice points are generated by its rays and
+    parallelepiped points, so the candidates generate the monoid; a
+    candidate is kept unless, in order of a positive grading, it is a
+    kept one plus an element of the cone.  The candidates are distinct
+    and lie in the span of `qcone`, where its facet normals cut it out,
+    so p - k lies in `qcone` iff every facet normal is at least as large
+    on p as on k: each candidate's facet values are computed once, when
+    it comes up, and only the kept ones' are stored.
     """
     dim = cone.dim
     if lattice.dim != dim:
@@ -818,7 +829,15 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
             proj_rays.add(primitive(img))
     if not proj_rays:
         return units, []
-    qcone = RationalCone.from_generators(sorted(proj_rays), dim=q)
+    if not u and cone.span_rank() == m:
+        # the cone itself in lattice coordinates: its rays are proj_rays
+        # and its facets are the cone's, read on the lattice basis
+        facets = {primitive([_dot(n, b) for b in lattice.basis])
+                  for n in cone.facet_normals}
+        qcone = RationalCone(q, tuple(sorted(proj_rays)), (),
+                             tuple(sorted(facets)), ())
+    else:
+        qcone = RationalCone.from_generators(sorted(proj_rays), dim=q)
     if qcone.lineality:
         raise PolyhedralError("internal: quotient cone not pointed")
 
@@ -840,15 +859,12 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
             candidates.add(p)
     ordered = sorted(candidates, key=lambda p: (_dot(grading, p), p))
     kept: list[Vec] = []
+    kept_values: list[Vec] = []
     for p in ordered:
-        reducible = False
-        for kvec in kept:
-            diff = tuple(a - b for a, b in zip(p, kvec))
-            if not any(diff) or qcone.contains(diff):
-                reducible = True
-                break
-        if not reducible:
+        vp = tuple(_dot(n, p) for n in qcone.facet_normals)
+        if not any(all(map(ge, vp, vk)) for vk in kept_values):
             kept.append(p)
+            kept_values.append(vp)
 
     # lift canonically: any preimage lies in the cone because the kernel of
     # the quotient map spans the cone's lineality; the image of basis

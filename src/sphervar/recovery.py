@@ -45,6 +45,7 @@ from .polyhedral import (
     _dot,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     hnf,
+    primitive,
 )
 from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, support
 from .spherical import (
@@ -378,18 +379,16 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
     psi = SphericalRootSet(rd, datum.psi)
     n_active = sorted(datum.levi_roots)
 
-    # (i) every functional is nonnegative on the monoid and kills units
+    # (i) every functional is nonnegative on the monoid and kills units;
+    # generators and units lie in X, where phi has the sign of w.v
     for d in datum.divisors:
-        for g in m.generators:
-            if d.phi.eval_weight(g) < 0:
-                rep.fail("phi_nonnegative",
-                         f"{d.divisor_id} is negative on a monoid generator")
-                break
-        for b in m.invertible_lattice.basis:
-            if d.phi.evaluate(b) != 0:
-                rep.fail("phi_invertible_vanishing",
-                         f"{d.divisor_id} does not vanish on the invertible part")
-                break
+        w = d.phi.integer_form[1]
+        if any(_dot(w, g) < 0 for g in m.gen_vectors):
+            rep.fail("phi_nonnegative",
+                     f"{d.divisor_id} is negative on a monoid generator")
+        if any(_dot(w, b) for b in m.invertible_lattice.basis):
+            rep.fail("phi_invertible_vanishing",
+                     f"{d.divisor_id} does not vanish on the invertible part")
 
     # type-a roots move no divisor
     for i in table.roots_of_type("a"):
@@ -507,16 +506,36 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
 
 def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     """Whether the divisor functionals cut the monoid out of its lattice
-    X, on the side check (i) leaves open: X ∩ {phi_D >= 0 for every D}
-    lies in M.  For saturated M, which is X ∩ cone(M), that holds iff the
-    cut cone lies in cone(M), since a rational cone is the cone over its
-    lattice points (Bruns–Gubeladze, Polytopes, Rings and K-Theory,
-    ch. 2).  The cut cone is built in the coordinates of the basis of X,
-    and lies in cone(M) iff its rays and both signs of its lineality
-    vectors do, read as weights and tested against the monoid's cone.
+    X, on the side check (i) leaves open: X ∩ K lies in M, where K is the
+    cut cone {phi_D >= 0 for every D}.  For saturated M, which is
+    X ∩ C with C = cone(M), that holds iff K lies in C, since a rational
+    cone is the cone over its lattice points (Bruns–Gubeladze, Polytopes,
+    Rings and K-Theory, ch. 2).
+
+    By cone duality in X_Q, K ⊆ C iff C^∨ ⊆ K^∨ = cone(Phi), Phi the set
+    of functionals.  C spans X_Q, so C^∨ is pointed and its extreme rays
+    are the facet normals of C, the dual rays of M read on the basis of
+    X.  Hence:
+    - if every such ray, made primitive, is the primitive form of some
+      phi_D, then C^∨ ⊆ cone(Phi) and the identity holds;
+    - if some ray is not, and every phi_D is nonnegative on the
+      generators (so also zero on the units, whose negatives lie in M),
+      then cone(Phi) ⊆ C^∨; equality would make each extreme ray of C^∨
+      a positive multiple of some phi_D, so the identity fails.
+    Only a functional negative on a generator, which check (i) reports,
+    leaves the question open; then the cut cone is built in the
+    coordinates of X, and lies in C iff its rays and both signs of its
+    lineality vectors do, read as weights.
     """
     m = datum.monoid
     X = m.lattice
+    phis = {primitive(d.phi.values) for d in datum.divisors if any(d.phi.values)}
+    if all(primitive([_dot(r, b) for b in X.basis]) in phis
+           for r in m._dual_rays):
+        return True
+    if all(_dot(d.phi.integer_form[1], g) >= 0
+           for d in datum.divisors for g in m.gen_vectors):
+        return False
     cut = RationalCone.from_inequalities(
         [d.phi.values for d in datum.divisors], dim=X.rank)
     lines = cut.lineality + tuple(tuple(-x for x in v) for v in cut.lineality)

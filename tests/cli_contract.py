@@ -1,6 +1,7 @@
 """The CLI contract on the documents in data/: the exit code and the
 SHA-256 of stdout of every command in machine format, and of `validate`
-on the document that `recover` writes.
+on the document that `recover` writes and on a tampered copy of it, with
+the first divisor's functional negated.
 
 `tests/cli_contract.json` holds the table; `test_cli.py` compares it with
 a fresh run.  After a deliberate change of the contract, rewrite it with
@@ -15,6 +16,7 @@ import hashlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from sphervar.cli import main
@@ -46,6 +48,7 @@ def contract() -> dict[str, list]:
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
         recovered = Path(tmp) / "recovered.json"
+        tampered = Path(tmp) / "tampered.json"
         for path in sorted((ROOT / "data").glob("*.json")):
             runs = {command: run(command, path) for command in COMMANDS}
             code, out = runs["recover"]
@@ -53,6 +56,10 @@ def contract() -> dict[str, list]:
                 document = json.loads(out)["payload"]["document"]
                 recovered.write_text(json.dumps(document))
                 runs["validate (recovered)"] = run("validate", recovered)
+                phi = document["divisors"][0]["phi"]
+                document["divisors"][0]["phi"] = [str(-Fraction(x)) for x in phi]
+                tampered.write_text(json.dumps(document))
+                runs["validate (tampered)"] = run("validate", tampered)
             for command, (code, out) in runs.items():
                 table[f"{path.relative_to(ROOT)} {command}"] = \
                     [code, hashlib.sha256(out.encode()).hexdigest()]

@@ -718,12 +718,7 @@ def test_root_types_are_classified_once_per_recovery(monkeypatch):
         assert len(calls) == 1 and calls[0] is m, e.name
 
 
-def test_a_validated_recovery_builds_three_cones(monkeypatch):
-    # cone(M), the quotient cone of the saturation check's Hilbert basis
-    # and the cut cone of the recovery identity; the dual rays, the
-    # saturation check and the identity read cone(M) off the monoid
-    e = corpus_by_name()["g2_hidden"]
-    m = WeightMonoid(e.rd, e.monoid.generators)
+def _count_cone_builds(monkeypatch):
     builds = []
     for name in ("from_generators", "from_inequalities"):
         real = getattr(RationalCone, name)
@@ -733,10 +728,47 @@ def test_a_validated_recovery_builds_three_cones(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(RationalCone, name, staticmethod(counted))
-    datum = recover_divisors(m, e.psi)
-    assert len(datum.divisors) == e.n_divisors
-    assert sorted(builds) == ["from_generators"] * 2 + ["from_inequalities"]
+    return builds
+
+
+@pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.name)
+def test_a_validated_recovery_builds_one_cone(entry, monkeypatch):
+    # cone(M) only: every corpus monoid is pointed and spans its lattice,
+    # so the saturation check reads its quotient cone off cone(M), and the
+    # recovered functionals contain every dual ray, so the recovery
+    # identity builds no cut cone
+    builds = _count_cone_builds(monkeypatch)
+    m = WeightMonoid(entry.rd, entry.monoid.generators)
+    datum = recover_divisors(m, entry.psi)
+    assert len(datum.divisors) == entry.n_divisors
+    assert builds == ["from_generators"]
     assert m._dual_rays == m.cone.facet_normals
+
+
+def test_a_validated_recovery_with_units_builds_its_quotient_cone(monkeypatch):
+    builds = _count_cone_builds(monkeypatch)
+    rd = build_root_data(GroupSpec((), 2))
+    m = torus_monoid(rd, [(1, 0), (-1, 0), (0, 1)])
+    datum = recover_divisors(m, make_spherical_roots(rd, ()))
+    assert m.invertible_lattice.rank == 1
+    assert len(datum.divisors) == 1
+    assert builds == ["from_generators"] * 2
+
+
+def test_a_tampered_datum_builds_the_cut_cone(monkeypatch):
+    # a negated facet functional is negative on a generator, so neither
+    # dual-ray test decides the recovery identity
+    e = corpus_by_name()["toric2"]
+    datum = recover_entry(e)
+    d = datum.divisors[0]
+    phi = LatticeFunctional(d.phi.lattice, tuple(-v for v in d.phi.values))
+    bad = replace(datum, divisors=(replace(d, phi=phi),) + datum.divisors[1:])
+    builds = _count_cone_builds(monkeypatch)
+    rep = validate_luna_datum(bad)
+    assert builds == ["from_inequalities"]
+    assert ("monoid_recovery",
+            "the monoid is not cut out of its lattice by the divisor "
+            "functionals") in rep.violations
 
 
 def test_recover_passes_on_the_validation_warnings():
