@@ -515,17 +515,10 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     By cone duality in X_Q, K ⊆ C iff C^∨ ⊆ K^∨ = cone(Phi), Phi the set
     of functionals.  C spans X_Q, so C^∨ is pointed and its extreme rays
     are the facet normals of C, the dual rays of M read on the basis of
-    X.  Hence:
-    - if every such ray, made primitive, is the primitive form of some
-      phi_D, then C^∨ ⊆ cone(Phi) and the identity holds;
-    - if some ray is not, and every phi_D is nonnegative on the
-      generators (so also zero on the units, whose negatives lie in M),
-      then cone(Phi) ⊆ C^∨; equality would make each extreme ray of C^∨
-      a positive multiple of some phi_D, so the identity fails.
-    Only a functional negative on a generator, which check (i) reports,
-    leaves the question open; then the cut cone is built in the
-    coordinates of X, and lies in C iff its rays and both signs of its
-    lineality vectors do, read as weights.
+    X.  Hence if every such ray, made primitive, is the primitive form of
+    some phi_D, then C^∨ ⊆ cone(Phi) and the identity holds.  Otherwise
+    the cut cone is built in the coordinates of X, and lies in C iff its
+    rays and both signs of its lineality vectors do, read as weights.
     """
     m = datum.monoid
     X = m.lattice
@@ -533,9 +526,6 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     if all(primitive([_dot(r, b) for b in X.basis]) in phis
            for r in m._dual_rays):
         return True
-    if all(_dot(d.phi.integer_form[1], g) >= 0
-           for d in datum.divisors for g in m.gen_vectors):
-        return False
     cut = RationalCone.from_inequalities(
         [d.phi.values for d in datum.divisors], dim=X.rank)
     lines = cut.lineality + tuple(tuple(-x for x in v) for v in cut.lineality)

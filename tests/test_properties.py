@@ -6,15 +6,18 @@ from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
 from random import Random
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus
+from test_recovery import (
+    reference_monoid_recovery_identity,
+    reference_violations,
+    tampered_divisor_sets,
+)
 from sphervar import polyhedral
-from sphervar import recovery
 from sphervar.cli import parse_input
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaError
 from sphervar.monoid import WeightMonoid, torus_monoid
@@ -37,6 +40,7 @@ from sphervar.recovery import (
     RecoveryError,
     RecursionNode,
     _half_coroot,
+    _monoid_recovery_identity,
     localize_datum,
     recover_divisors,
     recover_prime,
@@ -1268,109 +1272,14 @@ def test_recovery_ignores_the_listing_of_the_generators_on_toric_cones(
 
 # -- the recovery identity read off the dual rays -----------------------------
 
-def reference_monoid_recovery_identity(datum):
-    """The recovery identity by the cut cone: {phi_D >= 0 for every D},
-    built in the coordinates of X, lies in cone(M) iff its rays and both
-    signs of its lineality vectors do."""
-    m = datum.monoid
-    X = m.lattice
-    cut = RationalCone.from_inequalities(
-        [d.phi.values for d in datum.divisors], dim=X.rank)
-    lines = cut.lineality + tuple(tuple(-x for x in v) for v in cut.lineality)
-    return all(m.cone.contains(X.from_coords(v)) for v in cut.rays + lines)
-
-
-def reference_violations(datum):
-    """The violations of `validate_luna_datum` with check (i) evaluated in
-    rational arithmetic, one `eval_weight` per pair, and the recovery
-    identity by the cut cone.  Check (i) comes first in the report."""
-    m = datum.monoid
-    first = []
-    for d in datum.divisors:
-        for g in m.generators:
-            if d.phi.eval_weight(g) < 0:
-                first.append(("phi_nonnegative",
-                              f"{d.divisor_id} is negative on a monoid generator"))
-                break
-        for b in m.invertible_lattice.basis:
-            if d.phi.evaluate(b) != 0:
-                first.append(("phi_invertible_vanishing",
-                              f"{d.divisor_id} does not vanish on the invertible part"))
-                break
-    with mock.patch.object(recovery, "_monoid_recovery_identity",
-                           reference_monoid_recovery_identity):
-        rest = validate_luna_datum(datum).violations
-    return first + [v for v in rest
-                    if v[0] not in ("phi_nonnegative", "phi_invertible_vanishing")]
-
-
-def _with_phi(d, values, divisor_id=None):
-    return replace(d, divisor_id=divisor_id or d.divisor_id,
-                   phi=LatticeFunctional(d.phi.lattice, tuple(values)))
-
-
-def _tampered_divisor_sets(datum, i):
-    """The divisor set with divisor i negated, dropped or doubled, with
-    phi_1 + phi_2 added, with a functional added that is negative on a
-    generator, and with phi_i replaced by phi_i - phi_(i+1)."""
-    divs = datum.divisors
-    d = divs[i]
-    X = datum.monoid.lattice
-    out = {
-        "negate": divs[:i] + (_with_phi(d, [-v for v in d.phi.values]),) + divs[i + 1:],
-        "drop": divs[:i] + divs[i + 1:],
-        "double": divs[:i] + (_with_phi(d, [2 * v for v in d.phi.values]),) + divs[i + 1:],
-    }
-    if len(divs) >= 2:
-        total = (divs[0].phi + divs[1].phi).values
-        out["sum"] = divs + (_with_phi(divs[0], total, "D_sum"),)
-        # phi_i >= phi_j >= 0 on the new cut cone, so it lies in the old
-        other = divs[(i + 1) % len(divs)].phi
-        out["difference"] = divs[:i] + (_with_phi(d, (d.phi - other).values),) \
-            + divs[i + 1:]
-    g = next(g for g in datum.monoid.gen_vectors if any(g))
-    # paired with the coordinates c of g it gives -|c|^2 < 0
-    out["negative"] = divs + (_with_phi(d, [-x for x in X.coords(g)], "D_neg"),)
-    return out
-
-
-def _assert_identity_matches_the_reference(datum, i):
-    kinds = {}
-    for kind, divisors in _tampered_divisor_sets(datum, i).items():
+@settings(max_examples=60, deadline=None)
+@given(polygon_cones())
+@example([(x, y, 1) for x in range(3) for y in range(3)])
+def test_recovery_identity_matches_the_cut_cone_reference_on_toric_cones(gens):
+    datum = recover_divisors(torus_monoid(TORUS3, gens), NO_ROOTS)
+    for kind, divisors in tampered_divisor_sets(datum):
         variant = replace(datum, divisors=divisors)
-        got = recovery._monoid_recovery_identity(variant)
-        assert got == reference_monoid_recovery_identity(variant), kind
+        assert _monoid_recovery_identity(variant) == \
+            reference_monoid_recovery_identity(variant), kind
         assert validate_luna_datum(variant).violations == \
             reference_violations(variant), kind
-        kinds[kind] = got
-    return kinds
-
-
-def test_recovery_identity_matches_the_cut_cone_reference_on_the_corpus():
-    outcomes = set()
-    for e in build_corpus():
-        datum = recover_divisors(e.monoid, e.psi)
-        assert recovery._monoid_recovery_identity(datum), e.name
-        assert validate_luna_datum(datum).violations == \
-            reference_violations(datum) == [], e.name
-        for i in range(len(datum.divisors)):
-            outcomes.update(_assert_identity_matches_the_reference(
-                datum, i).items())
-    # a dropped facet functional fails the identity with every functional
-    # nonnegative; a negated one, or a difference in its place, leaves it
-    # to the cut cone, which finds it broken and kept
-    assert {("drop", False), ("negate", False), ("difference", True)} \
-        <= outcomes
-
-
-@settings(max_examples=60, deadline=None)
-@given(polygon_cones(), st.data())
-@example([(x, y, 1) for x in range(3) for y in range(3)], None)
-def test_recovery_identity_matches_the_cut_cone_reference_on_toric_cones(
-        gens, data):
-    datum = recover_divisors(torus_monoid(TORUS3, gens), NO_ROOTS)
-    n = len(datum.divisors)
-    indices = range(n) if data is None else \
-        [data.draw(st.integers(0, n - 1))]
-    for i in indices:
-        _assert_identity_matches_the_reference(datum, i)

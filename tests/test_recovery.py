@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -306,7 +307,7 @@ def test_thinned_root_set_regression():
             [(r.phi.values, r.source) for r in thin], e.name
 
 
-def _cone_inclusion_reference(datum):
+def reference_monoid_recovery_identity(datum):
     """The recovery identity as the cone inclusion cut ⊆ cone(M), with
     both cones built in the coordinates of X and compared through their
     intersection."""
@@ -319,13 +320,72 @@ def _cone_inclusion_reference(datum):
     return cut.intersection(cone) == cut
 
 
+def reference_violations(datum):
+    """The violations of `validate_luna_datum` with check (i) evaluated in
+    rational arithmetic, one `eval_weight` per pair, and the recovery
+    identity by the cut cone.  Check (i) comes first in the report."""
+    m = datum.monoid
+    first = []
+    for d in datum.divisors:
+        for g in m.generators:
+            if d.phi.eval_weight(g) < 0:
+                first.append(("phi_nonnegative",
+                              f"{d.divisor_id} is negative on a monoid generator"))
+                break
+        for b in m.invertible_lattice.basis:
+            if d.phi.evaluate(b) != 0:
+                first.append(("phi_invertible_vanishing",
+                              f"{d.divisor_id} does not vanish on the invertible part"))
+                break
+    with mock.patch.object(recovery_module, "_monoid_recovery_identity",
+                           reference_monoid_recovery_identity):
+        rest = validate_luna_datum(datum).violations
+    return first + [v for v in rest
+                    if v[0] not in ("phi_nonnegative", "phi_invertible_vanishing")]
+
+
+def _with_phi(d, values, divisor_id=None):
+    return replace(d, divisor_id=divisor_id or d.divisor_id,
+                   phi=LatticeFunctional(d.phi.lattice, tuple(values)))
+
+
+def tampered_divisor_sets(datum):
+    """(kind, divisors) for the divisor set with one divisor negated,
+    dropped or doubled, with phi_i replaced by phi_i - phi_(i+1), with
+    phi_1 + phi_2 added, and with a functional added that is negative on
+    a generator."""
+    divs = datum.divisors
+    X = datum.monoid.lattice
+    out = []
+    for i, d in enumerate(divs):
+        rest = divs[i + 1:]
+        out += [
+            ("negate", divs[:i] + (_with_phi(d, [-v for v in d.phi.values]),) + rest),
+            ("drop", divs[:i] + rest),
+            ("double", divs[:i] + (_with_phi(d, [2 * v for v in d.phi.values]),) + rest),
+        ]
+        if len(divs) >= 2:
+            # phi_i >= phi_j >= 0 on the new cut cone, so it lies in the old
+            other = divs[(i + 1) % len(divs)].phi
+            out.append(("difference",
+                        divs[:i] + (_with_phi(d, (d.phi - other).values),) + rest))
+    if len(divs) >= 2:
+        total = (divs[0].phi + divs[1].phi).values
+        out.append(("sum", divs + (_with_phi(divs[0], total, "D_sum"),)))
+    g = next(g for g in datum.monoid.gen_vectors if any(g))
+    # paired with the coordinates c of g it gives -|c|^2 < 0
+    out.append(("negative",
+                divs + (_with_phi(divs[0], [-x for x in X.coords(g)], "D_neg"),)))
+    return out
+
+
 def test_monoid_recovery_identity_on_corpus():
     for e in build_corpus():
         datum = recover_entry(e)
         rep = validate_luna_datum(datum)
         assert rep.passed
         assert not any(c == "monoid_recovery" for c, _ in rep.violations)
-        assert _cone_inclusion_reference(datum), e.name
+        assert reference_monoid_recovery_identity(datum), e.name
 
 
 def _hilbert_recovery_reference(datum):
@@ -345,29 +405,30 @@ def _hilbert_recovery_reference(datum):
 
 
 def test_recovery_identity_matches_hilbert_reference():
-    """The cone inclusion agrees with the Hilbert-basis check it replaced,
-    and with the inclusion tested by intersecting the two cones, on every
-    corpus datum and on each variant with one divisor dropped, negated or
-    doubled."""
-    outcomes = []
+    """The recovery identity agrees with the Hilbert-basis check and with
+    the cut-cone inclusion, and the violation list of `validate_luna_datum`
+    with `reference_violations`, on every corpus datum and on each of its
+    tampered divisor sets."""
+    outcomes = set()
     for e in build_corpus():
         datum = recover_entry(e)
         assert e.monoid.is_saturated(), e.name
-        divs = datum.divisors
-        variants = [divs]
-        for i, d in enumerate(divs):
-            variants.append(divs[:i] + divs[i + 1:])
-            for scale in (-1, 2):
-                phi = LatticeFunctional(d.phi.lattice,
-                                        tuple(scale * v for v in d.phi.values))
-                variants.append(divs[:i] + (replace(d, phi=phi),) + divs[i + 1:])
-        for divisors in variants:
+        assert validate_luna_datum(datum).violations == \
+            reference_violations(datum) == [], e.name
+        for kind, divisors in [("none", datum.divisors)] + \
+                tampered_divisor_sets(datum):
             variant = replace(datum, divisors=divisors)
             got = _monoid_recovery_identity(variant)
-            assert got == _hilbert_recovery_reference(variant), e.name
-            assert got == _cone_inclusion_reference(variant), e.name
-            outcomes.append(got)
-    assert True in outcomes and False in outcomes
+            assert got == _hilbert_recovery_reference(variant), (e.name, kind)
+            assert got == reference_monoid_recovery_identity(variant), \
+                (e.name, kind)
+            assert validate_luna_datum(variant).violations == \
+                reference_violations(variant), (e.name, kind)
+            outcomes.add((kind, got))
+    # a dropped or negated facet functional breaks the identity; a
+    # difference in its place reaches the cut cone and keeps it
+    assert {("none", True), ("drop", False), ("negate", False),
+            ("difference", True)} <= outcomes
 
 
 # -- validator fault injection -------------------------------------------------
@@ -756,8 +817,8 @@ def test_a_validated_recovery_with_units_builds_its_quotient_cone(monkeypatch):
 
 
 def test_a_tampered_datum_builds_the_cut_cone(monkeypatch):
-    # a negated facet functional is negative on a generator, so neither
-    # dual-ray test decides the recovery identity
+    # a negated facet functional leaves its dual ray out of the
+    # functionals, so the dual-ray test does not decide the identity
     e = corpus_by_name()["toric2"]
     datum = recover_entry(e)
     d = datum.divisors[0]
