@@ -16,7 +16,6 @@ from .polyhedral import (
     hilbert_basis_with_units,
     lattice_span,
     monoid_membership,
-    polytope_from_halfspaces,
 )
 from .recovery import (
     localize_datum,
@@ -64,9 +63,8 @@ __all__ = [
     "hidden_spherical_roots", "hilbert_basis", "hilbert_basis_with_units",
     "is_decomposable", "lattice_span", "localize_datum",
     "make_spherical_roots", "match_hidden_root_triple", "moment_polytope",
-    "monoid_membership", "pairing", "polytope_from_halfspaces",
-    "recover_divisors", "recover_prime", "recover_type_cd_divisors",
-    "spherical_roots_of_cone", "stabilizer_of", "support", "symmetric_form",
-    "tail_cone", "trivial_factors", "type_a_roots", "validate_luna_datum",
-    "valuation_cone",
+    "monoid_membership", "pairing", "recover_divisors", "recover_prime",
+    "recover_type_cd_divisors", "spherical_roots_of_cone", "stabilizer_of",
+    "support", "symmetric_form", "tail_cone", "trivial_factors",
+    "type_a_roots", "validate_luna_datum", "valuation_cone",
 ]

@@ -14,6 +14,12 @@ description (extreme rays modulo lineality, plus a minimal facet
 description), which makes equality of cones a tuple comparison and the
 dual an involution on the nose.
 
+The Hermite normal form is the one integer normal form.  A lattice is
+kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
+relations among the v_i and the combination behind each basis row, and
+integer kernels and solves, the units of a cone with the quotient by
+them, and the unit part of a membership certificate are read off it.
+
 A Hilbert basis is read off one pulling triangulation of the pointed
 quotient cone, built from the facet-ray incidences alone: the candidates
 are the extreme rays and the parallelepiped points of the maximal
@@ -23,7 +29,7 @@ Monoid membership is a depth-first search over the generators, bounded
 by the extreme rays of the dual cone: every ray is nonnegative on the
 monoid, so a ray r with r.g > 0 caps the coefficient of g at
 r.v // r.g, and the generators on which every ray vanishes are units,
-whose part of v is one integer solve.
+whose part of v is one reduction by their Hermite rows.
 """
 
 from __future__ import annotations
@@ -102,7 +108,10 @@ def hnf(rows) -> list[Vec]:
     positive, entries above each pivot reduced into [0, pivot).  This is
     the canonical basis of the lattice spanned by the input rows.
     """
-    mat = [list(map(int, r)) for r in rows if any(r)]
+    mat = [list(map(int, r)) for r in rows]
+    if len({len(r) for r in mat}) > 1:
+        raise PolyhedralError("hnf: rows differ in length")
+    mat = [r for r in mat if any(r)]
     if not mat:
         return []
     n = len(mat[0])
@@ -138,85 +147,50 @@ def hnf(rows) -> list[Vec]:
     return [tuple(r) for r in result]
 
 
-def smith_diagonalize(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix by unimodular transforms.
-
-    Returns (D, S, T) with S A T = D and D nonzero only on the diagonal.
-    The divisibility chain of full Smith normal form is not enforced; no
-    caller needs it.
+def _relations(vectors) -> tuple[list[tuple[Vec, Vec]], list[Vec]]:
+    """The Hermite form of the rows (v_i | e_i) (Cohen, A Course in
+    Computational Algebraic Number Theory, §2.4), as (rows, relations):
+    the pairs (h, c) of the rows whose first block h is nonzero, where the
+    h are the HNF basis of span_Z(vectors) and sum_i c_i v_i = h, and the
+    second blocks of the other rows, a basis of {x : sum_i x_i v_i = 0}.
     """
-    A = [list(map(int, r)) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    S = [[int(i == j) for j in range(m)] for i in range(m)]
-    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    vectors = [tuple(map(int, v)) for v in vectors]
+    k = len(vectors)
+    if not k:
+        return [], []
+    n = len(vectors[0])
+    H = hnf(v + tuple(int(i == j) for j in range(k))
+            for i, v in enumerate(vectors))
+    split = next((i for i, h in enumerate(H) if not any(h[:n])), len(H))
+    return [(h[:n], h[n:]) for h in H[:split]], [h[n:] for h in H[split:]]
 
-    def row_op(i1, i2, x, y, u, v):
-        for M in (A, S):
-            r1, r2 = M[i1], M[i2]
-            for j in range(len(r1)):
-                a, b = r1[j], r2[j]
-                r1[j] = x * a + y * b
-                r2[j] = u * a + v * b
 
-    def col_op(j1, j2, x, y, u, v):
-        for M in (A, T):
-            for r in M:
-                a, b = r[j1], r[j2]
-                r[j1] = x * a + y * b
-                r[j2] = u * a + v * b
-
-    k = 0
-    while k < min(m, n):
-        piv = next(((i, j) for i in range(k, m) for j in range(k, n) if A[i][j]), None)
-        if piv is None:
-            break
-        i, j = piv
-        if i != k:
-            row_op(k, i, 0, 1, 1, 0)
-        if j != k:
-            col_op(k, j, 0, 1, 1, 0)
-        while True:
-            done = True
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    done = False
-                    if A[i][k] % A[k][k] == 0:
-                        # plain elimination keeps row k intact
-                        row_op(k, i, 1, 0, -(A[i][k] // A[k][k]), 1)
-                    else:
-                        g, x, y = _xgcd(A[k][k], A[i][k])
-                        a, b = A[k][k] // g, A[i][k] // g
-                        row_op(k, i, x, y, -b, a)
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    done = False
-                    if A[k][j] % A[k][k] == 0:
-                        col_op(k, j, 1, 0, -(A[k][j] // A[k][k]), 1)
-                    else:
-                        g, x, y = _xgcd(A[k][k], A[k][j])
-                        a, b = A[k][k] // g, A[k][j] // g
-                        col_op(k, j, x, y, -b, a)
-            if done:
-                break
-        if A[k][k] < 0:
-            for j in range(n):
-                A[k][j] = -A[k][j]
-            for j in range(m):
-                S[k][j] = -S[k][j]
-        k += 1
-    return A, S, T
+def _combination(rows, k: int, target) -> list[int] | None:
+    """x in Z^k with sum_i x_i v_i = target, for the Hermite rows (h, c)
+    of `_relations` over k vectors v_i, or None: the target is reduced by
+    the h, as `Lattice.coords` reduces by a basis, and x adds up the same
+    multiples of the c.  A pivot that does not divide its entry leaves a
+    residue there, as the later rows vanish at that column."""
+    res = list(target)
+    x = [0] * k
+    for h, c in rows:
+        p = next(j for j, a in enumerate(h) if a)
+        q = res[p] // h[p]
+        if q:
+            res = [a - q * b for a, b in zip(res, h)]
+            x = [a + q * b for a, b in zip(x, c)]
+    return None if any(res) else x
 
 
 def integer_kernel(rows) -> list[Vec]:
-    """Basis of the (saturated) lattice {x in Z^n : A x = 0}."""
-    A = [list(map(int, r)) for r in rows]
+    """Basis of the (saturated) lattice {x in Z^n : A x = 0}: the
+    relations among the columns of A."""
+    A = [tuple(map(int, r)) for r in rows]
     if not A:
         raise PolyhedralError("integer_kernel needs at least one row")
-    n = len(A[0])
-    D, _, T = smith_diagonalize(A)
-    rank = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
-    return [tuple(T[i][j] for i in range(n)) for j in range(rank, n)]
+    if len({len(r) for r in A}) > 1:
+        raise PolyhedralError("integer_kernel: rows differ in length")
+    return _relations(zip(*A))[1]
 
 
 def integer_solve(cols: list, target) -> list[int] | None:
@@ -224,22 +198,9 @@ def integer_solve(cols: list, target) -> list[int] | None:
     target = [int(x) for x in target]
     if not cols:
         return [] if not any(target) else None
-    n = len(cols[0])
-    m = len(cols)
-    A = [[int(cols[j][i]) for j in range(m)] for i in range(n)]
-    D, S, T = smith_diagonalize(A)
-    st = [sum(S[i][j] * target[j] for j in range(n)) for i in range(n)]
-    y = [0] * m
-    for i in range(n):
-        d = D[i][i] if i < min(n, m) else 0
-        if d == 0:
-            if st[i] != 0:
-                return None
-        else:
-            if st[i] % d != 0:
-                return None
-            y[i] = st[i] // d
-    return [sum(T[i][j] * y[j] for j in range(m)) for i in range(m)]
+    if any(len(c) != len(target) for c in cols):
+        raise PolyhedralError("integer_solve: column and target lengths differ")
+    return _combination(_relations(cols)[0], len(cols), target)
 
 
 def rational_solve(cols: list, target) -> list[Fraction] | None:
@@ -381,6 +342,8 @@ class Lattice:
         return d, tuple(w)
 
     def from_coords(self, c) -> QVec:
+        if len(c) != self.rank:
+            raise PolyhedralError("coordinate count does not match the lattice rank")
         out = [Fraction(0)] * self.dim
         for x, b in zip(c, self.basis):
             if x:
@@ -401,6 +364,8 @@ class Lattice:
 
     def reduce_mod(self, v) -> Vec:
         """Canonical representative of v modulo this lattice (HNF reduction)."""
+        if len(v) != self.dim:
+            raise PolyhedralError("vector length does not match the lattice")
         out = [int(x) for x in v]
         for b, p in zip(self.basis, self._pivots):
             q = out[p] // b[p]
@@ -410,20 +375,14 @@ class Lattice:
 
     def saturation(self) -> "Lattice":
         """The saturated lattice span_Q(basis) ∩ Z^dim."""
-        if not self.basis:
-            return self
-        ann = integer_kernel([list(b) for b in self.basis])
-        if not ann:
+        if not self._annihilator:
             return Lattice.full(self.dim)
-        sat = integer_kernel(ann)
-        return Lattice(self.dim, tuple(hnf(sat)))
+        return Lattice.span(integer_kernel(self._annihilator), self.dim)
 
     def annihilator_rows(self) -> list[Vec]:
-        """Primitive integer functionals vanishing on the lattice."""
-        if not self.basis:
-            return [tuple(int(i == j) for j in range(self.dim))
-                    for i in range(self.dim)]
-        return integer_kernel([list(b) for b in self.basis])
+        """A basis of the integer functionals vanishing on the lattice:
+        the relations among the columns of the basis."""
+        return _relations([b[j] for b in self.basis] for j in range(self.dim))[1]
 
 
 def lattice_span(vectors, dim: int | None = None) -> Lattice:
@@ -764,8 +723,13 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     it leaves that span; a cone whose rays and lineality lie in it, such
     as the cone over a monoid's own generators, is used as it is.
 
-    The quotient by the units is a pointed cone `qcone` in Z^q.  When
-    there are no units and the cone spans the lattice, `qcone` is the
+    The units and the quotient by them are read off one Hermite form,
+    `_relations` of the constraint values (facet normals and span
+    equations) of the lattice basis vectors: the relations are the units
+    in lattice coordinates, the quotient map reads a point's constraint
+    values in the basis h of the Hermite rows (h, c), and sum_i p_i c_i
+    lifts p.  The quotient cone `qcone` is pointed, in Z^q.  When there
+    are no units and the cone spans the lattice, `qcone` is the
     cone itself in lattice coordinates, so it is read off the cone: its
     rays are the rays' coordinates made primitive, and its facets are the
     cone's facet normals n read on the lattice basis, n.b for each basis
@@ -792,41 +756,28 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
         cone = cone.intersection(RationalCone.from_inequalities(
             [], lattice.annihilator_rows(), dim=dim))
     m = lattice.rank
-    unit_rows: list[Vec] = []
-    if cone.lineality and m:
-        constraints = list(cone.facet_normals) + list(cone.span_equations)
-        rows = [[sum(c[i] * b[i] for i in range(dim)) for b in lattice.basis]
-                for c in constraints]
-        if rows:
-            kernel = integer_kernel(rows)
-        else:
-            kernel = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-        for k in kernel:
-            unit_rows.append(tuple(int(x) for x in lattice.from_coords(k)))
-    units = Lattice.span(unit_rows, dim)
-
-    if m == 0:
-        return units, []
+    constraints = list(cone.facet_normals) + list(cone.span_equations)
+    image, kernel = [], []
+    if cone.lineality:
+        image, kernel = _relations([_dot(n, b) for n in constraints]
+                                   for b in lattice.basis)
+    units = Lattice.span([tuple(int(x) for x in lattice.from_coords(k))
+                          for k in kernel], dim)
     u = units.rank
-    if u:
-        unit_coords = [[int(x) for x in lattice.coords(b)] for b in units.basis]
-        quot_rows = integer_kernel(unit_coords)
-    else:
-        quot_rows = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-    q = len(quot_rows)
+    q = len(image) if u else m
     if q == 0:
         return units, []
+    if u:
+        image_lat = Lattice(len(constraints), tuple(h for h, _ in image))
 
     proj_rays = set()
     for r in cone.rays:
-        c = lattice.coords(r)
+        c = (image_lat.coords([_dot(n, r) for n in constraints]) if u
+             else lattice.coords(r))
         if c is None:
             raise PolyhedralError("internal: point outside lattice span")
-        # the image over the common denominator of the coordinates
-        c = _clear_denominators(c)[1]
-        img = [_dot(row, c) for row in quot_rows]
-        if any(img):
-            proj_rays.add(primitive(img))
+        if any(c):
+            proj_rays.add(primitive(c))
     if not proj_rays:
         return units, []
     if not u and cone.span_rank() == m:
@@ -867,16 +818,12 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
             kept_values.append(vp)
 
     # lift canonically: any preimage lies in the cone because the kernel of
-    # the quotient map spans the cone's lineality; the image of basis
-    # vector j is column j of quot_rows
-    lift_cols = list(zip(*quot_rows))
+    # the quotient map spans the cone's lineality; sum_i p_i c_i is one
+    section_cols = list(zip(*(c for _, c in image)))
     lifted: list[Vec] = []
     for p in kept:
-        sol = integer_solve(lift_cols, p)
-        if sol is None:
-            raise PolyhedralError("internal: quotient lift failed")
-        amb = lattice.from_coords(sol)
-        vec = tuple(int(x) for x in amb)
+        x = [_dot(p, col) for col in section_cols] if u else p
+        vec = tuple(int(y) for y in lattice.from_coords(x))
         if u:
             vec = units.reduce_mod(vec)
         if not cone.contains(vec):
@@ -918,7 +865,9 @@ class MonoidSearch:
       the ray values of every generator;
     - `reach[pos]`: for each ray, whether some free generator from
       position pos on is positive on it;
-    - `unit_lattice`: Z·units.
+    - `unit_lattice`: Z·units, the first block of the Hermite rows
+      `_relations` gives for the units; the same rows solve for the unit
+      coefficients.
     """
 
     def __init__(self, generators, rays=None):
@@ -934,7 +883,8 @@ class MonoidSearch:
         self.units = [i for i, vals in enumerate(self.values) if not any(vals)]
         self.free = sorted((i for i, vals in enumerate(self.values) if any(vals)),
                            key=lambda i: gens[i], reverse=True)
-        self.unit_lattice = Lattice.span([gens[i] for i in self.units], self.dim)
+        self._unit_rows = _relations([gens[i] for i in self.units])[0]
+        self.unit_lattice = Lattice(self.dim, tuple(h for h, _ in self._unit_rows))
         reach = [[False] * len(self.rays)]
         for i in reversed(self.free):
             reach.append([a or b > 0 for a, b in zip(reach[-1], self.values[i])])
@@ -952,12 +902,13 @@ class MonoidSearch:
         rays = _dd(k, eye + rows + [tuple(-x for x in r) for r in rows])[1]
         return [sum(col) for col in zip(*rays)]
 
-    def unit_coefficients(self, residual) -> list[int]:
-        """Nonnegative coefficients on the units summing to a residual in
-        `unit_lattice`: an integer solution, plus the least multiple of
+    def unit_coefficients(self, residual) -> list[int] | None:
+        """Nonnegative coefficients on the units summing to the residual,
+        or None when it is outside `unit_lattice`: the integer solution
+        read off the units' Hermite rows, plus the least multiple of
         `positive_relation` that lifts its negative entries to zero."""
-        sol = integer_solve([self.gens[i] for i in self.units], residual)
-        if min(sol, default=0) >= 0:
+        sol = _combination(self._unit_rows, len(self.units), residual)
+        if sol is None or min(sol, default=0) >= 0:
             return sol
         p = self.positive_relation
         t = max(-(c // q) for c, q in zip(sol, p))
@@ -1005,10 +956,11 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
     pos, residual, res_values = 0, v, v_values
     while True:
         if not any(res_values):
-            if table.unit_lattice.contains(residual):
+            unit_coeffs = table.unit_coefficients(residual)
+            if unit_coeffs is not None:
                 for i in free[pos:]:
                     coeffs[i] = 0
-                for i, c in zip(table.units, table.unit_coefficients(residual)):
+                for i, c in zip(table.units, unit_coeffs):
                     coeffs[i] = c
                 return True, coeffs
         elif not any(x and not ok for x, ok in zip(res_values, reach[pos])):
@@ -1104,6 +1056,3 @@ class Polytope:
     def vertices(self) -> list[QVec]:
         return self.vertex_description()[0]
 
-
-def polytope_from_halfspaces(basepoint, constraints) -> Polytope:
-    return Polytope.from_halfspaces(basepoint, constraints)

@@ -330,11 +330,6 @@ def root_coefficients(w: WeightVec, rd: RootData) -> tuple[Fraction, ...]:
     return tuple(sol)
 
 
-def levi_root_subset(rd: RootData, p: ParabolicSet) -> frozenset[int]:
-    """Simple roots of the standard Levi of P_Sigma (the Sigma itself)."""
-    return frozenset(p.roots)
-
-
 def symmetric_form(rd: RootData, w1: WeightVec, w2: WeightVec) -> Fraction:
     _same_spec(w1, w2)
     if w1.spec != rd.spec:

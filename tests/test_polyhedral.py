@@ -21,7 +21,6 @@ from sphervar.polyhedral import (
     monoid_membership,
     primitive,
     rational_solve,
-    smith_diagonalize,
 )
 
 
@@ -148,8 +147,6 @@ def test_lattice_span_index_four():
     assert abs(det_oracle([list(b) for b in lat.basis])) == 8
     assert lat.contains((2, 2)) and lat.contains((2, -2))
     assert not lat.contains((1, 1))
-    D, S, T = smith_diagonalize([[2, 2], [2, -2]])
-    assert abs(D[0][0] * D[1][1]) == 8
 
 
 def test_primitive_vector_in_sublattice():
@@ -190,6 +187,14 @@ def test_rational_solve_rejects_length_mismatch():
         rational_solve([(1, 0)], (1, 0, 7))
     with pytest.raises(PolyhedralError):
         rational_solve([(1, 0), (0, 1, 0)], (1, 0))
+    with pytest.raises(PolyhedralError):
+        integer_solve([(1,)], (1, 5))
+    with pytest.raises(PolyhedralError):
+        integer_solve([(1, 0)], (1,))
+    with pytest.raises(PolyhedralError):
+        integer_kernel([[1, 2], [3]])
+    with pytest.raises(PolyhedralError):
+        hnf([(1, 2), (3,)])
 
 
 def test_lattice_coords_rejects_length_mismatch():
@@ -198,6 +203,10 @@ def test_lattice_coords_rejects_length_mismatch():
         lat.contains((1, 0, 7))
     with pytest.raises(PolyhedralError):
         lat.coords((1,))
+    with pytest.raises(PolyhedralError):
+        Lattice.full(2).reduce_mod((5, 7, 9))
+    with pytest.raises(PolyhedralError):
+        Lattice.full(2).from_coords((1, 2, 3))
 
 
 def test_integer_kernel():

@@ -34,7 +34,6 @@ from sphervar.polyhedral import (
     monoid_membership,
     primitive,
     rational_solve,
-    smith_diagonalize,
 )
 from sphervar.recovery import (
     RecoveryError,
@@ -155,18 +154,47 @@ def test_primitive_absorbs_positive_scaling(v, c):
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(vec3, min_size=1, max_size=3))
-def test_smith_transforms_are_consistent(rows):
-    D, S, T = smith_diagonalize([list(r) for r in rows])
-    m, n = len(rows), 3
-    SA = [[sum(S[i][k] * rows[k][j] for k in range(m)) for j in range(n)]
-          for i in range(m)]
-    SAT = [[sum(SA[i][k] * T[k][j] for k in range(n)) for j in range(n)]
-           for i in range(m)]
-    assert SAT == D
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert D[i][j] == 0
+@example([(2, 4, 6)])
+@example([(1, 1, 0), (0, 0, 0), (2, 2, 0)])
+def test_integer_kernel_is_every_relation_in_a_box(rows):
+    kernel = integer_kernel(rows)
+    for x in kernel:
+        assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+    assert len(kernel) == 3 - len(hnf(rows))
+    span = Lattice.span(kernel, 3)
+    for x in itertools.product(range(-3, 4), repeat=3):
+        if all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows):
+            assert span.contains(x)
+
+
+@st.composite
+def integer_systems(draw):
+    """(cols, target): up to 4 integer columns in Z^1..Z^4, and a target
+    that is an integer combination of them or drawn at random."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-4, 4)] * n)
+    cols = draw(st.lists(vec, max_size=4))
+    if cols and draw(st.booleans()):
+        x = draw(st.lists(st.integers(-3, 3), min_size=len(cols),
+                          max_size=len(cols)))
+        return cols, _combination(x, cols, n)
+    return cols, draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+@example(([(2, 4), (4, 2)], (2, 1)))
+@example(([(2, 4), (4, 2)], (6, 6)))
+@example(([(0, 0)], (0, 1)))
+@example(([], (0, 0)))
+def test_integer_solve_answers_exactly_on_the_lattice(system):
+    cols, target = system
+    n = len(target)
+    sol = integer_solve(cols, target)
+    if Lattice.span(cols, n).contains(target):
+        assert sol is not None and _combination(sol, cols, n) == target
+    else:
+        assert sol is None
 
 
 @settings(max_examples=40, deadline=None)

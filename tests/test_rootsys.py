@@ -4,10 +4,8 @@ import pytest
 
 from sphervar.rootsys import (
     GroupSpec,
-    ParabolicSet,
     RootDataError,
     build_root_data,
-    levi_root_subset,
     pairing,
     root_coefficients,
     support,
@@ -133,13 +131,6 @@ def test_root_coefficients_roundtrip():
     rd = rd_of(("B", 3))
     w = rd.simple_root(0).scale(2) + rd.simple_root(2)
     assert root_coefficients(w, rd) == (2, 0, 1)
-
-
-def test_levi_root_subset():
-    rd = rd_of(("A", 2))
-    assert levi_root_subset(rd, ParabolicSet.of({0, 1})) == frozenset({0, 1})
-    assert levi_root_subset(rd, ParabolicSet.of(())) == frozenset()
-    assert levi_root_subset(rd, ParabolicSet.of({1})) == frozenset({1})
 
 
 def test_symmetric_form_normalization():
