@@ -21,7 +21,8 @@ by `validate` and `polytope`.  Divisor functionals are given by their
 values on the canonical basis of the weight lattice (the Hermite basis of
 the span of the monoid generators), as integers or fraction strings.
 
-Exit codes: 0 success, 1 invalid datum, 2 parse error.
+Exit codes: 0 success, 1 invalid datum, 2 parse error, 141 standard
+output closed by its reader (as in `sphervar recover ... | head -1`).
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .luna import BDivisorRecord, LatticeFunctional, LunaDatum
 from .monoid import MonoidError, WeightMonoid
+from .polyhedral import exact
 from .recovery import (
     RecoveryError,
     RecursionNode,
@@ -57,6 +60,9 @@ from .spherical import (
 )
 
 SCHEMA_VERSION = 1
+# 128 + SIGPIPE: the status a shell reports for a process that a closed
+# pipe stopped
+EXIT_BROKEN_PIPE = 141
 
 
 class ParseError(ValueError):
@@ -69,7 +75,7 @@ class InputDocument:
     monoid: WeightMonoid
     psi: SphericalRootSet
     divisor_block: list[dict] | None
-    base_weight: tuple[Fraction, ...] | None
+    base_weight: tuple[int, ...] | None
     orders: dict | int | None
     digest: str
 
@@ -162,7 +168,7 @@ def parse_input(text: str | bytes) -> InputDocument:
 
     base = data.get("base_weight")
     if base is not None:
-        base = tuple(Fraction(x) for x in resolve(base, "base_weight"))
+        base = resolve(base, "base_weight")
     orders = data.get("orders")
     return InputDocument(rd, monoid, psi, divisor_block, base, orders, digest)
 
@@ -171,14 +177,14 @@ def parse_input(text: str | bytes) -> InputDocument:
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def _frac(x: Fraction) -> str | int:
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else str(x)
+def _frac(x) -> str | int:
+    x = exact(x)
+    return x if type(x) is int else str(x)
 
 
-def _parse_frac(x, where) -> Fraction:
+def _parse_frac(x, where) -> int | Fraction:
     try:
-        return Fraction(x)
+        return exact(x)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{where}: bad rational {x!r} ({exc})")
 
@@ -490,6 +496,22 @@ def _emit(command: str, digest, payload: dict, warnings: list[str],
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.  When the reader of standard
+    output goes away (`| head -1`), stop without a traceback and return
+    `EXIT_BROKEN_PIPE`; the rest of the output goes to the null device, so
+    that the flush at interpreter exit raises no second error (the SIGPIPE
+    note of the Python `signal` documentation)."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="sphervar",
         description="Combinatorial invariants of affine spherical varieties")

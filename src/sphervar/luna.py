@@ -9,7 +9,8 @@ Each functional also carries one integer form, computed once: a
 denominator d > 0, least possible, and an integer covector w on Z^dim,
 supported on the pivot columns of the HNF basis of X, with
 phi(v) = w.v / d on span_Q(X).  Evaluation is a span check against the
-annihilator rows of X, one integer dot product and one `Fraction`; since
+annihilator rows of X, one integer dot product and one exact division,
+which builds a `Fraction` only when it does not come out even; since
 d > 0, the sign of w.v is the sign of phi(v).
 """
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .monoid import WeightMonoid
-from .polyhedral import Lattice, PolyhedralError, _clear_denominators, _dot
+from .polyhedral import Lattice, PolyhedralError, _clear_denominators, _dot, exact
 from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec
 
 
@@ -31,41 +32,41 @@ class LunaError(ValueError):
 @dataclass(frozen=True)
 class LatticeFunctional:
     """A rational functional on a weight lattice, given by its values on
-    the canonical lattice basis."""
+    the canonical lattice basis, each held as `exact` gives it."""
 
     lattice: Lattice
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(x) for x in self.values))
+        object.__setattr__(self, "values", tuple(map(exact, self.values)))
         if len(self.values) != self.lattice.rank:
             raise LunaError("functional length does not match the lattice rank")
 
     @staticmethod
     def from_covector(cov: CovectorVec, lattice: Lattice) -> "LatticeFunctional":
         den, c = _clear_denominators(cov.coords)
-        vals = tuple(Fraction(_dot(c, b), den) for b in lattice.basis)
-        return LatticeFunctional(lattice, vals)
+        return LatticeFunctional(
+            lattice, tuple(exact(_dot(c, b), den) for b in lattice.basis))
 
     @staticmethod
     def from_values(lattice: Lattice, values) -> "LatticeFunctional":
-        return LatticeFunctional(lattice, tuple(Fraction(x) for x in values))
+        return LatticeFunctional(lattice, tuple(values))
 
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...]]:
         """(d, w) with phi(v) = w.v / d on the span of the lattice."""
         return self.lattice.integer_form(self.values)
 
-    def evaluate(self, vec) -> Fraction:
+    def evaluate(self, vec) -> int | Fraction:
         if len(vec) != self.lattice.dim:
             raise PolyhedralError("vector length does not match the lattice")
         den, v = _clear_denominators(vec)
         if not self.lattice.in_span(v):
             raise LunaError("vector outside the lattice span")
         d, w = self.integer_form
-        return Fraction(_dot(w, v), d * den)
+        return exact(_dot(w, v), d * den)
 
-    def eval_weight(self, w: WeightVec) -> Fraction:
+    def eval_weight(self, w: WeightVec) -> int | Fraction:
         return self.evaluate(w.coords)
 
     def __add__(self, other: "LatticeFunctional") -> "LatticeFunctional":

@@ -6,13 +6,14 @@ solves and the Hilbert basis) compute on Python integers.  Every vector
 that double description carries is an integer vector kept primitive up
 to a positive factor: after each projection or combination it is divided
 by the gcd of its entries, so it points exactly as the rational vector of
-textbook elimination does.  `Fraction` appears only at the solve and
-coordinate boundary: the solved coordinates of `rational_solve` and
-`Lattice.coords`, and what is built from them, such as lattice points
-from coordinates and polytope vertices.  Cones carry a canonical double
-description (extreme rays modulo lineality, plus a minimal facet
-description), which makes equality of cones a tuple comparison and the
-dual an involution on the nose.
+textbook elimination does.  An exact rational is an `int` when it is
+integral and a `Fraction` with denominator > 1 otherwise (`exact`); a
+`Fraction` is made only at a final division that does not come out even,
+such as a solved coordinate of `rational_solve` or `Lattice.coords`, a
+point built from fractional coordinates, or a polytope vertex.  Cones
+carry a canonical double description (extreme rays modulo lineality,
+plus a minimal facet description), which makes equality of cones a tuple
+comparison and the dual an involution on the nose.
 
 The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
@@ -43,7 +44,7 @@ from math import gcd, lcm
 from operator import ge, mul
 
 Vec = tuple[int, ...]
-QVec = tuple[Fraction, ...]
+QVec = tuple[int | Fraction, ...]
 
 
 class PolyhedralError(ValueError):
@@ -70,6 +71,22 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _dot(a, b):
     return sum(map(mul, a, b))
+
+
+def exact(x, den: int = 1) -> int | Fraction:
+    """The exact rational x / den: an `int` when it is integral, and
+    otherwise a `Fraction` (denominator > 1).  Only an integer quotient
+    that does not come out even builds a `Fraction`."""
+    if type(x) is int:
+        if den == 1:
+            return x
+        q, r = divmod(x, den)
+        return Fraction(x, den) if r else q
+    if den != 1:
+        x = Fraction(x, den)
+    elif not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _clear_denominators(v) -> tuple[int, list[int]]:
@@ -203,14 +220,14 @@ def integer_solve(cols: list, target) -> list[int] | None:
     return _combination(_relations(cols)[0], len(cols), target)
 
 
-def rational_solve(cols: list, target) -> list[Fraction] | None:
+def rational_solve(cols: list, target) -> list[int | Fraction] | None:
     """Solve sum_i c_i * cols[i] = target over Q; None if inconsistent.
 
     Fraction-free Gauss–Jordan: each equation is scaled to integers, and
     every row operation is a cross-multiplication followed by division by
     the row's gcd, so each row stays a nonzero multiple of the row that
     rational elimination would hold.  The free coordinates are zero; each
-    pivot coordinate is one `Fraction(rhs, pivot)`.
+    pivot coordinate is one `exact(rhs, pivot)`.
     """
     n = len(target)
     if any(len(c) != n for c in cols):
@@ -237,9 +254,9 @@ def rational_solve(cols: list, target) -> list[Fraction] | None:
         r += 1
     if any(rows[i][m] for i in range(r, n)):
         return None
-    sol = [Fraction(0)] * m
+    sol: list[int | Fraction] = [0] * m
     for i, c in enumerate(piv_cols):
-        sol[c] = Fraction(rows[i][m], rows[i][c])
+        sol[c] = exact(rows[i][m], rows[i][c])
     return sol
 
 
@@ -286,9 +303,10 @@ class Lattice:
 
         The basis is in HNF, so the rows after row i vanish at its pivot
         column and to the left of it: coordinate i is read at that column
-        once the earlier rows are subtracted.  The residual stays integral
-        over a common denominator, scaled up only when a pivot does not
-        divide its entry.
+        once the earlier rows are subtracted.  The residual and the
+        coordinates stay integral over a common denominator, scaled up
+        only when a pivot does not divide its entry, and each coordinate
+        is one `exact` division at the end.
         """
         if len(v) != self.dim:
             raise PolyhedralError("vector length does not match the lattice")
@@ -299,19 +317,22 @@ class Lattice:
             if x % piv:
                 s = piv // gcd(x, piv)
                 res = [s * y for y in res]
+                out = [s * y for y in out]
                 den *= s
                 x *= s
             q = x // piv
             if q:
                 res = [y - q * z for y, z in zip(res, b)]
-            out.append(Fraction(q, den))
+            out.append(q)
         if any(res):
             return None
-        return tuple(out)
+        if den == 1:
+            return tuple(out)
+        return tuple(exact(q, den) for q in out)
 
     def contains(self, v) -> bool:
         c = self.coords(v)
-        return c is not None and all(x.denominator == 1 for x in c)
+        return c is not None and all(type(x) is int for x in c)
 
     @cached_property
     def _annihilator(self) -> tuple[Vec, ...]:
@@ -320,6 +341,8 @@ class Lattice:
     def in_span(self, v) -> bool:
         """Whether the integer vector v lies in the rational span: every
         annihilator row vanishes on it."""
+        if len(v) != self.dim:
+            raise PolyhedralError("vector length does not match the lattice")
         return not any(_dot(a, v) for a in self._annihilator)
 
     def integer_form(self, values) -> tuple[int, Vec]:
@@ -328,29 +351,42 @@ class Lattice:
         columns, with w.b = d * value for each basis vector b, so that the
         functional is w.v / d on the rational span.  Restricted to its
         pivot columns the HNF basis is upper triangular (a row vanishes
-        left of its own pivot), so w is read off by back substitution."""
+        left of its own pivot), so w is read off by back substitution,
+        from the last row up, on the values times their least common
+        denominator.  A pivot that does not divide its entry scales the
+        whole system by the least factor that makes it divide, so d ends
+        as the lcm of the denominators of the solved rationals: least."""
+        if len(values) != self.rank:
+            raise PolyhedralError("value count does not match the lattice rank")
         piv = self._pivots
-        x: list[Fraction] = []
-        for b, p, val in zip(reversed(self.basis), reversed(piv),
-                             reversed(values)):
-            rest = sum(b[q] * y for q, y in zip(piv[len(piv) - len(x):], x))
-            x.insert(0, (Fraction(val) - rest) / b[p])
-        d, num = _clear_denominators(x)
+        d, rhs = _clear_denominators(values)
+        x: list[int] = []
+        for i in reversed(range(self.rank)):
+            b, p = self.basis[i], piv[i]
+            r = rhs[i] - sum(b[q] * y for q, y in zip(piv[i + 1:], x))
+            if r % b[p]:
+                s = b[p] // gcd(r, b[p])
+                d, r = d * s, r * s
+                rhs = [s * y for y in rhs]
+                x = [s * y for y in x]
+            x.insert(0, r // b[p])
         w = [0] * self.dim
-        for p, n in zip(piv, num):
+        for p, n in zip(piv, x):
             w[p] = n
         return d, tuple(w)
 
     def from_coords(self, c) -> QVec:
         if len(c) != self.rank:
             raise PolyhedralError("coordinate count does not match the lattice rank")
-        out = [Fraction(0)] * self.dim
-        for x, b in zip(c, self.basis):
+        den, ints = _clear_denominators(c)
+        out = [0] * self.dim
+        for x, b in zip(ints, self.basis):
             if x:
-                fx = Fraction(x)
                 for i in range(self.dim):
-                    out[i] += fx * b[i]
-        return tuple(out)
+                    out[i] += x * b[i]
+        if den == 1:
+            return tuple(out)
+        return tuple(exact(y, den) for y in out)
 
     def primitive_vector(self, v) -> Vec:
         """The unique primitive lattice element w with v = c*w, c > 0."""
@@ -359,8 +395,7 @@ class Lattice:
             raise PolyhedralError("vector is not in the rational span of the lattice")
         if all(x == 0 for x in c):
             raise PolyhedralError("zero vector has no primitive representative")
-        w = self.from_coords(primitive(c))
-        return tuple(int(x) for x in w)
+        return self.from_coords(primitive(c))
 
     def reduce_mod(self, v) -> Vec:
         """Canonical representative of v modulo this lattice (HNF reduction)."""
@@ -494,10 +529,9 @@ def _project_off(rays, lin: Lattice) -> list[Vec]:
     for r in rays:
         sol = rational_solve(gram_cols, [_dot(bi, r) for bi in basis])
         # den * (r - sum c_i b_i), a positive multiple of the projection
-        den = lcm(*(c.denominator for c in sol))
+        den, ks = _clear_denominators(sol)
         proj = [den * x for x in r]
-        for c, bi in zip(sol, basis):
-            k = c.numerator * (den // c.denominator)
+        for k, bi in zip(ks, basis):
             if k:
                 proj = [p - k * b for p, b in zip(proj, bi)]
         if any(proj):
@@ -996,30 +1030,27 @@ class Polytope:
     """
 
     dim: int
-    halfspaces: tuple[tuple[Vec, Fraction], ...]
+    halfspaces: tuple[tuple[Vec, int], ...]
     basepoint: QVec
 
     @staticmethod
     def from_halfspaces(basepoint, constraints) -> "Polytope":
-        base = tuple(Fraction(x) for x in basepoint)
+        """The polyhedron of the constraints (n, c), each n.x >= c with n
+        and c rational, kept as one integer row: (n, c) times their common
+        denominator."""
+        base = tuple(map(exact, basepoint))
         dim = len(base)
         hs = []
         for normal, offset in constraints:
-            nf = [Fraction(x) for x in normal]
-            if len(nf) != dim:
+            if len(normal) != dim:
                 raise PolyhedralError("constraint dimension mismatch")
-            off = Fraction(offset)
-            den = 1
-            for x in list(nf) + [off]:
-                den = den * x.denominator // gcd(den, x.denominator)
-            hs.append((tuple(int(x * den) for x in nf), off * den))
+            row = _clear_denominators(tuple(normal) + (offset,))[1]
+            hs.append((tuple(row[:-1]), row[-1]))
         return Polytope(dim, tuple(hs), base)
 
     @cached_property
     def _homogenized(self) -> RationalCone:
-        ieqs = []
-        for nvec, c in self.halfspaces:
-            ieqs.append(tuple(c.denominator * x for x in nvec) + (-c.numerator,))
+        ieqs = [nvec + (-c,) for nvec, c in self.halfspaces]
         ieqs.append(tuple([0] * self.dim) + (1,))
         return RationalCone.from_inequalities(ieqs, dim=self.dim + 1)
 
@@ -1037,8 +1068,8 @@ class Polytope:
             lines.append(l[:-1])
         for r in cone.rays:
             if r[-1] > 0:
-                t = Fraction(r[-1])
-                verts.append(tuple(Fraction(x) / t + b
+                t = r[-1]
+                verts.append(tuple(exact(x + t * b, t)
                                    for x, b in zip(r[:-1], self.basepoint)))
             elif r[-1] == 0:
                 rays.append(r[:-1])

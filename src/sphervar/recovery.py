@@ -43,6 +43,7 @@ from .polyhedral import (
     Polytope,
     RationalCone,
     _dot,
+    exact,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     hnf,
     primitive,
@@ -68,10 +69,10 @@ class RecursionNode:
     """Trace of one node of the recovery walk, a face of cone(M)."""
 
     subset: tuple[int, ...]
-    mu: tuple[Fraction, ...]
+    mu: tuple[int, ...]
     levi_roots: tuple[int, ...]
     case: str
-    minted: tuple[tuple[Fraction, ...], ...]
+    minted: tuple[tuple[int | Fraction, ...], ...]
     note: str = ""
 
 
@@ -123,7 +124,7 @@ def _facet_functional(X: Lattice, ray, ray_coords, gens) -> LatticeFunctional:
     if any(v % g0 for v in values):
         raise RecoveryError(
             "invalid monoid: localized class monoid has no single generator")
-    return LatticeFunctional(X, tuple(Fraction(x, g0) for x in ray_coords))
+    return LatticeFunctional(X, tuple(exact(x, g0) for x in ray_coords))
 
 
 def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
@@ -231,7 +232,8 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                 case = "3"
                 excluded = {alpha for alpha in levi if any(
                     g[alpha] == 0 for j, g in enumerate(gens) if j not in subset)}
-                new: dict[tuple[Fraction, ...], tuple[list[int], BDivisorRecord]] = {}
+                new: dict[tuple[int | Fraction, ...],
+                          tuple[list[int], BDivisorRecord]] = {}
                 for alpha in sorted((levi & pi_b) - excluded):
                     ones = []
                     for rec in overline:
@@ -263,7 +265,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
         pool.extend(minted)
         if trace is not None:
             trace.append(RecursionNode(
-                tuple(i + 1 for i in subset), rd.weight(mu).coords,
+                tuple(i + 1 for i in subset), mu,
                 tuple(sorted(levi)), case or "-",
                 tuple(r.phi.values for r in minted), note))
     return pool
@@ -576,14 +578,14 @@ class MomentPolytope:
     lattice: Lattice
     base: WeightVec
 
-    def vertices_ambient(self) -> list[tuple[Fraction, ...]]:
+    def vertices_ambient(self) -> list[tuple[int | Fraction, ...]]:
         out = []
         for v in self.polytope.vertices():
             amb = self.lattice.from_coords(v)
-            out.append(tuple(a + b for a, b in zip(amb, self.base.coords)))
+            out.append(tuple(exact(a + b) for a, b in zip(amb, self.base.coords)))
         return sorted(out)
 
-    def rays_ambient(self) -> list[tuple[Fraction, ...]]:
+    def rays_ambient(self) -> list[tuple[int, ...]]:
         _, rays, _ = self.polytope.vertex_description()
         return sorted(tuple(self.lattice.from_coords(r)) for r in rays)
 
@@ -603,9 +605,8 @@ def moment_polytope(datum: LunaDatum, base: WeightVec,
     for d in datum.divisors:
         if d.divisor_id not in orders:
             raise RecoveryError(f"no order given for divisor {d.divisor_id}")
-        constraints.append((tuple(d.phi.values),
-                            Fraction(-int(orders[d.divisor_id]))))
-    poly = Polytope.from_halfspaces([Fraction(0)] * X.rank, constraints)
+        constraints.append((d.phi.values, -int(orders[d.divisor_id])))
+    poly = Polytope.from_halfspaces([0] * X.rank, constraints)
     return MomentPolytope(poly, X, base)
 
 

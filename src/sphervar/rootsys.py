@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyhedral import rational_solve
+from .polyhedral import exact, rational_solve
 
 VALID_TYPES = {"A", "B", "C", "D", "E", "F", "G"}
 
@@ -103,30 +103,31 @@ def _cartan_block(dynkin: str, n: int) -> list[list[int]]:
     return C
 
 
-def _length_block(dynkin: str, n: int) -> list[Fraction]:
+def _length_block(dynkin: str, n: int) -> list[int | Fraction]:
     """Half squared lengths d_i = (a_i, a_i)/2, normalized to 1 on long roots."""
     half = Fraction(1, 2)
     if dynkin == "B":
-        return [Fraction(1)] * (n - 1) + [half]
+        return [1] * (n - 1) + [half]
     if dynkin == "C":
-        return [half] * (n - 1) + [Fraction(1)]
+        return [half] * (n - 1) + [1]
     if dynkin == "F":
-        return [Fraction(1), Fraction(1), half, half]
+        return [1, 1, half, half]
     if dynkin == "G":
-        return [Fraction(1), Fraction(1, 3)]
-    return [Fraction(1)] * n
+        return [1, Fraction(1, 3)]
+    return [1] * n
 
 
 @dataclass(frozen=True)
 class WeightVec:
     """Element of the rational weight space, in fundamental-weight + central
-    coordinates."""
+    coordinates; each coordinate is held as `exact` gives it, an `int`
+    when integral."""
 
     spec: GroupSpec
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in self.coords))
+        object.__setattr__(self, "coords", tuple(map(exact, self.coords)))
         if len(self.coords) != self.spec.dim:
             raise RootDataError("weight length does not match the group")
 
@@ -142,7 +143,7 @@ class WeightVec:
         return WeightVec(self.spec, tuple(-a for a in self.coords))
 
     def scale(self, c) -> "WeightVec":
-        c = Fraction(c)
+        c = exact(c)
         return WeightVec(self.spec, tuple(c * a for a in self.coords))
 
     @property
@@ -151,23 +152,24 @@ class WeightVec:
 
     @property
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.coords)
+        return all(type(x) is int for x in self.coords)
 
     def int_coords(self) -> tuple[int, ...]:
         if not self.is_integral:
             raise RootDataError("weight has non-integer coordinates")
-        return tuple(int(x) for x in self.coords)
+        return self.coords
 
 
 @dataclass(frozen=True)
 class CovectorVec:
-    """Functional on the weight space, in coroot + dual central coordinates."""
+    """Functional on the weight space, in coroot + dual central coordinates,
+    held as `WeightVec` holds its coordinates."""
 
     spec: GroupSpec
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in self.coords))
+        object.__setattr__(self, "coords", tuple(map(exact, self.coords)))
         if len(self.coords) != self.spec.dim:
             raise RootDataError("covector length does not match the group")
 
@@ -180,7 +182,7 @@ class CovectorVec:
         return CovectorVec(self.spec, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, c) -> "CovectorVec":
-        c = Fraction(c)
+        c = exact(c)
         return CovectorVec(self.spec, tuple(c * a for a in self.coords))
 
 
@@ -204,9 +206,9 @@ class ParabolicSet:
 class RootData:
     spec: GroupSpec
     cartan: tuple[tuple[int, ...], ...]
-    root_lengths: tuple[Fraction, ...]
+    root_lengths: tuple[int | Fraction, ...]
     factor_of: tuple[int, ...]
-    sym_form: tuple[tuple[Fraction, ...], ...]
+    sym_form: tuple[tuple[int | Fraction, ...], ...]
 
     @property
     def n_simple(self) -> int:
@@ -217,29 +219,29 @@ class RootData:
         return self.spec.dim
 
     def weight(self, coords) -> WeightVec:
-        return WeightVec(self.spec, tuple(Fraction(x) for x in coords))
+        return WeightVec(self.spec, tuple(coords))
 
     def covector(self, coords) -> CovectorVec:
-        return CovectorVec(self.spec, tuple(Fraction(x) for x in coords))
+        return CovectorVec(self.spec, tuple(coords))
 
     def zero_weight(self) -> WeightVec:
         return self.weight([0] * self.dim)
 
     def simple_root(self, i: int) -> WeightVec:
         """alpha_i in fundamental-weight coordinates: the i-th Cartan column."""
-        coords = [Fraction(0)] * self.dim
+        coords = [0] * self.dim
         for r in range(self.n_simple):
-            coords[r] = Fraction(self.cartan[r][i])
+            coords[r] = self.cartan[r][i]
         return self.weight(coords)
 
     def simple_coroot(self, i: int) -> CovectorVec:
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
+        coords = [0] * self.dim
+        coords[i] = 1
         return self.covector(coords)
 
     def fundamental_weight(self, i: int) -> WeightVec:
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
+        coords = [0] * self.dim
+        coords[i] = 1
         return self.weight(coords)
 
     @property
@@ -263,7 +265,7 @@ def build_root_data(spec: GroupSpec) -> RootData:
     for t, r in spec.factors:
         _check_factor(t, r)
     blocks = [_cartan_block(t, r) for t, r in spec.factors]
-    lengths: list[Fraction] = []
+    lengths: list[int | Fraction] = []
     factor_of: list[int] = []
     for f, (t, r) in enumerate(spec.factors):
         lengths.extend(_length_block(t, r))
@@ -280,7 +282,7 @@ def build_root_data(spec: GroupSpec) -> RootData:
     # invariant form on weight coordinates: per-factor block is
     # (omega_i, omega_j) = (C^{-1})_{ji} d_j; the central block is the identity
     dim = spec.dim
-    sym = [[Fraction(0)] * dim for _ in range(dim)]
+    sym: list[list[int | Fraction]] = [[0] * dim for _ in range(dim)]
     pos = 0
     for blk in blocks:
         b = len(blk)
@@ -290,10 +292,10 @@ def build_root_data(spec: GroupSpec) -> RootData:
                for i in range(b)]
         for i in range(b):
             for j in range(b):
-                sym[pos + i][pos + j] = inv[i][j] * lengths[pos + j]
+                sym[pos + i][pos + j] = exact(inv[i][j] * lengths[pos + j])
         pos += b
     for i in range(spec.central_rank):
-        sym[n + i][n + i] = Fraction(1)
+        sym[n + i][n + i] = 1
     return RootData(
         spec=spec,
         cartan=tuple(tuple(row) for row in cartan),
@@ -303,10 +305,10 @@ def build_root_data(spec: GroupSpec) -> RootData:
     )
 
 
-def pairing(c: CovectorVec, w: WeightVec) -> Fraction:
+def pairing(c: CovectorVec, w: WeightVec) -> int | Fraction:
     """<c, w>: dot product in the dual coordinate pair."""
     _same_spec(c, w)
-    return sum(a * b for a, b in zip(c.coords, w.coords))
+    return exact(sum(a * b for a, b in zip(c.coords, w.coords)))
 
 
 def support(w: WeightVec, rd: RootData) -> frozenset[int]:
@@ -317,7 +319,7 @@ def support(w: WeightVec, rd: RootData) -> frozenset[int]:
     return frozenset(j for j, c in enumerate(root_coefficients(w, rd)) if c != 0)
 
 
-def root_coefficients(w: WeightVec, rd: RootData) -> tuple[Fraction, ...]:
+def root_coefficients(w: WeightVec, rd: RootData) -> tuple[int | Fraction, ...]:
     """Coefficients of w in the simple-root basis (error off the root span)."""
     n = rd.n_simple
     for x in w.coords[n:]:
@@ -330,11 +332,11 @@ def root_coefficients(w: WeightVec, rd: RootData) -> tuple[Fraction, ...]:
     return tuple(sol)
 
 
-def symmetric_form(rd: RootData, w1: WeightVec, w2: WeightVec) -> Fraction:
+def symmetric_form(rd: RootData, w1: WeightVec, w2: WeightVec) -> int | Fraction:
     _same_spec(w1, w2)
     if w1.spec != rd.spec:
         raise RootDataError("mismatched group specs")
-    total = Fraction(0)
+    total = 0
     for i, a in enumerate(w1.coords):
         if a == 0:
             continue
@@ -342,4 +344,4 @@ def symmetric_form(rd: RootData, w1: WeightVec, w2: WeightVec) -> Fraction:
         for j, b in enumerate(w2.coords):
             if b != 0:
                 total += a * row[j] * b
-    return total
+    return exact(total)

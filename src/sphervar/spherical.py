@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .luna import LunaDatum, RootTypeTable
 from .monoid import WeightMonoid
-from .polyhedral import Lattice, RationalCone, lattice_span
+from .polyhedral import Lattice, RationalCone, exact, lattice_span
 from .rootsys import (
     RootData,
     RootDataError,
@@ -42,7 +42,7 @@ class SphericalRootSet:
     roots: tuple[WeightVec, ...]
     level: str = "linear"
 
-    def weight_set(self) -> set[tuple[Fraction, ...]]:
+    def weight_set(self) -> set[tuple[int | Fraction, ...]]:
         return {g.coords for g in self.roots}
 
 
@@ -124,7 +124,7 @@ def spherical_roots_of_cone(v_cone: RationalCone, lattice: Lattice,
         # nonpositive wall functionals
         neg = tuple(-x for x in n)
         amb = lattice.from_coords(neg)
-        if any(x.denominator != 1 for x in amb):
+        if any(type(x) is not int for x in amb):
             raise SphericalError("wall normal is not proportional to a lattice element")
         roots.append(rd.weight(amb))
     return tuple(sorted(roots, key=lambda w: w.coords))
@@ -218,7 +218,7 @@ def _rational_multiples_in_psi(alpha: WeightVec, psi: SphericalRootSet):
                     consistent = False
                     break
             else:
-                r = Fraction(x) / y
+                r = exact(x, y)
                 if ratio is None:
                     ratio = r
                 elif ratio != r:
@@ -235,7 +235,7 @@ def _is_partner(m: WeightMonoid, psi: SphericalRootSet, i: int, j: int) -> bool:
         return False
     # alpha_i^vee - alpha_j^vee must vanish on the whole weight lattice
     for b in m.lattice.basis:
-        if Fraction(b[i]) != Fraction(b[j]):
+        if b[i] != b[j]:
             return False
     s = rd.simple_root(i) + rd.simple_root(j)
     psi_set = psi.weight_set()
@@ -254,7 +254,7 @@ def _is_partner(m: WeightMonoid, psi: SphericalRootSet, i: int, j: int) -> bool:
 class FormTag:
     kind: str                      # "simple" | "double" | "pair" | "none"
     roots: tuple[int, ...] = ()
-    k: Fraction | None = None
+    k: int | Fraction | None = None
 
 
 def elementary_forms(psi: SphericalRootSet, rd: RootData) -> tuple[FormTag, ...]:
@@ -275,7 +275,7 @@ def elementary_forms(psi: SphericalRootSet, rd: RootData) -> tuple[FormTag, ...]
             (i, ci), (j, cj) = nz
             if ci == cj and ci in (1, Fraction(1, 2)):
                 if symmetric_form(rd, rd.simple_root(i), rd.simple_root(j)) == 0:
-                    tag = FormTag("pair", (i, j), Fraction(ci))
+                    tag = FormTag("pair", (i, j), ci)
         tags.append(tag)
     return tuple(tags)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,22 @@ def test_bench_tracer_finds_every_traced_name():
 def test_missing_file_exit_2():
     proc = run_cli(["recover", "--input", "/nonexistent.json"], check=False)
     assert proc.returncode == 2
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    """A reader that closes the pipe before the output is written, as
+    `| head -1` does: a distinct exit code and an empty stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphervar.cli", "recover", "--verbose",
+             "--input", str(DATA / "so3_x1.json")],
+            stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
 
 
 def test_validate_without_divisor_block_exit_2():

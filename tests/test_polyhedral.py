@@ -209,6 +209,17 @@ def test_lattice_coords_rejects_length_mismatch():
         Lattice.full(2).from_coords((1, 2, 3))
 
 
+def test_integer_form_and_in_span_reject_length_mismatch():
+    with pytest.raises(PolyhedralError):
+        Lattice.full(2).integer_form((1, 2, 3))
+    with pytest.raises(PolyhedralError):
+        Lattice.full(2).integer_form((1,))
+    with pytest.raises(PolyhedralError):
+        Lattice.span([(1, 0)], 2).in_span((0, 0, 5))
+    with pytest.raises(PolyhedralError):
+        Lattice.span([(1, 0)], 2).in_span((0,))
+
+
 def test_integer_kernel():
     ker = integer_kernel([[1, 1, 1]])
     assert len(ker) == 2
@@ -625,3 +636,14 @@ def test_polytope_translated():
 def test_polytope_fractional_normals():
     p = Polytope.from_halfspaces((0,), [((Fraction(1, 2),), Fraction(-1, 2))])
     assert p.vertices() == [(Fraction(-1),)]
+
+
+def test_polytope_vertices_hold_int_exactly_when_integral():
+    # the triangle (0, 0), (1, 0), (0, 1/2), moved by (1/2, 1)
+    p = Polytope.from_halfspaces((Fraction(1, 2), 1),
+                                 [((1, 0), 0), ((0, 1), 0), ((-1, -2), -1)])
+    verts = p.vertices()
+    assert verts == [(Fraction(1, 2), 1), (Fraction(1, 2), Fraction(3, 2)),
+                     (Fraction(3, 2), 1)]
+    assert [tuple(map(type, v)) for v in verts] == \
+        [(Fraction, int), (Fraction, Fraction), (Fraction, int)]

@@ -3,7 +3,7 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from pathlib import Path
 from random import Random
 
@@ -48,6 +48,7 @@ from sphervar.recovery import (
 from sphervar.rootsys import (
     CovectorVec,
     GroupSpec,
+    WeightVec,
     build_root_data,
     pairing,
     symmetric_form,
@@ -496,9 +497,12 @@ def linear_systems(draw):
 @example(([(1, 2), (2, 4)], (1, 3)))
 @example(([(1, 2), (2, 4)], (Fraction(1, 2), 1)))
 @example(([(0, 0)], (0, 1)))
-def test_integer_solve_matches_rational_reference(system):
+def test_rational_solve_matches_rational_reference(system):
     cols, target = system
-    assert rational_solve(cols, target) == reference_rational_solve(cols, target)
+    sol, ref = rational_solve(cols, target), reference_rational_solve(cols, target)
+    assert sol == ref
+    if ref is not None:
+        assert_canonical(sol, ref)
 
 
 @st.composite
@@ -1121,6 +1125,143 @@ def test_from_covector_matches_the_reference(data, draw):
     assert phi == reference_from_covector(cov, lat)
     if lat.coords(v) is not None:
         assert phi.evaluate(v) == sum(a * b for a, b in zip(cov.coords, v))
+
+
+# -- one representation of an exact rational ----------------------------------
+#
+# An exact rational is an `int` when it is integral and a `Fraction` with
+# denominator > 1 otherwise.  The reference below is `Lattice.integer_form`
+# as it was before it computed on integers: back substitution in Fractions,
+# then the denominators cleared.
+
+rationals = st.one_of(st.integers(-6, 6),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+def assert_canonical(values, expected):
+    """values equal expected one by one, each an int exactly when it is
+    integral and otherwise a Fraction with denominator > 1."""
+    assert len(values) == len(expected)
+    for x, e in zip(values, expected):
+        e = Fraction(e)
+        assert x == e
+        if e.denominator == 1:
+            assert type(x) is int, x
+        else:
+            assert type(x) is Fraction and x.denominator > 1, x
+
+
+def reference_integer_form(lattice, values):
+    piv = [next(j for j, x in enumerate(b) if x) for b in lattice.basis]
+    x = []
+    for b, p, val in zip(reversed(lattice.basis), reversed(piv),
+                         reversed(values)):
+        rest = sum(b[q] * y for q, y in zip(piv[len(piv) - len(x):], x))
+        x.insert(0, (Fraction(val) - rest) / b[p])
+    d = lcm(*(y.denominator for y in x))
+    w = [0] * lattice.dim
+    for p, y in zip(piv, x):
+        w[p] = int(y * d)
+    return d, tuple(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(rationals, min_size=n, max_size=n)] * 2)),
+    rationals)
+@example(([Fraction(1, 2), 3], [Fraction(1, 2), Fraction(4, 1)]), 2)
+def test_weights_and_covectors_hold_int_exactly_when_integral(pair, c):
+    a, b = pair
+    spec = GroupSpec((), len(a))
+    for cls in (WeightVec, CovectorVec):
+        u, v = cls(spec, a), cls(spec, b)
+        assert_canonical(u.coords, a)
+        assert_canonical((u + v).coords, [x + y for x, y in zip(a, b)])
+        assert_canonical((u - v).coords, [x - y for x, y in zip(a, b)])
+        assert_canonical(u.scale(c).coords, [c * x for x in a])
+    w = WeightVec(spec, a)
+    assert_canonical((-w).coords, [-x for x in a])
+    assert w.is_integral == all(Fraction(x).denominator == 1 for x in a)
+    if w.is_integral:
+        assert w.int_coords() == tuple(a)
+    assert_canonical([pairing(CovectorVec(spec, b), w)],
+                     [sum(Fraction(x) * y for x, y in zip(a, b))])
+
+
+@pytest.mark.parametrize("factors", [
+    (("A", 3),), (("B", 3),), (("C", 2),), (("G", 2),), (("F", 4),),
+    (("D", 4), ("A", 1))], ids=str)
+def test_root_data_holds_int_exactly_when_integral(factors):
+    rd = build_root_data(GroupSpec(factors, 1))
+    for i in range(rd.n_simple):
+        for vec in (rd.simple_root(i), rd.simple_coroot(i),
+                    rd.fundamental_weight(i)):
+            assert all(type(x) is int for x in vec.coords)
+    assert_canonical(rd.root_lengths, rd.root_lengths)
+    for row in rd.sym_form:
+        assert_canonical(row, row)
+    alpha = rd.simple_root(0)
+    assert_canonical([symmetric_form(rd, alpha, alpha)],
+                     [2 * rd.root_lengths[0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_vectors(), st.data())
+def test_functionals_hold_int_exactly_when_integral(data, draw):
+    lat, v = data
+    values = draw.draw(st.lists(rationals, min_size=lat.rank,
+                                max_size=lat.rank))
+    other = draw.draw(st.lists(rationals, min_size=lat.rank,
+                               max_size=lat.rank))
+    phi, psi = LatticeFunctional(lat, values), LatticeFunctional(lat, other)
+    assert_canonical(phi.values, values)
+    assert_canonical(LatticeFunctional.from_values(lat, values).values, values)
+    assert_canonical((phi + psi).values, [x + y for x, y in zip(values, other)])
+    assert_canonical((phi - psi).values, [x - y for x, y in zip(values, other)])
+    cov = CovectorVec(GroupSpec((), lat.dim), tuple(draw.draw(
+        st.lists(rationals, min_size=lat.dim, max_size=lat.dim))))
+    assert_canonical(LatticeFunctional.from_covector(cov, lat).values,
+                     reference_from_covector(cov, lat).values)
+    try:
+        expected = reference_evaluate(phi, v)
+    except LunaError:
+        return
+    assert_canonical([phi.evaluate(v)], [expected])
+
+
+@st.composite
+def lattice_values(draw):
+    """(lattice, v, values): a lattice and a vector of `lattice_vectors`,
+    and one rational per basis vector."""
+    lat, v = draw(lattice_vectors())
+    return lat, v, draw(st.lists(rationals, min_size=lat.rank,
+                                 max_size=lat.rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_values())
+# the pivots 2 and 3 divide neither entry, so both rows scale (d, w)
+@example((Lattice.span([(2, 1, 0), (0, 3, 1)], 3), (0, 0, 0), [0, 1]))
+def test_integer_form_matches_the_fraction_reference(data):
+    lat, _, values = data
+    assert lat.integer_form(values) == reference_integer_form(lat, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_values())
+# the second pivot does not divide: the first coordinate is scaled too
+@example((Lattice.span([(1, 0), (0, 2)], 2), (1, 1), [1, 1]))
+def test_from_coords_inverts_coords_on_the_span(data):
+    lat, v, coeffs = data
+    c = lat.coords(v)
+    if c is not None:
+        assert_canonical(c, reference_coords(lat, v))
+        assert_canonical(lat.from_coords(c), v)
+    point = lat.from_coords(coeffs)
+    assert_canonical(point, [sum(Fraction(a) * b[i]
+                                 for a, b in zip(coeffs, lat.basis))
+                             for i in range(lat.dim)])
+    assert_canonical(lat.coords(point), coeffs)
 
 
 @pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.name)
