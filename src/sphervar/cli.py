@@ -39,6 +39,7 @@ from .luna import BDivisorRecord, LatticeFunctional, LunaDatum
 from .monoid import MonoidError, WeightMonoid
 from .polyhedral import exact
 from .recovery import (
+    SKIPPED_FACES,
     RecoveryError,
     RecursionNode,
     moment_polytope,
@@ -183,9 +184,14 @@ def _frac(x) -> str | int:
 
 
 def _parse_frac(x, where) -> int | Fraction:
+    """An integer or a fraction string, read exactly.  A JSON float is
+    refused: it holds a binary approximation, not the value written."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ParseError(
+            f"{where}: bad rational {x!r} (expected an integer or a fraction string)")
     try:
         return exact(x)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: bad rational {x!r} ({exc})")
 
 
@@ -252,7 +258,6 @@ def _trace_payload(trace: list[RecursionNode]) -> list[dict]:
         "levi_roots": [i + 1 for i in n.levi_roots],
         "case": n.case,
         "minted": [[_frac(x) for x in vals] for vals in n.minted],
-        "note": n.note,
     } for n in trace]
 
 
@@ -278,6 +283,7 @@ def cmd_recover(doc: InputDocument, verbose: bool = False) -> tuple[dict, list[s
     }
     if trace is not None:
         payload["trace"] = _trace_payload(trace)
+        payload["trace_skipped"] = SKIPPED_FACES
     return payload, warnings
 
 
@@ -457,9 +463,10 @@ def _pretty_recover(payload: dict) -> list[str]:
         subset = ",".join(str(i) for i in node["subset"]) or "-"
         minted = "; ".join("(" + ", ".join(str(x) for x in v) + ")"
                            for v in node["minted"]) or "-"
-        note = f"  [{node['note']}]" if node["note"] else ""
         lines.append(f"node {{{subset}}}: case {node['case']}, "
-                     f"minted {minted}{note}")
+                     f"minted {minted}")
+    if "trace_skipped" in payload:
+        lines.append(f"faces {payload['trace_skipped']}")
     return lines
 
 

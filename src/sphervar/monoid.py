@@ -6,7 +6,10 @@ the generators, the invertible sublattice, the minimal generators modulo
 invertibles, and the membership search table (`MonoidSearch`), which
 every membership query to the monoid reuses.  The cone is built once:
 its facet normals are the rays of the dual cone, and the saturation
-check and the recovery identity read cone(M) off it.
+check and the recovery identity read cone(M) off it.  Saturation is
+decided by the normality test (Bruns–Ichim): the parallelepiped points
+of a triangulation of cone(M) spanned by generators, each looked up
+among the generators before any membership search.
 
 Membership is bounded by the rays of the dual cone: they are
 nonnegative on the monoid and vanish exactly on its units, so the
@@ -25,10 +28,13 @@ from functools import cached_property
 from .polyhedral import (
     Lattice,
     MonoidSearch,
+    PointedQuotient,
     RationalCone,
-    hilbert_basis_with_units,
+    hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     integer_kernel,
     monoid_membership,
+    parallelepiped_points,
+    primitive,
 )
 from .rootsys import RootData, WeightVec
 
@@ -211,14 +217,19 @@ class WeightMonoid:
                 and all(self.contains_vector(v)[0] for v in other.gen_vectors))
 
     def is_saturated(self) -> bool:
-        """Whether the monoid equals cone(monoid) ∩ lattice.
+        """Whether the monoid equals its saturation S = cone(M) ∩ lattice,
+        decided by the normality test (Bruns–Ichim, J. Algebra 324, 2010).
 
-        The saturation S contains the monoid, so it has at least its
-        units; the two must have the same.  Then the monoid is S iff it
-        contains the Hilbert basis of S modulo the units.  An element of
-        that basis is irreducible in S and every noninvertible generator
-        is nonzero modulo the units, so the element lies in the monoid
-        only if it equals a generator modulo the units.
+        S contains the monoid, so it has at least its units; the two must
+        have the same.  Then both pass to the pointed quotient by the
+        units.  Let T be the pulling triangulation of the quotient cone,
+        spanned on each extreme ray by the shortest generator of M on it.
+        A point x of S lies in some simplex of T with rays v_i in M, so x
+        is a sum of multiples of the v_i and one lattice point of the
+        half-open parallelepiped {sum t_i v_i : 0 <= t_i < 1}.  Hence M
+        is S iff M holds every such point.  A point equal to a generator
+        is in M; any other is a membership query, and the first point
+        outside M ends the test.
         """
         lat = self.lattice
         if lat.rank > SATURATION_RANK_LIMIT:
@@ -226,12 +237,20 @@ class WeightMonoid:
                 f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
         if lat.rank == 0:
             return True
-        units, basis = hilbert_basis_with_units(self.cone, lat)
-        if units != self.invertible_lattice:
+        quotient = PointedQuotient(self.cone, lat)
+        if quotient.units != self.invertible_lattice:
             return False
-        reps = {units.reduce_mod(g) for g, f in
+        qcone = quotient.pointed
+        if qcone is None:
+            return True
+        gens = {quotient.project(g) for g, f in
                 zip(self.gen_vectors, self._invertible_flags) if not f}
-        return set(basis) <= reps
+        shortest = {}
+        for g in sorted(gens, key=lambda g: sum(map(abs, g)), reverse=True):
+            shortest[primitive(g)] = g
+        return all(p in gens or self.contains_vector(quotient.lift(p))[0]
+                   for p in parallelepiped_points(
+                       qcone, [shortest[r] for r in qcone.rays]))
 
 
 def _coordinate_blocks(spec, factor_split, central_split):

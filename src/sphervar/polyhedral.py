@@ -22,9 +22,11 @@ integer kernels and solves, the units of a cone with the quotient by
 them, and the unit part of a membership certificate are read off it.
 
 A Hilbert basis is read off one pulling triangulation of the pointed
-quotient cone, built from the facet-ray incidences alone: the candidates
-are the extreme rays and the parallelepiped points of the maximal
-simplices, each point computed from an integer adjugate.
+quotient cone (`PointedQuotient`), built from the facet-ray incidences
+alone: the candidates are the extreme rays and the parallelepiped points
+of the maximal simplices (`parallelepiped_points`), each point computed
+from an integer adjugate.  The same quotient and points serve the
+normality test of `WeightMonoid.is_saturated`.
 
 Monoid membership is a depth-first search over the generators, bounded
 by the extreme rays of the dual cone: every ray is nonnegative on the
@@ -744,6 +746,111 @@ def _triangulation(cone: RationalCone) -> list[tuple[int, ...]]:
                                             cone.span_rank())]
 
 
+class PointedQuotient:
+    """cone ∩ lattice modulo its units, in coordinates.
+
+    `units` is the lattice of invertible elements (cone lineality ∩
+    lattice), and `pointed` the quotient cone: pointed, in Z^q, or None
+    when the quotient has no nonzero point.  The cone is cut down to the
+    rational span of the lattice only when it leaves that span; a cone
+    whose rays and lineality lie in it, such as the cone over a monoid's
+    own generators, is used as it is.
+
+    The units and the quotient by them are read off one Hermite form,
+    `_relations` of the constraint values (facet normals and span
+    equations) of the lattice basis vectors: the relations are the units
+    in lattice coordinates, `project` reads a point's constraint values
+    in the basis h of the Hermite rows (h, c), and `lift` takes p to
+    sum_i p_i c_i, reduced modulo the units.  When there are no units
+    and the cone spans the lattice, the quotient is the cone itself in
+    lattice coordinates, so it is read off the cone: its rays are the
+    rays' coordinates made primitive, and its facets are the cone's
+    facet normals n read on the lattice basis, n.b for each basis vector
+    b, made primitive (a full-dimensional cone has one primitive normal
+    per facet).  Otherwise it is built from the projected rays.
+    """
+
+    def __init__(self, cone: RationalCone, lattice: Lattice):
+        dim = cone.dim
+        if lattice.dim != dim:
+            raise PolyhedralError("dimension mismatch")
+        if not all(map(lattice.in_span, cone.rays + cone.lineality)):
+            cone = cone.intersection(RationalCone.from_inequalities(
+                [], lattice.annihilator_rows(), dim=dim))
+        self.cone = cone
+        self.lattice = lattice
+        self._constraints = list(cone.facet_normals) + list(cone.span_equations)
+        image, kernel = [], []
+        if cone.lineality:
+            image, kernel = _relations([_dot(n, b) for n in self._constraints]
+                                       for b in lattice.basis)
+        self.units = Lattice.span([tuple(int(x) for x in lattice.from_coords(k))
+                                   for k in kernel], dim)
+        self._image = (Lattice(len(self._constraints), tuple(h for h, _ in image))
+                       if self.units.rank else None)
+        self._section_cols = list(zip(*(c for _, c in image)))
+        self.q = len(image) if self._image is not None else lattice.rank
+        self.pointed = self._pointed_cone()
+
+    def project(self, v) -> Vec:
+        """The image in Z^q of a point v of the lattice."""
+        c = (self._image.coords([_dot(n, v) for n in self._constraints])
+             if self._image is not None else self.lattice.coords(v))
+        if c is None:
+            raise PolyhedralError("internal: point outside lattice span")
+        return c
+
+    def lift(self, p) -> Vec:
+        """The canonical lattice point modulo the units over p in Z^q:
+        any preimage lies in the cone when p does, because the kernel of
+        the quotient map spans the cone's lineality."""
+        if self._image is None:
+            return tuple(int(y) for y in self.lattice.from_coords(p))
+        x = [_dot(p, col) for col in self._section_cols]
+        return self.units.reduce_mod(
+            tuple(int(y) for y in self.lattice.from_coords(x)))
+
+    def _pointed_cone(self) -> RationalCone | None:
+        if self.q == 0:
+            return None
+        rays = {primitive(c) for c in map(self.project, self.cone.rays) if any(c)}
+        if not rays:
+            return None
+        if self._image is None and self.cone.span_rank() == self.q:
+            # the cone itself in lattice coordinates: its rays are `rays`
+            # and its facets are the cone's, read on the lattice basis
+            facets = {primitive([_dot(n, b) for b in self.lattice.basis])
+                      for n in self.cone.facet_normals}
+            pointed = RationalCone(self.q, tuple(sorted(rays)), (),
+                                   tuple(sorted(facets)), ())
+        else:
+            pointed = RationalCone.from_generators(sorted(rays), dim=self.q)
+        if pointed.lineality:
+            raise PolyhedralError("internal: quotient cone not pointed")
+        return pointed
+
+
+def parallelepiped_points(cone: RationalCone, rays) -> Iterator[Vec]:
+    """The nonzero lattice points of the half-open parallelepipeds
+    {sum t_i v_i : 0 <= t_i < 1} of the maximal simplices of the pulling
+    triangulation of a pointed cone, simplex by simplex.  `rays` holds a
+    lattice vector v_i on each of `cone.rays`, in order.
+
+    When the cone does not span Z^q, the points are taken on integers in
+    the saturated lattice of its span (rank `span_rank`), where the rays
+    have full rank, and mapped back; the v_i are integral there because
+    they lie in that lattice.
+    """
+    span_cols = None
+    if cone.span_rank() < cone.dim:
+        sat = Lattice.span(cone.rays, cone.dim).saturation()
+        span_cols = list(zip(*sat.basis))
+        rays = [tuple(int(x) for x in sat.coords(r)) for r in rays]
+    for simplex in _triangulation(cone):
+        for p in _parallelepiped_points([rays[i] for i in simplex]):
+            yield tuple(_dot(p, col) for col in span_cols) if span_cols else p
+
+
 def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
                              ) -> tuple[Lattice, list[Vec]]:
     """Minimal generators of cone ∩ lattice.
@@ -751,97 +858,27 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     Returns (units, basis): `units` is the lattice of invertible elements
     (cone lineality ∩ lattice) and `basis` is the unique minimal generating
     set of the quotient monoid, lifted to canonical representatives modulo
-    the units.
+    the units (`PointedQuotient`).
 
-    The cone is cut down to the rational span of the lattice only when
-    it leaves that span; a cone whose rays and lineality lie in it, such
-    as the cone over a monoid's own generators, is used as it is.
-
-    The units and the quotient by them are read off one Hermite form,
-    `_relations` of the constraint values (facet normals and span
-    equations) of the lattice basis vectors: the relations are the units
-    in lattice coordinates, the quotient map reads a point's constraint
-    values in the basis h of the Hermite rows (h, c), and sum_i p_i c_i
-    lifts p.  The quotient cone `qcone` is pointed, in Z^q.  When there
-    are no units and the cone spans the lattice, `qcone` is the
-    cone itself in lattice coordinates, so it is read off the cone: its
-    rays are the rays' coordinates made primitive, and its facets are the
-    cone's facet normals n read on the lattice basis, n.b for each basis
-    vector b, made primitive (a full-dimensional cone has one primitive
-    normal per facet).  Otherwise it is built from the projected rays.
-
-    One pulling triangulation of `qcone` gives the candidates: its
-    extreme rays and the parallelepiped points of its maximal simplices,
-    taken on integers in the saturated lattice of its span (rank
-    `span_rank`, which can be less than q).  The simplices cover the cone
-    and each simplex's lattice points are generated by its rays and
+    One pulling triangulation of the pointed quotient cone gives the
+    candidates: its extreme rays and the parallelepiped points of its
+    maximal simplices (`parallelepiped_points`).  The simplices cover the
+    cone and each simplex's lattice points are generated by its rays and
     parallelepiped points, so the candidates generate the monoid; a
     candidate is kept unless, in order of a positive grading, it is a
     kept one plus an element of the cone.  The candidates are distinct
-    and lie in the span of `qcone`, where its facet normals cut it out,
-    so p - k lies in `qcone` iff every facet normal is at least as large
-    on p as on k: each candidate's facet values are computed once, when
-    it comes up, and only the kept ones' are stored.
+    and lie in the span of the quotient cone, where its facet normals cut
+    it out, so p - k lies in it iff every facet normal is at least as
+    large on p as on k: each candidate's facet values are computed once,
+    when it comes up, and only the kept ones' are stored.
     """
-    dim = cone.dim
-    if lattice.dim != dim:
-        raise PolyhedralError("dimension mismatch")
-    if not all(map(lattice.in_span, cone.rays + cone.lineality)):
-        cone = cone.intersection(RationalCone.from_inequalities(
-            [], lattice.annihilator_rows(), dim=dim))
-    m = lattice.rank
-    constraints = list(cone.facet_normals) + list(cone.span_equations)
-    image, kernel = [], []
-    if cone.lineality:
-        image, kernel = _relations([_dot(n, b) for n in constraints]
-                                   for b in lattice.basis)
-    units = Lattice.span([tuple(int(x) for x in lattice.from_coords(k))
-                          for k in kernel], dim)
-    u = units.rank
-    q = len(image) if u else m
-    if q == 0:
-        return units, []
-    if u:
-        image_lat = Lattice(len(constraints), tuple(h for h, _ in image))
-
-    proj_rays = set()
-    for r in cone.rays:
-        c = (image_lat.coords([_dot(n, r) for n in constraints]) if u
-             else lattice.coords(r))
-        if c is None:
-            raise PolyhedralError("internal: point outside lattice span")
-        if any(c):
-            proj_rays.add(primitive(c))
-    if not proj_rays:
-        return units, []
-    if not u and cone.span_rank() == m:
-        # the cone itself in lattice coordinates: its rays are proj_rays
-        # and its facets are the cone's, read on the lattice basis
-        facets = {primitive([_dot(n, b) for b in lattice.basis])
-                  for n in cone.facet_normals}
-        qcone = RationalCone(q, tuple(sorted(proj_rays)), (),
-                             tuple(sorted(facets)), ())
-    else:
-        qcone = RationalCone.from_generators(sorted(proj_rays), dim=q)
-    if qcone.lineality:
-        raise PolyhedralError("internal: quotient cone not pointed")
-
-    grading = tuple(sum(n[i] for n in qcone.facet_normals) for i in range(q))
-    rays = qcone.rays
-    span_cols = None
-    ray_coords = rays
-    if qcone.span_rank() < q:
-        # coordinates in a basis of span(qcone) ∩ Z^q, where the rays have
-        # full rank; integral, as the rays lie in that lattice
-        sat = Lattice.span(rays, q).saturation()
-        span_cols = list(zip(*sat.basis))
-        ray_coords = [tuple(int(x) for x in sat.coords(r)) for r in rays]
-    candidates: set[Vec] = set(rays)
-    for simplex in _triangulation(qcone):
-        for p in _parallelepiped_points([ray_coords[i] for i in simplex]):
-            if span_cols:
-                p = tuple(_dot(p, col) for col in span_cols)
-            candidates.add(p)
+    quotient = PointedQuotient(cone, lattice)
+    qcone = quotient.pointed
+    if qcone is None:
+        return quotient.units, []
+    grading = tuple(sum(n[i] for n in qcone.facet_normals)
+                    for i in range(qcone.dim))
+    candidates = set(qcone.rays).union(parallelepiped_points(qcone, qcone.rays))
     ordered = sorted(candidates, key=lambda p: (_dot(grading, p), p))
     kept: list[Vec] = []
     kept_values: list[Vec] = []
@@ -850,20 +887,10 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
         if not any(all(map(ge, vp, vk)) for vk in kept_values):
             kept.append(p)
             kept_values.append(vp)
-
-    # lift canonically: any preimage lies in the cone because the kernel of
-    # the quotient map spans the cone's lineality; sum_i p_i c_i is one
-    section_cols = list(zip(*(c for _, c in image)))
-    lifted: list[Vec] = []
-    for p in kept:
-        x = [_dot(p, col) for col in section_cols] if u else p
-        vec = tuple(int(y) for y in lattice.from_coords(x))
-        if u:
-            vec = units.reduce_mod(vec)
-        if not cone.contains(vec):
-            raise PolyhedralError("internal: lifted generator left the cone")
-        lifted.append(vec)
-    return units, sorted(lifted)
+    lifted = [quotient.lift(p) for p in kept]
+    if not all(map(quotient.cone.contains, lifted)):
+        raise PolyhedralError("internal: lifted generator left the cone")
+    return quotient.units, sorted(lifted)
 
 
 def hilbert_basis(cone: RationalCone, lattice: Lattice) -> list[Vec]:

@@ -4,10 +4,21 @@ The divisors split into two groups.  Those attached to type-c and type-d
 simple roots are written down directly from the root (one divisor per
 root, or per partnered pair of d-roots).  The rest — the stable divisors
 and the pairs attached to type-b roots — are recovered by walking the
-faces of cone(M) from largest to smallest: at each face one of five
-exclusive situations determines which new divisors appear with which
-valuation functionals.  Stabilizers are then read off from the pairing
-of the functional against the type-b roots.
+faces of cone(M) from largest to smallest: at each face one of four
+exclusive situations (1a, 1c, 2, 3) determines which new divisors appear
+with which valuation functionals.  Stabilizers are then read off from
+the pairing of the functional against the type-b roots.
+
+Only the faces that can mint a divisor, warn or raise are walked.  A
+face whose Levi is the type-a roots mints only if it is the whole cone
+(1a, nothing) or a facet (1c); any other face mints only through a
+type-b root alpha in its Levi (cases 2 and 3).  Every generator pairs
+nonnegatively with the coroot of alpha, so the faces whose Levi holds
+alpha are the faces of F_alpha, the face spanned by the generators the
+coroot vanishes on.  The walk visits the whole cone, the facets whose
+Levi is the type-a roots, and the faces inside some F_alpha, in the order
+of the full face walk; the faces it skips add nothing to the pool that
+later faces read.
 
 The walk computes on integers and builds no localized monoid.  A node is
 a face, given by its minimal generators, and its weight mu, their integer
@@ -15,14 +26,14 @@ sum, lies in its relative interior; the localization at mu depends only
 on that face (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
 The faces are the intersections of the zero sets of the dual rays of M
 (Kaibel–Pfetsch, Comput. Geom. 23, 2002), so each comes with the rays
-vanishing on it: the unit rank of the localization is the rank of X less
-the rank of those rays on X, and at a facet its one ray is the class
-functional up to scale.  Every test of a recovered functional at a node
-(does it vanish at mu, its sign at a type-b root, whether it pairs to 1
-with one, its pattern on the minimal generators) is a sign or equality
-test of w.v against the functional's integer form (d, w): d > 0 and w an
-integer covector on the pivot columns of the lattice basis, with
-phi(v) = w.v / d (see `sphervar.luna`).
+vanishing on it: none on the whole cone, and on a facet exactly one, the
+class functional up to scale.  A smaller face whose Levi is the type-a
+roots has two or more, mints nothing and is not walked.  Every test of a
+recovered functional at a node (does it vanish at mu, its sign at a
+type-b root, whether it pairs to 1 with one, its pattern on the minimal
+generators) is a sign or equality test of w.v against the functional's
+integer form (d, w): d > 0 and w an integer covector on the pivot
+columns of the lattice basis, with phi(v) = w.v / d (see `sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -45,7 +56,6 @@ from .polyhedral import (
     _dot,
     exact,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
-    hnf,
     primitive,
 )
 from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, support
@@ -58,6 +68,12 @@ from .spherical import (
 )
 
 MAX_FACES = 4096
+# the rule for the faces of cone(M) that the walk skips, stated with its
+# trace; the skipped faces are not counted, as that would enumerate them
+SKIPPED_FACES = (
+    "not walked: every face other than the whole cone that is neither a "
+    "facet whose Levi is the type-a roots nor a face whose Levi holds a "
+    "type-b root; such a face mints no divisor")
 
 
 class RecoveryError(ValueError):
@@ -73,7 +89,6 @@ class RecursionNode:
     levi_roots: tuple[int, ...]
     case: str
     minted: tuple[tuple[int | Fraction, ...], ...]
-    note: str = ""
 
 
 def _half_coroot(rd: RootData, i: int) -> CovectorVec:
@@ -138,39 +153,63 @@ def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
     return table
 
 
-def _faces(gens, rays) -> list[tuple[tuple[int, ...], int]]:
-    """The faces of cone(gens), as (indices of the generators on the face,
-    bitmask of the `rays` vanishing on it), largest first and then
-    lexicographic.  Each face found so far is cut with each ray's zero
-    set in turn, which also hands the ray's bit to every face in it."""
-    faces = {(1 << len(gens)) - 1: 0}
-    for i, r in enumerate(rays):
-        zero = sum(1 << j for j, g in enumerate(gens) if _dot(r, g) == 0)
-        for face, mask in list(faces.items()):
-            faces[face & zero] = faces.get(face & zero, 0) | mask | (1 << i)
-        if len(faces) > MAX_FACES:
-            raise RecoveryError(
-                f"recovery limited to {MAX_FACES} faces of the weight cone")
-    nodes = [(tuple([j for j in range(len(gens)) if face >> j & 1]), mask)
-             for face, mask in faces.items()]
-    return sorted(nodes, key=lambda node: (-len(node[0]), node[0]))
+def _faces(k: int, zeros, facets, inner) -> list[tuple[int, ...]]:
+    """The faces of a cone over k generators that the walk visits, as
+    the indices of the generators on each, largest first and then
+    lexicographic: the whole cone, the `facets`, and every face inside
+    one of the faces `inner`.  Faces are bitmasks of generators, and
+    `zeros` holds the zero set of each dual ray.  The faces inside F are
+    F cut with any of those zero sets (Kaibel–Pfetsch): F is cut with
+    each zero set in turn, and so is every face found so far."""
+    faces = {(1 << k) - 1, *facets, *inner}
+    for face in inner:
+        below = {face}
+        for zero in zeros:
+            below |= {f & zero for f in below}
+            faces |= below
+            if len(faces) > MAX_FACES:
+                raise RecoveryError(
+                    f"recovery limited to {MAX_FACES} faces of the weight cone")
+    nodes = [tuple(j for j in range(k) if face >> j & 1) for face in faces]
+    return sorted(nodes, key=lambda node: (-len(node), node))
 
 
 def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                   trace: list[RecursionNode] | None = None,
                   warnings: list[str] | None = None) -> list[BDivisorRecord]:
     """The stable divisors and the type-b divisor pairs, with their
-    valuation functionals, recovered over the faces of cone(M) (largest
-    faces first)."""
+    valuation functionals, recovered over the faces of cone(M) that can
+    mint one (largest faces first): the whole cone, the facets whose
+    Levi is the type-a roots, and the faces whose Levi holds a type-b
+    root."""
     rd = m.rd
     X = m.lattice
     gens = [g.int_coords() for g in m.minimal_generators]
     rays = m._dual_rays
-    nodes = _faces(gens, rays)
     table = _root_types(m, psi)
     pi_a = frozenset(table.roots_of_type("a"))
     pi_b = frozenset(table.roots_of_type("b"))
     active = sorted(m.active_roots)
+    zeros = [sum(1 << j for j, g in enumerate(gens) if _dot(r, g) == 0)
+             for r in rays]
+
+    def weight(subset) -> tuple[int, ...]:
+        return tuple(map(sum, zip(*(gens[i] for i in subset)))) \
+            if subset else (0,) * X.dim
+
+    def levi_of(mu) -> frozenset[int]:
+        return frozenset(i for i in active if mu[i] == 0)
+
+    if any(g[alpha] < 0 for g in gens for alpha in pi_b):
+        raise RecoveryError(
+            "invalid monoid: a minimal generator is negative on a type-b root")
+    facets = [z for z in zeros if levi_of(weight(
+        [j for j in range(len(gens)) if z >> j & 1])) == pi_a]
+    # F_alpha: alpha's coroot is nonnegative on M, so the generators it
+    # vanishes on span the face holding every face whose Levi holds alpha
+    inner = {sum(1 << j for j, g in enumerate(gens) if g[alpha] == 0)
+             for alpha in pi_b}
+    nodes = _faces(len(gens), zeros, facets, inner)
     ray_coords = [tuple(_dot(r, b) for b in X.basis) for r in rays]
     root_vecs = {alpha: rd.simple_root(alpha).int_coords() for alpha in pi_b}
 
@@ -184,24 +223,20 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
 
     pool: list[BDivisorRecord] = []
 
-    for subset, mask in nodes:
-        mu = tuple(map(sum, zip(*(gens[i] for i in subset)))) \
-            if subset else (0,) * X.dim
-        levi = frozenset(i for i in active if mu[i] == 0)
+    for subset in nodes:
+        mu = weight(subset)
+        levi = levi_of(mu)
         minted: list[BDivisorRecord] = []
         case = ""
-        note = ""
         if levi == pi_a:
-            rank = len(hnf([c for i, c in enumerate(ray_coords)
-                            if mask >> i & 1]))
-            if rank == 0:
+            # the whole cone or a facet: no dual ray or exactly one
+            face = sum(1 << j for j in subset)
+            vanishing = [i for i, z in enumerate(zeros) if face & z == face]
+            if not vanishing:
                 case = "1a"
-            elif rank >= 2:
-                case = "1b"
-                note = "rank drop >= 2; no divisors at this node"
             else:
                 case = "1c"
-                facet = (mask & -mask).bit_length() - 1
+                (facet,) = vanishing
                 phi = _facet_functional(X, rays[facet], ray_coords[facet], gens)
                 _check_node_pattern(phi, gens, subset)
                 minted.append(BDivisorRecord("?", phi, None, "case_1c", ()))
@@ -267,7 +302,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
             trace.append(RecursionNode(
                 tuple(i + 1 for i in subset), mu,
                 tuple(sorted(levi)), case or "-",
-                tuple(r.phi.values for r in minted), note))
+                tuple(r.phi.values for r in minted)))
     return pool
 
 

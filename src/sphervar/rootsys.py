@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .polyhedral import exact, rational_solve
 
@@ -260,8 +261,12 @@ class RootData:
         return f"f{f + 1}.alpha{i - start + 1}"
 
 
+@lru_cache(maxsize=64)
 def build_root_data(spec: GroupSpec) -> RootData:
-    """Assemble Cartan matrices, root lengths and the invariant form."""
+    """Assemble Cartan matrices, root lengths and the invariant form.
+
+    A `RootData` is immutable and depends on the spec alone, so it is
+    built once per spec and shared by every caller that asks again."""
     for t, r in spec.factors:
         _check_factor(t, r)
     blocks = [_cartan_block(t, r) for t, r in spec.factors]

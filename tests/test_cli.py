@@ -228,6 +228,30 @@ def test_undecodable_or_too_deep_document_exit_2(tmp_path, capsys, text):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "1/0"], ids=str)
+def test_divisor_values_must_be_integers_or_fraction_strings(
+        tmp_path, capsys, value):
+    # a JSON float holds a binary approximation: 0.1 would be read as
+    # 3602879701896397/36028797018963968
+    doc = dict(MINIMAL, divisors=[{"id": "D1", "phi": [value]}])
+    path = write_doc(tmp_path, "float.json", doc)
+    assert main(["validate", "--input", path, "--format", "machine"]) == 2
+    assert "divisors[0].phi: bad rational" in capsys.readouterr().err
+
+
+def test_parses_of_one_group_share_their_root_data(capsys):
+    # the root data depend on the group alone, so they are built once
+    path = str(DATA / "g2_hidden.json")
+    text = Path(path).read_bytes()
+    first, second = parse_input(text), parse_input(text)
+    assert first.rd is second.rd
+    outputs = []
+    for _ in range(2):
+        assert main(["recover", "--input", path, "--format", "machine"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_parse_lets_unexpected_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("internal")
@@ -332,6 +356,7 @@ def test_verbose_trace():
     payload = machine_payload(proc)
     assert "trace" in payload
     assert any(n["case"] == "2" for n in payload["trace"])
+    assert payload["trace_skipped"].startswith("not walked: ")
 
 
 def test_pretty_table_and_trace():
@@ -341,6 +366,7 @@ def test_pretty_table_and_trace():
     assert "divisors:" in out
     assert "case_3" in out
     assert "node {1,2}: case 1a" in out
+    assert "faces not walked: " in out
     assert "warning: case-2 sign hypothesis failed" in out
 
 

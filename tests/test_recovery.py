@@ -161,12 +161,11 @@ def test_prime_g2_recursion_trace():
     trace = []
     recs = recover_prime(e.monoid, e.psi, trace=trace)
     assert len(recs) == 2
-    cases = {n.subset: n.case for n in trace}
-    # minimal generators sort canonically: index 1 is omega2, index 2 omega1
-    assert cases[(1, 2)] == "1a"
-    assert cases[(2,)] == "2"
-    assert cases[(1,)] == "3"
-    assert cases[()] == "3"
+    # minimal generators sort canonically: index 1 is omega2, index 2 omega1.
+    # The facet {1} is skipped: its Levi is the type-d root 2, so it is
+    # neither a 1c facet nor a face whose Levi holds the type-b root 1
+    assert [(n.subset, n.case) for n in trace] == \
+        [((1, 2), "1a"), ((2,), "2"), ((), "3")]
 
 
 # -- stabilizers and full recovery --------------------------------------------
@@ -708,28 +707,58 @@ def _unit_vectors(n, offset=0):
 
 
 def test_recovery_face_count_guard():
-    # the simplicial cone on 13 unit vectors has 2^13 faces
-    rd = build_root_data(GroupSpec((), 13))
-    m = torus_monoid(rd, _unit_vectors(13))
-    psi = make_spherical_roots(rd, ())
+    # A1 x T^13 with alpha a type-b root: the coroot vanishes on the 13
+    # unit vectors, so the walk visits the 2^13 faces of their simplicial
+    # cone
+    rd = build_root_data(GroupSpec((("A", 1),), 13))
+    gens = [(2,) + (0,) * 13] + _unit_vectors(13, offset=1)
+    m = WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
+    psi = make_spherical_roots(rd, (rd.weight(gens[0]),))
     with pytest.raises(RecoveryError, match="limited to 4096 faces"):
         recover_prime(m, psi)
 
 
 def test_invalid_roots_are_refused_before_the_face_count():
-    # 3 alpha is primitive in the lattice and passes the group-level
-    # checks, but no simple root has a multiple 3 among spherical roots;
-    # the monoid's cone is simplicial on 14 generators, past the walk's
-    # limit of faces
+    # alpha is a type-b root of the monoid but lies outside its lattice,
+    # which 6 omega (3 alpha) and the 13 unit vectors span; its face is
+    # simplicial on the 13 unit vectors, past the walk's limit of faces
     rd = build_root_data(GroupSpec((("A", 1),), 13))
     gens = [(6,) + (0,) * 13] + _unit_vectors(13, offset=1)
     m = WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
     assert len(m.minimal_generators) == 14
-    psi = make_spherical_roots(rd, (rd.weight(gens[0]),))
-    with pytest.raises(SphericalError, match="non-root multiple"):
+    psi = make_spherical_roots(rd, (rd.simple_root(0),))
+    with pytest.raises(SphericalError, match="not in the weight lattice"):
         recover_divisors(m, psi)
     with pytest.raises(RecoveryError, match="limited to 4096 faces"):
         recover_prime(WeightMonoid(rd, tuple(rd.weight(g) for g in gens)), psi)
+
+
+def test_a_generator_negative_on_a_type_b_root_is_refused():
+    # without dominance the faces whose Levi holds alpha are not the faces
+    # where the coroot vanishes, so the walk refuses instead of skipping
+    rd = build_root_data(GroupSpec((("A", 1),), 1))
+    m = torus_monoid(rd, [(-2, 3), (4, 1)])
+    psi = make_spherical_roots(rd, (rd.simple_root(0),))
+    with pytest.raises(RecoveryError, match="negative on a type-b root"):
+        recover_prime(m, psi)
+
+
+def test_the_a13_full_flag_recovers_as_g_mod_u():
+    # 2^13 faces, past the walk's limit, but only the whole cone can mint:
+    # every root is type d, and no facet's Levi is the (empty) type-a set.
+    # G/U: divisor i is the i-th coordinate and is moved by root i alone
+    rd = build_root_data(GroupSpec((("A", 13),)))
+    m = WeightMonoid(rd, rd.fundamental_weights)
+    psi = make_spherical_roots(rd, ())
+    trace, warnings = [], []
+    datum = recover_divisors(m, psi, trace, warnings)
+    assert [(n.subset, n.case) for n in trace] == [(tuple(range(1, 14)), "1a")]
+    assert datum.lattice.basis == tuple(_unit_vectors(13))
+    got = sorted((d.phi.values,
+                  tuple(sorted(datum.levi_roots - d.stabilizer.roots)))
+                 for d in datum.divisors)
+    assert got == sorted((v, (i,)) for i, v in enumerate(_unit_vectors(13)))
+    assert warnings == ["saturation not checked (lattice too large)"]
 
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
@@ -895,26 +924,27 @@ def test_moment_polytope_shifted_orthant():
 @pytest.mark.parametrize("factor", [
     ("G", 2), ("A", 2), ("C", 3), ("F", 4), ("D", 4), ("B", 5), ("D", 5),
 ], ids=lambda f: f"{f[0]}{f[1]}")
-def test_full_flag_hilbert_bases_use_one_simplex(factor, monkeypatch):
-    # every cone a full-flag recovery takes a Hilbert basis of is simplicial
+def test_full_flag_saturation_checks_one_simplex_and_no_point(factor,
+                                                             monkeypatch):
+    # the fundamental weights are a basis of the weight lattice, so the
+    # normality test triangulates cone(M) as one unimodular simplex, with
+    # no parallelepiped point to test, and takes no Hilbert basis
     simplices = []
     hilbert_calls = []
     real_points = polyhedral._parallelepiped_points
-    real_hilbert = monoid_module.hilbert_basis_with_units
 
     def points(rays):
-        simplices.append(rays)
-        return real_points(rays)
-
-    def hilbert(cone, lattice):
-        hilbert_calls.append(cone)
-        return real_hilbert(cone, lattice)
+        simplices.append(real_points(rays))
+        return simplices[-1]
 
     monkeypatch.setattr(polyhedral, "_parallelepiped_points", points)
-    monkeypatch.setattr(monoid_module, "hilbert_basis_with_units", hilbert)
+    for module in (polyhedral, monoid_module, recovery_module):
+        monkeypatch.setattr(module, "hilbert_basis_with_units",
+                            lambda *args: hilbert_calls.append(args))
     rd = build_root_data(GroupSpec((factor,)))
     m = WeightMonoid(rd, rd.fundamental_weights)
     datum = recover_divisors(m, make_spherical_roots(rd, ()))
     assert len(datum.divisors) == rd.n_simple
-    assert hilbert_calls
-    assert len(simplices) == len(hilbert_calls)
+    assert simplices == [[]]
+    assert hilbert_calls == []
+    assert m.is_saturated()
