@@ -161,15 +161,19 @@ def _faces(k: int, zeros, facets, inner) -> list[tuple[int, ...]]:
     `zeros` holds the zero set of each dual ray.  The faces inside F are
     F cut with any of those zero sets (Kaibel–Pfetsch): F is cut with
     each zero set in turn, and so is every face found so far."""
+    def check(faces: set[int]) -> None:
+        if len(faces) > MAX_FACES:
+            raise RecoveryError(
+                f"recovery limited to {MAX_FACES} faces of the weight cone")
+
     faces = {(1 << k) - 1, *facets, *inner}
+    check(faces)
     for face in inner:
         below = {face}
         for zero in zeros:
             below |= {f & zero for f in below}
             faces |= below
-            if len(faces) > MAX_FACES:
-                raise RecoveryError(
-                    f"recovery limited to {MAX_FACES} faces of the weight cone")
+            check(faces)
     nodes = [tuple(j for j in range(k) if face >> j & 1) for face in faces]
     return sorted(nodes, key=lambda node: (-len(node), node))
 

@@ -733,6 +733,43 @@ def test_invalid_roots_are_refused_before_the_face_count():
         recover_prime(WeightMonoid(rd, tuple(rd.weight(g) for g in gens)), psi)
 
 
+def test_a_non_root_multiple_of_a_simple_root_is_refused():
+    # 3 alpha is primitive in the lattice of 6 omega (3 alpha) and the 13
+    # unit vectors and passes the group-level checks, but no simple root
+    # has a multiple 3 among spherical roots; the walk needs the root
+    # types, so recover_prime refuses it too, before walking any face
+    rd = build_root_data(GroupSpec((("A", 1),), 13))
+    gens = [(6,) + (0,) * 13] + _unit_vectors(13, offset=1)
+    m = WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
+    assert len(m.minimal_generators) == 14
+    psi = make_spherical_roots(rd, (rd.weight(gens[0]),))
+    with pytest.raises(SphericalError, match="non-root multiple"):
+        recover_divisors(m, psi)
+    trace = []
+    with pytest.raises(SphericalError, match="non-root multiple"):
+        recover_prime(WeightMonoid(rd, tuple(rd.weight(g) for g in gens)),
+                      psi, trace)
+    assert trace == []
+
+
+@pytest.mark.parametrize("limit", [8, 9])
+def test_the_face_limit_counts_the_facets_without_type_b_roots(
+        monkeypatch, limit):
+    # with no type-b root only the whole cone and its facets are walked:
+    # the 4-cube cone's 1 + 8 of them pass a limit of 9 and not one of 8
+    monkeypatch.setattr(recovery_module, "MAX_FACES", limit)
+    rd = build_root_data(GroupSpec((), 5))
+    m = torus_monoid(rd, [p + (1,) for p in itertools.product((0, 1), repeat=4)])
+    psi = make_spherical_roots(rd, ())
+    if limit == 8:
+        with pytest.raises(RecoveryError, match="limited to 8 faces"):
+            recover_prime(m, psi)
+    else:
+        trace = []
+        assert len(recover_prime(m, psi, trace)) == 8
+        assert len(trace) == 9
+
+
 def test_a_generator_negative_on_a_type_b_root_is_refused():
     # without dominance the faces whose Levi holds alpha are not the faces
     # where the coroot vanishes, so the walk refuses instead of skipping
