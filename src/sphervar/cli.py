@@ -23,6 +23,14 @@ the span of the monoid generators), as integers or fraction strings.
 
 Exit codes: 0 success, 1 invalid datum, 2 parse error, 141 standard
 output closed by its reader (as in `sphervar recover ... | head -1`).
+A malformed field (a vector or a list of them of the wrong shape, a rank
+that is not an integer) is a parse error.
+
+The argument parser is built once, at import, and `main` may be called
+any number of times in one process: nothing of a call stays in the
+parser.  The root data of a group are built once per process too
+(`build_root_data`), and what depends on a monoid alone (its cone, type-a
+roots, root-type table) once per monoid.
 """
 
 from __future__ import annotations
@@ -87,15 +95,18 @@ def _field(data, key, where):
     return data[key]
 
 
+def _is_int(x) -> bool:
+    """Whether a JSON value is an integer: not a float, nor a boolean."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_vector(value, dim, where):
     if not isinstance(value, list) or len(value) != dim:
         raise ParseError(f"{where}: expected a vector of length {dim}")
-    out = []
     for x in value:
-        if isinstance(x, bool) or not isinstance(x, int):
+        if not _is_int(x):
             raise ParseError(f"{where}: non-integer coordinate {x!r}")
-        out.append(x)
-    return tuple(out)
+    return tuple(value)
 
 
 def parse_input(text: str | bytes) -> InputDocument:
@@ -124,21 +135,30 @@ def parse_input(text: str | bytes) -> InputDocument:
         raise ParseError(f"unsupported schema {data.get('schema')!r}; expected 1")
 
     grp = _field(data, "group", "document")
+    if not isinstance(grp, dict):
+        raise ParseError("group must be an object")
     factors = _field(grp, "factors", "group")
     central = grp.get("central_rank", 0)
-    if not isinstance(factors, list):
+    if not isinstance(factors, list) or not all(
+            isinstance(f, list) and len(f) == 2 for f in factors):
         raise ParseError("group.factors must be a list of [type, rank] pairs")
+    ranks = {f"group.factors[{i}]": f[1] for i, f in enumerate(factors)}
+    ranks["group.central_rank"] = central
+    for where, rank in ranks.items():
+        if not _is_int(rank):
+            raise ParseError(f"{where}: rank {rank!r} is not an integer")
     try:
-        spec = GroupSpec(tuple((str(t), int(r)) for t, r in factors), int(central))
+        spec = GroupSpec(tuple((str(t), r) for t, r in factors), central)
         rd = build_root_data(spec)
-    except (RootDataError, TypeError, ValueError) as exc:
+    except RootDataError as exc:
         raise ParseError(f"group: {exc}")
     dim = spec.dim
 
     weights = {}
-    for name, vec in data.get("weights", {}).items():
-        if name in weights:
-            raise ParseError(f"duplicate weight name {name!r}")
+    names = data.get("weights", {})
+    if not isinstance(names, dict):
+        raise ParseError("weights must be an object of named vectors")
+    for name, vec in names.items():
         weights[name] = _int_vector(vec, dim, f"weights.{name}")
 
     def resolve(value, where):
@@ -148,10 +168,14 @@ def parse_input(text: str | bytes) -> InputDocument:
             return weights[value]
         return _int_vector(value, dim, where)
 
-    gens = [resolve(v, f"monoid_generators[{i}]")
-            for i, v in enumerate(_field(data, "monoid_generators", "document"))]
-    roots = [resolve(v, f"spherical_roots[{i}]")
-             for i, v in enumerate(data.get("spherical_roots", []))]
+    def vectors(key, value):
+        if not isinstance(value, list):
+            raise ParseError(f"{key} must be a list of vectors")
+        return [resolve(v, f"{key}[{i}]") for i, v in enumerate(value)]
+
+    gens = vectors("monoid_generators",
+                   _field(data, "monoid_generators", "document"))
+    roots = vectors("spherical_roots", data.get("spherical_roots", []))
     try:
         monoid = WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
         psi = make_spherical_roots(rd, tuple(rd.weight(r) for r in roots))
@@ -186,7 +210,7 @@ def _frac(x) -> str | int:
 def _parse_frac(x, where) -> int | Fraction:
     """An integer or a fraction string, read exactly.  A JSON float is
     refused: it holds a binary approximation, not the value written."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
+    if not (_is_int(x) or isinstance(x, str)):
         raise ParseError(
             f"{where}: bad rational {x!r} (expected an integer or a fraction string)")
     try:
@@ -367,8 +391,10 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
         phi = LatticeFunctional.from_values(
             X, [_parse_frac(v, f"divisors[{i}].phi") for v in vals])
         dropped = entry.get("dropped_simple_roots", [])
+        if not isinstance(dropped, list):
+            raise ParseError(f"divisors[{i}].dropped_simple_roots must be a list")
         for r in dropped:
-            if not isinstance(r, int) or not 1 <= r <= doc.rd.n_simple:
+            if not _is_int(r) or not 1 <= r <= doc.rd.n_simple:
                 raise ParseError(f"divisors[{i}]: bad simple-root index {r!r}")
         sigma = ParabolicSet(active - frozenset(r - 1 for r in dropped))
         records.append(BDivisorRecord(
@@ -406,7 +432,7 @@ def cmd_polytope(doc: InputDocument) -> tuple[dict, list[str]]:
             if d.divisor_id not in doc.orders:
                 raise ParseError(f"orders: missing divisor {d.divisor_id}")
             v = doc.orders[d.divisor_id]
-            if isinstance(v, bool) or not isinstance(v, int):
+            if not _is_int(v):
                 raise ParseError(f"orders[{d.divisor_id}]: expected an integer")
             orders[d.divisor_id] = v
     else:
@@ -518,20 +544,23 @@ def main(argv=None) -> int:
     return code
 
 
+# built once at import; each `parse_args` call keeps its state to itself
+PARSER = argparse.ArgumentParser(
+    prog="sphervar",
+    description="Combinatorial invariants of affine spherical varieties")
+PARSER.add_argument("command",
+                    choices=["recover", "classify", "compare",
+                             "validate", "polytope"])
+PARSER.add_argument("--input", required=True, action="append",
+                    help="input document path (give twice for compare)")
+PARSER.add_argument("--format", choices=["pretty", "machine"],
+                    default="pretty")
+PARSER.add_argument("--verbose", action="store_true",
+                    help="include the localization-node trace")
+
+
 def _run(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sphervar",
-        description="Combinatorial invariants of affine spherical varieties")
-    parser.add_argument("command",
-                        choices=["recover", "classify", "compare",
-                                 "validate", "polytope"])
-    parser.add_argument("--input", required=True, action="append",
-                        help="input document path (give twice for compare)")
-    parser.add_argument("--format", choices=["pretty", "machine"],
-                        default="pretty")
-    parser.add_argument("--verbose", action="store_true",
-                        help="include the localization-node trace")
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     try:
         docs = []

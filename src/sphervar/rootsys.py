@@ -9,15 +9,23 @@ Numbering is Bourbaki within each factor, except G2 where the first
 simple root is the long one (the classical-reference convention used in
 the spherical-variety literature); translate to Bourbaki G2 by swapping
 the two indices.
+
+`build_root_data` builds one `RootData` per `GroupSpec` and keeps it.
+The constants derived from the Cartan matrix C are built with it: the
+simple roots and coroots, and C^-1 held over its determinant as the pair
+(p, p C^-1), p = |det C|, with p C^-1 an integer matrix.  The simple-root
+coefficients of a weight are then an integer matrix-vector product and
+one exact division by p per coordinate, and the invariant form is read
+off the same matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .polyhedral import exact, rational_solve
+from .polyhedral import _scaled_inverse, exact
 
 VALID_TYPES = {"A", "B", "C", "D", "E", "F", "G"}
 
@@ -39,11 +47,11 @@ class GroupSpec:
         if self.central_rank < 0:
             raise RootDataError("central rank must be nonnegative")
 
-    @property
+    @cached_property
     def simple_rank(self) -> int:
         return sum(r for _, r in self.factors)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.simple_rank + self.central_rank
 
@@ -205,11 +213,20 @@ class ParabolicSet:
 
 @dataclass(frozen=True)
 class RootData:
+    """The root data of a `GroupSpec`, with the constants every caller
+    reads built once by `build_root_data`: the simple roots and coroots,
+    and the inverse Cartan matrix as `cartan_inverse` = (p, p C^-1), with
+    p = |det C| and p C^-1 (the adjugate up to sign) an integer matrix."""
+
     spec: GroupSpec
     cartan: tuple[tuple[int, ...], ...]
     root_lengths: tuple[int | Fraction, ...]
     factor_of: tuple[int, ...]
     sym_form: tuple[tuple[int | Fraction, ...], ...]
+    simple_roots: tuple[WeightVec, ...] = field(compare=False, repr=False)
+    simple_coroots: tuple[CovectorVec, ...] = field(compare=False, repr=False)
+    cartan_inverse: tuple[int, tuple[tuple[int, ...], ...]] = field(
+        compare=False, repr=False)
 
     @property
     def n_simple(self) -> int:
@@ -230,24 +247,15 @@ class RootData:
 
     def simple_root(self, i: int) -> WeightVec:
         """alpha_i in fundamental-weight coordinates: the i-th Cartan column."""
-        coords = [0] * self.dim
-        for r in range(self.n_simple):
-            coords[r] = self.cartan[r][i]
-        return self.weight(coords)
+        return self.simple_roots[i]
 
     def simple_coroot(self, i: int) -> CovectorVec:
-        coords = [0] * self.dim
-        coords[i] = 1
-        return self.covector(coords)
+        return self.simple_coroots[i]
 
     def fundamental_weight(self, i: int) -> WeightVec:
         coords = [0] * self.dim
         coords[i] = 1
         return self.weight(coords)
-
-    @property
-    def simple_roots(self) -> tuple[WeightVec, ...]:
-        return tuple(self.simple_root(i) for i in range(self.n_simple))
 
     @property
     def fundamental_weights(self) -> tuple[WeightVec, ...]:
@@ -263,50 +271,52 @@ class RootData:
 
 @lru_cache(maxsize=64)
 def build_root_data(spec: GroupSpec) -> RootData:
-    """Assemble Cartan matrices, root lengths and the invariant form.
+    """Assemble Cartan matrices, root lengths, the invariant form and the
+    constants derived from them.
 
     A `RootData` is immutable and depends on the spec alone, so it is
     built once per spec and shared by every caller that asks again."""
     for t, r in spec.factors:
         _check_factor(t, r)
-    blocks = [_cartan_block(t, r) for t, r in spec.factors]
     lengths: list[int | Fraction] = []
     factor_of: list[int] = []
     for f, (t, r) in enumerate(spec.factors):
         lengths.extend(_length_block(t, r))
         factor_of.extend([f] * r)
     n = spec.simple_rank
+    dim = spec.dim
     cartan = [[0] * n for _ in range(n)]
     pos = 0
-    for blk in blocks:
-        b = len(blk)
-        for i in range(b):
-            for j in range(b):
-                cartan[pos + i][pos + j] = blk[i][j]
-        pos += b
-    # invariant form on weight coordinates: per-factor block is
-    # (omega_i, omega_j) = (C^{-1})_{ji} d_j; the central block is the identity
-    dim = spec.dim
+    for t, r in spec.factors:
+        for i, row in enumerate(_cartan_block(t, r)):
+            cartan[pos + i][pos:pos + r] = row
+        pos += r
+    # C is block diagonal, and so is p C^-1; p = ±det C, sign fixed to +
+    p, inv = _scaled_inverse(cartan)
+    if p < 0:
+        p, inv = -p, [[-x for x in row] for row in inv]
+    # invariant form on weight coordinates: (omega_i, omega_j) =
+    # (C^-1)_{ji} d_j, zero across factors; the central block is the identity
     sym: list[list[int | Fraction]] = [[0] * dim for _ in range(dim)]
-    pos = 0
-    for blk in blocks:
-        b = len(blk)
-        # column i of C^{-1} solves C x = e_i, so (C^{-1})_{ji} = inv[i][j]
-        cols = [[row[j] for row in blk] for j in range(b)]
-        inv = [rational_solve(cols, [int(r == i) for r in range(b)])
-               for i in range(b)]
-        for i in range(b):
-            for j in range(b):
-                sym[pos + i][pos + j] = exact(inv[i][j] * lengths[pos + j])
-        pos += b
-    for i in range(spec.central_rank):
-        sym[n + i][n + i] = 1
+    for i in range(n):
+        for j in range(n):
+            sym[i][j] = exact(inv[j][i] * lengths[j], p)
+    for i in range(n, dim):
+        sym[i][i] = 1
+    central = (0,) * spec.central_rank
     return RootData(
         spec=spec,
         cartan=tuple(tuple(row) for row in cartan),
         root_lengths=tuple(lengths),
         factor_of=tuple(factor_of),
         sym_form=tuple(tuple(row) for row in sym),
+        simple_roots=tuple(
+            WeightVec(spec, tuple(row[i] for row in cartan) + central)
+            for i in range(n)),
+        simple_coroots=tuple(
+            CovectorVec(spec, tuple(int(i == j) for j in range(dim)))
+            for i in range(n)),
+        cartan_inverse=(p, tuple(tuple(row) for row in inv)),
     )
 
 
@@ -325,16 +335,15 @@ def support(w: WeightVec, rd: RootData) -> frozenset[int]:
 
 
 def root_coefficients(w: WeightVec, rd: RootData) -> tuple[int | Fraction, ...]:
-    """Coefficients of w in the simple-root basis (error off the root span)."""
+    """Coefficients of w in the simple-root basis (error off the root
+    span): C^-1 w on the simple coordinates, one exact division by
+    p = |det C| per coefficient."""
     n = rd.n_simple
-    for x in w.coords[n:]:
-        if x != 0:
-            raise RootDataError("weight is not in the span of the simple roots")
-    cols = [tuple(rd.cartan[r][j] for r in range(n)) for j in range(n)]
-    sol = rational_solve(cols, w.coords[:n])
-    if sol is None:
+    if any(w.coords[n:]):
         raise RootDataError("weight is not in the span of the simple roots")
-    return tuple(sol)
+    p, inv = rd.cartan_inverse
+    head = w.coords[:n]
+    return tuple(exact(sum(a * x for a, x in zip(row, head)), p) for row in inv)
 
 
 def symmetric_form(rd: RootData, w1: WeightVec, w2: WeightVec) -> int | Fraction:

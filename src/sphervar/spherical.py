@@ -139,8 +139,17 @@ def type_a_roots(m: WeightMonoid) -> frozenset[int]:
 
     The sum mu of the minimal generators satisfies monoid + Z*mu = lattice
     (subtracting mu from it flips the sign of any one minimal generator),
-    so this is the divisor-free type-a set.
+    so this is the divisor-free type-a set.  It is computed once per
+    monoid and cached on it, the way `recovery._root_types` caches the
+    type table.
     """
+    pia = m.__dict__.get("_type_a_roots")
+    if pia is None:
+        pia = m.__dict__["_type_a_roots"] = _type_a_roots(m)
+    return pia
+
+
+def _type_a_roots(m: WeightMonoid) -> frozenset[int]:
     mins = m.minimal_generators
     active = m.active_roots
     if not mins:
@@ -346,7 +355,16 @@ class HiddenTriple:
 def hidden_root_triples(rd: RootData) -> tuple[HiddenTriple, ...]:
     """The exceptional (group, roots, type-a set) triples admitting a
     hidden spherical root, instantiated for this group when the shape
-    matches.  The second listed root is the hidden one."""
+    matches.  The second listed root is the hidden one.  They depend on
+    the group alone, so they are built once per `RootData` and cached
+    on it."""
+    triples = rd.__dict__.get("_hidden_root_triples")
+    if triples is None:
+        triples = rd.__dict__["_hidden_root_triples"] = _hidden_root_triples(rd)
+    return triples
+
+
+def _hidden_root_triples(rd: RootData) -> tuple[HiddenTriple, ...]:
     spec = rd.spec
     out: list[HiddenTriple] = []
     factors = spec.factors

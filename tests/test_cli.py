@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,35 @@ def test_parse_duplicate_weight_name():
     with pytest.raises(ParseError) as err:
         parse_input(text)
     assert "duplicate" in str(err.value)
+
+
+MALFORMED = {
+    "weights list": {"weights": []},
+    "weights null": {"weights": None},
+    "generators number": {"monoid_generators": 7},
+    "roots number": {"spherical_roots": 5},
+    "group number": {"group": 5},
+    "rank float": {"group": {"factors": [["A", 1.9]]}},
+    "rank bool": {"group": {"factors": [["A", True]]}},
+    "rank string": {"group": {"factors": [["A", "1"]]}},
+    "central rank float": {"group": {"factors": [["A", 1]], "central_rank": 0.5}},
+    "central rank bool": {"group": {"factors": [["A", 1]], "central_rank": False}},
+    "central rank string": {"group": {"factors": [["A", 1]], "central_rank": "0"}},
+}
+
+
+@pytest.mark.parametrize("fields", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_fields_are_parse_errors(tmp_path, capsys, fields):
+    # each used to end in a traceback (exit 1) or to be truncated:
+    # ["A", 1.9] read as A1, and a central rank of 0.5 as 0
+    doc = {**MINIMAL, "weights": {}, "monoid_generators": [[2]],
+           "spherical_roots": [[2]], **fields}
+    with pytest.raises(ParseError):
+        parse_input(json.dumps(doc))
+    path = write_doc(tmp_path, "malformed.json", doc)
+    assert main(["recover", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 # -- command behavior -----------------------------------------------------------
@@ -239,6 +269,16 @@ def test_divisor_values_must_be_integers_or_fraction_strings(
     assert "divisors[0].phi: bad rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dropped", [5, [True]], ids=str)
+def test_dropped_simple_roots_must_be_a_list_of_indices(
+        tmp_path, capsys, dropped):
+    doc = dict(MINIMAL, divisors=[{"id": "D1", "phi": [1],
+                                   "dropped_simple_roots": dropped}])
+    path = write_doc(tmp_path, "dropped.json", doc)
+    assert main(["validate", "--input", path, "--format", "machine"]) == 2
+    assert "divisors[0]" in capsys.readouterr().err
+
+
 def test_parses_of_one_group_share_their_root_data(capsys):
     # the root data depend on the group alone, so they are built once
     path = str(DATA / "g2_hidden.json")
@@ -339,6 +379,40 @@ def test_cli_contract_on_the_data_documents():
     # exit codes and stdout digests as committed in tests/cli_contract.json
     expected = json.loads(cli_contract.TABLE.read_text())
     assert cli_contract.contract() == expected
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; failed calls between two
+    # runs of the contract leave no trace in the second
+    expected = json.loads(cli_contract.TABLE.read_text())
+    assert cli_contract.contract() == expected
+    with pytest.raises(SystemExit) as exit_:
+        main(["recover"])
+    assert exit_.value.code == 2
+    assert main(["compare", "--input", str(DATA / "torus2.json")]) == 2
+    assert "compare takes 2 input document(s), got 1" in capsys.readouterr().err
+    assert cli_contract.contract() == expected
+
+
+def test_the_module_entry_point_matches_the_contract():
+    # `python -m sphervar.cli` parses the real argv with the parser built
+    # at import: one document per contract command
+    expected = json.loads(cli_contract.TABLE.read_text())
+    documents = sorted(DATA.glob("*.json"))
+    for (command, argv), path in zip(cli_contract.COMMANDS.items(),
+                                     documents * 2):
+        name, *flags = argv
+        inputs = ["--input", str(path)] * (2 if name == "compare" else 1)
+        proc = run_cli([name, *inputs, "--format", "machine", *flags],
+                       check=False)
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        key = f"{path.relative_to(ROOT)} {command}"
+        assert [proc.returncode, digest] == expected[key], key
+    proc = run_cli(["recover"], check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: sphervar ")
+    assert "sphervar: error: the following arguments are required: --input" \
+        in proc.stderr
 
 
 def test_byte_identical_output():

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphervar import polyhedral, rootsys
+from sphervar.polyhedral import exact, rational_solve
 from sphervar.rootsys import (
     GroupSpec,
     RootDataError,
@@ -194,3 +198,80 @@ def test_root_names():
     rd2 = rd_of(("C", 2), ("A", 1))
     assert rd2.root_name(0) == "f1.alpha1"
     assert rd2.root_name(2) == "f2.alpha1"
+
+
+# -- the root-data constants built once per group ------------------------------
+
+SIMPLE_FACTORS = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)]
+                  + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 7)]
+                  + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@st.composite
+def root_combinations(draw):
+    """A group with up to three simple factors and a central torus, and
+    w = sum_i (c_i / q) alpha_i for integers c_i and a denominator q."""
+    factors = draw(st.lists(st.sampled_from(SIMPLE_FACTORS), min_size=1, max_size=3))
+    rd = rd_of(*factors, central=draw(st.integers(0, 2)))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=rd.n_simple,
+                           max_size=rd.n_simple))
+    return rd, coeffs, draw(st.integers(1, 4))
+
+
+def reference_coefficients(w, rd):
+    """The simple-root coefficients of w by `rational_solve` on the
+    columns of the Cartan matrix."""
+    n = rd.n_simple
+    cols = [[rd.cartan[r][j] for r in range(n)] for j in range(n)]
+    return tuple(rational_solve(cols, w.coords[:n]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_combinations())
+def test_root_data_constants_match_the_cartan_reference(case):
+    rd, coeffs, q = case
+    n = rd.n_simple
+    for i in range(n):
+        column = [rd.cartan[r][i] for r in range(n)] + [0] * rd.spec.central_rank
+        assert rd.simple_root(i) == rd.weight(column)
+        assert rd.simple_coroot(i) == rd.covector([int(j == i) for j in range(rd.dim)])
+    w = rd.zero_weight()
+    for i, c in enumerate(coeffs):
+        w = w + rd.simple_root(i).scale(Fraction(c, q))
+    got = root_coefficients(w, rd)
+    assert got == reference_coefficients(w, rd) == tuple(Fraction(c, q) for c in coeffs)
+    assert [type(x) for x in got] == [type(exact(c, q)) for c in coeffs]
+    assert support(w, rd) == frozenset(i for i, c in enumerate(coeffs) if c)
+    if rd.spec.central_rank:
+        shifted = rd.weight(w.coords[:-1] + (w.coords[-1] + 1,))
+        with pytest.raises(RootDataError):
+            root_coefficients(shifted, rd)
+
+
+def test_root_coefficients_make_no_rational_solve_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational_solve called")
+
+    monkeypatch.setattr(polyhedral, "rational_solve", refuse)
+    monkeypatch.setattr(rootsys, "rational_solve", refuse, raising=False)
+    for factors in [(("E", 8),), (("G", 2), ("C", 3)), (("B", 5), ("A", 1))]:
+        rd = rd_of(*factors, central=1)
+        w = rd.simple_root(0).scale(3) + rd.simple_root(rd.n_simple - 1)
+        expected = [0] * rd.n_simple
+        expected[0] += 3
+        expected[-1] += 1
+        assert root_coefficients(w, rd) == tuple(expected)
+        assert support(w, rd) == frozenset({0, rd.n_simple - 1})
+
+
+def test_cartan_inverse_is_held_over_the_determinant():
+    # p = |det C| and p C^-1 is an integer matrix: det A_n = n + 1, and
+    # C^-1 of a product is block diagonal
+    rd = rd_of(("A", 2), ("G", 2), central=1)
+    p, inv = rd.cartan_inverse
+    assert p == 3 * 1
+    n = rd.n_simple
+    assert all(type(x) is int for row in inv for x in row)
+    for i in range(n):
+        for j in range(n):
+            assert sum(inv[i][k] * rd.cartan[k][j] for k in range(n)) == p * (i == j)

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sphervar import spherical
+from sphervar.cli import parse_input
 from sphervar.monoid import WeightMonoid, torus_monoid
 from sphervar.polyhedral import RationalCone
+from sphervar.recovery import RecoveryError, recover_divisors
 from sphervar.rootsys import GroupSpec, RootDataError, build_root_data
 from sphervar.spherical import (
     SphericalError,
@@ -116,6 +119,37 @@ def test_roundtrip_on_corpus_sets():
         v = valuation_cone(psi, m.lattice)
         back = spherical_roots_of_cone(v, m.lattice, m.rd)
         assert {r.coords for r in back} == {g.coords for g in roots}
+
+
+def test_g_stable_divisors_lie_in_the_valuation_cone():
+    # a divisor with stabilizer G is a G-invariant valuation, so it lies
+    # in the valuation cone: it pairs nonpositively with every spherical
+    # root (Knop, "The Luna-Vust theory of spherical embeddings", 1991)
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(root.glob("data/*.json")) + \
+        sorted(root.glob("bench/inputs/**/*.json"))
+    checked = 0
+    for path in paths:
+        doc = parse_input(path.read_bytes())
+        try:
+            datum = recover_divisors(doc.monoid, doc.psi)
+        except (RecoveryError, SphericalError):
+            continue
+        cone = valuation_cone(doc.psi, datum.lattice)
+        for d in datum.divisors:
+            if datum.levi_roots <= d.stabilizer.roots:
+                assert cone.contains(d.phi.values), (path.name, d.divisor_id)
+                assert all(d.phi.eval_weight(g) <= 0 for g in doc.psi.roots)
+                checked += 1
+    assert checked == 67
+
+
+def test_type_a_roots_and_hidden_triples_are_built_once():
+    m = so3_monoid()
+    assert type_a_roots(m) is type_a_roots(m) == frozenset()
+    rd = rd_of(("C", 3))
+    assert hidden_root_triples(rd) is hidden_root_triples(rd)
+    assert len(hidden_root_triples(rd)) == 2
 
 
 def test_type_a_roots_a1():
