@@ -13,14 +13,17 @@ the two indices.
 `build_root_data` builds one `RootData` per `GroupSpec` and keeps it.
 The constants derived from the Cartan matrix C are built with it: the
 simple roots and coroots, and C^-1 held over its determinant as the pair
-(p, p C^-1), p = |det C|, with p C^-1 an integer matrix.  The simple-root
+(p, p C^-1) with p C^-1 an integer matrix.  C is block diagonal, one
+block per simple factor, and p is the least common multiple of the
+blocks' determinants (|det C| for a simple group).  The simple-root
 coefficients of a weight are then an integer matrix-vector product and
 one exact division by p per coordinate, and the invariant form is read
-off the same matrix.
+off the same blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -216,7 +219,8 @@ class RootData:
     """The root data of a `GroupSpec`, with the constants every caller
     reads built once by `build_root_data`: the simple roots and coroots,
     and the inverse Cartan matrix as `cartan_inverse` = (p, p C^-1), with
-    p = |det C| and p C^-1 (the adjugate up to sign) an integer matrix."""
+    p > 0 the lcm of the simple factors' |det C_f| and p C^-1 an integer
+    matrix."""
 
     spec: GroupSpec
     cartan: tuple[tuple[int, ...], ...]
@@ -278,29 +282,31 @@ def build_root_data(spec: GroupSpec) -> RootData:
     built once per spec and shared by every caller that asks again."""
     for t, r in spec.factors:
         _check_factor(t, r)
-    lengths: list[int | Fraction] = []
-    factor_of: list[int] = []
-    for f, (t, r) in enumerate(spec.factors):
-        lengths.extend(_length_block(t, r))
-        factor_of.extend([f] * r)
     n = spec.simple_rank
     dim = spec.dim
+    blocks = [_cartan_block(t, r) for t, r in spec.factors]
+    inverses = [_scaled_inverse(blk) for blk in blocks]
+    # C and C^-1 are block diagonal: each factor gives (det, det C_f^-1)
+    # with det = ±det C_f, and C^-1 is held over p, the lcm of the |det|
+    p = math.lcm(*(abs(det) for det, _ in inverses))
+    lengths: list[int | Fraction] = []
+    factor_of: list[int] = []
     cartan = [[0] * n for _ in range(n)]
-    pos = 0
-    for t, r in spec.factors:
-        for i, row in enumerate(_cartan_block(t, r)):
-            cartan[pos + i][pos:pos + r] = row
-        pos += r
-    # C is block diagonal, and so is p C^-1; p = ±det C, sign fixed to +
-    p, inv = _scaled_inverse(cartan)
-    if p < 0:
-        p, inv = -p, [[-x for x in row] for row in inv]
-    # invariant form on weight coordinates: (omega_i, omega_j) =
-    # (C^-1)_{ji} d_j, zero across factors; the central block is the identity
+    inv = [[0] * n for _ in range(n)]
+    # invariant form on weight coordinates: per-factor block is
+    # (omega_i, omega_j) = (C^{-1})_{ji} d_j; the central block is the identity
     sym: list[list[int | Fraction]] = [[0] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            sym[i][j] = exact(inv[j][i] * lengths[j], p)
+    pos = 0
+    for f, ((t, r), blk, (det, adj)) in enumerate(
+            zip(spec.factors, blocks, inverses)):
+        lengths.extend(_length_block(t, r))
+        factor_of.extend([f] * r)
+        for i in range(r):
+            cartan[pos + i][pos:pos + r] = blk[i]
+            inv[pos + i][pos:pos + r] = [x * (p // det) for x in adj[i]]
+            for j in range(r):
+                sym[pos + i][pos + j] = exact(adj[j][i] * lengths[pos + j], det)
+        pos += r
     for i in range(n, dim):
         sym[i][i] = 1
     central = (0,) * spec.central_rank

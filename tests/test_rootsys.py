@@ -264,12 +264,16 @@ def test_root_coefficients_make_no_rational_solve_call(monkeypatch):
         assert support(w, rd) == frozenset({0, rd.n_simple - 1})
 
 
-def test_cartan_inverse_is_held_over_the_determinant():
-    # p = |det C| and p C^-1 is an integer matrix: det A_n = n + 1, and
-    # C^-1 of a product is block diagonal
-    rd = rd_of(("A", 2), ("G", 2), central=1)
-    p, inv = rd.cartan_inverse
-    assert p == 3 * 1
+@pytest.mark.parametrize("factors, p", [
+    ((("E", 8),), 1), ((("A", 2), ("G", 2)), 3), ((("A", 1),) * 3, 2),
+    ((("A", 2), ("D", 5), ("B", 3)), 12)], ids=str)
+def test_cartan_inverse_is_held_over_the_determinants(factors, p):
+    # p C^-1 is an integer matrix, with p the lcm of the factors'
+    # determinants: det A_n = n + 1, det B_n = det C_n = 2, det D_n = 4,
+    # det E_8 = det G_2 = 1
+    rd = rd_of(*factors, central=1)
+    assert rd.cartan_inverse[0] == p
+    inv = rd.cartan_inverse[1]
     n = rd.n_simple
     assert all(type(x) is int for row in inv for x in row)
     for i in range(n):
