@@ -375,14 +375,9 @@ def test_compare_a_thousand_generators_with_itself(tmp_path):
     assert json.loads(proc.stdout)["warnings"] == []
 
 
-def test_cli_contract_on_the_data_documents():
-    # exit codes and stdout digests as committed in tests/cli_contract.json
-    expected = json.loads(cli_contract.TABLE.read_text())
-    assert cli_contract.contract() == expected
-
-
-def test_the_shared_parser_keeps_no_state_between_calls(capsys):
-    # the parser is built once per process; failed calls between two
+def test_cli_contract_on_the_data_documents(capsys):
+    # exit codes and stdout digests as committed in tests/cli_contract.json;
+    # the parser is built once per process, and failed calls between two
     # runs of the contract leave no trace in the second
     expected = json.loads(cli_contract.TABLE.read_text())
     assert cli_contract.contract() == expected

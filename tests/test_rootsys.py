@@ -266,7 +266,7 @@ def test_root_coefficients_make_no_rational_solve_call(monkeypatch):
 
 @pytest.mark.parametrize("factors, p", [
     ((("E", 8),), 1), ((("A", 2), ("G", 2)), 3), ((("A", 1),) * 3, 2),
-    ((("A", 2), ("D", 5), ("B", 3)), 12)], ids=str)
+    ((("A", 2), ("D", 5), ("B", 3)), 12)], ids=["E8", "A2xG2", "A1^3", "A2xD5xB3"])
 def test_cartan_inverse_is_held_over_the_determinants(factors, p):
     # p C^-1 is an integer matrix, with p the lcm of the factors'
     # determinants: det A_n = n + 1, det B_n = det C_n = 2, det D_n = 4,
