@@ -7,14 +7,13 @@ cone and monoid machinery this rests on.
 """
 
 from .luna import BDivisorRecord, LatticeFunctional, LunaDatum, RootTypeTable
-from .monoid import WeightMonoid, is_decomposable, trivial_factors
+from .monoid import WeightMonoid
 from .polyhedral import (
     Lattice,
     Polytope,
     RationalCone,
     hilbert_basis,
     hilbert_basis_with_units,
-    lattice_span,
     monoid_membership,
 )
 from .recovery import (
@@ -46,8 +45,6 @@ from .spherical import (
     hidden_spherical_roots,
     make_spherical_roots,
     match_hidden_root_triple,
-    spherical_roots_of_cone,
-    tail_cone,
     type_a_roots,
     valuation_cone,
 )
@@ -61,10 +58,9 @@ __all__ = [
     "WeightMonoid", "WeightVec", "build_root_data", "classify_root_types",
     "elementary_forms", "hidden_divisors", "hidden_root_triples",
     "hidden_spherical_roots", "hilbert_basis", "hilbert_basis_with_units",
-    "is_decomposable", "lattice_span", "localize_datum",
-    "make_spherical_roots", "match_hidden_root_triple", "moment_polytope",
-    "monoid_membership", "pairing", "recover_divisors", "recover_prime",
-    "recover_type_cd_divisors", "spherical_roots_of_cone", "stabilizer_of",
-    "support", "symmetric_form", "tail_cone", "trivial_factors",
-    "type_a_roots", "validate_luna_datum", "valuation_cone",
+    "localize_datum", "make_spherical_roots", "match_hidden_root_triple",
+    "moment_polytope", "monoid_membership", "pairing", "recover_divisors",
+    "recover_prime", "recover_type_cd_divisors", "stabilizer_of", "support",
+    "symmetric_form", "type_a_roots", "validate_luna_datum",
+    "valuation_cone",
 ]

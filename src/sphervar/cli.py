@@ -388,8 +388,8 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
         if not isinstance(vals, list) or len(vals) != X.rank:
             raise ParseError(
                 f"divisors[{i}].phi: expected {X.rank} values on the lattice basis")
-        phi = LatticeFunctional.from_values(
-            X, [_parse_frac(v, f"divisors[{i}].phi") for v in vals])
+        phi = LatticeFunctional(
+            X, tuple(_parse_frac(v, f"divisors[{i}].phi") for v in vals))
         dropped = entry.get("dropped_simple_roots", [])
         if not isinstance(dropped, list):
             raise ParseError(f"divisors[{i}].dropped_simple_roots must be a list")
@@ -424,7 +424,7 @@ def cmd_polytope(doc: InputDocument) -> tuple[dict, list[str]]:
                          else [0] * doc.rd.dim)
     if doc.orders is None:
         orders = {d.divisor_id: 0 for d in datum.divisors}
-    elif isinstance(doc.orders, int):
+    elif _is_int(doc.orders):
         orders = {d.divisor_id: doc.orders for d in datum.divisors}
     elif isinstance(doc.orders, dict):
         orders = {}

@@ -48,10 +48,6 @@ class LatticeFunctional:
         return LatticeFunctional(
             lattice, tuple(exact(_dot(c, b), den) for b in lattice.basis))
 
-    @staticmethod
-    def from_values(lattice: Lattice, values) -> "LatticeFunctional":
-        return LatticeFunctional(lattice, tuple(values))
-
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...]]:
         """(d, w) with phi(v) = w.v / d on the span of the lattice."""

@@ -31,7 +31,6 @@ from .polyhedral import (
     PointedQuotient,
     RationalCone,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
-    integer_kernel,
     monoid_membership,
     parallelepiped_points,
     primitive,
@@ -251,70 +250,6 @@ class WeightMonoid:
         return all(p in gens or self.contains_vector(quotient.lift(p))[0]
                    for p in parallelepiped_points(
                        qcone, [shortest[r] for r in qcone.rays]))
-
-
-def _coordinate_blocks(spec, factor_split, central_split):
-    """Coordinate index blocks of a (factors, central) bipartition."""
-    starts = []
-    pos = 0
-    for _, r in spec.factors:
-        starts.append((pos, pos + r))
-        pos += r
-    block = []
-    for f in factor_split:
-        s, e = starts[f]
-        block.extend(range(s, e))
-    for c in central_split:
-        block.append(spec.simple_rank + c)
-    return sorted(block)
-
-
-def is_decomposable(m: WeightMonoid,
-                    factors_a, central_a) -> bool:
-    """Whether the monoid splits as a sum of submonoids supported on the
-    two sides of the given bipartition of factors and central directions.
-
-    Decided by block-projecting each generator and testing membership of
-    both projections: the monoid decomposes iff every generator splits.
-    """
-    spec = m.rd.spec
-    factors_a = set(int(f) for f in factors_a)
-    central_a = set(int(c) for c in central_a)
-    if not factors_a <= set(range(len(spec.factors))):
-        raise MonoidError("factor index out of range")
-    if not central_a <= set(range(spec.central_rank)):
-        raise MonoidError("central index out of range")
-    block_a = set(_coordinate_blocks(spec, factors_a, central_a))
-    for g in m.gen_vectors:
-        part_a = tuple(x if i in block_a else 0 for i, x in enumerate(g))
-        part_b = tuple(x - y for x, y in zip(g, part_a))
-        if not m.contains_vector(part_a)[0] or not m.contains_vector(part_b)[0]:
-            return False
-    return True
-
-
-def trivial_factors(m: WeightMonoid) -> tuple[frozenset[int], Lattice]:
-    """Simple factors with zero coordinate block in every generator, and
-    the lattice of central directions annihilated by all generators."""
-    spec = m.rd.spec
-    trivial = []
-    pos = 0
-    for f, (_, r) in enumerate(spec.factors):
-        if all(all(g[pos + i] == 0 for i in range(r)) for g in m.gen_vectors):
-            trivial.append(f)
-        pos += r
-    c = spec.central_rank
-    if c == 0:
-        kernel = Lattice(0, ())
-    else:
-        rows = [[g[spec.simple_rank + j] for j in range(c)] for g in m.gen_vectors]
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            kernel = Lattice.full(c)
-        else:
-            ker = integer_kernel(rows)
-            kernel = Lattice.span(ker, c)
-    return frozenset(trivial), kernel
 
 
 def torus_monoid(rd: RootData, vectors) -> WeightMonoid:

@@ -337,15 +337,18 @@ class Lattice:
         return c is not None and all(type(x) is int for x in c)
 
     @cached_property
-    def _annihilator(self) -> tuple[Vec, ...]:
-        return tuple(self.annihilator_rows())
+    def annihilator(self) -> tuple[Vec, ...]:
+        """A basis of the integer functionals vanishing on the lattice:
+        the relations among the columns of the basis."""
+        return tuple(_relations([b[j] for b in self.basis]
+                                for j in range(self.dim))[1])
 
     def in_span(self, v) -> bool:
         """Whether the integer vector v lies in the rational span: every
         annihilator row vanishes on it."""
         if len(v) != self.dim:
             raise PolyhedralError("vector length does not match the lattice")
-        return not any(_dot(a, v) for a in self._annihilator)
+        return not any(_dot(a, v) for a in self.annihilator)
 
     def integer_form(self, values) -> tuple[int, Vec]:
         """(d, w) for the functional with the given values on the basis:
@@ -412,18 +415,9 @@ class Lattice:
 
     def saturation(self) -> "Lattice":
         """The saturated lattice span_Q(basis) ∩ Z^dim."""
-        if not self._annihilator:
+        if not self.annihilator:
             return Lattice.full(self.dim)
-        return Lattice.span(integer_kernel(self._annihilator), self.dim)
-
-    def annihilator_rows(self) -> list[Vec]:
-        """A basis of the integer functionals vanishing on the lattice:
-        the relations among the columns of the basis."""
-        return _relations([b[j] for b in self.basis] for j in range(self.dim))[1]
-
-
-def lattice_span(vectors, dim: int | None = None) -> Lattice:
-    return Lattice.span(vectors, dim)
+        return Lattice.span(integer_kernel(self.annihilator), self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +604,9 @@ class RationalCone:
         )
 
     @staticmethod
-    def full_space(dim: int) -> "RationalCone":
-        return RationalCone.from_inequalities([], dim=dim)
-
-    @staticmethod
     def zero(dim: int) -> "RationalCone":
         eqs = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
         return RationalCone.from_inequalities([], eqs, dim=dim)
-
-    @property
-    def lineality_rank(self) -> int:
-        return len(self.lineality)
 
     def span_rank(self) -> int:
         return self.dim - len(self.span_equations)
@@ -776,7 +762,7 @@ class PointedQuotient:
             raise PolyhedralError("dimension mismatch")
         if not all(map(lattice.in_span, cone.rays + cone.lineality)):
             cone = cone.intersection(RationalCone.from_inequalities(
-                [], lattice.annihilator_rows(), dim=dim))
+                [], lattice.annihilator, dim=dim))
         self.cone = cone
         self.lattice = lattice
         self._constraints = list(cone.facet_normals) + list(cone.span_equations)
@@ -1049,8 +1035,7 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Polyhedron {x : n.x >= c} in coordinate space, reported relative to
-    an affine basepoint.
+    """Polyhedron {x : n.x >= c} in coordinate space.
 
     Every query reads one cone, the homogenization {(x, t) : n.x >= c t,
     t >= 0}, built on first use and kept on the instance.
@@ -1058,22 +1043,19 @@ class Polytope:
 
     dim: int
     halfspaces: tuple[tuple[Vec, int], ...]
-    basepoint: QVec
 
     @staticmethod
-    def from_halfspaces(basepoint, constraints) -> "Polytope":
-        """The polyhedron of the constraints (n, c), each n.x >= c with n
-        and c rational, kept as one integer row: (n, c) times their common
-        denominator."""
-        base = tuple(map(exact, basepoint))
-        dim = len(base)
+    def from_halfspaces(dim: int, constraints) -> "Polytope":
+        """The polyhedron in Q^dim of the constraints (n, c), each n.x >= c
+        with n and c rational, kept as one integer row: (n, c) times their
+        common denominator."""
         hs = []
         for normal, offset in constraints:
             if len(normal) != dim:
                 raise PolyhedralError("constraint dimension mismatch")
             row = _clear_denominators(tuple(normal) + (offset,))[1]
             hs.append((tuple(row[:-1]), row[-1]))
-        return Polytope(dim, tuple(hs), base)
+        return Polytope(dim, tuple(hs))
 
     @cached_property
     def _homogenized(self) -> RationalCone:
@@ -1082,9 +1064,8 @@ class Polytope:
         return RationalCone.from_inequalities(ieqs, dim=self.dim + 1)
 
     def vertex_description(self) -> tuple[list[QVec], list[Vec], list[Vec]]:
-        """(vertices, recession rays, lines); vertices are translated by the
-        basepoint.  With lines present the 'vertices' are representatives of
-        the minimal faces."""
+        """(vertices, recession rays, lines).  With lines present the
+        'vertices' are representatives of the minimal faces."""
         cone = self._homogenized
         verts: list[QVec] = []
         rays: list[Vec] = []
@@ -1095,9 +1076,7 @@ class Polytope:
             lines.append(l[:-1])
         for r in cone.rays:
             if r[-1] > 0:
-                t = r[-1]
-                verts.append(tuple(exact(x + t * b, t)
-                                   for x, b in zip(r[:-1], self.basepoint)))
+                verts.append(tuple(exact(x, r[-1]) for x in r[:-1]))
             elif r[-1] == 0:
                 rays.append(r[:-1])
             else:

@@ -58,7 +58,7 @@ from .polyhedral import (
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     primitive,
 )
-from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, support
+from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, pairing, support
 from .spherical import (
     SphericalRootSet,
     classify_root_types,
@@ -342,9 +342,7 @@ def stabilizer_of(rec: BDivisorRecord, table: RootTypeTable,
         if rec.coroot_form is not None:
             cross = set()
             for beta in active:
-                val = sum(a * b for a, b in zip(
-                    rec.coroot_form.coords, rd.simple_root(beta).coords))
-                if val == 1:
+                if pairing(rec.coroot_form, rd.simple_root(beta)) == 1:
                     cross.add(beta)
             if cross != moved:
                 raise RecoveryError(
@@ -357,8 +355,7 @@ def stabilizer_of(rec: BDivisorRecord, table: RootTypeTable,
     if rec.source == "type_c":
         (alpha,) = rec.source_roots
         cross = {beta for beta in active
-                 if sum(a * b for a, b in zip(rec.coroot_form.coords,
-                                              rd.simple_root(beta).coords)) == 1}
+                 if pairing(rec.coroot_form, rd.simple_root(beta)) == 1}
         if cross != {alpha}:
             raise RecoveryError(
                 "invalid datum: type-c divisor moves roots other than its root")
@@ -585,11 +582,7 @@ def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
         loc = datum.monoid.localize(mu)
     except MonoidError as exc:
         raise RecoveryError(str(exc)) from exc
-    return _assemble_localized(datum, loc, loc.active_roots, mu)
-
-
-def _assemble_localized(datum: LunaDatum, loc: WeightMonoid,
-                        new_levi: frozenset[int], mu: WeightVec) -> LunaDatum:
+    new_levi = loc.active_roots
     rd = datum.rd
     new_roots = []
     for g in datum.psi:
@@ -645,7 +638,7 @@ def moment_polytope(datum: LunaDatum, base: WeightVec,
         if d.divisor_id not in orders:
             raise RecoveryError(f"no order given for divisor {d.divisor_id}")
         constraints.append((d.phi.values, -int(orders[d.divisor_id])))
-    poly = Polytope.from_halfspaces([0] * X.rank, constraints)
+    poly = Polytope.from_halfspaces(X.rank, constraints)
     return MomentPolytope(poly, X, base)
 
 

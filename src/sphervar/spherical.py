@@ -1,6 +1,6 @@
 """Spherical-variety invariants from a weight monoid and a root set.
 
-Covers the cone dictionary (tail cone vs. valuation cone), the Luna type
+Covers the valuation cone of a spherical root set, the Luna type
 classification of simple roots, the three elementary shapes a spherical
 root can take, hiddenness of divisors and of spherical roots, and the
 four exceptional families that admit a hidden root.
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .luna import LunaDatum, RootTypeTable
 from .monoid import WeightMonoid
-from .polyhedral import Lattice, RationalCone, exact, lattice_span
+from .polyhedral import Lattice, RationalCone, exact
 from .rootsys import (
     RootData,
     RootDataError,
@@ -30,17 +30,14 @@ class SphericalError(ValueError):
 
 @dataclass(frozen=True)
 class SphericalRootSet:
-    """Validated set of spherical roots for a fixed group.
-
-    `level` records how far validation went: "linear" means the
-    linear-algebraic invariants (root span, pairwise non-acuteness,
-    independence) hold; admissibility against the full classification
-    tables of possible root systems is never checked here.
+    """Validated set of spherical roots for a fixed group: they lie in
+    the root span, are pairwise non-acute and are linearly independent.
+    Admissibility against the classification tables of possible root
+    systems is not checked here.
     """
 
     rd: RootData
     roots: tuple[WeightVec, ...]
-    level: str = "linear"
 
     def weight_set(self) -> set[tuple[int | Fraction, ...]]:
         return {g.coords for g in self.roots}
@@ -70,7 +67,7 @@ def make_spherical_roots(rd: RootData, roots) -> SphericalRootSet:
                for g in roots]
         if any(r is None for r in mat):
             raise SphericalError("spherical roots must be integral weights")
-        if lattice_span(mat, rd.dim).rank != len(roots):
+        if Lattice.span(mat, rd.dim).rank != len(roots):
             raise SphericalError("spherical roots must be linearly independent")
     return SphericalRootSet(rd, roots)
 
@@ -89,45 +86,17 @@ def validate_roots_in_lattice(psi: SphericalRootSet, lattice: Lattice) -> None:
 # cones
 # ---------------------------------------------------------------------------
 
-def _root_coords(psi: SphericalRootSet, lattice: Lattice) -> list:
-    """The spherical roots in lattice-basis coordinates."""
-    out = []
+def valuation_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
+    """Functionals nonpositive on the tail cone, the cone over the
+    spherical roots: minus its dual, in the basis dual to the lattice
+    basis."""
+    normals = []
     for g in psi.roots:
         c = lattice.coords(g.int_coords())
         if c is None:
             raise SphericalError("spherical root outside the weight lattice span")
-        out.append(c)
-    return out
-
-
-def tail_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
-    """Cone generated by the spherical roots, in lattice-basis coordinates."""
-    return RationalCone.from_generators(_root_coords(psi, lattice),
-                                        dim=lattice.rank)
-
-
-def valuation_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
-    """Functionals nonpositive on the tail cone: minus the dual of it,
-    in the basis dual to the lattice basis."""
-    return RationalCone.from_inequalities(
-        [tuple(-x for x in c) for c in _root_coords(psi, lattice)],
-        dim=lattice.rank)
-
-
-def spherical_roots_of_cone(v_cone: RationalCone, lattice: Lattice,
-                            rd: RootData) -> tuple[WeightVec, ...]:
-    """Primitive lattice elements cutting out the walls of the valuation
-    cone from the nonpositive side."""
-    roots = []
-    for n in v_cone.facet_normals:
-        # facet normals are nonnegative on the cone; spherical roots are the
-        # nonpositive wall functionals
-        neg = tuple(-x for x in n)
-        amb = lattice.from_coords(neg)
-        if any(type(x) is not int for x in amb):
-            raise SphericalError("wall normal is not proportional to a lattice element")
-        roots.append(rd.weight(amb))
-    return tuple(sorted(roots, key=lambda w: w.coords))
+        normals.append(tuple(-x for x in c))
+    return RationalCone.from_inequalities(normals, dim=lattice.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +128,7 @@ def _type_a_roots(m: WeightMonoid) -> frozenset[int]:
         mu = mu + g
     span_check = list(g.int_coords() for g in mins) + \
         [b for b in m.invertible_lattice.basis]
-    if lattice_span(span_check, m.dim).basis != m.lattice.basis:
+    if Lattice.span(span_check, m.dim).basis != m.lattice.basis:
         raise SphericalError("internal: minimal generators do not span the lattice")
     return frozenset(i for i in active if mu.coords[i] == 0)
 

@@ -86,8 +86,7 @@ def test_criterion_2_monoid_recovery_identity():
         X = e.monoid.lattice
         rank = X.rank
         rows = [tuple(d.phi.values) for d in datum.divisors]
-        cone = RationalCone.from_inequalities(rows, dim=rank) if rows \
-            else RationalCone.full_space(rank)
+        cone = RationalCone.from_inequalities(rows, dim=rank)
         if cone.lineality:
             from sphervar.polyhedral import hilbert_basis_with_units
             units, basis = hilbert_basis_with_units(cone, Lattice.full(rank))
@@ -206,7 +205,7 @@ def test_criterion_5_validator_completeness():
     # 1. wrong phi scale on the half-coroot divisor
     e = by["sl2_mod_normalizer"]
     d = recover_divisors(e.monoid, e.psi)
-    bad = mutate(d, 0, phi=LatticeFunctional.from_values(
+    bad = mutate(d, 0, phi=LatticeFunctional(
         e.monoid.lattice, (Fraction(4),)))
     ok = ok and caught(bad, "c_phi")
 
@@ -224,7 +223,7 @@ def test_criterion_5_validator_completeness():
 
     # 4. broken type-b pair sum
     d = recover_divisors(e.monoid, e.psi)
-    bad = mutate(d, 0, phi=LatticeFunctional.from_values(
+    bad = mutate(d, 0, phi=LatticeFunctional(
         e.monoid.lattice, (Fraction(3),)))
     ok = ok and caught(bad, "b_pair_sum")
 
@@ -232,7 +231,7 @@ def test_criterion_5_validator_completeness():
     e = by["c2_hidden_k1"]
     d = recover_divisors(e.monoid, e.psi)
     idx = next(i for i, dv in enumerate(d.divisors) if dv.source == "type_d")
-    bad = mutate(d, idx, phi=LatticeFunctional.from_values(
+    bad = mutate(d, idx, phi=LatticeFunctional(
         e.monoid.lattice, (Fraction(1), Fraction(0))))
     ok = ok and caught(bad, "lemma_sign")
 
@@ -241,7 +240,7 @@ def test_criterion_5_validator_completeness():
     loc = e.monoid.localize(e.rd.weight((1, 0)))
     psi = make_spherical_roots(e.rd, ())
     d = recover_divisors(loc, psi)
-    bad = mutate(d, 0, phi=LatticeFunctional.from_values(
+    bad = mutate(d, 0, phi=LatticeFunctional(
         loc.lattice, (Fraction(1), Fraction(1))))
     ok = ok and caught(bad, "phi_invertible_vanishing")
 

@@ -112,6 +112,8 @@ MALFORMED = {
     "central rank float": {"group": {"factors": [["A", 1]], "central_rank": 0.5}},
     "central rank bool": {"group": {"factors": [["A", 1]], "central_rank": False}},
     "central rank string": {"group": {"factors": [["A", 1]], "central_rank": "0"}},
+    "rank past the limit": {"group": {"factors": [["A", 100000]]}},
+    "central rank past the limit": {"group": {"factors": [], "central_rank": 100000}},
 }
 
 
@@ -449,6 +451,26 @@ def test_polytope_missing_order_exit_2(tmp_path):
     path = write_doc(tmp_path, "orders.json", doc)
     proc = run_cli(["polytope", "--input", path], check=False)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("orders", [True, False, {"D1": True, "D2": 0}])
+def test_polytope_boolean_orders_exit_2(tmp_path, capsys, orders):
+    # Python counts a JSON boolean as an int, but it is no order
+    doc = {
+        "schema": 1,
+        "group": {"factors": [], "central_rank": 2},
+        "monoid_generators": [[1, 0], [0, 1]],
+        "orders": orders,
+    }
+    path = write_doc(tmp_path, "orders.json", doc)
+    assert main(["polytope", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: orders")
+    doc["orders"] = 1
+    path = write_doc(tmp_path, "orders.json", doc)
+    assert main(["polytope", "--input", path, "--format", "machine"]) == 0
+    halfspaces = json.loads(capsys.readouterr().out)["payload"]["halfspaces"]
+    assert [h["min_value"] for h in halfspaces] == [-1, -1]
 
 
 def test_validate_case3_roundtrip(tmp_path):

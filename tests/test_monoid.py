@@ -7,11 +7,9 @@ from sphervar import polyhedral
 from sphervar.monoid import (
     MonoidError,
     WeightMonoid,
-    is_decomposable,
     torus_monoid,
-    trivial_factors,
 )
-from sphervar.polyhedral import RationalCone, hilbert_basis_with_units, lattice_span
+from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
 from sphervar.rootsys import GroupSpec, build_root_data
 
 
@@ -21,10 +19,6 @@ def torus(rank):
 
 def a1():
     return build_root_data(GroupSpec((("A", 1),)))
-
-
-def a1a1():
-    return build_root_data(GroupSpec((("A", 1), ("A", 1))))
 
 
 def test_dominance_enforced():
@@ -43,7 +37,7 @@ def test_invertible_part_examples():
     assert m.invertible_lattice.basis == ((1, 0),)
 
     m = torus_monoid(rd, [(2, 3), (-2, -3), (1, 1)])
-    assert m.invertible_lattice.basis == lattice_span([(2, 3)]).basis
+    assert m.invertible_lattice.basis == Lattice.span([(2, 3)]).basis
 
 
 def test_minimal_generators_a1():
@@ -212,57 +206,13 @@ def test_saturation_stable_under_localization():
         assert m.localize(rd.weight(g)).is_saturated()
 
 
-def test_decomposability():
-    rd = a1a1()
-    a, b = rd.simple_root(0), rd.simple_root(1)
-    m = WeightMonoid(rd, (a, b))
-    assert is_decomposable(m, {0}, set())
-    m2 = WeightMonoid(rd, (a + b,))
-    assert not is_decomposable(m2, {0}, set())
-
-
-def test_decomposability_c2a1_pair_shape():
-    rd = build_root_data(GroupSpec((("C", 2), ("A", 1))))
-    gen = rd.simple_root(0) + rd.simple_root(2)  # alpha1 + alpha1'
-    m = WeightMonoid(rd, (gen,), enforce_dominance=False)
-    assert not is_decomposable(m, {0}, set())
-
-
-def test_decomposability_with_mixed_invertibles():
-    rd = torus(2)
-    # invertible part Z(1,1) is not split along the axes
-    m = torus_monoid(rd, [(1, 1), (-1, -1), (1, 0)])
-    assert not is_decomposable(m, set(), {0})
-
-
-def test_trivial_factors():
-    rd = a1a1()
-    m = WeightMonoid(rd, (rd.simple_root(0),))
-    triv, kernel = trivial_factors(m)
-    assert triv == frozenset({1})
-    assert kernel.dim == 0
-
-    m2 = WeightMonoid(rd, (rd.simple_root(0) + rd.simple_root(1),))
-    assert trivial_factors(m2)[0] == frozenset()
-
-
-def test_trivial_central_direction():
-    rd = build_root_data(GroupSpec((("A", 1),), 1))
-    m = WeightMonoid(rd, (rd.weight((2, 0)),))
-    _, kernel = trivial_factors(m)
-    assert kernel.basis == ((1,),)
-
-    m2 = WeightMonoid(rd, (rd.weight((2, 1)),))
-    assert trivial_factors(m2)[1].rank == 0
-
-
 def test_span_identity():
     rd = torus(2)
     m = torus_monoid(rd, [(1, 0), (-1, 0), (1, 1), (2, 1)])
     mins = [g.int_coords() for g in m.minimal_generators]
     inv = m.invertible_lattice
     together = list(mins) + list(inv.basis)
-    assert lattice_span(together, 2).basis == m.lattice.basis
+    assert Lattice.span(together, 2).basis == m.lattice.basis
 
 
 def test_no_minimal_generator_is_a_sum():

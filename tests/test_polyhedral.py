@@ -17,7 +17,6 @@ from sphervar.polyhedral import (
     hnf,
     integer_kernel,
     integer_solve,
-    lattice_span,
     monoid_membership,
     primitive,
     rational_solve,
@@ -125,7 +124,7 @@ def test_primitive_examples():
 
 
 def test_lattice_span_gcd():
-    lat = lattice_span([(2, 0), (3, 0)])
+    lat = Lattice.span([(2, 0), (3, 0)])
     assert lat.basis == ((1, 0),)
     # the empty span: rank 0, holding only the zero vector, reducing nothing
     empty = Lattice.span([], 3)
@@ -135,13 +134,13 @@ def test_lattice_span_gcd():
 
 
 def test_lattice_span_identity():
-    lat = lattice_span([(1, 0), (0, 1)])
+    lat = Lattice.span([(1, 0), (0, 1)])
     assert lat.rank == 2
     assert lat.basis == ((1, 0), (0, 1))
 
 
 def test_lattice_span_index_four():
-    lat = lattice_span([(2, 2), (2, -2)])
+    lat = Lattice.span([(2, 2), (2, -2)])
     # index = |det| of any basis; the oracle checks the input determinant
     assert abs(det_oracle([[2, 2], [2, -2]])) == 8
     assert abs(det_oracle([list(b) for b in lat.basis])) == 8
@@ -150,7 +149,7 @@ def test_lattice_span_index_four():
 
 
 def test_primitive_vector_in_sublattice():
-    lat = lattice_span([(2, 2), (0, 4)])
+    lat = Lattice.span([(2, 2), (0, 4)])
     # (3,3) is 3/2 * (2,2); the primitive multiple inside the sublattice is
     # (2,2), not (1,1)
     assert lat.primitive_vector((3, 3)) == (2, 2)
@@ -162,13 +161,13 @@ def test_primitive_vector_in_sublattice():
     with pytest.raises(PolyhedralError):
         lat.primitive_vector((0, 0))
     with pytest.raises(PolyhedralError):
-        lattice_span([(1, 1)]).primitive_vector((1, 0))
+        Lattice.span([(1, 1)]).primitive_vector((1, 0))
 
 
 def test_saturation_and_annihilator():
-    lat = lattice_span([(2, 4)])
+    lat = Lattice.span([(2, 4)])
     assert lat.saturation().basis == ((1, 2),)
-    ann = lat.annihilator_rows()
+    ann = lat.annihilator
     assert len(ann) == 1
     assert sum(a * b for a, b in zip(ann[0], (2, 4))) == 0
 
@@ -235,7 +234,7 @@ def test_dual_first_orthant_self_dual():
 
 
 def test_dual_full_space_is_zero():
-    full = RationalCone.full_space(2)
+    full = RationalCone.from_inequalities([], dim=2)
     z = full.dual()
     assert z.rays == () and z.lineality == ()
     assert z == RationalCone.zero(2)
@@ -302,7 +301,7 @@ def test_each_cone_constructor_runs_two_double_descriptions(monkeypatch):
         lambda: RationalCone.from_inequalities([(1, 0, 0), (2, 1, 0)],
                                                [(0, 1, -1)]),
         lambda: RationalCone.from_generators([], dim=3),
-        lambda: RationalCone.full_space(3),
+        lambda: RationalCone.from_inequalities([], dim=3),
         lambda: RationalCone.zero(3),
         lambda: c.dual(),
         lambda: c.intersection(d),
@@ -383,7 +382,7 @@ def test_hilbert_dual_slanted():
 
 def test_hilbert_on_sublattice():
     c = RationalCone.from_generators([(1, 0), (0, 1)])
-    lat = lattice_span([(2, 0), (0, 3)])
+    lat = Lattice.span([(2, 0), (0, 3)])
     assert hilbert_basis(c, lat) == [(0, 3), (2, 0)]
 
 
@@ -599,7 +598,7 @@ def test_membership_certificate_recombines(gens, target):
 # -- polytopes ----------------------------------------------------------------
 
 def test_polytope_ray():
-    p = Polytope.from_halfspaces((0,), [((1,), 0)])
+    p = Polytope.from_halfspaces(1, [((1,), 0)])
     verts, rays, lines = p.vertex_description()
     assert verts == [(Fraction(0),)]
     assert rays == [(1,)]
@@ -607,41 +606,33 @@ def test_polytope_ray():
 
 
 def test_polytope_segment():
-    p = Polytope.from_halfspaces((0,), [((1,), 0), ((-1,), -2)])
+    p = Polytope.from_halfspaces(1, [((1,), 0), ((-1,), -2)])
     assert p.vertices() == [(Fraction(0),), (Fraction(2),)]
     assert p.is_bounded()
 
 
 def test_polytope_square():
     cons = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
-    p = Polytope.from_halfspaces((0, 0), cons)
+    p = Polytope.from_halfspaces(2, cons)
     assert len(p.vertices()) == 4
     assert p.is_bounded()
 
 
 def test_polytope_empty():
-    p = Polytope.from_halfspaces((0,), [((1,), 1), ((-1,), 0)])
+    p = Polytope.from_halfspaces(1, [((1,), 1), ((-1,), 0)])
     assert p.is_empty()
     assert p.is_bounded()
 
 
-def test_polytope_translated():
-    p = Polytope.from_halfspaces((1, 1), [((1, 0), 0), ((0, 1), 0),
-                                          ((-1, -1), -1)])
-    verts = p.vertices()
-    assert (Fraction(1), Fraction(1)) in verts
-    assert len(verts) == 3
-
-
 def test_polytope_fractional_normals():
-    p = Polytope.from_halfspaces((0,), [((Fraction(1, 2),), Fraction(-1, 2))])
+    p = Polytope.from_halfspaces(1, [((Fraction(1, 2),), Fraction(-1, 2))])
     assert p.vertices() == [(Fraction(-1),)]
 
 
 def test_polytope_vertices_hold_int_exactly_when_integral():
     # the triangle (0, 0), (1, 0), (0, 1/2), moved by (1/2, 1)
-    p = Polytope.from_halfspaces((Fraction(1, 2), 1),
-                                 [((1, 0), 0), ((0, 1), 0), ((-1, -2), -1)])
+    p = Polytope.from_halfspaces(2, [((1, 0), Fraction(1, 2)), ((0, 1), 1),
+                                     ((-1, -2), Fraction(-7, 2))])
     verts = p.vertices()
     assert verts == [(Fraction(1, 2), 1), (Fraction(1, 2), Fraction(3, 2)),
                      (Fraction(3, 2), 1)]

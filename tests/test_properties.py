@@ -30,7 +30,6 @@ from sphervar.polyhedral import (
     hnf,
     integer_kernel,
     integer_solve,
-    lattice_span,
     monoid_membership,
     primitive,
     rational_solve,
@@ -136,7 +135,7 @@ def test_hnf_is_canonical_for_the_span(rows):
     # adding a lattice element changes nothing
     extra = tuple(sum(b[i] for b in basis) for i in range(3))
     assert hnf(rows + [list(extra)]) == basis
-    lat = lattice_span(rows, 3)
+    lat = Lattice.span(rows, 3)
     for r in rows:
         assert lat.contains(r)
 
@@ -778,7 +777,7 @@ def reference_hilbert_basis_with_units(cone, lattice, max_volume=None):
     pass `max_volume` box residues (`reference_volume`)."""
     dim = cone.dim
     cone = cone.intersection(RationalCone.from_inequalities(
-        [], lattice.annihilator_rows(), dim=dim))
+        [], lattice.annihilator, dim=dim))
     m = lattice.rank
     unit_rows = []
     if cone.lineality and m:
@@ -978,7 +977,7 @@ def reference_recover_prime(m, psi, trace=None, warnings=None):
 
     pool = []
     local_cache = {}
-    zero = rd.zero_weight()
+    zero = rd.weight([0] * rd.dim)
 
     for size in range(k, -1, -1):
         for subset in itertools.combinations(range(k), size):
@@ -1268,7 +1267,7 @@ def test_functionals_hold_int_exactly_when_integral(data, draw):
                                max_size=lat.rank))
     phi, psi = LatticeFunctional(lat, values), LatticeFunctional(lat, other)
     assert_canonical(phi.values, values)
-    assert_canonical(LatticeFunctional.from_values(lat, values).values, values)
+    assert_canonical(LatticeFunctional(lat, values).values, values)
     assert_canonical((phi + psi).values, [x + y for x, y in zip(values, other)])
     assert_canonical((phi - psi).values, [x - y for x, y in zip(values, other)])
     cov = CovectorVec(GroupSpec((), lat.dim), tuple(draw.draw(

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import sphervar
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -16,3 +18,10 @@ def test_readme_quick_start_prints_its_comments(capsys):
     assert expected
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_every_public_name_resolves():
+    # a star import raises AttributeError on a name that does not resolve
+    namespace = {}
+    exec("from sphervar import *", namespace)
+    assert set(sphervar.__all__) <= namespace.keys()

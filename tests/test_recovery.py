@@ -246,7 +246,7 @@ def test_intersection_identity():
         for r in range(1, min(k, 3) + 1):
             for I in itertools.combinations(range(k), r):
                 for J in itertools.combinations(range(k), r):
-                    zero = e.rd.zero_weight()
+                    zero = e.rd.weight([0] * e.rd.dim)
                     mu_i = sum((mins[i] for i in I), zero)
                     mu_j = sum((mins[j] for j in J), zero)
                     mu_u = sum((mins[t] for t in set(I) | set(J)), zero)
@@ -484,7 +484,7 @@ def test_fault_broken_pair_sum():
     e = corpus_by_name()["so3_x1"]
     datum = recover_entry(e)
     X = e.monoid.lattice
-    bad_phi = LatticeFunctional.from_values(X, (Fraction(2),))
+    bad_phi = LatticeFunctional(X, (Fraction(2),))
     bad = _tamper(datum, phi=bad_phi)
     rep = validate_luna_datum(bad)
     assert not rep.passed
@@ -501,7 +501,7 @@ def test_fault_lemma_sign():
     d_index = next(i for i, d in enumerate(datum.divisors)
                    if d.source == "type_d")
     # alpha1 has lattice coordinates (1, -1); this functional pairs +1 with it
-    bad_phi = LatticeFunctional.from_values(X, (Fraction(1), Fraction(0)))
+    bad_phi = LatticeFunctional(X, (Fraction(1), Fraction(0)))
     bad = _tamper(datum, index=d_index, phi=bad_phi)
     rep = validate_luna_datum(bad)
     assert not rep.passed
@@ -521,7 +521,7 @@ def test_fault_invertible_vanishing():
     psi2 = make_spherical_roots(e2.rd, ())
     datum2 = recover_divisors(m2, psi2)
     X = m2.lattice
-    bad_phi = LatticeFunctional.from_values(X, (Fraction(1), Fraction(1)))
+    bad_phi = LatticeFunctional(X, (Fraction(1), Fraction(1)))
     bad = _tamper(datum2, phi=bad_phi)
     rep = validate_luna_datum(bad)
     assert not rep.passed
@@ -785,7 +785,7 @@ def test_the_a13_full_flag_recovers_as_g_mod_u():
     # every root is type d, and no facet's Levi is the (empty) type-a set.
     # G/U: divisor i is the i-th coordinate and is moved by root i alone
     rd = build_root_data(GroupSpec((("A", 13),)))
-    m = WeightMonoid(rd, rd.fundamental_weights)
+    m = WeightMonoid(rd, tuple(rd.fundamental_weight(i) for i in range(rd.n_simple)))
     psi = make_spherical_roots(rd, ())
     trace, warnings = [], []
     datum = recover_divisors(m, psi, trace, warnings)
@@ -979,7 +979,7 @@ def test_full_flag_saturation_checks_one_simplex_and_no_point(factor,
         monkeypatch.setattr(module, "hilbert_basis_with_units",
                             lambda *args: hilbert_calls.append(args))
     rd = build_root_data(GroupSpec((factor,)))
-    m = WeightMonoid(rd, rd.fundamental_weights)
+    m = WeightMonoid(rd, tuple(rd.fundamental_weight(i) for i in range(rd.n_simple)))
     datum = recover_divisors(m, make_spherical_roots(rd, ()))
     assert len(datum.divisors) == rd.n_simple
     assert simplices == [[]]

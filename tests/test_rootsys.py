@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sphervar import polyhedral, rootsys
 from sphervar.polyhedral import exact, rational_solve
 from sphervar.rootsys import (
+    MAX_GROUP_DIM,
     GroupSpec,
     RootDataError,
     build_root_data,
@@ -69,6 +70,16 @@ def test_invalid_ranks_rejected():
         rd_of(("X", 2))
 
 
+def test_groups_past_the_rank_limit_are_refused():
+    # simple plus central rank counts; nothing past the limit is built
+    assert build_root_data(GroupSpec((), MAX_GROUP_DIM)).dim == MAX_GROUP_DIM
+    for spec in [GroupSpec((), MAX_GROUP_DIM + 1),
+                 GroupSpec((("A", MAX_GROUP_DIM),), 1),
+                 GroupSpec((("A", 100000),))]:
+        with pytest.raises(RootDataError, match="exceeds the limit"):
+            build_root_data(spec)
+
+
 def test_pairing_examples():
     rd = rd_of(("A", 2))
     a1 = rd.simple_root(0)
@@ -113,7 +124,7 @@ def test_support_of_simple_roots_and_zero():
     rd = rd_of(("A", 2))
     for i in range(2):
         assert support(rd.simple_root(i), rd) == frozenset({i})
-    assert support(rd.zero_weight(), rd) == frozenset()
+    assert support(rd.weight([0] * rd.dim), rd) == frozenset()
 
 
 def test_support_cn_exceptional_root():
@@ -235,7 +246,7 @@ def test_root_data_constants_match_the_cartan_reference(case):
         column = [rd.cartan[r][i] for r in range(n)] + [0] * rd.spec.central_rank
         assert rd.simple_root(i) == rd.weight(column)
         assert rd.simple_coroot(i) == rd.covector([int(j == i) for j in range(rd.dim)])
-    w = rd.zero_weight()
+    w = rd.weight([0] * rd.dim)
     for i, c in enumerate(coeffs):
         w = w + rd.simple_root(i).scale(Fraction(c, q))
     got = root_coefficients(w, rd)

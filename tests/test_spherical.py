@@ -6,7 +6,6 @@ import pytest
 from sphervar import spherical
 from sphervar.cli import parse_input
 from sphervar.monoid import WeightMonoid, torus_monoid
-from sphervar.polyhedral import RationalCone
 from sphervar.recovery import RecoveryError, recover_divisors
 from sphervar.rootsys import GroupSpec, RootDataError, build_root_data
 from sphervar.spherical import (
@@ -16,8 +15,6 @@ from sphervar.spherical import (
     hidden_root_triples,
     make_spherical_roots,
     match_hidden_root_triple,
-    spherical_roots_of_cone,
-    tail_cone,
     type_a_roots,
     valuation_cone,
 )
@@ -66,13 +63,19 @@ def test_make_spherical_roots_converts_only_root_data_errors(
         make_spherical_roots(rd, (rd.simple_root(0),))
 
 
+def negated_root_coords(roots, lattice):
+    """The facet normals a valuation cone must have: minus each spherical
+    root, in the coordinates of the lattice basis."""
+    return {tuple(-x for x in lattice.coords(g.int_coords())) for g in roots}
+
+
 def test_tail_and_valuation_cones_horospherical():
     m = so3_monoid()
     psi = make_spherical_roots(m.rd, ())
-    t = tail_cone(psi, m.lattice)
-    assert t.rays == () and t.lineality == ()
     v = valuation_cone(psi, m.lattice)
-    assert v.lineality_rank == m.lattice.rank  # the full dual space
+    assert len(v.lineality) == m.lattice.rank  # the full dual space
+    t = v.dual()  # minus the tail cone, which no root spans
+    assert t.rays == () and t.lineality == ()
 
 
 def test_valuation_cone_half_line():
@@ -82,8 +85,7 @@ def test_valuation_cone_half_line():
     v = valuation_cone(psi, m.lattice)
     # functionals nonpositive on alpha: a half-line in the dual
     assert v.rays == ((-1,),)
-    roots = spherical_roots_of_cone(v, m.lattice, rd)
-    assert tuple(r.coords for r in roots) == (rd.simple_root(0).coords,)
+    assert set(v.facet_normals) == negated_root_coords(psi.roots, m.lattice)
 
 
 def test_g2_valuation_cone_roundtrip():
@@ -93,14 +95,7 @@ def test_g2_valuation_cone_roundtrip():
         rd, (rd.simple_root(1), rd.simple_root(0) + rd.simple_root(1)))
     v = valuation_cone(psi, lat_m.lattice)
     assert len(v.facet_normals) == 2
-    roots = spherical_roots_of_cone(v, lat_m.lattice, rd)
-    assert {r.coords for r in roots} == {g.coords for g in psi.roots}
-
-
-def test_roots_of_full_space_cone():
-    m = so3_monoid()
-    full = RationalCone.full_space(m.lattice.rank)
-    assert spherical_roots_of_cone(full, m.lattice, m.rd) == ()
+    assert set(v.facet_normals) == negated_root_coords(psi.roots, lat_m.lattice)
 
 
 def test_roundtrip_on_corpus_sets():
@@ -117,8 +112,7 @@ def test_roundtrip_on_corpus_sets():
     for m, roots in cases:
         psi = make_spherical_roots(m.rd, roots)
         v = valuation_cone(psi, m.lattice)
-        back = spherical_roots_of_cone(v, m.lattice, m.rd)
-        assert {r.coords for r in back} == {g.coords for g in roots}
+        assert set(v.facet_normals) == negated_root_coords(roots, m.lattice)
 
 
 def test_g_stable_divisors_lie_in_the_valuation_cone():
