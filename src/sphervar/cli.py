@@ -301,7 +301,7 @@ def cmd_recover(doc: InputDocument, verbose: bool = False) -> tuple[dict, list[s
         "divisors": _divisor_payload(datum),
         "root_types": _types_payload(datum),
         "hidden_spherical_roots": sorted(
-            [_frac(x) for x in datum.psi[i].coords]
+            [_frac(x) for x in datum.psi.roots[i].coords]
             for i in hidden_spherical_roots(datum)),
         "document": _document_payload(doc, datum),
     }
@@ -316,7 +316,7 @@ def cmd_classify(doc: InputDocument) -> tuple[dict, list[str]]:
     validate_roots_in_lattice(doc.psi, doc.monoid.lattice)
     table = classify_root_types(doc.monoid, doc.psi)
     rd = doc.rd
-    tags = elementary_forms(doc.psi, rd)
+    tags = elementary_forms(doc.psi)
     pia = type_a_roots(doc.monoid)
     triple = match_hidden_root_triple(rd, doc.psi, pia)
     payload = {
@@ -399,7 +399,7 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
         sigma = ParabolicSet(active - frozenset(r - 1 for r in dropped))
         records.append(BDivisorRecord(
             str(entry.get("id", f"D{i + 1}")), phi, sigma, "external"))
-    return LunaDatum(doc.rd, monoid, doc.psi.roots, table,
+    return LunaDatum(doc.rd, monoid, doc.psi, table,
                      tuple(records), frozenset(active))
 
 

@@ -19,10 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .monoid import WeightMonoid
 from .polyhedral import Lattice, PolyhedralError, _clear_denominators, _dot, exact
 from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec
+
+if TYPE_CHECKING:
+    from .spherical import SphericalRootSet
 
 
 class LunaError(ValueError):
@@ -107,7 +111,7 @@ class LunaDatum:
 
     rd: RootData
     monoid: WeightMonoid
-    psi: tuple[WeightVec, ...]
+    psi: SphericalRootSet
     type_table: "RootTypeTable"
     divisors: tuple[BDivisorRecord, ...]
     levi_roots: frozenset[int]

@@ -1,16 +1,19 @@
 """Exact rational lattice and cone algebra.
 
-Everything here is exact; no floating point is used anywhere.  The
-kernels (double description, `primitive`, cone membership, the linear
-solves and the Hilbert basis) compute on Python integers.  Every vector
+Everything here is exact; no floating point is used anywhere.  There is
+one kernel per job, each on Python integers: the Hermite normal form for
+lattices, the Bareiss inverse `_scaled_inverse` for rational inverses
+(the inverse Cartan matrix, the parallelepiped points of a simplex, the
+projection off a lineality space), and double description for cones.
+Cone membership and the Hilbert basis are built on them.  Every vector
 that double description carries is an integer vector kept primitive up
 to a positive factor: after each projection or combination it is divided
 by the gcd of its entries, so it points exactly as the rational vector of
 textbook elimination does.  An exact rational is an `int` when it is
 integral and a `Fraction` with denominator > 1 otherwise (`exact`); a
 `Fraction` is made only at a final division that does not come out even,
-such as a solved coordinate of `rational_solve` or `Lattice.coords`, a
-point built from fractional coordinates, or a polytope vertex.  Cones
+such as a coordinate of `Lattice.coords`, a point built from fractional
+coordinates, or a polytope vertex.  Cones
 carry a canonical double description (extreme rays modulo lineality,
 plus a minimal facet description), which makes equality of cones a tuple
 comparison and the dual an involution on the nose.
@@ -222,44 +225,31 @@ def integer_solve(cols: list, target) -> list[int] | None:
     return _combination(_relations(cols)[0], len(cols), target)
 
 
-def rational_solve(cols: list, target) -> list[int | Fraction] | None:
-    """Solve sum_i c_i * cols[i] = target over Q; None if inconsistent.
+def _scaled_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]]:
+    """(p, p M^-1) with p = ±det M, for a nonsingular square integer
+    matrix M with the given rows.
 
-    Fraction-free Gauss–Jordan: each equation is scaled to integers, and
-    every row operation is a cross-multiplication followed by division by
-    the row's gcd, so each row stays a nonzero multiple of the row that
-    rational elimination would hold.  The free coordinates are zero; each
-    pivot coordinate is one `exact(rhs, pivot)`.
+    Fraction-free Gauss–Jordan (Bareiss) on [M | I]: after step k every
+    entry is, up to the sign of the row swaps, a minor of order k+1 of
+    [M | I], so the division by the previous pivot is exact.  At the end
+    every diagonal entry is the last pivot p, with p M^-1 on the right.
     """
-    n = len(target)
-    if any(len(c) != n for c in cols):
-        raise PolyhedralError("rational_solve: column and target lengths differ")
-    if not cols:
-        return [] if not any(target) else None
-    m = len(cols)
-    rows = [_clear_denominators([c[i] for c in cols] + [target[i]])[1]
-            for i in range(n)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(m):
-        p = next((i for i in range(r, n) if rows[i][c]), None)
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
         if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        pv = prow[c]
+            raise PolyhedralError("internal: singular matrix")
+        a[k], a[p] = a[p], a[k]
+        pk = a[k]
+        piv = pk[k]
         for i in range(n):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = _reduced_combination(pv, rows[i], f, prow)
-        piv_cols.append(c)
-        r += 1
-    if any(rows[i][m] for i in range(r, n)):
-        return None
-    sol: list[int | Fraction] = [0] * m
-    for i, c in enumerate(piv_cols):
-        sol[c] = exact(rows[i][m], rows[i][c])
-    return sol
+            f = a[i][k]
+            if i != k:
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = piv
+    return prev, [r[n:] for r in a]
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +506,23 @@ def _dd(dim: int, inequalities) -> tuple[list[Vec], list[Vec]]:
 
 def _project_off(rays, lin: Lattice) -> list[Vec]:
     """Orthogonal projection of rays off the lineality span, primitivized,
-    deduplicated and sorted: the canonical ray list modulo lineality."""
+    deduplicated and sorted: the canonical ray list modulo lineality.
+
+    With B the lineality basis and (p, A) = (p, p G^-1) the Bareiss
+    inverse of the Gram matrix G = B B^T, p r - B^T A B r is p times the
+    projection of r.  G is positive definite, so every pivot is a leading
+    principal minor and p = det G > 0 keeps the direction."""
     if lin.rank == 0:
         return sorted(set(primitive(r) for r in rays))
     basis = lin.basis
-    gram_cols = [tuple(_dot(bi, bj) for bi in basis) for bj in basis]
+    det, inv = _scaled_inverse([tuple(_dot(bi, bj) for bj in basis)
+                                for bi in basis])
     out = set()
     for r in rays:
-        sol = rational_solve(gram_cols, [_dot(bi, r) for bi in basis])
-        # den * (r - sum c_i b_i), a positive multiple of the projection
-        den, ks = _clear_denominators(sol)
-        proj = [den * x for x in r]
-        for k, bi in zip(ks, basis):
+        br = [_dot(bi, r) for bi in basis]
+        proj = [det * x for x in r]
+        for row, bi in zip(inv, basis):
+            k = _dot(row, br)
             if k:
                 proj = [p - k * b for p, b in zip(proj, bi)]
         if any(proj):
@@ -634,33 +629,6 @@ class RationalCone:
 # ---------------------------------------------------------------------------
 # Hilbert bases
 # ---------------------------------------------------------------------------
-
-def _scaled_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]]:
-    """(p, p M^-1) with p = ±det M, for a nonsingular square integer
-    matrix M with the given rows.
-
-    Fraction-free Gauss–Jordan (Bareiss) on [M | I]: after step k every
-    entry is, up to the sign of the row swaps, a minor of order k+1 of
-    [M | I], so the division by the previous pivot is exact.  At the end
-    every diagonal entry is the last pivot p, with p M^-1 on the right.
-    """
-    n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            raise PolyhedralError("internal: singular simplex")
-        a[k], a[p] = a[p], a[k]
-        pk = a[k]
-        piv = pk[k]
-        for i in range(n):
-            f = a[i][k]
-            if i != k:
-                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pk)]
-        prev = piv
-    return prev, [r[n:] for r in a]
-
 
 def _box_residues(rows: list[Vec]) -> list[Vec]:
     """Canonical coset representatives of Z^n modulo the row lattice of a

@@ -58,7 +58,7 @@ from .polyhedral import (
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     primitive,
 )
-from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, pairing, support
+from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, pairing
 from .spherical import (
     SphericalRootSet,
     classify_root_types,
@@ -379,7 +379,7 @@ def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
     final = [BDivisorRecord(f"D{i + 1}", r.phi, r.stabilizer, r.source,
                             r.source_roots, r.coroot_form)
              for i, r in enumerate(recs)]
-    datum = LunaDatum(m.rd, m, psi.roots, table, tuple(final),
+    datum = LunaDatum(m.rd, m, psi, table, tuple(final),
                       frozenset(m.active_roots))
     report = validate_luna_datum(datum)
     if not report.passed:
@@ -414,7 +414,6 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
     m = datum.monoid
     X = m.lattice
     table = datum.type_table
-    psi = SphericalRootSet(rd, datum.psi)
     n_active = sorted(datum.levi_roots)
 
     # (i) every functional is nonnegative on the monoid and kills units;
@@ -503,8 +502,7 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
                          f"set of roots {[x + 1 for x in moved]}")
 
     # (v) sign constraint for elementary-form roots
-    tags = elementary_forms(psi, rd)
-    for g, tag in zip(datum.psi, tags):
+    for g, tag in zip(datum.psi.roots, elementary_forms(datum.psi)):
         if tag.kind == "none":
             continue
         alpha1 = tag.roots[0]
@@ -531,9 +529,7 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
 
     # diagnostic: a locally-effective datum with the root supports and the
     # type-a set covering everything must already be covered by supports
-    supports: set[int] = set()
-    for g in datum.psi:
-        supports |= set(support(g, rd))
+    supports = set().union(*datum.psi.supports)
     pia = set(table.roots_of_type("a"))
     if pia | supports == set(n_active) and supports != set(n_active) and pia:
         rep.warnings.append(
@@ -584,11 +580,9 @@ def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
         raise RecoveryError(str(exc)) from exc
     new_levi = loc.active_roots
     rd = datum.rd
-    new_roots = []
-    for g in datum.psi:
-        if support(g, rd) <= new_levi:
-            new_roots.append(g)
-    psi = make_spherical_roots(rd, new_roots)
+    psi = make_spherical_roots(rd, [
+        g for g, supp in zip(datum.psi.roots, datum.psi.supports)
+        if supp <= new_levi])
     table = classify_root_types(loc, psi)
     divisors = []
     for d in datum.divisors:
@@ -598,7 +592,7 @@ def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
             d.divisor_id, d.phi,
             ParabolicSet(d.stabilizer.roots & new_levi),
             d.source, d.source_roots, d.coroot_form))
-    return LunaDatum(rd, loc, psi.roots, table, tuple(divisors), new_levi)
+    return LunaDatum(rd, loc, psi, table, tuple(divisors), new_levi)
 
 
 @dataclass(frozen=True)
@@ -642,8 +636,8 @@ def moment_polytope(datum: LunaDatum, base: WeightVec,
     return MomentPolytope(poly, X, base)
 
 
-def thin_to_elementary(psi: SphericalRootSet, rd: RootData) -> SphericalRootSet:
+def thin_to_elementary(psi: SphericalRootSet) -> SphericalRootSet:
     """Keep only the roots of one of the three elementary forms."""
-    tags = elementary_forms(psi, rd)
-    kept = tuple(g for g, t in zip(psi.roots, tags) if t.kind != "none")
-    return SphericalRootSet(rd, kept)
+    kept = tuple(g for g, t in zip(psi.roots, elementary_forms(psi))
+                 if t.kind != "none")
+    return SphericalRootSet(psi.rd, kept)

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .luna import LunaDatum, RootTypeTable
 from .monoid import WeightMonoid
-from .polyhedral import Lattice, RationalCone, exact
+from .polyhedral import Lattice, RationalCone
 from .rootsys import (
     RootData,
     RootDataError,
     WeightVec,
     root_coefficients,
-    support,
     symmetric_form,
 )
 
@@ -30,10 +30,10 @@ class SphericalError(ValueError):
 
 @dataclass(frozen=True)
 class SphericalRootSet:
-    """Validated set of spherical roots for a fixed group: they lie in
-    the root span, are pairwise non-acute and are linearly independent.
-    Admissibility against the classification tables of possible root
-    systems is not checked here.
+    """Validated set of spherical roots for a fixed group: they are
+    nonnegative combinations of simple roots, pairwise non-acute and
+    linearly independent.  Admissibility against the classification
+    tables of possible root systems is not checked here.
     """
 
     rd: RootData
@@ -42,20 +42,40 @@ class SphericalRootSet:
     def weight_set(self) -> set[tuple[int | Fraction, ...]]:
         return {g.coords for g in self.roots}
 
+    @cached_property
+    def coefficients(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The simple-root coefficients of each root (`root_coefficients`),
+        computed once per root set."""
+        return tuple(root_coefficients(g, self.rd) for g in self.roots)
+
+    @cached_property
+    def supports(self) -> tuple[frozenset[int], ...]:
+        """The simple roots with a nonzero coefficient in each root."""
+        return tuple(frozenset(i for i, c in enumerate(cs) if c)
+                     for cs in self.coefficients)
+
 
 def make_spherical_roots(rd: RootData, roots) -> SphericalRootSet:
-    """Group-level validation: roots lie in the root span, are pairwise
-    non-acute, and are linearly independent."""
+    """Group-level validation: roots are nonnegative combinations of
+    simple roots, pairwise non-acute, and linearly independent.  The
+    nonnegativity holds as the valuation cone contains the antidominant
+    chamber (Knop, The Luna–Vust theory of spherical embeddings, 1991)."""
     roots = tuple(roots)
-    for g in roots:
+    coefficients = []
+    for i, g in enumerate(roots):
         if g.spec != rd.spec:
             raise SphericalError("spherical root does not match the group")
         if g.is_zero:
             raise SphericalError("zero vector cannot be a spherical root")
         try:
-            support(g, rd)
+            cs = root_coefficients(g, rd)
         except RootDataError as exc:
             raise SphericalError(f"spherical root outside the root span: {exc}")
+        if any(c < 0 for c in cs):
+            raise SphericalError(
+                f"spherical root {i + 1} is not a nonnegative combination "
+                "of simple roots")
+        coefficients.append(cs)
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if symmetric_form(rd, roots[i], roots[j]) > 0:
@@ -69,7 +89,10 @@ def make_spherical_roots(rd: RootData, roots) -> SphericalRootSet:
             raise SphericalError("spherical roots must be integral weights")
         if Lattice.span(mat, rd.dim).rank != len(roots):
             raise SphericalError("spherical roots must be linearly independent")
-    return SphericalRootSet(rd, roots)
+    psi = SphericalRootSet(rd, roots)
+    # the coefficients read here are the set's own, computed once
+    psi.__dict__["coefficients"] = tuple(coefficients)
+    return psi
 
 
 def validate_roots_in_lattice(psi: SphericalRootSet, lattice: Lattice) -> None:
@@ -138,22 +161,26 @@ def classify_root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable
 
     b: the root is a spherical root; c: twice the root is; a: orthogonal
     to the whole monoid; d: otherwise.  A root matching several classes
-    means the datum is invalid.
+    means the datum is invalid.  The positive multiples of a simple
+    root among the spherical roots are read off the coefficient vectors
+    supported on it alone.
     """
-    rd = m.rd
     active = sorted(m.active_roots)
-    psi_set = psi.weight_set()
+    multiples: dict[int, list[int | Fraction]] = {}
+    for supp, cs in zip(psi.supports, psi.coefficients):
+        if len(supp) == 1:
+            (i,) = supp
+            if cs[i] > 0:
+                multiples.setdefault(i, []).append(cs[i])
     a_set = type_a_roots(m)
     entries = []
     for i in active:
-        alpha = rd.simple_root(i)
-        is_b = alpha.coords in psi_set
-        is_c = alpha.scale(2).coords in psi_set
-        multiples = _rational_multiples_in_psi(alpha, psi)
-        if any(q not in (1, 2) for q in multiples):
+        qs = multiples.get(i, [])
+        if any(q not in (1, 2) for q in qs):
             raise SphericalError(
                 f"invalid root set: a non-root multiple of simple root {i + 1} "
                 "appears among the spherical roots")
+        is_b, is_c = 1 in qs, 2 in qs
         if is_b and is_c:
             raise SphericalError(
                 f"invalid root set: both alpha and 2*alpha in it (root {i + 1})")
@@ -185,28 +212,6 @@ def classify_root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable
     return RootTypeTable(tuple(entries), tuple(sorted(partners)))
 
 
-def _rational_multiples_in_psi(alpha: WeightVec, psi: SphericalRootSet):
-    out = []
-    for g in psi.roots:
-        ratio = None
-        consistent = True
-        for x, y in zip(g.coords, alpha.coords):
-            if y == 0:
-                if x != 0:
-                    consistent = False
-                    break
-            else:
-                r = exact(x, y)
-                if ratio is None:
-                    ratio = r
-                elif ratio != r:
-                    consistent = False
-                    break
-        if consistent and ratio is not None and ratio > 0:
-            out.append(ratio)
-    return out
-
-
 def _is_partner(m: WeightMonoid, psi: SphericalRootSet, i: int, j: int) -> bool:
     rd = m.rd
     if rd.cartan[i][j] != 0:
@@ -215,12 +220,10 @@ def _is_partner(m: WeightMonoid, psi: SphericalRootSet, i: int, j: int) -> bool:
     for b in m.lattice.basis:
         if b[i] != b[j]:
             return False
-    s = rd.simple_root(i) + rd.simple_root(j)
-    psi_set = psi.weight_set()
-    if s.coords in psi_set:
-        return True
-    half = s.scale(Fraction(1, 2))
-    return half.coords in psi_set
+    # alpha_i + alpha_j or half of it among the roots, by coefficients
+    pair = tuple(int(k in (i, j)) for k in range(rd.n_simple))
+    half = tuple(Fraction(x, 2) for x in pair)
+    return pair in psi.coefficients or half in psi.coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +238,12 @@ class FormTag:
     k: int | Fraction | None = None
 
 
-def elementary_forms(psi: SphericalRootSet, rd: RootData) -> tuple[FormTag, ...]:
+def elementary_forms(psi: SphericalRootSet) -> tuple[FormTag, ...]:
     """Tag each root: a simple root, twice one, or k(a1+a2) with a1,a2
     orthogonal simple roots and k in {1, 1/2}."""
+    rd = psi.rd
     tags = []
-    for g in psi.roots:
-        coeffs = root_coefficients(g, rd)
+    for coeffs in psi.coefficients:
         nz = [(i, c) for i, c in enumerate(coeffs) if c != 0]
         tag = FormTag("none")
         if len(nz) == 1:
@@ -278,18 +281,14 @@ def hidden_divisors(datum: LunaDatum) -> frozenset[str]:
 
 
 def hidden_spherical_roots(datum: LunaDatum) -> frozenset[int]:
-    """Indices (into datum.psi) of the hidden spherical roots: every
+    """Indices (into datum.psi.roots) of the hidden spherical roots: every
     divisor is moved by some root of the support, and the root is not of
     any elementary form."""
-    rd = datum.rd
-    psi = SphericalRootSet(rd, datum.psi)
-    tags = elementary_forms(psi, rd)
-    n = rd.n_simple
+    psi = datum.psi
     hidden = []
-    for idx, g in enumerate(datum.psi):
-        if tags[idx].kind != "none":
+    for idx, (tag, supp) in enumerate(zip(elementary_forms(psi), psi.supports)):
+        if tag.kind != "none":
             continue
-        supp = support(g, rd)
         covered = True
         for d in datum.divisors:
             if supp <= d.stabilizer.roots:

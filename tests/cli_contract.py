@@ -1,4 +1,5 @@
-"""The CLI contract on the documents in data/: the exit code and the
+"""The CLI contract on the documents in data/ and in the frozen benchmark
+inputs (bench/inputs/, apart from the cliffs): the exit code and the
 SHA-256 of stdout of every command in machine format, and of `validate`
 on the document that `recover` writes and on a tampered copy of it, with
 the first divisor's functional negated.
@@ -31,6 +32,8 @@ COMMANDS = {
     "polytope": ["polytope"],
     "compare (self)": ["compare"],
 }
+DOCUMENTS = ["data", "bench/inputs/corpus-cli", "bench/inputs/flag-ladder",
+             "bench/inputs/toric-ladder"]
 
 
 def run(command: str, path) -> tuple[int, str]:
@@ -49,7 +52,9 @@ def contract() -> dict[str, list]:
     with tempfile.TemporaryDirectory() as tmp:
         recovered = Path(tmp) / "recovered.json"
         tampered = Path(tmp) / "tampered.json"
-        for path in sorted((ROOT / "data").glob("*.json")):
+        paths = [path for folder in DOCUMENTS
+                 for path in sorted((ROOT / folder).glob("*.json"))]
+        for path in paths:
             runs = {command: run(command, path) for command in COMMANDS}
             code, out = runs["recover"]
             if code == 0:

@@ -302,7 +302,7 @@ def test_criterion_6_triple_matcher():
     e = corpus_by_name()["g2_hidden"]
     datum = recover_divisors(e.monoid, e.psi)
     hid = hidden_spherical_roots(datum)
-    got = {tuple(int(x) for x in datum.psi[i].coords) for i in hid}
+    got = {tuple(int(x) for x in datum.psi.roots[i].coords) for i in hid}
     ok = ok and got == {(1, -1)}  # alpha1 + alpha2, the second listed root
     pia = type_a_roots(e.monoid)
     match = match_hidden_root_triple(e.rd, e.psi, pia)
@@ -315,7 +315,7 @@ def test_criterion_7_thinned_root_set_regression():
     ok = True
     for e in build_corpus():
         full = recover_prime(e.monoid, e.psi)
-        thin = recover_prime(e.monoid, thin_to_elementary(e.psi, e.rd))
+        thin = recover_prime(e.monoid, thin_to_elementary(e.psi))
         same = [(r.phi.values, r.source, r.source_roots) for r in full] == \
                [(r.phi.values, r.source, r.source_roots) for r in thin]
         ok = ok and same

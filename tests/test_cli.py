@@ -188,6 +188,19 @@ def test_compare_different_generator_lists(tmp_path):
     assert machine_payload(proc)["monoid_equal"] is True
 
 
+@pytest.mark.parametrize("command", ["recover", "classify"])
+def test_negative_spherical_root_exits_2(tmp_path, command):
+    # -alpha1 is no spherical root; both commands used to exit 0 on it
+    doc = {"schema": 1, "group": {"factors": [["A", 1]]},
+           "monoid_generators": [[2]], "spherical_roots": [[-2]]}
+    proc = run_cli([command, "--input", write_doc(tmp_path, "neg.json", doc)],
+                   check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "spherical root 1 is not a nonnegative combination of simple " \
+        "roots" in proc.stderr
+
+
 def test_compare_spec_mismatch_exit_2(tmp_path):
     doc_b = dict(MINIMAL, group={"factors": [["A", 2]], "central_rank": 0},
                  weights={"alpha": [1, 1]})

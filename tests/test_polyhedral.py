@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from references import reference_det, reference_rational_solve
 from sphervar import polyhedral
 from sphervar.polyhedral import (
     Lattice,
@@ -19,7 +20,6 @@ from sphervar.polyhedral import (
     integer_solve,
     monoid_membership,
     primitive,
-    rational_solve,
 )
 
 
@@ -181,11 +181,7 @@ def test_integer_solve_prefers_integral():
     assert integer_solve([(2,)], (3,)) is None
 
 
-def test_rational_solve_rejects_length_mismatch():
-    with pytest.raises(PolyhedralError):
-        rational_solve([(1, 0)], (1, 0, 7))
-    with pytest.raises(PolyhedralError):
-        rational_solve([(1, 0), (0, 1, 0)], (1, 0))
+def test_integer_solve_rejects_length_mismatch():
     with pytest.raises(PolyhedralError):
         integer_solve([(1,)], (1, 5))
     with pytest.raises(PolyhedralError):
@@ -224,6 +220,30 @@ def test_integer_kernel():
     assert len(ker) == 2
     for v in ker:
         assert sum(v) == 0
+
+
+@st.composite
+def nonsingular_matrices(draw):
+    """Nonsingular square integer matrices up to 5 x 5, entries in [-4, 4]."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    assume(reference_det(rows) != 0)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonsingular_matrices())
+@example([[0, 2, 1], [3, 0, 0], [1, 1, 4]])  # a zero first pivot: a row swap
+def test_scaled_inverse_is_the_determinant_times_the_inverse(rows):
+    # the Bareiss inverse behind the inverse Cartan matrix, the
+    # parallelepiped points and the projection off a lineality space
+    p, inv = polyhedral._scaled_inverse(rows)
+    n = len(rows)
+    assert abs(p) == abs(reference_det(rows))
+    assert [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[p * (i == j) for j in range(n)]
+                                   for i in range(n)]
 
 
 # -- cones ------------------------------------------------------------------
@@ -472,7 +492,8 @@ def test_triangulation_covers_the_cone(cone):
     for p in itertools.product(range(-2, 3), repeat=cone.dim):
         if cone.contains(p):
             assert any(c is not None and min(c) >= 0
-                       for c in (rational_solve(s, p) for s in simplices)), p
+                       for c in (reference_rational_solve(s, p)
+                                 for s in simplices)), p
 
 
 @settings(max_examples=100, deadline=None)
@@ -486,7 +507,7 @@ def test_triangulation_interiors_are_disjoint(cone):
         inner = tuple(map(sum, zip(*s)))
         for j, t in enumerate(simplices):
             if j != i:
-                c = rational_solve(t, inner)
+                c = reference_rational_solve(t, inner)
                 assert c is not None and min(c) <= 0
 
 

@@ -4,6 +4,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus
+from references import reference_rational_solve
 from test_recovery import (
     reference_monoid_recovery_identity,
     reference_violations,
@@ -32,7 +34,6 @@ from sphervar.polyhedral import (
     integer_solve,
     monoid_membership,
     primitive,
-    rational_solve,
 )
 from sphervar.recovery import (
     RecoveryError,
@@ -68,13 +69,54 @@ def test_dual_involution_property(gens):
 
 
 @st.composite
-def cone_inputs(draw, dim=None):
+def cone_inputs(draw, dim=None, max_lines=1):
     """(dim, generators, lines) in ranks 2-4, entries in [-3, 3]."""
     if dim is None:
         dim = draw(st.integers(2, 4))
     vec = st.tuples(*[st.integers(-3, 3)] * dim)
     return (dim, draw(st.lists(vec, max_size=5)),
-            draw(st.lists(vec, max_size=1)))
+            draw(st.lists(vec, max_size=max_lines)))
+
+
+def fraction_projection(v, lines):
+    """v projected orthogonally off span(lines), by Gram–Schmidt on
+    `Fraction` entries."""
+    def off(u, basis):
+        for w in basis:
+            c = sum(map(mul, u, w)) / sum(map(mul, w, w))
+            u = [a - c * b for a, b in zip(u, w)]
+        return u
+
+    basis = []
+    for line in lines:
+        u = off([Fraction(x) for x in line], basis)
+        if any(u):
+            basis.append(u)
+    return off([Fraction(x) for x in v], basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda d: cone_inputs(d, max_lines=3)))
+@example((3, [(1, 0, 0), (0, 0, 1), (2, -1, 3)], [(1, 1, 0), (0, 1, 1)]))
+def test_cone_rays_are_the_fraction_projections_off_the_lineality(inputs):
+    # rays and facet normals are primitive and orthogonal to the lineality
+    # and to the span equations; the HNF lineality basis is not orthogonal,
+    # so the Gram matrix behind the projection has off-diagonal entries
+    dim, gens, lines = inputs
+    cone = RationalCone.from_generators(gens, lines=lines, dim=dim)
+    for vecs, normal_to in [(cone.rays, cone.lineality),
+                            (cone.facet_normals, cone.span_equations)]:
+        for v in vecs:
+            assert gcd(*v) == 1
+            assert not any(sum(map(mul, v, w)) for w in normal_to)
+    gens = [g for g in gens if any(g)]
+    projected = {reference_primitive(p) for p in
+                 (fraction_projection(g, cone.lineality) for g in gens)
+                 if any(p)}
+    # each extreme ray modulo the lineality is the projection of a generator
+    assert set(cone.rays) <= projected
+    assert polyhedral._project_off(gens, Lattice.span(cone.lineality, dim)) \
+        == sorted(projected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -309,9 +351,9 @@ def test_saturation_of_the_thousand_fans(gens, saturated):
 
 # -- the integer kernels against rational references -------------------------
 #
-# The references below are the rational-arithmetic versions of `_dd`,
-# `rational_solve` and `Lattice.coords` that the integer kernels replaced.
-# They compute on `Fraction` throughout and share no code with the kernels.
+# The references below are the rational-arithmetic versions of `_dd` and
+# `Lattice.coords` that the integer kernels replaced.  They compute on
+# `Fraction` throughout and share no code with the kernels.
 
 def reference_primitive(v):
     fr = [Fraction(x) for x in v]
@@ -403,37 +445,6 @@ def reference_dd(dim, inequalities):
     return lin_basis, ray_vecs
 
 
-def reference_rational_solve(cols, target):
-    if not cols:
-        return [] if all(Fraction(x) == 0 for x in target) else None
-    n = len(cols[0])
-    m = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(m)] + [Fraction(target[i])]
-           for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        p = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        fac = aug[r][c]
-        aug[r] = [x / fac for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
-    sol = [Fraction(0)] * m
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][m]
-    return sol
-
-
 def reference_coords(lattice, v):
     sol = reference_rational_solve(list(lattice.basis), v)
     return tuple(sol) if sol is not None else None
@@ -486,37 +497,6 @@ def test_integer_dd_matches_rational_reference(system):
 
 entries = st.one_of(st.integers(-4, 4),
                     st.fractions(-3, 3, max_denominator=4))
-
-
-@st.composite
-def linear_systems(draw):
-    """(cols, target): up to 4 columns in Q^1..Q^4, with a dependent column
-    mixed in, and a target in the column span or drawn at random."""
-    n = draw(st.integers(1, 4))
-    vec = st.tuples(*[entries] * n)
-    cols = draw(st.lists(vec, min_size=1, max_size=4))
-    if draw(st.booleans()):
-        c = draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
-        cols.insert(draw(st.integers(0, len(cols))), _combination(c, cols, n))
-    if draw(st.booleans()):
-        x = draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
-        target = _combination(x, cols, n)
-    else:
-        target = draw(st.one_of(st.tuples(*[st.integers(-4, 4)] * n), vec))
-    return cols, target
-
-
-@settings(max_examples=200, deadline=None)
-@given(linear_systems())
-@example(([(1, 2), (2, 4)], (1, 3)))
-@example(([(1, 2), (2, 4)], (Fraction(1, 2), 1)))
-@example(([(0, 0)], (0, 1)))
-def test_rational_solve_matches_rational_reference(system):
-    cols, target = system
-    sol, ref = rational_solve(cols, target), reference_rational_solve(cols, target)
-    assert sol == ref
-    if ref is not None:
-        assert_canonical(sol, ref)
 
 
 @st.composite
@@ -741,7 +721,7 @@ def reference_parallelepiped_points(rays, dim):
     out = set()
     for rep in reference_box_residues(coord_rows):
         amb = sat.from_coords(rep)
-        t = rational_solve(list(rays), amb)
+        t = reference_rational_solve(list(rays), amb)
         t_frac = [x - (x.numerator // x.denominator) for x in t]
         pt = [Fraction(0)] * dim
         for c, r in zip(t_frac, rays):

@@ -279,7 +279,7 @@ def test_hidden_roots_on_corpus():
     for e in build_corpus():
         datum = recover_entry(e)
         hid = hidden_spherical_roots(datum)
-        got = {tuple(int(x) for x in datum.psi[i].coords) for i in hid}
+        got = {tuple(int(x) for x in datum.psi.roots[i].coords) for i in hid}
         assert got == e.hidden_root_coords, e.name
 
 
@@ -301,7 +301,7 @@ def test_group_stable_divisor_blocks_hiddenness():
 def test_thinned_root_set_regression():
     for e in build_corpus():
         full = recover_prime(e.monoid, e.psi)
-        thin = recover_prime(e.monoid, thin_to_elementary(e.psi, e.rd))
+        thin = recover_prime(e.monoid, thin_to_elementary(e.psi))
         assert [(r.phi.values, r.source) for r in full] == \
             [(r.phi.values, r.source) for r in thin], e.name
 
@@ -559,7 +559,7 @@ def test_localize_datum_sl2_pair():
     loc = localize_datum(datum, e.rd.weight((2,)))
     assert loc.divisors == ()
     assert loc.levi_roots == frozenset()
-    assert loc.psi == ()
+    assert loc.psi.roots == ()
 
 
 def test_localize_datum_toric():

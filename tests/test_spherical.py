@@ -48,6 +48,21 @@ def test_make_spherical_roots_rejects_central():
         make_spherical_roots(rd, (rd.weight((0, 1)),))
 
 
+def test_make_spherical_roots_rejects_negative_coefficients():
+    # a spherical root is a nonnegative combination of simple roots: -alpha
+    # used to be accepted, typed alpha as d and tagged the root "none"
+    rd = rd_of(("A", 1))
+    with pytest.raises(SphericalError, match="spherical root 1 is not a "
+                       "nonnegative combination of simple roots"):
+        make_spherical_roots(rd, (rd.simple_root(0).scale(-1),))
+    rd2 = rd_of(("A", 1), ("A", 1))
+    a1, a2 = rd2.simple_root(0), rd2.simple_root(1)
+    # a mixed sign is refused too; alpha1 and alpha2 - alpha1 are non-acute
+    with pytest.raises(SphericalError, match="spherical root 2 is not"):
+        make_spherical_roots(rd2, (a1, a2 - a1))
+    assert make_spherical_roots(rd2, (a1, a2)).coefficients == ((1, 0), (0, 1))
+
+
 @pytest.mark.parametrize("raised, expected", [
     (RootDataError("off the root span"), SphericalError),
     (ZeroDivisionError("internal"), ZeroDivisionError),
@@ -57,7 +72,7 @@ def test_make_spherical_roots_converts_only_root_data_errors(
     def broken(w, rd):
         raise raised
 
-    monkeypatch.setattr(spherical, "support", broken)
+    monkeypatch.setattr(spherical, "root_coefficients", broken)
     rd = rd_of(("A", 1))
     with pytest.raises(expected):
         make_spherical_roots(rd, (rd.simple_root(0),))
@@ -221,18 +236,18 @@ def test_elementary_forms():
     rd = rd_of(("G", 2))
     psi = make_spherical_roots(
         rd, (rd.simple_root(1), rd.simple_root(0) + rd.simple_root(1)))
-    tags = elementary_forms(psi, rd)
+    tags = elementary_forms(psi)
     assert tags[0].kind == "simple" and tags[0].roots == (1,)
     # alpha1 and alpha2 are not orthogonal in G2, so the sum is not a pair
     assert tags[1].kind == "none"
 
     rd1 = rd_of(("A", 1))
     psi2 = make_spherical_roots(rd1, (rd1.simple_root(0).scale(2),))
-    assert elementary_forms(psi2, rd1)[0].kind == "double"
+    assert elementary_forms(psi2)[0].kind == "double"
 
     rd2 = rd_of(("A", 1), ("A", 1))
     psi3 = make_spherical_roots(rd2, (rd2.simple_root(0) + rd2.simple_root(1),))
-    tag = elementary_forms(psi3, rd2)[0]
+    tag = elementary_forms(psi3)[0]
     assert tag.kind == "pair" and tag.k == 1 and tag.roots == (0, 1)
 
 
@@ -241,7 +256,7 @@ def test_elementary_form_half_pair():
     gen = rd.simple_root(0) + rd.simple_root(1)
     half = gen.scale(Fraction(1, 2))
     psi = make_spherical_roots(rd, (half,))
-    tag = elementary_forms(psi, rd)[0]
+    tag = elementary_forms(psi)[0]
     assert tag.kind == "pair" and tag.k == Fraction(1, 2)
 
 
@@ -249,7 +264,7 @@ def test_elementary_form_c2a1_cross_factor_pair():
     rd = rd_of(("C", 2), ("A", 1))
     gen = rd.simple_root(0) + rd.simple_root(2)  # alpha1 + alpha1'
     psi = make_spherical_roots(rd, (gen,))
-    tag = elementary_forms(psi, rd)[0]
+    tag = elementary_forms(psi)[0]
     assert tag.kind == "pair" and tag.k == 1 and tag.roots == (0, 2)
 
 
