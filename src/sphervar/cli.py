@@ -59,7 +59,6 @@ from .spherical import (
     SphericalError,
     SphericalRootSet,
     classify_root_types,
-    elementary_forms,
     hidden_divisors,
     hidden_spherical_roots,
     make_spherical_roots,
@@ -316,7 +315,7 @@ def cmd_classify(doc: InputDocument) -> tuple[dict, list[str]]:
     validate_roots_in_lattice(doc.psi, doc.monoid.lattice)
     table = classify_root_types(doc.monoid, doc.psi)
     rd = doc.rd
-    tags = elementary_forms(doc.psi)
+    tags = doc.psi.forms
     pia = type_a_roots(doc.monoid)
     triple = match_hidden_root_triple(rd, doc.psi, pia)
     payload = {

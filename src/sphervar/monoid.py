@@ -15,9 +15,15 @@ Membership is bounded by the rays of the dual cone: they are
 nonnegative on the monoid and vanish exactly on its units, so the
 monoid is Z≥0·(generators some ray is positive on) + Z·(generators
 every ray vanishes on), and each ray r caps the coefficient of a
-generator g in a representation of v at r.v // r.g.  Canonical
-representatives modulo the invertible part are chosen by Hermite
-reduction so that all downstream computations are deterministic.
+generator g in a representation of v at r.v // r.g.  A query answers
+yes or no; no certificate is built.
+
+The monoid's canonical form is its unit lattice (an HNF basis) and its
+minimal generators modulo the units, as sorted Hermite-reduced
+representatives.  Both are unique, so equality of monoids is equality of
+the forms.  The minimal generators are found in order of the degree
+given by the sum of the dual rays, which vanishes exactly on the units:
+only a generator of smaller degree can be split off another.
 """
 
 from __future__ import annotations
@@ -140,9 +146,9 @@ class WeightMonoid:
         rays, built once and shared by every query to this monoid.  A
         localized monoid has other generators and builds its own, from
         the rays `localize` seeds."""
-        return MonoidSearch(self.gen_vectors, self._dual_rays)
+        return MonoidSearch(self.gen_vectors, self.dim, self._dual_rays)
 
-    def contains_vector(self, vec) -> tuple[bool, list[int] | None]:
+    def contains_vector(self, vec) -> bool:
         return monoid_membership(tuple(int(x) for x in vec), self._search)
 
     def contains(self, w: WeightVec) -> bool:
@@ -150,38 +156,34 @@ class WeightMonoid:
             raise MonoidError("weight does not match the group")
         if not w.is_integral:
             return False
-        return self.contains_vector(w.int_coords())[0]
+        return self.contains_vector(w.int_coords())
 
     @cached_property
     def minimal_generators(self) -> tuple[WeightVec, ...]:
         """Irreducible noninvertible elements modulo the invertible part,
-        as canonical (Hermite-reduced) representatives, sorted."""
-        inv = self.invertible_lattice
-        reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for g, f in zip(self.gen_vectors, self._invertible_flags):
-            if f:
-                continue
-            rep = inv.reduce_mod(g)
-            reps[rep] = rep
-        out = []
-        for rep in reps:
-            if not self._is_reducible(rep):
-                out.append(rep)
-        return tuple(self.rd.weight(r) for r in sorted(out))
+        as canonical (Hermite-reduced) representatives, sorted.
 
-    def _is_reducible(self, vec: tuple[int, ...]) -> bool:
+        The degree, the sum of the dual rays, is additive and nonnegative
+        on the monoid and vanishes exactly on its units.  So a nonunit v
+        is a sum of two nonunits iff v - g is in the monoid for some
+        nonunit g of smaller degree, and then for an irreducible one,
+        since a summand of g will do as well as g.  The generators'
+        classes are taken in order of degree, and each is tested against
+        the irreducibles of smaller degree kept before it: classes of one
+        degree need no membership query between them.
+        """
         inv = self.invertible_lattice
-        vals = [sum(a * b for a, b in zip(r, vec)) for r in self._search.rays]
-        for g, f, caps in zip(self.gen_vectors, self._invertible_flags,
+        degree: dict[tuple[int, ...], int] = {}
+        for g, f, vals in zip(self.gen_vectors, self._invertible_flags,
                               self._search.values):
-            # a ray r with r.vec < r.g puts vec - g outside the monoid
-            if f or any(a < b for a, b in zip(vals, caps)):
-                continue
-            diff = tuple(a - b for a, b in zip(vec, g))
-            ok, _ = self.contains_vector(diff)
-            if ok and not inv.contains(diff):
-                return True
-        return False
+            if not f:
+                degree[inv.reduce_mod(g)] = sum(vals)
+        kept: list[tuple[int, ...]] = []
+        for v in sorted(degree, key=degree.__getitem__):
+            if not any(degree[g] < degree[v] and self.contains_vector(
+                    tuple(a - b for a, b in zip(v, g))) for g in kept):
+                kept.append(v)
+        return tuple(self.rd.weight(r) for r in sorted(kept))
 
     # -- operations -----------------------------------------------------
 
@@ -208,12 +210,16 @@ class WeightMonoid:
         return loc
 
     def equals(self, other: "WeightMonoid") -> bool:
-        """Set equality, decided by mutual membership of generators: a
-        monoid contains another exactly when it contains its generators."""
+        """Set equality, read off the canonical form.  A monoid is its
+        units plus the monoid its minimal generators span, and both are
+        determined by the set: the units are a lattice, kept by its HNF
+        basis, and the irreducibles modulo the units are unique
+        (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2), kept as
+        sorted Hermite-reduced representatives."""
         if self.rd.spec != other.rd.spec:
             raise MonoidError("mismatched group specs")
-        return (all(other.contains_vector(v)[0] for v in self.gen_vectors)
-                and all(self.contains_vector(v)[0] for v in other.gen_vectors))
+        return (self.invertible_lattice == other.invertible_lattice
+                and self.minimal_generators == other.minimal_generators)
 
     def is_saturated(self) -> bool:
         """Whether the monoid equals its saturation S = cone(M) ∩ lattice,
@@ -247,7 +253,7 @@ class WeightMonoid:
         shortest = {}
         for g in sorted(gens, key=lambda g: sum(map(abs, g)), reverse=True):
             shortest[primitive(g)] = g
-        return all(p in gens or self.contains_vector(quotient.lift(p))[0]
+        return all(p in gens or self.contains_vector(quotient.lift(p))
                    for p in parallelepiped_points(
                        qcone, [shortest[r] for r in qcone.rays]))
 

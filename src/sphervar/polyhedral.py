@@ -21,8 +21,8 @@ comparison and the dual an involution on the nose.
 The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
 relations among the v_i and the combination behind each basis row, and
-integer kernels and solves, the units of a cone with the quotient by
-them, and the unit part of a membership certificate are read off it.
+integer kernels and solves and the units of a cone with the quotient by
+them are read off it.
 
 A Hilbert basis is read off one pulling triangulation of the pointed
 quotient cone (`PointedQuotient`), built from the facet-ray incidences
@@ -34,8 +34,9 @@ normality test of `WeightMonoid.is_saturated`.
 Monoid membership is a depth-first search over the generators, bounded
 by the extreme rays of the dual cone: every ray is nonnegative on the
 monoid, so a ray r with r.g > 0 caps the coefficient of g at
-r.v // r.g, and the generators on which every ray vanishes are units,
-whose part of v is one reduction by their Hermite rows.
+r.v // r.g, and the generators on which every ray vanishes are units:
+once every ray vanishes on what is left of v, it is in the monoid iff it
+is in their lattice.  The search decides; it returns no certificate.
 """
 
 from __future__ import annotations
@@ -862,8 +863,8 @@ def hilbert_basis(cone: RationalCone, lattice: Lattice) -> list[Vec]:
 # ---------------------------------------------------------------------------
 
 class MonoidSearch:
-    """Everything about membership in M = Z≥0-span(generators) that does
-    not depend on the target vector.
+    """Everything about membership in M = Z≥0-span(generators) ⊂ Z^dim
+    that does not depend on the target vector.
 
     `rays` are the extreme rays of the dual cone {phi : phi.g >= 0 for
     every generator g} modulo its lineality; double description computes
@@ -880,62 +881,39 @@ class MonoidSearch:
       the ray values of every generator;
     - `reach[pos]`: for each ray, whether some free generator from
       position pos on is positive on it;
-    - `unit_lattice`: Z·units, the first block of the Hermite rows
-      `_relations` gives for the units; the same rows solve for the unit
-      coefficients.
+    - `unit_lattice`: Z·units, the group of units of M.
+
+    The dimension is given, not read off a generator, so that the
+    monoid with no generators has its units in the right lattice.
     """
 
-    def __init__(self, generators, rays=None):
+    def __init__(self, generators, dim: int, rays=None):
         gens = [tuple(map(int, g)) for g in generators]
-        if len({len(g) for g in gens}) > 1:
-            raise PolyhedralError("monoid generators differ in length")
+        if any(len(g) != dim for g in gens):
+            raise PolyhedralError(
+                f"monoid generators differ in length from the dimension {dim}")
         self.gens = gens
-        self.dim = len(gens[0]) if gens else 0
+        self.dim = dim
         if rays is None:
-            rays = _dd(self.dim, gens)[1]
+            rays = _dd(dim, gens)[1]
         self.rays = [tuple(r) for r in rays]
         self.values = [[_dot(r, g) for r in self.rays] for g in gens]
         self.units = [i for i, vals in enumerate(self.values) if not any(vals)]
         self.free = sorted((i for i, vals in enumerate(self.values) if any(vals)),
                            key=lambda i: gens[i], reverse=True)
-        self._unit_rows = _relations([gens[i] for i in self.units])[0]
-        self.unit_lattice = Lattice(self.dim, tuple(h for h, _ in self._unit_rows))
+        self.unit_lattice = Lattice.span([gens[i] for i in self.units], dim)
         reach = [[False] * len(self.rays)]
         for i in reversed(self.free):
             reach.append([a or b > 0 for a, b in zip(reach[-1], self.values[i])])
         self.reach = reach[::-1]
 
-    @cached_property
-    def positive_relation(self) -> list[int]:
-        """p with every p_i > 0 and sum_i p_i * units[i] = 0: the sum of
-        the extreme rays of {l >= 0 : sum_i l_i * units[i] = 0}.  Each
-        unit's negative is a nonnegative combination of the units, so
-        some ray is positive at each index."""
-        k = len(self.units)
-        eye = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        rows = [tuple(self.gens[u][d] for u in self.units) for d in range(self.dim)]
-        rays = _dd(k, eye + rows + [tuple(-x for x in r) for r in rows])[1]
-        return [sum(col) for col in zip(*rays)]
 
-    def unit_coefficients(self, residual) -> list[int] | None:
-        """Nonnegative coefficients on the units summing to the residual,
-        or None when it is outside `unit_lattice`: the integer solution
-        read off the units' Hermite rows, plus the least multiple of
-        `positive_relation` that lifts its negative entries to zero."""
-        sol = _combination(self._unit_rows, len(self.units), residual)
-        if sol is None or min(sol, default=0) >= 0:
-            return sol
-        p = self.positive_relation
-        t = max(-(c // q) for c, q in zip(sol, p))
-        return [c + t * q for c, q in zip(sol, p)]
+def monoid_membership(v, generators) -> bool:
+    """Decide v ∈ Z≥0-span(generators).
 
-
-def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
-    """Decide v ∈ Z≥0-span(generators), with a certificate.
-
-    `generators` is a list of integer vectors or a prebuilt `MonoidSearch`
-    over them; a caller that asks many questions of one monoid builds the
-    search once and passes it each time.
+    `generators` is a list of integer vectors of the length of v, or a
+    prebuilt `MonoidSearch` over them; a caller that asks many questions
+    of one monoid builds the search once and passes it each time.
 
     With M = Z≥0·free + Z·units as in `MonoidSearch`, every ray r of the
     dual cone is nonnegative on M, so v is not in M when some r.v < 0.
@@ -948,50 +926,42 @@ def monoid_membership(v, generators) -> tuple[bool, list[int] | None]:
     still to come ends the branch.  Once every ray vanishes on the
     residual, every free coefficient still to come is zero and the
     residual must lie in Z·units.  Every coefficient is bounded, so the
-    search is finite and misses no solution.
+    search is finite and misses no solution.  The answer is the decision
+    alone: no coefficients are kept.
     """
-    table = generators if isinstance(generators, MonoidSearch) \
-        else MonoidSearch(generators)
-    gens, free, values, reach = table.gens, table.free, table.values, table.reach
     v = tuple(map(int, v))
-    if gens and len(v) != table.dim:
+    table = generators if isinstance(generators, MonoidSearch) \
+        else MonoidSearch(generators, len(v))
+    if len(v) != table.dim:
         raise PolyhedralError(
             f"vector of length {len(v)} against generators of length {table.dim}")
     if not any(v):
-        return True, [0] * len(gens)
-    if not gens:
-        return False, None
+        return True
+    gens, free, values, reach = table.gens, table.free, table.values, table.reach
     v_values = [_dot(r, v) for r in table.rays]
     if any(x < 0 for x in v_values):
-        return False, None
-    coeffs = [0] * len(gens)
+        return False
     # one frame per free generator on the current branch: its position,
     # the residual before it and the coefficients still to try for it
     stack: list[tuple[int, Vec, list[int], Iterator[int]]] = []
     pos, residual, res_values = 0, v, v_values
     while True:
         if not any(res_values):
-            unit_coeffs = table.unit_coefficients(residual)
-            if unit_coeffs is not None:
-                for i in free[pos:]:
-                    coeffs[i] = 0
-                for i, c in zip(table.units, unit_coeffs):
-                    coeffs[i] = c
-                return True, coeffs
+            if table.unit_lattice.contains(residual):
+                return True
         elif not any(x and not ok for x, ok in zip(res_values, reach[pos])):
             g_values = values[free[pos]]
             top = min(x // y for x, y in zip(res_values, g_values) if y)
             if top == 0:  # no frame for a generator whose coefficient is 0
-                coeffs[free[pos]], pos = 0, pos + 1
+                pos += 1
                 continue
             stack.append((pos, residual, res_values, iter(range(top + 1))))
         while stack and (c := next(stack[-1][3], None)) is None:
             stack.pop()
         if not stack:
-            return False, None
+            return False
         pos, residual, res_values, _ = stack[-1]
         i = free[pos]
-        coeffs[i] = c
         residual = tuple(a - c * b for a, b in zip(residual, gens[i]))
         res_values = [a - c * b for a, b in zip(res_values, values[i])]
         pos += 1

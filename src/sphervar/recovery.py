@@ -62,7 +62,6 @@ from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, pairing
 from .spherical import (
     SphericalRootSet,
     classify_root_types,
-    elementary_forms,
     make_spherical_roots,
     validate_roots_in_lattice,
 )
@@ -502,7 +501,7 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
                          f"set of roots {[x + 1 for x in moved]}")
 
     # (v) sign constraint for elementary-form roots
-    for g, tag in zip(datum.psi.roots, elementary_forms(datum.psi)):
+    for g, tag in zip(datum.psi.roots, datum.psi.forms):
         if tag.kind == "none":
             continue
         alpha1 = tag.roots[0]
@@ -638,6 +637,6 @@ def moment_polytope(datum: LunaDatum, base: WeightVec,
 
 def thin_to_elementary(psi: SphericalRootSet) -> SphericalRootSet:
     """Keep only the roots of one of the three elementary forms."""
-    kept = tuple(g for g, t in zip(psi.roots, elementary_forms(psi))
+    kept = tuple(g for g, t in zip(psi.roots, psi.forms)
                  if t.kind != "none")
     return SphericalRootSet(psi.rd, kept)

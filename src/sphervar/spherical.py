@@ -54,6 +54,12 @@ class SphericalRootSet:
         return tuple(frozenset(i for i, c in enumerate(cs) if c)
                      for cs in self.coefficients)
 
+    @cached_property
+    def forms(self) -> tuple[FormTag, ...]:
+        """The elementary form of each root (`elementary_forms`),
+        computed once per root set."""
+        return elementary_forms(self)
+
 
 def make_spherical_roots(rd: RootData, roots) -> SphericalRootSet:
     """Group-level validation: roots are nonnegative combinations of
@@ -286,7 +292,7 @@ def hidden_spherical_roots(datum: LunaDatum) -> frozenset[int]:
     any elementary form."""
     psi = datum.psi
     hidden = []
-    for idx, (tag, supp) in enumerate(zip(elementary_forms(psi), psi.supports)):
+    for idx, (tag, supp) in enumerate(zip(psi.forms, psi.supports)):
         if tag.kind != "none":
             continue
         covered = True

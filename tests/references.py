@@ -1,11 +1,13 @@
-"""Rational-arithmetic references shared by the test modules.
+"""Rational-arithmetic and search references shared by the test modules.
 
-They compute on `Fraction` throughout and share no code with the integer
-kernels of `sphervar`, so an oracle built on them does not run the code
-it judges.
+They compute on `Fraction` or by plain bounded search, and share no code
+with the kernels of `sphervar`, so an oracle built on them does not run
+the code it judges.
 """
 
+import itertools
 from fractions import Fraction
+from math import isqrt
 
 
 def reference_rational_solve(cols, target):
@@ -60,3 +62,139 @@ def reference_det(rows):
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
+
+# -- monoid membership by a minor-bounded search ------------------------------
+#
+# `reference_monoid_membership` is `monoid_membership` as it was before the
+# search table and before the dual-ray bound: a backtracking search with
+# every coefficient bounded by the largest absolute minor of
+# [generators | v] (Borosh–Treybig), computed per query by a Bareiss
+# determinant of every minor, or past `cap` minors by Hadamard's bound on
+# it.  It returns (answer, coefficients or None).
+
+def reference_int_det(mat):
+    # Bareiss fraction-free determinant
+    a = [row[:] for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reference_hadamard_bound(rows):
+    # the product of the k largest row norms bounds every k x k minor
+    sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
+    n = len(rows[0]) if rows else 0
+    best = 0
+    prod = 1
+    for k in range(min(len(sq), n)):
+        prod *= sq[k]
+        root = isqrt(prod)
+        best = max(best, root + (root * root != prod))
+    return best
+
+
+def reference_max_abs_minor(rows, cap=500000):
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    best = max((abs(x) for r in rows for x in r), default=1)
+    count = 0
+    for k in range(2, min(m, n) + 1):
+        for ri in itertools.combinations(range(m), k):
+            for ci in itertools.combinations(range(n), k):
+                count += 1
+                if count > cap:
+                    return max(reference_hadamard_bound(rows), 1)
+                sub = [[rows[i][j] for j in ci] for i in ri]
+                best = max(best, abs(reference_int_det(sub)))
+    return max(best, 1)
+
+
+def reference_monoid_membership(v, generators):
+    v = tuple(map(int, v))
+    gens = [tuple(map(int, g)) for g in generators]
+    if not any(v):
+        return True, [0] * len(gens)
+    if not gens:
+        return False, None
+    dim = len(v)
+    aug_rows = [[g[i] for g in gens] + [v[i]] for i in range(dim)]
+    bound = reference_max_abs_minor(aug_rows)
+
+    order = sorted(range(len(gens)), key=lambda i: gens[i], reverse=True)
+    n = len(order)
+    supp = [[False] * dim for _ in range(n + 1)]
+    nneg = [[True] * dim for _ in range(n + 1)]
+    npos = [[True] * dim for _ in range(n + 1)]
+    for pos in reversed(range(n)):
+        g = gens[order[pos]]
+        for i in range(dim):
+            supp[pos][i] = supp[pos + 1][i] or g[i] != 0
+            nneg[pos][i] = nneg[pos + 1][i] and g[i] >= 0
+            npos[pos][i] = npos[pos + 1][i] and g[i] <= 0
+
+    coeffs = [0] * len(gens)
+
+    def search(pos, residual):
+        if not any(residual):
+            for p in range(pos, n):
+                coeffs[order[p]] = 0
+            return True
+        if pos >= n:
+            return False
+        for i in range(dim):
+            r = residual[i]
+            if r != 0 and not supp[pos][i]:
+                return False
+            if r < 0 and nneg[pos][i]:
+                return False
+            if r > 0 and npos[pos][i]:
+                return False
+        g = gens[order[pos]]
+        for c in range(bound + 1):
+            coeffs[order[pos]] = c
+            if search(pos + 1, tuple(r - c * x for r, x in zip(residual, g))):
+                return True
+        return False
+
+    if search(0, v):
+        return True, coeffs[:]
+    return False, None
+
+
+def reference_member(v, gens):
+    """v in Z≥0-span(gens) by `reference_monoid_membership`, once v is
+    found in the rational span of gens by `reference_rational_solve`: a
+    vector outside the span would make the search walk its whole box."""
+    return (reference_rational_solve(gens, v) is not None
+            and reference_monoid_membership(v, gens)[0])
+
+
+def reference_minimal_generators(gens, reduce_mod):
+    """The minimal generators of Z≥0-span(gens) modulo its units, by all
+    pairs: the class of a nonunit generator v, reduced by `reduce_mod`, is
+    kept unless v - g is a nonunit element for some nonunit generator g
+    (`WeightMonoid._is_reducible` as it was before the degree order, on
+    the reference search).  A unit is an element whose negative is one
+    too.  Returns the kept classes, sorted."""
+    def unit(v):
+        return (reference_member(v, gens)
+                and reference_member(tuple(-x for x in v), gens))
+
+    nonunits = [g for g in gens if not unit(g)]
+    classes = {reduce_mod(g) for g in nonunits}
+    return sorted(v for v in classes if not any(
+        reference_member(d, gens) and not unit(d)
+        for d in (tuple(a - b for a, b in zip(v, g)) for g in nonunits)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cli_contract
-from sphervar import cli
+from sphervar import cli, spherical
 from sphervar.cli import ParseError, main, parse_input
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -186,6 +186,35 @@ def test_compare_different_generator_lists(tmp_path):
     proc = run_cli(["compare", "--input", pa, "--input", pb,
                     "--format", "machine"])
     assert machine_payload(proc)["monoid_equal"] is True
+
+
+def test_compare_the_empty_monoid_with_the_zero_generator(tmp_path):
+    # both monoids are {0}, and the empty one has its units in Z^2 too
+    doc = {
+        "schema": 1,
+        "group": {"factors": [], "central_rank": 2},
+        "monoid_generators": [],
+    }
+    pa = write_doc(tmp_path, "empty.json", doc)
+    pb = write_doc(tmp_path, "zero.json", dict(doc, monoid_generators=[[0, 0]]))
+    for first, second in ((pa, pb), (pb, pa)):
+        proc = run_cli(["compare", "--input", first, "--input", second,
+                        "--format", "machine"])
+        assert machine_payload(proc)["monoid_equal"] is True
+
+
+def test_elementary_forms_are_computed_once_per_recover(monkeypatch, capsys):
+    calls = []
+    real = spherical.elementary_forms
+    monkeypatch.setattr(spherical, "elementary_forms",
+                        lambda psi: calls.append(psi) or real(psi))
+    paths = sorted(DATA.glob("*.json")) + \
+        sorted((ROOT / "bench" / "inputs").glob("*/*.json"))
+    for path in paths:
+        calls.clear()
+        assert main(["recover", "--format", "machine", "--input", str(path)]) == 0
+        assert len(calls) == 1, path.name
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["recover", "classify"])
@@ -373,9 +402,9 @@ def test_invalid_datum_keeps_machine_report(tmp_path):
 
 
 def test_compare_a_thousand_generators_with_itself(tmp_path):
-    # the membership search descends once per free generator; no
-    # recursion limit ends it.  The cone has 4 faces, so the recovery
-    # walk takes it too
+    # every generator has the degree of every other, so the minimal
+    # generators, and with them the equality, take no membership search.
+    # The cone has 4 faces, so the recovery walk takes it too
     doc = {
         "schema": 1,
         "group": {"factors": [], "central_rank": 2},

@@ -54,8 +54,7 @@ def test_hilbert_basis_minimality_via_membership():
         for v in basis:
             assert cone.contains(v)
             others = [w for w in basis if w != v]
-            ok, _ = monoid_membership(v, others)
-            assert not ok, (gens, v)
+            assert not monoid_membership(v, others), (gens, v)
         done += 1
 
 
@@ -113,5 +112,5 @@ def test_invertible_part_spans_only_invertibles():
     # both directions
     for c in (-2, -1, 1, 2):
         v = (c, c)
-        assert m.contains_vector(v)[0]
-        assert m.contains_vector(tuple(-x for x in v))[0]
+        assert m.contains_vector(v)
+        assert m.contains_vector(tuple(-x for x in v))

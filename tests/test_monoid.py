@@ -140,12 +140,73 @@ def test_membership_search_deeper_than_the_recursion_limit():
     # search fixes every other coefficient at 0 on the way down
     rd = torus(2)
     m = torus_monoid(rd, [(k, 1) for k in range(1000)])
-    ok, cert = m.contains_vector((0, 1))
-    assert ok and cert == [1] + [0] * 999
-    ok, cert = m.contains_vector((1, 2))
-    assert ok and sum(cert) == 2
-    assert sum(c * k for k, c in enumerate(cert)) == 1
-    assert m.contains_vector((0, -1)) == (False, None)
+    assert m.contains_vector((0, 1)) is True
+    # (1, 2) is (1, 1) + (0, 1), and (1000, 2) is (999, 1) + (1, 1)
+    assert m.contains_vector((1, 2)) is True
+    assert m.contains_vector((1000, 2)) is True
+    # in the cone but off the grid of heights: (1, 0) has height 0
+    assert m.contains_vector((1, 0)) is False
+    assert m.contains_vector((0, -1)) is False
+
+
+def _count_membership(monkeypatch):
+    queries = []
+    search = monoid_module.monoid_membership
+
+    def counted(v, generators):
+        queries.append(tuple(v))
+        return search(v, generators)
+
+    monkeypatch.setattr(monoid_module, "monoid_membership", counted)
+    return queries
+
+
+def test_minimal_generators_of_one_degree_ask_no_membership(monkeypatch):
+    # the dual rays (1, 0) and (-1, 999) sum to (0, 999), which is 999 on
+    # every generator of the fan: no generator can be split off another
+    queries = _count_membership(monkeypatch)
+    m = torus_monoid(torus(2), [(k, 1) for k in range(1000)])
+    assert [g.int_coords() for g in m.minimal_generators] == \
+        [(k, 1) for k in range(1000)]
+    assert queries == []
+
+
+def test_the_largest_full_flag_asks_no_membership(monkeypatch):
+    # the fundamental weights of A128 all have degree 1
+    queries = _count_membership(monkeypatch)
+    rd = build_root_data(GroupSpec((("A", 128),)))
+    m = WeightMonoid(rd, tuple(rd.weight(tuple(int(i == j) for j in range(128)))
+                               for i in range(128)))
+    assert sorted(m.minimal_generators, key=lambda g: g.coords) == \
+        sorted(m.generators, key=lambda g: g.coords)
+    assert queries == []
+
+
+def test_equality_asks_nothing_past_the_minimal_generators(monkeypatch):
+    rd = torus(2)
+    a = torus_monoid(rd, [(1, 0), (1, 1), (1, 2), (2, 2)])
+    b = torus_monoid(rd, [(3, 3), (1, 2), (2, 2), (1, 1), (1, 0)])
+    c = torus_monoid(rd, [(1, 0), (1, 2)])
+    queries = _count_membership(monkeypatch)
+    for m in (a, b, c):
+        m.minimal_generators
+    # (2, 2) and (3, 3) have a higher degree than the rest and are split
+    asked = len(queries)
+    assert asked > 0
+    assert a.equals(b) and b.equals(a)
+    assert not a.equals(c) and not c.equals(b)
+    assert len(queries) == asked
+
+
+def test_the_empty_monoid_has_its_units_in_its_lattice():
+    rd = torus(2)
+    empty = WeightMonoid(rd, ())
+    zero = torus_monoid(rd, [(0, 0)])
+    assert empty.invertible_lattice.dim == empty.lattice.dim == 2
+    assert empty.invertible_lattice == zero.invertible_lattice
+    assert empty.minimal_generators == zero.minimal_generators == ()
+    assert empty.equals(zero) and zero.equals(empty)
+    assert not empty.equals(torus_monoid(rd, [(0, 1)]))
 
 
 def test_minimal_generators_modulo_a_unit_line():
@@ -225,7 +286,7 @@ def test_no_minimal_generator_is_a_sum():
         for w in mins:
             if v != w:
                 diff = tuple(a - b for a, b in zip(v, w))
-                assert not m.contains_vector(diff)[0]
+                assert not m.contains_vector(diff)
 
 
 def test_localize_by_all_minimal_generators_trivializes():

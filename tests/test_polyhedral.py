@@ -551,39 +551,35 @@ def test_a_simplicial_cone_is_one_simplex(monkeypatch):
 # -- monoid membership --------------------------------------------------------
 
 def test_membership_numerical():
-    ok, cert = monoid_membership((7,), [(2,), (3,)])
-    assert ok
-    assert 2 * cert[0] + 3 * cert[1] == 7
-    ok, cert = monoid_membership((1,), [(2,), (3,)])
-    assert not ok and cert is None
-    # the branch with no 3 sets the coefficient of 2 to 1 before it fails;
-    # the certificate found under 3 resets it
-    assert monoid_membership((3,), [(2,), (3,)]) == (True, [0, 1])
+    # the numerical semigroup <2, 3> misses 1 alone
+    assert [monoid_membership((n,), [(2,), (3,)]) for n in range(-1, 8)] == \
+        [False, True, False, True, True, True, True, True, True]
 
 
 def test_membership_2d():
-    ok, cert = monoid_membership((2, 2), [(1, 0), (1, 2)])
-    assert ok
-    assert cert == [1, 1]
+    assert monoid_membership((2, 2), [(1, 0), (1, 2)]) is True
+    # in the cone, but (1, 1) = (1/2)(1, 0) + (1/2)(1, 2)
+    assert monoid_membership((1, 1), [(1, 0), (1, 2)]) is False
 
 
 def test_membership_zero():
-    ok, cert = monoid_membership((0, 0), [(1, 0)])
-    assert ok and cert == [0]
+    assert monoid_membership((0, 0), [(1, 0)]) is True
+    assert monoid_membership((0, 0), []) is True
+    assert monoid_membership((1, 0), []) is False
 
 
 def test_membership_mixed_signs():
-    ok, cert = monoid_membership((-1, 0), [(1, 1), (-1, 0), (0, -1)])
-    assert ok
-    v = [0, 0]
-    for c, g in zip(cert, [(1, 1), (-1, 0), (0, -1)]):
-        v[0] += c * g[0]
-        v[1] += c * g[1]
-    assert tuple(v) == (-1, 0)
+    # every generator is a unit: the monoid is the whole lattice
+    gens = [(1, 1), (-1, 0), (0, -1)]
+    assert monoid_membership((-1, 0), gens) is True
+    assert monoid_membership((3, -5), gens) is True
+    # units 2Z x 0 and the free (0, 1): (1, 0) is off the unit lattice
+    assert monoid_membership((1, 3), [(2, 0), (-2, 0), (0, 1)]) is False
+    assert monoid_membership((-4, 3), [(2, 0), (-2, 0), (0, 1)]) is True
 
 
 def test_membership_rejects_a_shorter_vector():
-    # zip would drop the 5 and certify (1,) = 1 * (1, 5)
+    # zip would drop the 5 and put (1,) in the monoid of (1, 5)
     with pytest.raises(PolyhedralError):
         monoid_membership((1,), [(1, 5)])
 
@@ -602,18 +598,13 @@ def test_membership_rejects_generators_of_different_lengths():
 @given(st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
                 min_size=1, max_size=4),
        st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
-def test_membership_certificate_recombines(gens, target):
-    gens = [g for g in gens if any(g)]
-    if not gens:
-        return
-    ok, cert = monoid_membership(target, gens)
-    if ok:
-        total = [0, 0]
-        for c, g in zip(cert, gens):
-            assert c >= 0
-            total[0] += c * g[0]
-            total[1] += c * g[1]
-        assert tuple(total) == tuple(target)
+def test_membership_is_one_generator_past_a_member(gens, target):
+    # a nonzero v is in the monoid iff v - g is, for some nonzero
+    # generator g: a representation of v uses one, and adding one keeps v in
+    expected = not any(target) or any(
+        monoid_membership(tuple(a - b for a, b in zip(target, g)), gens)
+        for g in gens if any(g))
+    assert monoid_membership(target, gens) is expected
 
 
 # -- polytopes ----------------------------------------------------------------

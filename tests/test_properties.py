@@ -3,7 +3,7 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from pathlib import Path
 from random import Random
@@ -13,7 +13,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus
-from references import reference_rational_solve
+from references import (
+    reference_member,
+    reference_minimal_generators,
+    reference_monoid_membership,
+    reference_rational_solve,
+)
 from test_recovery import (
     reference_monoid_recovery_identity,
     reference_violations,
@@ -276,14 +281,15 @@ def test_cone_rays_lie_in_cone(gens):
 
 
 @st.composite
-def torus_generators(draw):
-    """Up to 5 generators of rank <= 3 with entries in [-2, 2], drawn to
-    include zero vectors and pairs g, -g (invertible generators)."""
+def torus_generators(draw, min_size=1, max_size=4):
+    """Up to max_size + 1 generators of rank <= 3 with entries in [-2, 2],
+    drawn to include zero vectors and pairs g, -g (invertible
+    generators), and no generator at all when min_size is 0."""
     rank = draw(st.integers(1, 3))
     vec = st.tuples(*[st.integers(-2, 2)] * rank)
     gens = draw(st.lists(st.one_of(vec, st.just((0,) * rank)),
-                         min_size=1, max_size=4))
-    if draw(st.booleans()):
+                         min_size=min_size, max_size=max_size))
+    if gens and draw(st.booleans()):
         gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
     return rank, gens
 
@@ -294,7 +300,7 @@ def test_invertibility_matches_membership_search(data):
     rank, gens = data
     rd = build_root_data(GroupSpec((), rank))
     m = torus_monoid(rd, gens)
-    expected = tuple(monoid_membership(tuple(-x for x in g), gens)[0]
+    expected = tuple(monoid_membership(tuple(-x for x in g), gens)
                      for g in gens)
     assert m._invertible_flags == expected
     for g, inv in zip(gens, expected):
@@ -317,7 +323,7 @@ def reference_is_saturated(m):
     cone = RationalCone.from_generators(list(m.gen_vectors), dim=m.dim)
     units, basis = hilbert_basis_with_units(cone, lat)
     return (all(m.invertible_lattice.contains(u) for u in units.basis)
-            and all(m.contains_vector(h)[0] for h in basis))
+            and all(m.contains_vector(h) for h in basis))
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,6 +341,60 @@ def test_saturation_matches_the_membership_reference(data):
     rank, gens = data
     m = torus_monoid(build_root_data(GroupSpec((), rank)), gens)
     assert m.is_saturated() == reference_is_saturated(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus_generators(min_size=0, max_size=3))
+@example((2, []))
+@example((2, [(0, 0)]))
+@example((2, [(1, 0), (-1, 0), (1, 1), (2, 1), (3, 1)]))
+@example((3, [(1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 1), (-1, -2, -1)]))
+def test_minimal_generators_match_the_all_pairs_reference(data):
+    """The degree order against every generator tried against every
+    other, and the unit lattice against the reference units."""
+    rank, gens = data
+    m = torus_monoid(build_root_data(GroupSpec((), rank)), gens)
+    units = [g for g in gens if reference_member(tuple(-x for x in g), gens)]
+    assert m.invertible_lattice == Lattice.span(units, rank)
+    assert [g.int_coords() for g in m.minimal_generators] == \
+        reference_minimal_generators(gens, m.invertible_lattice.reduce_mod)
+
+
+@st.composite
+def torus_monoid_pairs(draw):
+    """Two generator lists of one rank, the second drawn from the first
+    so that the monoids are often equal: sums of generators added, one
+    generator dropped, and a free vector added, each at random."""
+    rank, gens = draw(torus_generators(min_size=0, max_size=3))
+    other = list(gens)
+    if gens:
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            other.append(tuple(x + y for x, y in zip(a, b)))
+        if draw(st.booleans()):
+            other.pop(draw(st.integers(0, len(other) - 1)))
+    if draw(st.booleans()):
+        other.append(draw(st.tuples(*[st.integers(-2, 2)] * rank)))
+    return rank, gens, draw(st.permutations(other))
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus_monoid_pairs())
+@example((2, [], [(0, 0)]))
+@example((2, [], [(0, 1)]))
+# equal minimal generators modulo the units, but not equal units
+@example((2, [(0, 1)], [(0, 1), (1, 0), (-1, 0)]))
+# (1, 1) and (3, 1) differ by the unit (2, 0)
+@example((2, [(2, 0), (-2, 0), (1, 1)], [(-2, 0), (3, 1), (2, 0)]))
+@example((2, [(2, 0), (-2, 0), (1, 1)], [(-2, 0), (1, 1), (1, 0)]))
+def test_equality_is_mutual_membership(data):
+    rank, gens, other = data
+    rd = build_root_data(GroupSpec((), rank))
+    expected = (all(reference_member(g, other) for g in gens)
+                and all(reference_member(g, gens) for g in other))
+    a, b = torus_monoid(rd, gens), torus_monoid(rd, other)
+    assert a.equals(b) is expected
+    assert b.equals(a) is expected
 
 
 @pytest.mark.parametrize("gens, saturated", [
@@ -528,114 +588,9 @@ def test_echelon_coords_match_rational_reference(data):
 
 # -- the ray-bounded membership search against the minor-bounded one ---------
 #
-# The reference below is `monoid_membership` as it was before the search
-# table and before the dual-ray bound: a backtracking search with every
-# coefficient bounded by the largest absolute minor of [generators | v]
-# (Borosh–Treybig), computed per query by a Bareiss determinant of every
-# minor, or past `cap` minors by Hadamard's bound on it.  The two searches
-# may find different certificates, so the properties compare the answers
-# and check each certificate.
-
-def reference_int_det(mat):
-    # Bareiss fraction-free determinant
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def reference_hadamard_bound(rows):
-    # the product of the k largest row norms bounds every k x k minor
-    sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
-    n = len(rows[0]) if rows else 0
-    best = 0
-    prod = 1
-    for k in range(min(len(sq), n)):
-        prod *= sq[k]
-        root = isqrt(prod)
-        best = max(best, root + (root * root != prod))
-    return best
-
-
-def reference_max_abs_minor(rows, cap=500000):
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    best = max((abs(x) for r in rows for x in r), default=1)
-    count = 0
-    for k in range(2, min(m, n) + 1):
-        for ri in itertools.combinations(range(m), k):
-            for ci in itertools.combinations(range(n), k):
-                count += 1
-                if count > cap:
-                    return max(reference_hadamard_bound(rows), 1)
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                best = max(best, abs(reference_int_det(sub)))
-    return max(best, 1)
-
-
-def reference_monoid_membership(v, generators):
-    v = tuple(map(int, v))
-    gens = [tuple(map(int, g)) for g in generators]
-    if not any(v):
-        return True, [0] * len(gens)
-    if not gens:
-        return False, None
-    dim = len(v)
-    aug_rows = [[g[i] for g in gens] + [v[i]] for i in range(dim)]
-    bound = reference_max_abs_minor(aug_rows)
-
-    order = sorted(range(len(gens)), key=lambda i: gens[i], reverse=True)
-    n = len(order)
-    supp = [[False] * dim for _ in range(n + 1)]
-    nneg = [[True] * dim for _ in range(n + 1)]
-    npos = [[True] * dim for _ in range(n + 1)]
-    for pos in reversed(range(n)):
-        g = gens[order[pos]]
-        for i in range(dim):
-            supp[pos][i] = supp[pos + 1][i] or g[i] != 0
-            nneg[pos][i] = nneg[pos + 1][i] and g[i] >= 0
-            npos[pos][i] = npos[pos + 1][i] and g[i] <= 0
-
-    coeffs = [0] * len(gens)
-
-    def search(pos, residual):
-        if not any(residual):
-            for p in range(pos, n):
-                coeffs[order[p]] = 0
-            return True
-        if pos >= n:
-            return False
-        for i in range(dim):
-            r = residual[i]
-            if r != 0 and not supp[pos][i]:
-                return False
-            if r < 0 and nneg[pos][i]:
-                return False
-            if r > 0 and npos[pos][i]:
-                return False
-        g = gens[order[pos]]
-        for c in range(bound + 1):
-            coeffs[order[pos]] = c
-            if search(pos + 1, tuple(r - c * x for r, x in zip(residual, g))):
-                return True
-        return False
-
-    if search(0, v):
-        return True, coeffs[:]
-    return False, None
-
+# `reference_monoid_membership` (tests/references.py) is `monoid_membership`
+# as it was before the search table and before the dual-ray bound; the
+# properties compare the two decisions.
 
 @st.composite
 def generator_matrices(draw, max_dim=5, max_gens=6, entries=3):
@@ -657,17 +612,8 @@ def generator_matrices(draw, max_dim=5, max_gens=6, entries=3):
 def test_membership_matches_the_per_query_reference(data):
     gens, v = data
     expected = reference_monoid_membership(v, gens)[0]
-    for query in (gens, MonoidSearch(gens)):
-        ok, cert = monoid_membership(v, query)
-        assert ok == expected
-        if ok:
-            assert_certificate(cert, gens, v)
-
-
-def assert_certificate(cert, gens, v):
-    assert len(cert) == len(gens) and min(cert, default=0) >= 0
-    assert tuple(sum(c * g[i] for c, g in zip(cert, gens))
-                 for i in range(len(v))) == tuple(v)
+    for query in (gens, MonoidSearch(gens, len(v))):
+        assert monoid_membership(v, query) is expected
 
 
 def _corpus_monoids():
@@ -692,10 +638,7 @@ def test_membership_matches_reference_on_corpus_monoids(m, data):
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(ext),
                                 max_size=len(ext)))
     v = tuple(sum(c * g[i] for c, g in zip(coeffs, ext)) for i in range(m.dim))
-    ok, cert = m.contains_vector(v)
-    assert ok == reference_monoid_membership(v, ext)[0]
-    if ok:
-        assert_certificate(cert, m.gen_vectors, v)
+    assert m.contains_vector(v) is reference_monoid_membership(v, ext)[0]
 
 
 # -- the triangulated Hilbert basis against the all-subsets reference --------
@@ -1397,10 +1340,8 @@ def test_membership_in_a_saturated_cone_is_cone_and_lattice(gens, data):
     for _ in range(10):
         v = data.draw(st.tuples(st.integers(-4, 6), st.integers(-4, 6),
                                 st.integers(-2, 4)))
-        ok, cert = m.contains_vector(v)
-        assert ok == (cone.contains(v) and m.lattice.contains(v))
-        if ok:
-            assert_certificate(cert, m.gen_vectors, v)
+        assert m.contains_vector(v) is \
+            (cone.contains(v) and m.lattice.contains(v))
 
 
 def _divisor_table(datum):

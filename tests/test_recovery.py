@@ -399,7 +399,7 @@ def _hilbert_recovery_reference(datum):
     if not all(m.invertible_lattice.contains(X.from_coords(u))
                for u in units.basis):
         return False
-    return all(m.contains_vector(tuple(int(x) for x in X.from_coords(h)))[0]
+    return all(m.contains_vector(tuple(int(x) for x in X.from_coords(h)))
                for h in basis)
 
 
