@@ -6,10 +6,14 @@ the generators, the invertible sublattice, the minimal generators modulo
 invertibles, and the membership search table (`MonoidSearch`), which
 every membership query to the monoid reuses.  The cone is built once:
 its facet normals are the rays of the dual cone, and the saturation
-check and the recovery identity read cone(M) off it.  Saturation is
-decided by the normality test (Bruns–Ichim): the parallelepiped points
-of a triangulation of cone(M) spanned by generators, each looked up
-among the generators before any membership search.
+check and the recovery identity read cone(M) off it.  When the
+generators lie on `dim` linearly independent rays, cone(M) is simplicial
+and is read off one Bareiss inverse, with no double description.
+Saturation is decided by the normality test (Bruns–Ichim): the
+parallelepiped points of a triangulation of cone(M) spanned by
+generators, each looked up among the generators before any membership
+search.  A free monoid, whose nonzero generators are a basis of its
+lattice, is saturated and takes no test.
 
 Membership is bounded by the rays of the dual cone: they are
 nonnegative on the monoid and vanish exactly on its units, so the
@@ -235,12 +239,18 @@ class WeightMonoid:
         is S iff M holds every such point.  A point equal to a generator
         is in M; any other is a membership query, and the first point
         outside M ends the test.
+
+        A free monoid needs no test.  When the nonzero generators number
+        the rank of the lattice they span, they are a Z-basis of it, and
+        a lattice point lies in their cone iff its coordinates in that
+        basis are nonnegative integers: M is S.  The rank limit is
+        checked first, so a free monoid past it is refused all the same.
         """
         lat = self.lattice
         if lat.rank > SATURATION_RANK_LIMIT:
             raise MonoidError(
                 f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
-        if lat.rank == 0:
+        if sum(map(any, self.gen_vectors)) == lat.rank:
             return True
         quotient = PointedQuotient(self.cone, lat)
         if quotient.units != self.invertible_lattice:

@@ -2,9 +2,10 @@
 
 Everything here is exact; no floating point is used anywhere.  There is
 one kernel per job, each on Python integers: the Hermite normal form for
-lattices, the Bareiss inverse `_scaled_inverse` for rational inverses
+lattices, the Bareiss inverse `_bareiss_inverse` for rational inverses
 (the inverse Cartan matrix, the parallelepiped points of a simplex, the
-projection off a lineality space), and double description for cones.
+projection off a lineality space, the facets of a full-dimensional
+simplicial cone), and double description for every other cone.
 Cone membership and the Hilbert basis are built on them.  Every vector
 that double description carries is an integer vector kept primitive up
 to a positive factor: after each projection or combination it is divided
@@ -226,14 +227,17 @@ def integer_solve(cols: list, target) -> list[int] | None:
     return _combination(_relations(cols)[0], len(cols), target)
 
 
-def _scaled_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]]:
-    """(p, p M^-1) with p = ±det M, for a nonsingular square integer
-    matrix M with the given rows.
+def _bareiss_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]] | None:
+    """(p, p M^-1) with p = ±det M for the square integer matrix M with
+    the given rows, or None when M is singular.
 
     Fraction-free Gauss–Jordan (Bareiss) on [M | I]: after step k every
     entry is, up to the sign of the row swaps, a minor of order k+1 of
     [M | I], so the division by the previous pivot is exact.  At the end
     every diagonal entry is the last pivot p, with p M^-1 on the right.
+    A row that is zero in the pivot column is left as it is when the
+    pivot equals the previous one, since its update (piv*x - 0)//prev is
+    then x.
     """
     n = len(rows)
     a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
@@ -241,16 +245,24 @@ def _scaled_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]]:
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
         if p is None:
-            raise PolyhedralError("internal: singular matrix")
+            return None
         a[k], a[p] = a[p], a[k]
         pk = a[k]
         piv = pk[k]
         for i in range(n):
             f = a[i][k]
-            if i != k:
+            if i != k and (f or piv != prev):
                 a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pk)]
         prev = piv
     return prev, [r[n:] for r in a]
+
+
+def _scaled_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]]:
+    """`_bareiss_inverse` of a matrix that is nonsingular by construction."""
+    inverse = _bareiss_inverse(rows)
+    if inverse is None:
+        raise PolyhedralError("internal: singular matrix")
+    return inverse
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +557,16 @@ class RationalCone:
     span_equations: primitive functionals cutting out the linear span,
         in the same form as the lineality.
 
-    Each constructor runs double description twice, once for the rays
-    and once for the facets.  Its output is minimal modulo its lineality
-    (Fukuda–Prodon), so `_canonical` only projects and sorts.
+    A cone over `dim` linearly independent generators, with no lines,
+    is simplicial and full-dimensional: `from_generators` reads it off
+    one Bareiss inverse of the generator matrix G, with the primitive
+    generators as rays and the primitive columns of p G^-1, signed by p,
+    as facet normals.  Every other cone runs double description twice,
+    once for the rays and once for the facets.  Its output is minimal
+    modulo its lineality (Fukuda–Prodon), so `_canonical` only projects
+    and sorts.  A rank-deficient simplicial cone takes double
+    description too: its span equations are the HNF of the lattice
+    double description spans, which need not be saturated.
     """
 
     dim: int
@@ -568,6 +587,18 @@ class RationalCone:
         for v in gens + lns:
             if len(v) != dim:
                 raise PolyhedralError("mixed dimensions among cone generators")
+        distinct = sorted(set(gens))
+        if not lns and len(distinct) == dim:
+            inverse = _bareiss_inverse(distinct)
+            if inverse is not None:
+                # simplicial and full-dimensional: column j of p G^-1 is
+                # p times the functional that is 1 on generator j and 0
+                # on the others
+                p, inv = inverse
+                sign = 1 if p > 0 else -1
+                facets = sorted(primitive([sign * x for x in col])
+                                for col in zip(*inv))
+                return RationalCone(dim, tuple(distinct), (), tuple(facets), ())
         # facets of the cone = extreme rays of {phi : phi.g >= 0, phi.l = 0}
         ann, facets = _dd(dim, gens + lns + [tuple(-x for x in l) for l in lns])
         lin, rays = _dd(dim, facets + ann + [tuple(-x for x in a) for a in ann])

@@ -2,12 +2,18 @@
 
 They compute on `Fraction` or by plain bounded search, and share no code
 with the kernels of `sphervar`, so an oracle built on them does not run
-the code it judges.
+the code it judges.  `reference_cone` is the one exception: it is
+`RationalCone.from_generators` on the double-description path alone,
+the path that a full-dimensional simplicial cone no longer takes, and
+`_dd` itself is judged against a `Fraction` reference in
+`test_properties.py`.
 """
 
 import itertools
 from fractions import Fraction
 from math import isqrt
+
+from sphervar.polyhedral import RationalCone, _dd, primitive
 
 
 def reference_rational_solve(cols, target):
@@ -62,6 +68,18 @@ def reference_det(rows):
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
+
+def reference_cone(generators, lines, dim):
+    """The canonical cone over the generators and lines by two double
+    descriptions, for every input: the facets are the extreme rays of
+    {phi : phi.g >= 0, phi.l = 0}, and the rays those of the cone the
+    facets cut out."""
+    gens = [primitive(g) for g in generators if any(g)]
+    lns = [primitive(l) for l in lines if any(l)]
+    ann, facets = _dd(dim, gens + lns + [tuple(-x for x in l) for l in lns])
+    lin, rays = _dd(dim, facets + ann + [tuple(-x for x in a) for a in ann])
+    return RationalCone._canonical(dim, rays, lin, facets, ann)
 
 
 # -- monoid membership by a minor-bounded search ------------------------------

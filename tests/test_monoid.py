@@ -298,8 +298,28 @@ def test_localize_by_all_minimal_generators_trivializes():
 
 
 def test_saturation_rank_guard():
+    # a free monoid needs no normality test, but the rank limit is checked
+    # first, so a free monoid of rank 7 is refused like any other
     rd = torus(7)
     gens = [tuple(int(i == j) for j in range(7)) for i in range(7)]
-    m = torus_monoid(rd, gens)
-    with pytest.raises(MonoidError):
-        m.is_saturated()
+    for free in (gens, [tuple(2 * x for x in gens[0])] + gens[1:]):
+        m = torus_monoid(rd, free)
+        with pytest.raises(MonoidError):
+            m.is_saturated()
+
+
+def test_the_largest_full_flag_cone_runs_no_double_description(monkeypatch):
+    # the fundamental weights of A128 are 128 independent generators, so
+    # cone(M) is simplicial and read off one inverse of the identity
+    dd_calls = []
+    real_dd = polyhedral._dd
+    monkeypatch.setattr(polyhedral, "_dd",
+                        lambda *a: dd_calls.append(a) or real_dd(*a))
+    rd = build_root_data(GroupSpec((("A", 128),)))
+    m = WeightMonoid(rd, tuple(rd.fundamental_weight(i) for i in range(128)))
+    cone = m.cone
+    assert dd_calls == []
+    units = sorted(tuple(int(i == j) for j in range(128)) for i in range(128))
+    assert list(cone.facet_normals) == units
+    assert list(cone.rays) == units
+    assert cone.lineality == () and cone.span_equations == ()

@@ -235,6 +235,9 @@ def nonsingular_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(nonsingular_matrices())
 @example([[0, 2, 1], [3, 0, 0], [1, 1, 4]])  # a zero first pivot: a row swap
+# rows that are zero in a pivot column of an equal pivot are not updated
+@example([[1, 0, 0], [0, 1, 0], [2, 0, 1]])
+@example([[2, 0, 1], [0, 2, 0], [0, 0, 3]])
 def test_scaled_inverse_is_the_determinant_times_the_inverse(rows):
     # the Bareiss inverse behind the inverse Cartan matrix, the
     # parallelepiped points and the projection off a lineality space
@@ -244,6 +247,16 @@ def test_scaled_inverse_is_the_determinant_times_the_inverse(rows):
     assert [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)] == [[p * (i == j) for j in range(n)]
                                    for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[1, 2], [2, 4]])
+@example([[0, 0], [0, 1]])
+def test_bareiss_inverse_answers_none_exactly_on_singular_matrices(rows):
+    assert (polyhedral._bareiss_inverse(rows) is None) == \
+        (reference_det(rows) == 0)
 
 
 # -- cones ------------------------------------------------------------------
@@ -305,6 +318,8 @@ def test_cone_with_lines():
 
 
 def test_each_cone_constructor_runs_two_double_descriptions(monkeypatch):
+    # none of these cones is full-dimensional and simplicial, the one
+    # case read off an inverse instead
     calls = []
     real = polyhedral._dd
 

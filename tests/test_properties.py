@@ -7,6 +7,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from corpus import build_corpus
 from references import (
+    reference_cone,
+    reference_det,
     reference_member,
     reference_minimal_generators,
     reference_monoid_membership,
@@ -137,6 +140,51 @@ def test_every_cone_route_gives_the_same_canonical_form(inputs, data):
         cone.facet_normals, cone.span_equations, dim=dim) == cone
     assert RationalCone.from_generators(
         cone.rays, lines=cone.lineality, dim=dim) == cone
+
+
+@st.composite
+def simplicial_cone_inputs(draw):
+    """(dim, generators, lines) in dims 1-5, entries in [-9, 9]: mostly
+    `dim` generators, each a multiple of a vector in [-3, 3]^dim, in
+    permuted order, otherwise fewer; then possibly a zero, a duplicate or
+    a negated generator, and lines."""
+    dim = draw(st.integers(1, 5))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    count = draw(st.one_of(st.just(dim), st.integers(0, dim)))
+    gens = [tuple(draw(st.integers(1, 3)) * x for x in v)
+            for v in draw(st.lists(vec, min_size=count, max_size=count))]
+    if gens and draw(st.booleans()):
+        kind = draw(st.sampled_from(["zero", "duplicate", "negated"]))
+        g = draw(st.sampled_from(gens))
+        gens.append((0,) * dim if kind == "zero" else
+                    g if kind == "duplicate" else tuple(-x for x in g))
+    lines = draw(st.lists(vec, max_size=2)) if draw(st.booleans()) else []
+    return dim, draw(st.permutations(gens)), lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplicial_cone_inputs())
+# rank-deficient: the span equations are the HNF of the lattice spanned
+# by double description's kernel basis, of index 13 in its saturation
+@example((4, [(2, -3, 2, 3), (-3, -2, 3, 1)], []))
+@example((3, [(0, 2, 0), (-1, 0, 0), (0, 0, 3), (0, 1, 0)], []))
+@example((2, [(1, 0), (0, 1)], [(0, 0)]))  # p = -1 on the sorted rays
+@example((2, [(1, 0), (0, 1)], [(1, 1)]))
+@example((2, [(2, 1), (4, 2)], []))
+def test_simplicial_cones_match_double_description(inputs):
+    # a full-dimensional simplicial cone skips double description and
+    # every other cone takes it; both give the double-description form
+    dim, gens, lines = inputs
+    calls = []
+    real = polyhedral._dd
+    with mock.patch.object(polyhedral, "_dd",
+                           lambda *a: calls.append(a) or real(*a)):
+        cone = RationalCone.from_generators(gens, lines=lines, dim=dim)
+    rays = {reference_primitive(g) for g in gens if any(g)}
+    simplicial = (not any(map(any, lines)) and len(rays) == dim
+                  and reference_det(list(rays)) != 0)
+    assert len(calls) == (0 if simplicial else 2)
+    assert cone == reference_cone(gens, lines, dim)
 
 
 @settings(max_examples=80, deadline=None)
@@ -320,7 +368,7 @@ def reference_is_saturated(m):
     lat = m.lattice
     if lat.rank == 0:
         return True
-    cone = RationalCone.from_generators(list(m.gen_vectors), dim=m.dim)
+    cone = reference_cone(m.gen_vectors, (), m.dim)
     units, basis = hilbert_basis_with_units(cone, lat)
     return (all(m.invertible_lattice.contains(u) for u in units.basis)
             and all(m.contains_vector(h) for h in basis))
@@ -337,6 +385,9 @@ def reference_is_saturated(m):
 # (2, 0) is not primitive on its ray, so it spans the triangulation's
 # simplex and (1, 0) is a parallelepiped point outside the monoid
 @example((2, [(2, 0), (0, 1), (1, 1)]))
+# free monoids: of rank 2 in Z^3, and of lattice index 3
+@example((3, [(1, 1, 0), (0, 1, 1)]))
+@example((2, [(1, 1), (1, -2)]))
 def test_saturation_matches_the_membership_reference(data):
     rank, gens = data
     m = torus_monoid(build_root_data(GroupSpec((), rank)), gens)
@@ -611,7 +662,7 @@ def generator_matrices(draw, max_dim=5, max_gens=6, entries=3):
 @given(generator_matrices(max_dim=3, max_gens=5, entries=2))
 def test_membership_matches_the_per_query_reference(data):
     gens, v = data
-    expected = reference_monoid_membership(v, gens)[0]
+    expected = reference_member(v, gens)
     for query in (gens, MonoidSearch(gens, len(v))):
         assert monoid_membership(v, query) is expected
 

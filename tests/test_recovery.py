@@ -961,11 +961,10 @@ def test_moment_polytope_shifted_orthant():
 @pytest.mark.parametrize("factor", [
     ("G", 2), ("A", 2), ("C", 3), ("F", 4), ("D", 4), ("B", 5), ("D", 5),
 ], ids=lambda f: f"{f[0]}{f[1]}")
-def test_full_flag_saturation_checks_one_simplex_and_no_point(factor,
-                                                             monkeypatch):
+def test_full_flag_saturation_checks_no_simplex(factor, monkeypatch):
     # the fundamental weights are a basis of the weight lattice, so the
-    # normality test triangulates cone(M) as one unimodular simplex, with
-    # no parallelepiped point to test, and takes no Hilbert basis
+    # monoid is free and saturated: no simplex is tested and no Hilbert
+    # basis is taken
     simplices = []
     hilbert_calls = []
     real_points = polyhedral._parallelepiped_points
@@ -982,6 +981,6 @@ def test_full_flag_saturation_checks_one_simplex_and_no_point(factor,
     m = WeightMonoid(rd, tuple(rd.fundamental_weight(i) for i in range(rd.n_simple)))
     datum = recover_divisors(m, make_spherical_roots(rd, ()))
     assert len(datum.divisors) == rd.n_simple
-    assert simplices == [[]]
+    assert simplices == []
     assert hilbert_calls == []
     assert m.is_saturated()
