@@ -19,8 +19,10 @@ Membership is bounded by the rays of the dual cone: they are
 nonnegative on the monoid and vanish exactly on its units, so the
 monoid is Z≥0·(generators some ray is positive on) + Z·(generators
 every ray vanishes on), and each ray r caps the coefficient of a
-generator g in a representation of v at r.v // r.g.  A query answers
-yes or no; no certificate is built.
+generator g in a representation of v at r.v // r.g.  A vector outside
+the rational span of the monoid is refused before any search, by the
+annihilator of its lattice.  A query answers yes or no; no certificate
+is built.
 
 The monoid's canonical form is its unit lattice (an HNF basis) and its
 minimal generators modulo the units, as sorted Hermite-reduced
@@ -153,7 +155,8 @@ class WeightMonoid:
         return MonoidSearch(self.gen_vectors, self.dim, self._dual_rays)
 
     def contains_vector(self, vec) -> bool:
-        return monoid_membership(tuple(int(x) for x in vec), self._search)
+        v = tuple(int(x) for x in vec)
+        return self.lattice.in_span(v) and monoid_membership(v, self._search)
 
     def contains(self, w: WeightVec) -> bool:
         if w.spec != self.rd.spec:

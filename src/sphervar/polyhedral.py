@@ -5,19 +5,19 @@ one kernel per job, each on Python integers: the Hermite normal form for
 lattices, the Bareiss inverse `_bareiss_inverse` for rational inverses
 (the inverse Cartan matrix, the parallelepiped points of a simplex, the
 projection off a lineality space, the facets of a full-dimensional
-simplicial cone), and double description for every other cone.
-Cone membership and the Hilbert basis are built on them.  Every vector
-that double description carries is an integer vector kept primitive up
-to a positive factor: after each projection or combination it is divided
-by the gcd of its entries, so it points exactly as the rational vector of
-textbook elimination does.  An exact rational is an `int` when it is
-integral and a `Fraction` with denominator > 1 otherwise (`exact`); a
-`Fraction` is made only at a final division that does not come out even,
-such as a coordinate of `Lattice.coords`, a point built from fractional
-coordinates, or a polytope vertex.  Cones
-carry a canonical double description (extreme rays modulo lineality,
-plus a minimal facet description), which makes equality of cones a tuple
-comparison and the dual an involution on the nose.
+simplicial cone), and double description for every other cone; a dual
+swaps the two descriptions of a cone.  Cone membership and the Hilbert
+basis are built on them.  Every vector that double description carries
+is an integer vector kept primitive up to a positive factor: after each
+projection or combination it is divided by the gcd of its entries, so it
+points exactly as the rational vector of textbook elimination does.  An
+exact rational is an `int` when it is integral and a `Fraction` with
+denominator > 1 otherwise (`exact`); a `Fraction` is made only at a
+final division that does not come out even, such as a coordinate of
+`Lattice.coords`, a point built from fractional coordinates, or a
+polytope vertex.  Cones carry a canonical double description (extreme
+rays modulo lineality, plus a minimal facet description), which makes
+equality of cones a tuple comparison.
 
 The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
@@ -550,23 +550,23 @@ class RationalCone:
     rays: extreme rays modulo lineality, primitive, orthogonal to the
         lineality span, sorted.
     lineality: HNF basis of the lattice spanned by the lineality basis
-        of `_dd`, which is the echelon basis of the lineality space and so
-        depends on that space alone.
+        of `_dd`, which need not be saturated.
     facet_normals: minimal inequality description, canonical modulo
         span_equations.
     span_equations: primitive functionals cutting out the linear span,
         in the same form as the lineality.
 
-    A cone over `dim` linearly independent generators, with no lines,
-    is simplicial and full-dimensional: `from_generators` reads it off
-    one Bareiss inverse of the generator matrix G, with the primitive
-    generators as rays and the primitive columns of p G^-1, signed by p,
-    as facet normals.  Every other cone runs double description twice,
-    once for the rays and once for the facets.  Its output is minimal
-    modulo its lineality (Fukuda–Prodon), so `_canonical` only projects
-    and sorts.  A rank-deficient simplicial cone takes double
-    description too: its span equations are the HNF of the lattice
-    double description spans, which need not be saturated.
+    The form does not depend on how the cone is listed: the order of
+    its generators, redundant ones, or its inequalities.  `_build` makes
+    the cone over vectors and lines.  Over `dim` linearly independent
+    vectors and no lines it is simplicial: it is read off one Bareiss
+    inverse of their matrix G, with the primitive vectors as rays and
+    the primitive columns of p G^-1, signed by p, as facet normals.
+    Otherwise double description runs twice, for the facets and then
+    the rays; its output is minimal modulo its lineality (Fukuda–Prodon),
+    so `_canonical` only projects and sorts.  Both descriptions are
+    kept, so `dual` swaps them, and {x : n.x >= 0, e.x = 0} is the dual
+    of the cone over the normals n and the lines e.
     """
 
     dim: int
@@ -577,23 +577,30 @@ class RationalCone:
 
     @staticmethod
     def from_generators(generators, lines=(), dim: int | None = None) -> "RationalCone":
-        gens = [primitive(g) for g in generators if any(g)]
-        lns = [primitive(l) for l in lines if any(l)]
+        return RationalCone._build(generators, lines, dim)
+
+    @staticmethod
+    def from_inequalities(normals, equations=(), dim: int | None = None) -> "RationalCone":
+        return RationalCone._build(normals, equations, dim).dual()
+
+    @staticmethod
+    def _build(vectors, lines, dim: int | None) -> "RationalCone":
+        vecs, lns = list(vectors), list(lines)
         if dim is None:
-            probe = gens + lns
-            if not probe:
-                raise PolyhedralError("ambient dimension needed for the zero cone")
-            dim = len(probe[0])
-        for v in gens + lns:
-            if len(v) != dim:
-                raise PolyhedralError("mixed dimensions among cone generators")
+            dim = next((len(v) for v in vecs + lns if any(v)), None)
+            if dim is None:
+                raise PolyhedralError(
+                    "ambient dimension needed for an empty cone description")
+        if any(len(v) != dim for v in vecs + lns):
+            raise PolyhedralError("mixed dimensions in a cone description")
+        gens = [primitive(g) for g in vecs if any(g)]
+        lns = [primitive(l) for l in lns if any(l)]
         distinct = sorted(set(gens))
         if not lns and len(distinct) == dim:
             inverse = _bareiss_inverse(distinct)
             if inverse is not None:
-                # simplicial and full-dimensional: column j of p G^-1 is
-                # p times the functional that is 1 on generator j and 0
-                # on the others
+                # column j of p G^-1 is p times the functional that is 1
+                # on generator j and 0 on the others
                 p, inv = inverse
                 sign = 1 if p > 0 else -1
                 facets = sorted(primitive([sign * x for x in col])
@@ -602,20 +609,6 @@ class RationalCone:
         # facets of the cone = extreme rays of {phi : phi.g >= 0, phi.l = 0}
         ann, facets = _dd(dim, gens + lns + [tuple(-x for x in l) for l in lns])
         lin, rays = _dd(dim, facets + ann + [tuple(-x for x in a) for a in ann])
-        return RationalCone._canonical(dim, rays, lin, facets, ann)
-
-    @staticmethod
-    def from_inequalities(normals, equations=(), dim: int | None = None) -> "RationalCone":
-        nrm = [primitive(n) for n in normals if any(n)]
-        eqs = [primitive(e) for e in equations if any(e)]
-        if dim is None:
-            probe = nrm + eqs
-            if not probe:
-                raise PolyhedralError("ambient dimension needed for the full cone")
-            dim = len(probe[0])
-        lin, rays = _dd(dim, nrm + eqs + [tuple(-x for x in e) for e in eqs])
-        # the facets from the generator side drop redundant input constraints
-        ann, facets = _dd(dim, rays + lin + [tuple(-x for x in l) for l in lin])
         return RationalCone._canonical(dim, rays, lin, facets, ann)
 
     @staticmethod
@@ -632,8 +625,7 @@ class RationalCone:
 
     @staticmethod
     def zero(dim: int) -> "RationalCone":
-        eqs = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-        return RationalCone.from_inequalities([], eqs, dim=dim)
+        return RationalCone._build((), (), dim)
 
     def span_rank(self) -> int:
         return self.dim - len(self.span_equations)
@@ -645,9 +637,10 @@ class RationalCone:
                 and all(_dot(n, v) >= 0 for n in self.facet_normals))
 
     def dual(self) -> "RationalCone":
-        """The cone {phi : phi.v >= 0 for all v in this cone}."""
-        return RationalCone.from_inequalities(
-            list(self.rays), list(self.lineality), dim=self.dim)
+        """The cone {phi : phi.v >= 0 for all v in this cone}, with the
+        two descriptions of this cone swapped."""
+        return RationalCone(self.dim, self.facet_normals, self.span_equations,
+                            self.rays, self.lineality)
 
     def intersection(self, other: "RationalCone") -> "RationalCone":
         if self.dim != other.dim:
@@ -898,8 +891,8 @@ class MonoidSearch:
     that does not depend on the target vector.
 
     `rays` are the extreme rays of the dual cone {phi : phi.g >= 0 for
-    every generator g} modulo its lineality; double description computes
-    them when the caller does not pass them.  Every ray is nonnegative
+    every generator g} modulo its lineality, read off the cone over the
+    generators when the caller does not pass them.  Every ray is nonnegative
     on every generator.  A generator on which every ray vanishes lies in
     the lineality space of cone(generators); that space is a face, so it
     is the cone over the generators it contains and the negative of such
@@ -912,7 +905,10 @@ class MonoidSearch:
       the ray values of every generator;
     - `reach[pos]`: for each ray, whether some free generator from
       position pos on is positive on it;
-    - `unit_lattice`: Z·units, the group of units of M.
+    - `unit_lattice`: Z·units, the group of units of M;
+    - `equations`: the span equations of that cone when it is built
+      here, and otherwise none: a caller that passes the rays decides
+      the span itself, as `WeightMonoid.contains_vector` does.
 
     The dimension is given, not read off a generator, so that the
     monoid with no generators has its units in the right lattice.
@@ -925,8 +921,10 @@ class MonoidSearch:
                 f"monoid generators differ in length from the dimension {dim}")
         self.gens = gens
         self.dim = dim
+        self.equations = ()
         if rays is None:
-            rays = _dd(dim, gens)[1]
+            cone = RationalCone.from_generators(gens, dim=dim)
+            rays, self.equations = cone.facet_normals, cone.span_equations
         self.rays = [tuple(r) for r in rays]
         self.values = [[_dot(r, g) for r in self.rays] for g in gens]
         self.units = [i for i, vals in enumerate(self.values) if not any(vals)]
@@ -946,8 +944,9 @@ def monoid_membership(v, generators) -> bool:
     prebuilt `MonoidSearch` over them; a caller that asks many questions
     of one monoid builds the search once and passes it each time.
 
-    With M = Z≥0·free + Z·units as in `MonoidSearch`, every ray r of the
-    dual cone is nonnegative on M, so v is not in M when some r.v < 0.
+    With M = Z≥0·free + Z·units as in `MonoidSearch`, v is not in M when
+    one of the table's `equations` does not vanish on it, and since every
+    ray r of the dual cone is nonnegative on M, when some r.v < 0.
     Otherwise a depth-first search picks the coefficient c of each free
     generator g in turn, on an explicit stack, so that no recursion limit
     bounds the number of generators.  The generators still to come are
@@ -970,7 +969,7 @@ def monoid_membership(v, generators) -> bool:
         return True
     gens, free, values, reach = table.gens, table.free, table.values, table.reach
     v_values = [_dot(r, v) for r in table.rays]
-    if any(x < 0 for x in v_values):
+    if any(x < 0 for x in v_values) or any(_dot(e, v) for e in table.equations):
         return False
     # one frame per free generator on the current branch: its position,
     # the residual before it and the coefficients still to try for it

@@ -2,11 +2,11 @@
 
 They compute on `Fraction` or by plain bounded search, and share no code
 with the kernels of `sphervar`, so an oracle built on them does not run
-the code it judges.  `reference_cone` is the one exception: it is
-`RationalCone.from_generators` on the double-description path alone,
-the path that a full-dimensional simplicial cone no longer takes, and
-`_dd` itself is judged against a `Fraction` reference in
-`test_properties.py`.
+the code it judges.  `reference_cone` and `reference_inequality_cone`
+are the exceptions: they are the two constructors of `RationalCone` on
+the double-description path alone, the path that a full-dimensional
+simplicial cone no longer takes, and `_dd` itself is judged against a
+`Fraction` reference in `test_properties.py`.
 """
 
 import itertools
@@ -79,6 +79,17 @@ def reference_cone(generators, lines, dim):
     lns = [primitive(l) for l in lines if any(l)]
     ann, facets = _dd(dim, gens + lns + [tuple(-x for x in l) for l in lns])
     lin, rays = _dd(dim, facets + ann + [tuple(-x for x in a) for a in ann])
+    return RationalCone._canonical(dim, rays, lin, facets, ann)
+
+
+def reference_inequality_cone(normals, equations, dim):
+    """The canonical cone {x : n.x >= 0, e.x = 0} by two double
+    descriptions, for every input: the rays are the extreme rays of the
+    system, and the facets those of the dual of the cone they span."""
+    nrm = [primitive(n) for n in normals if any(n)]
+    eqs = [primitive(e) for e in equations if any(e)]
+    lin, rays = _dd(dim, nrm + eqs + [tuple(-x for x in e) for e in eqs])
+    ann, facets = _dd(dim, rays + lin + [tuple(-x for x in l) for l in lin])
     return RationalCone._canonical(dim, rays, lin, facets, ann)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -9,7 +10,12 @@ from sphervar.monoid import (
     WeightMonoid,
     torus_monoid,
 )
-from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
+from sphervar.polyhedral import (
+    Lattice,
+    RationalCone,
+    hilbert_basis_with_units,
+    monoid_membership,
+)
 from sphervar.rootsys import GroupSpec, build_root_data
 
 
@@ -147,6 +153,18 @@ def test_membership_search_deeper_than_the_recursion_limit():
     # in the cone but off the grid of heights: (1, 0) has height 0
     assert m.contains_vector((1, 0)) is False
     assert m.contains_vector((0, -1)) is False
+
+
+def test_membership_outside_the_span_answers_at_once():
+    # (k, k, 1) is off the plane of the generators, where the dual rays
+    # alone leave a box of some k^2 coefficient pairs to search
+    gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)]
+    m = torus_monoid(torus(3), gens)
+    start = time.perf_counter()
+    assert m.contains_vector((200, 200, 1)) is False
+    assert monoid_membership((200, 200, 1), gens) is False
+    assert time.perf_counter() - start < 1
+    assert m.contains_vector((200, 200, 0)) is True
 
 
 def _count_membership(monkeypatch):

@@ -317,9 +317,10 @@ def test_cone_with_lines():
     assert c.contains((1, -5)) and not c.contains((-1, 0))
 
 
-def test_each_cone_constructor_runs_two_double_descriptions(monkeypatch):
-    # none of these cones is full-dimensional and simplicial, the one
-    # case read off an inverse instead
+def test_double_description_runs_twice_off_the_simplicial_cones(monkeypatch):
+    # a cone over `dim` independent vectors is read off an inverse, and
+    # the dual swaps two descriptions already built; every other cone
+    # runs double description twice
     calls = []
     real = polyhedral._dd
 
@@ -331,20 +332,23 @@ def test_each_cone_constructor_runs_two_double_descriptions(monkeypatch):
     c = RationalCone.from_generators([(1, 0, 0), (1, 2, 0)], lines=[(0, 1, 1)])
     d = RationalCone.from_inequalities([(0, 1, 0)])
     builds = [
-        lambda: RationalCone.from_generators([(1, 0, 0), (1, 2, 0)],
-                                             lines=[(0, 1, 1)]),
-        lambda: RationalCone.from_inequalities([(1, 0, 0), (2, 1, 0)],
-                                               [(0, 1, -1)]),
-        lambda: RationalCone.from_generators([], dim=3),
-        lambda: RationalCone.from_inequalities([], dim=3),
-        lambda: RationalCone.zero(3),
-        lambda: c.dual(),
-        lambda: c.intersection(d),
+        (2, lambda: RationalCone.from_generators([(1, 0, 0), (1, 2, 0)],
+                                                 lines=[(0, 1, 1)])),
+        (2, lambda: RationalCone.from_inequalities([(1, 0, 0), (2, 1, 0)],
+                                                   [(0, 1, -1)])),
+        (2, lambda: RationalCone.from_generators([], dim=3)),
+        (2, lambda: RationalCone.from_inequalities([], dim=3)),
+        (2, lambda: RationalCone.zero(3)),
+        (0, lambda: c.dual()),
+        # c ∩ d is cut out by three independent normals
+        (0, lambda: c.intersection(d)),
+        (0, lambda: RationalCone.from_inequalities([(1, 0, 0), (0, 1, 0),
+                                                    (1, 1, 1)])),
     ]
-    for build in builds:
+    for expected, build in builds:
         calls.clear()
         build()
-        assert len(calls) == 2
+        assert len(calls) == expected
 
 
 def test_facets_and_dual_generators_agree():
@@ -387,6 +391,19 @@ def test_cone_membership_against_oracle():
         for _ in range(12):
             p = tuple(rng.randint(-4, 4) for _ in range(dim))
             assert c.contains(p) == cone_member_oracle(p, gens)
+
+
+def test_inequality_description_rejects_mixed_lengths():
+    # zip would cut the longer normal, the dimension and the equation short
+    with pytest.raises(PolyhedralError, match="mixed dimensions"):
+        RationalCone.from_inequalities([(1, 0), (0, 1, 0)])
+    with pytest.raises(PolyhedralError, match="mixed dimensions"):
+        RationalCone.from_inequalities([(1, 0)], dim=3)
+    with pytest.raises(PolyhedralError, match="mixed dimensions"):
+        RationalCone.from_inequalities([(1, 0, 0)], [(0, 1)])
+    for build in (RationalCone.from_generators, RationalCone.from_inequalities):
+        with pytest.raises(PolyhedralError, match="empty cone description"):
+            build([(0, 0)])
 
 
 def test_cone_contains_rejects_length_mismatch():

@@ -17,6 +17,7 @@ from corpus import build_corpus
 from references import (
     reference_cone,
     reference_det,
+    reference_inequality_cone,
     reference_member,
     reference_minimal_generators,
     reference_monoid_membership,
@@ -142,6 +143,19 @@ def test_every_cone_route_gives_the_same_canonical_form(inputs, data):
         cone.rays, lines=cone.lineality, dim=dim) == cone
 
 
+@settings(max_examples=100, deadline=None)
+@given(cone_inputs(max_lines=2))
+# the index-13 span equations of the simplicial cone tests below
+@example((4, [(2, -3, 2, 3), (-3, -2, 3, 1)], []))
+def test_dual_is_the_cone_over_the_facet_normals(inputs):
+    # `dual` swaps the two descriptions; double description of the cone
+    # over the facet normals, with the span equations as lines, agrees
+    dim, gens, lines = inputs
+    cone = RationalCone.from_generators(gens, lines=lines, dim=dim)
+    assert cone.dual() == reference_cone(
+        cone.facet_normals, cone.span_equations, dim)
+
+
 @st.composite
 def simplicial_cone_inputs(draw):
     """(dim, generators, lines) in dims 1-5, entries in [-9, 9]: mostly
@@ -173,18 +187,23 @@ def simplicial_cone_inputs(draw):
 @example((2, [(2, 1), (4, 2)], []))
 def test_simplicial_cones_match_double_description(inputs):
     # a full-dimensional simplicial cone skips double description and
-    # every other cone takes it; both give the double-description form
+    # every other cone takes it; both give the double-description form.
+    # The same vectors as normals, with the lines as equations, cut out
+    # the dual cone: simplicial exactly when that one is.
     dim, gens, lines = inputs
-    calls = []
-    real = polyhedral._dd
-    with mock.patch.object(polyhedral, "_dd",
-                           lambda *a: calls.append(a) or real(*a)):
-        cone = RationalCone.from_generators(gens, lines=lines, dim=dim)
     rays = {reference_primitive(g) for g in gens if any(g)}
     simplicial = (not any(map(any, lines)) and len(rays) == dim
                   and reference_det(list(rays)) != 0)
-    assert len(calls) == (0 if simplicial else 2)
-    assert cone == reference_cone(gens, lines, dim)
+    real = polyhedral._dd
+    for build, reference in [(RationalCone.from_generators, reference_cone),
+                             (RationalCone.from_inequalities,
+                              reference_inequality_cone)]:
+        calls = []
+        with mock.patch.object(polyhedral, "_dd",
+                               lambda *a: calls.append(a) or real(*a)):
+            cone = build(gens, lines, dim=dim)
+        assert len(calls) == (0 if simplicial else 2)
+        assert cone == reference(gens, lines, dim)
 
 
 @settings(max_examples=80, deadline=None)

@@ -917,18 +917,11 @@ def test_moment_polytope_queries_share_one_cone(monkeypatch):
     datum = recover_entry(e)
     mp = moment_polytope(datum, e.rd.weight((0, 0)),
                          {d.divisor_id: 1 for d in datum.divisors})
-    calls = []
-    real = polyhedral._dd
-
-    def counting(dim, inequalities):
-        calls.append(dim)
-        return real(dim, inequalities)
-
-    monkeypatch.setattr(polyhedral, "_dd", counting)
+    builds = _count_cone_builds(monkeypatch)
     mp.vertices_ambient()
     mp.rays_ambient()
     assert mp.is_bounded() is False and mp.is_empty() is False
-    assert len(calls) == 2
+    assert builds == ["from_inequalities"]
 
 
 def test_moment_polytope_ray():
