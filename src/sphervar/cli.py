@@ -28,9 +28,14 @@ that is not an integer) is a parse error.
 
 The argument parser is built once, at import, and `main` may be called
 any number of times in one process: nothing of a call stays in the
-parser.  The root data of a group are built once per process too
+parser.  A canonical argv (the command, then only `--input V`, `--format
+F` and `--verbose`) is read without it, into the namespace it would
+return; every other argv, help and usage errors included, goes to it.
+The root data of a group are built once per process too
 (`build_root_data`), and what depends on a monoid alone (its cone, type-a
-roots, root-type table) once per monoid.
+roots, root-type table) once per monoid.  The machine block is written by
+`_write_json`, in the bytes that `json.dumps` writes with `sort_keys=True`
+and `indent=2`.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .luna import BDivisorRecord, LatticeFunctional, LunaDatum
 from .monoid import MonoidError, WeightMonoid
@@ -455,6 +461,50 @@ def cmd_polytope(doc: InputDocument) -> tuple[dict, list[str]]:
 # output formatting
 # ---------------------------------------------------------------------------
 
+def _write_json(value, pad: str, put) -> None:
+    """Write `value` through `put` in the bytes that `json.dumps` writes
+    with `sort_keys=True` and `indent=2`, `pad` being the line break and
+    indentation of the line it starts on.  Only what a payload holds is
+    written: dicts with str keys, lists, tuples, str, int, bool and None."""
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"internal: key {key!r} in a machine block")
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, put)
+            sep = "," + inner
+        put(pad + "}")
+    else:
+        raise TypeError(
+            f"internal: {type(value).__name__} in a machine block")
+
+
 def _machine_block(command: str, digest, payload: dict, warnings: list[str]) -> str:
     report = {
         "schema": SCHEMA_VERSION,
@@ -463,7 +513,9 @@ def _machine_block(command: str, digest, payload: dict, warnings: list[str]) -> 
         "payload": payload,
         "warnings": sorted(warnings),
     }
-    return json.dumps(report, sort_keys=True, indent=2)
+    parts: list[str] = []
+    _write_json(report, "\n", parts.append)
+    return "".join(parts)
 
 
 def _pretty_recover(payload: dict) -> list[str]:
@@ -543,23 +595,56 @@ def main(argv=None) -> int:
     return code
 
 
+_COMMANDS = ("recover", "classify", "compare", "validate", "polytope")
+_FORMATS = ("pretty", "machine")
+
 # built once at import; each `parse_args` call keeps its state to itself
 PARSER = argparse.ArgumentParser(
     prog="sphervar",
     description="Combinatorial invariants of affine spherical varieties")
-PARSER.add_argument("command",
-                    choices=["recover", "classify", "compare",
-                             "validate", "polytope"])
+PARSER.add_argument("command", choices=_COMMANDS)
 PARSER.add_argument("--input", required=True, action="append",
                     help="input document path (give twice for compare)")
-PARSER.add_argument("--format", choices=["pretty", "machine"],
-                    default="pretty")
+PARSER.add_argument("--format", choices=_FORMATS, default="pretty")
 PARSER.add_argument("--verbose", action="store_true",
                     help="include the localization-node trace")
 
 
+def _parse_argv(argv) -> argparse.Namespace:
+    """`PARSER.parse_args(argv)`, read directly when argv is canonical: a
+    command, then only `--input V`, `--format pretty|machine` and
+    `--verbose`, with no value starting with "-" and at least one input.
+    Every other argv (help, usage errors, `--input=V`, abbreviations,
+    options before the command, `--`) goes to `PARSER`."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args and args[0] in _COMMANDS:
+        ns = argparse.Namespace(command=args[0], input=[],
+                                format="pretty", verbose=False)
+        i = 1
+        while i < len(args):
+            option = args[i]
+            if option == "--verbose":
+                ns.verbose = True
+                i += 1
+                continue
+            if i + 1 == len(args):
+                break
+            value = args[i + 1]
+            if option == "--input" and not value.startswith("-"):
+                ns.input.append(value)
+            elif option == "--format" and value in _FORMATS:
+                ns.format = value
+            else:
+                break
+            i += 2
+        else:
+            if ns.input:
+                return ns
+    return PARSER.parse_args(argv)
+
+
 def _run(argv) -> int:
-    args = PARSER.parse_args(argv)
+    args = _parse_argv(argv)
 
     try:
         docs = []

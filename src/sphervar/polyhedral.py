@@ -342,7 +342,9 @@ class Lattice:
     @cached_property
     def annihilator(self) -> tuple[Vec, ...]:
         """A basis of the integer functionals vanishing on the lattice:
-        the relations among the columns of the basis."""
+        the relations among the columns of the basis; none at full rank."""
+        if self.rank == self.dim:
+            return ()
         return tuple(_relations([b[j] for b in self.basis]
                                 for j in range(self.dim))[1])
 

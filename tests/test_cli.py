@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cli_contract
 from sphervar import cli, spherical
@@ -555,3 +560,152 @@ def test_recover_passes_on_a_skipped_saturation_check(tmp_path):
                                "--format", "machine"]))["document"])
     proc = run_cli(["validate", "--input", recovered, "--format", "machine"])
     assert json.loads(proc.stdout)["warnings"] == [warning]
+
+
+# -- the machine-block writer and the argv reader against the stdlib ----------
+
+json_text = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(["\x00", "\x1f", "\x7f", "\"", "\\", "\u2028",
+                     "\ud800", "\udfff", "\U0001f600", "\u00e9"])),
+    max_size=5)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
+              st.integers(), st.integers(-2 ** 200, 2 ** 200), json_text),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+def reference_block(command, digest, payload, warnings):
+    report = {"schema": 1, "command": command, "digest": digest,
+              "payload": payload, "warnings": sorted(warnings)}
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_text, json_values,
+       st.dictionaries(json_text, json_values, max_size=4),
+       st.lists(json_text, max_size=4))
+@example("recover", "", {"a": [], "b": {}, "c": [[], {}, ()]}, [])
+@example("compare", ["x", "y"], {"t": True, "o": 1, "f": False, "z": 0,
+                                 "n": None, "big": 2 ** 64 + 1}, ["b", "a"])
+def test_machine_block_is_the_bytes_of_json_dumps(command, digest, payload,
+                                                  warnings):
+    assert cli._machine_block(command, digest, payload, warnings) == \
+        reference_block(command, digest, payload, warnings)
+
+
+@pytest.mark.parametrize("bad", [0.5, float("nan"), Fraction(1, 2),
+                                 {1: 0}, {None: 0}, {(1, 2): 0}, {1, 2},
+                                 b"bytes"])
+def test_machine_block_refuses_what_a_payload_never_holds(bad):
+    with pytest.raises(TypeError, match="^internal: "):
+        cli._machine_block("recover", "", {"a": [1, {"b": bad}]}, [])
+
+
+argv_values = st.sampled_from(["a.json", "data/so3_x1.json", "recover",
+                               "-", "", "-x", "--input", "x y"])
+argv_formats = st.sampled_from(["pretty", "machine", "json", "-x", ""])
+argv_options = st.one_of(
+    st.tuples(st.just("--input"), argv_values),
+    st.tuples(st.just("--format"), argv_formats),
+    st.tuples(st.just("--verbose")),
+    argv_values.map(lambda v: ("--input=" + v,)),
+    argv_formats.map(lambda f: ("--format=" + f,)),
+    st.tuples(st.sampled_from(["--inp", "--in", "--form", "--verb"]),
+              argv_values),
+    st.tuples(st.sampled_from(["--", "-h", "--help", "--bogus", "x", "-x",
+                               "--verbose=1"])))
+
+
+@st.composite
+def argvs(draw):
+    """An argv of options in any order, the command anywhere among them
+    (or absent, or unknown), and sometimes the last token cut off."""
+    options = draw(st.lists(argv_options, max_size=5))
+    command = draw(st.sampled_from(
+        ["recover", "classify", "compare", "validate", "polytope", "bogus",
+         None]))
+    if command is not None:
+        options.insert(draw(st.integers(0, len(options))), (command,))
+    argv = [token for option in options for token in option]
+    if argv and draw(st.integers(0, 4)) == 0:
+        argv.pop()
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """The namespace or the exit code, and what was written."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+@example(["recover", "--input", "a.json"])
+@example(["bogus", "--input", "a.json"])
+@example(["compare", "--format", "machine", "--input", "a", "--input", "b",
+          "--verbose", "--format", "pretty"])
+@example(["recover", "--input", ""])
+@example(["recover", "--input", "-"])
+@example(["recover", "--verbose"])
+@example(["recover", "--input", "a", "--format"])
+@example(["--format", "machine", "recover", "--input", "a"])
+@example(["recover", "--input", "a", "--", "b"])
+@example(["recover", "-h"])
+def test_argv_reader_agrees_with_the_parser(argv):
+    assert parse_outcome(cli._parse_argv, argv) == \
+        parse_outcome(cli.PARSER.parse_args, argv)
+
+
+def test_canonical_argv_skips_the_parser(monkeypatch):
+    def refuse(argv=None):
+        raise AssertionError(f"parser called on {argv}")
+    monkeypatch.setattr(cli.PARSER, "parse_args", refuse)
+    args = cli._parse_argv(["compare", "--input", "a", "--format", "machine",
+                            "--verbose", "--input", "b"])
+    assert vars(args) == {"command": "compare", "input": ["a", "b"],
+                          "format": "machine", "verbose": True}
+
+
+def test_pretty_output_ends_in_the_machine_block(tmp_path):
+    # for each data document and contract command, and for validate on the
+    # recovered document and its tampered copy: the pretty output is the
+    # machine output after a "machine:" line; a parse error writes neither
+    def output(name, path, fmt, flags=()):
+        inputs = ["--input", str(path)] * (2 if name == "compare" else 1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([name, *inputs, "--format", fmt, *flags])
+        return code, out.getvalue()
+
+    recovered = tmp_path / "recovered.json"
+    tampered = tmp_path / "tampered.json"
+    for path in sorted(DATA.glob("*.json")):
+        runs = [(name, path, flags)
+                for name, *flags in cli_contract.COMMANDS.values()]
+        document = json.loads(output("recover", path, "machine")[1])[
+            "payload"]["document"]
+        recovered.write_text(json.dumps(document))
+        document["divisors"][0]["phi"] = [
+            str(-Fraction(x)) for x in document["divisors"][0]["phi"]]
+        tampered.write_text(json.dumps(document))
+        runs += [("validate", recovered, []), ("validate", tampered, [])]
+        for name, doc, flags in runs:
+            code, machine = output(name, doc, "machine", flags)
+            pretty_code, pretty = output(name, doc, "pretty", flags)
+            assert pretty_code == code, (name, doc)
+            if code == 2:
+                assert pretty == machine == "", (name, doc)
+            else:
+                assert machine and pretty.endswith("\nmachine:\n" + machine), \
+                    (name, doc)

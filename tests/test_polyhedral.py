@@ -170,6 +170,9 @@ def test_saturation_and_annihilator():
     ann = lat.annihilator
     assert len(ann) == 1
     assert sum(a * b for a, b in zip(ann[0], (2, 4))) == 0
+    assert Lattice.span([(2, 4), (0, 3)]).annihilator == ()
+    assert Lattice.full(3).annihilator == ()
+    assert Lattice.span([], 2).annihilator == ((1, 0), (0, 1))
 
 
 def test_integer_solve_prefers_integral():

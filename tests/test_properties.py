@@ -656,6 +656,18 @@ def test_echelon_coords_match_rational_reference(data):
     assert lat.coords(v) == reference_coords(lat, v)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lattice_vectors())
+def test_annihilator_is_empty_exactly_at_full_rank(data):
+    # the full-rank shortcut gives what the relations among the basis
+    # columns give, and only a full-rank lattice has no annihilator
+    lat, v = data
+    columns = [[b[j] for b in lat.basis] for j in range(lat.dim)]
+    assert lat.annihilator == tuple(polyhedral._relations(columns)[1])
+    assert (lat.annihilator == ()) == (lat.rank == lat.dim)
+    assert lat.in_span(v) == (lat.coords(v) is not None)
+
+
 # -- the ray-bounded membership search against the minor-bounded one ---------
 #
 # `reference_monoid_membership` (tests/references.py) is `monoid_membership`
