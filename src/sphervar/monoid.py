@@ -246,15 +246,14 @@ class WeightMonoid:
         A free monoid needs no test.  When the nonzero generators number
         the rank of the lattice they span, they are a Z-basis of it, and
         a lattice point lies in their cone iff its coordinates in that
-        basis are nonnegative integers: M is S.  The rank limit is
-        checked first, so a free monoid past it is refused all the same.
+        basis are nonnegative integers: M is S, at any rank.
         """
         lat = self.lattice
+        if sum(map(any, self.gen_vectors)) == lat.rank:
+            return True
         if lat.rank > SATURATION_RANK_LIMIT:
             raise MonoidError(
                 f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
-        if sum(map(any, self.gen_vectors)) == lat.rank:
-            return True
         quotient = PointedQuotient(self.cone, lat)
         if quotient.units != self.invertible_lattice:
             return False

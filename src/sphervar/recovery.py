@@ -15,25 +15,25 @@ face whose Levi is the type-a roots mints only if it is the whole cone
 type-b root alpha in its Levi (cases 2 and 3).  Every generator pairs
 nonnegatively with the coroot of alpha, so the faces whose Levi holds
 alpha are the faces of F_alpha, the face spanned by the generators the
-coroot vanishes on.  The walk visits the whole cone, the facets whose
-Levi is the type-a roots, and the faces inside some F_alpha, in the order
-of the full face walk; the faces it skips add nothing to the pool that
-later faces read.
+coroot vanishes on.  Case 3 mints for alpha only at F_alpha itself.
+Case 2 at a face strictly inside F_alpha fails its sign test: every
+functional that vanishes on F_alpha vanishes on that face too, and at
+F_alpha either one of them failed the test or case 2 minted a pair that
+pairs to 1 with alpha.  So the walk visits the whole cone, the facets
+whose Levi is the type-a roots, and each F_alpha, largest first: at
+most 1 + #dual rays + #type-b roots nodes.
 
 The walk computes on integers and builds no localized monoid.  A node is
 a face, given by its minimal generators, and its weight mu, their integer
 sum, lies in its relative interior; the localization at mu depends only
 on that face (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
-The faces are the intersections of the zero sets of the dual rays of M
-(Kaibel–Pfetsch, Comput. Geom. 23, 2002), so each comes with the rays
-vanishing on it: none on the whole cone, and on a facet exactly one, the
-class functional up to scale.  A smaller face whose Levi is the type-a
-roots has two or more, mints nothing and is not walked.  Every test of a
-recovered functional at a node (does it vanish at mu, its sign at a
-type-b root, whether it pairs to 1 with one, its pattern on the minimal
-generators) is a sign or equality test of w.v against the functional's
-integer form (d, w): d > 0 and w an integer covector on the pivot
-columns of the lattice basis, with phi(v) = w.v / d (see `sphervar.luna`).
+No dual ray of M vanishes on the whole cone, and on a facet exactly one
+does, the class functional up to scale.  Every test of a recovered
+functional at a node (does it vanish at mu, its sign at a type-b root,
+whether it pairs to 1 with one, its pattern on the minimal generators)
+is a sign or equality test of w.v against the functional's integer form
+(d, w): d > 0 and w an integer covector on the pivot columns of the
+lattice basis, with phi(v) = w.v / d (see `sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -66,13 +66,12 @@ from .spherical import (
     validate_roots_in_lattice,
 )
 
-MAX_FACES = 4096
 # the rule for the faces of cone(M) that the walk skips, stated with its
 # trace; the skipped faces are not counted, as that would enumerate them
 SKIPPED_FACES = (
-    "not walked: every face other than the whole cone that is neither a "
-    "facet whose Levi is the type-a roots nor a face whose Levi holds a "
-    "type-b root; such a face mints no divisor")
+    "not walked: every face other than the whole cone, the facets whose "
+    "Levi is the type-a roots and the face F_alpha where the coroot of a "
+    "type-b root alpha vanishes; such a face mints no divisor")
 
 
 class RecoveryError(ValueError):
@@ -152,39 +151,14 @@ def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
     return table
 
 
-def _faces(k: int, zeros, facets, inner) -> list[tuple[int, ...]]:
-    """The faces of a cone over k generators that the walk visits, as
-    the indices of the generators on each, largest first and then
-    lexicographic: the whole cone, the `facets`, and every face inside
-    one of the faces `inner`.  Faces are bitmasks of generators, and
-    `zeros` holds the zero set of each dual ray.  The faces inside F are
-    F cut with any of those zero sets (Kaibel–Pfetsch): F is cut with
-    each zero set in turn, and so is every face found so far."""
-    def check(faces: set[int]) -> None:
-        if len(faces) > MAX_FACES:
-            raise RecoveryError(
-                f"recovery limited to {MAX_FACES} faces of the weight cone")
-
-    faces = {(1 << k) - 1, *facets, *inner}
-    check(faces)
-    for face in inner:
-        below = {face}
-        for zero in zeros:
-            below |= {f & zero for f in below}
-            faces |= below
-            check(faces)
-    nodes = [tuple(j for j in range(k) if face >> j & 1) for face in faces]
-    return sorted(nodes, key=lambda node: (-len(node), node))
-
-
 def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                   trace: list[RecursionNode] | None = None,
                   warnings: list[str] | None = None) -> list[BDivisorRecord]:
     """The stable divisors and the type-b divisor pairs, with their
     valuation functionals, recovered over the faces of cone(M) that can
-    mint one (largest faces first): the whole cone, the facets whose
-    Levi is the type-a roots, and the faces whose Levi holds a type-b
-    root."""
+    mint one (largest faces first, then by their generators): the whole
+    cone, the facets whose Levi is the type-a roots, and for each type-b
+    root alpha the face F_alpha where its coroot vanishes."""
     rd = m.rd
     X = m.lattice
     gens = [g.int_coords() for g in m.minimal_generators]
@@ -210,9 +184,11 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
         [j for j in range(len(gens)) if z >> j & 1])) == pi_a]
     # F_alpha: alpha's coroot is nonnegative on M, so the generators it
     # vanishes on span the face holding every face whose Levi holds alpha
-    inner = {sum(1 << j for j, g in enumerate(gens) if g[alpha] == 0)
-             for alpha in pi_b}
-    nodes = _faces(len(gens), zeros, facets, inner)
+    f_alphas = {sum(1 << j for j, g in enumerate(gens) if g[alpha] == 0)
+                for alpha in pi_b}
+    nodes = sorted((tuple(j for j in range(len(gens)) if face >> j & 1)
+                    for face in {(1 << len(gens)) - 1, *facets, *f_alphas}),
+                   key=lambda node: (-len(node), node))
     ray_coords = [tuple(_dot(r, b) for b in X.basis) for r in rays]
     root_vecs = {alpha: rd.simple_root(alpha).int_coords() for alpha in pi_b}
 

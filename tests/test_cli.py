@@ -538,15 +538,16 @@ def test_main_entry_direct(capsys):
 
 
 def test_recover_passes_on_a_skipped_saturation_check(tmp_path):
-    # a central torus of rank 7 is past the saturation rank limit, so the
+    # a monoid of a central torus of rank 7 that is not free, the 2 e_i
+    # and the all-ones vector, is past the saturation rank limit, so the
     # recovery identity goes unchecked; recover and polytope say so, as
     # validate of the recovered document does
     warning = "saturation not checked (lattice too large)"
     doc = {
         "schema": 1,
         "group": {"factors": [], "central_rank": 7},
-        "monoid_generators": [[int(i == j) for j in range(7)]
-                              for i in range(7)],
+        "monoid_generators": [[2 * int(i == j) for j in range(7)]
+                              for i in range(7)] + [[1] * 7],
     }
     path = write_doc(tmp_path, "torus7.json", doc)
     for command in ("recover", "polytope"):

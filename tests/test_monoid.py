@@ -316,14 +316,17 @@ def test_localize_by_all_minimal_generators_trivializes():
 
 
 def test_saturation_rank_guard():
-    # a free monoid needs no normality test, but the rank limit is checked
-    # first, so a free monoid of rank 7 is refused like any other
+    # a free monoid needs no normality test and is saturated at any rank;
+    # the rank limit refuses the test on a monoid that is not free, such
+    # as the 2 e_i and the all-ones vector in rank 7
     rd = torus(7)
     gens = [tuple(int(i == j) for j in range(7)) for i in range(7)]
     for free in (gens, [tuple(2 * x for x in gens[0])] + gens[1:]):
-        m = torus_monoid(rd, free)
-        with pytest.raises(MonoidError):
-            m.is_saturated()
+        assert torus_monoid(rd, free).is_saturated() is True
+    m = torus_monoid(rd, [tuple(2 * x for x in g) for g in gens] + [(1,) * 7])
+    assert len(m.minimal_generators) == 8
+    with pytest.raises(MonoidError):
+        m.is_saturated()
 
 
 def test_the_largest_full_flag_cone_runs_no_double_description(monkeypatch):

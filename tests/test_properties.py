@@ -24,6 +24,7 @@ from references import (
     reference_rational_solve,
 )
 from test_recovery import (
+    recover_entry,
     reference_monoid_recovery_identity,
     reference_violations,
     tampered_divisor_sets,
@@ -1089,48 +1090,36 @@ def _walk_outcome(walk, m, psi):
     return recs, trace, warnings
 
 
-def _face_nodes(m):
-    """(faces, facets): the subsets of the minimal generators (1-based)
-    that are the generators on some face of cone(M), and those on some
-    facet, from the facet normals of the cone: a subset is a face iff it
-    holds every generator on the facets containing it."""
+def _facet_nodes(m):
+    """The subsets of the minimal generators (1-based) that are the
+    generators on some facet of cone(M), from the facet normals of the
+    cone."""
     mins = [g.int_coords() for g in m.minimal_generators]
     normals = RationalCone.from_generators(m.gen_vectors, dim=m.dim).facet_normals
-
-    def zero_set(n):
-        return {j for j, g in enumerate(mins)
-                if sum(a * b for a, b in zip(n, g)) == 0}
-
-    out = set()
-    for size in range(len(mins) + 1):
-        for subset in itertools.combinations(range(len(mins)), size):
-            containing = [n for n in normals if set(subset) <= zero_set(n)]
-            closure = tuple(j for j in range(len(mins))
-                            if all(j in zero_set(n) for n in containing))
-            if closure == subset:
-                out.add(tuple(j + 1 for j in subset))
-    facets = {tuple(j + 1 for j in sorted(zero_set(n))) for n in normals}
-    return out, facets
+    return {tuple(j + 1 for j, g in enumerate(mins)
+                  if sum(a * b for a, b in zip(n, g)) == 0) for n in normals}
 
 
 def _reference_outcome_on_faces(m, psi):
     """The outcome of the subset walk with its trace and its warnings
-    kept at the nodes that can mint only: the faces of cone(M) that are
-    the whole cone, a facet whose Levi is the type-a roots, or a face
-    whose Levi holds a type-b root."""
+    kept at the nodes that can mint only: the whole cone, the facets of
+    cone(M) whose Levi is the type-a roots, and for each type-b root
+    alpha the face F_alpha spanned by the generators its coroot vanishes
+    on."""
     outcome = _walk_outcome(reference_recover_prime, m, psi)
     if isinstance(outcome[0], type):
         return outcome
     recs, trace, warnings = outcome
-    faces, facets = _face_nodes(m)
+    facets = _facet_nodes(m)
     table = classify_root_types(m, psi)
     pi_a = frozenset(table.roots_of_type("a"))
-    pi_b = frozenset(table.roots_of_type("b"))
-    whole = tuple(range(1, len(m.minimal_generators) + 1))
-    kept = [node for node in trace if node.subset in faces and (
-        node.subset == whole
-        or node.subset in facets and frozenset(node.levi_roots) == pi_a
-        or pi_b & frozenset(node.levi_roots))]
+    mins = [g.int_coords() for g in m.minimal_generators]
+    f_alphas = {tuple(j + 1 for j, g in enumerate(mins) if g[alpha] == 0)
+                for alpha in table.roots_of_type("b")}
+    whole = tuple(range(1, len(mins) + 1))
+    kept = [node for node in trace if node.subset == whole
+            or node.subset in f_alphas
+            or node.subset in facets and frozenset(node.levi_roots) == pi_a]
     names = {str(node.subset) for node in kept}
     return (recs, kept,
             [w for w in warnings
@@ -1327,6 +1316,26 @@ def test_integer_walk_matches_the_reference_on_the_corpus(entry):
         _reference_outcome_on_faces(entry.monoid, entry.psi)
 
 
+CORPUS_LOCALIZATIONS = [(e, j) for e in build_corpus()
+                        for j in range(len(e.monoid.minimal_generators))]
+
+
+@pytest.mark.parametrize(
+    "entry, j", CORPUS_LOCALIZATIONS,
+    ids=[f"{e.name}-{j + 1}" for e, j in CORPUS_LOCALIZATIONS])
+def test_integer_walk_matches_the_reference_on_the_corpus_localizations(
+        entry, j):
+    # each corpus entry localized at each of its minimal generators, with
+    # its roots restricted to the Levi of the localization
+    def localized():
+        return localize_datum(recover_entry(entry),
+                              entry.monoid.minimal_generators[j])
+
+    loc, ref = localized(), localized()
+    assert _walk_outcome(recover_prime, loc.monoid, loc.psi) == \
+        _reference_outcome_on_faces(ref.monoid, ref.psi)
+
+
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 BENCH_DOCUMENTS = sorted(BENCH_INPUTS.glob("*/*.json"))
 
@@ -1358,13 +1367,13 @@ def test_integer_walk_matches_the_reference_on_the_3x4_grid():
                                                   NO_ROOTS)
 
 
-def test_face_walk_keeps_the_case2_warnings_at_faces():
+def test_face_walk_skips_the_case2_warnings_inside_f_alpha():
     # so3_x1 times the cone over the unit square: A1 x T^3 with a type-b
     # root on a non-simplicial cone.  The subset walk warns at 15 nodes,
-    # 6 of them off the faces; the face walk keeps the other 9 and every
-    # divisor.  It visits 15 of the 20 faces: the ray through 2 alpha and
-    # the 4 edges through it are neither facets nor inside the face where
-    # the coroot vanishes
+    # each strictly inside F_alpha, the face over the square where the
+    # coroot vanishes.  The face walk visits 6 of the 20 faces: the whole
+    # cone, F_alpha and the 4 facets through 2 alpha; it warns nowhere and
+    # keeps every divisor
     rd = build_root_data(GroupSpec((("A", 1),), 3))
     gens = [(2, 0, 0, 0)] + [(0, x, y, 1) for x in (0, 1) for y in (0, 1)]
     psi = make_spherical_roots(rd, (rd.weight(gens[0]),))
@@ -1373,8 +1382,8 @@ def test_face_walk_keeps_the_case2_warnings_at_faces():
         return WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
 
     outcome = _walk_outcome(recover_prime, monoid(), psi)
-    assert len(outcome[1]) == 15
-    assert len(outcome[2]) == 9
+    assert [n.case for n in outcome[1]] == ["1a", "2"] + ["1c"] * 4
+    assert outcome[2] == []
     assert len(_walk_outcome(reference_recover_prime, monoid(), psi)[2]) == 15
     assert outcome == _reference_outcome_on_faces(monoid(), psi)
 

@@ -163,9 +163,10 @@ def test_prime_g2_recursion_trace():
     assert len(recs) == 2
     # minimal generators sort canonically: index 1 is omega2, index 2 omega1.
     # The facet {1} is skipped: its Levi is the type-d root 2, so it is
-    # neither a 1c facet nor a face whose Levi holds the type-b root 1
+    # neither a 1c facet nor the face {2} where the coroot of the type-b
+    # root 1 vanishes; the apex inside {2} is skipped too
     assert [(n.subset, n.case) for n in trace] == \
-        [((1, 2), "1a"), ((2,), "2"), ((), "3")]
+        [((1, 2), "1a"), ((2,), "2")]
 
 
 # -- stabilizers and full recovery --------------------------------------------
@@ -706,22 +707,24 @@ def _unit_vectors(n, offset=0):
             for i in range(n)]
 
 
-def test_recovery_face_count_guard():
+def test_a1_times_t13_walks_only_the_cone_its_facets_and_f_alpha():
     # A1 x T^13 with alpha a type-b root: the coroot vanishes on the 13
-    # unit vectors, so the walk visits the 2^13 faces of their simplicial
-    # cone
+    # unit vectors, whose simplicial cone F_alpha has 2^13 faces.  The
+    # walk visits the whole cone, the 13 facets through 2 omega, whose
+    # Levi is the (empty) type-a set, and F_alpha alone, which mints the
+    # type-b pair
     rd = build_root_data(GroupSpec((("A", 1),), 13))
     gens = [(2,) + (0,) * 13] + _unit_vectors(13, offset=1)
     m = WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
     psi = make_spherical_roots(rd, (rd.weight(gens[0]),))
-    with pytest.raises(RecoveryError, match="limited to 4096 faces"):
-        recover_prime(m, psi)
+    trace = []
+    assert len(recover_prime(m, psi, trace)) == 15
+    assert [n.case for n in trace] == ["1a", "2"] + ["1c"] * 13
 
 
-def test_invalid_roots_are_refused_before_the_face_count():
+def test_a_type_b_root_outside_the_lattice_is_refused():
     # alpha is a type-b root of the monoid but lies outside its lattice,
-    # which 6 omega (3 alpha) and the 13 unit vectors span; its face is
-    # simplicial on the 13 unit vectors, past the walk's limit of faces
+    # which 6 omega (3 alpha) and the 13 unit vectors span
     rd = build_root_data(GroupSpec((("A", 1),), 13))
     gens = [(6,) + (0,) * 13] + _unit_vectors(13, offset=1)
     m = WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
@@ -729,8 +732,6 @@ def test_invalid_roots_are_refused_before_the_face_count():
     psi = make_spherical_roots(rd, (rd.simple_root(0),))
     with pytest.raises(SphericalError, match="not in the weight lattice"):
         recover_divisors(m, psi)
-    with pytest.raises(RecoveryError, match="limited to 4096 faces"):
-        recover_prime(WeightMonoid(rd, tuple(rd.weight(g) for g in gens)), psi)
 
 
 def test_a_non_root_multiple_of_a_simple_root_is_refused():
@@ -752,22 +753,16 @@ def test_a_non_root_multiple_of_a_simple_root_is_refused():
     assert trace == []
 
 
-@pytest.mark.parametrize("limit", [8, 9])
-def test_the_face_limit_counts_the_facets_without_type_b_roots(
-        monkeypatch, limit):
+def test_without_type_b_roots_the_walk_visits_the_cone_and_its_facets():
     # with no type-b root only the whole cone and its facets are walked:
-    # the 4-cube cone's 1 + 8 of them pass a limit of 9 and not one of 8
-    monkeypatch.setattr(recovery_module, "MAX_FACES", limit)
+    # the 4-cube cone's 1 + 8 of them, one divisor at each facet
     rd = build_root_data(GroupSpec((), 5))
     m = torus_monoid(rd, [p + (1,) for p in itertools.product((0, 1), repeat=4)])
     psi = make_spherical_roots(rd, ())
-    if limit == 8:
-        with pytest.raises(RecoveryError, match="limited to 8 faces"):
-            recover_prime(m, psi)
-    else:
-        trace = []
-        assert len(recover_prime(m, psi, trace)) == 8
-        assert len(trace) == 9
+    trace = []
+    assert len(recover_prime(m, psi, trace)) == 8
+    assert len(trace) == 9
+    assert [n.case for n in trace] == ["1a"] + ["1c"] * 8
 
 
 def test_a_generator_negative_on_a_type_b_root_is_refused():
@@ -781,8 +776,9 @@ def test_a_generator_negative_on_a_type_b_root_is_refused():
 
 
 def test_the_a13_full_flag_recovers_as_g_mod_u():
-    # 2^13 faces, past the walk's limit, but only the whole cone can mint:
-    # every root is type d, and no facet's Levi is the (empty) type-a set.
+    # 2^13 faces, but only the whole cone can mint: every root is type d,
+    # and no facet's Levi is the (empty) type-a set.  The monoid is free,
+    # so it is saturated at any rank and the recovery identity is checked.
     # G/U: divisor i is the i-th coordinate and is moved by root i alone
     rd = build_root_data(GroupSpec((("A", 13),)))
     m = WeightMonoid(rd, tuple(rd.fundamental_weight(i) for i in range(rd.n_simple)))
@@ -795,7 +791,7 @@ def test_the_a13_full_flag_recovers_as_g_mod_u():
                   tuple(sorted(datum.levi_roots - d.stabilizer.roots)))
                  for d in datum.divisors)
     assert got == sorted((v, (i,)) for i, v in enumerate(_unit_vectors(13)))
-    assert warnings == ["saturation not checked (lattice too large)"]
+    assert warnings == []
 
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
