@@ -404,8 +404,7 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
         sigma = ParabolicSet(active - frozenset(r - 1 for r in dropped))
         records.append(BDivisorRecord(
             str(entry.get("id", f"D{i + 1}")), phi, sigma, "external"))
-    return LunaDatum(doc.rd, monoid, doc.psi, table,
-                     tuple(records), frozenset(active))
+    return LunaDatum(monoid, doc.psi, table, tuple(records))
 
 
 def cmd_validate(doc: InputDocument) -> tuple[dict, list[str], bool]:

@@ -107,14 +107,20 @@ class BDivisorRecord:
 @dataclass(frozen=True)
 class LunaDatum:
     """Assembled combinatorial data of an affine spherical variety (or of a
-    localization of one, when levi_roots is a proper subset)."""
+    localization of one, when the monoid's Levi is a proper subset)."""
 
-    rd: RootData
     monoid: WeightMonoid
     psi: SphericalRootSet
     type_table: "RootTypeTable"
     divisors: tuple[BDivisorRecord, ...]
-    levi_roots: frozenset[int]
+
+    @property
+    def rd(self) -> RootData:
+        return self.monoid.rd
+
+    @property
+    def levi_roots(self) -> frozenset[int]:
+        return self.monoid.active_roots
 
     @property
     def lattice(self) -> Lattice:

@@ -34,7 +34,7 @@ only a generator of smaller degree can be split off another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .polyhedral import (
@@ -69,7 +69,6 @@ class WeightMonoid:
     rd: RootData
     generators: tuple[WeightVec, ...]
     levi_roots: frozenset[int] | None = None
-    enforce_dominance: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -78,14 +77,13 @@ class WeightMonoid:
                 raise MonoidError("generator does not match the group")
             if not g.is_integral:
                 raise MonoidError("monoid generators must be integral weights")
-        if self.enforce_dominance:
-            levi = self.active_roots
-            for g in gens:
-                for i in levi:
-                    if g.coords[i] < 0:
-                        raise MonoidError(
-                            f"generator {tuple(map(str, g.coords))} is not dominant "
-                            f"(negative on coroot {i + 1})")
+        levi = self.active_roots
+        for g in gens:
+            for i in levi:
+                if g.coords[i] < 0:
+                    raise MonoidError(
+                        f"generator {tuple(map(str, g.coords))} is not dominant "
+                        f"(negative on coroot {i + 1})")
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -269,9 +267,3 @@ class WeightMonoid:
                    for p in parallelepiped_points(
                        qcone, [shortest[r] for r in qcone.rays]))
 
-
-def torus_monoid(rd: RootData, vectors) -> WeightMonoid:
-    """Convenience constructor for monoids without the dominance check
-    (polyhedral-level tests on raw lattice data)."""
-    gens = tuple(rd.weight(v) for v in vectors)
-    return WeightMonoid(rd, gens, enforce_dominance=False)

@@ -22,8 +22,8 @@ equality of cones a tuple comparison.
 The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
 relations among the v_i and the combination behind each basis row, and
-integer kernels and solves and the units of a cone with the quotient by
-them are read off it.
+integer kernels and the units of a cone with the quotient by them
+are read off it.
 
 A Hilbert basis is read off one pulling triangulation of the pointed
 quotient cone (`PointedQuotient`), built from the facet-ray incidences
@@ -189,23 +189,6 @@ def _relations(vectors) -> tuple[list[tuple[Vec, Vec]], list[Vec]]:
     return [(h[:n], h[n:]) for h in H[:split]], [h[n:] for h in H[split:]]
 
 
-def _combination(rows, k: int, target) -> list[int] | None:
-    """x in Z^k with sum_i x_i v_i = target, for the Hermite rows (h, c)
-    of `_relations` over k vectors v_i, or None: the target is reduced by
-    the h, as `Lattice.coords` reduces by a basis, and x adds up the same
-    multiples of the c.  A pivot that does not divide its entry leaves a
-    residue there, as the later rows vanish at that column."""
-    res = list(target)
-    x = [0] * k
-    for h, c in rows:
-        p = next(j for j, a in enumerate(h) if a)
-        q = res[p] // h[p]
-        if q:
-            res = [a - q * b for a, b in zip(res, h)]
-            x = [a + q * b for a, b in zip(x, c)]
-    return None if any(res) else x
-
-
 def integer_kernel(rows) -> list[Vec]:
     """Basis of the (saturated) lattice {x in Z^n : A x = 0}: the
     relations among the columns of A."""
@@ -215,16 +198,6 @@ def integer_kernel(rows) -> list[Vec]:
     if len({len(r) for r in A}) > 1:
         raise PolyhedralError("integer_kernel: rows differ in length")
     return _relations(zip(*A))[1]
-
-
-def integer_solve(cols: list, target) -> list[int] | None:
-    """Solve sum_i c_i * cols[i] = target over Z; None if no integer solution."""
-    target = [int(x) for x in target]
-    if not cols:
-        return [] if not any(target) else None
-    if any(len(c) != len(target) for c in cols):
-        raise PolyhedralError("integer_solve: column and target lengths differ")
-    return _combination(_relations(cols)[0], len(cols), target)
 
 
 def _bareiss_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]] | None:
@@ -624,10 +597,6 @@ class RationalCone:
             tuple(_project_off(facets, ann_lat)),
             ann_lat.basis,
         )
-
-    @staticmethod
-    def zero(dim: int) -> "RationalCone":
-        return RationalCone._build((), (), dim)
 
     def span_rank(self) -> int:
         return self.dim - len(self.span_equations)

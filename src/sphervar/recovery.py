@@ -45,7 +45,6 @@ from .luna import (
     BDivisorRecord,
     LatticeFunctional,
     LunaDatum,
-    LunaError,
     RootTypeTable,
 )
 from .monoid import MonoidError, WeightMonoid
@@ -158,7 +157,16 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     valuation functionals, recovered over the faces of cone(M) that can
     mint one (largest faces first, then by their generators): the whole
     cone, the facets whose Levi is the type-a roots, and for each type-b
-    root alpha the face F_alpha where its coroot vanishes."""
+    root alpha the face F_alpha where its coroot vanishes.
+
+    The roots are checked to lie in the weight lattice first.  The case-2
+    sign test fails exactly when a functional in the pool vanishes on
+    F_alpha, with `< 0` as with `<= 0`.  On a facet F_alpha such a one is
+    a positive multiple of the coroot, 2 on alpha.  Otherwise the coroot
+    is a nonnegative sum of the normals of the facets through F_alpha; one
+    is positive on alpha, so it is no F_beta (the coroot of beta is not),
+    and that facet minted its functional first."""
+    validate_roots_in_lattice(psi, m.lattice)
     rd = m.rd
     X = m.lattice
     gens = [g.int_coords() for g in m.minimal_generators]
@@ -177,9 +185,6 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     def levi_of(mu) -> frozenset[int]:
         return frozenset(i for i in active if mu[i] == 0)
 
-    if any(g[alpha] < 0 for g in gens for alpha in pi_b):
-        raise RecoveryError(
-            "invalid monoid: a minimal generator is negative on a type-b root")
     facets = [z for z in zeros if levi_of(weight(
         [j for j in range(len(gens)) if z >> j & 1])) == pi_a]
     # F_alpha: alpha's coroot is nonnegative on M, so the generators it
@@ -194,11 +199,8 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
 
     def root_pairing(rec: BDivisorRecord, alpha: int) -> tuple[int, int]:
         """(w.alpha, d) for the integer form (d, w) of the functional."""
-        a = root_vecs[alpha]
-        if not X.in_span(a):
-            raise LunaError("vector outside the lattice span")
         d, w = rec.phi.integer_form
-        return _dot(w, a), d
+        return _dot(w, root_vecs[alpha]), d
 
     pool: list[BDivisorRecord] = []
 
@@ -233,7 +235,6 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                         case2 = True
                         cov = _half_coroot(rd, alpha)
                         phi = LatticeFunctional.from_covector(cov, X)
-                        _check_node_pattern(phi, gens, subset)
                         for _ in range(2):
                             minted.append(BDivisorRecord(
                                 "?", phi, None, "case_2", (alpha,), cov))
@@ -345,17 +346,15 @@ def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
                      warnings: list[str] | None = None) -> LunaDatum:
     """Full divisor recovery: the recursive walk plus the c/d divisors,
     stabilizers filled in, assembled and validated."""
-    validate_roots_in_lattice(psi, m.lattice)
+    recs = recover_prime(m, psi, trace, warnings)
     table = _root_types(m, psi)
-    recs = recover_prime(m, psi, trace, warnings) \
-        + recover_type_cd_divisors(m, psi, table)
+    recs += recover_type_cd_divisors(m, psi, table)
     recs = [r.with_stabilizer(stabilizer_of(r, table, m)) for r in recs]
     recs.sort(key=lambda r: (r.phi.values, r.source, r.source_roots))
     final = [BDivisorRecord(f"D{i + 1}", r.phi, r.stabilizer, r.source,
                             r.source_roots, r.coroot_form)
              for i, r in enumerate(recs)]
-    datum = LunaDatum(m.rd, m, psi, table, tuple(final),
-                      frozenset(m.active_roots))
+    datum = LunaDatum(m, psi, table, tuple(final))
     report = validate_luna_datum(datum)
     if not report.passed:
         raise RecoveryError(
@@ -554,8 +553,7 @@ def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
     except MonoidError as exc:
         raise RecoveryError(str(exc)) from exc
     new_levi = loc.active_roots
-    rd = datum.rd
-    psi = make_spherical_roots(rd, [
+    psi = make_spherical_roots(datum.rd, [
         g for g, supp in zip(datum.psi.roots, datum.psi.supports)
         if supp <= new_levi])
     table = classify_root_types(loc, psi)
@@ -567,7 +565,7 @@ def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
             d.divisor_id, d.phi,
             ParabolicSet(d.stabilizer.roots & new_levi),
             d.source, d.source_roots, d.coroot_form))
-    return LunaDatum(rd, loc, psi, table, tuple(divisors), new_levi)
+    return LunaDatum(loc, psi, table, tuple(divisors))
 
 
 @dataclass(frozen=True)
@@ -610,9 +608,3 @@ def moment_polytope(datum: LunaDatum, base: WeightVec,
     poly = Polytope.from_halfspaces(X.rank, constraints)
     return MomentPolytope(poly, X, base)
 
-
-def thin_to_elementary(psi: SphericalRootSet) -> SphericalRootSet:
-    """Keep only the roots of one of the three elementary forms."""
-    kept = tuple(g for g, t in zip(psi.roots, psi.forms)
-                 if t.kind != "none")
-    return SphericalRootSet(psi.rd, kept)

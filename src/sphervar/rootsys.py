@@ -36,9 +36,9 @@ VALID_TYPES = {"A", "B", "C", "D", "E", "F", "G"}
 # `build_root_data` takes.  Its Cartan matrix and invariant form have
 # rank^2 entries, so a one-line document naming A100000 would otherwise
 # ask for 10^10 of them before any other check.  Measured with Python
-# 3.11 on a 2-vCPU Xeon VM: the A128 root data builds in 0.31 s and the
-# A128 full flag G/U recovers through the CLI in 1.3 s; A200 takes
-# 1.16 s for the root data alone.
+# 3.11 on a 2-vCPU Xeon VM: the A128 root data builds in 0.4 s and the
+# A128 full flag G/U recovers through the CLI in 1.6 s; A200 takes
+# 1.5 s for the root data alone.
 MAX_GROUP_DIM = 128
 
 
@@ -248,20 +248,12 @@ class RootData:
     def weight(self, coords) -> WeightVec:
         return WeightVec(self.spec, tuple(coords))
 
-    def covector(self, coords) -> CovectorVec:
-        return CovectorVec(self.spec, tuple(coords))
-
     def simple_root(self, i: int) -> WeightVec:
         """alpha_i in fundamental-weight coordinates: the i-th Cartan column."""
         return self.simple_roots[i]
 
     def simple_coroot(self, i: int) -> CovectorVec:
         return self.simple_coroots[i]
-
-    def fundamental_weight(self, i: int) -> WeightVec:
-        coords = [0] * self.dim
-        coords[i] = 1
-        return self.weight(coords)
 
     def root_name(self, i: int) -> str:
         if len(self.spec.factors) <= 1:

@@ -50,6 +50,35 @@ def reference_rational_solve(cols, target):
     return sol
 
 
+
+def reference_integer_solve(cols, target):
+    """A solution x in Z^k of sum_i x_i cols[i] = target, or None if there
+    is none: the rows (cols[i] | e_i) are brought to echelon form by
+    Euclid's algorithm on each column, and the target is reduced by the
+    pivot rows, adding up the same multiples of their second blocks."""
+    n, k = len(target), len(cols)
+    rows = [list(c) + [int(i == j) for j in range(k)]
+            for i, c in enumerate(cols)]
+    pivots = []
+    for p in range(n):
+        while len(live := [r for r in rows if r[p]]) > 1:
+            piv = min(live, key=lambda r: abs(r[p]))
+            for r in live:
+                if r is not piv:
+                    q = r[p] // piv[p]
+                    r[:] = [a - q * b for a, b in zip(r, piv)]
+        if live:
+            rows.remove(live[0])
+            pivots.append((p, live[0]))
+    res, x = list(target), [0] * k
+    for p, row in pivots:
+        if res[p] % row[p]:
+            return None
+        q = res[p] // row[p]
+        res = [a - q * b for a, b in zip(res, row)]
+        x = [a + q * b for a, b in zip(x, row[n:])]
+    return x if not any(res) else None
+
 def reference_det(rows):
     """The determinant of a square matrix by Gaussian elimination on
     `Fraction` entries."""

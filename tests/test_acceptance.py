@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 
+from builders import thin_to_elementary, zero_cone
 from corpus import build_corpus, corpus_by_name, entry_to_document
 from sphervar.cli import cmd_compare, cmd_recover, main, parse_input
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
@@ -17,7 +18,6 @@ from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis
 from sphervar.recovery import (
     recover_divisors,
     recover_prime,
-    thin_to_elementary,
     validate_luna_datum,
 )
 from sphervar.rootsys import GroupSpec, ParabolicSet, build_root_data
@@ -117,7 +117,7 @@ def test_criterion_3_dual_involution():
                 for _ in range(rng.randint(0, dim + 2))]
         gens = [g for g in gens if any(g)]
         cone = (RationalCone.from_generators(gens, dim=dim) if gens
-                else RationalCone.zero(dim))
+                else zero_cone(dim))
         if cone.dual().dual() != cone:
             ok = False
             break
@@ -193,8 +193,8 @@ def test_criterion_5_validator_completeness():
         divisors[index] = d
         if drop:
             divisors.pop(index)
-        return LunaDatum(datum.rd, datum.monoid, datum.psi, datum.type_table,
-                         tuple(divisors), datum.levi_roots)
+        return LunaDatum(datum.monoid, datum.psi, datum.type_table,
+                         tuple(divisors))
 
     def caught(datum, code):
         rep = validate_luna_datum(datum)

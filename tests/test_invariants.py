@@ -2,8 +2,8 @@
 
 import random
 
+from builders import monoid_of
 from corpus import build_corpus, corpus_by_name
-from sphervar.monoid import torus_monoid
 from sphervar.polyhedral import (
     Lattice,
     RationalCone,
@@ -105,7 +105,7 @@ def test_saturation_preserved_by_localization_on_corpus():
 
 def test_invertible_part_spans_only_invertibles():
     rd = build_root_data(GroupSpec((), 2))
-    m = torus_monoid(rd, [(1, 1), (-1, -1), (2, 1)])
+    m = monoid_of(rd, [(1, 1), (-1, -1), (2, 1)])
     inv = m.invertible_lattice
     assert inv.basis == ((1, 1),)
     # every lattice element of the invertible part is a monoid element in

@@ -3,13 +3,10 @@ import time
 
 import pytest
 
+from builders import fundamental_weight, monoid_of
 from sphervar import monoid as monoid_module
 from sphervar import polyhedral
-from sphervar.monoid import (
-    MonoidError,
-    WeightMonoid,
-    torus_monoid,
-)
+from sphervar.monoid import MonoidError, WeightMonoid
 from sphervar.polyhedral import (
     Lattice,
     RationalCone,
@@ -31,18 +28,17 @@ def test_dominance_enforced():
     rd = a1()
     with pytest.raises(MonoidError):
         WeightMonoid(rd, (rd.weight((-1,)),))
-    torus_monoid(rd, [(-1,)])  # raw constructor skips the check
 
 
 def test_invertible_part_examples():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (0, 1)])
+    m = monoid_of(rd, [(1, 0), (0, 1)])
     assert m.invertible_lattice.rank == 0
 
-    m = torus_monoid(rd, [(1, 0), (-1, 0), (0, 1)])
+    m = monoid_of(rd, [(1, 0), (-1, 0), (0, 1)])
     assert m.invertible_lattice.basis == ((1, 0),)
 
-    m = torus_monoid(rd, [(2, 3), (-2, -3), (1, 1)])
+    m = monoid_of(rd, [(2, 3), (-2, -3), (1, 1)])
     assert m.invertible_lattice.basis == Lattice.span([(2, 3)]).basis
 
 
@@ -55,15 +51,15 @@ def test_minimal_generators_a1():
 
 def test_minimal_generators_numerical():
     rd = torus(1)
-    m = torus_monoid(rd, [(2,), (3,)])
+    m = monoid_of(rd, [(2,), (3,)])
     assert tuple(g.int_coords() for g in m.minimal_generators) == ((2,), (3,))
-    m2 = torus_monoid(rd, [(2,), (3,), (5,)])
+    m2 = monoid_of(rd, [(2,), (3,), (5,)])
     assert tuple(g.int_coords() for g in m2.minimal_generators) == ((2,), (3,))
 
 
 def test_minimal_generators_mod_invertibles():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (-1, 0), (1, 1)])
+    m = monoid_of(rd, [(1, 0), (-1, 0), (1, 1)])
     # the only class is (1,1) mod Z(1,0); the canonical representative is (0,1)
     assert tuple(g.int_coords() for g in m.minimal_generators) == ((0, 1),)
 
@@ -80,7 +76,7 @@ def test_localize_everything_invertible():
 
 def test_localize_orthant():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (0, 1)])
+    m = monoid_of(rd, [(1, 0), (0, 1)])
     loc = m.localize(rd.weight((1, 0)))
     assert loc.invertible_lattice.basis == ((1, 0),)
     assert tuple(g.int_coords() for g in loc.minimal_generators) == ((0, 1),)
@@ -88,7 +84,7 @@ def test_localize_orthant():
 
 def test_localize_composes():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (0, 1)])
+    m = monoid_of(rd, [(1, 0), (0, 1)])
     e1, e2 = rd.weight((1, 0)), rd.weight((0, 1))
     twice = m.localize(e1).localize(e2)
     once = m.localize(rd.weight((1, 1)))
@@ -97,14 +93,14 @@ def test_localize_composes():
 
 def test_localize_requires_membership():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (0, 1)])
+    m = monoid_of(rd, [(1, 0), (0, 1)])
     with pytest.raises(MonoidError):
         m.localize(rd.weight((-1, 0)))
 
 
 def test_localize_idempotent():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (0, 1)])
+    m = monoid_of(rd, [(1, 0), (0, 1)])
     e1 = rd.weight((1, 0))
     assert m.localize(e1).localize(e1).equals(m.localize(e1))
 
@@ -119,7 +115,7 @@ def test_one_search_table_per_monoid(monkeypatch):
 
     monkeypatch.setattr(monoid_module, "MonoidSearch", CountingSearch)
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (1, 1), (1, 2), (2, 1)])
+    m = monoid_of(rd, [(1, 0), (1, 1), (1, 2), (2, 1)])
     assert tuple(g.int_coords() for g in m.minimal_generators) == \
         ((1, 0), (1, 1), (1, 2))
     assert m.is_saturated()
@@ -145,7 +141,7 @@ def test_membership_search_deeper_than_the_recursion_limit():
     # (0, 1) is the last of 1,000 free generators in search order: the
     # search fixes every other coefficient at 0 on the way down
     rd = torus(2)
-    m = torus_monoid(rd, [(k, 1) for k in range(1000)])
+    m = monoid_of(rd, [(k, 1) for k in range(1000)])
     assert m.contains_vector((0, 1)) is True
     # (1, 2) is (1, 1) + (0, 1), and (1000, 2) is (999, 1) + (1, 1)
     assert m.contains_vector((1, 2)) is True
@@ -159,7 +155,7 @@ def test_membership_outside_the_span_answers_at_once():
     # (k, k, 1) is off the plane of the generators, where the dual rays
     # alone leave a box of some k^2 coefficient pairs to search
     gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)]
-    m = torus_monoid(torus(3), gens)
+    m = monoid_of(torus(3), gens)
     start = time.perf_counter()
     assert m.contains_vector((200, 200, 1)) is False
     assert monoid_membership((200, 200, 1), gens) is False
@@ -183,7 +179,7 @@ def test_minimal_generators_of_one_degree_ask_no_membership(monkeypatch):
     # the dual rays (1, 0) and (-1, 999) sum to (0, 999), which is 999 on
     # every generator of the fan: no generator can be split off another
     queries = _count_membership(monkeypatch)
-    m = torus_monoid(torus(2), [(k, 1) for k in range(1000)])
+    m = monoid_of(torus(2), [(k, 1) for k in range(1000)])
     assert [g.int_coords() for g in m.minimal_generators] == \
         [(k, 1) for k in range(1000)]
     assert queries == []
@@ -202,9 +198,9 @@ def test_the_largest_full_flag_asks_no_membership(monkeypatch):
 
 def test_equality_asks_nothing_past_the_minimal_generators(monkeypatch):
     rd = torus(2)
-    a = torus_monoid(rd, [(1, 0), (1, 1), (1, 2), (2, 2)])
-    b = torus_monoid(rd, [(3, 3), (1, 2), (2, 2), (1, 1), (1, 0)])
-    c = torus_monoid(rd, [(1, 0), (1, 2)])
+    a = monoid_of(rd, [(1, 0), (1, 1), (1, 2), (2, 2)])
+    b = monoid_of(rd, [(3, 3), (1, 2), (2, 2), (1, 1), (1, 0)])
+    c = monoid_of(rd, [(1, 0), (1, 2)])
     queries = _count_membership(monkeypatch)
     for m in (a, b, c):
         m.minimal_generators
@@ -219,19 +215,19 @@ def test_equality_asks_nothing_past_the_minimal_generators(monkeypatch):
 def test_the_empty_monoid_has_its_units_in_its_lattice():
     rd = torus(2)
     empty = WeightMonoid(rd, ())
-    zero = torus_monoid(rd, [(0, 0)])
+    zero = monoid_of(rd, [(0, 0)])
     assert empty.invertible_lattice.dim == empty.lattice.dim == 2
     assert empty.invertible_lattice == zero.invertible_lattice
     assert empty.minimal_generators == zero.minimal_generators == ()
     assert empty.equals(zero) and zero.equals(empty)
-    assert not empty.equals(torus_monoid(rd, [(0, 1)]))
+    assert not empty.equals(monoid_of(rd, [(0, 1)]))
 
 
 def test_minimal_generators_modulo_a_unit_line():
     # each query searches within the dual rays' bounds, so the whole
     # localization takes milliseconds
     rd = torus(3)
-    m = torus_monoid(rd, [(1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 1)])
+    m = monoid_of(rd, [(1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 1)])
     loc = m.localize(rd.weight((1, 2, 1)))
     assert loc.invertible_lattice.basis == ((1, 2, 1),)
     # the classes of (2, 0, 1) and (1, 1, 1) modulo the unit line
@@ -249,7 +245,7 @@ def test_localizations_of_four_point_cones():
     count = 0
     for pts in itertools.combinations(grid, 4):
         cone = RationalCone.from_generators(pts)
-        m = torus_monoid(rd, [g for g in grid if cone.contains(g)])
+        m = monoid_of(rd, [g for g in grid if cone.contains(g)])
         mins = m.minimal_generators
         for k in range(1, len(mins) + 1):
             for subset in itertools.combinations(mins, k):
@@ -267,19 +263,19 @@ def test_localizations_of_four_point_cones():
 
 def test_saturation():
     rd = torus(2)
-    assert torus_monoid(rd, [(1, 0), (0, 1)]).is_saturated()
+    assert monoid_of(rd, [(1, 0), (0, 1)]).is_saturated()
     # saturation is relative to the spanned lattice: two independent
     # generators always span exactly their Z-grid
-    assert torus_monoid(rd, [(1, 0), (1, 2)]).is_saturated()
-    assert not torus_monoid(rd, [(2, 0), (3, 0), (0, 1)]).is_saturated()
+    assert monoid_of(rd, [(1, 0), (1, 2)]).is_saturated()
+    assert not monoid_of(rd, [(2, 0), (3, 0), (0, 1)]).is_saturated()
     rd1 = torus(1)
-    assert not torus_monoid(rd1, [(2,), (3,)]).is_saturated()
-    assert torus_monoid(rd1, [(2,)]).is_saturated()  # lattice is 2Z
+    assert not monoid_of(rd1, [(2,), (3,)]).is_saturated()
+    assert monoid_of(rd1, [(2,)]).is_saturated()  # lattice is 2Z
 
 
 def test_saturation_stable_under_localization():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (1, 1), (1, 2)])
+    m = monoid_of(rd, [(1, 0), (1, 1), (1, 2)])
     assert m.is_saturated()
     for g in [(1, 0), (1, 1), (1, 2)]:
         assert m.localize(rd.weight(g)).is_saturated()
@@ -287,7 +283,7 @@ def test_saturation_stable_under_localization():
 
 def test_span_identity():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (-1, 0), (1, 1), (2, 1)])
+    m = monoid_of(rd, [(1, 0), (-1, 0), (1, 1), (2, 1)])
     mins = [g.int_coords() for g in m.minimal_generators]
     inv = m.invertible_lattice
     together = list(mins) + list(inv.basis)
@@ -296,7 +292,7 @@ def test_span_identity():
 
 def test_no_minimal_generator_is_a_sum():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (1, 1), (1, 2), (2, 2)])
+    m = monoid_of(rd, [(1, 0), (1, 1), (1, 2), (2, 2)])
     mins = [g.int_coords() for g in m.minimal_generators]
     assert sorted(mins) == [(1, 0), (1, 1), (1, 2)]
     # no minimal generator minus another is again a monoid element
@@ -309,7 +305,7 @@ def test_no_minimal_generator_is_a_sum():
 
 def test_localize_by_all_minimal_generators_trivializes():
     rd = torus(2)
-    m = torus_monoid(rd, [(1, 0), (1, 2)])
+    m = monoid_of(rd, [(1, 0), (1, 2)])
     total = rd.weight((2, 2))
     loc = m.localize(total)
     assert loc.invertible_lattice.basis == loc.lattice.basis
@@ -322,8 +318,8 @@ def test_saturation_rank_guard():
     rd = torus(7)
     gens = [tuple(int(i == j) for j in range(7)) for i in range(7)]
     for free in (gens, [tuple(2 * x for x in gens[0])] + gens[1:]):
-        assert torus_monoid(rd, free).is_saturated() is True
-    m = torus_monoid(rd, [tuple(2 * x for x in g) for g in gens] + [(1,) * 7])
+        assert monoid_of(rd, free).is_saturated() is True
+    m = monoid_of(rd, [tuple(2 * x for x in g) for g in gens] + [(1,) * 7])
     assert len(m.minimal_generators) == 8
     with pytest.raises(MonoidError):
         m.is_saturated()
@@ -337,7 +333,7 @@ def test_the_largest_full_flag_cone_runs_no_double_description(monkeypatch):
     monkeypatch.setattr(polyhedral, "_dd",
                         lambda *a: dd_calls.append(a) or real_dd(*a))
     rd = build_root_data(GroupSpec((("A", 128),)))
-    m = WeightMonoid(rd, tuple(rd.fundamental_weight(i) for i in range(128)))
+    m = WeightMonoid(rd, tuple(fundamental_weight(rd, i) for i in range(128)))
     cone = m.cone
     assert dd_calls == []
     units = sorted(tuple(int(i == j) for j in range(128)) for i in range(128))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from builders import zero_cone
 from references import reference_det, reference_rational_solve
 from sphervar import polyhedral
 from sphervar.polyhedral import (
@@ -17,7 +18,6 @@ from sphervar.polyhedral import (
     hilbert_basis_with_units,
     hnf,
     integer_kernel,
-    integer_solve,
     monoid_membership,
     primitive,
 )
@@ -175,20 +175,7 @@ def test_saturation_and_annihilator():
     assert Lattice.span([], 2).annihilator == ((1, 0), (0, 1))
 
 
-def test_integer_solve_prefers_integral():
-    # (3,) = 1*(2,) + 1*(1,): the rational pivot solution (3/2, 0) is not
-    # integral but an integer solution exists
-    sol = integer_solve([(2,), (1,)], (3,))
-    assert sol is not None
-    assert 2 * sol[0] + 1 * sol[1] == 3
-    assert integer_solve([(2,)], (3,)) is None
-
-
-def test_integer_solve_rejects_length_mismatch():
-    with pytest.raises(PolyhedralError):
-        integer_solve([(1,)], (1, 5))
-    with pytest.raises(PolyhedralError):
-        integer_solve([(1, 0)], (1,))
+def test_integer_kernel_and_hnf_reject_rows_of_mixed_length():
     with pytest.raises(PolyhedralError):
         integer_kernel([[1, 2], [3]])
     with pytest.raises(PolyhedralError):
@@ -273,7 +260,7 @@ def test_dual_full_space_is_zero():
     full = RationalCone.from_inequalities([], dim=2)
     z = full.dual()
     assert z.rays == () and z.lineality == ()
-    assert z == RationalCone.zero(2)
+    assert z == zero_cone(2)
     assert z.dual() == full
 
 
@@ -341,7 +328,7 @@ def test_double_description_runs_twice_off_the_simplicial_cones(monkeypatch):
                                                    [(0, 1, -1)])),
         (2, lambda: RationalCone.from_generators([], dim=3)),
         (2, lambda: RationalCone.from_inequalities([], dim=3)),
-        (2, lambda: RationalCone.zero(3)),
+        (2, lambda: zero_cone(3)),
         (0, lambda: c.dual()),
         # c ∩ d is cut out by three independent normals
         (0, lambda: c.intersection(d)),
@@ -377,7 +364,7 @@ def test_dual_involution_random():
                 for _ in range(rng.randint(0, dim + 2))]
         gens = [g for g in gens if any(g)]
         c = (RationalCone.from_generators(gens, dim=dim) if gens
-             else RationalCone.zero(dim))
+             else zero_cone(dim))
         assert c.dual().dual() == c
 
 

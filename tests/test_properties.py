@@ -13,11 +13,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from builders import covector, fundamental_weight, monoid_of, zero_cone
 from corpus import build_corpus
 from references import (
     reference_cone,
     reference_det,
     reference_inequality_cone,
+    reference_integer_solve,
     reference_member,
     reference_minimal_generators,
     reference_monoid_membership,
@@ -32,7 +34,7 @@ from test_recovery import (
 from sphervar import polyhedral
 from sphervar.cli import parse_input
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaError
-from sphervar.monoid import WeightMonoid, torus_monoid
+from sphervar.monoid import WeightMonoid
 from sphervar.polyhedral import (
     Lattice,
     MonoidSearch,
@@ -41,7 +43,6 @@ from sphervar.polyhedral import (
     hilbert_basis_with_units,
     hnf,
     integer_kernel,
-    integer_solve,
     monoid_membership,
     primitive,
 )
@@ -74,7 +75,7 @@ vec3 = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 def test_dual_involution_property(gens):
     gens = [g for g in gens if any(g)]
     cone = RationalCone.from_generators(gens, dim=2) if gens \
-        else RationalCone.zero(2)
+        else zero_cone(2)
     assert cone.dual().dual() == cone
 
 
@@ -303,9 +304,12 @@ def integer_systems(draw):
 @example(([(0, 0)], (0, 1)))
 @example(([], (0, 0)))
 def test_integer_solve_answers_exactly_on_the_lattice(system):
+    # `Lattice.contains` decides membership by the echelon basis; the
+    # reference solver finds an exact integer combination by Euclid's
+    # algorithm on the columns themselves
     cols, target = system
     n = len(target)
-    sol = integer_solve(cols, target)
+    sol = reference_integer_solve(cols, target)
     if Lattice.span(cols, n).contains(target):
         assert sol is not None and _combination(sol, cols, n) == target
     else:
@@ -318,7 +322,7 @@ def test_integer_solve_answers_exactly_on_the_lattice(system):
        st.integers(-3, 3), st.integers(-3, 3))
 def test_pairing_bilinear(c1, c2, a, b):
     rd = build_root_data(GroupSpec((("C", 2),)))
-    cov = rd.covector(c1)
+    cov = covector(rd, c1)
     w1 = rd.weight(c2)
     w2 = rd.weight((1, 1))
     lhs = pairing(cov, w1.scale(a) + w2.scale(b))
@@ -367,7 +371,7 @@ def torus_generators(draw, min_size=1, max_size=4):
 def test_invertibility_matches_membership_search(data):
     rank, gens = data
     rd = build_root_data(GroupSpec((), rank))
-    m = torus_monoid(rd, gens)
+    m = monoid_of(rd, gens)
     expected = tuple(monoid_membership(tuple(-x for x in g), gens)
                      for g in gens)
     assert m._invertible_flags == expected
@@ -377,7 +381,7 @@ def test_invertibility_matches_membership_search(data):
         loc = m.localize(rd.weight(g))
         # the dual rays are inherited from m, not recomputed
         assert "_dual_rays" in loc.__dict__
-        fresh = torus_monoid(rd, [w.int_coords() for w in loc.generators])
+        fresh = monoid_of(rd, [w.int_coords() for w in loc.generators])
         assert loc._invertible_flags == fresh._invertible_flags
         assert loc.invertible_lattice == fresh.invertible_lattice
 
@@ -410,7 +414,7 @@ def reference_is_saturated(m):
 @example((2, [(1, 1), (1, -2)]))
 def test_saturation_matches_the_membership_reference(data):
     rank, gens = data
-    m = torus_monoid(build_root_data(GroupSpec((), rank)), gens)
+    m = monoid_of(build_root_data(GroupSpec((), rank)), gens)
     assert m.is_saturated() == reference_is_saturated(m)
 
 
@@ -424,7 +428,7 @@ def test_minimal_generators_match_the_all_pairs_reference(data):
     """The degree order against every generator tried against every
     other, and the unit lattice against the reference units."""
     rank, gens = data
-    m = torus_monoid(build_root_data(GroupSpec((), rank)), gens)
+    m = monoid_of(build_root_data(GroupSpec((), rank)), gens)
     units = [g for g in gens if reference_member(tuple(-x for x in g), gens)]
     assert m.invertible_lattice == Lattice.span(units, rank)
     assert [g.int_coords() for g in m.minimal_generators] == \
@@ -463,7 +467,7 @@ def test_equality_is_mutual_membership(data):
     rd = build_root_data(GroupSpec((), rank))
     expected = (all(reference_member(g, other) for g in gens)
                 and all(reference_member(g, gens) for g in other))
-    a, b = torus_monoid(rd, gens), torus_monoid(rd, other)
+    a, b = monoid_of(rd, gens), monoid_of(rd, other)
     assert a.equals(b) is expected
     assert b.equals(a) is expected
 
@@ -475,7 +479,7 @@ def test_equality_is_mutual_membership(data):
     ([(k, 1) for k in range(1001)], True),
 ], ids=["fan_0_1_1000", "full_fan_1000"])
 def test_saturation_of_the_thousand_fans(gens, saturated):
-    m = torus_monoid(build_root_data(GroupSpec((), 2)), gens)
+    m = monoid_of(build_root_data(GroupSpec((), 2)), gens)
     assert m.is_saturated() is saturated
     assert reference_is_saturated(m) is saturated
 
@@ -835,7 +839,7 @@ def reference_hilbert_basis_with_units(cone, lattice, max_volume=None):
     lifted = []
     for p in kept:
         vec = tuple(int(x) for x in
-                    lattice.from_coords(integer_solve(lift_cols, p)))
+                    lattice.from_coords(reference_integer_solve(lift_cols, p)))
         lifted.append(units.reduce_mod(vec) if units.rank else vec)
     return units, sorted(lifted)
 
@@ -1241,7 +1245,7 @@ def test_root_data_holds_int_exactly_when_integral(factors):
     rd = build_root_data(GroupSpec(factors, 1))
     for i in range(rd.n_simple):
         for vec in (rd.simple_root(i), rd.simple_coroot(i),
-                    rd.fundamental_weight(i)):
+                    fundamental_weight(rd, i)):
             assert all(type(x) is int for x in vec.coords)
     assert_canonical(rd.root_lengths, rd.root_lengths)
     for row in rd.sym_form:
@@ -1358,12 +1362,12 @@ def test_integer_walk_matches_the_reference_on_the_3x4_grid():
     # 12 minimal generators, the most the reference takes; 10 faces, of
     # which the walk visits the whole cone and the 4 facets
     gens = [(x, y, 1) for x in range(3) for y in range(4)]
-    m = torus_monoid(TORUS3, gens)
+    m = monoid_of(TORUS3, gens)
     assert len(m.minimal_generators) == REFERENCE_MAX_MINIMAL_GENERATORS
     outcome = _walk_outcome(recover_prime, m, NO_ROOTS)
     assert len(outcome[0]) == 4
     assert len(outcome[1]) == 5
-    assert outcome == _reference_outcome_on_faces(torus_monoid(TORUS3, gens),
+    assert outcome == _reference_outcome_on_faces(monoid_of(TORUS3, gens),
                                                   NO_ROOTS)
 
 
@@ -1409,8 +1413,8 @@ def polygon_cones(draw, max_points=7):
 @example([(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1),
           (1, 1, 1)])
 def test_integer_walk_matches_the_reference_on_toric_cones(gens):
-    m = torus_monoid(TORUS3, gens)
-    ref = torus_monoid(TORUS3, gens)
+    m = monoid_of(TORUS3, gens)
+    ref = monoid_of(TORUS3, gens)
     assert _walk_outcome(recover_prime, m, NO_ROOTS) == \
         _reference_outcome_on_faces(ref, NO_ROOTS)
 
@@ -1420,7 +1424,7 @@ def test_integer_walk_matches_the_reference_on_toric_cones(gens):
 def test_membership_in_a_saturated_cone_is_cone_and_lattice(gens, data):
     """A saturated monoid, and each of its localizations, is the set of
     lattice points of its cone."""
-    m = torus_monoid(TORUS3, gens)
+    m = monoid_of(TORUS3, gens)
     if data.draw(st.booleans()):
         mins = m.minimal_generators
         mu = data.draw(st.sampled_from(mins))
@@ -1443,7 +1447,7 @@ def _divisor_table(datum):
 @settings(max_examples=20, deadline=None)
 @given(polygon_cones(), st.data())
 def test_localization_commutes_with_recovery_on_toric_cones(gens, data):
-    m = torus_monoid(TORUS3, gens)
+    m = monoid_of(TORUS3, gens)
     datum = recover_divisors(m, NO_ROOTS)
     mins = m.minimal_generators
     subset = data.draw(st.lists(st.sampled_from(mins), min_size=1,
@@ -1513,7 +1517,7 @@ def test_recovery_ignores_the_listing_of_the_generators_on_toric_cones(
 @given(polygon_cones())
 @example([(x, y, 1) for x in range(3) for y in range(3)])
 def test_recovery_identity_matches_the_cut_cone_reference_on_toric_cones(gens):
-    datum = recover_divisors(torus_monoid(TORUS3, gens), NO_ROOTS)
+    datum = recover_divisors(monoid_of(TORUS3, gens), NO_ROOTS)
     for kind, divisors in tampered_divisor_sets(datum):
         variant = replace(datum, divisors=divisors)
         assert _monoid_recovery_identity(variant) == \

@@ -7,13 +7,14 @@ from unittest import mock
 
 import pytest
 
+from builders import fundamental_weight, monoid_of, thin_to_elementary
 from corpus import build_corpus, corpus_by_name
 from sphervar import monoid as monoid_module
 from sphervar import polyhedral
 from sphervar import recovery as recovery_module
 from sphervar.cli import parse_input
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
-from sphervar.monoid import MonoidError, WeightMonoid, torus_monoid
+from sphervar.monoid import MonoidError, WeightMonoid
 from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
 from sphervar.recovery import (
     RecoveryError,
@@ -23,7 +24,6 @@ from sphervar.recovery import (
     recover_divisors,
     recover_prime,
     recover_type_cd_divisors,
-    thin_to_elementary,
     validate_luna_datum,
 )
 from sphervar.rootsys import GroupSpec, ParabolicSet, build_root_data, support
@@ -446,8 +446,8 @@ def _tamper(datum, **changes):
     divisors[idx] = d
     if changes.get("drop"):
         divisors.pop(idx)
-    return LunaDatum(datum.rd, datum.monoid, datum.psi, datum.type_table,
-                     tuple(divisors), datum.levi_roots)
+    return LunaDatum(datum.monoid, datum.psi, datum.type_table,
+                     tuple(divisors))
 
 
 def test_fault_wrong_phi_scale():
@@ -465,8 +465,8 @@ def test_fault_wrong_phi_scale():
 def test_fault_missing_divisor():
     e = corpus_by_name()["toric2"]
     datum = recover_entry(e)
-    bad = LunaDatum(datum.rd, datum.monoid, datum.psi, datum.type_table,
-                    datum.divisors[:1], datum.levi_roots)
+    bad = LunaDatum(datum.monoid, datum.psi, datum.type_table,
+                    datum.divisors[:1])
     rep = validate_luna_datum(bad)
     assert not rep.passed
     assert "monoid_recovery" in {c for c, _ in rep.violations}
@@ -581,6 +581,20 @@ def test_localize_datum_orthogonal_direction_keeps_all():
     assert len(loc.divisors) == len(zero_pairing)
 
 
+def test_a_datum_reads_its_group_and_levi_off_its_monoid():
+    # the whole variety's Levi is every simple root; the localization at
+    # a minimal generator mu keeps the roots whose coroots vanish on mu
+    for e in build_corpus():
+        datum = recover_entry(e)
+        assert datum.rd is e.rd is datum.monoid.rd
+        assert datum.levi_roots == frozenset(range(e.rd.n_simple))
+        for mu in e.monoid.minimal_generators[:2]:
+            loc = localize_datum(datum, mu)
+            assert loc.rd is e.rd
+            assert loc.levi_roots == frozenset(
+                i for i in range(e.rd.n_simple) if mu.coords[i] == 0)
+
+
 def test_localize_datum_requires_membership():
     e = corpus_by_name()["toric2"]
     datum = recover_entry(e)
@@ -590,7 +604,7 @@ def test_localize_datum_requires_membership():
 
 def test_localize_datum_asks_the_membership_of_mu_once(monkeypatch):
     rd = build_root_data(GroupSpec((), 2))
-    m = torus_monoid(rd, [(1, 0), (1, 1), (1, 2)])
+    m = monoid_of(rd, [(1, 0), (1, 1), (1, 2)])
     datum = recover_divisors(m, make_spherical_roots(rd, ()))
     queries = []
     search = monoid_module.monoid_membership
@@ -680,7 +694,7 @@ def _inward_facet_normals(points):
 ], ids=["rectangle_2x1", "hexagon", "grid_4x4"])
 def test_toric_polygon_cone_divisors_are_facets(points):
     rd = build_root_data(GroupSpec((), 3))
-    m = torus_monoid(rd, [(x, y, 1) for x, y in points])
+    m = monoid_of(rd, [(x, y, 1) for x, y in points])
     datum = recover_divisors(m, make_spherical_roots(rd, ()))
     units = [rd.weight(tuple(int(i == j) for j in range(3))) for i in range(3)]
     got = sorted(tuple(int(d.phi.eval_weight(u)) for u in units)
@@ -691,7 +705,7 @@ def test_toric_polygon_cone_divisors_are_facets(points):
 def test_four_cube_cone_divisors_are_facets():
     # 16 minimal generators in rank 5, and 82 faces
     rd = build_root_data(GroupSpec((), 5))
-    m = torus_monoid(rd, [p + (1,) for p in itertools.product((0, 1), repeat=4)])
+    m = monoid_of(rd, [p + (1,) for p in itertools.product((0, 1), repeat=4)])
     assert len(m.minimal_generators) == 16
     datum = recover_divisors(m, make_spherical_roots(rd, ()))
     units = [rd.weight(tuple(int(i == j) for j in range(5))) for i in range(5)]
@@ -722,14 +736,35 @@ def test_a1_times_t13_walks_only_the_cone_its_facets_and_f_alpha():
     assert [n.case for n in trace] == ["1a", "2"] + ["1c"] * 13
 
 
-def test_a_type_b_root_outside_the_lattice_is_refused():
+def _a_root_outside_the_lattice(k):
     # alpha is a type-b root of the monoid but lies outside its lattice,
-    # which 6 omega (3 alpha) and the 13 unit vectors span
-    rd = build_root_data(GroupSpec((("A", 1),), 13))
-    gens = [(6,) + (0,) * 13] + _unit_vectors(13, offset=1)
+    # which 6 omega (3 alpha) and the k unit vectors span
+    rd = build_root_data(GroupSpec((("A", 1),), k))
+    gens = [(6,) + (0,) * k] + _unit_vectors(k, offset=1)
     m = WeightMonoid(rd, tuple(rd.weight(g) for g in gens))
-    assert len(m.minimal_generators) == 14
-    psi = make_spherical_roots(rd, (rd.simple_root(0),))
+    assert len(m.minimal_generators) == k + 1
+    return m, make_spherical_roots(rd, (rd.simple_root(0),))
+
+
+def test_a_type_b_root_outside_the_lattice_is_refused():
+    m, psi = _a_root_outside_the_lattice(13)
+    with pytest.raises(SphericalError, match="not in the weight lattice"):
+        recover_divisors(m, psi)
+    trace = []
+    with pytest.raises(SphericalError, match="not in the weight lattice"):
+        recover_prime(m, psi, trace)
+    assert trace == []
+
+
+def test_recover_prime_refuses_a_root_outside_the_lattice():
+    # over A1 x T the walk alone used to accept this datum, with a case-2
+    # pair of functional (3, 0) and a 1c divisor; it refuses it before it
+    # visits a node
+    m, psi = _a_root_outside_the_lattice(1)
+    trace = []
+    with pytest.raises(SphericalError, match="not in the weight lattice"):
+        recover_prime(m, psi, trace)
+    assert trace == []
     with pytest.raises(SphericalError, match="not in the weight lattice"):
         recover_divisors(m, psi)
 
@@ -757,7 +792,7 @@ def test_without_type_b_roots_the_walk_visits_the_cone_and_its_facets():
     # with no type-b root only the whole cone and its facets are walked:
     # the 4-cube cone's 1 + 8 of them, one divisor at each facet
     rd = build_root_data(GroupSpec((), 5))
-    m = torus_monoid(rd, [p + (1,) for p in itertools.product((0, 1), repeat=4)])
+    m = monoid_of(rd, [p + (1,) for p in itertools.product((0, 1), repeat=4)])
     psi = make_spherical_roots(rd, ())
     trace = []
     assert len(recover_prime(m, psi, trace)) == 8
@@ -766,13 +801,11 @@ def test_without_type_b_roots_the_walk_visits_the_cone_and_its_facets():
 
 
 def test_a_generator_negative_on_a_type_b_root_is_refused():
-    # without dominance the faces whose Levi holds alpha are not the faces
-    # where the coroot vanishes, so the walk refuses instead of skipping
+    # the monoid refuses a generator that is negative on an active root,
+    # and every type-b root is active, so no walk ever meets one
     rd = build_root_data(GroupSpec((("A", 1),), 1))
-    m = torus_monoid(rd, [(-2, 3), (4, 1)])
-    psi = make_spherical_roots(rd, (rd.simple_root(0),))
-    with pytest.raises(RecoveryError, match="negative on a type-b root"):
-        recover_prime(m, psi)
+    with pytest.raises(MonoidError, match="not dominant"):
+        monoid_of(rd, [(-2, 3), (4, 1)])
 
 
 def test_the_a13_full_flag_recovers_as_g_mod_u():
@@ -781,7 +814,7 @@ def test_the_a13_full_flag_recovers_as_g_mod_u():
     # so it is saturated at any rank and the recovery identity is checked.
     # G/U: divisor i is the i-th coordinate and is moved by root i alone
     rd = build_root_data(GroupSpec((("A", 13),)))
-    m = WeightMonoid(rd, tuple(rd.fundamental_weight(i) for i in range(rd.n_simple)))
+    m = WeightMonoid(rd, tuple(fundamental_weight(rd, i) for i in range(rd.n_simple)))
     psi = make_spherical_roots(rd, ())
     trace, warnings = [], []
     datum = recover_divisors(m, psi, trace, warnings)
@@ -820,7 +853,7 @@ def test_the_walk_builds_no_localized_monoid(monkeypatch):
 def test_class_monoid_without_a_single_generator_is_refused():
     # <2, 3> in Z: the facet at the origin has class values 2 and 3
     rd = build_root_data(GroupSpec((), 1))
-    m = torus_monoid(rd, [(2,), (3,)])
+    m = monoid_of(rd, [(2,), (3,)])
     with pytest.raises(RecoveryError, match="has no single generator"):
         recover_divisors(m, make_spherical_roots(rd, ()))
 
@@ -871,7 +904,7 @@ def test_a_validated_recovery_builds_one_cone(entry, monkeypatch):
 def test_a_validated_recovery_with_units_builds_its_quotient_cone(monkeypatch):
     builds = _count_cone_builds(monkeypatch)
     rd = build_root_data(GroupSpec((), 2))
-    m = torus_monoid(rd, [(1, 0), (-1, 0), (0, 1)])
+    m = monoid_of(rd, [(1, 0), (-1, 0), (0, 1)])
     datum = recover_divisors(m, make_spherical_roots(rd, ()))
     assert m.invertible_lattice.rank == 1
     assert len(datum.divisors) == 1
@@ -967,7 +1000,7 @@ def test_full_flag_saturation_checks_no_simplex(factor, monkeypatch):
         monkeypatch.setattr(module, "hilbert_basis_with_units",
                             lambda *args: hilbert_calls.append(args))
     rd = build_root_data(GroupSpec((factor,)))
-    m = WeightMonoid(rd, tuple(rd.fundamental_weight(i) for i in range(rd.n_simple)))
+    m = WeightMonoid(rd, tuple(fundamental_weight(rd, i) for i in range(rd.n_simple)))
     datum = recover_divisors(m, make_spherical_roots(rd, ()))
     assert len(datum.divisors) == rd.n_simple
     assert simplices == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import covector, fundamental_weight
 from references import reference_rational_solve
 from sphervar.polyhedral import exact
 from sphervar.rootsys import (
@@ -108,7 +109,7 @@ def test_coroot_fundamental_duality():
         rd = rd_of(*factors)
         for i in range(rd.n_simple):
             for j in range(rd.n_simple):
-                assert pairing(rd.simple_coroot(i), rd.fundamental_weight(j)) == int(i == j)
+                assert pairing(rd.simple_coroot(i), fundamental_weight(rd, j)) == int(i == j)
 
 
 def test_cartan_equals_coroot_root_pairing():
@@ -245,7 +246,7 @@ def test_root_data_constants_match_the_cartan_reference(case):
     for i in range(n):
         column = [rd.cartan[r][i] for r in range(n)] + [0] * rd.spec.central_rank
         assert rd.simple_root(i) == rd.weight(column)
-        assert rd.simple_coroot(i) == rd.covector([int(j == i) for j in range(rd.dim)])
+        assert rd.simple_coroot(i) == covector(rd, [int(j == i) for j in range(rd.dim)])
     w = rd.weight([0] * rd.dim)
     for i, c in enumerate(coeffs):
         w = w + rd.simple_root(i).scale(Fraction(c, q))

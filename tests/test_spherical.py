@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from builders import fundamental_weight, monoid_of
 from sphervar import spherical
 from sphervar.cli import parse_input
-from sphervar.monoid import WeightMonoid, torus_monoid
+from sphervar.monoid import WeightMonoid
 from sphervar.recovery import RecoveryError, recover_divisors
 from sphervar.rootsys import GroupSpec, RootDataError, build_root_data
 from sphervar.spherical import (
@@ -105,7 +106,7 @@ def test_valuation_cone_half_line():
 
 def test_g2_valuation_cone_roundtrip():
     rd = rd_of(("G", 2))
-    lat_m = torus_monoid(rd, [(1, 0), (0, 1)])
+    lat_m = monoid_of(rd, [(1, 0), (0, 1)])
     psi = make_spherical_roots(
         rd, (rd.simple_root(1), rd.simple_root(0) + rd.simple_root(1)))
     v = valuation_cone(psi, lat_m.lattice)
@@ -122,7 +123,7 @@ def test_roundtrip_on_corpus_sets():
     m_c = WeightMonoid(rd, (rd.weight((4,)),))
     cases.append((m_c, (rd.simple_root(0).scale(2),)))
     rdg = rd_of(("G", 2))
-    mg = WeightMonoid(rdg, (rdg.fundamental_weight(0), rdg.fundamental_weight(1)))
+    mg = WeightMonoid(rdg, (fundamental_weight(rdg, 0), fundamental_weight(rdg, 1)))
     cases.append((mg, (rdg.simple_root(1), rdg.simple_root(0) + rdg.simple_root(1))))
     for m, roots in cases:
         psi = make_spherical_roots(m.rd, roots)
@@ -175,8 +176,8 @@ def test_type_a_roots_trivial_factor():
 def test_type_a_roots_cn_triple():
     for n in (3, 4):
         rd = rd_of(("C", n))
-        two_omega1 = rd.fundamental_weight(0).scale(2)
-        omega2 = rd.fundamental_weight(1)
+        two_omega1 = fundamental_weight(rd, 0).scale(2)
+        omega2 = fundamental_weight(rd, 1)
         m = WeightMonoid(rd, (two_omega1, omega2))
         assert type_a_roots(m) == frozenset(range(2, n))
 
@@ -204,7 +205,7 @@ def test_classify_c():
 
 def test_classify_g2():
     rd = rd_of(("G", 2))
-    m = WeightMonoid(rd, (rd.fundamental_weight(0), rd.fundamental_weight(1)))
+    m = WeightMonoid(rd, (fundamental_weight(rd, 0), fundamental_weight(rd, 1)))
     psi = make_spherical_roots(
         rd, (rd.simple_root(1), rd.simple_root(0) + rd.simple_root(1)))
     t = classify_root_types(m, psi)
