@@ -33,7 +33,10 @@ F` and `--verbose`) is read without it, into the namespace it would
 return; every other argv, help and usage errors included, goes to it.
 The root data of a group are built once per process too
 (`build_root_data`), and what depends on a monoid alone (its cone, type-a
-roots, root-type table) once per monoid.  The machine block is written by
+roots, root-type table) once per monoid.  Within one call, inputs with
+equal bytes are parsed once into one shared document, so a self-compare
+builds one monoid and one canonical form and runs one recovery; that
+store does not outlive the call.  The machine block is written by
 `_write_json`, in the bytes that `json.dumps` writes with `sort_keys=True`
 and `indent=2`.
 """
@@ -351,7 +354,7 @@ def cmd_compare(doc1: InputDocument, doc2: InputDocument) -> tuple[dict, list[st
     if both:
         try:
             d1 = recover_divisors(doc1.monoid, doc1.psi)
-            d2 = recover_divisors(doc2.monoid, doc2.psi)
+            d2 = d1 if doc2 is doc1 else recover_divisors(doc2.monoid, doc2.psi)
         except (RecoveryError, SphericalError) as exc:
             warnings.append(f"divisor recovery unavailable: {exc}")
         else:
@@ -647,12 +650,17 @@ def _run(argv) -> int:
 
     try:
         docs = []
+        # inputs with equal bytes share one document, for this call only
+        parsed: dict[bytes, InputDocument] = {}
         for path in args.input:
             try:
                 with open(path, "rb") as fh:
-                    docs.append(parse_input(fh.read()))
+                    text = fh.read()
             except OSError as exc:
                 raise ParseError(f"cannot read {path}: {exc}")
+            if text not in parsed:
+                parsed[text] = parse_input(text)
+            docs.append(parsed[text])
         expected = 2 if args.command == "compare" else 1
         if len(docs) != expected:
             raise ParseError(

@@ -18,11 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .monoid import WeightMonoid
-from .polyhedral import Lattice, PolyhedralError, _clear_denominators, _dot, exact
+from .polyhedral import (
+    Lattice,
+    PolyhedralError,
+    _clear_denominators,
+    _dot,
+    cached_property,
+    exact,
+)
 from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec
 
 if TYPE_CHECKING:

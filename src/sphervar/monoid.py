@@ -35,13 +35,13 @@ only a generator of smaller degree can be split off another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .polyhedral import (
     Lattice,
     MonoidSearch,
     PointedQuotient,
     RationalCone,
+    cached_property,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     monoid_membership,
     parallelepiped_points,

@@ -42,11 +42,11 @@ is in their lattice.  The search decides; it returns no certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import ge, mul
 
@@ -56,6 +56,21 @@ QVec = tuple[int | Fraction, ...]
 
 class PolyhedralError(ValueError):
     pass
+
+
+class cached_property(functools.cached_property):
+    """`functools.cached_property` without the lock that Python 3.11 takes
+    on every first read (3.12 dropped it): the value is computed and
+    written to the instance `__dict__`, where later reads find it without
+    calling the descriptor.  The package's objects are not shared between
+    threads while their properties are first read.  It stays a subclass,
+    so that code looking for `functools.cached_property` finds it."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 # ---------------------------------------------------------------------------

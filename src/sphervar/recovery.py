@@ -29,11 +29,11 @@ sum, lies in its relative interior; the localization at mu depends only
 on that face (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
 No dual ray of M vanishes on the whole cone, and on a facet exactly one
 does, the class functional up to scale.  Every test of a recovered
-functional at a node (does it vanish at mu, its sign at a type-b root,
-whether it pairs to 1 with one, its pattern on the minimal generators)
-is a sign or equality test of w.v against the functional's integer form
-(d, w): d > 0 and w an integer covector on the pivot columns of the
-lattice basis, with phi(v) = w.v / d (see `sphervar.luna`).
+functional at a node (does it vanish at mu, whether it pairs to 1 with
+a type-b root, its pattern on the minimal generators) is a sign or
+equality test of w.v against the functional's integer form (d, w):
+d > 0 and w an integer covector on the pivot columns of the lattice
+basis, with phi(v) = w.v / d (see `sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ from .polyhedral import (
     Lattice,
     Polytope,
     RationalCone,
+    _clear_denominators,
     _dot,
     exact,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     primitive,
 )
-from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec, pairing
+from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec
 from .spherical import (
     SphericalRootSet,
     classify_root_types,
@@ -160,12 +161,14 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     root alpha the face F_alpha where its coroot vanishes.
 
     The roots are checked to lie in the weight lattice first.  The case-2
-    sign test fails exactly when a functional in the pool vanishes on
-    F_alpha, with `< 0` as with `<= 0`.  On a facet F_alpha such a one is
-    a positive multiple of the coroot, 2 on alpha.  Otherwise the coroot
-    is a nonnegative sum of the normals of the facets through F_alpha; one
-    is positive on alpha, so it is no F_beta (the coroot of beta is not),
-    and that facet minted its functional first."""
+    sign test (every functional in the pool that vanishes on F_alpha is
+    <= 0 on alpha; with `< 0` the same) fails exactly when one such
+    functional exists, so it is written as "none vanishes on F_alpha".
+    On a facet F_alpha such a one is a positive multiple of the coroot,
+    2 on alpha.  Otherwise the coroot is a nonnegative sum of the normals
+    of the facets through F_alpha; one is positive on alpha, so it is no
+    F_beta (the coroot of beta is not), and that facet minted its
+    functional first."""
     validate_roots_in_lattice(psi, m.lattice)
     rd = m.rd
     X = m.lattice
@@ -229,8 +232,9 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
             if len(extra) == 1:
                 (alpha,) = extra
                 if alpha in pi_b:
-                    if all(root_pairing(rec, alpha)[0] <= 0
-                           for rec in overline):
+                    # the sign test (every functional vanishing at mu is
+                    # <= 0 on alpha) holds iff none vanishes at mu
+                    if not overline:
                         case = "2"
                         case2 = True
                         cov = _half_coroot(rd, alpha)
@@ -300,6 +304,15 @@ def _check_node_pattern(phi: LatticeFunctional, gens, subset) -> None:
                 "invalid datum: recovered divisor escapes its node")
 
 
+def _pairing_to_one(cov: CovectorVec, roots, rd: RootData) -> set[int]:
+    """The simple roots among `roots` that pair to 1 with `cov`: with
+    (d, c) the integer form of the covector, those with c.alpha == d (a
+    simple root has integer coordinates)."""
+    den, c = _clear_denominators(cov.coords)
+    return {beta for beta in roots
+            if _dot(c, rd.simple_root(beta).coords) == den}
+
+
 def stabilizer_of(rec: BDivisorRecord, table: RootTypeTable,
                   m: WeightMonoid) -> ParabolicSet:
     """The parabolic stabilizer, from the origin of the divisor.
@@ -316,10 +329,7 @@ def stabilizer_of(rec: BDivisorRecord, table: RootTypeTable,
             if rec.phi.eval_weight(rd.simple_root(beta)) == 1:
                 moved.add(beta)
         if rec.coroot_form is not None:
-            cross = set()
-            for beta in active:
-                if pairing(rec.coroot_form, rd.simple_root(beta)) == 1:
-                    cross.add(beta)
+            cross = _pairing_to_one(rec.coroot_form, active, rd)
             if cross != moved:
                 raise RecoveryError(
                     "invalid datum: coroot presentation moves roots "
@@ -330,9 +340,7 @@ def stabilizer_of(rec: BDivisorRecord, table: RootTypeTable,
         return ParabolicSet(active - frozenset(moved))
     if rec.source == "type_c":
         (alpha,) = rec.source_roots
-        cross = {beta for beta in active
-                 if pairing(rec.coroot_form, rd.simple_root(beta)) == 1}
-        if cross != {alpha}:
+        if _pairing_to_one(rec.coroot_form, active, rd) != {alpha}:
             raise RecoveryError(
                 "invalid datum: type-c divisor moves roots other than its root")
         return ParabolicSet(active - {alpha})

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .polyhedral import _scaled_inverse, exact
+from .polyhedral import _scaled_inverse, cached_property, exact
 
 VALID_TYPES = {"A", "B", "C", "D", "E", "F", "G"}
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import gcd
 
 from .luna import LunaDatum, RootTypeTable
 from .monoid import WeightMonoid
-from .polyhedral import Lattice, RationalCone
+from .polyhedral import Lattice, RationalCone, cached_property
 from .rootsys import (
     RootData,
     RootDataError,
@@ -102,12 +102,15 @@ def make_spherical_roots(rd: RootData, roots) -> SphericalRootSet:
 
 
 def validate_roots_in_lattice(psi: SphericalRootSet, lattice: Lattice) -> None:
-    """Datum-level validation: every root is a primitive lattice element."""
+    """Datum-level validation: every root is a primitive lattice element.
+    One solve per root: its coordinates on the lattice basis must be
+    integers with gcd 1 (a root is nonzero, and `Lattice.from_coords` is
+    injective, so that is `primitive_vector(v) == v`)."""
     for g in psi.roots:
-        v = g.int_coords()
-        if not lattice.contains(v):
+        c = lattice.coords(g.int_coords())
+        if c is None or any(type(x) is not int for x in c):
             raise SphericalError("spherical root is not in the weight lattice")
-        if lattice.primitive_vector(v) != v:
+        if gcd(*c) != 1:
             raise SphericalError("spherical root is not primitive in the lattice")
 
 

@@ -7,6 +7,8 @@ are the exceptions: they are the two constructors of `RationalCone` on
 the double-description path alone, the path that a full-dimensional
 simplicial cone no longer takes, and `_dd` itself is judged against a
 `Fraction` reference in `test_properties.py`.
+`reference_roots_in_lattice` is the root check as it was, on the
+`Lattice` methods, kept to judge the rule that replaced it.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from fractions import Fraction
 from math import isqrt
 
 from sphervar.polyhedral import RationalCone, _dd, primitive
+from sphervar.spherical import SphericalError
 
 
 def reference_rational_solve(cols, target):
@@ -256,3 +259,15 @@ def reference_minimal_generators(gens, reduce_mod):
     return sorted(v for v in classes if not any(
         reference_member(d, gens) and not unit(d)
         for d in (tuple(a - b for a, b in zip(v, g)) for g in nonunits)))
+
+
+def reference_roots_in_lattice(psi, lattice):
+    """`validate_roots_in_lattice` as it was, two solves per root: each
+    root must be in the lattice (`Lattice.contains`), then be its own
+    primitive vector (`Lattice.primitive_vector`)."""
+    for g in psi.roots:
+        v = g.int_coords()
+        if not lattice.contains(v):
+            raise SphericalError("spherical root is not in the weight lattice")
+        if lattice.primitive_vector(v) != v:
+            raise SphericalError("spherical root is not primitive in the lattice")

@@ -179,18 +179,66 @@ def test_compare_self():
     assert payload["recovered_data_identical"] is True
 
 
-def test_compare_different_generator_lists(tmp_path):
+def different_generator_lists(tmp_path):
+    """Two documents of one monoid, the second listing 2 + 3 too."""
     doc_a = {
         "schema": 1,
         "group": {"factors": [], "central_rank": 1},
         "monoid_generators": [[2], [3]],
     }
     doc_b = dict(doc_a, monoid_generators=[[2], [3], [5]])
-    pa = write_doc(tmp_path, "a.json", doc_a)
-    pb = write_doc(tmp_path, "b.json", doc_b)
+    return (write_doc(tmp_path, "a.json", doc_a),
+            write_doc(tmp_path, "b.json", doc_b))
+
+
+def test_compare_different_generator_lists(tmp_path):
+    pa, pb = different_generator_lists(tmp_path)
     proc = run_cli(["compare", "--input", pa, "--input", pb,
                     "--format", "machine"])
     assert machine_payload(proc)["monoid_equal"] is True
+
+
+def test_compare_reads_equal_inputs_once(monkeypatch, tmp_path, capsys):
+    # inputs with equal bytes, one path twice or a copy, are parsed once
+    # and recovered at most once; distinct inputs are each parsed, and
+    # each recovered when the verdict needs the divisor data
+    def counted(name):
+        calls = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    parses, recoveries = counted("parse_input"), counted("recover_divisors")
+
+    def compare(first, second):
+        parses.clear()
+        recoveries.clear()
+        return main(["compare", "--format", "machine",
+                     "--input", str(first), "--input", str(second)])
+
+    paths = sorted(DATA.glob("*.json")) + \
+        sorted((ROOT / "bench" / "inputs").glob("*/*.json"))
+    copy = tmp_path / "copy.json"
+    for path in paths:
+        copy.write_bytes(path.read_bytes())
+        for second in (path, copy):
+            code = compare(path, second)
+            assert len(parses) == 1, path.name
+            assert len(recoveries) == (code == 0), path.name
+    # N<2, 3> has no recovery, so the first one fails and ends the check
+    pa, pb = different_generator_lists(tmp_path)
+    assert compare(pa, pb) == 0
+    assert (len(parses), len(recoveries)) == (2, 1)
+    capsys.readouterr()
+    doc = {"schema": 1, "group": {"factors": [], "central_rank": 1},
+           "monoid_generators": [[1]]}
+    pa = write_doc(tmp_path, "n.json", doc)
+    pb = write_doc(tmp_path, "n_again.json", dict(doc, monoid_generators=[[1], [2]]))
+    assert compare(pa, pb) == 0
+    assert (len(parses), len(recoveries)) == (2, 2)
+    assert json.loads(capsys.readouterr().out)["payload"][
+        "recovered_data_identical"] is True
 
 
 def test_compare_the_empty_monoid_with_the_zero_generator(tmp_path):
@@ -352,9 +400,12 @@ def test_parse_lets_unexpected_errors_through(monkeypatch):
 
 def test_bench_tracer_finds_every_traced_name():
     """The benchmark tracer wraps each traced function in the module that
-    looks it up; a name that leaves its module stops `--trace 1` runs."""
+    looks it up; a name that leaves its module, or a cached property it
+    does not take for one, stops `--trace 1` runs."""
     code = ('import sys; sys.path[:0] = ["bench", "src"]; '
-            'import sphervar.cli, tracing; tracing.Tracer().install()')
+            'import sphervar.cli, tracing; tracing.Tracer().install(); '
+            'sys.exit(sphervar.cli.main(["recover", "--format", "machine", '
+            '"--input", "data/g2_hidden.json"]))')
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

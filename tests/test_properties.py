@@ -24,6 +24,7 @@ from references import (
     reference_minimal_generators,
     reference_monoid_membership,
     reference_rational_solve,
+    reference_roots_in_lattice,
 )
 from test_recovery import (
     recover_entry,
@@ -64,7 +65,13 @@ from sphervar.rootsys import (
     pairing,
     symmetric_form,
 )
-from sphervar.spherical import classify_root_types, make_spherical_roots
+from sphervar.spherical import (
+    SphericalError,
+    SphericalRootSet,
+    classify_root_types,
+    make_spherical_roots,
+    validate_roots_in_lattice,
+)
 
 vec2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 vec3 = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -1312,6 +1319,56 @@ def test_from_coords_inverts_coords_on_the_span(data):
                                  for a, b in zip(coeffs, lat.basis))
                              for i in range(lat.dim)])
     assert_canonical(lat.coords(point), coeffs)
+
+
+@st.composite
+def lattice_roots(draw):
+    """(lattice, roots): a lattice in Z^dim and one to three nonzero
+    integer vectors, each a multiple of a lattice vector, a primitive
+    vector of Z^dim in its rational span, or drawn from the whole space."""
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-4, 4)] * dim)
+    lat = Lattice.span(draw(st.lists(vec, max_size=4)), dim)
+    roots = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["lattice", "span", "outside"]))
+        if kind == "outside" or not lat.basis:
+            v = draw(vec)
+        else:
+            c = draw(st.lists(st.integers(-3, 3), min_size=lat.rank,
+                              max_size=lat.rank))
+            v = _combination(c, lat.basis, dim)
+            if not any(v):
+                continue
+            v = primitive(v) if kind == "span" else \
+                tuple(draw(st.integers(1, 3)) * x for x in v)
+        if any(v):
+            roots.append(v)
+    assume(roots)
+    return lat, roots
+
+
+def _root_check_outcome(check, lattice, roots):
+    rd = build_root_data(GroupSpec((), lattice.dim))
+    psi = SphericalRootSet(rd, tuple(WeightVec(rd.spec, v) for v in roots))
+    try:
+        check(psi, lattice)
+    except SphericalError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_roots())
+# a multiple of a basis vector before a vector outside the lattice, and
+# the other way round: the first failing root gives the message
+@example((Lattice.span([(2, 0), (0, 1)], 2), [(4, 0), (1, 0)]))
+@example((Lattice.span([(2, 0), (0, 1)], 2), [(1, 0), (4, 0)]))
+@example((Lattice.span([(2, 1)], 2), [(2, 1), (1, 0)]))
+def test_one_solve_root_check_matches_the_two_solve_reference(data):
+    lattice, roots = data
+    assert _root_check_outcome(validate_roots_in_lattice, lattice, roots) == \
+        _root_check_outcome(reference_roots_in_lattice, lattice, roots)
 
 
 @pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.name)

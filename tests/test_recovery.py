@@ -19,6 +19,7 @@ from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
 from sphervar.recovery import (
     RecoveryError,
     _monoid_recovery_identity,
+    _pairing_to_one,
     localize_datum,
     moment_polytope,
     recover_divisors,
@@ -26,7 +27,13 @@ from sphervar.recovery import (
     recover_type_cd_divisors,
     validate_luna_datum,
 )
-from sphervar.rootsys import GroupSpec, ParabolicSet, build_root_data, support
+from sphervar.rootsys import (
+    GroupSpec,
+    ParabolicSet,
+    build_root_data,
+    pairing,
+    support,
+)
 from sphervar.spherical import (
     SphericalError,
     classify_root_types,
@@ -201,6 +208,29 @@ def test_recover_twisted_not_stable():
     datum = recover_entry(e)
     for d in datum.divisors:
         assert d.moved_roots(1) == frozenset({0})  # G_D = B despite case 1c
+
+
+def test_integer_coroot_pairings_match_the_rational_pairing():
+    # the stabilizer test reads <coroot form, beta> == 1 off the integer
+    # form of the covector; over the corpus it agrees with `pairing` on
+    # every active root: half coroots that pair to 1 with their root
+    # (type c, case 2) and type-d coroots that pair to 1 with none
+    seen = set()
+    for e in build_corpus():
+        datum = recover_entry(e)
+        rd = datum.rd
+        active = datum.levi_roots
+        for d in datum.divisors:
+            cov = d.coroot_form
+            if cov is None:
+                continue
+            expected = {beta for beta in active
+                        if pairing(cov, rd.simple_root(beta)) == 1}
+            assert _pairing_to_one(cov, active, rd) == expected, e.name
+            seen.add((d.source, all(type(x) is int for x in cov.coords),
+                      bool(expected)))
+    assert seen >= {("type_c", False, True), ("case_2", False, True),
+                    ("type_d", True, False)}
 
 
 def test_recover_counts_whole_corpus():
