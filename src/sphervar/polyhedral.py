@@ -386,15 +386,6 @@ class Lattice:
             return tuple(out)
         return tuple(exact(y, den) for y in out)
 
-    def primitive_vector(self, v) -> Vec:
-        """The unique primitive lattice element w with v = c*w, c > 0."""
-        c = self.coords(v)
-        if c is None:
-            raise PolyhedralError("vector is not in the rational span of the lattice")
-        if all(x == 0 for x in c):
-            raise PolyhedralError("zero vector has no primitive representative")
-        return self.from_coords(primitive(c))
-
     def reduce_mod(self, v) -> Vec:
         """Canonical representative of v modulo this lattice (HNF reduction)."""
         if len(v) != self.dim:

@@ -23,17 +23,25 @@ pairs to 1 with alpha.  So the walk visits the whole cone, the facets
 whose Levi is the type-a roots, and each F_alpha, largest first: at
 most 1 + #dual rays + #type-b roots nodes.
 
+A node's case follows from how the node was found.  The whole cone is
+case 1a: its Levi is the type-a roots, and no dual ray vanishes on it.
+A facet whose Levi is the type-a roots is found as the zero set of one
+dual ray, and is case 1c with that ray.  F_alpha is found with the
+type-b roots whose coroots vanish on exactly its generators; those are
+the roots case 3 tries there, and case 2 is tried when the Levi holds
+no other root outside the type-a roots.
+
 The walk computes on integers and builds no localized monoid.  A node is
 a face, given by its minimal generators, and its weight mu, their integer
 sum, lies in its relative interior; the localization at mu depends only
 on that face (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
-No dual ray of M vanishes on the whole cone, and on a facet exactly one
-does, the class functional up to scale.  Every test of a recovered
-functional at a node (does it vanish at mu, whether it pairs to 1 with
-a type-b root, its pattern on the minimal generators) is a sign or
-equality test of w.v against the functional's integer form (d, w):
-d > 0 and w an integer covector on the pivot columns of the lattice
-basis, with phi(v) = w.v / d (see `sphervar.luna`).
+On a facet exactly one dual ray of M vanishes, the class functional up
+to scale.  Every test of a recovered functional at a node (does it
+vanish at mu, whether it pairs to 1 with a type-b root, its pattern on
+the minimal generators) is a sign or equality test of w.v against the
+functional's integer form (d, w): d > 0 and w an integer covector on
+the pivot columns of the lattice basis, with phi(v) = w.v / d (see
+`sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -126,18 +134,18 @@ def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
     return out
 
 
-def _facet_functional(X: Lattice, ray, ray_coords, gens) -> LatticeFunctional:
+def _facet_functional(X: Lattice, ray, values) -> LatticeFunctional:
     """The class functional at a facet of cone(M) with inward normal
-    `ray`: the ray on the basis of X (`ray_coords`) divided by g0, its
-    least positive value on the minimal generators `gens`, so that it is
-    1 on the generator of the localized class monoid.  The ray is
-    nonnegative on M and positive on some minimal generator."""
-    values = [_dot(ray, g) for g in gens]
+    `ray`, whose values on the minimal generators are `values`: the ray
+    read on the basis of X and divided by g0, its least positive value,
+    so that it is 1 on the generator of the localized class monoid.  The
+    ray is nonnegative on M and positive on some minimal generator."""
     g0 = min(v for v in values if v)
     if any(v % g0 for v in values):
         raise RecoveryError(
             "invalid monoid: localized class monoid has no single generator")
-    return LatticeFunctional(X, tuple(exact(x, g0) for x in ray_coords))
+    return LatticeFunctional(
+        X, tuple(exact(_dot(ray, b), g0) for b in X.basis))
 
 
 def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
@@ -158,7 +166,13 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     valuation functionals, recovered over the faces of cone(M) that can
     mint one (largest faces first, then by their generators): the whole
     cone, the facets whose Levi is the type-a roots, and for each type-b
-    root alpha the face F_alpha where its coroot vanishes.
+    root alpha the face F_alpha where its coroot vanishes.  Each node is
+    built once with what it is: the whole cone (case 1a), a facet with
+    its dual ray (case 1c), or F_alpha with its type-b roots (case 2 or
+    3).  At F_alpha a type-b root beta is in the Levi iff F_alpha lies in
+    F_beta, and no generator outside F_alpha vanishes on beta iff F_beta
+    lies in F_alpha, so the roots case 3 tries are exactly those found
+    with the node.
 
     The roots are checked to lie in the weight lattice first.  The case-2
     sign test (every functional in the pool that vanishes on F_alpha is
@@ -173,91 +187,73 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     rd = m.rd
     X = m.lattice
     gens = [g.int_coords() for g in m.minimal_generators]
-    rays = m._dual_rays
     table = _root_types(m, psi)
     pi_a = frozenset(table.roots_of_type("a"))
-    pi_b = frozenset(table.roots_of_type("b"))
     active = sorted(m.active_roots)
-    zeros = [sum(1 << j for j, g in enumerate(gens) if _dot(r, g) == 0)
-             for r in rays]
 
-    def weight(subset) -> tuple[int, ...]:
-        return tuple(map(sum, zip(*(gens[i] for i in subset)))) \
-            if subset else (0,) * X.dim
+    def weight(face) -> tuple[int, ...]:
+        return tuple(map(sum, zip(*(gens[j] for j in face)))) \
+            if face else (0,) * X.dim
 
     def levi_of(mu) -> frozenset[int]:
         return frozenset(i for i in active if mu[i] == 0)
 
-    facets = [z for z in zeros if levi_of(weight(
-        [j for j in range(len(gens)) if z >> j & 1])) == pi_a]
-    # F_alpha: alpha's coroot is nonnegative on M, so the generators it
-    # vanishes on span the face holding every face whose Levi holds alpha
-    f_alphas = {sum(1 << j for j, g in enumerate(gens) if g[alpha] == 0)
-                for alpha in pi_b}
-    nodes = sorted((tuple(j for j in range(len(gens)) if face >> j & 1)
-                    for face in {(1 << len(gens)) - 1, *facets, *f_alphas}),
-                   key=lambda node: (-len(node), node))
-    ray_coords = [tuple(_dot(r, b) for b in X.basis) for r in rays]
-    root_vecs = {alpha: rd.simple_root(alpha).int_coords() for alpha in pi_b}
-
-    def root_pairing(rec: BDivisorRecord, alpha: int) -> tuple[int, int]:
-        """(w.alpha, d) for the integer form (d, w) of the functional."""
-        d, w = rec.phi.integer_form
-        return _dot(w, root_vecs[alpha]), d
+    # each node is (face, case, what found it): the whole cone, case 1a;
+    # the facet where a dual ray vanishes, case 1c, with the ray and its
+    # values on the generators; or F_alpha, case 2 or 3, with every
+    # type-b root alpha whose coroot vanishes on exactly its generators
+    nodes = [(tuple(range(len(gens))), "1a", None)]
+    for ray in m._dual_rays:
+        values = [_dot(ray, g) for g in gens]
+        facet = tuple(j for j, v in enumerate(values) if v == 0)
+        if levi_of(weight(facet)) == pi_a:
+            nodes.append((facet, "1c", (ray, values)))
+    f_alphas: dict[tuple[int, ...], list[int]] = {}
+    for alpha in table.roots_of_type("b"):
+        f_alphas.setdefault(tuple(
+            j for j, g in enumerate(gens) if g[alpha] == 0), []).append(alpha)
+    nodes += [(face, "F_alpha", roots) for face, roots in f_alphas.items()]
+    nodes.sort(key=lambda node: (-len(node[0]), node[0]))
 
     pool: list[BDivisorRecord] = []
 
-    for subset in nodes:
-        mu = weight(subset)
-        levi = levi_of(mu)
+    for face, case, found in nodes:
+        mu = weight(face)
+        levi = pi_a
         minted: list[BDivisorRecord] = []
-        case = ""
-        if levi == pi_a:
-            # the whole cone or a facet: no dual ray or exactly one
-            face = sum(1 << j for j in subset)
-            vanishing = [i for i, z in enumerate(zeros) if face & z == face]
-            if not vanishing:
-                case = "1a"
-            else:
-                case = "1c"
-                (facet,) = vanishing
-                phi = _facet_functional(X, rays[facet], ray_coords[facet], gens)
-                _check_node_pattern(phi, gens, subset)
-                minted.append(BDivisorRecord("?", phi, None, "case_1c", ()))
-        else:
+        if case == "1c":
+            minted.append(BDivisorRecord(
+                "?", _facet_functional(X, *found), None, "case_1c", ()))
+        elif case == "F_alpha":
+            levi = levi_of(mu)
             overline = [rec for rec in pool
                         if _dot(rec.phi.integer_form[1], mu) == 0]
-            extra = levi - pi_a
-            case2 = False
-            if len(extra) == 1:
-                (alpha,) = extra
-                if alpha in pi_b:
-                    # the sign test (every functional vanishing at mu is
-                    # <= 0 on alpha) holds iff none vanishes at mu
-                    if not overline:
-                        case = "2"
-                        case2 = True
-                        cov = _half_coroot(rd, alpha)
-                        phi = LatticeFunctional.from_covector(cov, X)
-                        for _ in range(2):
-                            minted.append(BDivisorRecord(
-                                "?", phi, None, "case_2", (alpha,), cov))
-                    elif warnings is not None:
-                        warnings.append(
-                            "case-2 sign hypothesis failed at node "
-                            f"{tuple(i + 1 for i in subset)}; "
-                            "falling through")
-            if not case2:
+            # the roots found lie in levi - pi_a, so a lone root there is
+            # the type-b root alpha; the sign test (every functional
+            # vanishing at mu is <= 0 on alpha) holds iff none vanishes
+            lone = len(levi - pi_a) == 1
+            if lone and not overline:
+                case = "2"
+                (alpha,) = found
+                cov = _half_coroot(rd, alpha)
+                phi = LatticeFunctional.from_covector(cov, X)
+                for _ in range(2):
+                    minted.append(BDivisorRecord(
+                        "?", phi, None, "case_2", (alpha,), cov))
+            else:
+                if lone and warnings is not None:
+                    warnings.append(
+                        "case-2 sign hypothesis failed at node "
+                        f"{tuple(j + 1 for j in face)}; falling through")
                 case = "3"
-                excluded = {alpha for alpha in levi if any(
-                    g[alpha] == 0 for j, g in enumerate(gens) if j not in subset)}
                 new: dict[tuple[int | Fraction, ...],
                           tuple[list[int], BDivisorRecord]] = {}
-                for alpha in sorted((levi & pi_b) - excluded):
+                for alpha in found:
+                    root = rd.simple_root(alpha).int_coords()
                     ones = []
                     for rec in overline:
-                        num, d = root_pairing(rec, alpha)
-                        if num == d:
+                        d, w = rec.phi.integer_form
+                        if _dot(w, root) == d:
                             ones.append(rec)
                     if len(ones) != 1:
                         continue
@@ -277,15 +273,14 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                         raise RecoveryError(
                             "invalid datum: reconstructed divisor "
                             "duplicates a recovered one")
-                    _check_node_pattern(rec.phi, gens, subset)
+                    _check_node_pattern(rec.phi, gens, face)
                     minted.append(BDivisorRecord(
                         "?", rec.phi, None, "case_3",
                         tuple(sorted(roots)), rec.coroot_form))
         pool.extend(minted)
         if trace is not None:
             trace.append(RecursionNode(
-                tuple(i + 1 for i in subset), mu,
-                tuple(sorted(levi)), case or "-",
+                tuple(j + 1 for j in face), mu, tuple(sorted(levi)), case,
                 tuple(r.phi.values for r in minted)))
     return pool
 
@@ -488,11 +483,8 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
         if tag.kind == "none":
             continue
         alpha1 = tag.roots[0]
-        moved_ids = {d.divisor_id for d in datum.divisors_moved_by(alpha1)}
         for d in datum.divisors:
-            if d.divisor_id in moved_ids:
-                continue
-            if d.phi.eval_weight(g) > 0:
+            if alpha1 in d.stabilizer.roots and d.phi.eval_weight(g) > 0:
                 rep.fail("lemma_sign",
                          f"divisor {d.divisor_id} outside the moved set of an "
                          "elementary root pairs positively with it")

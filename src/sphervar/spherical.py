@@ -105,7 +105,7 @@ def validate_roots_in_lattice(psi: SphericalRootSet, lattice: Lattice) -> None:
     """Datum-level validation: every root is a primitive lattice element.
     One solve per root: its coordinates on the lattice basis must be
     integers with gcd 1 (a root is nonzero, and `Lattice.from_coords` is
-    injective, so that is `primitive_vector(v) == v`)."""
+    injective, so that is primitivity in the lattice)."""
     for g in psi.roots:
         c = lattice.coords(g.int_coords())
         if c is None or any(type(x) is not int for x in c):

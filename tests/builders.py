@@ -1,15 +1,28 @@
 """Constructors and filters that only the tests use.
 
-They build values through the public constructors of `sphervar` and add
-no check of their own: `monoid_of` is a `WeightMonoid`, so its
-generators must be dominant on the active roots, which on a torus group
-asks nothing.
+They build values through the public constructors and methods of
+`sphervar` and add no check of their own: `monoid_of` is a
+`WeightMonoid`, so its generators must be dominant on the active roots,
+which on a torus group asks nothing.  The one exception is
+`primitive_vector`, which refuses a zero vector and a vector off the
+span of the lattice.
 """
 
 from sphervar.monoid import WeightMonoid
-from sphervar.polyhedral import RationalCone
-from sphervar.rootsys import CovectorVec, RootData, WeightVec
-from sphervar.spherical import SphericalRootSet
+from sphervar.polyhedral import (
+    Lattice,
+    PolyhedralError,
+    RationalCone,
+    primitive,
+)
+from sphervar.rootsys import (
+    CovectorVec,
+    GroupSpec,
+    RootData,
+    WeightVec,
+    build_root_data,
+)
+from sphervar.spherical import SphericalRootSet, make_spherical_roots
 
 
 def monoid_of(rd: RootData, vectors) -> WeightMonoid:
@@ -29,8 +42,43 @@ def zero_cone(dim: int) -> RationalCone:
     return RationalCone.from_generators((), dim=dim)
 
 
+def primitive_vector(lattice: Lattice, v):
+    """The unique primitive lattice element w with v = c*w, c > 0."""
+    c = lattice.coords(v)
+    if c is None:
+        raise PolyhedralError("vector is not in the rational span of the lattice")
+    if all(x == 0 for x in c):
+        raise PolyhedralError("zero vector has no primitive representative")
+    return lattice.from_coords(primitive(c))
+
+
 def thin_to_elementary(psi: SphericalRootSet) -> SphericalRootSet:
     """Keep only the roots of one of the three elementary forms."""
     kept = tuple(g for g, t in zip(psi.roots, psi.forms)
                  if t.kind != "none")
     return SphericalRootSet(psi.rd, kept)
+
+
+def product(e1, e2) -> tuple[WeightMonoid, SphericalRootSet]:
+    """The monoid and the spherical roots of the product of two data,
+    each given by its `monoid` and `psi`: the group has the simple
+    factors of both, then the central tori of both, and each side's
+    generators and roots are embedded with zeros on the other side."""
+    s1, s2 = e1.monoid.rd.spec, e2.monoid.rd.spec
+    rd = build_root_data(GroupSpec(s1.factors + s2.factors,
+                                   s1.central_rank + s2.central_rank))
+    n1, n2 = s1.simple_rank, s2.simple_rank
+
+    def left(w: WeightVec) -> WeightVec:
+        c = w.int_coords()
+        return rd.weight(c[:n1] + (0,) * n2 + c[n1:] + (0,) * s2.central_rank)
+
+    def right(w: WeightVec) -> WeightVec:
+        c = w.int_coords()
+        return rd.weight((0,) * n1 + c[:n2] + (0,) * s1.central_rank + c[n2:])
+
+    monoid = WeightMonoid(rd, tuple(map(left, e1.monoid.generators))
+                          + tuple(map(right, e2.monoid.generators)))
+    psi = make_spherical_roots(rd, [left(g) for g in e1.psi.roots]
+                               + [right(g) for g in e2.psi.roots])
+    return monoid, psi

@@ -15,6 +15,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
+from builders import primitive_vector
 from sphervar.polyhedral import RationalCone, _dd, primitive
 from sphervar.spherical import SphericalError
 
@@ -264,10 +265,10 @@ def reference_minimal_generators(gens, reduce_mod):
 def reference_roots_in_lattice(psi, lattice):
     """`validate_roots_in_lattice` as it was, two solves per root: each
     root must be in the lattice (`Lattice.contains`), then be its own
-    primitive vector (`Lattice.primitive_vector`)."""
+    primitive vector (`builders.primitive_vector`)."""
     for g in psi.roots:
         v = g.int_coords()
         if not lattice.contains(v):
             raise SphericalError("spherical root is not in the weight lattice")
-        if lattice.primitive_vector(v) != v:
+        if primitive_vector(lattice, v) != v:
             raise SphericalError("spherical root is not primitive in the lattice")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from builders import zero_cone
+from builders import primitive_vector, zero_cone
 from references import reference_det, reference_rational_solve
 from sphervar import polyhedral
 from sphervar.polyhedral import (
@@ -165,16 +165,16 @@ def test_primitive_vector_in_sublattice():
     lat = Lattice.span([(2, 2), (0, 4)])
     # (3,3) is 3/2 * (2,2); the primitive multiple inside the sublattice is
     # (2,2), not (1,1)
-    assert lat.primitive_vector((3, 3)) == (2, 2)
-    assert Lattice.full(2).primitive_vector((4, 6)) == (2, 3)
-    assert Lattice.full(2).primitive_vector((1, 0)) == (1, 0)
+    assert primitive_vector(lat, (3, 3)) == (2, 2)
+    assert primitive_vector(Lattice.full(2), (4, 6)) == (2, 3)
+    assert primitive_vector(Lattice.full(2), (1, 0)) == (1, 0)
     # (1,0) is inside the rational span; its primitive multiple in the
     # sublattice is (4,0)
-    assert lat.primitive_vector((1, 0)) == (4, 0)
+    assert primitive_vector(lat, (1, 0)) == (4, 0)
     with pytest.raises(PolyhedralError):
-        lat.primitive_vector((0, 0))
+        primitive_vector(lat, (0, 0))
     with pytest.raises(PolyhedralError):
-        Lattice.span([(1, 1)]).primitive_vector((1, 0))
+        primitive_vector(Lattice.span([(1, 1)]), (1, 0))
 
 
 def test_saturation_and_annihilator():

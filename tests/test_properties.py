@@ -13,7 +13,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from builders import covector, fundamental_weight, monoid_of, zero_cone
+from builders import (
+    covector,
+    fundamental_weight,
+    monoid_of,
+    product,
+    zero_cone,
+)
 from corpus import build_corpus
 from references import (
     reference_cone,
@@ -1255,7 +1261,9 @@ def test_root_data_holds_int_exactly_when_integral(factors):
                     fundamental_weight(rd, i)):
             assert all(type(x) is int for x in vec.coords)
     assert_canonical(rd.root_lengths, rd.root_lengths)
-    for row in rd.sym_form:
+    omega = [fundamental_weight(rd, j) for j in range(rd.dim)]
+    for u in omega:
+        row = [symmetric_form(rd, u, v) for v in omega]
         assert_canonical(row, row)
     alpha = rd.simple_root(0)
     assert_canonical([symmetric_form(rd, alpha, alpha)],
@@ -1395,6 +1403,18 @@ def test_integer_walk_matches_the_reference_on_the_corpus_localizations(
     loc, ref = localized(), localized()
     assert _walk_outcome(recover_prime, loc.monoid, loc.psi) == \
         _reference_outcome_on_faces(ref.monoid, ref.psi)
+
+
+def test_integer_walk_matches_the_reference_on_corpus_products():
+    # every pair of corpus entries, a repeat included: products carry
+    # type-b roots beside roots and facets of the other factor
+    for e1, e2 in itertools.combinations_with_replacement(build_corpus(), 2):
+        m, psi = product(e1, e2)
+        ref_m, ref_psi = product(e1, e2)
+        assert _walk_outcome(recover_prime, m, psi) == \
+            _reference_outcome_on_faces(ref_m, ref_psi), (e1.name, e2.name)
+        assert len(recover_divisors(m, psi).divisors) == \
+            e1.n_divisors + e2.n_divisors, (e1.name, e2.name)
 
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"

@@ -539,6 +539,27 @@ def test_fault_lemma_sign():
     assert "lemma_sign" in {c for c, _ in rep.violations}
 
 
+def test_fault_lemma_sign_under_the_id_of_a_moved_divisor():
+    # the same fault, with the tampered divisor renamed after one that
+    # alpha1 moves: the check reads its stabilizer, not its id
+    e = corpus_by_name()["c2_hidden_k1"]
+    datum = recover_entry(e)
+    X = e.monoid.lattice
+    d_index = next(i for i, d in enumerate(datum.divisors)
+                   if d.source == "type_d")
+    moved_id = datum.divisors_moved_by(0)[0].divisor_id
+    bad = _tamper(datum, index=d_index,
+                  phi=LatticeFunctional(X, (Fraction(1), Fraction(0))))
+    divisors = list(bad.divisors)
+    divisors[d_index] = replace(divisors[d_index], divisor_id=moved_id)
+    bad = replace(bad, divisors=tuple(divisors))
+    assert 0 in divisors[d_index].stabilizer.roots
+    rep = validate_luna_datum(bad)
+    assert ("lemma_sign",
+            f"divisor {moved_id} outside the moved set of an elementary "
+            "root pairs positively with it") in rep.violations
+
+
 def test_fault_invertible_vanishing():
     e = corpus_by_name()["sl2_torus_twisted"]
     # localize so that the monoid has an invertible direction

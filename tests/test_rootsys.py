@@ -187,12 +187,13 @@ def test_symmetric_form_inverts_the_cartan_matrix():
                     (("E", 8),), (("F", 4),), (("G", 2),),
                     (("C", 2), ("A", 1))]:
         rd = rd_of(*factors, central=1)
-        n = rd.n_simple
-        for l in range(n):
+        omega = [fundamental_weight(rd, j) for j in range(rd.dim)]
+        for l in range(rd.n_simple):
             for j in range(rd.dim):
-                lhs = sum(rd.cartan[i][l] * rd.sym_form[i][j] for i in range(n))
+                lhs = symmetric_form(rd, rd.simple_root(l), omega[j])
                 assert lhs == (rd.root_lengths[l] if j == l else 0)
-        assert all(rd.sym_form[i][j] == rd.sym_form[j][i]
+        assert all(symmetric_form(rd, omega[i], omega[j])
+                   == symmetric_form(rd, omega[j], omega[i])
                    for i in range(rd.dim) for j in range(rd.dim))
 
 
