@@ -17,7 +17,6 @@ from .polyhedral import (
     monoid_membership,
 )
 from .recovery import (
-    localize_datum,
     moment_polytope,
     recover_divisors,
     recover_prime,
@@ -33,7 +32,6 @@ from .rootsys import (
     WeightVec,
     build_root_data,
     pairing,
-    support,
     symmetric_form,
 )
 from .spherical import (
@@ -46,7 +44,6 @@ from .spherical import (
     make_spherical_roots,
     match_hidden_root_triple,
     type_a_roots,
-    valuation_cone,
 )
 
 __version__ = "0.1.0"
@@ -58,9 +55,8 @@ __all__ = [
     "WeightMonoid", "WeightVec", "build_root_data", "classify_root_types",
     "elementary_forms", "hidden_divisors", "hidden_root_triples",
     "hidden_spherical_roots", "hilbert_basis", "hilbert_basis_with_units",
-    "localize_datum", "make_spherical_roots", "match_hidden_root_triple",
-    "moment_polytope", "monoid_membership", "pairing", "recover_divisors",
-    "recover_prime", "recover_type_cd_divisors", "stabilizer_of", "support",
-    "symmetric_form", "type_a_roots", "validate_luna_datum",
-    "valuation_cone",
+    "make_spherical_roots", "match_hidden_root_triple", "moment_polytope",
+    "monoid_membership", "pairing", "recover_divisors", "recover_prime",
+    "recover_type_cd_divisors", "stabilizer_of", "symmetric_form",
+    "type_a_roots", "validate_luna_datum",
 ]

@@ -391,6 +391,7 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
     table = classify_root_types(monoid, doc.psi)
     active = monoid.active_roots
     records = []
+    ids = set()
     for i, entry in enumerate(doc.divisor_block):
         vals = entry["phi"]
         if not isinstance(vals, list) or len(vals) != X.rank:
@@ -405,8 +406,11 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
             if not _is_int(r) or not 1 <= r <= doc.rd.n_simple:
                 raise ParseError(f"divisors[{i}]: bad simple-root index {r!r}")
         sigma = ParabolicSet(active - frozenset(r - 1 for r in dropped))
-        records.append(BDivisorRecord(
-            str(entry.get("id", f"D{i + 1}")), phi, sigma, "external"))
+        divisor_id = str(entry.get("id", f"D{i + 1}"))
+        if divisor_id in ids:
+            raise ParseError(f"divisors[{i}]: duplicate divisor id {divisor_id!r}")
+        ids.add(divisor_id)
+        records.append(BDivisorRecord(divisor_id, phi, sigma, "external"))
     return LunaDatum(monoid, doc.psi, table, tuple(records))
 
 

@@ -70,7 +70,6 @@ from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec
 from .spherical import (
     SphericalRootSet,
     classify_root_types,
-    make_spherical_roots,
     validate_roots_in_lattice,
 )
 
@@ -489,14 +488,17 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
                          f"divisor {d.divisor_id} outside the moved set of an "
                          "elementary root pairs positively with it")
 
-    # (vi) monoid recovery from the divisor half-spaces (saturated case)
+    # (vi) monoid recovery from the divisor half-spaces, for saturated M.
+    # A violation needs M saturated and the identity failing, so the
+    # identity, read off the facets, is asked first, and the normality
+    # test only when it fails.  Past the rank limit a monoid that is not
+    # free is refused before either, with a warning.
     try:
-        saturated = m.is_saturated()
+        m.check_saturation_rank()
     except MonoidError:
-        saturated = None
         rep.warnings.append("saturation not checked (lattice too large)")
-    if saturated:
-        if not _monoid_recovery_identity(datum):
+    else:
+        if not _monoid_recovery_identity(datum) and m.is_saturated():
             rep.fail("monoid_recovery",
                      "the monoid is not cut out of its lattice by the "
                      "divisor functionals")
@@ -518,7 +520,8 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     cut cone {phi_D >= 0 for every D}.  For saturated M, which is
     X ∩ C with C = cone(M), that holds iff K lies in C, since a rational
     cone is the cone over its lattice points (Bruns–Gubeladze, Polytopes,
-    Rings and K-Theory, ch. 2).
+    Rings and K-Theory, ch. 2).  What is returned is whether K lies in C,
+    for any M; check (vi) reads it only together with saturation.
 
     By cone duality in X_Q, K ⊆ C iff C^∨ ⊆ K^∨ = cone(Phi), Phi the set
     of functionals.  C spans X_Q, so C^∨ is pointed and its extreme rays
@@ -541,32 +544,8 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# localization of a datum and moment polytopes
+# moment polytopes
 # ---------------------------------------------------------------------------
-
-def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
-    """The datum of the localization at mu: monoid localized, roots
-    restricted to the Levi, divisors filtered to those pairing to zero
-    with mu, stabilizers intersected with the Levi."""
-    try:
-        loc = datum.monoid.localize(mu)
-    except MonoidError as exc:
-        raise RecoveryError(str(exc)) from exc
-    new_levi = loc.active_roots
-    psi = make_spherical_roots(datum.rd, [
-        g for g, supp in zip(datum.psi.roots, datum.psi.supports)
-        if supp <= new_levi])
-    table = classify_root_types(loc, psi)
-    divisors = []
-    for d in datum.divisors:
-        if d.phi.eval_weight(mu) != 0:
-            continue
-        divisors.append(BDivisorRecord(
-            d.divisor_id, d.phi,
-            ParabolicSet(d.stabilizer.roots & new_levi),
-            d.source, d.source_roots, d.coroot_form))
-    return LunaDatum(loc, psi, table, tuple(divisors))
-
 
 @dataclass(frozen=True)
 class MomentPolytope:

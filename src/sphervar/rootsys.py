@@ -319,14 +319,6 @@ def pairing(c: CovectorVec, w: WeightVec) -> int | Fraction:
     return exact(sum(a * b for a, b in zip(c.coords, w.coords)))
 
 
-def support(w: WeightVec, rd: RootData) -> frozenset[int]:
-    """Indices of simple roots appearing in the simple-root expansion of w.
-
-    Raises if w has a central component or otherwise leaves the root span.
-    """
-    return frozenset(j for j, c in enumerate(root_coefficients(w, rd)) if c != 0)
-
-
 def root_coefficients(w: WeightVec, rd: RootData) -> tuple[int | Fraction, ...]:
     """Coefficients of w in the simple-root basis (error off the root
     span): C^-1 w on the simple coordinates, one exact division by

@@ -1,9 +1,9 @@
 """Spherical-variety invariants from a weight monoid and a root set.
 
-Covers the valuation cone of a spherical root set, the Luna type
-classification of simple roots, the three elementary shapes a spherical
-root can take, hiddenness of divisors and of spherical roots, and the
-four exceptional families that admit a hidden root.
+Covers the Luna type classification of simple roots, the three
+elementary shapes a spherical root can take, hiddenness of divisors and
+of spherical roots, and the four exceptional families that admit a
+hidden root.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from math import gcd
 
 from .luna import LunaDatum, RootTypeTable
 from .monoid import WeightMonoid
-from .polyhedral import Lattice, RationalCone, cached_property
+from .polyhedral import Lattice, cached_property
 from .rootsys import (
     RootData,
     RootDataError,
@@ -112,23 +112,6 @@ def validate_roots_in_lattice(psi: SphericalRootSet, lattice: Lattice) -> None:
             raise SphericalError("spherical root is not in the weight lattice")
         if gcd(*c) != 1:
             raise SphericalError("spherical root is not primitive in the lattice")
-
-
-# ---------------------------------------------------------------------------
-# cones
-# ---------------------------------------------------------------------------
-
-def valuation_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
-    """Functionals nonpositive on the tail cone, the cone over the
-    spherical roots: minus its dual, in the basis dual to the lattice
-    basis."""
-    normals = []
-    for g in psi.roots:
-        c = lattice.coords(g.int_coords())
-        if c is None:
-            raise SphericalError("spherical root outside the weight lattice span")
-        normals.append(tuple(-x for x in c))
-    return RationalCone.from_inequalities(normals, dim=lattice.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,37 @@
 They build values through the public constructors and methods of
 `sphervar` and add no check of their own: `monoid_of` is a
 `WeightMonoid`, so its generators must be dominant on the active roots,
-which on a torus group asks nothing.  The one exception is
+which on a torus group asks nothing.  The exceptions are
 `primitive_vector`, which refuses a zero vector and a vector off the
-span of the lattice.
+span of the lattice, and `valuation_cone`, which refuses a root off it.
+`localize_datum` turns the refusal of `WeightMonoid.localize` into a
+`RecoveryError`.
 """
 
-from sphervar.monoid import WeightMonoid
+from sphervar.luna import BDivisorRecord, LunaDatum
+from sphervar.monoid import MonoidError, WeightMonoid
 from sphervar.polyhedral import (
     Lattice,
     PolyhedralError,
     RationalCone,
     primitive,
 )
+from sphervar.recovery import RecoveryError
 from sphervar.rootsys import (
     CovectorVec,
     GroupSpec,
+    ParabolicSet,
     RootData,
     WeightVec,
     build_root_data,
+    root_coefficients,
 )
-from sphervar.spherical import SphericalRootSet, make_spherical_roots
+from sphervar.spherical import (
+    SphericalError,
+    SphericalRootSet,
+    classify_root_types,
+    make_spherical_roots,
+)
 
 
 def monoid_of(rd: RootData, vectors) -> WeightMonoid:
@@ -82,3 +93,48 @@ def product(e1, e2) -> tuple[WeightMonoid, SphericalRootSet]:
     psi = make_spherical_roots(rd, [left(g) for g in e1.psi.roots]
                                + [right(g) for g in e2.psi.roots])
     return monoid, psi
+
+
+def support(w: WeightVec, rd: RootData) -> frozenset[int]:
+    """Indices of simple roots appearing in the simple-root expansion of w.
+
+    Raises if w has a central component or otherwise leaves the root span.
+    """
+    return frozenset(j for j, c in enumerate(root_coefficients(w, rd)) if c != 0)
+
+
+def valuation_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
+    """Functionals nonpositive on the tail cone, the cone over the
+    spherical roots: minus its dual, in the basis dual to the lattice
+    basis."""
+    normals = []
+    for g in psi.roots:
+        c = lattice.coords(g.int_coords())
+        if c is None:
+            raise SphericalError("spherical root outside the weight lattice span")
+        normals.append(tuple(-x for x in c))
+    return RationalCone.from_inequalities(normals, dim=lattice.rank)
+
+
+def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
+    """The datum of the localization at mu: monoid localized, roots
+    restricted to the Levi, divisors filtered to those pairing to zero
+    with mu, stabilizers intersected with the Levi."""
+    try:
+        loc = datum.monoid.localize(mu)
+    except MonoidError as exc:
+        raise RecoveryError(str(exc)) from exc
+    new_levi = loc.active_roots
+    psi = make_spherical_roots(datum.rd, [
+        g for g, supp in zip(datum.psi.roots, datum.psi.supports)
+        if supp <= new_levi])
+    table = classify_root_types(loc, psi)
+    divisors = []
+    for d in datum.divisors:
+        if d.phi.eval_weight(mu) != 0:
+            continue
+        divisors.append(BDivisorRecord(
+            d.divisor_id, d.phi,
+            ParabolicSet(d.stabilizer.roots & new_levi),
+            d.source, d.source_roots, d.coroot_form))
+    return LunaDatum(loc, psi, table, tuple(divisors))

@@ -8,7 +8,9 @@ the double-description path alone, the path that a full-dimensional
 simplicial cone no longer takes, and `_dd` itself is judged against a
 `Fraction` reference in `test_properties.py`.
 `reference_roots_in_lattice` is the root check as it was, on the
-`Lattice` methods, kept to judge the rule that replaced it.
+`Lattice` methods, kept to judge the rule that replaced it, and
+`reference_validation` is `validate_luna_datum` with its check (vi) in
+the order it had before the recovery identity was asked first.
 """
 
 import itertools
@@ -16,7 +18,9 @@ from fractions import Fraction
 from math import isqrt
 
 from builders import primitive_vector
+from sphervar.monoid import MonoidError
 from sphervar.polyhedral import RationalCone, _dd, primitive
+from sphervar.recovery import _monoid_recovery_identity, validate_luna_datum
 from sphervar.spherical import SphericalError
 
 
@@ -272,3 +276,30 @@ def reference_roots_in_lattice(psi, lattice):
             raise SphericalError("spherical root is not in the weight lattice")
         if primitive_vector(lattice, v) != v:
             raise SphericalError("spherical root is not primitive in the lattice")
+
+
+SATURATION_WARNING = "saturation not checked (lattice too large)"
+
+
+def reference_validation(datum):
+    """(passed, violations, warnings) of `validate_luna_datum` with check
+    (vi) in its former order: the normality test first, its refusal a
+    warning, and the recovery identity only for a saturated monoid.  The
+    other checks do not depend on that order, so they are read off the
+    current report with the entries of (vi) taken out; (vi) adds the last
+    violation, and its warning comes before the closing diagnostic's."""
+    rep = validate_luna_datum(datum)
+    violations = [v for v in rep.violations if v[0] != "monoid_recovery"]
+    warnings = [w for w in rep.warnings if w != SATURATION_WARNING]
+    try:
+        saturated = datum.monoid.is_saturated()
+    except MonoidError:
+        saturated = None
+        warnings.insert(0, SATURATION_WARNING)
+    if saturated:
+        if not _monoid_recovery_identity(datum):
+            violations.append((
+                "monoid_recovery",
+                "the monoid is not cut out of its lattice by the divisor "
+                "functionals"))
+    return not violations, violations, warnings

@@ -318,6 +318,20 @@ def test_validate_tampered_phi_exits_1(tmp_path):
     assert codes & {"b_pair_pairing", "b_pair_sum"}
 
 
+def test_validate_refuses_a_duplicate_divisor_id(tmp_path):
+    # two divisors under one id would be one divisor to every check keyed
+    # by id, so the block is refused as malformed
+    proc = run_cli(["recover", "--input", str(DATA / "so3_x1.json"),
+                    "--format", "machine"])
+    doc = machine_payload(proc)["document"]
+    assert [d["id"] for d in doc["divisors"]] == ["D1", "D2"]
+    doc["divisors"][1]["id"] = "D1"
+    path = write_doc(tmp_path, "dup.json", doc)
+    proc2 = run_cli(["validate", "--input", path], check=False)
+    assert proc2.returncode == 2
+    assert proc2.stderr == "error: divisors[1]: duplicate divisor id 'D1'\n"
+
+
 def test_validate_g2_triple_informational(tmp_path):
     proc = run_cli(["recover", "--input", str(DATA / "g2_hidden.json"),
                     "--format", "machine"])

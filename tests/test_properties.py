@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from builders import (
     covector,
     fundamental_weight,
+    localize_datum,
     monoid_of,
     product,
     zero_cone,
@@ -31,6 +32,7 @@ from references import (
     reference_monoid_membership,
     reference_rational_solve,
     reference_roots_in_lattice,
+    reference_validation,
 )
 from test_recovery import (
     recover_entry,
@@ -58,7 +60,6 @@ from sphervar.recovery import (
     RecursionNode,
     _half_coroot,
     _monoid_recovery_identity,
-    localize_datum,
     recover_divisors,
     recover_prime,
     validate_luna_datum,
@@ -1601,3 +1602,41 @@ def test_recovery_identity_matches_the_cut_cone_reference_on_toric_cones(gens):
             reference_monoid_recovery_identity(variant), kind
         assert validate_luna_datum(variant).violations == \
             reference_violations(variant), kind
+
+
+# -- check (vi): the recovery identity first, the normality test after --------
+
+def _assert_the_order_of_check_vi_is_immaterial(datum, name):
+    """The report, on the datum and on each of its tampered divisor sets,
+    equals the report with (vi) in its former order."""
+    variants = [("as is", datum.divisors)] + tampered_divisor_sets(datum)
+    for kind, divisors in variants:
+        variant = replace(datum, divisors=divisors)
+        rep = validate_luna_datum(variant)
+        assert (rep.passed, rep.violations, rep.warnings) == \
+            reference_validation(variant), (name, kind)
+
+
+def _rank7_torus_datum():
+    # 2 e_i and the all-ones vector: not free, and past the rank limit
+    rd = build_root_data(GroupSpec((), 7))
+    gens = [tuple(2 * int(i == j) for j in range(7)) for i in range(7)]
+    return recover_divisors(monoid_of(rd, gens + [(1,) * 7]),
+                            make_spherical_roots(rd, ()))
+
+
+def test_check_vi_matches_its_former_order_on_the_corpus_and_the_cliffs():
+    # the hexagon cliff is not saturated; the rank-7 torus is refused
+    for e in build_corpus():
+        _assert_the_order_of_check_vi_is_immaterial(recover_entry(e), e.name)
+    for path in sorted((BENCH_INPUTS / "cliffs").glob("*.json")):
+        doc = parse_input(path.read_bytes())
+        _assert_the_order_of_check_vi_is_immaterial(
+            recover_divisors(doc.monoid, doc.psi), path.stem)
+    _assert_the_order_of_check_vi_is_immaterial(_rank7_torus_datum(), "rank 7")
+
+
+def test_check_vi_matches_its_former_order_on_corpus_products():
+    for e1, e2 in itertools.combinations_with_replacement(build_corpus(), 2):
+        _assert_the_order_of_check_vi_is_immaterial(
+            recover_divisors(*product(e1, e2)), (e1.name, e2.name))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import covector, fundamental_weight
+from builders import covector, fundamental_weight, support
 from references import reference_rational_solve
 from sphervar.polyhedral import exact
 from sphervar.rootsys import (
@@ -14,7 +14,6 @@ from sphervar.rootsys import (
     build_root_data,
     pairing,
     root_coefficients,
-    support,
     symmetric_form,
 )
 

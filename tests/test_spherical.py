@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from builders import fundamental_weight, monoid_of
+from builders import fundamental_weight, monoid_of, valuation_cone
 from sphervar import spherical
 from sphervar.cli import parse_input
 from sphervar.monoid import WeightMonoid
@@ -17,7 +17,6 @@ from sphervar.spherical import (
     make_spherical_roots,
     match_hidden_root_triple,
     type_a_roots,
-    valuation_cone,
 )
 
 
