@@ -31,7 +31,6 @@ from .rootsys import (
     RootData,
     WeightVec,
     build_root_data,
-    pairing,
     symmetric_form,
 )
 from .spherical import (
@@ -43,7 +42,6 @@ from .spherical import (
     hidden_spherical_roots,
     make_spherical_roots,
     match_hidden_root_triple,
-    type_a_roots,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +54,7 @@ __all__ = [
     "elementary_forms", "hidden_divisors", "hidden_root_triples",
     "hidden_spherical_roots", "hilbert_basis", "hilbert_basis_with_units",
     "make_spherical_roots", "match_hidden_root_triple", "moment_polytope",
-    "monoid_membership", "pairing", "recover_divisors", "recover_prime",
+    "monoid_membership", "recover_divisors", "recover_prime",
     "recover_type_cd_divisors", "stabilizer_of", "symmetric_form",
-    "type_a_roots", "validate_luna_datum",
+    "validate_luna_datum",
 ]

@@ -72,7 +72,6 @@ from .spherical import (
     hidden_spherical_roots,
     make_spherical_roots,
     match_hidden_root_triple,
-    type_a_roots,
     validate_roots_in_lattice,
 )
 
@@ -325,7 +324,7 @@ def cmd_classify(doc: InputDocument) -> tuple[dict, list[str]]:
     table = classify_root_types(doc.monoid, doc.psi)
     rd = doc.rd
     tags = doc.psi.forms
-    pia = type_a_roots(doc.monoid)
+    pia = doc.monoid.type_a_roots
     triple = match_hidden_root_triple(rd, doc.psi, pia)
     payload = {
         "root_types": {rd.root_name(i): t for i, t in table.entries},
@@ -406,7 +405,9 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
             if not _is_int(r) or not 1 <= r <= doc.rd.n_simple:
                 raise ParseError(f"divisors[{i}]: bad simple-root index {r!r}")
         sigma = ParabolicSet(active - frozenset(r - 1 for r in dropped))
-        divisor_id = str(entry.get("id", f"D{i + 1}"))
+        divisor_id = entry.get("id", f"D{i + 1}")
+        if not isinstance(divisor_id, str):
+            raise ParseError(f"divisors[{i}].id must be a string")
         if divisor_id in ids:
             raise ParseError(f"divisors[{i}]: duplicate divisor id {divisor_id!r}")
         ids.add(divisor_id)
@@ -417,7 +418,7 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
 def cmd_validate(doc: InputDocument) -> tuple[dict, list[str], bool]:
     datum = _datum_from_document(doc)
     report = validate_luna_datum(datum)
-    pia = type_a_roots(doc.monoid)
+    pia = doc.monoid.type_a_roots
     triple = match_hidden_root_triple(doc.rd, doc.psi, pia)
     payload = {
         "passed": report.passed,

@@ -1,14 +1,19 @@
 """Weight monoids: finitely generated submonoids of the character lattice.
 
-A monoid is given by dominant integral generators.  Everything derived
-is cached on the instance: the spanned lattice, the canonical cone over
-the generators, the invertible sublattice, the minimal generators modulo
-invertibles, and the membership search table (`MonoidSearch`), which
-every membership query to the monoid reuses.  The cone is built once:
-its facet normals are the rays of the dual cone, and the saturation
-check and the recovery identity read cone(M) off it.  When the
-generators lie on `dim` linearly independent rays, cone(M) is simplicial
-and is read off one Bareiss inverse, with no double description.
+A monoid is given by dominant integral generators, and it owns
+everything derived from them, each computed once and cached on the
+instance: the spanned lattice, the canonical cone over the generators,
+the type-a roots, the invertible sublattice, the minimal generators
+modulo invertibles, and the membership search table (`MonoidSearch`),
+which every membership query to the monoid reuses.  No other module
+seeds or caches a copy of these.  The facet normals of the cone are the
+rays of the dual cone; the search table, the saturation check and the
+recovery identity read them off it.  When the generators lie on `dim`
+linearly independent rays, cone(M) is simplicial and is read off one
+Bareiss inverse, with no double description.  The type-a roots, the
+active simple roots orthogonal to the whole monoid, are read off the
+generators alone.
+
 Saturation is decided by the normality test (Bruns–Ichim): the
 parallelepiped points of a triangulation of cone(M) spanned by
 generators, each looked up among the generators before any membership
@@ -21,7 +26,7 @@ monoid is Z≥0·(generators some ray is positive on) + Z·(generators
 every ray vanishes on), and each ray r caps the coefficient of a
 generator g in a representation of v at r.v // r.g.  A vector outside
 the rational span of the monoid is refused before any search, by the
-annihilator of its lattice.  A query answers yes or no; no certificate
+span equations of the cone.  A query answers yes or no; no certificate
 is built.
 
 The monoid's canonical form is its unit lattice (an HNF basis) and its
@@ -113,14 +118,17 @@ class WeightMonoid:
         return RationalCone.from_generators(self.gen_vectors, dim=self.dim)
 
     @cached_property
-    def _dual_rays(self) -> tuple[tuple[int, ...], ...]:
-        """Extreme rays of the dual cone {phi : phi.g >= 0 for every
-        generator g}, modulo its lineality: the facet normals of `cone`.
-        The lineality is the annihilator of the span of the monoid, so it
-        vanishes on every generator and only the rays are kept.
-        `localize` seeds this attribute on the localized monoid, which
-        then builds no cone to read it."""
-        return self.cone.facet_normals
+    def type_a_roots(self) -> frozenset[int]:
+        """The active simple roots orthogonal to the whole monoid: those
+        on which every generator vanishes.
+
+        This is the set on which the sum of the minimal generators
+        vanishes: every generator is dominant on the active roots, and a
+        unit, nonnegative there with its negative, vanishes there, so a
+        minimal generator is nonnegative on them and every generator is
+        a unit plus a sum of minimal generators."""
+        return frozenset(i for i in self.active_roots
+                         if not any(g.coords[i] for g in self.generators))
 
     @cached_property
     def _invertible_flags(self) -> tuple[bool, ...]:
@@ -146,15 +154,12 @@ class WeightMonoid:
 
     @cached_property
     def _search(self) -> MonoidSearch:
-        """The membership search table over the generators and the dual
-        rays, built once and shared by every query to this monoid.  A
-        localized monoid has other generators and builds its own, from
-        the rays `localize` seeds."""
-        return MonoidSearch(self.gen_vectors, self.dim, self._dual_rays)
+        """The membership search table over the generators and `cone`,
+        built once and shared by every query to this monoid."""
+        return MonoidSearch(self.gen_vectors, self.dim, self.cone)
 
     def contains_vector(self, vec) -> bool:
-        v = tuple(int(x) for x in vec)
-        return self.lattice.in_span(v) and monoid_membership(v, self._search)
+        return monoid_membership(vec, self._search)
 
     def contains(self, w: WeightVec) -> bool:
         if w.spec != self.rd.spec:
@@ -196,23 +201,15 @@ class WeightMonoid:
         """Adjoin -mu: the weight monoid of the localization at mu.
 
         The Levi shrinks to the simple roots orthogonal to mu, which keeps
-        the dominance invariant meaningful for the localized monoid.
-
-        The dual of cone(M ∪ {-mu}) is the face C^∨ ∩ mu^⊥ of the dual
-        C^∨ of cone(M).  Since mu lies in cone(M), every ray of C^∨ is
-        nonnegative on mu and the lineality of C^∨ vanishes on it, so the
-        rays of that face are exactly the rays of C^∨ vanishing on mu.
-        They are handed to the localized monoid, which then needs no
-        double description of its own to decide invertibility.
+        the dominance invariant meaningful for the localized monoid.  The
+        localized monoid is a monoid like any other: it derives its own
+        cone and search table.  The recovery walk builds none; it reads
+        each localization off a face of cone(M).
         """
         if not self.contains(mu):
             raise MonoidError("can only localize at an element of the monoid")
         new_levi = frozenset(i for i in self.active_roots if mu.coords[i] == 0)
-        loc = WeightMonoid(self.rd, self.generators + (-mu,), new_levi)
-        v = mu.int_coords()
-        loc.__dict__["_dual_rays"] = tuple(
-            r for r in self._dual_rays if sum(a * b for a, b in zip(r, v)) == 0)
-        return loc
+        return WeightMonoid(self.rd, self.generators + (-mu,), new_levi)
 
     def equals(self, other: "WeightMonoid") -> bool:
         """Set equality, read off the canonical form.  A monoid is its

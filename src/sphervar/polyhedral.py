@@ -868,41 +868,40 @@ class MonoidSearch:
     that does not depend on the target vector.
 
     `rays` are the extreme rays of the dual cone {phi : phi.g >= 0 for
-    every generator g} modulo its lineality, read off the cone over the
-    generators when the caller does not pass them.  Every ray is nonnegative
-    on every generator.  A generator on which every ray vanishes lies in
-    the lineality space of cone(generators); that space is a face, so it
-    is the cone over the generators it contains and the negative of such
-    a generator is a nonnegative combination of them (Bruns–Gubeladze,
-    Polytopes, Rings and K-Theory, ch. 2).  These generators are the
-    `units`; every other generator is `free`, with some ray positive on
-    it.  Hence M = Z≥0·free + Z·units.
+    every generator g} modulo its lineality: the facet normals of
+    `cone`, the cone over the generators, built here when the caller
+    does not pass it.  Every ray is nonnegative on every generator.  A
+    generator on which every ray vanishes lies in the lineality space of
+    cone(generators); that space is a face, so it is the cone over the
+    generators it contains and the negative of such a generator is a
+    nonnegative combination of them (Bruns–Gubeladze, Polytopes, Rings
+    and K-Theory, ch. 2).  These generators are the `units`; every other
+    generator is `free`, with some ray positive on it.  Hence
+    M = Z≥0·free + Z·units.
 
     - `free`: the free generators in depth-first order, with `values`,
       the ray values of every generator;
     - `reach[pos]`: for each ray, whether some free generator from
       position pos on is positive on it;
     - `unit_lattice`: Z·units, the group of units of M;
-    - `equations`: the span equations of that cone when it is built
-      here, and otherwise none: a caller that passes the rays decides
-      the span itself, as `WeightMonoid.contains_vector` does.
+    - `equations`: the span equations of `cone`, which refuse a vector
+      outside the rational span of the generators.
 
     The dimension is given, not read off a generator, so that the
     monoid with no generators has its units in the right lattice.
     """
 
-    def __init__(self, generators, dim: int, rays=None):
+    def __init__(self, generators, dim: int, cone: RationalCone | None = None):
         gens = [tuple(map(int, g)) for g in generators]
         if any(len(g) != dim for g in gens):
             raise PolyhedralError(
                 f"monoid generators differ in length from the dimension {dim}")
         self.gens = gens
         self.dim = dim
-        self.equations = ()
-        if rays is None:
+        if cone is None:
             cone = RationalCone.from_generators(gens, dim=dim)
-            rays, self.equations = cone.facet_normals, cone.span_equations
-        self.rays = [tuple(r) for r in rays]
+        self.rays = [tuple(r) for r in cone.facet_normals]
+        self.equations = cone.span_equations
         self.values = [[_dot(r, g) for r in self.rays] for g in gens]
         self.units = [i for i, vals in enumerate(self.values) if not any(vals)]
         self.free = sorted((i for i, vals in enumerate(self.values) if any(vals)),

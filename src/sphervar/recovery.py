@@ -149,8 +149,9 @@ def _facet_functional(X: Lattice, ray, values) -> LatticeFunctional:
 
 def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
     """`classify_root_types(m, psi)`, computed once per monoid and root
-    set: the table is cached on the monoid, keyed by the roots, the way
-    `WeightMonoid.localize` seeds `_dual_rays`."""
+    set: the table is cached on the monoid, keyed by the roots.  It is
+    the one thing the monoid holds that it does not derive itself, as it
+    depends on the roots too."""
     tables = m.__dict__.setdefault("_root_types", {})
     table = tables.get(psi.roots)
     if table is None:
@@ -202,7 +203,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     # values on the generators; or F_alpha, case 2 or 3, with every
     # type-b root alpha whose coroot vanishes on exactly its generators
     nodes = [(tuple(range(len(gens))), "1a", None)]
-    for ray in m._dual_rays:
+    for ray in m.cone.facet_normals:
         values = [_dot(ray, g) for g in gens]
         facet = tuple(j for j, v in enumerate(values) if v == 0)
         if levi_of(weight(facet)) == pi_a:
@@ -535,7 +536,7 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     X = m.lattice
     phis = {primitive(d.phi.values) for d in datum.divisors if any(d.phi.values)}
     if all(primitive([_dot(r, b) for b in X.basis]) in phis
-           for r in m._dual_rays):
+           for r in m.cone.facet_normals):
         return True
     cut = RationalCone.from_inequalities(
         [d.phi.values for d in datum.divisors], dim=X.rank)

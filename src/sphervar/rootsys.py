@@ -37,8 +37,8 @@ VALID_TYPES = {"A", "B", "C", "D", "E", "F", "G"}
 # rank^2 entries, so a one-line document naming A100000 would otherwise
 # ask for 10^10 of them before any other check.  Measured with Python
 # 3.11 on a 2-vCPU Xeon VM: the A128 root data builds in 0.4 s and the
-# A128 full flag G/U recovers through the CLI in 1.6 s; A200 takes
-# 1.5 s for the root data alone.
+# A128 full flag G/U recovers through the CLI in 1.1 s (1.05–1.17 s
+# over three runs); A200 takes 1.5 s for the root data alone.
 MAX_GROUP_DIM = 128
 
 
@@ -311,12 +311,6 @@ def build_root_data(spec: GroupSpec) -> RootData:
             for i in range(n)),
         cartan_inverse=(p, tuple(tuple(row) for row in inv)),
     )
-
-
-def pairing(c: CovectorVec, w: WeightVec) -> int | Fraction:
-    """<c, w>: dot product in the dual coordinate pair."""
-    _same_spec(c, w)
-    return exact(sum(a * b for a, b in zip(c.coords, w.coords)))
 
 
 def root_coefficients(w: WeightVec, rd: RootData) -> tuple[int | Fraction, ...]:

@@ -118,44 +118,14 @@ def validate_roots_in_lattice(psi: SphericalRootSet, lattice: Lattice) -> None:
 # root types
 # ---------------------------------------------------------------------------
 
-def type_a_roots(m: WeightMonoid) -> frozenset[int]:
-    """Simple roots orthogonal to the sum of all minimal generators.
-
-    The sum mu of the minimal generators satisfies monoid + Z*mu = lattice
-    (subtracting mu from it flips the sign of any one minimal generator),
-    so this is the divisor-free type-a set.  It is computed once per
-    monoid and cached on it, the way `recovery._root_types` caches the
-    type table.
-    """
-    pia = m.__dict__.get("_type_a_roots")
-    if pia is None:
-        pia = m.__dict__["_type_a_roots"] = _type_a_roots(m)
-    return pia
-
-
-def _type_a_roots(m: WeightMonoid) -> frozenset[int]:
-    mins = m.minimal_generators
-    active = m.active_roots
-    if not mins:
-        return frozenset(active)
-    mu = mins[0]
-    for g in mins[1:]:
-        mu = mu + g
-    span_check = list(g.int_coords() for g in mins) + \
-        [b for b in m.invertible_lattice.basis]
-    if Lattice.span(span_check, m.dim).basis != m.lattice.basis:
-        raise SphericalError("internal: minimal generators do not span the lattice")
-    return frozenset(i for i in active if mu.coords[i] == 0)
-
-
 def classify_root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
     """Luna type of every active simple root, with d-root partners.
 
     b: the root is a spherical root; c: twice the root is; a: orthogonal
-    to the whole monoid; d: otherwise.  A root matching several classes
-    means the datum is invalid.  The positive multiples of a simple
-    root among the spherical roots are read off the coefficient vectors
-    supported on it alone.
+    to the whole monoid (`WeightMonoid.type_a_roots`); d: otherwise.  A
+    root matching several classes means the datum is invalid.  The
+    positive multiples of a simple root among the spherical roots are
+    read off the coefficient vectors supported on it alone.
     """
     active = sorted(m.active_roots)
     multiples: dict[int, list[int | Fraction]] = {}
@@ -164,7 +134,7 @@ def classify_root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable
             (i,) = supp
             if cs[i] > 0:
                 multiples.setdefault(i, []).append(cs[i])
-    a_set = type_a_roots(m)
+    a_set = m.type_a_roots
     entries = []
     for i in active:
         qs = multiples.get(i, [])

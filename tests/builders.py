@@ -10,12 +10,15 @@ span of the lattice, and `valuation_cone`, which refuses a root off it.
 `RecoveryError`.
 """
 
+from fractions import Fraction
+
 from sphervar.luna import BDivisorRecord, LunaDatum
 from sphervar.monoid import MonoidError, WeightMonoid
 from sphervar.polyhedral import (
     Lattice,
     PolyhedralError,
     RationalCone,
+    exact,
     primitive,
 )
 from sphervar.recovery import RecoveryError
@@ -25,6 +28,7 @@ from sphervar.rootsys import (
     ParabolicSet,
     RootData,
     WeightVec,
+    _same_spec,
     build_root_data,
     root_coefficients,
 )
@@ -47,6 +51,12 @@ def fundamental_weight(rd: RootData, i: int) -> WeightVec:
 
 def covector(rd: RootData, coords) -> CovectorVec:
     return CovectorVec(rd.spec, tuple(coords))
+
+
+def pairing(c: CovectorVec, w: WeightVec) -> int | Fraction:
+    """<c, w>: dot product in the dual coordinate pair."""
+    _same_spec(c, w)
+    return exact(sum(a * b for a, b in zip(c.coords, w.coords)))
 
 
 def zero_cone(dim: int) -> RationalCone:

@@ -11,6 +11,9 @@ simplicial cone no longer takes, and `_dd` itself is judged against a
 `Lattice` methods, kept to judge the rule that replaced it, and
 `reference_validation` is `validate_luna_datum` with its check (vi) in
 the order it had before the recovery identity was asked first.
+`reference_type_a_roots` is the type-a set as it was read, off the
+minimal generators of the monoid, kept to judge
+`WeightMonoid.type_a_roots`, which reads it off the generators.
 """
 
 import itertools
@@ -303,3 +306,11 @@ def reference_validation(datum):
                 "the monoid is not cut out of its lattice by the divisor "
                 "functionals"))
     return not violations, violations, warnings
+
+
+def reference_type_a_roots(m):
+    """The type-a roots as they were read: the active simple roots on
+    which the sum of the minimal generators of m vanishes."""
+    mins = m.minimal_generators
+    return frozenset(i for i in m.active_roots
+                     if sum(g.coords[i] for g in mins) == 0)

@@ -26,7 +26,6 @@ from sphervar.spherical import (
     hidden_spherical_roots,
     make_spherical_roots,
     match_hidden_root_triple,
-    type_a_roots,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -304,7 +303,7 @@ def test_criterion_6_triple_matcher():
     hid = hidden_spherical_roots(datum)
     got = {tuple(int(x) for x in datum.psi.roots[i].coords) for i in hid}
     ok = ok and got == {(1, -1)}  # alpha1 + alpha2, the second listed root
-    pia = type_a_roots(e.monoid)
+    pia = e.monoid.type_a_roots
     match = match_hidden_root_triple(e.rd, e.psi, pia)
     ok = ok and match is not None and match.family == 2
     report(6, ok, "four exceptional triples match themselves and none of 20 "

@@ -13,8 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cli_contract
+from corpus import build_corpus, entry_to_document
 from sphervar import cli, spherical
 from sphervar.cli import ParseError, main, parse_input
+from sphervar.monoid import WeightMonoid
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -318,6 +320,59 @@ def test_validate_tampered_phi_exits_1(tmp_path):
     assert codes & {"b_pair_pairing", "b_pair_sum"}
 
 
+def _drop_both_roots_from_d1(divisors):
+    divisors[0]["dropped_simple_roots"] = [1, 2]
+
+
+def _duplicate_d1(divisors):
+    divisors.append({**divisors[0], "id": "D9"})
+
+
+A2 = {"schema": 1, "group": {"factors": [["A", 2]]}}
+TAMPERED_VIOLATIONS = {
+    # alpha2 is type a; D1 belongs to the type-d root alpha1
+    "A2 on omega1, D1 moved by both roots": (
+        {**A2, "monoid_generators": [[1, 0]]}, _drop_both_roots_from_d1, [
+            ("type_a_moved", "type-a root 2 moves D1"),
+            ("d_stabilizer", "type-d divisor at root 1 has moved set [1, 2]"),
+            ("sharing", "divisor D1 is moved by an incompatible set of "
+                        "roots [1, 2]")]),
+    # both roots are type d, with no partner; D1 belongs to alpha2
+    "A2 full flag, D1 moved by both roots": (
+        {**A2, "monoid_generators": [[1, 0], [0, 1]]},
+        _drop_both_roots_from_d1, [
+            ("d_count", "type-d root 1 moves 2 divisors, not 1"),
+            ("d_stabilizer", "type-d divisor at root 2 has moved set [1, 2]"),
+            ("sharing", "divisor D1 is moved by an incompatible set of "
+                        "roots [1, 2]")]),
+    # 2 alpha is the spherical root, so alpha is type c
+    "A1 on 2 alpha, D1 twice": (
+        {"schema": 1, "group": {"factors": [["A", 1]]},
+         "monoid_generators": [[4]], "spherical_roots": [[4]]},
+        _duplicate_d1, [
+            ("c_count", "type-c root 1 moves 2 divisors, not 1")]),
+}
+
+
+@pytest.mark.parametrize("doc, tamper, violations",
+                         TAMPERED_VIOLATIONS.values(), ids=TAMPERED_VIOLATIONS)
+def test_validate_names_the_violated_root_type_check(
+        tmp_path, capsys, doc, tamper, violations):
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert main(["recover", "--input", path, "--format", "machine"]) == 0
+    recovered = json.loads(capsys.readouterr().out)["payload"]["document"]
+    assert main(["validate", "--input", write_doc(
+        tmp_path, "recovered.json", recovered), "--format", "machine"]) == 0
+    capsys.readouterr()
+    tamper(recovered["divisors"])
+    assert main(["validate", "--input", write_doc(
+        tmp_path, "tampered.json", recovered), "--format", "machine"]) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["passed"] is False
+    assert [(v["code"], v["detail"]) for v in payload["violations"]] == \
+        violations
+
+
 def test_validate_refuses_a_duplicate_divisor_id(tmp_path):
     # two divisors under one id would be one divisor to every check keyed
     # by id, so the block is refused as malformed
@@ -330,6 +385,53 @@ def test_validate_refuses_a_duplicate_divisor_id(tmp_path):
     proc2 = run_cli(["validate", "--input", path], check=False)
     assert proc2.returncode == 2
     assert proc2.stderr == "error: divisors[1]: duplicate divisor id 'D1'\n"
+
+
+@pytest.mark.parametrize("bad_id", [None, 7, True, ["D2"]])
+def test_validate_refuses_a_divisor_id_that_is_not_a_string(
+        tmp_path, capsys, bad_id):
+    # an id is used as the document gives it, so null may not become the
+    # id "None", nor 7 the id "7"
+    assert main(["recover", "--input", str(DATA / "so3_x1.json"),
+                 "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)["payload"]["document"]
+    doc["divisors"][1]["id"] = bad_id
+    path = write_doc(tmp_path, "bad_id.json", doc)
+    assert main(["validate", "--input", path, "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: divisors[1].id must be a string\n"
+
+
+def test_classify_and_validate_compute_no_minimal_generators(
+        tmp_path, capsys, monkeypatch):
+    # the type-a roots are read off the generators, and no check of
+    # validate reads the minimal generators
+    runs = []
+    for e in build_corpus():
+        path = write_doc(tmp_path, f"{e.name}.json", entry_to_document(e))
+        assert main(["recover", "--input", path, "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)["payload"]["document"]
+        recovered = write_doc(tmp_path, f"{e.name}-recovered.json", doc)
+        runs += [["classify", "--input", path],
+                 ["validate", "--input", recovered]]
+
+    def outputs():
+        out = []
+        for argv in runs:
+            for fmt in ("machine", "pretty"):
+                code = main([*argv, "--format", fmt])
+                out.append((argv, fmt, code, *capsys.readouterr()))
+        return out
+
+    expected = outputs()
+    assert {code for *_, code, _, _ in expected} == {0}
+
+    def refuse(self):
+        raise AssertionError("minimal generators computed")
+
+    monkeypatch.setattr(WeightMonoid, "minimal_generators", property(refuse))
+    assert outputs() == expected
 
 
 def test_validate_g2_triple_informational(tmp_path):

@@ -2,7 +2,7 @@
 
 import random
 
-from builders import monoid_of
+from builders import monoid_of, pairing
 from corpus import build_corpus, corpus_by_name
 from sphervar.polyhedral import (
     Lattice,
@@ -11,7 +11,7 @@ from sphervar.polyhedral import (
     monoid_membership,
 )
 from sphervar.recovery import recover_divisors, validate_luna_datum
-from sphervar.rootsys import GroupSpec, build_root_data, pairing
+from sphervar.rootsys import GroupSpec, build_root_data
 from sphervar.spherical import classify_root_types
 
 

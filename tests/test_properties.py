@@ -18,6 +18,7 @@ from builders import (
     fundamental_weight,
     localize_datum,
     monoid_of,
+    pairing,
     product,
     zero_cone,
 )
@@ -32,6 +33,7 @@ from references import (
     reference_monoid_membership,
     reference_rational_solve,
     reference_roots_in_lattice,
+    reference_type_a_roots,
     reference_validation,
 )
 from test_recovery import (
@@ -69,7 +71,6 @@ from sphervar.rootsys import (
     GroupSpec,
     WeightVec,
     build_root_data,
-    pairing,
     symmetric_form,
 )
 from sphervar.spherical import (
@@ -393,8 +394,6 @@ def test_invertibility_matches_membership_search(data):
         if inv:
             continue
         loc = m.localize(rd.weight(g))
-        # the dual rays are inherited from m, not recomputed
-        assert "_dual_rays" in loc.__dict__
         fresh = monoid_of(rd, [w.int_coords() for w in loc.generators])
         assert loc._invertible_flags == fresh._invertible_flags
         assert loc.invertible_lattice == fresh.invertible_lattice
@@ -1640,3 +1639,70 @@ def test_check_vi_matches_its_former_order_on_corpus_products():
     for e1, e2 in itertools.combinations_with_replacement(build_corpus(), 2):
         _assert_the_order_of_check_vi_is_immaterial(
             recover_divisors(*product(e1, e2)), (e1.name, e2.name))
+
+
+# -- the type-a roots, read off the generators ---------------------------------
+
+def _assert_type_a_roots_match_the_reference(m, name):
+    assert m.type_a_roots == reference_type_a_roots(m), name
+
+
+def test_type_a_roots_match_the_reference_on_the_corpus_and_its_localizations():
+    # the localizations are dominant only on a Levi and hold units
+    for m in CORPUS_MONOIDS:
+        _assert_type_a_roots_match_the_reference(m, m.generators)
+
+
+def test_type_a_roots_match_the_reference_on_corpus_products():
+    for e1, e2 in itertools.combinations_with_replacement(build_corpus(), 2):
+        m, _ = product(e1, e2)
+        _assert_type_a_roots_match_the_reference(m, (e1.name, e2.name))
+
+
+def test_type_a_roots_match_the_reference_on_the_bench_documents():
+    for path in BENCH_DOCUMENTS:
+        _assert_type_a_roots_match_the_reference(
+            parse_input(path.read_bytes()).monoid, path.name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(torus_generators(min_size=0))
+def test_type_a_roots_match_the_reference_on_torus_monoids(data):
+    rank, gens = data
+    m = monoid_of(build_root_data(GroupSpec((), rank)), gens)
+    assert m.type_a_roots == reference_type_a_roots(m) == frozenset()
+
+
+FLAG_GROUPS = [GroupSpec(factors, central) for factors, central in [
+    ((("A", 1),), 0), ((("A", 1),), 1), ((("A", 2),), 0), ((("B", 2),), 1),
+    ((("G", 2),), 0), ((("A", 1), ("A", 1)), 1), ((("A", 3),), 0)]]
+
+
+@st.composite
+def flag_monoids(draw):
+    """A monoid of a group with simple factors, dominant on a drawn Levi
+    (all simple roots, or a subset): up to 4 generators, nonnegative on
+    the Levi and with entries in [-2, 2] elsewhere, drawn to include zero
+    vectors, generators zero on the Levi, and a unit pair g, -g with g
+    zero on the Levi."""
+    rd = build_root_data(draw(st.sampled_from(FLAG_GROUPS)))
+    n = rd.n_simple
+    levi = draw(st.one_of(st.none(), st.frozensets(st.integers(0, n - 1))))
+    active = range(n) if levi is None else levi
+    coord = [st.integers(0, 2) if i in active else st.integers(-2, 2)
+             for i in range(rd.dim)]
+    vec = st.tuples(*coord)
+    flat = st.tuples(*[st.just(0) if i in active else c
+                       for i, c in enumerate(coord)])
+    gens = draw(st.lists(st.one_of(vec, flat, st.just((0,) * rd.dim)),
+                         max_size=4))
+    if draw(st.booleans()):
+        g = draw(flat)
+        gens += [g, tuple(-x for x in g)]
+    return WeightMonoid(rd, tuple(rd.weight(g) for g in gens), levi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_monoids())
+def test_type_a_roots_match_the_reference_on_flag_monoids(m):
+    _assert_type_a_roots_match_the_reference(m, m.generators)

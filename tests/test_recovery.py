@@ -12,6 +12,7 @@ from builders import (
     fundamental_weight,
     localize_datum,
     monoid_of,
+    pairing,
     support,
     thin_to_elementary,
 )
@@ -37,7 +38,6 @@ from sphervar.rootsys import (
     GroupSpec,
     ParabolicSet,
     build_root_data,
-    pairing,
 )
 from sphervar.spherical import (
     SphericalError,
@@ -1009,7 +1009,6 @@ def test_a_validated_recovery_builds_one_cone(entry, monkeypatch):
     datum = recover_divisors(m, entry.psi)
     assert len(datum.divisors) == entry.n_divisors
     assert builds == ["from_generators"]
-    assert m._dual_rays == m.cone.facet_normals
 
 
 def test_a_validated_recovery_with_units_builds_its_quotient_cone(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import covector, fundamental_weight, support
+from builders import covector, fundamental_weight, pairing, support
 from references import reference_rational_solve
 from sphervar.polyhedral import exact
 from sphervar.rootsys import (
@@ -12,7 +12,6 @@ from sphervar.rootsys import (
     GroupSpec,
     RootDataError,
     build_root_data,
-    pairing,
     root_coefficients,
     symmetric_form,
 )

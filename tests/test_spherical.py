@@ -16,7 +16,6 @@ from sphervar.spherical import (
     hidden_root_triples,
     make_spherical_roots,
     match_hidden_root_triple,
-    type_a_roots,
 )
 
 
@@ -155,7 +154,7 @@ def test_g_stable_divisors_lie_in_the_valuation_cone():
 
 def test_type_a_roots_and_hidden_triples_are_built_once():
     m = so3_monoid()
-    assert type_a_roots(m) is type_a_roots(m) == frozenset()
+    assert m.type_a_roots is m.type_a_roots == frozenset()
     rd = rd_of(("C", 3))
     assert hidden_root_triples(rd) is hidden_root_triples(rd)
     assert len(hidden_root_triples(rd)) == 2
@@ -163,13 +162,13 @@ def test_type_a_roots_and_hidden_triples_are_built_once():
 
 def test_type_a_roots_a1():
     m = so3_monoid()
-    assert type_a_roots(m) == frozenset()
+    assert m.type_a_roots == frozenset()
 
 
 def test_type_a_roots_trivial_factor():
     rd = rd_of(("A", 1), ("A", 1))
     m = WeightMonoid(rd, (rd.simple_root(0),))
-    assert type_a_roots(m) == frozenset({1})
+    assert m.type_a_roots == frozenset({1})
 
 
 def test_type_a_roots_cn_triple():
@@ -178,7 +177,7 @@ def test_type_a_roots_cn_triple():
         two_omega1 = fundamental_weight(rd, 0).scale(2)
         omega2 = fundamental_weight(rd, 1)
         m = WeightMonoid(rd, (two_omega1, omega2))
-        assert type_a_roots(m) == frozenset(range(2, n))
+        assert m.type_a_roots == frozenset(range(2, n))
 
 
 def test_classify_b_and_d():
