@@ -21,7 +21,7 @@ from .recovery import (
     recover_divisors,
     recover_prime,
     recover_type_cd_divisors,
-    stabilizer_of,
+    stabilizers_of,
     validate_luna_datum,
 )
 from .rootsys import (
@@ -55,6 +55,6 @@ __all__ = [
     "hidden_spherical_roots", "hilbert_basis", "hilbert_basis_with_units",
     "make_spherical_roots", "match_hidden_root_triple", "moment_polytope",
     "monoid_membership", "recover_divisors", "recover_prime",
-    "recover_type_cd_divisors", "stabilizer_of", "symmetric_form",
+    "recover_type_cd_divisors", "stabilizers_of", "symmetric_form",
     "validate_luna_datum",
 ]

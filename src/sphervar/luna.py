@@ -3,15 +3,20 @@
 A divisor's valuation vector is primarily a functional on the weight
 lattice X, stored by its values on the canonical lattice basis; when the
 divisor comes from an explicit coroot formula the coroot presentation is
-kept alongside for cross-checks against simple roots outside X.
+kept alongside for cross-checks against simple roots outside X.  The
+coroot of simple root i is e_i in coroot coordinates, so its values are
+column i of the basis (`Lattice.columns`), and half of it is that column
+halved.
 
 Each functional also carries one integer form, computed once: a
 denominator d > 0, least possible, and an integer covector w on Z^dim,
 supported on the pivot columns of the HNF basis of X, with
-phi(v) = w.v / d on span_Q(X).  Evaluation is a span check against the
-annihilator rows of X, one integer dot product and one exact division,
-which builds a `Fraction` only when it does not come out even; since
-d > 0, the sign of w.v is the sign of phi(v).
+phi(v) = w.v / d on span_Q(X).  A weight is checked against the span
+once (`span_vector`: the annihilator rows of X), however many
+functionals are then read on it; each reading is one integer dot
+product, and a value one exact division, which builds a `Fraction` only
+when it does not come out even.  Since d > 0, the sign of w.v is the
+sign of phi(v), and phi(v) = 1 iff w.v = d for an integer v.
 """
 
 from __future__ import annotations
@@ -39,6 +44,18 @@ class LunaError(ValueError):
     pass
 
 
+def span_vector(lattice: Lattice, vec) -> tuple[int, list[int]]:
+    """(den, v) with den > 0 and v = den * vec an integer vector, once
+    vec is checked to lie in the rational span of the lattice; a
+    functional with integer form (d, w) is w.v / (d * den) there."""
+    if len(vec) != lattice.dim:
+        raise PolyhedralError("vector length does not match the lattice")
+    den, v = _clear_denominators(vec)
+    if not lattice.in_span(v):
+        raise LunaError("vector outside the lattice span")
+    return den, v
+
+
 @dataclass(frozen=True)
 class LatticeFunctional:
     """A rational functional on a weight lattice, given by its values on
@@ -52,23 +69,13 @@ class LatticeFunctional:
         if len(self.values) != self.lattice.rank:
             raise LunaError("functional length does not match the lattice rank")
 
-    @staticmethod
-    def from_covector(cov: CovectorVec, lattice: Lattice) -> "LatticeFunctional":
-        den, c = _clear_denominators(cov.coords)
-        return LatticeFunctional(
-            lattice, tuple(exact(_dot(c, b), den) for b in lattice.basis))
-
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...]]:
         """(d, w) with phi(v) = w.v / d on the span of the lattice."""
         return self.lattice.integer_form(self.values)
 
     def evaluate(self, vec) -> int | Fraction:
-        if len(vec) != self.lattice.dim:
-            raise PolyhedralError("vector length does not match the lattice")
-        den, v = _clear_denominators(vec)
-        if not self.lattice.in_span(v):
-            raise LunaError("vector outside the lattice span")
+        den, v = span_vector(self.lattice, vec)
         d, w = self.integer_form
         return exact(_dot(w, v), d * den)
 

@@ -23,7 +23,10 @@ The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
 relations among the v_i and the combination behind each basis row, and
 integer kernels and the units of a cone with the quotient by them
-are read off it.
+are read off it.  A functional given by its values on the basis has one
+integer form (`Lattice.integer_form`): when every pivot is 1, as for
+Z^n, the basis is the identity on its pivot columns and the form is
+read off the values; otherwise it is solved by back substitution.
 
 A Hilbert basis is read off one pulling triangulation of the pointed
 quotient cone (`PointedQuotient`), built from the facet-ray incidences
@@ -114,7 +117,10 @@ def exact(x, den: int = 1) -> int | Fraction:
 def _clear_denominators(v) -> tuple[int, list[int]]:
     """(d, w) with d > 0 the least common denominator of the rational
     vector v and w = d*v an integer vector."""
-    if all(isinstance(x, int) for x in v):
+    for x in v:
+        if not isinstance(x, int):
+            break
+    else:
         return 1, list(v)
     fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     den = lcm(*(x.denominator for x in fr))
@@ -137,6 +143,8 @@ def primitive(v) -> Vec:
     g = gcd(*ints)
     if not g:
         raise PolyhedralError("zero vector has no primitive representative")
+    if g == 1:
+        return tuple(ints)
     return tuple(x // g for x in ints)
 
 
@@ -343,21 +351,50 @@ class Lattice:
             raise PolyhedralError("vector length does not match the lattice")
         return not any(_dot(a, v) for a in self.annihilator)
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column j of the basis for each coordinate j: the values on the
+        basis of the functional v -> v[j].  Weights are in fundamental-
+        weight coordinates, so column i is the simple coroot of root i
+        restricted to the lattice."""
+        if not self.basis:
+            return ((),) * self.dim
+        return tuple(zip(*self.basis))
+
+    @cached_property
+    def _unit_pivots(self) -> bool:
+        """Whether every pivot of the basis is 1; the entries above a
+        pivot are then 0, since each is reduced into [0, 1)."""
+        return all(b[p] == 1 for b, p in zip(self.basis, self._pivots))
+
     def integer_form(self, values) -> tuple[int, Vec]:
         """(d, w) for the functional with the given values on the basis:
         the least d > 0 and an integer covector w, supported on the pivot
         columns, with w.b = d * value for each basis vector b, so that the
         functional is w.v / d on the rational span.  Restricted to its
         pivot columns the HNF basis is upper triangular (a row vanishes
-        left of its own pivot), so w is read off by back substitution,
-        from the last row up, on the values times their least common
-        denominator.  A pivot that does not divide its entry scales the
-        whole system by the least factor that makes it divide, so d ends
-        as the lcm of the denominators of the solved rationals: least."""
+        left of its own pivot).  When every pivot is 1 it is the
+        identity there, so w is the values times d, the lcm of their
+        denominators, put at the pivots; otherwise w is solved by
+        `_back_substitute`."""
         if len(values) != self.rank:
             raise PolyhedralError("value count does not match the lattice rank")
-        piv = self._pivots
         d, rhs = _clear_denominators(values)
+        if not self._unit_pivots:
+            d, rhs = self._back_substitute(d, rhs)
+        w = [0] * self.dim
+        for p, n in zip(self._pivots, rhs):
+            w[p] = n
+        return d, tuple(w)
+
+    def _back_substitute(self, d: int, rhs: list[int]) -> tuple[int, list[int]]:
+        """(d', x) with x the integer solution, on the pivot columns, of
+        b_i.x = d' * value_i, given the values as rhs / d: back
+        substitution from the last row up.  A pivot that does not divide
+        its entry scales the whole system by the least factor that makes
+        it divide, so d' ends as the lcm of the denominators of the
+        solved rationals: least."""
+        piv = self._pivots
         x: list[int] = []
         for i in reversed(range(self.rank)):
             b, p = self.basis[i], piv[i]
@@ -368,10 +405,7 @@ class Lattice:
                 rhs = [s * y for y in rhs]
                 x = [s * y for y in x]
             x.insert(0, r // b[p])
-        w = [0] * self.dim
-        for p, n in zip(piv, x):
-            w[p] = n
-        return d, tuple(w)
+        return d, x
 
     def from_coords(self, c) -> QVec:
         if len(c) != self.rank:

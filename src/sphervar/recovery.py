@@ -54,6 +54,7 @@ from .luna import (
     LatticeFunctional,
     LunaDatum,
     RootTypeTable,
+    span_vector,
 )
 from .monoid import MonoidError, WeightMonoid
 from .polyhedral import (
@@ -100,30 +101,36 @@ def _half_coroot(rd: RootData, i: int) -> CovectorVec:
     return rd.simple_coroot(i).scale(Fraction(1, 2))
 
 
+def _half_column(X: Lattice, i: int) -> tuple[int | Fraction, ...]:
+    """The values on the basis of X of half the coroot of simple root i:
+    column i of the basis, halved."""
+    return tuple(exact(x, 2) for x in X.columns[i])
+
+
 def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
                              table: RootTypeTable) -> list[BDivisorRecord]:
     """Divisors attached to type-c and type-d roots: one per c-root with
-    half the coroot, one per d-root or partnered d-pair with the coroot."""
+    half the coroot, one per d-root or partnered d-pair with the coroot.
+    The coroot of root i restricted to X is column i of its basis."""
     rd = m.rd
     X = m.lattice
     out: list[BDivisorRecord] = []
     for i in table.roots_of_type("c"):
-        cov = _half_coroot(rd, i)
-        phi = LatticeFunctional.from_covector(cov, X)
-        out.append(BDivisorRecord("?", phi, None, "type_c", (i,), cov))
+        phi = LatticeFunctional(X, _half_column(X, i))
+        out.append(BDivisorRecord(
+            "?", phi, None, "type_c", (i,), _half_coroot(rd, i)))
     done: set[int] = set()
     for i in table.roots_of_type("d"):
         if i in done:
             continue
         j = table.partner_of(i)
         cov = rd.simple_coroot(i)
-        phi = LatticeFunctional.from_covector(cov, X)
+        phi = LatticeFunctional(X, X.columns[i])
         if j is None:
             out.append(BDivisorRecord("?", phi, None, "type_d", (i,), cov))
             done.add(i)
         else:
-            phi_j = LatticeFunctional.from_covector(rd.simple_coroot(j), X)
-            if phi_j.values != phi.values:
+            if X.columns[j] != X.columns[i]:
                 raise RecoveryError(
                     "invalid datum: partnered d-roots restrict differently "
                     "to the weight lattice")
@@ -236,7 +243,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                 case = "2"
                 (alpha,) = found
                 cov = _half_coroot(rd, alpha)
-                phi = LatticeFunctional.from_covector(cov, X)
+                phi = LatticeFunctional(X, _half_column(X, alpha))
                 for _ in range(2):
                     minted.append(BDivisorRecord(
                         "?", phi, None, "case_2", (alpha,), cov))
@@ -258,8 +265,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                     if len(ones) != 1:
                         continue
                     base = ones[0]
-                    phi = LatticeFunctional.from_covector(
-                        rd.simple_coroot(alpha), X) - base.phi
+                    phi = LatticeFunctional(X, X.columns[alpha]) - base.phi
                     cov = rd.simple_coroot(alpha) - base.coroot_form \
                         if base.coroot_form is not None else None
                     if phi.values in new:
@@ -308,21 +314,29 @@ def _pairing_to_one(cov: CovectorVec, roots, rd: RootData) -> set[int]:
             if _dot(c, rd.simple_root(beta).coords) == den}
 
 
-def stabilizer_of(rec: BDivisorRecord, table: RootTypeTable,
-                  m: WeightMonoid) -> ParabolicSet:
-    """The parabolic stabilizer, from the origin of the divisor.
+def stabilizers_of(recs: list[BDivisorRecord], table: RootTypeTable,
+                   m: WeightMonoid) -> list[ParabolicSet]:
+    """The parabolic stabilizer of each record, from the origin of the
+    divisor.
 
     For the recovered (stable or type-b) divisors the moved roots are the
     type-b roots pairing to one with the functional; an empty set means
-    the divisor is stable under the whole group.
+    the divisor is stable under the whole group.  Each type-b root is
+    checked against the span of the lattice once, before any record, and
+    a functional with integer form (d, w) pairs to one with it iff
+    w.alpha = d * den (`span_vector`).
     """
+    b_roots = [(beta, span_vector(m.lattice, m.rd.simple_root(beta).coords))
+               for beta in table.roots_of_type("b")]
+    return [_stabilizer(rec, b_roots, m) for rec in recs]
+
+
+def _stabilizer(rec: BDivisorRecord, b_roots, m: WeightMonoid) -> ParabolicSet:
     rd = m.rd
     active = frozenset(m.active_roots)
     if rec.source in ("case_1c", "case_2", "case_3"):
-        moved = set()
-        for beta in table.roots_of_type("b"):
-            if rec.phi.eval_weight(rd.simple_root(beta)) == 1:
-                moved.add(beta)
+        d, w = rec.phi.integer_form
+        moved = {beta for beta, (den, v) in b_roots if _dot(w, v) == d * den}
         if rec.coroot_form is not None:
             cross = _pairing_to_one(rec.coroot_form, active, rd)
             if cross != moved:
@@ -352,7 +366,8 @@ def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
     recs = recover_prime(m, psi, trace, warnings)
     table = _root_types(m, psi)
     recs += recover_type_cd_divisors(m, psi, table)
-    recs = [r.with_stabilizer(stabilizer_of(r, table, m)) for r in recs]
+    recs = [r.with_stabilizer(p)
+            for r, p in zip(recs, stabilizers_of(recs, table, m))]
     recs.sort(key=lambda r: (r.phi.values, r.source, r.source_roots))
     final = [BDivisorRecord(f"D{i + 1}", r.phi, r.stabilizer, r.source,
                             r.source_roots, r.coroot_form)
@@ -411,7 +426,8 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
             rep.fail("type_a_moved",
                      f"type-a root {i + 1} moves {moved[0].divisor_id}")
 
-    # (ii) type-b pairs
+    # (ii) type-b pairs; the coroot of root i on X is column i of its
+    # basis, and each root is checked against the span of X once
     for i in table.roots_of_type("b"):
         alpha = rd.simple_root(i)
         moved = datum.divisors_moved_by(i)
@@ -419,15 +435,16 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
             rep.fail("b_pair_count",
                      f"type-b root {i + 1} moves {len(moved)} divisors, not 2")
             continue
-        bad_pairing = [d for d in moved if d.phi.eval_weight(alpha) != 1]
+        den, v = span_vector(X, alpha.coords)
+        bad_pairing = [d for d in moved if _dot(d.phi.integer_form[1], v)
+                       != d.phi.integer_form[0] * den]
         if bad_pairing:
             rep.fail("b_pair_pairing",
                      f"divisor {bad_pairing[0].divisor_id} pairs "
                      f"{bad_pairing[0].phi.eval_weight(alpha)} with type-b "
                      f"root {i + 1}, not 1")
         total = moved[0].phi + moved[1].phi
-        coroot = LatticeFunctional.from_covector(rd.simple_coroot(i), X)
-        if total.values != coroot.values:
+        if total.values != X.columns[i]:
             rep.fail("b_pair_sum",
                      f"functionals at type-b root {i + 1} do not sum to the coroot")
 
@@ -438,8 +455,7 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
             rep.fail("c_count",
                      f"type-c root {i + 1} moves {len(moved)} divisors, not 1")
             continue
-        half = LatticeFunctional.from_covector(_half_coroot(rd, i), X)
-        if moved[0].phi.values != half.values:
+        if moved[0].phi.values != _half_column(X, i):
             rep.fail("c_phi",
                      f"type-c divisor at root {i + 1} is not half the coroot")
 
@@ -450,8 +466,7 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
             rep.fail("d_count",
                      f"type-d root {i + 1} moves {len(moved)} divisors, not 1")
             continue
-        coroot = LatticeFunctional.from_covector(rd.simple_coroot(i), X)
-        if moved[0].phi.values != coroot.values:
+        if moved[0].phi.values != X.columns[i]:
             rep.fail("d_phi",
                      f"type-d divisor at root {i + 1} is not the coroot")
         partner = table.partner_of(i)
@@ -478,16 +493,22 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
                          f"divisor {d.divisor_id} is moved by an incompatible "
                          f"set of roots {[x + 1 for x in moved]}")
 
-    # (v) sign constraint for elementary-form roots
+    # (v) sign constraint for elementary-form roots: each root is checked
+    # against the span of X once, where the first divisor it is read on
+    # asks for it, and phi has the sign of w.v there
     for g, tag in zip(datum.psi.roots, datum.psi.forms):
         if tag.kind == "none":
             continue
         alpha1 = tag.roots[0]
+        v = None
         for d in datum.divisors:
-            if alpha1 in d.stabilizer.roots and d.phi.eval_weight(g) > 0:
-                rep.fail("lemma_sign",
-                         f"divisor {d.divisor_id} outside the moved set of an "
-                         "elementary root pairs positively with it")
+            if alpha1 in d.stabilizer.roots:
+                if v is None:
+                    v = span_vector(X, g.coords)[1]
+                if _dot(d.phi.integer_form[1], v) > 0:
+                    rep.fail("lemma_sign",
+                             f"divisor {d.divisor_id} outside the moved set "
+                             "of an elementary root pairs positively with it")
 
     # (vi) monoid recovery from the divisor half-spaces, for saturated M.
     # A violation needs M saturated and the identity failing, so the

@@ -15,7 +15,9 @@ The constants derived from the Cartan matrix C are built with it: the
 simple roots and coroots, and C^-1 held over its determinant as the pair
 (p, p C^-1) with p C^-1 an integer matrix.  C is block diagonal, one
 block per simple factor, and p is the least common multiple of the
-blocks' determinants (|det C| for a simple group).  The simple-root
+blocks' determinants (|det C| for a simple group).  The inverse of a
+classical block (A, B, C, D) is written in closed form, and that of an
+exceptional one is a Bareiss inverse.  The simple-root
 coefficients of a weight are then an integer matrix-vector product and
 one exact division by p per coordinate, and the invariant form is read
 off C^-1 and the root lengths.
@@ -36,9 +38,9 @@ VALID_TYPES = {"A", "B", "C", "D", "E", "F", "G"}
 # `build_root_data` takes.  Its Cartan matrix and the inverse have
 # rank^2 entries, so a one-line document naming A100000 would otherwise
 # ask for 10^10 of them before any other check.  Measured with Python
-# 3.11 on a 2-vCPU Xeon VM: the A128 root data builds in 0.4 s and the
-# A128 full flag G/U recovers through the CLI in 1.1 s (1.05–1.17 s
-# over three runs); A200 takes 1.5 s for the root data alone.
+# 3.11 on a 2-vCPU Xeon VM: the A128 root data builds in 0.03 s and the
+# A128 full flag G/U recovers through the CLI in 0.7 s (0.68–0.80 s
+# over three runs); A200 takes 0.06 s for the root data alone.
 MAX_GROUP_DIM = 128
 
 
@@ -122,6 +124,39 @@ def _cartan_block(dynkin: str, n: int) -> list[list[int]]:
         # first root long, second short
         edge(0, 1, -1, -3)
     return C
+
+
+def _cartan_inverse(dynkin: str, n: int,
+                    block: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det C, det C^-1) for the Cartan block of the given type, as
+    `_scaled_inverse` gives it.  Entry (i, j) of C^-1 is the coefficient
+    of alpha_i in omega_j.  The four classical series are written in
+    closed form (Bourbaki, Lie Groups and Lie Algebras, ch. 4-6,
+    Planches I-IV), 1-indexed here:
+    A_n: det n + 1, entries min(i, j) (n + 1 - max(i, j));
+    B_n: det 2, entries 2 min(i, j), and i in column n;
+    C_n: det 2, entries 2 min(i, j), and j in row n;
+    D_n: det 4, entries 4 min(i, j) off the two spin nodes n - 1 and n,
+    2i in their columns, 2j in their rows, and among them n on the
+    diagonal and n - 2 off it.
+    E, F and G, of rank at most 8, take the Bareiss inverse."""
+    rows = range(1, n + 1)
+    if dynkin == "A":
+        return n + 1, [[min(i, j) * (n + 1 - max(i, j)) for j in rows]
+                       for i in rows]
+    if dynkin == "B":
+        return 2, [[2 * min(i, j) if j < n else i for j in rows] for i in rows]
+    if dynkin == "C":
+        return 2, [[2 * min(i, j) if i < n else j for j in rows] for i in rows]
+    if dynkin == "D":
+        def entry(i: int, j: int) -> int:
+            if i < n - 1 and j < n - 1:
+                return 4 * min(i, j)
+            if i < n - 1 or j < n - 1:
+                return 2 * min(i, j)
+            return n if i == j else n - 2
+        return 4, [[entry(i, j) for j in rows] for i in rows]
+    return _scaled_inverse(block)
 
 
 def _length_block(dynkin: str, n: int) -> list[int | Fraction]:
@@ -280,7 +315,8 @@ def build_root_data(spec: GroupSpec) -> RootData:
     n = spec.simple_rank
     dim = spec.dim
     blocks = [_cartan_block(t, r) for t, r in spec.factors]
-    inverses = [_scaled_inverse(blk) for blk in blocks]
+    inverses = [_cartan_inverse(t, r, blk)
+                for (t, r), blk in zip(spec.factors, blocks)]
     # C and C^-1 are block diagonal: each factor gives (det, det C_f^-1)
     # with det = ±det C_f, and C^-1 is held over p, the lcm of the |det|
     p = math.lcm(*(abs(det) for det, _ in inverses))

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .luna import LunaDatum, RootTypeTable
+from .luna import LunaDatum, RootTypeTable, span_vector
 from .monoid import WeightMonoid
-from .polyhedral import Lattice, cached_property
+from .polyhedral import Lattice, _dot, cached_property
 from .rootsys import (
     RootData,
     RootDataError,
@@ -126,6 +126,10 @@ def classify_root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable
     root matching several classes means the datum is invalid.  The
     positive multiples of a simple root among the spherical roots are
     read off the coefficient vectors supported on it alone.
+
+    Partnered d-roots restrict to the same functional on the lattice, so
+    the d-roots are grouped by their coroot columns (`Lattice.columns`)
+    and partners are looked for within a group only.
     """
     active = sorted(m.active_roots)
     multiples: dict[int, list[int | Fraction]] = {}
@@ -159,9 +163,14 @@ def classify_root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable
         else:
             entries.append((i, "d"))
     d_roots = [i for i, t in entries if t == "d"]
+    columns = m.lattice.columns
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in d_roots:
+        groups.setdefault(columns[i], []).append(i)
     partners = []
     for i in d_roots:
-        found = [j for j in d_roots if j != i and _is_partner(m, psi, i, j)]
+        found = [j for j in groups[columns[i]]
+                 if j != i and _is_partner(m, psi, i, j)]
         if len(found) > 1:
             raise SphericalError(
                 f"invalid datum: simple root {i + 1} has multiple d-partners")
@@ -178,10 +187,11 @@ def _is_partner(m: WeightMonoid, psi: SphericalRootSet, i: int, j: int) -> bool:
     rd = m.rd
     if rd.cartan[i][j] != 0:
         return False
-    # alpha_i^vee - alpha_j^vee must vanish on the whole weight lattice
-    for b in m.lattice.basis:
-        if b[i] != b[j]:
-            return False
+    # alpha_i^vee - alpha_j^vee must vanish on the whole weight lattice:
+    # the coroots restrict to columns i and j of its basis
+    columns = m.lattice.columns
+    if columns[i] != columns[j]:
+        return False
     # alpha_i + alpha_j or half of it among the roots, by coefficients
     pair = tuple(int(k in (i, j)) for k in range(rd.n_simple))
     half = tuple(Fraction(x, 2) for x in pair)
@@ -229,14 +239,19 @@ def elementary_forms(psi: SphericalRootSet) -> tuple[FormTag, ...]:
 
 def hidden_divisors(datum: LunaDatum) -> frozenset[str]:
     """Divisors on which every noninvertible monoid element pairs strictly
-    positively (and the invertible part pairs to zero)."""
-    mins = datum.monoid.minimal_generators
-    inv = datum.monoid.invertible_lattice
+    positively (and the invertible part pairs to zero).  The minimal
+    generators and the units are checked against the span of the lattice
+    once each; a functional has the sign of w.v there (`span_vector`)."""
+    X = datum.lattice
+    mins = [span_vector(X, g.coords)[1]
+            for g in datum.monoid.minimal_generators]
+    units = [span_vector(X, b)[1] for b in datum.monoid.invertible_lattice.basis]
     out = []
     for d in datum.divisors:
-        if any(d.phi.eval_weight(g) <= 0 for g in mins):
+        w = d.phi.integer_form[1]
+        if any(_dot(w, g) <= 0 for g in mins):
             continue
-        if any(d.phi.evaluate(b) != 0 for b in inv.basis):
+        if any(_dot(w, b) for b in units):
             continue
         out.append(d.divisor_id)
     return frozenset(out)

@@ -12,12 +12,14 @@ span of the lattice, and `valuation_cone`, which refuses a root off it.
 
 from fractions import Fraction
 
-from sphervar.luna import BDivisorRecord, LunaDatum
+from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
 from sphervar.monoid import MonoidError, WeightMonoid
 from sphervar.polyhedral import (
     Lattice,
     PolyhedralError,
     RationalCone,
+    _clear_denominators,
+    _dot,
     exact,
     primitive,
 )
@@ -51,6 +53,14 @@ def fundamental_weight(rd: RootData, i: int) -> WeightVec:
 
 def covector(rd: RootData, coords) -> CovectorVec:
     return CovectorVec(rd.spec, tuple(coords))
+
+
+def from_covector(cov: CovectorVec, lattice: Lattice) -> LatticeFunctional:
+    """The restriction of a covector to the lattice: its values on the
+    basis, one dot product each."""
+    den, c = _clear_denominators(cov.coords)
+    return LatticeFunctional(
+        lattice, tuple(exact(_dot(c, b), den) for b in lattice.basis))
 
 
 def pairing(c: CovectorVec, w: WeightVec) -> int | Fraction:

@@ -14,6 +14,10 @@ the order it had before the recovery identity was asked first.
 `reference_type_a_roots` is the type-a set as it was read, off the
 minimal generators of the monoid, kept to judge
 `WeightMonoid.type_a_roots`, which reads it off the generators.
+`reference_classify_root_types` is `classify_root_types` with its
+former partner search, every ordered pair of d-roots tested against the
+lattice basis row by row, kept to judge the search that groups the
+d-roots by their coroot columns first.
 """
 
 import itertools
@@ -23,6 +27,7 @@ from math import isqrt
 from builders import primitive_vector
 from sphervar.monoid import MonoidError
 from sphervar.polyhedral import RationalCone, _dd, primitive
+from sphervar.luna import RootTypeTable
 from sphervar.recovery import _monoid_recovery_identity, validate_luna_datum
 from sphervar.spherical import SphericalError
 
@@ -314,3 +319,60 @@ def reference_type_a_roots(m):
     mins = m.minimal_generators
     return frozenset(i for i in m.active_roots
                      if sum(g.coords[i] for g in mins) == 0)
+
+
+def _reference_is_partner(m, psi, i, j):
+    rd = m.rd
+    if rd.cartan[i][j] != 0:
+        return False
+    for b in m.lattice.basis:
+        if b[i] != b[j]:
+            return False
+    pair = tuple(int(k in (i, j)) for k in range(rd.n_simple))
+    half = tuple(Fraction(x, 2) for x in pair)
+    return pair in psi.coefficients or half in psi.coefficients
+
+
+def reference_classify_root_types(m, psi):
+    """`classify_root_types` with the all-pairs partner search."""
+    multiples = {}
+    for supp, cs in zip(psi.supports, psi.coefficients):
+        if len(supp) == 1:
+            (i,) = supp
+            if cs[i] > 0:
+                multiples.setdefault(i, []).append(cs[i])
+    entries = []
+    for i in sorted(m.active_roots):
+        qs = multiples.get(i, [])
+        if any(q not in (1, 2) for q in qs):
+            raise SphericalError(
+                f"invalid root set: a non-root multiple of simple root {i + 1} "
+                "appears among the spherical roots")
+        is_b, is_c = 1 in qs, 2 in qs
+        if is_b and is_c:
+            raise SphericalError(
+                f"invalid root set: both alpha and 2*alpha in it (root {i + 1})")
+        if i in m.type_a_roots:
+            if is_b or is_c:
+                raise SphericalError(
+                    f"invalid datum: simple root {i + 1} is orthogonal to the "
+                    "monoid yet appears in the spherical roots")
+            entries.append((i, "a"))
+        else:
+            entries.append((i, "b" if is_b else "c" if is_c else "d"))
+    d_roots = [i for i, t in entries if t == "d"]
+    partners = []
+    for i in d_roots:
+        found = [j for j in d_roots
+                 if j != i and _reference_is_partner(m, psi, i, j)]
+        if len(found) > 1:
+            raise SphericalError(
+                f"invalid datum: simple root {i + 1} has multiple d-partners")
+        if found:
+            j = found[0]
+            if not _reference_is_partner(m, psi, j, i):
+                raise SphericalError(
+                    "invalid datum: asymmetric d-partner relation")
+            if (min(i, j), max(i, j)) not in partners:
+                partners.append((min(i, j), max(i, j)))
+    return RootTypeTable(tuple(entries), tuple(sorted(partners)))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from builders import (
     covector,
+    from_covector,
     fundamental_weight,
     localize_datum,
     monoid_of,
@@ -24,6 +25,7 @@ from builders import (
 )
 from corpus import build_corpus
 from references import (
+    reference_classify_root_types,
     reference_cone,
     reference_det,
     reference_inequality_cone,
@@ -60,6 +62,7 @@ from sphervar.polyhedral import (
 from sphervar.recovery import (
     RecoveryError,
     RecursionNode,
+    _half_column,
     _half_coroot,
     _monoid_recovery_identity,
     recover_divisors,
@@ -1184,7 +1187,7 @@ def test_from_covector_matches_the_reference(data, draw):
     lat, v = data
     cov = CovectorVec(GroupSpec((), lat.dim), tuple(draw.draw(
         st.lists(entries, min_size=lat.dim, max_size=lat.dim))))
-    phi = LatticeFunctional.from_covector(cov, lat)
+    phi = from_covector(cov, lat)
     assert phi == reference_from_covector(cov, lat)
     if lat.coords(v) is not None:
         assert phi.evaluate(v) == sum(a * b for a, b in zip(cov.coords, v))
@@ -1285,7 +1288,7 @@ def test_functionals_hold_int_exactly_when_integral(data, draw):
     assert_canonical((phi - psi).values, [x - y for x, y in zip(values, other)])
     cov = CovectorVec(GroupSpec((), lat.dim), tuple(draw.draw(
         st.lists(rationals, min_size=lat.dim, max_size=lat.dim))))
-    assert_canonical(LatticeFunctional.from_covector(cov, lat).values,
+    assert_canonical(from_covector(cov, lat).values,
                      reference_from_covector(cov, lat).values)
     try:
         expected = reference_evaluate(phi, v)
@@ -1419,6 +1422,7 @@ def test_integer_walk_matches_the_reference_on_corpus_products():
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 BENCH_DOCUMENTS = sorted(BENCH_INPUTS.glob("*/*.json"))
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.mark.parametrize("path", BENCH_DOCUMENTS,
@@ -1706,3 +1710,185 @@ def flag_monoids(draw):
 @given(flag_monoids())
 def test_type_a_roots_match_the_reference_on_flag_monoids(m):
     _assert_type_a_roots_match_the_reference(m, m.generators)
+
+
+# -- the coroot functionals, read off the lattice basis ------------------------
+#
+# The coroot of simple root i is e_i in coroot coordinates, so its values
+# on the basis of X are column i of the basis (`Lattice.columns`), and
+# half of it is that column halved.  `reference_from_covector` is the
+# covector solve these replace.
+
+def _assert_columns_match_the_covector_reference(m, name):
+    rd, X = m.rd, m.lattice
+    assert len(X.columns) == rd.dim, name
+    for j in range(rd.dim):
+        unit = covector(rd, [int(k == j) for k in range(rd.dim)])
+        assert_canonical(X.columns[j], reference_from_covector(unit, X).values)
+    for i in range(rd.n_simple):
+        assert_canonical(
+            X.columns[i],
+            reference_from_covector(rd.simple_coroot(i), X).values)
+        assert_canonical(
+            _half_column(X, i),
+            reference_from_covector(_half_coroot(rd, i), X).values)
+
+
+def test_coroot_columns_match_the_covector_reference_on_the_corpus():
+    # the corpus and its localizations, which hold units
+    for m in CORPUS_MONOIDS:
+        _assert_columns_match_the_covector_reference(m, m.generators)
+
+
+def test_coroot_columns_match_the_covector_reference_on_corpus_products():
+    for e1, e2 in itertools.combinations_with_replacement(build_corpus(), 2):
+        m, _ = product(e1, e2)
+        _assert_columns_match_the_covector_reference(m, (e1.name, e2.name))
+
+
+def test_coroot_columns_match_the_covector_reference_on_the_bench_documents():
+    for path in BENCH_DOCUMENTS:
+        _assert_columns_match_the_covector_reference(
+            parse_input(path.read_bytes()).monoid, path.name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_monoids())
+def test_coroot_columns_match_the_covector_reference_on_flag_monoids(m):
+    # central tori, units, Levis and lattices of lower rank, the zero
+    # lattice included
+    _assert_columns_match_the_covector_reference(m, m.generators)
+
+
+@settings(max_examples=100, deadline=None)
+@given(torus_generators(min_size=0))
+def test_coroot_columns_match_the_covector_reference_on_torus_monoids(data):
+    rank, gens = data
+    m = monoid_of(build_root_data(GroupSpec((), rank)), gens)
+    _assert_columns_match_the_covector_reference(m, gens)
+
+
+# -- the integer form on unit pivots -------------------------------------------
+
+@st.composite
+def unit_pivot_lattices(draw):
+    """(lattice, values): a lattice whose HNF basis has every pivot 1 and
+    any entries in the columns that hold no pivot, so in general not the
+    identity on its support, and one rational per basis vector."""
+    dim = draw(st.integers(1, 5))
+    pivots = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
+    rows = []
+    for p in pivots:
+        rows.append(tuple(
+            int(q == p) if q == p or q in pivots or q < p
+            else draw(st.integers(-4, 4)) for q in range(dim)))
+    lat = Lattice.span(rows, dim)
+    assert lat.basis == tuple(rows)
+    return lat, draw(st.lists(rationals, min_size=lat.rank, max_size=lat.rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_pivot_lattices())
+@example((Lattice.span([(1, 0, 2), (0, 1, 3)], 3),
+          [Fraction(1, 2), Fraction(-2, 3)]))
+@example((Lattice.span([(0, 1, 0, -2), (0, 0, 1, 4)], 4),
+          [Fraction(3, 4), Fraction(5, 6)]))
+def test_integer_form_on_unit_pivots_is_read_off_the_values(data):
+    lat, values = data
+    assert lat._unit_pivots
+    with mock.patch.object(Lattice, "_back_substitute",
+                           side_effect=AssertionError("back substitution")):
+        assert lat.integer_form(values) == reference_integer_form(lat, values)
+
+
+def test_integer_form_back_substitutes_exactly_off_unit_pivots():
+    calls = []
+    real = Lattice._back_substitute
+
+    def counted(self, d, rhs):
+        calls.append(self.basis)
+        return real(self, d, rhs)
+
+    with mock.patch.object(Lattice, "_back_substitute", counted):
+        for basis in [((1, 0), (0, 2)), ((2, 1, 0), (0, 3, 1)),
+                      ((1, 0, 2), (0, 1, 3)), ((1, 1),)]:
+            lat = Lattice.span(basis, len(basis[0]))
+            values = [Fraction(1, 3)] * lat.rank
+            assert lat.integer_form(values) == \
+                reference_integer_form(lat, values)
+    assert calls == [((1, 0), (0, 2)), ((2, 1, 0), (0, 3, 1))]
+
+
+# -- the d-partner search by coroot columns ------------------------------------
+
+def _classify_outcome(classify, m, psi):
+    try:
+        return classify(m, psi)
+    except SphericalError as exc:
+        return str(exc)
+
+
+def test_partner_search_matches_the_all_pairs_reference_on_corpus_products():
+    # a1a1_pair_root, a1a1_half_pair and c2a1_hidden carry partnered
+    # d-roots, so the 66 products with one of them do too
+    partnered = 0
+    for e1, e2 in itertools.combinations_with_replacement(build_corpus(), 2):
+        m, psi = product(e1, e2)
+        table = _classify_outcome(classify_root_types, m, psi)
+        assert table == _classify_outcome(reference_classify_root_types,
+                                          m, psi), (e1.name, e2.name)
+        partnered += bool(table.partners)
+        if {e1.name, e2.name} == {"a1a1_pair_root", "a1a1_half_pair"}:
+            assert len(table.partners) == 2
+    assert partnered == 66
+
+
+def test_partner_search_matches_the_all_pairs_reference_on_the_documents():
+    for path in BENCH_DOCUMENTS + sorted(DATA.glob("*.json")):
+        doc = parse_input(path.read_bytes())
+        assert _classify_outcome(classify_root_types, doc.monoid, doc.psi) == \
+            _classify_outcome(reference_classify_root_types,
+                              doc.monoid, doc.psi), path.name
+
+
+@st.composite
+def a1_power_data(draw):
+    """(m, psi) on A1^k, k <= 6, possibly with a central torus: the
+    generators repeat coordinates in a drawn pattern, so that coroot
+    columns coincide, and the roots, built without the checks of
+    `make_spherical_roots`, are drawn among the pair sums, their halves,
+    the simple roots and their doubles, so that a d-root can have two
+    partners."""
+    k = draw(st.integers(2, 6))
+    central = draw(st.integers(0, 1))
+    rd = build_root_data(GroupSpec((("A", 1),) * k, central))
+    pattern = [draw(st.integers(0, 2)) for _ in range(k)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        vals = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+        gens.append(tuple(vals[c] for c in pattern)
+                    + tuple(draw(st.integers(-1, 1)) for _ in range(central)))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    shapes = st.one_of(
+        st.sampled_from(pairs).map(lambda p: {p[0]: 2, p[1]: 2}),
+        st.sampled_from(pairs).map(lambda p: {p[0]: 1, p[1]: 1}),
+        st.integers(0, k - 1).map(lambda i: {i: 2}),
+        st.integers(0, k - 1).map(lambda i: {i: 4}))
+    roots = [tuple(c.get(i, 0) for i in range(k)) + (0,) * central
+             for c in draw(st.lists(shapes, max_size=4, unique_by=str))]
+    psi = SphericalRootSet(rd, tuple(rd.weight(r) for r in roots))
+    return monoid_of(rd, gens), psi
+
+
+@settings(max_examples=300, deadline=None)
+@given(a1_power_data())
+@example((monoid_of(build_root_data(GroupSpec((("A", 1),) * 3)),
+                    [(1, 1, 1)]),
+          SphericalRootSet(build_root_data(GroupSpec((("A", 1),) * 3)),
+                           tuple(build_root_data(GroupSpec(
+                               (("A", 1),) * 3)).weight(r)
+                               for r in [(2, 2, 0), (2, 0, 2)]))))
+def test_partner_search_matches_the_all_pairs_reference_on_a1_powers(data):
+    m, psi = data
+    assert _classify_outcome(classify_root_types, m, psi) == \
+        _classify_outcome(reference_classify_root_types, m, psi)

@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 
 from builders import (
+    from_covector,
     fundamental_weight,
     localize_datum,
     monoid_of,
@@ -21,7 +22,7 @@ from sphervar import monoid as monoid_module
 from sphervar import polyhedral
 from sphervar import recovery as recovery_module
 from sphervar.cli import parse_input
-from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
+from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum, LunaError
 from sphervar.monoid import MonoidError, WeightMonoid
 from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
 from sphervar.recovery import (
@@ -119,8 +120,8 @@ def test_prime_twisted_torus_b_pair_from_class_divisors():
     alpha = e.rd.simple_root(0)
     assert [r.phi.eval_weight(alpha) for r in recs] == [1, 1]
     total = recs[0].phi + recs[1].phi
-    coroot = LatticeFunctional.from_covector(e.rd.simple_coroot(0),
-                                             e.monoid.lattice)
+    coroot = from_covector(e.rd.simple_coroot(0),
+                           e.monoid.lattice)
     assert total.values == coroot.values
     # the pair is already recovered when the full-Levi node is reached, so
     # the case-2 sign hypothesis fails there by design
@@ -140,8 +141,8 @@ def test_prime_case3_reconstruction():
     pair = [r for r in recs if r.phi.eval_weight(alpha) == 1]
     assert len(pair) == 2
     total = pair[0].phi + pair[1].phi
-    coroot = LatticeFunctional.from_covector(e.rd.simple_coroot(0),
-                                             e.monoid.lattice)
+    coroot = from_covector(e.rd.simple_coroot(0),
+                           e.monoid.lattice)
     assert total.values == coroot.values
     stable = [r for r in recs if r.phi.eval_weight(alpha) != 1]
     assert len(stable) == 1 and stable[0].source == "case_1c"
@@ -268,7 +269,7 @@ def test_b_pair_sum_property():
             moved = datum.divisors_moved_by(i)
             assert len(moved) == 2
             total = moved[0].phi + moved[1].phi
-            coroot = LatticeFunctional.from_covector(
+            coroot = from_covector(
                 e.rd.simple_coroot(i), e.monoid.lattice)
             assert total.values == coroot.values
 
@@ -489,7 +490,7 @@ def test_fault_wrong_phi_scale():
     e = corpus_by_name()["so3_x1"]
     datum = recover_entry(e)
     X = e.monoid.lattice
-    bad = _tamper(datum, phi=LatticeFunctional.from_covector(
+    bad = _tamper(datum, phi=from_covector(
         e.rd.simple_coroot(0), X))
     rep = validate_luna_datum(bad)
     codes = {c for c, _ in rep.violations}
@@ -1118,3 +1119,117 @@ def test_full_flag_saturation_checks_no_simplex(factor, monkeypatch):
     assert simplices == []
     assert hilbert_calls == []
     assert m.is_saturated()
+
+
+# -- per-root work once per monoid ---------------------------------------------
+
+def _pair_datum(k):
+    """k partnered A1 x A1 pairs in A1^2k: the monoid and the roots are
+    both generated by 2 omega_2i-1 + 2 omega_2i, one type-d divisor a pair."""
+    rd = build_root_data(GroupSpec((("A", 1),) * (2 * k)))
+    gens = [tuple(2 * (j // 2 == i) for j in range(2 * k)) for i in range(k)]
+    return monoid_of(rd, gens), make_spherical_roots(
+        rd, [rd.weight(g) for g in gens])
+
+
+def _count_in_span():
+    calls = []
+    real = Lattice.in_span
+
+    def counted(self, v):
+        calls.append(tuple(v))
+        return real(self, v)
+
+    return calls, mock.patch.object(Lattice, "in_span", counted)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((BENCH_INPUTS / "flag-ladder").glob("*.json")),
+    ids=lambda p: p.stem)
+def test_a_flag_recovery_solves_no_covector_and_back_substitutes_nothing(path):
+    # the coroot functionals are columns of the basis of Z^n, and an
+    # integer form on unit pivots is read off its values
+    assert not hasattr(LatticeFunctional, "from_covector")
+    doc = parse_input(path.read_bytes())
+    with mock.patch.object(Lattice, "_back_substitute",
+                           side_effect=AssertionError("back substitution")):
+        datum = recover_divisors(doc.monoid, doc.psi)
+        assert validate_luna_datum(datum).passed
+    assert {d.source for d in datum.divisors} == {"type_d"}
+    assert [d.phi.values for d in datum.divisors] == \
+        sorted(doc.monoid.lattice.columns)
+
+
+def test_validation_checks_each_root_against_the_span_once():
+    # 4 pairs: each elementary root is read on the 3 divisors it does not
+    # move, one span check for the 3 readings
+    m, psi = _pair_datum(4)
+    datum = recover_divisors(m, psi)
+    assert m.lattice.annihilator
+    calls, patch = _count_in_span()
+    with patch:
+        assert validate_luna_datum(datum).passed
+    assert sorted(calls) == sorted(g.coords for g in psi.roots)
+
+
+def test_validation_and_stabilizers_check_each_type_b_root_once():
+    # so3_x1 x a1a1_pair_root x toric1: a type-b pair, a type-d divisor
+    # and a stable one, on a lattice of lower rank; checks (ii) and (v)
+    # read alpha once each, and the stabilizers read it once for all
+    rd = build_root_data(GroupSpec((("A", 1),) * 3, 1))
+    m = monoid_of(rd, [(2, 0, 0, 0), (0, 2, 2, 0), (0, 0, 0, 1)])
+    psi = make_spherical_roots(rd, [rd.weight((2, 0, 0, 0)),
+                                    rd.weight((0, 2, 2, 0))])
+    datum = recover_divisors(m, psi)
+    assert sorted(d.source for d in datum.divisors) == \
+        ["case_1c", "case_2", "case_2", "type_d"]
+    assert m.lattice.annihilator
+    alpha = rd.simple_root(0).coords
+    calls, patch = _count_in_span()
+    with patch:
+        assert validate_luna_datum(datum).passed
+    assert sorted(calls) == sorted([alpha, alpha, (0, 2, 2, 0)])
+    calls.clear()
+    with patch:
+        stabilizers = recovery_module.stabilizers_of(
+            datum.divisors, datum.type_table, m)
+    assert stabilizers == [d.stabilizer for d in datum.divisors]
+    assert calls == [alpha]
+
+
+def test_hidden_divisors_check_each_weight_once():
+    # a localization with a unit: each minimal generator and each unit
+    # basis vector is checked once, for all the divisors
+    e = corpus_by_name()["a1_torus2_mixed"]
+    datum = localize_datum(recover_entry(e), e.rd.weight((0, 0, 1)))
+    m = datum.monoid
+    assert m.invertible_lattice.rank and len(datum.divisors) > 1
+    calls, patch = _count_in_span()
+    with patch:
+        hidden = hidden_divisors(datum)
+    assert hidden == _reference_hidden_divisors(datum)
+    assert len(calls) == len(m.minimal_generators) + m.invertible_lattice.rank
+
+
+def _reference_hidden_divisors(datum):
+    m = datum.monoid
+    return frozenset(
+        d.divisor_id for d in datum.divisors
+        if all(d.phi.eval_weight(g) > 0 for g in m.minimal_generators)
+        and all(d.phi.evaluate(b) == 0 for b in m.invertible_lattice.basis))
+
+
+def test_a_weight_off_the_span_raises_where_it_is_first_read():
+    # a root off the span of X raises LunaError at check (v) once a
+    # divisor holds its first simple root, and not while none does
+    m, psi = _pair_datum(2)
+    datum = recover_divisors(m, psi)
+    rd = m.rd
+    off = make_spherical_roots(rd, [rd.weight((2, 0, 0, 0))])
+    tag_held = LunaDatum(m, off, datum.type_table, datum.divisors)
+    with pytest.raises(LunaError, match="outside the lattice span"):
+        validate_luna_datum(tag_held)
+    unheld = LunaDatum(m, off, datum.type_table, tuple(
+        replace(d, stabilizer=ParabolicSet(d.stabilizer.roots - {0}))
+        for d in datum.divisors))
+    validate_luna_datum(unheld)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,13 @@ from hypothesis import strategies as st
 
 from builders import covector, fundamental_weight, pairing, support
 from references import reference_rational_solve
-from sphervar.polyhedral import exact
+from sphervar.polyhedral import _scaled_inverse, exact
 from sphervar.rootsys import (
     MAX_GROUP_DIM,
     GroupSpec,
     RootDataError,
+    _cartan_block,
+    _cartan_inverse,
     build_root_data,
     root_coefficients,
     symmetric_form,
@@ -274,3 +277,38 @@ def test_cartan_inverse_is_held_over_the_determinants(factors, p):
     for i in range(n):
         for j in range(n):
             assert sum(inv[i][k] * rd.cartan[k][j] for k in range(n)) == p * (i == j)
+
+
+CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
+def _assert_closed_form_is_the_bareiss_inverse(dynkin, n):
+    block = _cartan_block(dynkin, n)
+    assert _cartan_inverse(dynkin, n, block) == _scaled_inverse(block), \
+        (dynkin, n)
+
+
+@pytest.mark.parametrize("dynkin", sorted(CLASSICAL_MIN_RANK))
+def test_classical_cartan_inverses_in_closed_form_match_bareiss(dynkin):
+    # every rank from 1 to 24, and a sample up to the group-size limit;
+    # the full sweep to 128 is a minute of Bareiss
+    ranks = list(range(CLASSICAL_MIN_RANK[dynkin], 25)) + [31, 50, 64, 97]
+    for n in ranks:
+        _assert_closed_form_is_the_bareiss_inverse(dynkin, n)
+
+
+@pytest.mark.parametrize("dynkin, n", [("E", 6), ("E", 7), ("E", 8),
+                                       ("F", 4), ("G", 2)])
+def test_exceptional_cartan_inverses_are_the_bareiss_inverse(dynkin, n):
+    block = _cartan_block(dynkin, n)
+    assert _cartan_inverse(dynkin, n, block) == _scaled_inverse(block)
+
+
+def test_a_classical_root_datum_takes_no_bareiss_inverse(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("Bareiss inverse of a classical Cartan block")
+
+    monkeypatch.setattr("sphervar.rootsys._scaled_inverse", refuse)
+    rd = build_root_data(GroupSpec((("A", 128 - 13), ("B", 3), ("C", 4),
+                                    ("D", 6)), 0))
+    assert rd.cartan_inverse[0] == lcm(116, 2, 2, 4)
