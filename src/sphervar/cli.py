@@ -695,10 +695,11 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecoveryError, SphericalError, MonoidError) as exc:
-        # retain a machine-readable report alongside the nonzero exit
-        print(f"error: invalid datum: {exc}", file=sys.stderr)
-        print(_machine_block(args.command, digest,
-                             {"error": f"invalid datum: {exc}"}, []))
+        # retain a machine-readable report alongside the nonzero exit; a
+        # message that already names an invalid datum is not prefixed twice
+        error = "invalid datum: " + str(exc).removeprefix("invalid datum: ")
+        print(f"error: {error}", file=sys.stderr)
+        print(_machine_block(args.command, digest, {"error": error}, []))
         return 1
 
     _emit(args.command, digest, payload, warnings, args.format)

@@ -1,12 +1,13 @@
 """Shared value types for B-divisor data.
 
-A divisor's valuation vector is primarily a functional on the weight
-lattice X, stored by its values on the canonical lattice basis; when the
-divisor comes from an explicit coroot formula the coroot presentation is
-kept alongside for cross-checks against simple roots outside X.  The
-coroot of simple root i is e_i in coroot coordinates, so its values are
-column i of the basis (`Lattice.columns`), and half of it is that column
-halved.
+A divisor's valuation vector is a functional on the weight lattice X,
+stored by its values on the canonical lattice basis.  The coroot of
+simple root i is e_i in coroot coordinates, so its values are column i
+of the basis (`Lattice.columns`), and half of it is that column halved.
+Only case-2 and case-3 records keep a coroot presentation alongside, so
+that a case-3 divisor based on a case-2 one can be cross-checked on
+simple roots outside X.  A type-c or type-d record needs none, as its
+stabilizer follows from its roots.
 
 Each functional also carries one integer form, computed once: a
 denominator d > 0, least possible, and an integer covector w on Z^dim,
@@ -111,10 +112,6 @@ class BDivisorRecord:
         if self.stabilizer is None:
             raise LunaError("stabilizer not computed yet")
         return frozenset(range(n_simple)) - self.stabilizer.roots
-
-    def with_stabilizer(self, p: ParabolicSet) -> "BDivisorRecord":
-        return BDivisorRecord(self.divisor_id, self.phi, p, self.source,
-                              self.source_roots, self.coroot_form)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ root, or per partnered pair of d-roots).  The rest — the stable divisors
 and the pairs attached to type-b roots — are recovered by walking the
 faces of cone(M) from largest to smallest: at each face one of four
 exclusive situations (1a, 1c, 2, 3) determines which new divisors appear
-with which valuation functionals.  Stabilizers are then read off from
-the pairing of the functional against the type-b roots.
+with which valuation functionals.  Each stabilizer follows from the
+divisor's origin: a type-c, type-d or case-2 divisor is moved by exactly
+the roots it was minted from, a class (1c) or case-3 divisor by the
+type-b roots its functional pairs to one with.
 
 Only the faces that can mint a divisor, warn or raise are walked.  A
 face whose Levi is the type-a roots mints only if it is the whole cone
@@ -112,31 +114,23 @@ def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
     """Divisors attached to type-c and type-d roots: one per c-root with
     half the coroot, one per d-root or partnered d-pair with the coroot.
     The coroot of root i restricted to X is column i of its basis."""
-    rd = m.rd
     X = m.lattice
-    out: list[BDivisorRecord] = []
-    for i in table.roots_of_type("c"):
-        phi = LatticeFunctional(X, _half_column(X, i))
-        out.append(BDivisorRecord(
-            "?", phi, None, "type_c", (i,), _half_coroot(rd, i)))
+    out = [BDivisorRecord("?", LatticeFunctional(X, _half_column(X, i)), None,
+                          "type_c", (i,))
+           for i in table.roots_of_type("c")]
     done: set[int] = set()
     for i in table.roots_of_type("d"):
         if i in done:
             continue
         j = table.partner_of(i)
-        cov = rd.simple_coroot(i)
-        phi = LatticeFunctional(X, X.columns[i])
-        if j is None:
-            out.append(BDivisorRecord("?", phi, None, "type_d", (i,), cov))
-            done.add(i)
-        else:
-            if X.columns[j] != X.columns[i]:
-                raise RecoveryError(
-                    "invalid datum: partnered d-roots restrict differently "
-                    "to the weight lattice")
-            out.append(BDivisorRecord(
-                "?", phi, None, "type_d", tuple(sorted((i, j))), cov))
-            done.update((i, j))
+        if j is not None and X.columns[j] != X.columns[i]:
+            raise RecoveryError(
+                "invalid datum: partnered d-roots restrict differently "
+                "to the weight lattice")
+        roots = (i,) if j is None else tuple(sorted((i, j)))
+        out.append(BDivisorRecord(
+            "?", LatticeFunctional(X, X.columns[i]), None, "type_d", roots))
+        done.update(roots)
     return out
 
 
@@ -253,8 +247,10 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                         "case-2 sign hypothesis failed at node "
                         f"{tuple(j + 1 for j in face)}; falling through")
                 case = "3"
-                new: dict[tuple[int | Fraction, ...],
-                          tuple[list[int], BDivisorRecord]] = {}
+                # the roots that give one functional are grouped before
+                # its record is built; `found` lists them in ascending order
+                new: dict[tuple[int | Fraction, ...], tuple[
+                    list[int], LatticeFunctional, CovectorVec | None]] = {}
                 for alpha in found:
                     root = rd.simple_root(alpha).int_coords()
                     ones = []
@@ -266,23 +262,21 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                         continue
                     base = ones[0]
                     phi = LatticeFunctional(X, X.columns[alpha]) - base.phi
-                    cov = rd.simple_coroot(alpha) - base.coroot_form \
-                        if base.coroot_form is not None else None
                     if phi.values in new:
                         new[phi.values][0].append(alpha)
                     else:
-                        new[phi.values] = ([alpha], BDivisorRecord(
-                            "?", phi, None, "case_3", (), cov))
+                        cov = rd.simple_coroot(alpha) - base.coroot_form \
+                            if base.coroot_form is not None else None
+                        new[phi.values] = ([alpha], phi, cov)
                 for values in sorted(new):
-                    roots, rec = new[values]
+                    roots, phi, cov = new[values]
                     if any(r.phi.values == values for r in overline):
                         raise RecoveryError(
                             "invalid datum: reconstructed divisor "
                             "duplicates a recovered one")
-                    _check_node_pattern(rec.phi, gens, face)
+                    _check_node_pattern(phi, gens, face)
                     minted.append(BDivisorRecord(
-                        "?", rec.phi, None, "case_3",
-                        tuple(sorted(roots)), rec.coroot_form))
+                        "?", phi, None, "case_3", tuple(roots), cov))
         pool.extend(minted)
         if trace is not None:
             trace.append(RecursionNode(
@@ -316,15 +310,20 @@ def _pairing_to_one(cov: CovectorVec, roots, rd: RootData) -> set[int]:
 
 def stabilizers_of(recs: list[BDivisorRecord], table: RootTypeTable,
                    m: WeightMonoid) -> list[ParabolicSet]:
-    """The parabolic stabilizer of each record, from the origin of the
-    divisor.
+    """The parabolic stabilizer of each record, which follows from the
+    origin of the divisor.
 
-    For the recovered (stable or type-b) divisors the moved roots are the
-    type-b roots pairing to one with the functional; an empty set means
-    the divisor is stable under the whole group.  Each type-b root is
-    checked against the span of the lattice once, before any record, and
-    a functional with integer form (d, w) pairs to one with it iff
-    w.alpha = d * den (`span_vector`).
+    A type-c, type-d or case-2 divisor is moved by exactly the roots it
+    was minted from: its functional is the coroot of such a root alpha,
+    or half of it, and <alpha^vee, beta> = 2 only for beta = alpha, as
+    every off-diagonal Cartan entry is <= 0.  A class divisor (case 1c)
+    or a case-3 divisor is moved by the type-b roots that pair to one
+    with its functional; an empty set means the divisor is stable under
+    the whole group.  Each type-b root is checked against the span of
+    the lattice once, before any record, and a functional with integer
+    form (d, w) pairs to one with it iff w.alpha = d * den
+    (`span_vector`).  A coroot presentation, which a case-3 divisor
+    based on a case-2 one carries, must move the same roots.
     """
     b_roots = [(beta, span_vector(m.lattice, m.rd.simple_root(beta).coords))
                for beta in table.roots_of_type("b")]
@@ -332,47 +331,37 @@ def stabilizers_of(recs: list[BDivisorRecord], table: RootTypeTable,
 
 
 def _stabilizer(rec: BDivisorRecord, b_roots, m: WeightMonoid) -> ParabolicSet:
-    rd = m.rd
     active = frozenset(m.active_roots)
-    if rec.source in ("case_1c", "case_2", "case_3"):
-        d, w = rec.phi.integer_form
-        moved = {beta for beta, (den, v) in b_roots if _dot(w, v) == d * den}
-        if rec.coroot_form is not None:
-            cross = _pairing_to_one(rec.coroot_form, active, rd)
-            if cross != moved:
-                raise RecoveryError(
-                    "invalid datum: coroot presentation moves roots "
-                    f"{sorted(cross)} but the functional moves {sorted(moved)}")
-        if rec.source == "case_2" and moved != set(rec.source_roots):
-            raise RecoveryError(
-                "invalid datum: a type-b pair divisor moves unexpected roots")
-        return ParabolicSet(active - frozenset(moved))
-    if rec.source == "type_c":
-        (alpha,) = rec.source_roots
-        if _pairing_to_one(rec.coroot_form, active, rd) != {alpha}:
-            raise RecoveryError(
-                "invalid datum: type-c divisor moves roots other than its root")
-        return ParabolicSet(active - {alpha})
-    if rec.source == "type_d":
+    if rec.source in ("type_c", "type_d", "case_2"):
         return ParabolicSet(active - frozenset(rec.source_roots))
-    raise RecoveryError(f"unknown divisor source {rec.source!r}")
+    if rec.source not in ("case_1c", "case_3"):
+        raise RecoveryError(f"unknown divisor source {rec.source!r}")
+    d, w = rec.phi.integer_form
+    moved = {beta for beta, (den, v) in b_roots if _dot(w, v) == d * den}
+    if rec.coroot_form is not None:
+        cross = _pairing_to_one(rec.coroot_form, active, m.rd)
+        if cross != moved:
+            raise RecoveryError(
+                "invalid datum: coroot presentation moves roots "
+                f"{sorted(cross)} but the functional moves {sorted(moved)}")
+    return ParabolicSet(active - frozenset(moved))
 
 
 def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
                      trace: list[RecursionNode] | None = None,
                      warnings: list[str] | None = None) -> LunaDatum:
     """Full divisor recovery: the recursive walk plus the c/d divisors,
-    stabilizers filled in, assembled and validated."""
+    each built once with its id and stabilizer, assembled and validated."""
     recs = recover_prime(m, psi, trace, warnings)
     table = _root_types(m, psi)
     recs += recover_type_cd_divisors(m, psi, table)
-    recs = [r.with_stabilizer(p)
-            for r, p in zip(recs, stabilizers_of(recs, table, m))]
-    recs.sort(key=lambda r: (r.phi.values, r.source, r.source_roots))
-    final = [BDivisorRecord(f"D{i + 1}", r.phi, r.stabilizer, r.source,
-                            r.source_roots, r.coroot_form)
-             for i, r in enumerate(recs)]
-    datum = LunaDatum(m, psi, table, tuple(final))
+    stabilizers = stabilizers_of(recs, table, m)
+    ordered = sorted(zip(recs, stabilizers), key=lambda rp: (
+        rp[0].phi.values, rp[0].source, rp[0].source_roots))
+    final = tuple(BDivisorRecord(f"D{i + 1}", r.phi, p, r.source,
+                                 r.source_roots, r.coroot_form)
+                  for i, (r, p) in enumerate(ordered))
+    datum = LunaDatum(m, psi, table, final)
     report = validate_luna_datum(datum)
     if not report.passed:
         raise RecoveryError(

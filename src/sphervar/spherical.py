@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .luna import LunaDatum, RootTypeTable, span_vector
+from .luna import LunaDatum, RootTypeTable
 from .monoid import WeightMonoid
 from .polyhedral import Lattice, _dot, cached_property
 from .rootsys import (
@@ -174,23 +174,20 @@ def classify_root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable
         if len(found) > 1:
             raise SphericalError(
                 f"invalid datum: simple root {i + 1} has multiple d-partners")
-        if found:
-            j = found[0]
-            if not _is_partner(m, psi, j, i):
-                raise SphericalError("invalid datum: asymmetric d-partner relation")
-            if (min(i, j), max(i, j)) not in partners:
-                partners.append((min(i, j), max(i, j)))
-    return RootTypeTable(tuple(entries), tuple(sorted(partners)))
+        # the relation is symmetric, so each pair is met from both ends;
+        # it is kept from its smaller root, which keeps the pairs sorted
+        if found and i < found[0]:
+            partners.append((i, found[0]))
+    return RootTypeTable(tuple(entries), tuple(partners))
 
 
 def _is_partner(m: WeightMonoid, psi: SphericalRootSet, i: int, j: int) -> bool:
+    """Whether the d-roots i and j, whose coroot columns are taken to be
+    equal, are partners: orthogonal, with their sum or half of it among
+    the roots.  That holds for (i, j) iff it holds for (j, i), since a
+    Cartan entry is 0 iff its transpose is."""
     rd = m.rd
     if rd.cartan[i][j] != 0:
-        return False
-    # alpha_i^vee - alpha_j^vee must vanish on the whole weight lattice:
-    # the coroots restrict to columns i and j of its basis
-    columns = m.lattice.columns
-    if columns[i] != columns[j]:
         return False
     # alpha_i + alpha_j or half of it among the roots, by coefficients
     pair = tuple(int(k in (i, j)) for k in range(rd.n_simple))
@@ -240,12 +237,10 @@ def elementary_forms(psi: SphericalRootSet) -> tuple[FormTag, ...]:
 def hidden_divisors(datum: LunaDatum) -> frozenset[str]:
     """Divisors on which every noninvertible monoid element pairs strictly
     positively (and the invertible part pairs to zero).  The minimal
-    generators and the units are checked against the span of the lattice
-    once each; a functional has the sign of w.v there (`span_vector`)."""
-    X = datum.lattice
-    mins = [span_vector(X, g.coords)[1]
-            for g in datum.monoid.minimal_generators]
-    units = [span_vector(X, b)[1] for b in datum.monoid.invertible_lattice.basis]
+    generators and the units lie in the lattice, where a functional has
+    the sign of w.v for its integer form (d, w)."""
+    mins = [g.int_coords() for g in datum.monoid.minimal_generators]
+    units = datum.monoid.invertible_lattice.basis
     out = []
     for d in datum.divisors:
         w = d.phi.integer_form[1]

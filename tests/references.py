@@ -17,18 +17,27 @@ minimal generators of the monoid, kept to judge
 `reference_classify_root_types` is `classify_root_types` with its
 former partner search, every ordered pair of d-roots tested against the
 lattice basis row by row, kept to judge the search that groups the
-d-roots by their coroot columns first.
+d-roots by their coroot columns first.  `reference_stabilizers_of` is
+`stabilizers_of` as it was, a dispatch on the source that reads every
+recovered divisor's stabilizer off the type-b pairings and cross-checks
+case-2 and type-c divisors against their coroots, kept to judge the rule
+that reads the stabilizer off the divisor's origin.
 """
 
 import itertools
 from fractions import Fraction
 from math import isqrt
 
-from builders import primitive_vector
+from builders import pairing, primitive_vector
 from sphervar.monoid import MonoidError
 from sphervar.polyhedral import RationalCone, _dd, primitive
-from sphervar.luna import RootTypeTable
-from sphervar.recovery import _monoid_recovery_identity, validate_luna_datum
+from sphervar.luna import LunaError, RootTypeTable
+from sphervar.recovery import (
+    RecoveryError,
+    _monoid_recovery_identity,
+    validate_luna_datum,
+)
+from sphervar.rootsys import ParabolicSet
 from sphervar.spherical import SphericalError
 
 
@@ -376,3 +385,56 @@ def reference_classify_root_types(m, psi):
             if (min(i, j), max(i, j)) not in partners:
                 partners.append((min(i, j), max(i, j)))
     return RootTypeTable(tuple(entries), tuple(sorted(partners)))
+
+
+def _reference_pairing_to_one(cov, roots, rd):
+    return {beta for beta in roots if pairing(cov, rd.simple_root(beta)) == 1}
+
+
+def reference_stabilizers_of(recs, table, m):
+    """`stabilizers_of` with its former dispatch on the source: a
+    recovered divisor (case 1c, 2 or 3) is moved by the type-b roots its
+    functional pairs to one with, cross-checked against its coroot form
+    when it has one, and a case-2 divisor must be moved by its own root
+    alone; a type-c divisor must be moved by its root alone under half
+    its coroot, and a type-d divisor is moved by its roots.  Each type-b
+    root is solved for on the lattice basis before any record, and a
+    root off its span refused there."""
+    rd = m.rd
+    active = frozenset(m.active_roots)
+    b_roots = []
+    for beta in table.roots_of_type("b"):
+        coords = m.lattice.coords(rd.simple_root(beta).coords)
+        if coords is None:
+            raise LunaError("vector outside the lattice span")
+        b_roots.append((beta, coords))
+    out = []
+    for rec in recs:
+        if rec.source in ("case_1c", "case_2", "case_3"):
+            moved = {beta for beta, coords in b_roots
+                     if sum(v * c for v, c in zip(rec.phi.values, coords)) == 1}
+            if rec.coroot_form is not None:
+                cross = _reference_pairing_to_one(rec.coroot_form, active, rd)
+                if cross != moved:
+                    raise RecoveryError(
+                        "invalid datum: coroot presentation moves roots "
+                        f"{sorted(cross)} but the functional moves "
+                        f"{sorted(moved)}")
+            if rec.source == "case_2" and moved != set(rec.source_roots):
+                raise RecoveryError(
+                    "invalid datum: a type-b pair divisor moves unexpected "
+                    "roots")
+            out.append(ParabolicSet(active - frozenset(moved)))
+        elif rec.source == "type_c":
+            (alpha,) = rec.source_roots
+            half = rd.simple_coroot(alpha).scale(Fraction(1, 2))
+            if _reference_pairing_to_one(half, active, rd) != {alpha}:
+                raise RecoveryError(
+                    "invalid datum: type-c divisor moves roots other than "
+                    "its root")
+            out.append(ParabolicSet(active - {alpha}))
+        elif rec.source == "type_d":
+            out.append(ParabolicSet(active - frozenset(rec.source_roots)))
+        else:
+            raise RecoveryError(f"unknown divisor source {rec.source!r}")
+    return out

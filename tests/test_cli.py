@@ -573,6 +573,24 @@ def test_invalid_datum_keeps_machine_report(tmp_path):
     assert block["payload"]["error"] == message
 
 
+def test_an_invalid_datum_is_named_once(tmp_path, capsys):
+    # C2 x T: the case-3 divisor at F_alpha escapes its node, and the
+    # library's message already names an invalid datum
+    doc = {
+        "schema": 1,
+        "group": {"factors": [["C", 2]], "central_rank": 1},
+        "monoid_generators": [[1, 0, 0], [1, 1, 1], [1, 0, 1]],
+        "spherical_roots": [[2, -1, 0]],
+    }
+    path = write_doc(tmp_path, "c2t.json", doc)
+    message = "invalid datum: recovered divisor escapes its node"
+    for fmt in ("pretty", "machine"):
+        assert main(["recover", "--input", path, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert json.loads(out)["payload"]["error"] == message
+
+
 def test_compare_a_thousand_generators_with_itself(tmp_path):
     # every generator has the degree of every other, so the minimal
     # generators, and with them the equality, take no membership search.

@@ -35,6 +35,7 @@ from references import (
     reference_monoid_membership,
     reference_rational_solve,
     reference_roots_in_lattice,
+    reference_stabilizers_of,
     reference_type_a_roots,
     reference_validation,
 )
@@ -67,6 +68,8 @@ from sphervar.recovery import (
     _monoid_recovery_identity,
     recover_divisors,
     recover_prime,
+    recover_type_cd_divisors,
+    stabilizers_of,
     validate_luna_datum,
 )
 from sphervar.rootsys import (
@@ -1408,6 +1411,20 @@ def test_integer_walk_matches_the_reference_on_the_corpus_localizations(
         _reference_outcome_on_faces(ref.monoid, ref.psi)
 
 
+def test_the_walk_and_its_reference_refuse_a_divisor_that_escapes_its_node():
+    # C2 x T, alpha_1 type b: no generator lies on F_alpha, so it is the
+    # empty face, where both class functionals vanish; case 3 mints the
+    # coroot of alpha_1 less the one pairing to 1 with it, and that is 0
+    # on the second generator, off the node
+    rd = build_root_data(GroupSpec((("C", 2),), 1))
+    m = monoid_of(rd, [(1, 0, 0), (1, 1, 1), (1, 0, 1)])
+    psi = make_spherical_roots(rd, [rd.weight((2, -1, 0))])
+    refused = (RecoveryError,
+               "invalid datum: recovered divisor escapes its node")
+    assert _walk_outcome(recover_prime, m, psi) == refused
+    assert _walk_outcome(reference_recover_prime, m, psi) == refused
+
+
 def test_integer_walk_matches_the_reference_on_corpus_products():
     # every pair of corpus entries, a repeat included: products carry
     # type-b roots beside roots and facets of the other factor
@@ -1892,3 +1909,103 @@ def test_partner_search_matches_the_all_pairs_reference_on_a1_powers(data):
     m, psi = data
     assert _classify_outcome(classify_root_types, m, psi) == \
         _classify_outcome(reference_classify_root_types, m, psi)
+
+
+# -- the stabilizer read off the divisor's origin ------------------------------
+
+def _stabilizers_outcome(stabilizers, recs, table, m):
+    try:
+        return stabilizers(recs, table, m)
+    except ValueError as exc:  # LunaError, RecoveryError
+        return type(exc), str(exc)
+
+
+def _assert_stabilizers_match_the_reference(m, psi, name):
+    """`stabilizers_of` and the dispatch it replaced give the same
+    stabilizers, or raise the same error, on the records of the walk and
+    of the c/d roots; returns the sources of the records, none when the
+    datum is refused before any record is built."""
+    try:
+        table = classify_root_types(m, psi)
+        recs = recover_prime(m, psi) + recover_type_cd_divisors(m, psi, table)
+    except ValueError:
+        return set()
+    assert _stabilizers_outcome(stabilizers_of, recs, table, m) == \
+        _stabilizers_outcome(reference_stabilizers_of, recs, table, m), name
+    return {rec.source for rec in recs}
+
+
+ALL_SOURCES = {"case_1c", "case_2", "case_3", "type_c", "type_d"}
+
+
+def test_stabilizers_match_the_dispatch_reference_on_the_corpus():
+    sources = set()
+    for e in build_corpus():
+        sources |= _assert_stabilizers_match_the_reference(
+            e.monoid, e.psi, e.name)
+    assert sources == ALL_SOURCES
+
+
+def test_stabilizers_match_the_dispatch_reference_on_the_corpus_localizations():
+    sources = set()
+    for e, j in CORPUS_LOCALIZATIONS:
+        loc = localize_datum(recover_entry(e), e.monoid.minimal_generators[j])
+        sources |= _assert_stabilizers_match_the_reference(
+            loc.monoid, loc.psi, (e.name, j))
+    assert sources >= {"case_1c", "case_2", "type_d"}
+
+
+def test_stabilizers_match_the_dispatch_reference_on_corpus_products():
+    sources = set()
+    for e1, e2 in itertools.combinations_with_replacement(build_corpus(), 2):
+        sources |= _assert_stabilizers_match_the_reference(
+            *product(e1, e2), (e1.name, e2.name))
+    assert sources == ALL_SOURCES
+
+
+def test_stabilizers_match_the_dispatch_reference_on_the_bench_documents():
+    for path in BENCH_DOCUMENTS:
+        doc = parse_input(path.read_bytes())
+        _assert_stabilizers_match_the_reference(doc.monoid, doc.psi, path.name)
+
+
+TYPED_GROUPS = [GroupSpec(factors, central) for factors, central in [
+    ((("A", 1),), 1), ((("A", 2),), 0), ((("B", 2),), 0), ((("C", 2),), 1),
+    ((("G", 2),), 0), ((("A", 1), ("A", 1)), 0), ((("A", 1), ("A", 1)), 1),
+    ((("A", 3),), 0), ((("B", 2), ("A", 1)), 0)]]
+
+
+@st.composite
+def typed_root_data(draw):
+    """(m, psi): a group of `TYPED_GROUPS`, spherical roots drawn as
+    simple roots (type b), their doubles (type c) and sums of orthogonal
+    pairs (partnered d-roots when their columns agree), each added to the
+    dominant weight lambda, 8 on every simple root, among the generators
+    so that it lies in the lattice, and up to two further dominant
+    generators; every other root is type d or type a."""
+    rd = build_root_data(draw(st.sampled_from(TYPED_GROUPS)))
+    n = rd.n_simple
+    roots, used = [], set()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rd.cartan[i][j] == 0]
+    if pairs and draw(st.booleans()):
+        i, j = draw(st.sampled_from(pairs))
+        roots.append(rd.simple_root(i) + rd.simple_root(j))
+        used.update((i, j))
+    for i in range(n):
+        k = draw(st.sampled_from([0, 1, 2]))
+        if k and i not in used:
+            roots.append(rd.simple_root(i).scale(k))
+    central = st.integers(-1, 1)
+    lam = (8,) * n + tuple(draw(central) for _ in range(rd.dim - n))
+    gens = [lam] + [tuple(a + b for a, b in zip(lam, g.coords)) for g in roots]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 2)] * n
+                                    + [central] * (rd.dim - n)), max_size=2))
+    return monoid_of(rd, gens), make_spherical_roots(rd, roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_root_data())
+def test_stabilizers_match_the_dispatch_reference_on_typed_roots(data):
+    m, psi = data
+    _assert_stabilizers_match_the_reference(m, psi, m.generators)

@@ -217,10 +217,10 @@ def test_recover_twisted_not_stable():
 
 
 def test_integer_coroot_pairings_match_the_rational_pairing():
-    # the stabilizer test reads <coroot form, beta> == 1 off the integer
-    # form of the covector; over the corpus it agrees with `pairing` on
-    # every active root: half coroots that pair to 1 with their root
-    # (type c, case 2) and type-d coroots that pair to 1 with none
+    # the cross-check reads <coroot form, beta> == 1 off the integer form
+    # of the covector; over the corpus it agrees with `pairing` on every
+    # active root, on the half coroots of case 2 that pair to 1 with their
+    # root (type-c and type-d records carry no coroot form)
     seen = set()
     for e in build_corpus():
         datum = recover_entry(e)
@@ -228,6 +228,7 @@ def test_integer_coroot_pairings_match_the_rational_pairing():
         active = datum.levi_roots
         for d in datum.divisors:
             cov = d.coroot_form
+            assert cov is None or d.source not in ("type_c", "type_d")
             if cov is None:
                 continue
             expected = {beta for beta in active
@@ -235,8 +236,7 @@ def test_integer_coroot_pairings_match_the_rational_pairing():
             assert _pairing_to_one(cov, active, rd) == expected, e.name
             seen.add((d.source, all(type(x) is int for x in cov.coords),
                       bool(expected)))
-    assert seen >= {("type_c", False, True), ("case_2", False, True),
-                    ("type_d", True, False)}
+    assert seen >= {("case_2", False, True)}
 
 
 def test_recover_counts_whole_corpus():
@@ -1198,8 +1198,8 @@ def test_validation_and_stabilizers_check_each_type_b_root_once():
 
 
 def test_hidden_divisors_check_each_weight_once():
-    # a localization with a unit: each minimal generator and each unit
-    # basis vector is checked once, for all the divisors
+    # a localization with a unit: the minimal generators and the unit
+    # basis vectors lie in the lattice, so none is checked against its span
     e = corpus_by_name()["a1_torus2_mixed"]
     datum = localize_datum(recover_entry(e), e.rd.weight((0, 0, 1)))
     m = datum.monoid
@@ -1208,7 +1208,7 @@ def test_hidden_divisors_check_each_weight_once():
     with patch:
         hidden = hidden_divisors(datum)
     assert hidden == _reference_hidden_divisors(datum)
-    assert len(calls) == len(m.minimal_generators) + m.invertible_lattice.rank
+    assert calls == []
 
 
 def _reference_hidden_divisors(datum):
