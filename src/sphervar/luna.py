@@ -4,10 +4,9 @@ A divisor's valuation vector is a functional on the weight lattice X,
 stored by its values on the canonical lattice basis.  The coroot of
 simple root i is e_i in coroot coordinates, so its values are column i
 of the basis (`Lattice.columns`), and half of it is that column halved.
-Only case-2 and case-3 records keep a coroot presentation alongside, so
-that a case-3 divisor based on a case-2 one can be cross-checked on
-simple roots outside X.  A type-c or type-d record needs none, as its
-stabilizer follows from its roots.
+A record keeps no other presentation of its functional: the stabilizer
+follows from the record's origin and its values on X (see
+`sphervar.recovery.stabilizers_of`).
 
 Each functional also carries one integer form, computed once: a
 denominator d > 0, least possible, and an integer covector w on Z^dim,
@@ -35,7 +34,7 @@ from .polyhedral import (
     cached_property,
     exact,
 )
-from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec
+from .rootsys import ParabolicSet, RootData, WeightVec
 
 if TYPE_CHECKING:
     from .spherical import SphericalRootSet
@@ -105,7 +104,6 @@ class BDivisorRecord:
     stabilizer: ParabolicSet | None
     source: str
     source_roots: tuple[int, ...] = ()
-    coroot_form: CovectorVec | None = None
 
     def moved_roots(self, n_simple: int) -> frozenset[int]:
         """Simple roots alpha with P_alpha not contained in the stabilizer."""

@@ -9,7 +9,8 @@ exclusive situations (1a, 1c, 2, 3) determines which new divisors appear
 with which valuation functionals.  Each stabilizer follows from the
 divisor's origin: a type-c, type-d or case-2 divisor is moved by exactly
 the roots it was minted from, a class (1c) or case-3 divisor by the
-type-b roots its functional pairs to one with.
+type-b roots its functional pairs to one with.  A record carries its
+functional on X and nothing else (see `recover_prime` for why).
 
 Only the faces that can mint a divisor, warn or raise are walked.  A
 face whose Levi is the type-a roots mints only if it is the whole cone
@@ -39,11 +40,11 @@ sum, lies in its relative interior; the localization at mu depends only
 on that face (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
 On a facet exactly one dual ray of M vanishes, the class functional up
 to scale.  Every test of a recovered functional at a node (does it
-vanish at mu, whether it pairs to 1 with a type-b root, its pattern on
-the minimal generators) is a sign or equality test of w.v against the
-functional's integer form (d, w): d > 0 and w an integer covector on
-the pivot columns of the lattice basis, with phi(v) = w.v / d (see
-`sphervar.luna`).
+vanish at mu, whether it pairs to 1 with a type-b root, its sign on
+the minimal generators off the node) is a sign or equality test of w.v
+against the functional's integer form (d, w): d > 0 and w an integer
+covector on the pivot columns of the lattice basis, with
+phi(v) = w.v / d (see `sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -63,13 +64,12 @@ from .polyhedral import (
     Lattice,
     Polytope,
     RationalCone,
-    _clear_denominators,
     _dot,
     exact,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     primitive,
 )
-from .rootsys import CovectorVec, ParabolicSet, RootData, WeightVec
+from .rootsys import ParabolicSet, WeightVec
 from .spherical import (
     SphericalRootSet,
     classify_root_types,
@@ -99,10 +99,6 @@ class RecursionNode:
     minted: tuple[tuple[int | Fraction, ...], ...]
 
 
-def _half_coroot(rd: RootData, i: int) -> CovectorVec:
-    return rd.simple_coroot(i).scale(Fraction(1, 2))
-
-
 def _half_column(X: Lattice, i: int) -> tuple[int | Fraction, ...]:
     """The values on the basis of X of half the coroot of simple root i:
     column i of the basis, halved."""
@@ -113,7 +109,10 @@ def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
                              table: RootTypeTable) -> list[BDivisorRecord]:
     """Divisors attached to type-c and type-d roots: one per c-root with
     half the coroot, one per d-root or partnered d-pair with the coroot.
-    The coroot of root i restricted to X is column i of its basis."""
+    The coroot of root i restricted to X is column i of its basis.  A
+    table from `classify_root_types` partners d-roots only within equal
+    columns, but `table` is the caller's, so a pair whose columns differ
+    is refused here."""
     X = m.lattice
     out = [BDivisorRecord("?", LatticeFunctional(X, _half_column(X, i)), None,
                           "type_c", (i,))
@@ -183,7 +182,26 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     2 on alpha.  Otherwise the coroot is a nonnegative sum of the normals
     of the facets through F_alpha; one is positive on alpha, so it is no
     F_beta (the coroot of beta is not), and that facet minted its
-    functional first."""
+    functional first.
+
+    Case 3 at F_alpha mints alpha^vee - base for each root alpha found
+    there with a unique base, a functional in the pool that vanishes on
+    F_alpha and pairs to 1 with alpha.  Three arguments leave it one
+    check, `_check_node_pattern`:
+    - Each pool functional is >= 0 on the minimal generators (a dual
+      ray, half a coroot on dominant generators, or a case-3 one that
+      passed the check), so the base vanishes on each generator of the
+      node, as alpha^vee does, and so does what case 3 mints.
+    - No base is a case-2 record: gamma^vee/2 pairs <gamma^vee, alpha>/2
+      with alpha, which lies in X, and that is 1 iff gamma = alpha, as
+      off-diagonal Cartan entries are <= 0; but case 2 mints for alpha
+      only at F_alpha, and only when case 3 does not run there.
+    - Nothing minted is in the pool already: if alpha^vee - base = r,
+      r vanishing on F_alpha, then r pairs 2 - 1 = 1 with alpha, so r is
+      the base, which is then alpha^vee/2 with zero set F_alpha.  But a
+      class functional's zero set is a facet whose Levi omits alpha, the
+      base is no case-2 record, and a case-3 one's zero set is its own
+      node, each face being one node."""
     validate_roots_in_lattice(psi, m.lattice)
     rd = m.rd
     X = m.lattice
@@ -236,11 +254,10 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
             if lone and not overline:
                 case = "2"
                 (alpha,) = found
-                cov = _half_coroot(rd, alpha)
                 phi = LatticeFunctional(X, _half_column(X, alpha))
                 for _ in range(2):
                     minted.append(BDivisorRecord(
-                        "?", phi, None, "case_2", (alpha,), cov))
+                        "?", phi, None, "case_2", (alpha,)))
             else:
                 if lone and warnings is not None:
                     warnings.append(
@@ -249,8 +266,8 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                 case = "3"
                 # the roots that give one functional are grouped before
                 # its record is built; `found` lists them in ascending order
-                new: dict[tuple[int | Fraction, ...], tuple[
-                    list[int], LatticeFunctional, CovectorVec | None]] = {}
+                new: dict[tuple[int | Fraction, ...],
+                          tuple[LatticeFunctional, list[int]]] = {}
                 for alpha in found:
                     root = rd.simple_root(alpha).int_coords()
                     ones = []
@@ -260,23 +277,13 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                             ones.append(rec)
                     if len(ones) != 1:
                         continue
-                    base = ones[0]
-                    phi = LatticeFunctional(X, X.columns[alpha]) - base.phi
-                    if phi.values in new:
-                        new[phi.values][0].append(alpha)
-                    else:
-                        cov = rd.simple_coroot(alpha) - base.coroot_form \
-                            if base.coroot_form is not None else None
-                        new[phi.values] = ([alpha], phi, cov)
+                    phi = LatticeFunctional(X, X.columns[alpha]) - ones[0].phi
+                    new.setdefault(phi.values, (phi, []))[1].append(alpha)
                 for values in sorted(new):
-                    roots, phi, cov = new[values]
-                    if any(r.phi.values == values for r in overline):
-                        raise RecoveryError(
-                            "invalid datum: reconstructed divisor "
-                            "duplicates a recovered one")
+                    phi, roots = new[values]
                     _check_node_pattern(phi, gens, face)
                     minted.append(BDivisorRecord(
-                        "?", phi, None, "case_3", tuple(roots), cov))
+                        "?", phi, None, "case_3", tuple(roots)))
         pool.extend(minted)
         if trace is not None:
             trace.append(RecursionNode(
@@ -285,27 +292,15 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     return pool
 
 
-def _check_node_pattern(phi: LatticeFunctional, gens, subset) -> None:
-    """A divisor recovered at a node must pair to zero with exactly the
-    node's minimal generators (given as integer vectors)."""
+def _check_node_pattern(phi: LatticeFunctional, gens, face) -> None:
+    """A case-3 divisor must be positive on every minimal generator
+    (given as integer vectors) off its node's face; on the face it
+    vanishes, as its base and the coroot do (see `recover_prime`)."""
     _, w = phi.integer_form
     for j, g in enumerate(gens):
-        v = _dot(w, g)
-        if j in subset and v != 0:
-            raise RecoveryError(
-                "invalid datum: recovered divisor does not vanish on its node")
-        if j not in subset and v <= 0:
+        if j not in face and _dot(w, g) <= 0:
             raise RecoveryError(
                 "invalid datum: recovered divisor escapes its node")
-
-
-def _pairing_to_one(cov: CovectorVec, roots, rd: RootData) -> set[int]:
-    """The simple roots among `roots` that pair to 1 with `cov`: with
-    (d, c) the integer form of the covector, those with c.alpha == d (a
-    simple root has integer coordinates)."""
-    den, c = _clear_denominators(cov.coords)
-    return {beta for beta in roots
-            if _dot(c, rd.simple_root(beta).coords) == den}
 
 
 def stabilizers_of(recs: list[BDivisorRecord], table: RootTypeTable,
@@ -322,29 +317,22 @@ def stabilizers_of(recs: list[BDivisorRecord], table: RootTypeTable,
     the whole group.  Each type-b root is checked against the span of
     the lattice once, before any record, and a functional with integer
     form (d, w) pairs to one with it iff w.alpha = d * den
-    (`span_vector`).  A coroot presentation, which a case-3 divisor
-    based on a case-2 one carries, must move the same roots.
+    (`span_vector`).
     """
     b_roots = [(beta, span_vector(m.lattice, m.rd.simple_root(beta).coords))
                for beta in table.roots_of_type("b")]
-    return [_stabilizer(rec, b_roots, m) for rec in recs]
-
-
-def _stabilizer(rec: BDivisorRecord, b_roots, m: WeightMonoid) -> ParabolicSet:
     active = frozenset(m.active_roots)
+    return [_stabilizer(rec, b_roots, active) for rec in recs]
+
+
+def _stabilizer(rec: BDivisorRecord, b_roots, active) -> ParabolicSet:
     if rec.source in ("type_c", "type_d", "case_2"):
         return ParabolicSet(active - frozenset(rec.source_roots))
     if rec.source not in ("case_1c", "case_3"):
         raise RecoveryError(f"unknown divisor source {rec.source!r}")
     d, w = rec.phi.integer_form
-    moved = {beta for beta, (den, v) in b_roots if _dot(w, v) == d * den}
-    if rec.coroot_form is not None:
-        cross = _pairing_to_one(rec.coroot_form, active, m.rd)
-        if cross != moved:
-            raise RecoveryError(
-                "invalid datum: coroot presentation moves roots "
-                f"{sorted(cross)} but the functional moves {sorted(moved)}")
-    return ParabolicSet(active - frozenset(moved))
+    return ParabolicSet(active - frozenset(
+        beta for beta, (den, v) in b_roots if _dot(w, v) == d * den))
 
 
 def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
@@ -359,7 +347,7 @@ def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
     ordered = sorted(zip(recs, stabilizers), key=lambda rp: (
         rp[0].phi.values, rp[0].source, rp[0].source_roots))
     final = tuple(BDivisorRecord(f"D{i + 1}", r.phi, p, r.source,
-                                 r.source_roots, r.coroot_form)
+                                 r.source_roots)
                   for i, (r, p) in enumerate(ordered))
     datum = LunaDatum(m, psi, table, final)
     report = validate_luna_datum(datum)

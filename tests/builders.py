@@ -156,5 +156,5 @@ def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
         divisors.append(BDivisorRecord(
             d.divisor_id, d.phi,
             ParabolicSet(d.stabilizer.roots & new_levi),
-            d.source, d.source_roots, d.coroot_form))
+            d.source, d.source_roots))
     return LunaDatum(loc, psi, table, tuple(divisors))

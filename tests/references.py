@@ -20,8 +20,10 @@ lattice basis row by row, kept to judge the search that groups the
 d-roots by their coroot columns first.  `reference_stabilizers_of` is
 `stabilizers_of` as it was, a dispatch on the source that reads every
 recovered divisor's stabilizer off the type-b pairings and cross-checks
-case-2 and type-c divisors against their coroots, kept to judge the rule
-that reads the stabilizer off the divisor's origin.
+case-2 and type-c divisors against their half coroots
+(`reference_half_coroot`, a rational covector the records no longer
+carry), kept to judge the rule that reads the stabilizer off the
+divisor's origin.
 """
 
 import itertools
@@ -387,6 +389,11 @@ def reference_classify_root_types(m, psi):
     return RootTypeTable(tuple(entries), tuple(sorted(partners)))
 
 
+def reference_half_coroot(rd, i):
+    """Half the coroot of simple root i, as a rational covector."""
+    return rd.simple_coroot(i).scale(Fraction(1, 2))
+
+
 def _reference_pairing_to_one(cov, roots, rd):
     return {beta for beta in roots if pairing(cov, rd.simple_root(beta)) == 1}
 
@@ -394,12 +401,12 @@ def _reference_pairing_to_one(cov, roots, rd):
 def reference_stabilizers_of(recs, table, m):
     """`stabilizers_of` with its former dispatch on the source: a
     recovered divisor (case 1c, 2 or 3) is moved by the type-b roots its
-    functional pairs to one with, cross-checked against its coroot form
-    when it has one, and a case-2 divisor must be moved by its own root
-    alone; a type-c divisor must be moved by its root alone under half
-    its coroot, and a type-d divisor is moved by its roots.  Each type-b
-    root is solved for on the lattice basis before any record, and a
-    root off its span refused there."""
+    functional pairs to one with, and a case-2 divisor must be moved by
+    its own root alone, cross-checked against its half coroot; a type-c
+    divisor must be moved by its root alone under half its coroot, and a
+    type-d divisor is moved by its roots.  Each type-b root is solved
+    for on the lattice basis before any record, and a root off its span
+    refused there."""
     rd = m.rd
     active = frozenset(m.active_roots)
     b_roots = []
@@ -413,21 +420,23 @@ def reference_stabilizers_of(recs, table, m):
         if rec.source in ("case_1c", "case_2", "case_3"):
             moved = {beta for beta, coords in b_roots
                      if sum(v * c for v, c in zip(rec.phi.values, coords)) == 1}
-            if rec.coroot_form is not None:
-                cross = _reference_pairing_to_one(rec.coroot_form, active, rd)
+            if rec.source == "case_2":
+                (alpha,) = rec.source_roots
+                cross = _reference_pairing_to_one(
+                    reference_half_coroot(rd, alpha), active, rd)
                 if cross != moved:
                     raise RecoveryError(
                         "invalid datum: coroot presentation moves roots "
                         f"{sorted(cross)} but the functional moves "
                         f"{sorted(moved)}")
-            if rec.source == "case_2" and moved != set(rec.source_roots):
-                raise RecoveryError(
-                    "invalid datum: a type-b pair divisor moves unexpected "
-                    "roots")
+                if moved != {alpha}:
+                    raise RecoveryError(
+                        "invalid datum: a type-b pair divisor moves "
+                        "unexpected roots")
             out.append(ParabolicSet(active - frozenset(moved)))
         elif rec.source == "type_c":
             (alpha,) = rec.source_roots
-            half = rd.simple_coroot(alpha).scale(Fraction(1, 2))
+            half = reference_half_coroot(rd, alpha)
             if _reference_pairing_to_one(half, active, rd) != {alpha}:
                 raise RecoveryError(
                     "invalid datum: type-c divisor moves roots other than "

@@ -185,10 +185,10 @@ def test_criterion_5_validator_completeness():
         d = divisors[index]
         if phi is not None:
             d = BDivisorRecord(d.divisor_id, phi, d.stabilizer, d.source,
-                               d.source_roots, d.coroot_form)
+                               d.source_roots)
         if stabilizer is not None:
             d = BDivisorRecord(d.divisor_id, d.phi, stabilizer, d.source,
-                               d.source_roots, d.coroot_form)
+                               d.source_roots)
         divisors[index] = d
         if drop:
             divisors.pop(index)

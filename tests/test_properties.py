@@ -1,6 +1,7 @@
 """Hypothesis-driven property tests for the algebraic invariants."""
 
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -28,6 +29,7 @@ from references import (
     reference_classify_root_types,
     reference_cone,
     reference_det,
+    reference_half_coroot,
     reference_inequality_cone,
     reference_integer_solve,
     reference_member,
@@ -64,7 +66,6 @@ from sphervar.recovery import (
     RecoveryError,
     RecursionNode,
     _half_column,
-    _half_coroot,
     _monoid_recovery_identity,
     recover_divisors,
     recover_prime,
@@ -1049,12 +1050,12 @@ def reference_recover_prime(m, psi, trace=None, warnings=None):
                         if signs_ok:
                             case = "2"
                             case2 = True
-                            cov = _half_coroot(rd, alpha)
-                            phi = reference_from_covector(cov, X)
+                            phi = reference_from_covector(
+                                reference_half_coroot(rd, alpha), X)
                             _reference_check_node_pattern(phi, mins, subset)
                             for _ in range(2):
                                 minted.append(BDivisorRecord(
-                                    "?", phi, None, "case_2", (alpha,), cov))
+                                    "?", phi, None, "case_2", (alpha,)))
                         elif warnings is not None:
                             warnings.append(
                                 "case-2 sign hypothesis failed at node "
@@ -1075,15 +1076,17 @@ def reference_recover_prime(m, psi, trace=None, warnings=None):
                         if len(ones) != 1:
                             continue
                         base = ones[0]
+                        # no case-3 divisor is based on a case-2 one (the
+                        # argument in `recover_prime`), checked on every
+                        # input the reference walks
+                        assert base.source != "case_2", (subset, alpha)
                         phi = reference_from_covector(
                             rd.simple_coroot(alpha), X) - base.phi
-                        cov = rd.simple_coroot(alpha) - base.coroot_form \
-                            if base.coroot_form is not None else None
                         if phi.values in new:
                             new[phi.values][0].append(alpha)
                         else:
                             new[phi.values] = ([alpha], BDivisorRecord(
-                                "?", phi, None, "case_3", (), cov))
+                                "?", phi, None, "case_3", ()))
                     for values in sorted(new):
                         roots, rec = new[values]
                         if any(r.phi.values == values for r in overline):
@@ -1093,7 +1096,7 @@ def reference_recover_prime(m, psi, trace=None, warnings=None):
                         _reference_check_node_pattern(rec.phi, mins, subset)
                         minted.append(BDivisorRecord(
                             "?", rec.phi, None, "case_3",
-                            tuple(sorted(roots)), rec.coroot_form))
+                            tuple(sorted(roots))))
             pool.extend(minted)
             if trace is not None:
                 trace.append(RecursionNode(
@@ -1490,6 +1493,88 @@ def test_face_walk_skips_the_case2_warnings_inside_f_alpha():
     assert outcome == _reference_outcome_on_faces(monoid(), psi)
 
 
+# Three A1 x A1 data for the guards of case 2 and case 3 at F_alpha.  In
+# the first a type-d root lies in the Levi at F_alpha beside the one
+# type-b root found there, so the guard on the Levi, not the number of
+# roots found, sends the node to case 3, with no warning.  In the other
+# two, two type-b roots share F_alpha, so case 3 tries both there: on
+# the empty face it mints nothing, and on the face of one generator it
+# mints for the second root only, which a walk keeping one root per face
+# would miss.  Validation refuses both.
+GUARD_DOCUMENTS = {
+    "d_root_in_the_levi": {
+        "schema": 1,
+        "group": {"factors": [["A", 1], ["A", 1]], "central_rank": 1},
+        "monoid_generators": [[0, 0, 1], [2, 0, 0], [1, 1, 0]],
+        "spherical_roots": [[2, 0, 0]]},
+    "two_b_roots_on_one_face": {
+        "schema": 1,
+        "group": {"factors": [["A", 1], ["A", 1]], "central_rank": 0},
+        "monoid_generators": [[1, 1], [3, 1], [1, 3]],
+        "spherical_roots": [[2, 0], [0, 2]]},
+    "second_b_root_mints_on_a_shared_face": {
+        "schema": 1,
+        "group": {"factors": [["A", 1], ["A", 1]], "central_rank": 1},
+        "monoid_generators": [[1, 3, 2], [1, 1, -2], [0, 0, -2]],
+        "spherical_roots": [[2, 0, 0], [0, 2, 0]]},
+}
+
+
+def _guard_datum(name):
+    return parse_input(json.dumps(GUARD_DOCUMENTS[name]).encode())
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_DOCUMENTS))
+def test_integer_walk_matches_the_reference_on_the_guard_data(name):
+    doc, ref = _guard_datum(name), _guard_datum(name)
+    assert _walk_outcome(recover_prime, doc.monoid, doc.psi) == \
+        _reference_outcome_on_faces(ref.monoid, ref.psi)
+
+
+def test_a_type_d_root_in_the_levi_sends_f_alpha_to_case_3_unwarned():
+    # F_alpha is the face of the first generator, whose Levi holds both
+    # roots; taking case 2 there whenever one root is found would warn
+    doc = _guard_datum("d_root_in_the_levi")
+    trace, warnings = [], []
+    datum = recover_divisors(doc.monoid, doc.psi, trace, warnings)
+    assert [(n.subset, n.case, n.levi_roots, n.minted) for n in trace] == [
+        ((1, 2, 3), "1a", (), ()),
+        ((1, 2), "1c", (), ((0, -1, 0),)),
+        ((2, 3), "1c", (), ((0, 0, 1),)),
+        ((1,), "3", (0, 1), ((1, 1, 0),)),
+    ]
+    assert warnings == []
+    assert [(d.source, d.source_roots) for d in datum.divisors] == [
+        ("case_1c", ()), ("case_1c", ()), ("case_3", (0,)), ("type_d", (1,))]
+
+
+def test_two_type_b_roots_on_one_f_alpha_mint_nothing_there():
+    doc = _guard_datum("two_b_roots_on_one_face")
+    trace, warnings = [], []
+    recs = recover_prime(doc.monoid, doc.psi, trace, warnings)
+    assert [r.source for r in recs] == ["case_1c", "case_1c"]
+    assert trace[-1] == RecursionNode((), (0, 0), (0, 1), "3", ())
+    assert warnings == []
+    with pytest.raises(RecoveryError, match="b_pair_count"):
+        recover_divisors(doc.monoid, doc.psi)
+
+
+def test_case_3_tries_every_type_b_root_found_on_a_shared_f_alpha():
+    # F_alpha is the face of the minimal generator (0, 0, -2) for both
+    # roots; only the second has a unique base there
+    doc = _guard_datum("second_b_root_mints_on_a_shared_face")
+    trace, warnings = [], []
+    recs = recover_prime(doc.monoid, doc.psi, trace, warnings)
+    assert [(r.phi.values, r.source, r.source_roots) for r in recs[3:]] == [
+        ((1, 1, 0), "case_3", (1,))]
+    assert trace[-1] == RecursionNode(
+        (1,), (0, 0, -2), (0, 1), "3", ((1, 1, 0),))
+    assert warnings == []
+    with pytest.raises(RecoveryError,
+                       match="type-b root 1 moves 1 divisors, not 2"):
+        recover_divisors(doc.monoid, doc.psi)
+
+
 @st.composite
 def polygon_cones(draw, max_points=7):
     """Generators of a saturated toric monoid: the lattice points (x, y, 1)
@@ -1748,7 +1833,7 @@ def _assert_columns_match_the_covector_reference(m, name):
             reference_from_covector(rd.simple_coroot(i), X).values)
         assert_canonical(
             _half_column(X, i),
-            reference_from_covector(_half_coroot(rd, i), X).values)
+            reference_from_covector(reference_half_coroot(rd, i), X).values)
 
 
 def test_coroot_columns_match_the_covector_reference_on_the_corpus():
@@ -1967,6 +2052,13 @@ def test_stabilizers_match_the_dispatch_reference_on_the_bench_documents():
     for path in BENCH_DOCUMENTS:
         doc = parse_input(path.read_bytes())
         _assert_stabilizers_match_the_reference(doc.monoid, doc.psi, path.name)
+
+
+def test_stabilizers_match_the_dispatch_reference_on_the_guard_data():
+    # the last two data are refused only at validation, after the walk
+    for name in sorted(GUARD_DOCUMENTS):
+        doc = _guard_datum(name)
+        _assert_stabilizers_match_the_reference(doc.monoid, doc.psi, name)
 
 
 TYPED_GROUPS = [GroupSpec(factors, central) for factors, central in [

@@ -18,17 +18,23 @@ from builders import (
     thin_to_elementary,
 )
 from corpus import build_corpus, corpus_by_name
+from references import reference_half_coroot
 from sphervar import monoid as monoid_module
 from sphervar import polyhedral
 from sphervar import recovery as recovery_module
 from sphervar.cli import parse_input
-from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum, LunaError
+from sphervar.luna import (
+    BDivisorRecord,
+    LatticeFunctional,
+    LunaDatum,
+    LunaError,
+    RootTypeTable,
+)
 from sphervar.monoid import MonoidError, WeightMonoid
 from sphervar.polyhedral import Lattice, RationalCone, hilbert_basis_with_units
 from sphervar.recovery import (
     RecoveryError,
     _monoid_recovery_identity,
-    _pairing_to_one,
     moment_polytope,
     recover_divisors,
     recover_prime,
@@ -80,6 +86,19 @@ def test_cd_merged_pair():
     recs = recover_type_cd_divisors(e.monoid, e.psi, table)
     assert len(recs) == 1
     assert recs[0].source_roots == (0, 1)
+
+
+def test_cd_refuses_a_callers_table_that_partners_unequal_columns():
+    # classify_root_types partners d-roots only within equal columns, but
+    # a caller may pass any table: on the A1 x A1 lattice Z^2 the coroot
+    # columns of the two roots differ
+    rd = build_root_data(GroupSpec((("A", 1), ("A", 1)), 0))
+    m = monoid_of(rd, [(1, 0), (0, 1)])
+    psi = make_spherical_roots(rd, ())
+    table = RootTypeTable(((0, "d"), (1, "d")), ((0, 1),))
+    with pytest.raises(RecoveryError, match="partnered d-roots restrict "
+                       "differently to the weight lattice"):
+        recover_type_cd_divisors(m, psi, table)
 
 
 # -- the recursive walk -------------------------------------------------------
@@ -216,27 +235,26 @@ def test_recover_twisted_not_stable():
         assert d.moved_roots(1) == frozenset({0})  # G_D = B despite case 1c
 
 
-def test_integer_coroot_pairings_match_the_rational_pairing():
-    # the cross-check reads <coroot form, beta> == 1 off the integer form
-    # of the covector; over the corpus it agrees with `pairing` on every
-    # active root, on the half coroots of case 2 that pair to 1 with their
-    # root (type-c and type-d records carry no coroot form)
-    seen = set()
+def test_case2_half_coroots_pair_to_one_with_their_root_alone():
+    # a case-2 functional is half the coroot of its root alpha on X; that
+    # half coroot, read with the rational `pairing` on every active root,
+    # pairs to 1 with alpha alone, the root the divisor is moved by
+    seen = 0
     for e in build_corpus():
         datum = recover_entry(e)
         rd = datum.rd
         active = datum.levi_roots
         for d in datum.divisors:
-            cov = d.coroot_form
-            assert cov is None or d.source not in ("type_c", "type_d")
-            if cov is None:
+            if d.source != "case_2":
                 continue
-            expected = {beta for beta in active
-                        if pairing(cov, rd.simple_root(beta)) == 1}
-            assert _pairing_to_one(cov, active, rd) == expected, e.name
-            seen.add((d.source, all(type(x) is int for x in cov.coords),
-                      bool(expected)))
-    assert seen >= {("case_2", False, True)}
+            (alpha,) = d.source_roots
+            half = reference_half_coroot(rd, alpha)
+            assert d.phi.values == from_covector(half, datum.lattice).values
+            assert {beta for beta in active
+                    if pairing(half, rd.simple_root(beta)) == 1} == {alpha}
+            assert d.moved_roots(rd.n_simple) & active == {alpha}, e.name
+            seen += 1
+    assert seen
 
 
 def test_recover_counts_whole_corpus():
@@ -475,10 +493,10 @@ def _tamper(datum, **changes):
     d = divisors[idx]
     if "phi" in changes:
         d = BDivisorRecord(d.divisor_id, changes["phi"], d.stabilizer,
-                           d.source, d.source_roots, d.coroot_form)
+                           d.source, d.source_roots)
     if "stabilizer" in changes:
         d = BDivisorRecord(d.divisor_id, d.phi, changes["stabilizer"],
-                           d.source, d.source_roots, d.coroot_form)
+                           d.source, d.source_roots)
     divisors[idx] = d
     if changes.get("drop"):
         divisors.pop(idx)
