@@ -4,15 +4,15 @@ A monoid is given by dominant integral generators, and it owns
 everything derived from them, each computed once and cached on the
 instance: the spanned lattice, the canonical cone over the generators,
 the type-a roots, the invertible sublattice, the minimal generators
-modulo invertibles, and the membership search table (`MonoidSearch`),
-which every membership query to the monoid reuses.  No other module
-seeds or caches a copy of these.  The facet normals of the cone are the
-rays of the dual cone; the search table, the saturation check and the
-recovery identity read them off it.  When the generators lie on `dim`
-linearly independent rays, cone(M) is simplicial and is read off one
-Bareiss inverse, with no double description.  The type-a roots, the
-active simple roots orthogonal to the whole monoid, are read off the
-generators alone.
+modulo invertibles, the membership search table (`MonoidSearch`), which
+every membership query to the monoid reuses, and the facet table: the
+value of each facet normal of the cone, a ray of the dual cone, on each
+generator (the search table's rows) and on the basis of the lattice.
+No other module seeds, caches or recomputes a copy of these.  When the
+generators lie on `dim` linearly independent rays, cone(M) is
+simplicial and is read off one Bareiss inverse, with no double
+description.  The type-a roots, the active simple roots orthogonal to
+the whole monoid, are read off the generators alone.
 
 Saturation is decided by the normality test (Bruns–Ichim): the
 parallelepiped points of a triangulation of cone(M) spanned by
@@ -20,32 +20,30 @@ generators, each looked up among the generators before any membership
 search.  A free monoid, whose nonzero generators are a basis of its
 lattice, is saturated and takes no test.
 
-Membership is bounded by the rays of the dual cone: they are
-nonnegative on the monoid and vanish exactly on its units, so the
-monoid is Z≥0·(generators some ray is positive on) + Z·(generators
-every ray vanishes on), and each ray r caps the coefficient of a
-generator g in a representation of v at r.v // r.g.  A vector outside
-the rational span of the monoid is refused before any search, by the
-span equations of the cone.  A query answers yes or no; no certificate
-is built.
+Membership is a search over the table (`monoid_membership`): the dual
+rays are nonnegative on the monoid, vanish exactly on its units and cap
+each coefficient, and the span equations of the cone refuse a vector
+outside the rational span before any search.  A query answers yes or no.
 
 The monoid's canonical form is its unit lattice (an HNF basis) and its
 minimal generators modulo the units, as sorted Hermite-reduced
 representatives.  Both are unique, so equality of monoids is equality of
-the forms.  The minimal generators are found in order of the degree
-given by the sum of the dual rays, which vanishes exactly on the units:
-only a generator of smaller degree can be split off another.
+the forms.  The minimal generators are found in order of the degree,
+the sum of the dual rays, which vanishes exactly on the units; g can be
+split off v only if it has smaller degree and v's facet row dominates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, sub
 
 from .polyhedral import (
     Lattice,
     MonoidSearch,
     PointedQuotient,
     RationalCone,
+    _dot,
     cached_property,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     monoid_membership,
@@ -144,8 +142,7 @@ class WeightMonoid:
         monoid element (Bruns–Gubeladze, Polytopes, Rings and K-Theory,
         ch. 2).
         """
-        units = set(self._search.units)
-        return tuple(i in units for i in range(len(self.gen_vectors)))
+        return tuple(not any(vals) for vals in self._search.values)
 
     @cached_property
     def invertible_lattice(self) -> Lattice:
@@ -169,29 +166,42 @@ class WeightMonoid:
         return self.contains_vector(w.int_coords())
 
     @cached_property
+    def facet_rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The facet table on M: the values of the facet normals of
+        cone(M) on each nonunit class, keyed by its Hermite-reduced form;
+        they vanish on units, so it is the `_search` row of any member."""
+        inv = self.invertible_lattice
+        return {inv.reduce_mod(g): tuple(vals) for g, vals
+                in zip(self.gen_vectors, self._search.values) if any(vals)}
+
+    @cached_property
+    def facet_basis_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The facet table on X: each facet normal's values on its basis."""
+        return tuple(tuple(_dot(r, b) for b in self.lattice.basis)
+                     for r in self.cone.facet_normals)
+
+    @cached_property
     def minimal_generators(self) -> tuple[WeightVec, ...]:
         """Irreducible noninvertible elements modulo the invertible part,
         as canonical (Hermite-reduced) representatives, sorted.
 
-        The degree, the sum of the dual rays, is additive and nonnegative
-        on the monoid and vanishes exactly on its units.  So a nonunit v
-        is a sum of two nonunits iff v - g is in the monoid for some
-        nonunit g of smaller degree, and then for an irreducible one,
-        since a summand of g will do as well as g.  The generators'
-        classes are taken in order of degree, and each is tested against
-        the irreducibles of smaller degree kept before it: classes of one
-        degree need no membership query between them.
+        The facet normals are nonnegative on the monoid and their sum, the
+        degree, vanishes exactly on its units.  So a nonunit v is a sum of
+        two nonunits iff v - g is in the monoid for some nonunit g of
+        smaller degree, and then for an irreducible one, since a summand
+        of g will do as well as g.  The classes are taken in order of
+        degree, and v is queried only against the irreducibles g of
+        smaller degree kept before it whose row in `facet_rows` its own
+        row dominates: for any other g, v - g is negative on some facet
+        normal, and so is not in the monoid.
         """
-        inv = self.invertible_lattice
-        degree: dict[tuple[int, ...], int] = {}
-        for g, f, vals in zip(self.gen_vectors, self._invertible_flags,
-                              self._search.values):
-            if not f:
-                degree[inv.reduce_mod(g)] = sum(vals)
+        rows = self.facet_rows
+        degree = {v: sum(row) for v, row in rows.items()}
         kept: list[tuple[int, ...]] = []
         for v in sorted(degree, key=degree.__getitem__):
-            if not any(degree[g] < degree[v] and self.contains_vector(
-                    tuple(a - b for a, b in zip(v, g))) for g in kept):
+            if not any(degree[g] < degree[v] and all(map(ge, rows[v], rows[g]))
+                       and self.contains_vector(tuple(map(sub, v, g)))
+                       for g in kept):
                 kept.append(v)
         return tuple(self.rd.weight(r) for r in sorted(kept))
 

@@ -39,12 +39,13 @@ a face, given by its minimal generators, and its weight mu, their integer
 sum, lies in its relative interior; the localization at mu depends only
 on that face (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
 On a facet exactly one dual ray of M vanishes, the class functional up
-to scale.  Every test of a recovered functional at a node (does it
-vanish at mu, whether it pairs to 1 with a type-b root, its sign on
-the minimal generators off the node) is a sign or equality test of w.v
-against the functional's integer form (d, w): d > 0 and w an integer
-covector on the pivot columns of the lattice basis, with
-phi(v) = w.v / d (see `sphervar.luna`).
+to scale; the walk reads its values on the minimal generators and on the
+basis of X off the monoid's facet table.  Every test of a recovered
+functional at a node (does it vanish at mu, whether it pairs to 1 with a
+type-b root, its sign on the minimal generators off the node) is a sign
+or equality test of w.v against the functional's integer form (d, w):
+d > 0 and w an integer covector on the pivot columns of the lattice
+basis, with phi(v) = w.v / d (see `sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -133,18 +134,16 @@ def recover_type_cd_divisors(m: WeightMonoid, psi: SphericalRootSet,
     return out
 
 
-def _facet_functional(X: Lattice, ray, values) -> LatticeFunctional:
-    """The class functional at a facet of cone(M) with inward normal
-    `ray`, whose values on the minimal generators are `values`: the ray
-    read on the basis of X and divided by g0, its least positive value,
-    so that it is 1 on the generator of the localized class monoid.  The
-    ray is nonnegative on M and positive on some minimal generator."""
+def _facet_functional(X: Lattice, row, values) -> LatticeFunctional:
+    """The class functional at a facet of cone(M) whose inward normal,
+    nonnegative on M, takes the values `row` on the basis of X and
+    `values` on the minimal generators: `row` over g0, the least positive
+    value, so that it is 1 on the generator of the class monoid."""
     g0 = min(v for v in values if v)
     if any(v % g0 for v in values):
         raise RecoveryError(
             "invalid monoid: localized class monoid has no single generator")
-    return LatticeFunctional(
-        X, tuple(exact(_dot(ray, b), g0) for b in X.basis))
+    return LatticeFunctional(X, tuple(exact(b, g0) for b in row))
 
 
 def _root_types(m: WeightMonoid, psi: SphericalRootSet) -> RootTypeTable:
@@ -218,15 +217,16 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
         return frozenset(i for i in active if mu[i] == 0)
 
     # each node is (face, case, what found it): the whole cone, case 1a;
-    # the facet where a dual ray vanishes, case 1c, with the ray and its
-    # values on the generators; or F_alpha, case 2 or 3, with every
+    # the facet where a dual ray vanishes, case 1c, with the ray's values
+    # on X and on the generators; or F_alpha, case 2 or 3, with every
     # type-b root alpha whose coroot vanishes on exactly its generators
+    rows = [m.facet_rows[g] for g in gens]
     nodes = [(tuple(range(len(gens))), "1a", None)]
-    for ray in m.cone.facet_normals:
-        values = [_dot(ray, g) for g in gens]
+    for k, row in enumerate(m.facet_basis_rows):
+        values = [r[k] for r in rows]
         facet = tuple(j for j, v in enumerate(values) if v == 0)
         if levi_of(weight(facet)) == pi_a:
-            nodes.append((facet, "1c", (ray, values)))
+            nodes.append((facet, "1c", (row, values)))
     f_alphas: dict[tuple[int, ...], list[int]] = {}
     for alpha in table.roots_of_type("b"):
         f_alphas.setdefault(tuple(
@@ -525,16 +525,16 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     By cone duality in X_Q, K ⊆ C iff C^∨ ⊆ K^∨ = cone(Phi), Phi the set
     of functionals.  C spans X_Q, so C^∨ is pointed and its extreme rays
     are the facet normals of C, the dual rays of M read on the basis of
-    X.  Hence if every such ray, made primitive, is the primitive form of
-    some phi_D, then C^∨ ⊆ cone(Phi) and the identity holds.  Otherwise
-    the cut cone is built in the coordinates of X, and lies in C iff its
-    rays and both signs of its lineality vectors do, read as weights.
+    X (`WeightMonoid.facet_basis_rows`).  Hence if every such ray, made
+    primitive, is the primitive form of some phi_D, then C^∨ ⊆ cone(Phi)
+    and the identity holds.  Otherwise the cut cone is built in the
+    coordinates of X, and lies in C iff its rays and both signs of its
+    lineality vectors do, read as weights.
     """
     m = datum.monoid
     X = m.lattice
     phis = {primitive(d.phi.values) for d in datum.divisors if any(d.phi.values)}
-    if all(primitive([_dot(r, b) for b in X.basis]) in phis
-           for r in m.cone.facet_normals):
+    if all(primitive(row) in phis for row in m.facet_basis_rows):
         return True
     cut = RationalCone.from_inequalities(
         [d.phi.values for d in datum.divisors], dim=X.rank)

@@ -190,6 +190,25 @@ def test_the_largest_full_flag_asks_no_membership(monkeypatch):
     assert queries == []
 
 
+def test_the_64_copy_case_3_monoid_asks_no_membership(monkeypatch):
+    # e_i + e_(64+i) and 2 e_i on (A1)^64 x T^64: the cone is simplicial,
+    # so each generator's row of facet values has one nonzero entry, in
+    # its own place, and no row dominates another.  Degree order alone
+    # asks 4,096 queries here: 2 e_i has degree 2, the others degree 1
+    queries = _count_membership(monkeypatch)
+    n = 64
+    rd = build_root_data(GroupSpec((("A", 1),) * n, n))
+
+    def e(k):
+        return tuple(int(j == k) for j in range(2 * n))
+
+    gens = [tuple(a + b for a, b in zip(e(i), e(n + i))) for i in range(n)] \
+        + [tuple(2 * x for x in e(i)) for i in range(n)]
+    m = monoid_of(rd, gens)
+    assert [g.int_coords() for g in m.minimal_generators] == sorted(gens)
+    assert queries == []
+
+
 def test_equality_asks_nothing_past_the_minimal_generators(monkeypatch):
     rd = torus(2)
     a = monoid_of(rd, [(1, 0), (1, 1), (1, 2), (2, 2)])

@@ -444,6 +444,9 @@ def test_saturation_matches_the_membership_reference(data):
 @example((2, [(0, 0)]))
 @example((2, [(1, 0), (-1, 0), (1, 1), (2, 1), (3, 1)]))
 @example((3, [(1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 1), (-1, -2, -1)]))
+# a unit line, two generators whose facet rows (1, 0) and (0, 1) do not
+# dominate each other, and their sum, split off both
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 0, 1), (2, 1, 1)]))
 def test_minimal_generators_match_the_all_pairs_reference(data):
     """The degree order against every generator tried against every
     other, and the unit lattice against the reference units."""
@@ -1707,6 +1710,53 @@ def test_recovery_identity_matches_the_cut_cone_reference_on_toric_cones(gens):
             reference_monoid_recovery_identity(variant), kind
         assert validate_luna_datum(variant).violations == \
             reference_violations(variant), kind
+
+
+def reference_class_functionals(m):
+    """The class functionals of a torus monoid by direct dot products:
+    each facet normal of the reference cone read on the basis of X, over
+    its least positive value on the reference minimal generators; None
+    when its values there are not all multiples of that one."""
+    mins = reference_minimal_generators(list(m.gen_vectors),
+                                        m.invertible_lattice.reduce_mod)
+    out = []
+    for r in reference_cone(m.gen_vectors, (), m.dim).facet_normals:
+        values = [sum(map(mul, r, g)) for g in mins]
+        g0 = min(v for v in values if v)
+        if any(v % g0 for v in values):
+            return None
+        out.append(tuple(Fraction(sum(map(mul, r, b)), g0)
+                         for b in m.lattice.basis))
+    return sorted(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(torus_generators())
+# a unit line, and a monoid of rank 2 in Z^3
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 0, 1), (2, 1, 1)]))
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 2, 1), (2, 1, -1)]))
+# a facet whose localized class monoid has no single generator
+@example((2, [(2, 0), (3, 0), (0, 1)]))
+def test_class_functionals_and_identity_match_direct_dot_products(data):
+    """The facet table's functionals and the recovery identity on torus
+    monoids with units and of rank below their dimension, against the
+    functionals read off the reference cone and the cut-cone identity."""
+    rank, gens = data
+    rd = build_root_data(GroupSpec((), rank))
+    m = monoid_of(rd, gens)
+    psi = make_spherical_roots(rd, ())
+    expected = reference_class_functionals(m)
+    if expected is None:
+        with pytest.raises(RecoveryError, match="no single generator"):
+            recover_prime(m, psi)
+        return
+    assert sorted(r.phi.values for r in recover_prime(m, psi)) == expected
+    datum = recover_divisors(m, psi)
+    variants = tampered_divisor_sets(datum) if datum.divisors else []
+    for kind, divisors in [("as is", datum.divisors)] + variants:
+        variant = replace(datum, divisors=divisors)
+        assert _monoid_recovery_identity(variant) == \
+            reference_monoid_recovery_identity(variant), kind
 
 
 # -- check (vi): the recovery identity first, the normality test after --------

@@ -930,6 +930,27 @@ def test_the_walk_builds_no_localized_monoid(monkeypatch):
         assert calls == [], name
 
 
+def test_the_walk_reads_the_facet_table_and_takes_no_dot_product(monkeypatch):
+    # the kite cone has four 1c facets; the D5 full flag has none, and the
+    # walk still finds each facet's values on the generators in the table
+    kite = monoid_of(build_root_data(GroupSpec((), 3)),
+                     [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1), (1, 2, 1)])
+    d5 = build_root_data(GroupSpec((("D", 5),)))
+    flag = WeightMonoid(d5, tuple(fundamental_weight(d5, i) for i in range(5)))
+    calls = []
+    real = recovery_module._dot
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(recovery_module, "_dot", counted)
+    for m, n_classes in ((kite, 4), (flag, 0)):
+        recs = recover_prime(m, make_spherical_roots(m.rd, ()))
+        assert [r.source for r in recs] == ["case_1c"] * n_classes
+        assert calls == []
+
+
 def _simplex_points(k, d):
     """The lattice points of k·Delta_d at height 1."""
     return [p + (1,) for p in itertools.product(range(k + 1), repeat=d)
