@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .luna import BDivisorRecord, LatticeFunctional, LunaDatum
+from .luna import BDivisorRecord, LatticeFunctional, LunaDatum, RootTypeTable
 from .monoid import MonoidError, WeightMonoid
 from .polyhedral import exact
 from .recovery import (
@@ -255,17 +255,22 @@ def _divisor_payload(datum: LunaDatum) -> list[dict]:
     return out
 
 
-def _types_payload(datum: LunaDatum) -> dict:
-    rd = datum.rd
-    table = datum.type_table
-    types = {rd.root_name(i): t for i, t in table.entries}
-    partners = [[rd.root_name(a), rd.root_name(b)] for a, b in table.partners]
-    return {"types": types, "d_partners": partners}
+def _root_types(rd: RootData, table: RootTypeTable) -> tuple[dict, list]:
+    """The type of each simple root by name, and the d-partner pairs."""
+    return ({rd.root_name(i): t for i, t in table.entries},
+            [[rd.root_name(a), rd.root_name(b)] for a, b in table.partners])
 
 
-def _document_payload(doc: InputDocument, datum: LunaDatum) -> dict:
+def _exceptional_triple(doc: InputDocument) -> dict | None:
+    triple = match_hidden_root_triple(doc.rd, doc.psi, doc.monoid.type_a_roots)
+    return None if triple is None else \
+        {"family": triple.family, "description": triple.description}
+
+
+def _document_payload(doc: InputDocument, divisors: list[dict]) -> dict:
     """A self-contained document reproducing the datum, suitable for
-    feeding back into `validate`."""
+    feeding back into `validate`: the group, the generators, the roots,
+    and the id, phi and dropped roots of each divisor payload."""
     spec = doc.rd.spec
     return {
         "schema": SCHEMA_VERSION,
@@ -273,12 +278,8 @@ def _document_payload(doc: InputDocument, datum: LunaDatum) -> dict:
                   "central_rank": spec.central_rank},
         "monoid_generators": [list(g.int_coords()) for g in doc.monoid.generators],
         "spherical_roots": [list(g.int_coords()) for g in doc.psi.roots],
-        "divisors": [
-            {"id": d.divisor_id,
-             "phi": [_frac(v) for v in d.phi.values],
-             "dropped_simple_roots":
-                 [i + 1 for i in sorted(datum.levi_roots - d.stabilizer.roots)]}
-            for d in datum.divisors],
+        "divisors": [{key: d[key] for key in ("id", "phi", "dropped_simple_roots")}
+                     for d in divisors],
     }
 
 
@@ -301,16 +302,18 @@ def cmd_recover(doc: InputDocument, verbose: bool = False) -> tuple[dict, list[s
     trace: list[RecursionNode] = [] if verbose else None
     datum = recover_divisors(doc.monoid, doc.psi,
                              trace=trace, warnings=warnings)
+    divisors = _divisor_payload(datum)
+    types, partners = _root_types(datum.rd, datum.type_table)
     payload = {
         "lattice_basis": [list(b) for b in datum.lattice.basis],
         "minimal_generators": [list(g.int_coords())
                                for g in doc.monoid.minimal_generators],
-        "divisors": _divisor_payload(datum),
-        "root_types": _types_payload(datum),
+        "divisors": divisors,
+        "root_types": {"types": types, "d_partners": partners},
         "hidden_spherical_roots": sorted(
             [_frac(x) for x in datum.psi.roots[i].coords]
             for i in hidden_spherical_roots(datum)),
-        "document": _document_payload(doc, datum),
+        "document": _document_payload(doc, divisors),
     }
     if trace is not None:
         payload["trace"] = _trace_payload(trace)
@@ -324,20 +327,17 @@ def cmd_classify(doc: InputDocument) -> tuple[dict, list[str]]:
     table = classify_root_types(doc.monoid, doc.psi)
     rd = doc.rd
     tags = doc.psi.forms
-    pia = doc.monoid.type_a_roots
-    triple = match_hidden_root_triple(rd, doc.psi, pia)
+    types, partners = _root_types(rd, table)
     payload = {
-        "root_types": {rd.root_name(i): t for i, t in table.entries},
-        "d_partners": [[rd.root_name(a), rd.root_name(b)]
-                       for a, b in table.partners],
-        "type_a_roots": [rd.root_name(i) for i in sorted(pia)],
+        "root_types": types,
+        "d_partners": partners,
+        "type_a_roots": [rd.root_name(i) for i in sorted(doc.monoid.type_a_roots)],
         "forms": [{"root": [_frac(x) for x in g.coords],
                    "kind": t.kind,
                    "simple_roots": [rd.root_name(i) for i in t.roots],
                    "k": _frac(t.k) if t.k is not None else None}
                   for g, t in zip(doc.psi.roots, tags)],
-        "exceptional_triple": None if triple is None else
-            {"family": triple.family, "description": triple.description},
+        "exceptional_triple": _exceptional_triple(doc),
     }
     return payload, warnings
 
@@ -418,13 +418,10 @@ def _datum_from_document(doc: InputDocument) -> LunaDatum:
 def cmd_validate(doc: InputDocument) -> tuple[dict, list[str], bool]:
     datum = _datum_from_document(doc)
     report = validate_luna_datum(datum)
-    pia = doc.monoid.type_a_roots
-    triple = match_hidden_root_triple(doc.rd, doc.psi, pia)
     payload = {
         "passed": report.passed,
         "violations": [{"code": c, "detail": d} for c, d in report.violations],
-        "exceptional_triple": None if triple is None else
-            {"family": triple.family, "description": triple.description},
+        "exceptional_triple": _exceptional_triple(doc),
     }
     return payload, list(report.warnings), report.passed
 

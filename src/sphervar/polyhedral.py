@@ -28,12 +28,18 @@ integer form (`Lattice.integer_form`): when every pivot is 1, as for
 Z^n, the basis is the identity on its pivot columns and the form is
 read off the values; otherwise it is solved by back substitution.
 
-A Hilbert basis is read off one pulling triangulation of the pointed
-quotient cone (`PointedQuotient`), built from the facet-ray incidences
-alone: the candidates are the extreme rays and the parallelepiped points
-of the maximal simplices (`parallelepiped_points`), each point computed
-from an integer adjugate.  The same quotient and points serve the
-normality test of `WeightMonoid.is_saturated`.
+A Hilbert basis is taken in the pointed quotient of cone ∩ lattice by
+its units (`PointedQuotient`), read off the Hermite form of the
+constraint values on the lattice basis: its relations are the units,
+and its rows with no span-equation part are coordinates in which the
+quotient cone is full-dimensional, with the projected rays as rays and
+the facet normals read in those coordinates as facets, so no double
+description runs.  One pulling triangulation of it, built from the
+facet-ray incidences alone, gives the candidates: the extreme rays and
+the parallelepiped points of the maximal simplices
+(`parallelepiped_points`), each point computed from an integer
+adjugate.  The same quotient and points serve the normality test of
+`WeightMonoid.is_saturated`.
 
 Monoid membership is a depth-first search over the generators, bounded
 by the extreme rays of the dual cone: every ray is nonnegative on the
@@ -172,6 +178,10 @@ def hnf(rows) -> list[Vec]:
             continue
         piv = live[0]
         for r in live[1:]:
+            f, m = divmod(r[col], piv[col])
+            if not m:  # one row operation clears the entry
+                r[:] = [q - f * p for p, q in zip(piv, r)]
+                continue
             g, x, y = _xgcd(piv[col], r[col])
             a, b = piv[col] // g, r[col] // g
             piv_new = [x * p + y * q for p, q in zip(piv, r)]
@@ -206,21 +216,10 @@ def _relations(vectors) -> tuple[list[tuple[Vec, Vec]], list[Vec]]:
     if not k:
         return [], []
     n = len(vectors[0])
-    H = hnf(v + tuple(int(i == j) for j in range(k))
+    H = hnf(v + (0,) * i + (1,) + (0,) * (k - 1 - i)
             for i, v in enumerate(vectors))
     split = next((i for i, h in enumerate(H) if not any(h[:n])), len(H))
     return [(h[:n], h[n:]) for h in H[:split]], [h[n:] for h in H[split:]]
-
-
-def integer_kernel(rows) -> list[Vec]:
-    """Basis of the (saturated) lattice {x in Z^n : A x = 0}: the
-    relations among the columns of A."""
-    A = [tuple(map(int, r)) for r in rows]
-    if not A:
-        raise PolyhedralError("integer_kernel needs at least one row")
-    if len({len(r) for r in A}) > 1:
-        raise PolyhedralError("integer_kernel: rows differ in length")
-    return _relations(zip(*A))[1]
 
 
 def _bareiss_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]] | None:
@@ -430,12 +429,6 @@ class Lattice:
             if q:
                 out = [a - q * c for a, c in zip(out, b)]
         return tuple(out)
-
-    def saturation(self) -> "Lattice":
-        """The saturated lattice span_Q(basis) ∩ Z^dim."""
-        if not self.annihilator:
-            return Lattice.full(self.dim)
-        return Lattice.span(integer_kernel(self.annihilator), self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -740,24 +733,24 @@ class PointedQuotient:
     """cone ∩ lattice modulo its units, in coordinates.
 
     `units` is the lattice of invertible elements (cone lineality ∩
-    lattice), and `pointed` the quotient cone: pointed, in Z^q, or None
-    when the quotient has no nonzero point.  The cone is cut down to the
-    rational span of the lattice only when it leaves that span; a cone
-    whose rays and lineality lie in it, such as the cone over a monoid's
-    own generators, is used as it is.
+    lattice), and `pointed` the quotient cone in Z^q, pointed and
+    full-dimensional, or None when q = 0 and the quotient has no nonzero
+    point.  A cone that leaves the rational span of the lattice is first
+    cut down to it.
 
-    The units and the quotient by them are read off one Hermite form,
-    `_relations` of the constraint values (facet normals and span
-    equations) of the lattice basis vectors: the relations are the units
-    in lattice coordinates, `project` reads a point's constraint values
-    in the basis h of the Hermite rows (h, c), and `lift` takes p to
-    sum_i p_i c_i, reduced modulo the units.  When there are no units
-    and the cone spans the lattice, the quotient is the cone itself in
-    lattice coordinates, so it is read off the cone: its rays are the
-    rays' coordinates made primitive, and its facets are the cone's
-    facet normals n read on the lattice basis, n.b for each basis vector
-    b, made primitive (a full-dimensional cone has one primitive normal
-    per facet).  Otherwise it is built from the projected rays.
+    Everything is read off one Hermite form, `_relations` of the values
+    of the constraints, the span equations first and then the facet
+    normals, on the lattice basis vectors.  The constraints vanish
+    together exactly on the lineality, so the relations are the units in
+    lattice coordinates.  The Hermite rows (h, c) whose equation part is
+    zero come last, and their h are a basis of the image of lattice ∩
+    span(cone); q is their number.  `project` reads a point's constraint
+    values in that basis, and `lift` takes p to the lattice point with
+    coordinates sum_i p_i c_i, reduced modulo the units.  In these
+    coordinates the cone modulo its lineality is the quotient cone: its
+    rays are the projected rays made primitive, and its facet normals
+    are the facet columns of those rows, each facet normal read in the
+    basis.  So it is built without double description.
     """
 
     def __init__(self, cone: RationalCone, lattice: Lattice):
@@ -768,77 +761,45 @@ class PointedQuotient:
             cone = cone.intersection(RationalCone.from_inequalities(
                 [], lattice.annihilator, dim=dim))
         self.cone = cone
-        self.lattice = lattice
-        self._constraints = list(cone.facet_normals) + list(cone.span_equations)
-        image, kernel = [], []
-        if cone.lineality:
-            image, kernel = _relations([_dot(n, b) for n in self._constraints]
-                                       for b in lattice.basis)
+        self._constraints = cone.span_equations + cone.facet_normals
+        image, kernel = _relations([_dot(n, b) for n in self._constraints]
+                                   for b in lattice.basis)
         self.units = Lattice.span([tuple(int(x) for x in lattice.from_coords(k))
                                    for k in kernel], dim)
-        self._image = (Lattice(len(self._constraints), tuple(h for h, _ in image))
-                       if self.units.rank else None)
-        self._section_cols = list(zip(*(c for _, c in image)))
-        self.q = len(image) if self._image is not None else lattice.rank
-        self.pointed = self._pointed_cone()
+        eqs = len(cone.span_equations)
+        rows = [(h, c) for h, c in image if not any(h[:eqs])]
+        self.q = len(rows)
+        self._image = Lattice(len(self._constraints), tuple(h for h, _ in rows))
+        self._section_cols = list(zip(*(lattice.from_coords(c) for _, c in rows)))
+        self.pointed = None
+        if self.q:
+            self.pointed = RationalCone._canonical(
+                self.q, [self.project(r) for r in cone.rays], [],
+                list(zip(*(h[eqs:] for h, _ in rows))), [])
 
-    def project(self, v) -> Vec:
-        """The image in Z^q of a point v of the lattice."""
-        c = (self._image.coords([_dot(n, v) for n in self._constraints])
-             if self._image is not None else self.lattice.coords(v))
+    def project(self, v) -> QVec:
+        """The image in Q^q of a point v of span(cone), in Z^q when v is
+        in the lattice."""
+        c = self._image.coords([_dot(n, v) for n in self._constraints])
         if c is None:
-            raise PolyhedralError("internal: point outside lattice span")
+            raise PolyhedralError("internal: point outside the cone's span")
         return c
 
     def lift(self, p) -> Vec:
         """The canonical lattice point modulo the units over p in Z^q:
         any preimage lies in the cone when p does, because the kernel of
         the quotient map spans the cone's lineality."""
-        if self._image is None:
-            return tuple(int(y) for y in self.lattice.from_coords(p))
-        x = [_dot(p, col) for col in self._section_cols]
-        return self.units.reduce_mod(
-            tuple(int(y) for y in self.lattice.from_coords(x)))
-
-    def _pointed_cone(self) -> RationalCone | None:
-        if self.q == 0:
-            return None
-        rays = {primitive(c) for c in map(self.project, self.cone.rays) if any(c)}
-        if not rays:
-            return None
-        if self._image is None and self.cone.span_rank() == self.q:
-            # the cone itself in lattice coordinates: its rays are `rays`
-            # and its facets are the cone's, read on the lattice basis
-            facets = {primitive([_dot(n, b) for b in self.lattice.basis])
-                      for n in self.cone.facet_normals}
-            pointed = RationalCone(self.q, tuple(sorted(rays)), (),
-                                   tuple(sorted(facets)), ())
-        else:
-            pointed = RationalCone.from_generators(sorted(rays), dim=self.q)
-        if pointed.lineality:
-            raise PolyhedralError("internal: quotient cone not pointed")
-        return pointed
+        return self.units.reduce_mod([_dot(p, col) for col in self._section_cols])
 
 
 def parallelepiped_points(cone: RationalCone, rays) -> Iterator[Vec]:
     """The nonzero lattice points of the half-open parallelepipeds
     {sum t_i v_i : 0 <= t_i < 1} of the maximal simplices of the pulling
-    triangulation of a pointed cone, simplex by simplex.  `rays` holds a
-    lattice vector v_i on each of `cone.rays`, in order.
-
-    When the cone does not span Z^q, the points are taken on integers in
-    the saturated lattice of its span (rank `span_rank`), where the rays
-    have full rank, and mapped back; the v_i are integral there because
-    they lie in that lattice.
+    triangulation of a pointed full-dimensional cone, simplex by simplex.
+    `rays` holds a lattice vector v_i on each of `cone.rays`, in order.
     """
-    span_cols = None
-    if cone.span_rank() < cone.dim:
-        sat = Lattice.span(cone.rays, cone.dim).saturation()
-        span_cols = list(zip(*sat.basis))
-        rays = [tuple(int(x) for x in sat.coords(r)) for r in rays]
     for simplex in _triangulation(cone):
-        for p in _parallelepiped_points([rays[i] for i in simplex]):
-            yield tuple(_dot(p, col) for col in span_cols) if span_cols else p
+        yield from _parallelepiped_points([rays[i] for i in simplex])
 
 
 def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
@@ -855,12 +816,15 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     maximal simplices (`parallelepiped_points`).  The simplices cover the
     cone and each simplex's lattice points are generated by its rays and
     parallelepiped points, so the candidates generate the monoid; a
-    candidate is kept unless, in order of a positive grading, it is a
-    kept one plus an element of the cone.  The candidates are distinct
-    and lie in the span of the quotient cone, where its facet normals cut
-    it out, so p - k lies in it iff every facet normal is at least as
-    large on p as on k: each candidate's facet values are computed once,
-    when it comes up, and only the kept ones' are stored.
+    candidate is kept unless it is a kept one plus a nonzero element of
+    the cone.  The grading, the sum of the facet normals, is positive on
+    every nonzero point of the cone, so that kept one has a lower degree:
+    the candidates are taken degree by degree, each compared only with
+    the kept ones of lower degree.  The candidates are distinct and lie
+    in Q^q, the span of the quotient cone, where its facet normals cut it
+    out, so p - k lies in it iff every facet normal is at least as large
+    on p as on k: each candidate's facet values are computed once, and
+    only the kept ones' are stored.
     """
     quotient = PointedQuotient(cone, lattice)
     qcone = quotient.pointed
@@ -869,14 +833,19 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
     grading = tuple(sum(n[i] for n in qcone.facet_normals)
                     for i in range(qcone.dim))
     candidates = set(qcone.rays).union(parallelepiped_points(qcone, qcone.rays))
-    ordered = sorted(candidates, key=lambda p: (_dot(grading, p), p))
+    by_degree: dict[int, list[Vec]] = {}
+    for p in candidates:
+        by_degree.setdefault(_dot(grading, p), []).append(p)
     kept: list[Vec] = []
-    kept_values: list[Vec] = []
-    for p in ordered:
-        vp = tuple(_dot(n, p) for n in qcone.facet_normals)
-        if not any(all(map(ge, vp, vk)) for vk in kept_values):
-            kept.append(p)
-            kept_values.append(vp)
+    below: list[Vec] = []  # facet values of the kept ones of lower degree
+    for d in sorted(by_degree):
+        level = []
+        for p in by_degree[d]:
+            vp = tuple(_dot(n, p) for n in qcone.facet_normals)
+            if not any(all(map(ge, vp, vk)) for vk in below):
+                kept.append(p)
+                level.append(vp)
+        below += level
     lifted = [quotient.lift(p) for p in kept]
     if not all(map(quotient.cone.contains, lifted)):
         raise PolyhedralError("internal: lifted generator left the cone")

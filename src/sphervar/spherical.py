@@ -224,7 +224,7 @@ def elementary_forms(psi: SphericalRootSet) -> tuple[FormTag, ...]:
         elif len(nz) == 2:
             (i, ci), (j, cj) = nz
             if ci == cj and ci in (1, Fraction(1, 2)):
-                if symmetric_form(rd, rd.simple_root(i), rd.simple_root(j)) == 0:
+                if rd.cartan[i][j] == 0:
                     tag = FormTag("pair", (i, j), ci)
         tags.append(tag)
     return tuple(tags)

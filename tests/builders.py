@@ -5,7 +5,9 @@ They build values through the public constructors and methods of
 `WeightMonoid`, so its generators must be dominant on the active roots,
 which on a torus group asks nothing.  The exceptions are
 `primitive_vector`, which refuses a zero vector and a vector off the
-span of the lattice, and `valuation_cone`, which refuses a root off it.
+span of the lattice, `valuation_cone`, which refuses a root off it, and
+`integer_kernel`, which refuses an empty matrix and rows of mixed
+length; it and `saturation` read the relations of `_relations`.
 `localize_datum` turns the refusal of `WeightMonoid.localize` into a
 `RecoveryError`.
 """
@@ -20,6 +22,7 @@ from sphervar.polyhedral import (
     RationalCone,
     _clear_denominators,
     _dot,
+    _relations,
     exact,
     primitive,
 )
@@ -69,6 +72,24 @@ def pairing(c: CovectorVec, w: WeightVec) -> int | Fraction:
     return exact(sum(a * b for a, b in zip(c.coords, w.coords)))
 
 
+def integer_kernel(rows) -> list[tuple[int, ...]]:
+    """Basis of the (saturated) lattice {x in Z^n : A x = 0}: the
+    relations among the columns of A."""
+    A = [tuple(map(int, r)) for r in rows]
+    if not A:
+        raise PolyhedralError("integer_kernel needs at least one row")
+    if len({len(r) for r in A}) > 1:
+        raise PolyhedralError("integer_kernel: rows differ in length")
+    return _relations(zip(*A))[1]
+
+
+def saturation(lattice: Lattice) -> Lattice:
+    """The saturated lattice span_Q(basis) ∩ Z^dim."""
+    if not lattice.annihilator:
+        return Lattice.full(lattice.dim)
+    return Lattice.span(integer_kernel(lattice.annihilator), lattice.dim)
+
+
 def zero_cone(dim: int) -> RationalCone:
     return RationalCone.from_generators((), dim=dim)
 
@@ -81,6 +102,28 @@ def primitive_vector(lattice: Lattice, v):
     if all(x == 0 for x in c):
         raise PolyhedralError("zero vector has no primitive representative")
     return lattice.from_coords(primitive(c))
+
+
+def group_case_document(n: int) -> dict:
+    """The document of G×G/diag G for G = A_n, from the Cartan matrix
+    alone.  Generator i is omega_i in the first factor plus
+    omega_{n+1-i} in the second, and spherical root i is alpha_i in the
+    first factor plus alpha_{n+1-i} in the second; alpha_i, in
+    fundamental-weight coordinates, is column i of the Cartan matrix."""
+    cartan = build_root_data(GroupSpec((("A", n),))).cartan
+
+    def omega(i):
+        return [int(j == i) for j in range(n)]
+
+    def alpha(i):
+        return [row[i] for row in cartan]
+
+    return {
+        "schema": 1,
+        "group": {"factors": [["A", n], ["A", n]], "central_rank": 0},
+        "monoid_generators": [omega(i) + omega(n - 1 - i) for i in range(n)],
+        "spherical_roots": [alpha(i) + alpha(n - 1 - i) for i in range(n)],
+    }
 
 
 def thin_to_elementary(psi: SphericalRootSet) -> SphericalRootSet:

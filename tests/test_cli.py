@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cli_contract
+from builders import group_case_document
 from corpus import build_corpus, entry_to_document
 from sphervar import cli, spherical
 from sphervar.cli import ParseError, main, parse_input
@@ -895,3 +897,43 @@ def test_pretty_output_ends_in_the_machine_block(tmp_path):
             else:
                 assert machine and pretty.endswith("\nmachine:\n" + machine), \
                     (name, doc)
+
+
+# -- the group case as a closed-form oracle ------------------------------------
+
+def machine_run(argv) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "machine"])
+    return code, json.loads(out.getvalue())["payload"]
+
+
+def check_group_case(n, directory):
+    # G x G/diag G for G = A_n has n type-d divisors: divisor i is moved
+    # by alpha_i and alpha_{n+1-i} of the second factor, simple roots i
+    # and 2n+1-i, and its functional is the coroot alpha_i^vee, column i
+    # of the lattice basis; the recovered document validates
+    path = write_doc(directory, f"group_a{n}.json", group_case_document(n))
+    code, payload = machine_run(["recover", "--input", path])
+    assert code == 0
+    basis = payload["lattice_basis"]
+    assert sorted((d["source"], d["dropped_simple_roots"], d["phi"])
+                  for d in payload["divisors"]) == \
+        [("type_d", [i, 2 * n + 1 - i], [b[i - 1] for b in basis])
+         for i in range(1, n + 1)]
+    path = write_doc(directory, f"group_a{n}_recovered.json",
+                     payload["document"])
+    assert machine_run(["validate", "--input", path]) == \
+        (0, {"exceptional_triple": None, "passed": True, "violations": []})
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_group_case_of_type_a_matches_its_closed_form(tmp_path, n):
+    check_group_case(n, tmp_path)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 12))
+def test_group_case_of_type_a_matches_its_closed_form_at_any_rank(n):
+    with tempfile.TemporaryDirectory() as directory:
+        check_group_case(n, Path(directory))

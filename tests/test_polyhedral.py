@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from builders import primitive_vector, zero_cone
+from builders import integer_kernel, primitive_vector, saturation, zero_cone
 from references import reference_det, reference_rational_solve
 from sphervar import polyhedral
 from sphervar.polyhedral import (
@@ -18,7 +18,6 @@ from sphervar.polyhedral import (
     hilbert_basis,
     hilbert_basis_with_units,
     hnf,
-    integer_kernel,
     monoid_membership,
     primitive,
 )
@@ -179,7 +178,7 @@ def test_primitive_vector_in_sublattice():
 
 def test_saturation_and_annihilator():
     lat = Lattice.span([(2, 4)])
-    assert lat.saturation().basis == ((1, 2),)
+    assert saturation(lat).basis == ((1, 2),)
     ann = lat.annihilator
     assert len(ann) == 1
     assert sum(a * b for a, b in zip(ann[0], (2, 4))) == 0

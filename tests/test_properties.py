@@ -18,10 +18,12 @@ from builders import (
     covector,
     from_covector,
     fundamental_weight,
+    integer_kernel,
     localize_datum,
     monoid_of,
     pairing,
     product,
+    saturation,
     zero_cone,
 )
 from corpus import build_corpus
@@ -54,11 +56,11 @@ from sphervar.monoid import WeightMonoid
 from sphervar.polyhedral import (
     Lattice,
     MonoidSearch,
+    PointedQuotient,
     PolyhedralError,
     RationalCone,
     hilbert_basis_with_units,
     hnf,
-    integer_kernel,
     monoid_membership,
     primitive,
 )
@@ -769,7 +771,7 @@ def reference_box_residues(coord_rows):
 
 
 def reference_parallelepiped_points(rays, dim):
-    sat = Lattice.span(list(rays), dim).saturation()
+    sat = saturation(Lattice.span(list(rays), dim))
     coord_rows = [[int(x) for x in sat.coords(r)] for r in rays]
     out = set()
     for rep in reference_box_residues(coord_rows):
@@ -799,7 +801,7 @@ def reference_volume(rays, q):
     lattice of its span, summed."""
     total = 0
     for sub in _independent_subsets(rays, q):
-        sat = Lattice.span(list(sub), q).saturation()
+        sat = saturation(Lattice.span(list(sub), q))
         diag = hnf([[int(x) for x in sat.coords(r)] for r in sub])
         total += abs(prod(next(x for x in row if x) for row in diag))
     return total
@@ -873,6 +875,11 @@ def reference_hilbert_basis_with_units(cone, lattice, max_volume=None):
 REFERENCE_MAX_VOLUME = 5000
 
 
+UNIT_LINE_CONE = RationalCone.from_generators(
+    [(0, 0, 1, 0), (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0)], [(0, 0, 0, 1)])
+PLANAR_CONE = RationalCone.from_generators([(1, 0, 0), (1, 2, 0)])
+
+
 @st.composite
 def hilbert_inputs(draw):
     """(cone, lattice) in dims 2-5: full lattices, random sublattices,
@@ -915,6 +922,9 @@ def hilbert_inputs(draw):
           Lattice.span([(1, 0, 0), (0, 2, 0)], 3)))
 @example((RationalCone.from_generators([(1, 0, 0)], [(0, 1, 1)], dim=3),
           Lattice.span([(1, 0, 0), (0, 1, 0)], 3)))
+# a square cone with a unit line, and a cone of rank 2 in Z^3
+@example((UNIT_LINE_CONE, Lattice.full(4)))
+@example((PLANAR_CONE, Lattice.full(3)))
 def test_triangulated_hilbert_basis_matches_all_subsets_reference(inputs):
     cone, lattice = inputs
     ref = reference_hilbert_basis_with_units(cone, lattice,
@@ -922,6 +932,45 @@ def test_triangulated_hilbert_basis_matches_all_subsets_reference(inputs):
     assume(ref is not None)
     units, basis = hilbert_basis_with_units(cone, lattice)
     assert (units, basis) == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(hilbert_inputs())
+@example((UNIT_LINE_CONE, Lattice.full(4)))
+@example((PLANAR_CONE, Lattice.full(3)))
+# a lattice of index 25 under a cone of rank 2 in Z^3
+@example((PLANAR_CONE, Lattice.span([(5, 0, 0), (0, 5, 0), (0, 0, 1)], 3)))
+# cones leaving the span of the lattice, by a ray and by the lineality
+@example((RationalCone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 1)],
+                                       dim=3),
+          Lattice.span([(1, 0, 0), (0, 2, 0)], 3)))
+@example((RationalCone.from_generators([(1, 0, 0)], [(0, 1, 1)], dim=3),
+          Lattice.span([(1, 0, 0), (0, 1, 0)], 3)))
+def test_quotient_cone_read_off_matches_double_description(inputs):
+    # the quotient cone read off the Hermite rows is the cone that double
+    # description builds over the projected rays, and it spans Z^q
+    cone, lattice = inputs
+    quotient = PointedQuotient(cone, lattice)
+    rays = {primitive(quotient.project(r)) for r in quotient.cone.rays}
+    if quotient.pointed is None:
+        assert quotient.q == 0 and not rays
+        return
+    assert quotient.pointed == RationalCone.from_generators(
+        sorted(rays), dim=quotient.q)
+    assert quotient.pointed.span_rank() == quotient.q
+
+
+@pytest.mark.parametrize("cone, lattice", [
+    (UNIT_LINE_CONE, Lattice.full(4)), (PLANAR_CONE, Lattice.full(3))],
+    ids=["unit line", "rank below dimension"])
+def test_the_quotient_cone_takes_no_double_description(cone, lattice):
+    calls = []
+    real = polyhedral._dd
+    with mock.patch.object(polyhedral, "_dd",
+                           lambda *a: calls.append(a) or real(*a)):
+        units, basis = hilbert_basis_with_units(cone, lattice)
+    assert calls == []
+    assert (units, basis) == reference_hilbert_basis_with_units(cone, lattice)
 
 
 # -- the integer form of a functional and the integer walk ---------------------
