@@ -25,7 +25,6 @@ from .recovery import (
     validate_luna_datum,
 )
 from .rootsys import (
-    CovectorVec,
     GroupSpec,
     ParabolicSet,
     RootData,
@@ -47,7 +46,7 @@ from .spherical import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BDivisorRecord", "CovectorVec", "GroupSpec", "Lattice",
+    "BDivisorRecord", "GroupSpec", "Lattice",
     "LatticeFunctional", "LunaDatum", "ParabolicSet", "Polytope",
     "RationalCone", "RootData", "RootTypeTable", "SphericalRootSet",
     "WeightMonoid", "WeightVec", "build_root_data", "classify_root_types",

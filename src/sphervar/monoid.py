@@ -233,24 +233,16 @@ class WeightMonoid:
         return (self.invertible_lattice == other.invertible_lattice
                 and self.minimal_generators == other.minimal_generators)
 
-    def check_saturation_rank(self) -> None:
-        """Raise `MonoidError` if `is_saturated` refuses the monoid: one
-        that is not free, on a lattice of rank past
-        `SATURATION_RANK_LIMIT`.  A free monoid passes at any rank."""
-        if self.lattice.rank > SATURATION_RANK_LIMIT and not self._is_free:
-            raise MonoidError(
-                f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
-
-    @property
-    def _is_free(self) -> bool:
-        """Whether the nonzero generators number the rank of the lattice
-        they span, and so are a Z-basis of it."""
-        return sum(map(any, self.gen_vectors)) == self.lattice.rank
-
     def is_saturated(self) -> bool:
         """Whether the monoid equals its saturation S = cone(M) ∩ lattice,
         decided by the normality test (Bruns–Ichim, J. Algebra 324, 2010).
-        A monoid that `check_saturation_rank` refuses raises `MonoidError`.
+
+        A free monoid needs no test.  Its nonzero generators number the
+        rank of the lattice they span, so they are a Z-basis of it, and a
+        lattice point lies in their cone iff its coordinates in that
+        basis are nonnegative integers: M is S, at any rank.  Any other
+        monoid on a lattice of rank past `SATURATION_RANK_LIMIT` is
+        refused with `MonoidError`.
 
         S contains the monoid, so it has at least its units; the two must
         have the same.  Then both pass to the pointed quotient by the
@@ -263,17 +255,15 @@ class WeightMonoid:
         is in M; any other is a membership query, and the first point
         outside M ends the test.
 
-        A free monoid needs no test.  Its nonzero generators are a
-        Z-basis of its lattice, and a lattice point lies in their cone
-        iff its coordinates in that basis are nonnegative integers: M is
-        S, at any rank.
-
         Validation asks this only when a datum's recovery identity
-        fails, so a datum whose identity holds takes no normality test.
+        fails, so a datum whose identity holds takes no normality test
+        and no refusal.
         """
-        self.check_saturation_rank()
-        if self._is_free:
+        if sum(map(any, self.gen_vectors)) == self.lattice.rank:
             return True
+        if self.lattice.rank > SATURATION_RANK_LIMIT:
+            raise MonoidError(
+                f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
         quotient = PointedQuotient(self.cone, self.lattice)
         if quotient.units != self.invertible_lattice:
             return False

@@ -488,19 +488,20 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
                              "of an elementary root pairs positively with it")
 
     # (vi) monoid recovery from the divisor half-spaces, for saturated M.
-    # A violation needs M saturated and the identity failing, so the
+    # A violation needs the identity failing and M saturated, so the
     # identity, read off the facets, is asked first, and the normality
-    # test only when it fails.  Past the rank limit a monoid that is not
-    # free is refused before either, with a warning.
-    try:
-        m.check_saturation_rank()
-    except MonoidError:
-        rep.warnings.append("saturation not checked (lattice too large)")
-    else:
-        if not _monoid_recovery_identity(datum) and m.is_saturated():
-            rep.fail("monoid_recovery",
-                     "the monoid is not cut out of its lattice by the "
-                     "divisor functionals")
+    # test only when it fails.  A refused normality test is a warning:
+    # the check could have failed and was not run.
+    if not _monoid_recovery_identity(datum):
+        try:
+            saturated = m.is_saturated()
+        except MonoidError:
+            rep.warnings.append("saturation not checked (lattice too large)")
+        else:
+            if saturated:
+                rep.fail("monoid_recovery",
+                         "the monoid is not cut out of its lattice by the "
+                         "divisor functionals")
 
     # diagnostic: a locally-effective datum with the root supports and the
     # type-a set covering everything must already be covered by supports
@@ -530,6 +531,14 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     and the identity holds.  Otherwise the cut cone is built in the
     coordinates of X, and lies in C iff its rays and both signs of its
     lineality vectors do, read as weights.
+
+    The facet table decides alone wherever check (i) passed.  There every
+    phi_D is >= 0 on M, so cone(Phi) ⊆ C^∨, and C^∨ ⊆ cone(Phi) holds
+    only if the two are equal.  Then each extreme ray of the pointed C^∨,
+    a facet normal, is an extreme ray of cone(Phi), and so a multiple of
+    some phi_D.  Hence the cut cone, built only where some facet normal
+    is not, returns True only when check (i) failed; that is also why
+    check (vi) may ask this before the normality test.
     """
     m = datum.monoid
     X = m.lattice

@@ -2,8 +2,9 @@
 
 Weight coordinates are the fundamental-weight basis per simple factor
 followed by the standard basis of the central characters, so a coroot
-pairing is a coordinate read.  Covectors live in the dual basis (simple
-coroots + dual central basis) and pair with weights by dot product.
+pairing is a coordinate read: coroot i is e_i in the dual coordinates,
+and its values on a lattice's basis are column i of that basis
+(`Lattice.columns`).
 
 Numbering is Bourbaki within each factor, except G2 where the first
 simple root is the long one (the classical-reference convention used in
@@ -12,7 +13,7 @@ the two indices.
 
 `build_root_data` builds one `RootData` per `GroupSpec` and keeps it.
 The constants derived from the Cartan matrix C are built with it: the
-simple roots and coroots, and C^-1 held over its determinant as the pair
+simple roots and C^-1, held over its determinant as the pair
 (p, p C^-1) with p C^-1 an integer matrix.  C is block diagonal, one
 block per simple factor, and p is the least common multiple of the
 blocks' determinants (|det C| for a simple group).  The inverse of a
@@ -38,9 +39,9 @@ VALID_TYPES = {"A", "B", "C", "D", "E", "F", "G"}
 # `build_root_data` takes.  Its Cartan matrix and the inverse have
 # rank^2 entries, so a one-line document naming A100000 would otherwise
 # ask for 10^10 of them before any other check.  Measured with Python
-# 3.11 on a 2-vCPU Xeon VM: the A128 root data builds in 0.03 s and the
-# A128 full flag G/U recovers through the CLI in 0.7 s (0.68–0.80 s
-# over three runs); A200 takes 0.06 s for the root data alone.
+# 3.11 on a 2-vCPU Xeon VM: the A128 root data builds in 0.01 s and the
+# A128 full flag G/U recovers through the CLI in 0.5 s (0.44–0.55 s
+# over nine runs); A200 takes 0.03–0.04 s for the root data alone.
 MAX_GROUP_DIM = 128
 
 
@@ -216,32 +217,6 @@ class WeightVec:
         return self.coords
 
 
-@dataclass(frozen=True)
-class CovectorVec:
-    """Functional on the weight space, in coroot + dual central coordinates,
-    held as `WeightVec` holds its coordinates."""
-
-    spec: GroupSpec
-    coords: tuple[int | Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(map(exact, self.coords)))
-        if len(self.coords) != self.spec.dim:
-            raise RootDataError("covector length does not match the group")
-
-    def __add__(self, other: "CovectorVec") -> "CovectorVec":
-        _same_spec(self, other)
-        return CovectorVec(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "CovectorVec") -> "CovectorVec":
-        _same_spec(self, other)
-        return CovectorVec(self.spec, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c) -> "CovectorVec":
-        c = exact(c)
-        return CovectorVec(self.spec, tuple(c * a for a in self.coords))
-
-
 def _same_spec(a, b) -> None:
     if a.spec != b.spec:
         raise RootDataError("mismatched group specs")
@@ -257,9 +232,9 @@ class ParabolicSet:
 @dataclass(frozen=True)
 class RootData:
     """The root data of a `GroupSpec`, with the constants every caller
-    reads built once by `build_root_data`: the simple roots and coroots,
-    and the inverse Cartan matrix as `cartan_inverse` = (p, p C^-1), with
-    p > 0 the lcm of the simple factors' |det C_f| and p C^-1 an integer
+    reads built once by `build_root_data`: the simple roots and the
+    inverse Cartan matrix as `cartan_inverse` = (p, p C^-1), with p > 0
+    the lcm of the simple factors' |det C_f| and p C^-1 an integer
     matrix."""
 
     spec: GroupSpec
@@ -267,7 +242,6 @@ class RootData:
     root_lengths: tuple[int | Fraction, ...]
     factor_of: tuple[int, ...]
     simple_roots: tuple[WeightVec, ...] = field(compare=False, repr=False)
-    simple_coroots: tuple[CovectorVec, ...] = field(compare=False, repr=False)
     cartan_inverse: tuple[int, tuple[tuple[int, ...], ...]] = field(
         compare=False, repr=False)
 
@@ -285,9 +259,6 @@ class RootData:
     def simple_root(self, i: int) -> WeightVec:
         """alpha_i in fundamental-weight coordinates: the i-th Cartan column."""
         return self.simple_roots[i]
-
-    def simple_coroot(self, i: int) -> CovectorVec:
-        return self.simple_coroots[i]
 
     def root_name(self, i: int) -> str:
         if len(self.spec.factors) <= 1:
@@ -313,7 +284,6 @@ def build_root_data(spec: GroupSpec) -> RootData:
     for t, r in spec.factors:
         _check_factor(t, r)
     n = spec.simple_rank
-    dim = spec.dim
     blocks = [_cartan_block(t, r) for t, r in spec.factors]
     inverses = [_cartan_inverse(t, r, blk)
                 for (t, r), blk in zip(spec.factors, blocks)]
@@ -341,9 +311,6 @@ def build_root_data(spec: GroupSpec) -> RootData:
         factor_of=tuple(factor_of),
         simple_roots=tuple(
             WeightVec(spec, tuple(row[i] for row in cartan) + central)
-            for i in range(n)),
-        simple_coroots=tuple(
-            CovectorVec(spec, tuple(int(i == j) for j in range(dim)))
             for i in range(n)),
         cartan_inverse=(p, tuple(tuple(row) for row in inv)),
     )

@@ -28,12 +28,10 @@ from sphervar.polyhedral import (
 )
 from sphervar.recovery import RecoveryError
 from sphervar.rootsys import (
-    CovectorVec,
     GroupSpec,
     ParabolicSet,
     RootData,
     WeightVec,
-    _same_spec,
     build_root_data,
     root_coefficients,
 )
@@ -54,22 +52,24 @@ def fundamental_weight(rd: RootData, i: int) -> WeightVec:
     return rd.weight(tuple(int(j == i) for j in range(rd.dim)))
 
 
-def covector(rd: RootData, coords) -> CovectorVec:
-    return CovectorVec(rd.spec, tuple(coords))
+def coroot(rd: RootData, i: int) -> tuple[int, ...]:
+    """The coroot of simple root i, in the coordinates dual to the
+    weights: the unit tuple e_i."""
+    return tuple(int(j == i) for j in range(rd.dim))
 
 
-def from_covector(cov: CovectorVec, lattice: Lattice) -> LatticeFunctional:
-    """The restriction of a covector to the lattice: its values on the
-    basis, one dot product each."""
-    den, c = _clear_denominators(cov.coords)
+def from_covector(cov, lattice: Lattice) -> LatticeFunctional:
+    """The restriction to the lattice of a covector, a tuple of rational
+    dual coordinates: its values on the basis, one dot product each."""
+    den, c = _clear_denominators(cov)
     return LatticeFunctional(
         lattice, tuple(exact(_dot(c, b), den) for b in lattice.basis))
 
 
-def pairing(c: CovectorVec, w: WeightVec) -> int | Fraction:
-    """<c, w>: dot product in the dual coordinate pair."""
-    _same_spec(c, w)
-    return exact(sum(a * b for a, b in zip(c.coords, w.coords)))
+def pairing(c, w: WeightVec) -> int | Fraction:
+    """<c, w>: the dot product of the dual coordinates c with those of w,
+    which must be as many."""
+    return exact(sum(a * b for a, b in zip(c, w.coords, strict=True)))
 
 
 def integer_kernel(rows) -> list[tuple[int, ...]]:
@@ -104,13 +104,23 @@ def primitive_vector(lattice: Lattice, v):
     return lattice.from_coords(primitive(c))
 
 
-def group_case_document(n: int) -> dict:
-    """The document of G×G/diag G for G = A_n, from the Cartan matrix
-    alone.  Generator i is omega_i in the first factor plus
-    omega_{n+1-i} in the second, and spherical root i is alpha_i in the
-    first factor plus alpha_{n+1-i} in the second; alpha_i, in
-    fundamental-weight coordinates, is column i of the Cartan matrix."""
-    cartan = build_root_data(GroupSpec((("A", n),))).cartan
+def group_case_document(dynkin: str, n: int) -> dict:
+    """The document of G×G/diag G for G simple of the given type and rank,
+    from the Cartan matrix alone.  Let s be the diagram flip -w0: it
+    reverses A_n, swaps the two spin nodes of D_n for n odd and reflects
+    E6, and is the identity otherwise.  Generator i is omega_i in the
+    first factor plus omega_{s(i)} in the second, and spherical root i is
+    alpha_i in the first factor plus alpha_{s(i)} in the second, divided
+    by the gcd of its entries; alpha_i, in fundamental-weight
+    coordinates, is column i of the Cartan matrix."""
+    cartan = build_root_data(GroupSpec(((dynkin, n),))).cartan
+    flip = list(range(n))
+    if dynkin == "A":
+        flip.reverse()
+    elif dynkin == "D" and n % 2:
+        flip[-2:] = [n - 1, n - 2]
+    elif (dynkin, n) == ("E", 6):
+        flip = [5, 1, 4, 3, 2, 0]
 
     def omega(i):
         return [int(j == i) for j in range(n)]
@@ -120,9 +130,10 @@ def group_case_document(n: int) -> dict:
 
     return {
         "schema": 1,
-        "group": {"factors": [["A", n], ["A", n]], "central_rank": 0},
-        "monoid_generators": [omega(i) + omega(n - 1 - i) for i in range(n)],
-        "spherical_roots": [alpha(i) + alpha(n - 1 - i) for i in range(n)],
+        "group": {"factors": [[dynkin, n], [dynkin, n]], "central_rank": 0},
+        "monoid_generators": [omega(i) + omega(flip[i]) for i in range(n)],
+        "spherical_roots": [list(primitive(alpha(i) + alpha(flip[i])))
+                            for i in range(n)],
     }
 
 

@@ -30,7 +30,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from builders import pairing, primitive_vector
+from builders import coroot, pairing, primitive_vector
 from sphervar.monoid import MonoidError
 from sphervar.polyhedral import RationalCone, _dd, primitive
 from sphervar.luna import LunaError, RootTypeTable
@@ -390,8 +390,9 @@ def reference_classify_root_types(m, psi):
 
 
 def reference_half_coroot(rd, i):
-    """Half the coroot of simple root i, as a rational covector."""
-    return rd.simple_coroot(i).scale(Fraction(1, 2))
+    """Half the coroot of simple root i, as a tuple of rational dual
+    coordinates."""
+    return tuple(Fraction(x, 2) for x in coroot(rd, i))
 
 
 def _reference_pairing_to_one(cov, roots, rd):

@@ -726,9 +726,11 @@ def test_main_entry_direct(capsys):
 
 def test_recover_passes_on_a_skipped_saturation_check(tmp_path):
     # a monoid of a central torus of rank 7 that is not free, the 2 e_i
-    # and the all-ones vector, is past the saturation rank limit, so the
-    # recovery identity goes unchecked; recover and polytope say so, as
-    # validate of the recovered document does
+    # and the all-ones vector, is past the saturation rank limit.  Its
+    # recovered divisors cut it out of its lattice, so the identity holds,
+    # no normality test is needed, and recover and polytope warn of
+    # nothing.  With D1 dropped the identity fails, and the normality test
+    # that would decide (vi) is refused: validate warns, and passes
     warning = "saturation not checked (lattice too large)"
     doc = {
         "schema": 1,
@@ -739,14 +741,18 @@ def test_recover_passes_on_a_skipped_saturation_check(tmp_path):
     path = write_doc(tmp_path, "torus7.json", doc)
     for command in ("recover", "polytope"):
         proc = run_cli([command, "--input", path, "--format", "machine"])
-        assert json.loads(proc.stdout)["warnings"] == [warning]
+        assert json.loads(proc.stdout)["warnings"] == []
     proc = run_cli(["recover", "--input", path])
-    assert f"warning: {warning}" in proc.stdout.splitlines()
-    recovered = write_doc(tmp_path, "recovered.json",
-                          machine_payload(run_cli(
-                              ["recover", "--input", path,
-                               "--format", "machine"]))["document"])
+    assert not any(line.startswith("warning:")
+                   for line in proc.stdout.splitlines())
+    document = machine_payload(run_cli(
+        ["recover", "--input", path, "--format", "machine"]))["document"]
+    assert document["divisors"][0]["id"] == "D1"
+    document["divisors"] = document["divisors"][1:]
+    recovered = write_doc(tmp_path, "recovered.json", document)
     proc = run_cli(["validate", "--input", recovered, "--format", "machine"])
+    assert proc.returncode == 0
+    assert machine_payload(proc)["passed"] is True
     assert json.loads(proc.stdout)["warnings"] == [warning]
 
 
@@ -908,20 +914,37 @@ def machine_run(argv) -> tuple[int, dict]:
     return code, json.loads(out.getvalue())["payload"]
 
 
-def check_group_case(n, directory):
-    # G x G/diag G for G = A_n has n type-d divisors: divisor i is moved
-    # by alpha_i and alpha_{n+1-i} of the second factor, simple roots i
-    # and 2n+1-i, and its functional is the coroot alpha_i^vee, column i
-    # of the lattice basis; the recovered document validates
-    path = write_doc(directory, f"group_a{n}.json", group_case_document(n))
+def diagram_flip(dynkin, n, i):
+    """-w0 on simple root i, 1-indexed: n + 1 - i on A_n, the two spin
+    nodes n - 1 and n swapped on D_n for n odd, 1 <-> 6 and 3 <-> 5 on
+    E6, and the identity otherwise."""
+    if dynkin == "A":
+        return n + 1 - i
+    if dynkin == "D" and n % 2 and i >= n - 1:
+        return 2 * n - 1 - i
+    if (dynkin, n) == ("E", 6):
+        return {1: 6, 3: 5, 5: 3, 6: 1}.get(i, i)
+    return i
+
+
+def check_group_case(dynkin, n, directory):
+    # G x G/diag G for G simple of rank n has n type-d divisors: divisor i
+    # is moved by alpha_i and by alpha_{s(i)} of the second factor, simple
+    # roots i and n + s(i) with s the diagram flip, and its functional is
+    # the coroot alpha_i^vee, column i of the lattice basis, which is e_i;
+    # the recovered document validates
+    path = write_doc(directory, f"group_{dynkin}{n}.json",
+                     group_case_document(dynkin, n))
     code, payload = machine_run(["recover", "--input", path])
     assert code == 0
     basis = payload["lattice_basis"]
+    assert [[b[i] for b in basis] for i in range(n)] == \
+        [[int(j == i) for j in range(n)] for i in range(n)]
     assert sorted((d["source"], d["dropped_simple_roots"], d["phi"])
                   for d in payload["divisors"]) == \
-        [("type_d", [i, 2 * n + 1 - i], [b[i - 1] for b in basis])
-         for i in range(1, n + 1)]
-    path = write_doc(directory, f"group_a{n}_recovered.json",
+        [("type_d", [i, n + diagram_flip(dynkin, n, i)],
+          [b[i - 1] for b in basis]) for i in range(1, n + 1)]
+    path = write_doc(directory, f"group_{dynkin}{n}_recovered.json",
                      payload["document"])
     assert machine_run(["validate", "--input", path]) == \
         (0, {"exceptional_triple": None, "passed": True, "violations": []})
@@ -929,11 +952,28 @@ def check_group_case(n, directory):
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_group_case_of_type_a_matches_its_closed_form(tmp_path, n):
-    check_group_case(n, tmp_path)
+    check_group_case("A", n, tmp_path)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 12))
 def test_group_case_of_type_a_matches_its_closed_form_at_any_rank(n):
     with tempfile.TemporaryDirectory() as directory:
-        check_group_case(n, Path(directory))
+        check_group_case("A", n, Path(directory))
+
+
+@pytest.mark.parametrize("dynkin, n", [
+    ("B", 3), ("C", 2), ("C", 4), ("D", 4), ("G", 2), ("F", 4), ("E", 7),
+    ("E", 8), ("B", 32), ("C", 32), ("D", 32),
+    # with the flip; type A is the test above
+    ("D", 5), ("D", 7), ("E", 6)])
+def test_group_case_matches_its_closed_form_at_every_type(tmp_path, dynkin, n):
+    check_group_case(dynkin, n, tmp_path)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(st.sampled_from("ABCD"), st.integers(2, 12))
+       .filter(lambda case: case != ("D", 2)))
+def test_group_case_of_a_classical_type_matches_its_closed_form(case):
+    with tempfile.TemporaryDirectory() as directory:
+        check_group_case(*case, Path(directory))

@@ -2,7 +2,7 @@
 
 import random
 
-from builders import monoid_of, pairing
+from builders import coroot, monoid_of, pairing
 from corpus import build_corpus, corpus_by_name
 from sphervar.polyhedral import (
     Lattice,
@@ -33,8 +33,8 @@ def test_partner_pairs_satisfy_conditions():
     for i, j in table.partners:
         assert rd.cartan[i][j] == 0
         for b in e.monoid.lattice.basis:
-            assert pairing(rd.simple_coroot(i), rd.weight(b)) == \
-                pairing(rd.simple_coroot(j), rd.weight(b))
+            assert pairing(coroot(rd, i), rd.weight(b)) == \
+                pairing(coroot(rd, j), rd.weight(b))
 
 
 def test_hilbert_basis_minimality_via_membership():
