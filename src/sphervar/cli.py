@@ -38,19 +38,30 @@ equal bytes are parsed once into one shared document, so a self-compare
 builds one monoid and one canonical form and runs one recovery; that
 store does not outlive the call.  The machine block is written by
 `_write_json`, in the bytes that `json.dumps` writes with `sort_keys=True`
-and `indent=2`.
+and `indent=2`.  Its `digest` is the lowercase hex SHA-256 of the input
+bytes, a list of one per input for `compare`, taken from the
+interpreter's built-in module: `hashlib` would load OpenSSL for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+
+# SHA-256 from the interpreter's built-in module, as `random` takes its
+# sha512: `hashlib` would load OpenSSL, megabytes for one digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .luna import BDivisorRecord, LatticeFunctional, LunaDatum, RootTypeTable
 from .monoid import MonoidError, WeightMonoid
@@ -120,7 +131,7 @@ def parse_input(text: str | bytes) -> InputDocument:
     """Parse and validate a schema-1 document."""
     if isinstance(text, str):
         text = text.encode()
-    digest = hashlib.sha256(text).hexdigest()
+    digest = sha256(text).hexdigest()
 
     def no_duplicates(pairs):
         seen = set()

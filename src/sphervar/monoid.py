@@ -16,9 +16,10 @@ the whole monoid, are read off the generators alone.
 
 Saturation is decided by the normality test (Bruns–Ichim): the
 parallelepiped points of a triangulation of cone(M) spanned by
-generators, each looked up among the generators before any membership
-search.  A free monoid, whose nonzero generators are a basis of its
-lattice, is saturated and takes no test.
+generators, simplex by simplex in order of degree, each looked up among
+the generators before any membership search.  A free monoid, whose
+nonzero generators are a basis of its lattice, is saturated and takes no
+test.
 
 Membership is a search over the table (`monoid_membership`): the dual
 rays are nonnegative on the monoid, vanish exactly on its units and cap
@@ -253,7 +254,10 @@ class WeightMonoid:
         half-open parallelepiped {sum t_i v_i : 0 <= t_i < 1}.  Hence M
         is S iff M holds every such point.  A point equal to a generator
         is in M; any other is a membership query, and the first point
-        outside M ends the test.
+        outside M ends the test.  Each simplex's points are asked in
+        order of degree, the sum of the quotient's facet values: the
+        facet values bound every coefficient of a search, so the
+        shortest searches come first.
 
         Validation asks this only when a datum's recovery identity
         fails, so a datum whose identity holds takes no normality test
@@ -275,7 +279,9 @@ class WeightMonoid:
         shortest = {}
         for g in sorted(gens, key=lambda g: sum(map(abs, g)), reverse=True):
             shortest[primitive(g)] = g
+        grading = tuple(map(sum, zip(*qcone.facet_normals)))
         return all(p in gens or self.contains_vector(quotient.lift(p))
-                   for p in parallelepiped_points(
-                       qcone, [shortest[r] for r in qcone.rays]))
+                   for points in parallelepiped_points(
+                       qcone, [shortest[r] for r in qcone.rays])
+                   for p in sorted(points, key=lambda p: _dot(grading, p)))
 

@@ -5,19 +5,21 @@ one kernel per job, each on Python integers: the Hermite normal form for
 lattices, the Bareiss inverse `_bareiss_inverse` for rational inverses
 (the inverse Cartan matrix, the parallelepiped points of a simplex, the
 projection off a lineality space, the facets of a full-dimensional
-simplicial cone), and double description for every other cone; a dual
-swaps the two descriptions of a cone.  Cone membership and the Hilbert
-basis are built on them.  Every vector that double description carries
-is an integer vector kept primitive up to a positive factor: after each
-projection or combination it is divided by the gcd of its entries, so it
-points exactly as the rational vector of textbook elimination does.  An
+simplicial cone), and double description for every other cone: one
+run at build gives one of its two descriptions, and a second run the
+other on its first read; a dual swaps the two.  Cone membership and the
+Hilbert basis are built on them.  Every vector that double description
+carries is an integer vector kept primitive up to a positive factor:
+after each projection or combination it is divided by the gcd of its
+entries, so it points exactly as the rational vector of textbook
+elimination does.  An
 exact rational is an `int` when it is integral and a `Fraction` with
 denominator > 1 otherwise (`exact`); a `Fraction` is made only at a
 final division that does not come out even, such as a coordinate of
 `Lattice.coords`, a point built from fractional coordinates, or a
-polytope vertex.  Cones carry a canonical double description (extreme
-rays modulo lineality, plus a minimal facet description), which makes
-equality of cones a tuple comparison.
+polytope vertex.  A cone's two descriptions (extreme rays modulo
+lineality, and a minimal facet description) are each canonical, which
+makes equality of cones, which reads both, a tuple comparison.
 
 The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
@@ -551,7 +553,19 @@ def _project_off(rays, lin: Lattice) -> list[Vec]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
+def _canonical_side(dim: int, vecs, lin) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """One description of a cone in canonical form, from the raw output
+    (lin, vecs) of `_dd`: the vectors projected off the span of lin, and
+    the HNF basis of the lattice lin spans."""
+    lin_lat = Lattice.span(lin, dim)
+    return tuple(_project_off(vecs, lin_lat)), lin_lat.basis
+
+
+# the names of a cone's two descriptions, each with its dual's
+_DUAL_NAME = {"rays": "facet_normals", "lineality": "span_equations",
+              "facet_normals": "rays", "span_equations": "lineality"}
+
+
 class RationalCone:
     """Rational polyhedral cone in canonical form.
 
@@ -570,18 +584,69 @@ class RationalCone:
     vectors and no lines it is simplicial: it is read off one Bareiss
     inverse of their matrix G, with the primitive vectors as rays and
     the primitive columns of p G^-1, signed by p, as facet normals.
-    Otherwise double description runs twice, for the facets and then
-    the rays; its output is minimal modulo its lineality (Fukuda–Prodon),
-    so `_canonical` only projects and sorts.  Both descriptions are
-    kept, so `dual` swaps them, and {x : n.x >= 0, e.x = 0} is the dual
-    of the cone over the normals n and the lines e.
+    Otherwise one double description gives the facets at build, and a
+    second one, over the first one's output, gives the rays when they
+    are first read (`__getattr__`); its output is minimal modulo its
+    lineality (Fukuda–Prodon), so `_canonical_side` only projects and
+    sorts.  `dual` swaps the two descriptions, the pending one with
+    them, so {x : n.x >= 0, e.x = 0}, the dual of the cone over the
+    normals n and the lines e, has its rays at build and its facets on
+    first read.  Equality, hash and repr read both descriptions.  A cone
+    is immutable.
     """
 
-    dim: int
-    rays: tuple[Vec, ...]
-    lineality: tuple[Vec, ...]
-    facet_normals: tuple[Vec, ...]
-    span_equations: tuple[Vec, ...]
+    def __init__(self, dim: int, rays, lineality, facet_normals, span_equations):
+        self.__dict__.update(dim=dim, rays=rays, lineality=lineality,
+                             facet_normals=facet_normals,
+                             span_equations=span_equations)
+
+    @staticmethod
+    def _of(state) -> "RationalCone":
+        """The cone with the given instance state, a description pending
+        when its names are missing and `_source` holds the raw `_dd`
+        output of the other."""
+        cone = object.__new__(RationalCone)
+        cone.__dict__.update(state)
+        return cone
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getattr__(self, name):
+        """The pending description, on its first read: the double
+        description of the cone that `_source`, the raw output behind
+        the other description, cuts out."""
+        state = self.__dict__
+        if name not in _DUAL_NAME or "_source" not in state:
+            raise AttributeError(name)
+        vecs, lin = state["_source"]
+        lin, vecs = _dd(self.dim, vecs + lin + [tuple(-x for x in v) for v in lin])
+        names = (("rays", "lineality") if name in ("rays", "lineality")
+                 else ("facet_normals", "span_equations"))
+        state.update(zip(names, _canonical_side(self.dim, vecs, lin)))
+        del state["_source"]
+        return state[name]
+
+    def _fields(self) -> tuple:
+        return (self.dim, self.rays, self.lineality, self.facet_normals,
+                self.span_equations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"RationalCone(dim={self.dim!r}, rays={self.rays!r}, "
+                f"lineality={self.lineality!r}, "
+                f"facet_normals={self.facet_normals!r}, "
+                f"span_equations={self.span_equations!r})")
 
     @staticmethod
     def from_generators(generators, lines=(), dim: int | None = None) -> "RationalCone":
@@ -616,20 +681,15 @@ class RationalCone:
                 return RationalCone(dim, tuple(distinct), (), tuple(facets), ())
         # facets of the cone = extreme rays of {phi : phi.g >= 0, phi.l = 0}
         ann, facets = _dd(dim, gens + lns + [tuple(-x for x in l) for l in lns])
-        lin, rays = _dd(dim, facets + ann + [tuple(-x for x in a) for a in ann])
-        return RationalCone._canonical(dim, rays, lin, facets, ann)
+        normals, equations = _canonical_side(dim, facets, ann)
+        return RationalCone._of(dict(dim=dim, facet_normals=normals,
+                                     span_equations=equations,
+                                     _source=(facets, ann)))
 
     @staticmethod
     def _canonical(dim: int, rays, lin, facets, ann) -> "RationalCone":
-        lin_lat = Lattice.span(lin, dim)
-        ann_lat = Lattice.span(ann, dim)
-        return RationalCone(
-            dim,
-            tuple(_project_off(rays, lin_lat)),
-            lin_lat.basis,
-            tuple(_project_off(facets, ann_lat)),
-            ann_lat.basis,
-        )
+        return RationalCone(dim, *_canonical_side(dim, rays, lin),
+                            *_canonical_side(dim, facets, ann))
 
     def span_rank(self) -> int:
         return self.dim - len(self.span_equations)
@@ -642,9 +702,9 @@ class RationalCone:
 
     def dual(self) -> "RationalCone":
         """The cone {phi : phi.v >= 0 for all v in this cone}, with the
-        two descriptions of this cone swapped."""
-        return RationalCone(self.dim, self.facet_normals, self.span_equations,
-                            self.rays, self.lineality)
+        two descriptions of this cone swapped, a pending one with them."""
+        return RationalCone._of((_DUAL_NAME.get(k, k), v)
+                                for k, v in self.__dict__.items())
 
     def intersection(self, other: "RationalCone") -> "RationalCone":
         if self.dim != other.dim:
@@ -792,14 +852,15 @@ class PointedQuotient:
         return self.units.reduce_mod([_dot(p, col) for col in self._section_cols])
 
 
-def parallelepiped_points(cone: RationalCone, rays) -> Iterator[Vec]:
+def parallelepiped_points(cone: RationalCone, rays) -> Iterator[list[Vec]]:
     """The nonzero lattice points of the half-open parallelepipeds
     {sum t_i v_i : 0 <= t_i < 1} of the maximal simplices of the pulling
-    triangulation of a pointed full-dimensional cone, simplex by simplex.
-    `rays` holds a lattice vector v_i on each of `cone.rays`, in order.
+    triangulation of a pointed full-dimensional cone, one list per
+    simplex, computed as it is reached.  `rays` holds a lattice vector
+    v_i on each of `cone.rays`, in order.
     """
     for simplex in _triangulation(cone):
-        yield from _parallelepiped_points([rays[i] for i in simplex])
+        yield _parallelepiped_points([rays[i] for i in simplex])
 
 
 def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
@@ -832,7 +893,7 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
         return quotient.units, []
     grading = tuple(sum(n[i] for n in qcone.facet_normals)
                     for i in range(qcone.dim))
-    candidates = set(qcone.rays).union(parallelepiped_points(qcone, qcone.rays))
+    candidates = set(qcone.rays).union(*parallelepiped_points(qcone, qcone.rays))
     by_degree: dict[int, list[Vec]] = {}
     for p in candidates:
         by_degree.setdefault(_dot(grading, p), []).append(p)

@@ -12,6 +12,7 @@ length; it and `saturation` read the relations of `_relations`.
 `RecoveryError`.
 """
 
+import itertools
 from fractions import Fraction
 
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaDatum
@@ -46,6 +47,15 @@ from sphervar.spherical import (
 def monoid_of(rd: RootData, vectors) -> WeightMonoid:
     """The monoid generated by the integer vectors, read as weights."""
     return WeightMonoid(rd, tuple(rd.weight(v) for v in vectors))
+
+
+def simplex_monoid(k: int, dim: int, without=()) -> WeightMonoid:
+    """The monoid over (x, 1) for the lattice points x of k times the
+    standard dim-simplex, less those in `without`, on the torus of rank
+    dim + 1."""
+    points = [x + (1,) for x in itertools.product(range(k + 1), repeat=dim)
+              if sum(x) <= k and x not in without]
+    return monoid_of(build_root_data(GroupSpec((), dim + 1)), points)
 
 
 def fundamental_weight(rd: RootData, i: int) -> WeightVec:

@@ -516,6 +516,44 @@ def test_parse_lets_unexpected_errors_through(monkeypatch):
         parse_input(json.dumps(MINIMAL))
 
 
+def test_digest_is_the_sha256_of_the_input_bytes():
+    # hashlib is the independent reference for the interpreter's built-in
+    # module that the CLI takes its SHA-256 from
+    documents = sorted(DATA.glob("*.json")) + \
+        sorted((ROOT / "bench" / "inputs").glob("*/*.json"))
+    texts = [path.read_bytes() for path in documents]
+    texts.append(json.dumps({**MINIMAL, "note": "sphärisch, 球面"},
+                            ensure_ascii=False).encode())
+    texts.append(json.dumps(MINIMAL).encode() + b" " * 5000)
+    for text in texts:
+        expected = hashlib.sha256(text).hexdigest()
+        assert parse_input(text).digest == expected
+        assert parse_input(text.decode()).digest == expected
+    for raw in (b"", "sphärisch, 球面".encode(), bytes(range(256)) * 20):
+        assert cli.sha256(raw).hexdigest() == hashlib.sha256(raw).hexdigest()
+
+
+def test_a_run_loads_no_openssl():
+    """The digest comes from the interpreter's built-in SHA-256, so a
+    recover in a fresh interpreter imports no `_hashlib`."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            __import__(name)
+            break
+        except ImportError:
+            pass
+    else:
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    code = ('import sys; from sphervar import cli; '
+            'code = cli.main(["recover", "--format", "machine", '
+            '"--input", "data/so3_x1.json"]); '
+            'sys.exit(3 if "_hashlib" in sys.modules else code)')
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bench_tracer_finds_every_traced_name():
     """The benchmark tracer wraps each traced function in the module that
     looks it up; a name that leaves its module, or a cached property it

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from builders import fundamental_weight, monoid_of
+from builders import fundamental_weight, monoid_of, simplex_monoid
 from sphervar import monoid as monoid_module
 from sphervar import polyhedral
 from sphervar.monoid import MonoidError, WeightMonoid
@@ -284,6 +284,18 @@ def test_saturation():
     rd1 = torus(1)
     assert not monoid_of(rd1, [(2,), (3,)]).is_saturated()
     assert monoid_of(rd1, [(2,)]).is_saturated()  # lattice is 2Z
+
+
+def test_normality_test_asks_each_simplex_in_order_of_degree(monkeypatch):
+    # 4Δ3 without (1, 1, 1): its simplex holding (1, 1, 1, 1) has points
+    # of degree 2 too, such as (3, 3, 2, 2); the one of degree 1 outside
+    # the monoid is asked first, and ends the test
+    asked = []
+    real = WeightMonoid.contains_vector
+    monkeypatch.setattr(WeightMonoid, "contains_vector",
+                        lambda m, v: asked.append(tuple(v)) or real(m, v))
+    assert simplex_monoid(4, 3, without={(1, 1, 1)}).is_saturated() is False
+    assert asked == [(1, 1, 1, 1)]
 
 
 def test_saturation_stable_under_localization():

@@ -319,10 +319,12 @@ def test_cone_with_lines():
     assert c.contains((1, -5)) and not c.contains((-1, 0))
 
 
-def test_double_description_runs_twice_off_the_simplicial_cones(monkeypatch):
-    # a cone over `dim` independent vectors is read off an inverse, and
-    # the dual swaps two descriptions already built; every other cone
-    # runs double description twice
+def test_double_description_runs_once_at_build_off_the_simplicial_cones(monkeypatch):
+    # a cone over `dim` independent vectors is read off an inverse; every
+    # other cone runs double description once at build, for the facets of
+    # a cone over generators and the rays of one from inequalities, once
+    # more when the other description is first read, and never after.  The
+    # dual swaps the two descriptions, the one not yet computed with them.
     calls = []
     real = polyhedral._dd
 
@@ -333,24 +335,42 @@ def test_double_description_runs_twice_off_the_simplicial_cones(monkeypatch):
     monkeypatch.setattr(polyhedral, "_dd", counting)
     c = RationalCone.from_generators([(1, 0, 0), (1, 2, 0)], lines=[(0, 1, 1)])
     d = RationalCone.from_inequalities([(0, 1, 0)])
+    assert d.facet_normals == ((0, 1, 0),)
     builds = [
-        (2, lambda: RationalCone.from_generators([(1, 0, 0), (1, 2, 0)],
-                                                 lines=[(0, 1, 1)])),
-        (2, lambda: RationalCone.from_inequalities([(1, 0, 0), (2, 1, 0)],
-                                                   [(0, 1, -1)])),
-        (2, lambda: RationalCone.from_generators([], dim=3)),
-        (2, lambda: RationalCone.from_inequalities([], dim=3)),
-        (2, lambda: zero_cone(3)),
-        (0, lambda: c.dual()),
+        (1, "rays", lambda: RationalCone.from_generators([(1, 0, 0), (1, 2, 0)],
+                                                         lines=[(0, 1, 1)])),
+        (1, "facet_normals", lambda: RationalCone.from_inequalities(
+            [(1, 0, 0), (2, 1, 0)], [(0, 1, -1)])),
+        (1, "rays", lambda: RationalCone.from_generators([], dim=3)),
+        (1, "facet_normals", lambda: RationalCone.from_inequalities([], dim=3)),
+        (1, "lineality", lambda: zero_cone(3)),
+        (0, "span_equations", lambda: c.dual()),
         # c ∩ d is cut out by three independent normals
-        (0, lambda: c.intersection(d)),
-        (0, lambda: RationalCone.from_inequalities([(1, 0, 0), (0, 1, 0),
-                                                    (1, 1, 1)])),
+        (0, None, lambda: c.intersection(d)),
+        (0, None, lambda: RationalCone.from_inequalities([(1, 0, 0), (0, 1, 0),
+                                                          (1, 1, 1)])),
     ]
-    for expected, build in builds:
+    for at_build, pending, build in builds:
         calls.clear()
-        build()
-        assert len(calls) == expected
+        cone = build()
+        assert len(calls) == at_build
+        if pending is not None:
+            getattr(cone, pending)
+        assert len(calls) == at_build + (pending is not None)
+        assert cone == RationalCone(cone.dim, cone.rays, cone.lineality,
+                                    cone.facet_normals, cone.span_equations)
+        hash(cone), repr(cone), cone.dual()
+        assert len(calls) == at_build + (pending is not None)
+
+
+def test_a_cone_is_immutable():
+    c = RationalCone.from_generators([(1, 0, 0), (1, 2, 0)], lines=[(0, 1, 1)])
+    with pytest.raises(AttributeError):
+        c.rays = ()
+    with pytest.raises(AttributeError):
+        del c.facet_normals
+    assert c.rays == ((1, 0, 0), (1, 1, -1))
+    assert c.facet_normals == ((0, 1, -1), (2, -1, 1))
 
 
 def test_facets_and_dual_generators_agree():

@@ -25,6 +25,7 @@ from builders import (
     pairing,
     product,
     saturation,
+    simplex_monoid,
     zero_cone,
 )
 from corpus import build_corpus
@@ -71,6 +72,7 @@ from sphervar.recovery import (
     RecursionNode,
     _half_column,
     _monoid_recovery_identity,
+    moment_polytope,
     recover_divisors,
     recover_prime,
     recover_type_cd_divisors,
@@ -214,23 +216,61 @@ def simplicial_cone_inputs(draw):
 @example((2, [(2, 1), (4, 2)], []))
 def test_simplicial_cones_match_double_description(inputs):
     # a full-dimensional simplicial cone skips double description and
-    # every other cone takes it; both give the double-description form.
-    # The same vectors as normals, with the lines as equations, cut out
-    # the dual cone: simplicial exactly when that one is.
+    # every other cone runs it once at build and once more on the first
+    # read of its other description; both give the double-description
+    # form.  The same vectors as normals, with the lines as equations, cut
+    # out the dual cone: simplicial exactly when that one is.
     dim, gens, lines = inputs
     rays = {reference_primitive(g) for g in gens if any(g)}
     simplicial = (not any(map(any, lines)) and len(rays) == dim
                   and reference_det(list(rays)) != 0)
     real = polyhedral._dd
-    for build, reference in [(RationalCone.from_generators, reference_cone),
-                             (RationalCone.from_inequalities,
-                              reference_inequality_cone)]:
+    for build, reference, other_side in [
+            (RationalCone.from_generators, reference_cone, "rays"),
+            (RationalCone.from_inequalities, reference_inequality_cone,
+             "facet_normals")]:
         calls = []
         with mock.patch.object(polyhedral, "_dd",
                                lambda *a: calls.append(a) or real(*a)):
             cone = build(gens, lines, dim=dim)
-        assert len(calls) == (0 if simplicial else 2)
-        assert cone == reference(gens, lines, dim)
+            assert len(calls) == (0 if simplicial else 1)
+            getattr(cone, other_side)
+            assert len(calls) == (0 if simplicial else 2)
+            assert cone == reference(gens, lines, dim)
+            assert len(calls) == (0 if simplicial else 2)
+
+
+def test_recovery_and_its_moment_polytope_run_one_double_description_a_cone(
+        monkeypatch):
+    # the walk reads the facets of the monoid's cone and the polytope the
+    # rays of its homogenized cone: neither reads the other description,
+    # so every double description runs inside a build, at most one each
+    real = polyhedral._dd
+    calls = []
+    built = []  # the double descriptions each build ran
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            before = len(calls)
+            cone = build(*args, **kwargs)
+            built.append(len(calls) - before)
+            return cone
+        return staticmethod(wrapper)
+
+    monkeypatch.setattr(polyhedral, "_dd", lambda *a: calls.append(a) or real(*a))
+    for name in ("from_generators", "from_inequalities"):
+        monkeypatch.setattr(RationalCone, name, counted(getattr(RationalCone, name)))
+    total = 0
+    for e in build_corpus():
+        calls.clear()
+        built.clear()
+        datum = recover_entry(e)
+        poly = moment_polytope(datum, e.rd.weight((0,) * e.rd.dim),
+                               {d.divisor_id: 1 for d in datum.divisors})
+        poly.vertices_ambient(), poly.rays_ambient(), poly.is_bounded()
+        assert max(built) <= 1 and len(calls) == sum(built), e.name
+        total += len(calls)
+    assert total
 
 
 @settings(max_examples=80, deadline=None)
@@ -438,6 +478,25 @@ def test_saturation_matches_the_membership_reference(data):
     rank, gens = data
     m = monoid_of(build_root_data(GroupSpec((), rank)), gens)
     assert m.is_saturated() == reference_is_saturated(m)
+
+
+def test_saturation_reads_the_rays_and_matches_the_reference():
+    # the normality test of a monoid that is not free reads the rays of
+    # cone(M), which a recovery leaves unread: one more double description
+    # where the build ran one, and the reference's answer
+    real = polyhedral._dd
+    for m in CORPUS_MONOIDS + [simplex_monoid(4, 3),
+                               simplex_monoid(4, 3, without={(1, 1, 1)})]:
+        fresh = WeightMonoid(m.rd, m.generators, m.levi_roots)
+        calls = []
+        with mock.patch.object(polyhedral, "_dd",
+                               lambda *a: calls.append(a) or real(*a)):
+            fresh.cone
+            at_build = len(calls)
+            saturated = fresh.is_saturated()
+        free = sum(map(any, fresh.gen_vectors)) == fresh.lattice.rank
+        assert len(calls) == at_build * (1 if free else 2), m.generators
+        assert saturated == reference_is_saturated(fresh), m.generators
 
 
 @settings(max_examples=150, deadline=None)
