@@ -19,7 +19,8 @@ by the central coordinates; entries of "weights", "monoid_generators" and
 "divisors", "base_weight" and "orders" blocks are optional and only used
 by `validate` and `polytope`.  Divisor functionals are given by their
 values on the canonical basis of the weight lattice (the Hermite basis of
-the span of the monoid generators), as integers or fraction strings.
+the span of the monoid generators), as integers or fraction strings: an
+optional sign, digits, and optionally `/` and digits.
 
 Exit codes: 0 success, 1 invalid datum, 2 parse error, 141 standard
 output closed by its reader (as in `sphervar recover ... | head -1`).
@@ -48,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,7 +151,7 @@ def parse_input(text: str | bytes) -> InputDocument:
         raise ParseError(f"not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
-    if data.get("schema") != SCHEMA_VERSION:
+    if not _is_int(data.get("schema")) or data["schema"] != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema {data.get('schema')!r}; expected 1")
 
     grp = _field(data, "group", "document")
@@ -225,10 +227,15 @@ def _frac(x) -> str | int:
     return x if type(x) is int else str(x)
 
 
+_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_frac(x, where) -> int | Fraction:
-    """An integer or a fraction string, read exactly.  A JSON float is
-    refused: it holds a binary approximation, not the value written."""
-    if not (_is_int(x) or isinstance(x, str)):
+    """An integer or a fraction string of the form `_frac` writes, read
+    exactly.  A JSON float is refused: it holds a binary approximation,
+    not the value written.  So is every other string `Fraction` reads,
+    such as "1e100000000", whose value takes unbounded time to build."""
+    if not (_is_int(x) or isinstance(x, str) and _FRACTION.fullmatch(x)):
         raise ParseError(
             f"{where}: bad rational {x!r} (expected an integer or a fraction string)")
     try:
@@ -455,6 +462,9 @@ def cmd_polytope(doc: InputDocument) -> tuple[dict, list[str]]:
             if not _is_int(v):
                 raise ParseError(f"orders[{d.divisor_id}]: expected an integer")
             orders[d.divisor_id] = v
+        for k in doc.orders:
+            if k not in orders:
+                raise ParseError(f"orders: unknown divisor {k}")
     else:
         raise ParseError("orders must be an integer or an object")
     mp = moment_polytope(datum, base, orders)

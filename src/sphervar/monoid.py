@@ -14,12 +14,11 @@ simplicial and is read off one Bareiss inverse, with no double
 description.  The type-a roots, the active simple roots orthogonal to
 the whole monoid, are read off the generators alone.
 
-Saturation is decided by the normality test (Bruns–Ichim): the
-parallelepiped points of a triangulation of cone(M) spanned by
-generators, simplex by simplex in order of degree, each looked up among
-the generators before any membership search.  A free monoid, whose
-nonzero generators are a basis of its lattice, is saturated and takes no
-test.
+Saturation is read off the Hilbert basis of S = cone(M) ∩ lattice: M
+is S iff the two have the same units and each element of that basis is
+a key of the facet table, so no membership query is asked.  A free
+monoid, whose nonzero generators are a basis of its lattice, is
+saturated and takes no basis.
 
 Membership is a search over the table (`monoid_membership`): the dual
 rays are nonnegative on the monoid, vanish exactly on its units and cap
@@ -42,14 +41,11 @@ from operator import ge, sub
 from .polyhedral import (
     Lattice,
     MonoidSearch,
-    PointedQuotient,
     RationalCone,
     _dot,
     cached_property,
-    hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
+    hilbert_basis_with_units,
     monoid_membership,
-    parallelepiped_points,
-    primitive,
 )
 from .rootsys import RootData, WeightVec
 
@@ -236,52 +232,38 @@ class WeightMonoid:
 
     def is_saturated(self) -> bool:
         """Whether the monoid equals its saturation S = cone(M) ∩ lattice,
-        decided by the normality test (Bruns–Ichim, J. Algebra 324, 2010).
+        read off the Hilbert basis of S (`hilbert_basis_with_units`); a
+        monoid algebra is normal iff its monoid is saturated (Hochster,
+        Ann. Math. 96, 1972).
 
-        A free monoid needs no test.  Its nonzero generators number the
+        A free monoid needs no basis.  Its nonzero generators number the
         rank of the lattice they span, so they are a Z-basis of it, and a
         lattice point lies in their cone iff its coordinates in that
         basis are nonnegative integers: M is S, at any rank.  Any other
         monoid on a lattice of rank past `SATURATION_RANK_LIMIT` is
         refused with `MonoidError`.
 
-        S contains the monoid, so it has at least its units; the two must
-        have the same.  Then both pass to the pointed quotient by the
-        units.  Let T be the pulling triangulation of the quotient cone,
-        spanned on each extreme ray by the shortest generator of M on it.
-        A point x of S lies in some simplex of T with rays v_i in M, so x
-        is a sum of multiples of the v_i and one lattice point of the
-        half-open parallelepiped {sum t_i v_i : 0 <= t_i < 1}.  Hence M
-        is S iff M holds every such point.  A point equal to a generator
-        is in M; any other is a membership query, and the first point
-        outside M ends the test.  Each simplex's points are asked in
-        order of degree, the sum of the quotient's facet values: the
-        facet values bound every coefficient of a search, so the
-        shortest searches come first.
+        S contains M, so M = S needs the units of S to be those of M.
+        Given that, let b be an element of the Hilbert basis of S that
+        lies in M, a sum of generators.  A nonunit generator of M is then
+        a nonunit of S, so if two of them appear in the sum, or one
+        twice, the sum splits b in S: b is one generator modulo the
+        units.  The basis is lifted by the Hermite reduction modulo the
+        units, and `facet_rows` keys each nonunit generator class by the
+        same reduction, so b is in M iff it is a key of `facet_rows`.
+        Conversely, S is the units plus the monoid its basis spans, so
+        it lies in M once every basis element does.  No membership query
+        is asked (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
 
         Validation asks this only when a datum's recovery identity
-        fails, so a datum whose identity holds takes no normality test
-        and no refusal.
+        fails, so a datum whose identity holds takes no basis and no
+        refusal.
         """
         if sum(map(any, self.gen_vectors)) == self.lattice.rank:
             return True
         if self.lattice.rank > SATURATION_RANK_LIMIT:
             raise MonoidError(
                 f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
-        quotient = PointedQuotient(self.cone, self.lattice)
-        if quotient.units != self.invertible_lattice:
-            return False
-        qcone = quotient.pointed
-        if qcone is None:
-            return True
-        gens = {quotient.project(g) for g, f in
-                zip(self.gen_vectors, self._invertible_flags) if not f}
-        shortest = {}
-        for g in sorted(gens, key=lambda g: sum(map(abs, g)), reverse=True):
-            shortest[primitive(g)] = g
-        grading = tuple(map(sum, zip(*qcone.facet_normals)))
-        return all(p in gens or self.contains_vector(quotient.lift(p))
-                   for points in parallelepiped_points(
-                       qcone, [shortest[r] for r in qcone.rays])
-                   for p in sorted(points, key=lambda p: _dot(grading, p)))
-
+        units, basis = hilbert_basis_with_units(self.cone, self.lattice)
+        return (units == self.invertible_lattice
+                and all(b in self.facet_rows for b in basis))

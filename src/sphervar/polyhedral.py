@@ -39,9 +39,8 @@ the facet normals read in those coordinates as facets, so no double
 description runs.  One pulling triangulation of it, built from the
 facet-ray incidences alone, gives the candidates: the extreme rays and
 the parallelepiped points of the maximal simplices
-(`parallelepiped_points`), each point computed from an integer
-adjugate.  The same quotient and points serve the normality test of
-`WeightMonoid.is_saturated`.
+(`_parallelepiped_points`), each point computed from an integer
+adjugate.  `WeightMonoid.is_saturated` reads saturation off this basis.
 
 Monoid membership is a depth-first search over the generators, bounded
 by the extreme rays of the dual cone: every ray is nonnegative on the
@@ -852,17 +851,6 @@ class PointedQuotient:
         return self.units.reduce_mod([_dot(p, col) for col in self._section_cols])
 
 
-def parallelepiped_points(cone: RationalCone, rays) -> Iterator[list[Vec]]:
-    """The nonzero lattice points of the half-open parallelepipeds
-    {sum t_i v_i : 0 <= t_i < 1} of the maximal simplices of the pulling
-    triangulation of a pointed full-dimensional cone, one list per
-    simplex, computed as it is reached.  `rays` holds a lattice vector
-    v_i on each of `cone.rays`, in order.
-    """
-    for simplex in _triangulation(cone):
-        yield _parallelepiped_points([rays[i] for i in simplex])
-
-
 def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
                              ) -> tuple[Lattice, list[Vec]]:
     """Minimal generators of cone ∩ lattice.
@@ -874,7 +862,7 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
 
     One pulling triangulation of the pointed quotient cone gives the
     candidates: its extreme rays and the parallelepiped points of its
-    maximal simplices (`parallelepiped_points`).  The simplices cover the
+    maximal simplices (`_parallelepiped_points`).  The simplices cover the
     cone and each simplex's lattice points are generated by its rays and
     parallelepiped points, so the candidates generate the monoid; a
     candidate is kept unless it is a kept one plus a nonzero element of
@@ -893,7 +881,9 @@ def hilbert_basis_with_units(cone: RationalCone, lattice: Lattice
         return quotient.units, []
     grading = tuple(sum(n[i] for n in qcone.facet_normals)
                     for i in range(qcone.dim))
-    candidates = set(qcone.rays).union(*parallelepiped_points(qcone, qcone.rays))
+    candidates = set(qcone.rays).union(*(
+        _parallelepiped_points([qcone.rays[i] for i in s])
+        for s in _triangulation(qcone)))
     by_degree: dict[int, list[Vec]] = {}
     for p in candidates:
         by_degree.setdefault(_dot(grading, p), []).append(p)

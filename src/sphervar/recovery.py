@@ -572,7 +572,10 @@ class MomentPolytope:
         return sorted(out)
 
     def rays_ambient(self) -> list[tuple[int, ...]]:
-        _, rays, _ = self.polytope.vertex_description()
+        """The recession rays, each line l of the polytope as the two
+        rays l and -l, in ambient coordinates and sorted."""
+        _, rays, lines = self.polytope.vertex_description()
+        rays += lines + [tuple(-x for x in l) for l in lines]
         return sorted(tuple(self.lattice.from_coords(r)) for r in rays)
 
     def is_bounded(self) -> bool:

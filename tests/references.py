@@ -23,7 +23,11 @@ recovered divisor's stabilizer off the type-b pairings and cross-checks
 case-2 and type-c divisors against their half coroots
 (`reference_half_coroot`, a rational covector the records no longer
 carry), kept to judge the rule that reads the stabilizer off the
-divisor's origin.
+divisor's origin.  `reference_normality_test` is
+`WeightMonoid.is_saturated` as it was before it read the Hilbert basis,
+the normality test on the pointed quotient and its parallelepiped
+points, kept to judge the rule that replaced it; it runs no Hilbert
+basis.
 """
 
 import itertools
@@ -32,7 +36,14 @@ from math import isqrt
 
 from builders import coroot, pairing, primitive_vector
 from sphervar.monoid import MonoidError
-from sphervar.polyhedral import RationalCone, _dd, primitive
+from sphervar.polyhedral import (
+    PointedQuotient,
+    RationalCone,
+    _dd,
+    _parallelepiped_points,
+    _triangulation,
+    primitive,
+)
 from sphervar.luna import LunaError, RootTypeTable
 from sphervar.recovery import (
     RecoveryError,
@@ -283,6 +294,34 @@ def reference_minimal_generators(gens, reduce_mod):
     return sorted(v for v in classes if not any(
         reference_member(d, gens) and not unit(d)
         for d in (tuple(a - b for a, b in zip(v, g)) for g in nonunits)))
+
+
+def reference_normality_test(m):
+    """Whether the monoid m is saturated, by the normality test
+    (Bruns–Ichim, J. Algebra 324, 2010).  The saturation S must have the
+    units of m; then both pass to the pointed quotient by the units.
+    Let T be the pulling triangulation of the quotient cone, spanned on
+    each extreme ray by the shortest generator of m on it.  A point of
+    S is a sum of multiples of the rays of a simplex of T and one
+    lattice point of its half-open parallelepiped, so m is S iff m holds
+    every such point: a generator, or found by a membership query."""
+    if m.lattice.rank == 0:
+        return True
+    quotient = PointedQuotient(m.cone, m.lattice)
+    if quotient.units != m.invertible_lattice:
+        return False
+    qcone = quotient.pointed
+    if qcone is None:
+        return True
+    gens = {quotient.project(g) for g, f in
+            zip(m.gen_vectors, m._invertible_flags) if not f}
+    shortest = {}
+    for g in sorted(gens, key=lambda g: sum(map(abs, g)), reverse=True):
+        shortest[primitive(g)] = g
+    rays = [shortest[r] for r in qcone.rays]
+    return all(p in gens or m.contains_vector(quotient.lift(p))
+               for simplex in _triangulation(qcone)
+               for p in _parallelepiped_points([rays[i] for i in simplex]))
 
 
 def reference_roots_in_lattice(psi, lattice):

@@ -94,8 +94,10 @@ def test_parse_unknown_name():
         parse_input(json.dumps(bad))
 
 
-def test_parse_bad_schema():
-    bad = dict(MINIMAL, schema=2)
+@pytest.mark.parametrize("schema", [2, True, 1.0], ids=str)
+def test_parse_bad_schema(schema):
+    # Python counts True and 1.0 equal to 1, but neither is schema 1
+    bad = dict(MINIMAL, schema=schema)
     with pytest.raises(ParseError):
         parse_input(json.dumps(bad))
 
@@ -473,11 +475,14 @@ def test_undecodable_or_too_deep_document_exit_2(tmp_path, capsys, text):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [0.1, 1.0, True, "1/0"], ids=str)
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "1/0", "1e100000000",
+                                   "0.5", " 1"], ids=str)
 def test_divisor_values_must_be_integers_or_fraction_strings(
         tmp_path, capsys, value):
     # a JSON float holds a binary approximation: 0.1 would be read as
-    # 3602879701896397/36028797018963968
+    # 3602879701896397/36028797018963968; a string is read only in the
+    # form a fraction is written, so an exponent is refused before
+    # `Fraction` builds its value
     doc = dict(MINIMAL, divisors=[{"id": "D1", "phi": [value]}])
     path = write_doc(tmp_path, "float.json", doc)
     assert main(["validate", "--input", path, "--format", "machine"]) == 2
@@ -723,6 +728,62 @@ def test_polytope_missing_order_exit_2(tmp_path):
     path = write_doc(tmp_path, "orders.json", doc)
     proc = run_cli(["polytope", "--input", path], check=False)
     assert proc.returncode == 2
+
+
+def test_polytope_orders_naming_an_unknown_divisor_exit_2(tmp_path, capsys):
+    doc = json.loads((DATA / "so3_x1.json").read_text())
+    doc["orders"] = {"D1": 0, "D2": 0, "D9": 3}
+    path = write_doc(tmp_path, "orders.json", doc)
+    assert main(["polytope", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: orders: unknown divisor D9\n"
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["vector", "name"])
+def test_polytope_base_weight_and_orders_per_divisor(tmp_path, capsys, named):
+    # each vertex moves by exactly the base weight, the rays and
+    # half-spaces stay, and each min_value is minus its divisor's order
+    doc = json.loads((DATA / "sl2_torus_case3.json").read_text())
+    doc["orders"] = orders = {"D1": 1, "D2": 0, "D3": 2}
+
+    def polytope():
+        path = write_doc(tmp_path, "base.json", doc)
+        assert main(["polytope", "--input", path, "--format", "machine"]) == 0
+        return json.loads(capsys.readouterr().out)["payload"]
+
+    plain = polytope()
+    base = [3, -1]
+    doc["base_weight"] = base
+    if named:
+        doc["weights"]["base"] = base
+        doc["base_weight"] = "base"
+    moved = polytope()
+    assert plain["base_weight"] == [0, 0] and moved["base_weight"] == base
+    assert [h["min_value"] for h in moved["halfspaces"]] == \
+        [-orders[h["divisor"]] for h in moved["halfspaces"]] == [-1, 0, -2]
+    assert moved["halfspaces"] == plain["halfspaces"]
+    assert moved["rays"] == plain["rays"]
+    assert len(plain["vertices"]) == 2
+    assert [[Fraction(x) for x in v] for v in moved["vertices"]] == \
+        [[Fraction(x) + b for x, b in zip(v, base)] for v in plain["vertices"]]
+
+
+def test_polytope_reports_each_line_as_two_rays(tmp_path, capsys):
+    # the half-plane y >= -1: its line through (1, 0) is the rays (1, 0)
+    # and (-1, 0), beside the ray (0, 1)
+    doc = {
+        "schema": 1,
+        "group": {"factors": [], "central_rank": 2},
+        "monoid_generators": [[1, 0], [-1, 0], [0, 1]],
+        "orders": 1,
+    }
+    path = write_doc(tmp_path, "lines.json", doc)
+    assert main(["polytope", "--input", path, "--format", "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["vertices"] == [[0, -1]]
+    assert payload["rays"] == [[-1, 0], [0, 1], [1, 0]]
+    assert payload["bounded"] is False
 
 
 @pytest.mark.parametrize("orders", [True, False, {"D1": True, "D2": 0}])

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from builders import fundamental_weight, monoid_of, simplex_monoid
+from builders import fundamental_weight, monoid_of
 from sphervar import monoid as monoid_module
 from sphervar import polyhedral
 from sphervar.monoid import MonoidError, WeightMonoid
@@ -286,18 +286,6 @@ def test_saturation():
     assert monoid_of(rd1, [(2,)]).is_saturated()  # lattice is 2Z
 
 
-def test_normality_test_asks_each_simplex_in_order_of_degree(monkeypatch):
-    # 4Δ3 without (1, 1, 1): its simplex holding (1, 1, 1, 1) has points
-    # of degree 2 too, such as (3, 3, 2, 2); the one of degree 1 outside
-    # the monoid is asked first, and ends the test
-    asked = []
-    real = WeightMonoid.contains_vector
-    monkeypatch.setattr(WeightMonoid, "contains_vector",
-                        lambda m, v: asked.append(tuple(v)) or real(m, v))
-    assert simplex_monoid(4, 3, without={(1, 1, 1)}).is_saturated() is False
-    assert asked == [(1, 1, 1, 1)]
-
-
 def test_saturation_stable_under_localization():
     rd = torus(2)
     m = monoid_of(rd, [(1, 0), (1, 1), (1, 2)])
@@ -337,8 +325,8 @@ def test_localize_by_all_minimal_generators_trivializes():
 
 
 def test_saturation_rank_guard():
-    # a free monoid needs no normality test and is saturated at any rank;
-    # the rank limit refuses the test on a monoid that is not free, such
+    # a free monoid needs no Hilbert basis and is saturated at any rank;
+    # the rank limit refuses the basis of a monoid that is not free, such
     # as the 2 e_i and the all-ones vector in rank 7
     rd = torus(7)
     gens = [tuple(int(i == j) for j in range(7)) for i in range(7)]

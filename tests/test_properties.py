@@ -40,6 +40,7 @@ from references import (
     reference_member,
     reference_minimal_generators,
     reference_monoid_membership,
+    reference_normality_test,
     reference_rational_solve,
     reference_roots_in_lattice,
     reference_stabilizers_of,
@@ -52,6 +53,7 @@ from test_recovery import (
     reference_violations,
     tampered_divisor_sets,
 )
+from sphervar import monoid as monoid_module
 from sphervar import polyhedral
 from sphervar.cli import parse_input
 from sphervar.luna import BDivisorRecord, LatticeFunctional, LunaError
@@ -477,13 +479,16 @@ def reference_is_saturated(m):
 def test_saturation_matches_the_membership_reference(data):
     rank, gens = data
     m = monoid_of(build_root_data(GroupSpec((), rank)), gens)
-    assert m.is_saturated() == reference_is_saturated(m)
+    saturated = m.is_saturated()
+    assert saturated == reference_is_saturated(m)
+    assert saturated == reference_normality_test(m)
 
 
 def test_saturation_reads_the_rays_and_matches_the_reference():
-    # the normality test of a monoid that is not free reads the rays of
-    # cone(M), which a recovery leaves unread: one more double description
-    # where the build ran one, and the reference's answer
+    # the Hilbert basis of the saturation of a monoid that is not free
+    # reads the rays of cone(M), which a recovery leaves unread: one more
+    # double description where the build ran one, and the references'
+    # answer
     real = polyhedral._dd
     for m in CORPUS_MONOIDS + [simplex_monoid(4, 3),
                                simplex_monoid(4, 3, without={(1, 1, 1)})]:
@@ -497,6 +502,7 @@ def test_saturation_reads_the_rays_and_matches_the_reference():
         free = sum(map(any, fresh.gen_vectors)) == fresh.lattice.rank
         assert len(calls) == at_build * (1 if free else 2), m.generators
         assert saturated == reference_is_saturated(fresh), m.generators
+        assert saturated == reference_normality_test(fresh), m.generators
 
 
 @settings(max_examples=150, deadline=None)
@@ -566,6 +572,26 @@ def test_saturation_of_the_thousand_fans(gens, saturated):
     m = monoid_of(build_root_data(GroupSpec((), 2)), gens)
     assert m.is_saturated() is saturated
     assert reference_is_saturated(m) is saturated
+    assert reference_normality_test(m) is saturated
+
+
+def test_saturation_asks_no_membership_query(monkeypatch):
+    # saturation is read off the Hilbert basis of S and the keys of the
+    # facet table: neither the monoid's membership query nor the search
+    # behind it runs, on a monoid that is saturated or not
+    def refuse(*args):
+        raise AssertionError("a membership query was asked")
+
+    monkeypatch.setattr(WeightMonoid, "contains_vector", refuse)
+    monkeypatch.setattr(monoid_module, "monoid_membership", refuse)
+    rd2 = build_root_data(GroupSpec((), 2))
+    cases = [(simplex_monoid(4, 3, without={(1, 1, 1)}), False),
+             (monoid_of(rd2, [(0, 1), (1, 1), (1000, 1)]), False),
+             (monoid_of(rd2, [(k, 1) for k in range(1001)]), True)]
+    for m, saturated in cases:
+        assert m.is_saturated() is saturated
+    for m in CORPUS_MONOIDS:
+        m.is_saturated()
 
 
 # -- the integer kernels against rational references -------------------------
