@@ -10,7 +10,6 @@ from .luna import BDivisorRecord, LatticeFunctional, LunaDatum, RootTypeTable
 from .monoid import WeightMonoid
 from .polyhedral import (
     Lattice,
-    Polytope,
     RationalCone,
     hilbert_basis,
     hilbert_basis_with_units,
@@ -46,14 +45,13 @@ from .spherical import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BDivisorRecord", "GroupSpec", "Lattice",
-    "LatticeFunctional", "LunaDatum", "ParabolicSet", "Polytope",
-    "RationalCone", "RootData", "RootTypeTable", "SphericalRootSet",
-    "WeightMonoid", "WeightVec", "build_root_data", "classify_root_types",
-    "elementary_forms", "hidden_divisors", "hidden_root_triples",
-    "hidden_spherical_roots", "hilbert_basis", "hilbert_basis_with_units",
-    "make_spherical_roots", "match_hidden_root_triple", "moment_polytope",
-    "monoid_membership", "recover_divisors", "recover_prime",
-    "recover_type_cd_divisors", "stabilizers_of", "symmetric_form",
-    "validate_luna_datum",
+    "BDivisorRecord", "GroupSpec", "Lattice", "LatticeFunctional",
+    "LunaDatum", "ParabolicSet", "RationalCone", "RootData",
+    "RootTypeTable", "SphericalRootSet", "WeightMonoid", "WeightVec",
+    "build_root_data", "classify_root_types", "elementary_forms",
+    "hidden_divisors", "hidden_root_triples", "hidden_spherical_roots",
+    "hilbert_basis", "hilbert_basis_with_units", "make_spherical_roots",
+    "match_hidden_root_triple", "moment_polytope", "monoid_membership",
+    "recover_divisors", "recover_prime", "recover_type_cd_divisors",
+    "stabilizers_of", "symmetric_form", "validate_luna_datum",
 ]

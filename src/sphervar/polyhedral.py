@@ -12,14 +12,13 @@ Hilbert basis are built on them.  Every vector that double description
 carries is an integer vector kept primitive up to a positive factor:
 after each projection or combination it is divided by the gcd of its
 entries, so it points exactly as the rational vector of textbook
-elimination does.  An
-exact rational is an `int` when it is integral and a `Fraction` with
-denominator > 1 otherwise (`exact`); a `Fraction` is made only at a
-final division that does not come out even, such as a coordinate of
-`Lattice.coords`, a point built from fractional coordinates, or a
-polytope vertex.  A cone's two descriptions (extreme rays modulo
-lineality, and a minimal facet description) are each canonical, which
-makes equality of cones, which reads both, a tuple comparison.
+elimination does.  An exact rational is an `int` when it is integral
+and a `Fraction` with denominator > 1 otherwise (`exact`); a `Fraction`
+is made only at a final division that does not come out even, such as
+a coordinate of `Lattice.coords` or a point built from fractional
+coordinates.  A cone's two descriptions (extreme rays modulo lineality,
+and a minimal facet description) are each canonical, which makes
+equality of cones, which reads both, a tuple comparison.
 
 The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
@@ -1025,69 +1024,4 @@ def monoid_membership(v, generators) -> bool:
         residual = tuple(a - c * b for a, b in zip(residual, gens[i]))
         res_values = [a - c * b for a, b in zip(res_values, values[i])]
         pos += 1
-
-
-# ---------------------------------------------------------------------------
-# polytopes from half-spaces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Polytope:
-    """Polyhedron {x : n.x >= c} in coordinate space.
-
-    Every query reads one cone, the homogenization {(x, t) : n.x >= c t,
-    t >= 0}, built on first use and kept on the instance.
-    """
-
-    dim: int
-    halfspaces: tuple[tuple[Vec, int], ...]
-
-    @staticmethod
-    def from_halfspaces(dim: int, constraints) -> "Polytope":
-        """The polyhedron in Q^dim of the constraints (n, c), each n.x >= c
-        with n and c rational, kept as one integer row: (n, c) times their
-        common denominator."""
-        hs = []
-        for normal, offset in constraints:
-            if len(normal) != dim:
-                raise PolyhedralError("constraint dimension mismatch")
-            row = _clear_denominators(tuple(normal) + (offset,))[1]
-            hs.append((tuple(row[:-1]), row[-1]))
-        return Polytope(dim, tuple(hs))
-
-    @cached_property
-    def _homogenized(self) -> RationalCone:
-        ieqs = [nvec + (-c,) for nvec, c in self.halfspaces]
-        ieqs.append(tuple([0] * self.dim) + (1,))
-        return RationalCone.from_inequalities(ieqs, dim=self.dim + 1)
-
-    def vertex_description(self) -> tuple[list[QVec], list[Vec], list[Vec]]:
-        """(vertices, recession rays, lines).  With lines present the
-        'vertices' are representatives of the minimal faces."""
-        cone = self._homogenized
-        verts: list[QVec] = []
-        rays: list[Vec] = []
-        lines: list[Vec] = []
-        for l in cone.lineality:
-            if l[-1] != 0:
-                raise PolyhedralError("internal: homogenization lineality hits t!=0")
-            lines.append(l[:-1])
-        for r in cone.rays:
-            if r[-1] > 0:
-                verts.append(tuple(exact(x, r[-1]) for x in r[:-1]))
-            elif r[-1] == 0:
-                rays.append(r[:-1])
-            else:
-                raise PolyhedralError("internal: homogenization ray with t<0")
-        return sorted(verts), sorted(rays), sorted(lines)
-
-    def is_empty(self) -> bool:
-        return not self.vertices()
-
-    def is_bounded(self) -> bool:
-        verts, rays, lines = self.vertex_description()
-        return not verts or (not rays and not lines)
-
-    def vertices(self) -> list[QVec]:
-        return self.vertex_description()[0]
 

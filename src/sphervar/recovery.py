@@ -63,9 +63,11 @@ from .luna import (
 from .monoid import MonoidError, WeightMonoid
 from .polyhedral import (
     Lattice,
-    Polytope,
+    PolyhedralError,
     RationalCone,
+    _clear_denominators,
     _dot,
+    cached_property,
     exact,
     hilbert_basis_with_units,  # noqa: F401  bench/tracing.py wraps this name here
     primitive,
@@ -557,32 +559,71 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
 
 @dataclass(frozen=True)
 class MomentPolytope:
-    """Half-space description of a moment polytope inside the rational
-    span of the weight lattice, translated by a base weight."""
+    """The polytope P = {lambda : <lambda, phi_D> >= -ord_D for every D}
+    in the rational span of the weight lattice, translated by a base
+    weight.
 
-    polytope: Polytope
+    Each row of `rows` is an inequality (n, c) . (x, t) >= 0 on lattice
+    coordinates x: a half-space as the values of phi_D on the lattice
+    basis and ord_D, times their common denominator, and last the row
+    t >= 0.  Together they cut out the homogenization of P, the cone
+    whose section at t = 1 is P.  Every query reads one vertex
+    description of it (`_description`), computed on first use and kept
+    on the instance.
+
+    A ray (x, t) of the cone with t > 0 is a vertex x / t of P, one with
+    t = 0 a recession ray, and the cone's lines all have t = 0 and are
+    the lines of P.  The cone's rays are taken orthogonal to its
+    lineality, so with L the lineality space of P, P = (P ∩ L^⊥) + L
+    (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 8)
+    and `vertices_ambient` gives the vertices of P ∩ L^⊥, ⊥ taken in the
+    coordinates of the lattice basis; `rays_ambient` gives the recession
+    rays and each line l as the two rays l and -l.  Hence P is the
+    convex hull of the vertices plus the cone over the rays.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
     lattice: Lattice
     base: WeightVec
 
+    @cached_property
+    def _description(self) -> tuple[list[tuple[int | Fraction, ...]],
+                                    list[tuple[int, ...]]]:
+        """(vertices, rays) in ambient coordinates, each sorted: the
+        vertices moved by the base, and each line as two opposite rays.
+        The queries return these lists themselves, not copies."""
+        X = self.lattice
+        cone = RationalCone.from_inequalities(self.rows, dim=X.rank + 1)
+        verts, rays = [], []
+        for l in cone.lineality:
+            if l[-1] != 0:
+                raise PolyhedralError("internal: homogenization lineality hits t!=0")
+            amb = X.from_coords(l[:-1])
+            rays += [amb, tuple(-x for x in amb)]
+        for r in cone.rays:
+            t = r[-1]
+            if t < 0:
+                raise PolyhedralError("internal: homogenization ray with t<0")
+            amb = X.from_coords(r[:-1])
+            if t:
+                verts.append(tuple(exact(y + t * b, t)
+                                   for y, b in zip(amb, self.base.coords)))
+            else:
+                rays.append(amb)
+        return sorted(verts), sorted(rays)
+
     def vertices_ambient(self) -> list[tuple[int | Fraction, ...]]:
-        out = []
-        for v in self.polytope.vertices():
-            amb = self.lattice.from_coords(v)
-            out.append(tuple(exact(a + b) for a, b in zip(amb, self.base.coords)))
-        return sorted(out)
+        return self._description[0]
 
     def rays_ambient(self) -> list[tuple[int, ...]]:
-        """The recession rays, each line l of the polytope as the two
-        rays l and -l, in ambient coordinates and sorted."""
-        _, rays, lines = self.polytope.vertex_description()
-        rays += lines + [tuple(-x for x in l) for l in lines]
-        return sorted(tuple(self.lattice.from_coords(r)) for r in rays)
+        return self._description[1]
 
     def is_bounded(self) -> bool:
-        return self.polytope.is_bounded()
+        verts, rays = self._description
+        return not verts or not rays
 
     def is_empty(self) -> bool:
-        return self.polytope.is_empty()
+        return not self._description[0]
 
 
 def moment_polytope(datum: LunaDatum, base: WeightVec,
@@ -590,11 +631,11 @@ def moment_polytope(datum: LunaDatum, base: WeightVec,
     """The polytope {lambda : <lambda, phi_D> >= -ord_D} + base, one
     half-space per divisor."""
     X = datum.monoid.lattice
-    constraints = []
+    rows = []
     for d in datum.divisors:
         if d.divisor_id not in orders:
             raise RecoveryError(f"no order given for divisor {d.divisor_id}")
-        constraints.append((d.phi.values, -int(orders[d.divisor_id])))
-    poly = Polytope.from_halfspaces(X.rank, constraints)
-    return MomentPolytope(poly, X, base)
-
+        order = int(orders[d.divisor_id])
+        rows.append(tuple(_clear_denominators(d.phi.values + (order,))[1]))
+    rows.append((0,) * X.rank + (1,))
+    return MomentPolytope(tuple(rows), X, base)

@@ -200,6 +200,22 @@ def valuation_cone(psi: SphericalRootSet, lattice: Lattice) -> RationalCone:
     return RationalCone.from_inequalities(normals, dim=lattice.rank)
 
 
+def halfspace_datum(dim: int, normals) -> LunaDatum:
+    """A datum on the torus of rank dim whose divisors D1, D2, ... are
+    external records with the given normals as functionals.  The monoid
+    is generated by the ±e_i, so its lattice is Z^dim with the standard
+    basis and the values of each functional are its normal's entries."""
+    rd = build_root_data(GroupSpec((), dim))
+    units = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    monoid = monoid_of(rd, units + [tuple(-x for x in e) for e in units])
+    psi = make_spherical_roots(rd, ())
+    records = tuple(
+        BDivisorRecord(f"D{i + 1}", LatticeFunctional(monoid.lattice, tuple(n)),
+                       ParabolicSet(frozenset()), "external")
+        for i, n in enumerate(normals))
+    return LunaDatum(monoid, psi, classify_root_types(monoid, psi), records)
+
+
 def localize_datum(datum: LunaDatum, mu: WeightVec) -> LunaDatum:
     """The datum of the localization at mu: monoid localized, roots
     restricted to the Levi, divisors filtered to those pairing to zero

@@ -27,7 +27,11 @@ divisor's origin.  `reference_normality_test` is
 `WeightMonoid.is_saturated` as it was before it read the Hilbert basis,
 the normality test on the pointed quotient and its parallelepiped
 points, kept to judge the rule that replaced it; it runs no Hilbert
-basis.
+basis.  `reference_vertex_description` is the vertex description of
+the polyhedron a half-space set cuts out, as the package's `Polytope`
+computed it in coordinates before `MomentPolytope` read its cone itself,
+here on `reference_inequality_cone`; it judges the four answers of
+`MomentPolytope`.
 """
 
 import itertools
@@ -39,6 +43,7 @@ from sphervar.monoid import MonoidError
 from sphervar.polyhedral import (
     PointedQuotient,
     RationalCone,
+    _clear_denominators,
     _dd,
     _parallelepiped_points,
     _triangulation,
@@ -158,6 +163,33 @@ def reference_inequality_cone(normals, equations, dim):
     lin, rays = _dd(dim, nrm + eqs + [tuple(-x for x in e) for e in eqs])
     ann, facets = _dd(dim, rays + lin + [tuple(-x for x in l) for l in lin])
     return RationalCone._canonical(dim, rays, lin, facets, ann)
+
+
+def reference_vertex_description(dim, constraints):
+    """(vertices, recession rays, lines) of {x in Q^dim : n.x >= c} for
+    the constraints (n, c), each sorted.  Each constraint is kept as one
+    integer row, (n, c) times their common denominator, and the
+    homogenization {(x, t) : n.x >= c t, t >= 0} is split by t: a ray
+    with t > 0 is a vertex x / t, one with t = 0 a recession ray.  With
+    lines present the 'vertices' are representatives of the minimal
+    faces, those orthogonal to the lines."""
+    ieqs = []
+    for normal, offset in constraints:
+        row = _clear_denominators(tuple(normal) + (offset,))[1]
+        ieqs.append(tuple(row[:-1]) + (-row[-1],))
+    ieqs.append((0,) * dim + (1,))
+    cone = reference_inequality_cone(ieqs, [], dim + 1)
+    verts, rays, lines = [], [], []
+    for l in cone.lineality:
+        assert l[-1] == 0, "homogenization lineality hits t != 0"
+        lines.append(l[:-1])
+    for r in cone.rays:
+        assert r[-1] >= 0, "homogenization ray with t < 0"
+        if r[-1] > 0:
+            verts.append(tuple(Fraction(x, r[-1]) for x in r[:-1]))
+        else:
+            rays.append(r[:-1])
+    return sorted(verts), sorted(rays), sorted(lines)
 
 
 # -- monoid membership by a minor-bounded search ------------------------------

@@ -769,21 +769,30 @@ def test_polytope_base_weight_and_orders_per_divisor(tmp_path, capsys, named):
         [[Fraction(x) + b for x, b in zip(v, base)] for v in plain["vertices"]]
 
 
-def test_polytope_reports_each_line_as_two_rays(tmp_path, capsys):
+@pytest.mark.parametrize("generators, vertices, rays", [
     # the half-plane y >= -1: its line through (1, 0) is the rays (1, 0)
     # and (-1, 0), beside the ray (0, 1)
+    ([[1, 0], [-1, 0], [0, 1]], [[0, -1]], [[-1, 0], [0, 1], [1, 0]]),
+    # the half-plane y - x >= -1 with the line (1, 1): its vertex is the
+    # point of the boundary orthogonal to the line, and the half-plane is
+    # that point plus the cone over (1, 1), (-1, -1) and the ray (-1, 1)
+    ([[1, 1], [-1, -1], [0, 1]], [["1/2", "-1/2"]],
+     [[-1, -1], [-1, 1], [1, 1]]),
+], ids=["axis", "slanted"])
+def test_polytope_reports_each_line_as_two_rays(tmp_path, capsys, generators,
+                                                vertices, rays):
     doc = {
         "schema": 1,
         "group": {"factors": [], "central_rank": 2},
-        "monoid_generators": [[1, 0], [-1, 0], [0, 1]],
+        "monoid_generators": generators,
         "orders": 1,
     }
     path = write_doc(tmp_path, "lines.json", doc)
     assert main(["polytope", "--input", path, "--format", "machine"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
-    assert payload["vertices"] == [[0, -1]]
-    assert payload["rays"] == [[-1, 0], [0, 1], [1, 0]]
-    assert payload["bounded"] is False
+    assert payload["vertices"] == vertices
+    assert payload["rays"] == rays
+    assert payload["bounded"] is False and payload["empty"] is False
 
 
 @pytest.mark.parametrize("orders", [True, False, {"D1": True, "D2": 0}])

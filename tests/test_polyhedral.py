@@ -13,7 +13,6 @@ from sphervar import polyhedral
 from sphervar.polyhedral import (
     Lattice,
     PolyhedralError,
-    Polytope,
     RationalCone,
     hilbert_basis,
     hilbert_basis_with_units,
@@ -660,47 +659,3 @@ def test_membership_is_one_generator_past_a_member(gens, target):
         for g in gens if any(g))
     assert monoid_membership(target, gens) is expected
 
-
-# -- polytopes ----------------------------------------------------------------
-
-def test_polytope_ray():
-    p = Polytope.from_halfspaces(1, [((1,), 0)])
-    verts, rays, lines = p.vertex_description()
-    assert verts == [(Fraction(0),)]
-    assert rays == [(1,)]
-    assert not p.is_bounded() and not p.is_empty()
-
-
-def test_polytope_segment():
-    p = Polytope.from_halfspaces(1, [((1,), 0), ((-1,), -2)])
-    assert p.vertices() == [(Fraction(0),), (Fraction(2),)]
-    assert p.is_bounded()
-
-
-def test_polytope_square():
-    cons = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
-    p = Polytope.from_halfspaces(2, cons)
-    assert len(p.vertices()) == 4
-    assert p.is_bounded()
-
-
-def test_polytope_empty():
-    p = Polytope.from_halfspaces(1, [((1,), 1), ((-1,), 0)])
-    assert p.is_empty()
-    assert p.is_bounded()
-
-
-def test_polytope_fractional_normals():
-    p = Polytope.from_halfspaces(1, [((Fraction(1, 2),), Fraction(-1, 2))])
-    assert p.vertices() == [(Fraction(-1),)]
-
-
-def test_polytope_vertices_hold_int_exactly_when_integral():
-    # the triangle (0, 0), (1, 0), (0, 1/2), moved by (1/2, 1)
-    p = Polytope.from_halfspaces(2, [((1, 0), Fraction(1, 2)), ((0, 1), 1),
-                                     ((-1, -2), Fraction(-7, 2))])
-    verts = p.vertices()
-    assert verts == [(Fraction(1, 2), 1), (Fraction(1, 2), Fraction(3, 2)),
-                     (Fraction(3, 2), 1)]
-    assert [tuple(map(type, v)) for v in verts] == \
-        [(Fraction, int), (Fraction, Fraction), (Fraction, int)]

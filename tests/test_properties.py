@@ -19,6 +19,7 @@ from builders import (
     coroot,
     from_covector,
     fundamental_weight,
+    halfspace_datum,
     integer_kernel,
     localize_datum,
     monoid_of,
@@ -46,6 +47,7 @@ from references import (
     reference_stabilizers_of,
     reference_type_a_roots,
     reference_validation,
+    reference_vertex_description,
 )
 from test_recovery import (
     recover_entry,
@@ -273,6 +275,43 @@ def test_recovery_and_its_moment_polytope_run_one_double_description_a_cone(
         assert max(built) <= 1 and len(calls) == sum(built), e.name
         total += len(calls)
     assert total
+
+
+@st.composite
+def halfspace_sets(draw):
+    """(dim, [(normal, order)], base) in dimension 1 to 3, the half-space
+    n.x >= -order per pair: too few or parallel normals leave lines,
+    opposite ones bound or empty the polytope."""
+    dim = draw(st.integers(1, 3))
+    pairs = draw(st.lists(
+        st.tuples(st.tuples(*[rationals] * dim), st.integers(-2, 2)),
+        max_size=5))
+    return dim, pairs, draw(st.tuples(*[rationals] * dim))
+
+
+@settings(max_examples=120, deadline=None)
+@given(halfspace_sets())
+@example((2, [((1, 0), 1)], (0, 0)))  # a line
+@example((1, [((1,), 0)], (Fraction(1, 2),)))  # a ray
+@example((2, [((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1)],
+          (0, 0)))  # bounded
+@example((1, [((1,), -1), ((-1,), 0)], (0,)))  # empty
+@example((3, [((1, 1, 0), 1), ((-1, -1, 0), 0), ((0, 0, 1), 0)],
+          (1, 0, Fraction(-1, 3))))  # a line, a vertex off it, a ray
+def test_moment_polytope_matches_the_vertex_description_reference(case):
+    dim, pairs, base = case
+    datum = halfspace_datum(dim, [n for n, _ in pairs])
+    X = datum.lattice
+    mp = moment_polytope(datum, datum.rd.weight(base),
+                         {f"D{i + 1}": o for i, (_, o) in enumerate(pairs)})
+    verts, rays, lines = reference_vertex_description(
+        dim, [(n, -o) for n, o in pairs])
+    lines += [tuple(-x for x in l) for l in lines]
+    assert mp.vertices_ambient() == sorted(
+        tuple(a + b for a, b in zip(X.from_coords(v), base)) for v in verts)
+    assert mp.rays_ambient() == sorted(X.from_coords(r) for r in rays + lines)
+    assert mp.is_bounded() is (not verts or not (rays or lines))
+    assert mp.is_empty() is (not verts)
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,6 +12,7 @@ from builders import (
     coroot,
     from_covector,
     fundamental_weight,
+    halfspace_datum,
     localize_datum,
     monoid_of,
     pairing,
@@ -1136,6 +1137,77 @@ def test_moment_polytope_shifted_orthant():
     orders = {d.divisor_id: 1 for d in datum.divisors}
     mp = moment_polytope(datum, e.rd.weight((0, 0)), orders)
     assert mp.vertices_ambient() == [(Fraction(-1), Fraction(-1))]
+
+
+def test_moment_polytope_queries_share_one_description(monkeypatch):
+    # the strip -1 <= x + y <= 0: its line (1, -1) and its vertices off
+    # the line at (-1/2, -1/2) and (0, 0)
+    datum = halfspace_datum(2, [(1, 1), (-1, -1)])
+    orders = {"D1": 1, "D2": 0}
+    base = datum.rd.weight((0, 0))
+    fresh = moment_polytope(datum, base, orders)
+    expected = (fresh.rays_ambient(), fresh.is_bounded(), fresh.is_empty())
+    assert expected == ([(-1, 1), (1, -1)], False, False)
+    mp = moment_polytope(datum, base, orders)
+    assert mp.vertices_ambient() == [(Fraction(-1, 2), Fraction(-1, 2)), (0, 0)]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a query rebuilt the vertex description")
+
+    monkeypatch.setattr(Lattice, "from_coords", boom)
+    monkeypatch.setattr(recovery_module, "exact", boom)
+    assert (mp.rays_ambient(), mp.is_bounded(), mp.is_empty()) == expected
+
+
+def _halfspace_polytope(dim, constraints, base=None):
+    """The moment polytope of the half-spaces (n, ord), each
+    n.x >= -ord, on the torus of rank dim, moved by base."""
+    datum = halfspace_datum(dim, [n for n, _ in constraints])
+    orders = {f"D{i + 1}": o for i, (_, o) in enumerate(constraints)}
+    return moment_polytope(datum, datum.rd.weight(base or (0,) * dim), orders)
+
+
+def test_halfspace_polytope_ray():
+    mp = _halfspace_polytope(1, [((1,), 0)])
+    assert mp.vertices_ambient() == [(0,)]
+    assert mp.rays_ambient() == [(1,)]
+    assert not mp.is_bounded() and not mp.is_empty()
+
+
+def test_halfspace_polytope_segment():
+    mp = _halfspace_polytope(1, [((1,), 0), ((-1,), 2)])
+    assert mp.vertices_ambient() == [(0,), (2,)]
+    assert mp.is_bounded()
+
+
+def test_halfspace_polytope_square():
+    mp = _halfspace_polytope(
+        2, [((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1)])
+    assert len(mp.vertices_ambient()) == 4
+    assert mp.is_bounded()
+
+
+def test_halfspace_polytope_empty():
+    mp = _halfspace_polytope(1, [((1,), -1), ((-1,), 0)])
+    assert mp.is_empty()
+    assert mp.is_bounded()
+
+
+def test_halfspace_polytope_fractional_normals():
+    # x / 2 >= -1
+    mp = _halfspace_polytope(1, [((Fraction(1, 2),), 1)])
+    assert mp.vertices_ambient() == [(-2,)]
+
+
+def test_halfspace_polytope_vertices_hold_int_exactly_when_integral():
+    # the triangle (0, 0), (1, 0), (0, 1/2), moved by (1/2, 1)
+    mp = _halfspace_polytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 1)],
+                             base=(Fraction(1, 2), 1))
+    verts = mp.vertices_ambient()
+    assert verts == [(Fraction(1, 2), 1), (Fraction(1, 2), Fraction(3, 2)),
+                     (Fraction(3, 2), 1)]
+    assert [tuple(map(type, v)) for v in verts] == \
+        [(Fraction, int), (Fraction, Fraction), (Fraction, int)]
 
 
 @pytest.mark.parametrize("factor", [
