@@ -5,20 +5,21 @@ one kernel per job, each on Python integers: the Hermite normal form for
 lattices, the Bareiss inverse `_bareiss_inverse` for rational inverses
 (the inverse Cartan matrix, the parallelepiped points of a simplex, the
 projection off a lineality space, the facets of a full-dimensional
-simplicial cone), and double description for every other cone: one
-run at build gives one of its two descriptions, and a second run the
-other on its first read; a dual swaps the two.  Cone membership and the
-Hilbert basis are built on them.  Every vector that double description
-carries is an integer vector kept primitive up to a positive factor:
-after each projection or combination it is divided by the gcd of its
-entries, so it points exactly as the rational vector of textbook
-elimination does.  An exact rational is an `int` when it is integral
-and a `Fraction` with denominator > 1 otherwise (`exact`); a `Fraction`
-is made only at a final division that does not come out even, such as
-a coordinate of `Lattice.coords` or a point built from fractional
+simplicial cone), and double description for every other cone: one run
+at build gives one of its two descriptions, and a second run, over that
+one, the other on its first read; a dual swaps the two.  Cone membership
+and the Hilbert basis are built on them.  Every vector that double
+description carries is an integer vector kept primitive up to a positive
+factor: after each projection or combination it is divided by the gcd of
+its entries, so it points exactly as the rational vector of textbook
+elimination does.  An exact rational is an `int` when it is integral and
+a `Fraction` with denominator > 1 otherwise (`exact`); a `Fraction` is
+made only at a final division that does not come out even, such as a
+coordinate of `Lattice.coords` or a point built from fractional
 coordinates.  A cone's two descriptions (extreme rays modulo lineality,
-and a minimal facet description) are each canonical, which makes
-equality of cones, which reads both, a tuple comparison.
+and a minimal facet description, each linear part the HNF basis of its
+integer points) are each canonical, which makes equality of cones, which
+reads both, a tuple comparison.
 
 The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
@@ -554,8 +555,13 @@ def _project_off(rays, lin: Lattice) -> list[Vec]:
 def _canonical_side(dim: int, vecs, lin) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """One description of a cone in canonical form, from the raw output
     (lin, vecs) of `_dd`: the vectors projected off the span of lin, and
-    the HNF basis of the lattice lin spans."""
+    the HNF basis of its integer points span_Q(lin) ∩ Z^dim, the
+    annihilator of the annihilator.  A basis with every pivot 1 spans
+    them already: it is the identity on its pivot columns, so an
+    integral rational combination of it has integer coefficients."""
     lin_lat = Lattice.span(lin, dim)
+    if not lin_lat._unit_pivots:
+        lin_lat = Lattice.span(Lattice.span(lin_lat.annihilator, dim).annihilator, dim)
     return tuple(_project_off(vecs, lin_lat)), lin_lat.basis
 
 
@@ -569,28 +575,27 @@ class RationalCone:
 
     rays: extreme rays modulo lineality, primitive, orthogonal to the
         lineality span, sorted.
-    lineality: HNF basis of the lattice spanned by the lineality basis
-        of `_dd`, which need not be saturated.
+    lineality: HNF basis of the integer points of the lineality space.
     facet_normals: minimal inequality description, canonical modulo
         span_equations.
-    span_equations: primitive functionals cutting out the linear span,
-        in the same form as the lineality.
+    span_equations: HNF basis of the integer functionals vanishing on
+        the linear span.
 
-    The form does not depend on how the cone is listed: the order of
-    its generators, redundant ones, or its inequalities.  `_build` makes
-    the cone over vectors and lines.  Over `dim` linearly independent
+    The form does not depend on how the cone is listed: the order of its
+    generators, redundant ones, or its inequalities.  `_build` makes the
+    cone over vectors and lines.  Over `dim` linearly independent
     vectors and no lines it is simplicial: it is read off one Bareiss
     inverse of their matrix G, with the primitive vectors as rays and
     the primitive columns of p G^-1, signed by p, as facet normals.
     Otherwise one double description gives the facets at build, and a
-    second one, over the first one's output, gives the rays when they
-    are first read (`__getattr__`); its output is minimal modulo its
-    lineality (Fukuda–Prodon), so `_canonical_side` only projects and
-    sorts.  `dual` swaps the two descriptions, the pending one with
-    them, so {x : n.x >= 0, e.x = 0}, the dual of the cone over the
-    normals n and the lines e, has its rays at build and its facets on
-    first read.  Equality, hash and repr read both descriptions.  A cone
-    is immutable.
+    second one, over the canonical facets and span equations, gives the
+    rays when they are first read (`__getattr__`); its output is minimal
+    modulo its lineality (Fukuda–Prodon), so `_canonical_side` only
+    saturates, projects and sorts.  `dual` swaps the two descriptions,
+    the pending one with them, so {x : n.x >= 0, e.x = 0}, the dual of
+    the cone over the normals n and the lines e, has its rays at build
+    and its facets on first read.  Equality, hash and repr read both
+    descriptions.  A cone is immutable.
     """
 
     def __init__(self, dim: int, rays, lineality, facet_normals, span_equations):
@@ -601,8 +606,7 @@ class RationalCone:
     @staticmethod
     def _of(state) -> "RationalCone":
         """The cone with the given instance state, a description pending
-        when its names are missing and `_source` holds the raw `_dd`
-        output of the other."""
+        when its names are missing."""
         cone = object.__new__(RationalCone)
         cone.__dict__.update(state)
         return cone
@@ -615,17 +619,15 @@ class RationalCone:
 
     def __getattr__(self, name):
         """The pending description, on its first read: the double
-        description of the cone that `_source`, the raw output behind
-        the other description, cuts out."""
+        description of the cone that the known description cuts out."""
         state = self.__dict__
-        if name not in _DUAL_NAME or "_source" not in state:
+        if name not in _DUAL_NAME or _DUAL_NAME[name] not in state:
             raise AttributeError(name)
-        vecs, lin = state["_source"]
-        lin, vecs = _dd(self.dim, vecs + lin + [tuple(-x for x in v) for v in lin])
         names = (("rays", "lineality") if name in ("rays", "lineality")
                  else ("facet_normals", "span_equations"))
+        vecs, lin = (state[_DUAL_NAME[n]] for n in names)
+        lin, vecs = _dd(self.dim, [*vecs, *lin, *(tuple(-x for x in v) for v in lin)])
         state.update(zip(names, _canonical_side(self.dim, vecs, lin)))
-        del state["_source"]
         return state[name]
 
     def _fields(self) -> tuple:
@@ -681,8 +683,7 @@ class RationalCone:
         ann, facets = _dd(dim, gens + lns + [tuple(-x for x in l) for l in lns])
         normals, equations = _canonical_side(dim, facets, ann)
         return RationalCone._of(dict(dim=dim, facet_normals=normals,
-                                     span_equations=equations,
-                                     _source=(facets, ann)))
+                                     span_equations=equations))
 
     @staticmethod
     def _canonical(dim: int, rays, lin, facets, ann) -> "RationalCone":

@@ -530,16 +530,16 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     are the facet normals of C, the dual rays of M read on the basis of
     X (`WeightMonoid.facet_basis_rows`).  Hence if every such ray, made
     primitive, is the primitive form of some phi_D, then C^∨ ⊆ cone(Phi)
-    and the identity holds.  Otherwise the cut cone is built in the
-    coordinates of X, and lies in C iff its rays and both signs of its
-    lineality vectors do, read as weights.
+    and the identity holds.  Otherwise cone(Phi) is built in the
+    coordinates of X, and the identity holds iff it contains every such
+    ray.
 
     The facet table decides alone wherever check (i) passed.  There every
     phi_D is >= 0 on M, so cone(Phi) ⊆ C^∨, and C^∨ ⊆ cone(Phi) holds
     only if the two are equal.  Then each extreme ray of the pointed C^∨,
     a facet normal, is an extreme ray of cone(Phi), and so a multiple of
-    some phi_D.  Hence the cut cone, built only where some facet normal
-    is not, returns True only when check (i) failed; that is also why
+    some phi_D.  Hence cone(Phi), built only where some facet normal is
+    not, returns True only when check (i) failed; that is also why
     check (vi) may ask this before the normality test.
     """
     m = datum.monoid
@@ -547,10 +547,9 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     phis = {primitive(d.phi.values) for d in datum.divisors if any(d.phi.values)}
     if all(primitive(row) in phis for row in m.facet_basis_rows):
         return True
-    cut = RationalCone.from_inequalities(
+    phi_cone = RationalCone.from_generators(
         [d.phi.values for d in datum.divisors], dim=X.rank)
-    lines = cut.lineality + tuple(tuple(-x for x in v) for v in cut.lineality)
-    return all(m.cone.contains(X.from_coords(v)) for v in cut.rays + lines)
+    return all(map(phi_cone.contains, m.facet_basis_rows))
 
 
 # ---------------------------------------------------------------------------

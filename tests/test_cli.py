@@ -778,12 +778,18 @@ def test_polytope_base_weight_and_orders_per_divisor(tmp_path, capsys, named):
     # that point plus the cone over (1, 1), (-1, -1) and the ray (-1, 1)
     ([[1, 1], [-1, -1], [0, 1]], [["1/2", "-1/2"]],
      [[-1, -1], [-1, 1], [1, 1]]),
-], ids=["axis", "slanted"])
+    # the half-space phi >= -1 of T^3 with phi = (2, 3, 5): double
+    # description spans its plane of lines with index 2, and its lines are
+    # the HNF basis (1, 1, -1), (0, 5, -3) of the plane's integer points
+    ([[1, 1, -1], [-1, -1, 1], [-3, 2, 0], [3, -2, 0], [-1, 1, 0]],
+     [["-1/19", "-3/38", "-5/38"]],
+     [[-1, -1, 1], [0, -5, 3], [0, 5, -3], [1, 1, -1], [2, 3, 5]]),
+], ids=["axis", "slanted", "unsaturated"])
 def test_polytope_reports_each_line_as_two_rays(tmp_path, capsys, generators,
                                                 vertices, rays):
     doc = {
         "schema": 1,
-        "group": {"factors": [], "central_rank": 2},
+        "group": {"factors": [], "central_rank": len(generators[0])},
         "monoid_generators": generators,
         "orders": 1,
     }

@@ -178,7 +178,7 @@ def test_every_cone_route_gives_the_same_canonical_form(inputs, data):
 
 @settings(max_examples=100, deadline=None)
 @given(cone_inputs(max_lines=2))
-# the index-13 span equations of the simplicial cone tests below
+# the span equations that double description spans with index 13
 @example((4, [(2, -3, 2, 3), (-3, -2, 3, 1)], []))
 def test_dual_is_the_cone_over_the_facet_normals(inputs):
     # `dual` swaps the two descriptions; double description of the cone
@@ -187,6 +187,45 @@ def test_dual_is_the_cone_over_the_facet_normals(inputs):
     cone = RationalCone.from_generators(gens, lines=lines, dim=dim)
     assert cone.dual() == reference_cone(
         cone.facet_normals, cone.span_equations, dim)
+
+
+@st.composite
+def linear_part_cone_inputs(draw):
+    """(build, dim, vectors, linear part) in dims 2-5, entries in [-7, 7]:
+    generators with lines, or inequalities with equations."""
+    dim = draw(st.integers(2, 5))
+    vec = st.tuples(*[st.integers(-7, 7)] * dim)
+    return (draw(st.sampled_from(["generators", "inequalities"])), dim,
+            draw(st.lists(vec, max_size=3)), draw(st.lists(vec, max_size=2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_part_cone_inputs())
+# double description spans the lines of {x : (2, 3, 5).x >= 0} with index
+# 2, as (1, 6, -4), (0, 10, -6); their integer points are (1, 1, -1),
+# (0, 5, -3)
+@example(("inequalities", 3, [(2, 3, 5)], []))
+# and these span equations with index 13, as (1, 57, 26, 39),
+# (0, 91, 39, 65); saturated they are (1, 1, 2, -1), (0, 7, 3, 5)
+@example(("generators", 4, [(2, -3, 2, 3), (-3, -2, 3, 1)], []))
+def test_a_cone_keeps_the_integer_points_of_its_linear_parts(inputs):
+    # the lineality and the span equations are each the HNF basis of its
+    # saturation, the one built first that of double description's kernel,
+    # so the form depends on the cone alone: rebuilt from either canonical
+    # description it is the same cone
+    build, dim, vecs, linear = inputs
+    cone = (RationalCone.from_generators if build == "generators"
+            else RationalCone.from_inequalities)(vecs, linear, dim=dim)
+    for part in (cone.lineality, cone.span_equations):
+        assert part == saturation(Lattice.span(part, dim)).basis
+    kernel, _ = polyhedral._dd(
+        dim, [*vecs, *linear, *(tuple(-x for x in v) for v in linear)])
+    assert (cone.span_equations if build == "generators" else cone.lineality) \
+        == saturation(Lattice.span(kernel, dim)).basis
+    assert RationalCone.from_generators(
+        cone.rays, cone.lineality, dim=dim) == cone
+    assert RationalCone.from_inequalities(
+        cone.facet_normals, cone.span_equations, dim=dim) == cone
 
 
 @st.composite
@@ -211,8 +250,8 @@ def simplicial_cone_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(simplicial_cone_inputs())
-# rank-deficient: the span equations are the HNF of the lattice spanned
-# by double description's kernel basis, of index 13 in its saturation
+# rank-deficient: double description's kernel basis spans the span
+# equations with index 13, and the cone keeps their saturation
 @example((4, [(2, -3, 2, 3), (-3, -2, 3, 1)], []))
 @example((3, [(0, 2, 0), (-1, 0, 0), (0, 0, 3), (0, 1, 0)], []))
 @example((2, [(1, 0), (0, 1)], [(0, 0)]))  # p = -1 on the sorted rays
@@ -1982,9 +2021,9 @@ def test_check_vi_matches_its_former_order_on_corpus_products():
 
 def test_the_cut_cone_confirms_the_identity_only_where_check_i_failed():
     # where every phi_D is >= 0 on M the facet table decides the identity
-    # alone, so a cut cone built inside it must refute it
-    cut_cones = mock.patch.object(RationalCone, "from_inequalities",
-                                  wraps=RationalCone.from_inequalities)
+    # alone, so a cone(Phi) built inside it must refute it
+    cut_cones = mock.patch.object(RationalCone, "from_generators",
+                                  wraps=RationalCone.from_generators)
     data = [recover_entry(e) for e in build_corpus()] + [
         recover_divisors(*product(e1, e2)) for e1, e2 in
         itertools.combinations_with_replacement(build_corpus(), 2)]
