@@ -27,11 +27,11 @@ output closed by its reader (as in `sphervar recover ... | head -1`).
 A malformed field (a vector or a list of them of the wrong shape, a rank
 that is not an integer) is a parse error.
 
-The argument parser is built once, at import, and `main` may be called
-any number of times in one process: nothing of a call stays in the
-parser.  A canonical argv (the command, then only `--input V`, `--format
-F` and `--verbose`) is read without it, into the namespace it would
-return; every other argv, help and usage errors included, goes to it.
+`main` may be called any number of times in one process.  A canonical
+argv (the command, then only `--input V`, `--format F` and `--verbose`)
+is read directly, into the namespace the argument parser would return;
+the parser is built, afresh, only for every other argv, help and usage
+errors included.
 The root data of a group are built once per process too
 (`build_root_data`), and what depends on a monoid alone (its cone, type-a
 roots, root-type table) once per monoid.  Within one call, inputs with
@@ -623,24 +623,27 @@ def main(argv=None) -> int:
 _COMMANDS = ("recover", "classify", "compare", "validate", "polytope")
 _FORMATS = ("pretty", "machine")
 
-# built once at import; each `parse_args` call keeps its state to itself
-PARSER = argparse.ArgumentParser(
-    prog="sphervar",
-    description="Combinatorial invariants of affine spherical varieties")
-PARSER.add_argument("command", choices=_COMMANDS)
-PARSER.add_argument("--input", required=True, action="append",
-                    help="input document path (give twice for compare)")
-PARSER.add_argument("--format", choices=_FORMATS, default="pretty")
-PARSER.add_argument("--verbose", action="store_true",
-                    help="include the localization-node trace")
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built only for an argv that `_parse_argv`
+    does not read itself, as building one loads `shutil`."""
+    parser = argparse.ArgumentParser(
+        prog="sphervar",
+        description="Combinatorial invariants of affine spherical varieties")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--input", required=True, action="append",
+                        help="input document path (give twice for compare)")
+    parser.add_argument("--format", choices=_FORMATS, default="pretty")
+    parser.add_argument("--verbose", action="store_true",
+                        help="include the localization-node trace")
+    return parser
 
 
 def _parse_argv(argv) -> argparse.Namespace:
-    """`PARSER.parse_args(argv)`, read directly when argv is canonical: a
-    command, then only `--input V`, `--format pretty|machine` and
+    """`_parser().parse_args(argv)`, read directly when argv is canonical:
+    a command, then only `--input V`, `--format pretty|machine` and
     `--verbose`, with no value starting with "-" and at least one input.
     Every other argv (help, usage errors, `--input=V`, abbreviations,
-    options before the command, `--`) goes to `PARSER`."""
+    options before the command, `--`) goes to the parser."""
     args = sys.argv[1:] if argv is None else list(argv)
     if args and args[0] in _COMMANDS:
         ns = argparse.Namespace(command=args[0], input=[],
@@ -665,7 +668,7 @@ def _parse_argv(argv) -> argparse.Namespace:
         else:
             if ns.input:
                 return ns
-    return PARSER.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def _run(argv) -> int:

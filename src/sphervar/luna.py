@@ -8,15 +8,16 @@ A record keeps no other presentation of its functional: the stabilizer
 follows from the record's origin and its values on X (see
 `sphervar.recovery.stabilizers_of`).
 
-Each functional also carries one integer form, computed once: a
-denominator d > 0, least possible, and an integer covector w on Z^dim,
-supported on the pivot columns of the HNF basis of X, with
-phi(v) = w.v / d on span_Q(X).  A weight is checked against the span
-once (`span_vector`: the annihilator rows of X), however many
-functionals are then read on it; each reading is one integer dot
-product, and a value one exact division, which builds a `Fraction` only
-when it does not come out even.  Since d > 0, the sign of w.v is the
-sign of phi(v), and phi(v) = 1 iff w.v = d for an integer v.
+Each functional also carries one integer form, computed once: the
+least common denominator d > 0 of its values and the integer vector
+n = d * values, so that phi(x) = n.c(x) / d for a point x of span_Q(X)
+with coordinates c(x) in the basis (`Lattice.coords`).  A weight is read
+into those coordinates once (`span_vector`, which refuses one off the
+span), however many functionals are then read on it; each reading is
+one integer dot product for a point of X, and a value one exact
+division, which builds a `Fraction` only when it does not come out even.
+Since d > 0, the sign of n.c is the sign of phi(x), and phi(x) = 1 iff
+n.c = d for a point x of X.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING
 from .monoid import WeightMonoid
 from .polyhedral import (
     Lattice,
-    PolyhedralError,
+    QVec,
     _clear_denominators,
     _dot,
     cached_property,
@@ -44,16 +45,14 @@ class LunaError(ValueError):
     pass
 
 
-def span_vector(lattice: Lattice, vec) -> tuple[int, list[int]]:
-    """(den, v) with den > 0 and v = den * vec an integer vector, once
-    vec is checked to lie in the rational span of the lattice; a
-    functional with integer form (d, w) is w.v / (d * den) there."""
-    if len(vec) != lattice.dim:
-        raise PolyhedralError("vector length does not match the lattice")
-    den, v = _clear_denominators(vec)
-    if not lattice.in_span(v):
+def span_vector(lattice: Lattice, vec) -> QVec:
+    """The coordinates of vec in the lattice basis (`Lattice.coords`),
+    refused with `LunaError` when vec is off the rational span; a
+    functional with integer form (d, n) is n.c / d there."""
+    c = lattice.coords(vec)
+    if c is None:
         raise LunaError("vector outside the lattice span")
-    return den, v
+    return c
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,14 @@ class LatticeFunctional:
 
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """(d, w) with phi(v) = w.v / d on the span of the lattice."""
-        return self.lattice.integer_form(self.values)
+        """(d, n): d > 0 the least common denominator of the values and
+        n = d * values, so that phi is n.c / d at basis coordinates c."""
+        d, n = _clear_denominators(self.values)
+        return d, tuple(n)
 
     def evaluate(self, vec) -> int | Fraction:
-        den, v = span_vector(self.lattice, vec)
-        d, w = self.integer_form
-        return exact(_dot(w, v), d * den)
+        d, n = self.integer_form
+        return exact(_dot(n, span_vector(self.lattice, vec)), d)
 
     def eval_weight(self, w: WeightVec) -> int | Fraction:
         return self.evaluate(w.coords)

@@ -25,10 +25,10 @@ The Hermite normal form is the one integer normal form.  A lattice is
 kept by its HNF basis; the HNF of the rows (v_i | e_i) gives the integer
 relations among the v_i and the combination behind each basis row, and
 integer kernels and the units of a cone with the quotient by them
-are read off it.  A functional given by its values on the basis has one
-integer form (`Lattice.integer_form`): when every pivot is 1, as for
-Z^n, the basis is the identity on its pivot columns and the form is
-read off the values; otherwise it is solved by back substitution.
+are read off it.  A vector is read into the basis by one triangular
+solve against it (`Lattice.coords`): when every pivot is 1, as for Z^n,
+the basis is the identity on its pivot columns, and the coordinates are
+the entries there, checked against the other columns below full rank.
 
 A Hilbert basis is taken in the pointed quotient of cone ∩ lattice by
 its units (`PointedQuotient`), read off the Hermite form of the
@@ -300,33 +300,43 @@ class Lattice:
 
     def coords(self, v) -> QVec | None:
         """Coordinates of v in the lattice basis; None if v is outside the
-        rational span.
+        rational span.  Every vector is read into the basis here, and
+        none is trusted to lie in the span.
 
-        The basis is in HNF, so the rows after row i vanish at its pivot
-        column and to the left of it: coordinate i is read at that column
-        once the earlier rows are subtracted.  The residual and the
-        coordinates stay integral over a common denominator, scaled up
-        only when a pivot does not divide its entry, and each coordinate
-        is one `exact` division at the end.
+        When every pivot is 1 the basis is the identity on its pivot
+        columns, so the coordinates are the entries of v there; below
+        full rank the combination they give must be v at the other
+        columns.  Otherwise the rows after row i vanish at its pivot
+        column and to the left of it: coordinate i is read at that
+        column once the earlier rows are subtracted.  The residual and
+        the coordinates stay integral over a common denominator, scaled
+        up only when a pivot does not divide its entry, and each
+        coordinate is one `exact` division at the end.
         """
         if len(v) != self.dim:
             raise PolyhedralError("vector length does not match the lattice")
         den, res = _clear_denominators(v)
-        out = []
-        for b, p in zip(self.basis, self._pivots):
-            x, piv = res[p], b[p]
-            if x % piv:
-                s = piv // gcd(x, piv)
-                res = [s * y for y in res]
-                out = [s * y for y in out]
-                den *= s
-                x *= s
-            q = x // piv
-            if q:
-                res = [y - q * z for y, z in zip(res, b)]
-            out.append(q)
-        if any(res):
-            return None
+        if self._unit_pivots:
+            out = [res[p] for p in self._pivots]
+            if self.rank < self.dim and \
+                    [_dot(out, c) for c in self.columns] != res:
+                return None
+        else:
+            out = []
+            for b, p in zip(self.basis, self._pivots):
+                x, piv = res[p], b[p]
+                if x % piv:
+                    s = piv // gcd(x, piv)
+                    res = [s * y for y in res]
+                    out = [s * y for y in out]
+                    den *= s
+                    x *= s
+                q = x // piv
+                if q:
+                    res = [y - q * z for y, z in zip(res, b)]
+                out.append(q)
+            if any(res):
+                return None
         if den == 1:
             return tuple(out)
         return tuple(exact(q, den) for q in out)
@@ -366,46 +376,6 @@ class Lattice:
         """Whether every pivot of the basis is 1; the entries above a
         pivot are then 0, since each is reduced into [0, 1)."""
         return all(b[p] == 1 for b, p in zip(self.basis, self._pivots))
-
-    def integer_form(self, values) -> tuple[int, Vec]:
-        """(d, w) for the functional with the given values on the basis:
-        the least d > 0 and an integer covector w, supported on the pivot
-        columns, with w.b = d * value for each basis vector b, so that the
-        functional is w.v / d on the rational span.  Restricted to its
-        pivot columns the HNF basis is upper triangular (a row vanishes
-        left of its own pivot).  When every pivot is 1 it is the
-        identity there, so w is the values times d, the lcm of their
-        denominators, put at the pivots; otherwise w is solved by
-        `_back_substitute`."""
-        if len(values) != self.rank:
-            raise PolyhedralError("value count does not match the lattice rank")
-        d, rhs = _clear_denominators(values)
-        if not self._unit_pivots:
-            d, rhs = self._back_substitute(d, rhs)
-        w = [0] * self.dim
-        for p, n in zip(self._pivots, rhs):
-            w[p] = n
-        return d, tuple(w)
-
-    def _back_substitute(self, d: int, rhs: list[int]) -> tuple[int, list[int]]:
-        """(d', x) with x the integer solution, on the pivot columns, of
-        b_i.x = d' * value_i, given the values as rhs / d: back
-        substitution from the last row up.  A pivot that does not divide
-        its entry scales the whole system by the least factor that makes
-        it divide, so d' ends as the lcm of the denominators of the
-        solved rationals: least."""
-        piv = self._pivots
-        x: list[int] = []
-        for i in reversed(range(self.rank)):
-            b, p = self.basis[i], piv[i]
-            r = rhs[i] - sum(b[q] * y for q, y in zip(piv[i + 1:], x))
-            if r % b[p]:
-                s = b[p] // gcd(r, b[p])
-                d, r = d * s, r * s
-                rhs = [s * y for y in rhs]
-                x = [s * y for y in x]
-            x.insert(0, r // b[p])
-        return d, x
 
     def from_coords(self, c) -> QVec:
         if len(c) != self.rank:

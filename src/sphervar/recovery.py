@@ -43,9 +43,9 @@ to scale; the walk reads its values on the minimal generators and on the
 basis of X off the monoid's facet table.  Every test of a recovered
 functional at a node (does it vanish at mu, whether it pairs to 1 with a
 type-b root, its sign on the minimal generators off the node) is a sign
-or equality test of w.v against the functional's integer form (d, w):
-d > 0 and w an integer covector on the pivot columns of the lattice
-basis, with phi(v) = w.v / d (see `sphervar.luna`).
+or equality test of n.c against the functional's integer form (d, n),
+with phi = n.c / d at the coordinates c on the basis of X of mu, a root
+or a generator, each read into them once (see `sphervar.luna`).
 """
 
 from __future__ import annotations
@@ -207,6 +207,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     rd = m.rd
     X = m.lattice
     gens = [g.int_coords() for g in m.minimal_generators]
+    gen_coords = [X.coords(g) for g in gens]
     table = _root_types(m, psi)
     pi_a = frozenset(table.roots_of_type("a"))
     active = sorted(m.active_roots)
@@ -247,8 +248,9 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                 "?", _facet_functional(X, *found), None, "case_1c", ()))
         elif case == "F_alpha":
             levi = levi_of(mu)
+            c_mu = X.coords(mu)
             overline = [rec for rec in pool
-                        if _dot(rec.phi.integer_form[1], mu) == 0]
+                        if _dot(rec.phi.integer_form[1], c_mu) == 0]
             # the roots found lie in levi - pi_a, so a lone root there is
             # the type-b root alpha; the sign test (every functional
             # vanishing at mu is <= 0 on alpha) holds iff none vanishes
@@ -271,11 +273,11 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                 new: dict[tuple[int | Fraction, ...],
                           tuple[LatticeFunctional, list[int]]] = {}
                 for alpha in found:
-                    root = rd.simple_root(alpha).int_coords()
+                    root = X.coords(rd.simple_root(alpha).int_coords())
                     ones = []
                     for rec in overline:
-                        d, w = rec.phi.integer_form
-                        if _dot(w, root) == d:
+                        d, n = rec.phi.integer_form
+                        if _dot(n, root) == d:
                             ones.append(rec)
                     if len(ones) != 1:
                         continue
@@ -283,7 +285,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                     new.setdefault(phi.values, (phi, []))[1].append(alpha)
                 for values in sorted(new):
                     phi, roots = new[values]
-                    _check_node_pattern(phi, gens, face)
+                    _check_node_pattern(phi, gen_coords, face)
                     minted.append(BDivisorRecord(
                         "?", phi, None, "case_3", tuple(roots)))
         pool.extend(minted)
@@ -294,13 +296,13 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     return pool
 
 
-def _check_node_pattern(phi: LatticeFunctional, gens, face) -> None:
+def _check_node_pattern(phi: LatticeFunctional, gen_coords, face) -> None:
     """A case-3 divisor must be positive on every minimal generator
-    (given as integer vectors) off its node's face; on the face it
+    (given by its coordinates on X) off its node's face; on the face it
     vanishes, as its base and the coroot do (see `recover_prime`)."""
-    _, w = phi.integer_form
-    for j, g in enumerate(gens):
-        if j not in face and _dot(w, g) <= 0:
+    _, n = phi.integer_form
+    for j, c in enumerate(gen_coords):
+        if j not in face and _dot(n, c) <= 0:
             raise RecoveryError(
                 "invalid datum: recovered divisor escapes its node")
 
@@ -316,10 +318,10 @@ def stabilizers_of(recs: list[BDivisorRecord], table: RootTypeTable,
     every off-diagonal Cartan entry is <= 0.  A class divisor (case 1c)
     or a case-3 divisor is moved by the type-b roots that pair to one
     with its functional; an empty set means the divisor is stable under
-    the whole group.  Each type-b root is checked against the span of
-    the lattice once, before any record, and a functional with integer
-    form (d, w) pairs to one with it iff w.alpha = d * den
-    (`span_vector`).
+    the whole group.  Each type-b root is read into the coordinates c
+    of the lattice once, before any record (`span_vector`), and a
+    functional with integer form (d, n) pairs to one with it iff
+    n.c = d.
     """
     b_roots = [(beta, span_vector(m.lattice, m.rd.simple_root(beta).coords))
                for beta in table.roots_of_type("b")]
@@ -332,9 +334,9 @@ def _stabilizer(rec: BDivisorRecord, b_roots, active) -> ParabolicSet:
         return ParabolicSet(active - frozenset(rec.source_roots))
     if rec.source not in ("case_1c", "case_3"):
         raise RecoveryError(f"unknown divisor source {rec.source!r}")
-    d, w = rec.phi.integer_form
+    d, n = rec.phi.integer_form
     return ParabolicSet(active - frozenset(
-        beta for beta, (den, v) in b_roots if _dot(w, v) == d * den))
+        beta for beta, c in b_roots if _dot(n, c) == d))
 
 
 def recover_divisors(m: WeightMonoid, psi: SphericalRootSet,
@@ -388,13 +390,15 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
     n_active = sorted(datum.levi_roots)
 
     # (i) every functional is nonnegative on the monoid and kills units;
-    # generators and units lie in X, where phi has the sign of w.v
+    # generators and units lie in X, where phi has the sign of n.c
+    gens = [X.coords(g) for g in m.gen_vectors]
+    units = [X.coords(b) for b in m.invertible_lattice.basis]
     for d in datum.divisors:
-        w = d.phi.integer_form[1]
-        if any(_dot(w, g) < 0 for g in m.gen_vectors):
+        n = d.phi.integer_form[1]
+        if any(_dot(n, c) < 0 for c in gens):
             rep.fail("phi_nonnegative",
                      f"{d.divisor_id} is negative on a monoid generator")
-        if any(_dot(w, b) for b in m.invertible_lattice.basis):
+        if any(_dot(n, c) for c in units):
             rep.fail("phi_invertible_vanishing",
                      f"{d.divisor_id} does not vanish on the invertible part")
 
@@ -406,7 +410,7 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
                      f"type-a root {i + 1} moves {moved[0].divisor_id}")
 
     # (ii) type-b pairs; the coroot of root i on X is column i of its
-    # basis, and each root is checked against the span of X once
+    # basis, and each root is read into the coordinates of X once
     for i in table.roots_of_type("b"):
         alpha = rd.simple_root(i)
         moved = datum.divisors_moved_by(i)
@@ -414,9 +418,9 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
             rep.fail("b_pair_count",
                      f"type-b root {i + 1} moves {len(moved)} divisors, not 2")
             continue
-        den, v = span_vector(X, alpha.coords)
-        bad_pairing = [d for d in moved if _dot(d.phi.integer_form[1], v)
-                       != d.phi.integer_form[0] * den]
+        c = span_vector(X, alpha.coords)
+        bad_pairing = [d for d in moved if _dot(d.phi.integer_form[1], c)
+                       != d.phi.integer_form[0]]
         if bad_pairing:
             rep.fail("b_pair_pairing",
                      f"divisor {bad_pairing[0].divisor_id} pairs "
@@ -472,19 +476,19 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
                          f"divisor {d.divisor_id} is moved by an incompatible "
                          f"set of roots {[x + 1 for x in moved]}")
 
-    # (v) sign constraint for elementary-form roots: each root is checked
-    # against the span of X once, where the first divisor it is read on
-    # asks for it, and phi has the sign of w.v there
+    # (v) sign constraint for elementary-form roots: each root is read
+    # into the coordinates of X once, where the first divisor it is read
+    # on asks for it, and phi has the sign of n.c there
     for g, tag in zip(datum.psi.roots, datum.psi.forms):
         if tag.kind == "none":
             continue
         alpha1 = tag.roots[0]
-        v = None
+        c = None
         for d in datum.divisors:
             if alpha1 in d.stabilizer.roots:
-                if v is None:
-                    v = span_vector(X, g.coords)[1]
-                if _dot(d.phi.integer_form[1], v) > 0:
+                if c is None:
+                    c = span_vector(X, g.coords)
+                if _dot(d.phi.integer_form[1], c) > 0:
                     rep.fail("lemma_sign",
                              f"divisor {d.divisor_id} outside the moved set "
                              "of an elementary root pairs positively with it")

@@ -232,15 +232,15 @@ class ParabolicSet:
 @dataclass(frozen=True)
 class RootData:
     """The root data of a `GroupSpec`, with the constants every caller
-    reads built once by `build_root_data`: the simple roots and the
-    inverse Cartan matrix as `cartan_inverse` = (p, p C^-1), with p > 0
-    the lcm of the simple factors' |det C_f| and p C^-1 an integer
-    matrix."""
+    reads built once by `build_root_data`: the simple roots and their
+    names (`f<k>.alpha<i>` in factor k of a product), and the inverse
+    Cartan matrix as `cartan_inverse` = (p, p C^-1), with p > 0 the lcm
+    of the simple factors' |det C_f| and p C^-1 an integer matrix."""
 
     spec: GroupSpec
     cartan: tuple[tuple[int, ...], ...]
     root_lengths: tuple[int | Fraction, ...]
-    factor_of: tuple[int, ...]
+    root_names: tuple[str, ...]
     simple_roots: tuple[WeightVec, ...] = field(compare=False, repr=False)
     cartan_inverse: tuple[int, tuple[tuple[int, ...], ...]] = field(
         compare=False, repr=False)
@@ -261,11 +261,7 @@ class RootData:
         return self.simple_roots[i]
 
     def root_name(self, i: int) -> str:
-        if len(self.spec.factors) <= 1:
-            return f"alpha{i + 1}"
-        f = self.factor_of[i]
-        start = sum(r for _, r in self.spec.factors[:f])
-        return f"f{f + 1}.alpha{i - start + 1}"
+        return self.root_names[i]
 
 
 @lru_cache(maxsize=64)
@@ -291,14 +287,15 @@ def build_root_data(spec: GroupSpec) -> RootData:
     # with det = ±det C_f, and C^-1 is held over p, the lcm of the |det|
     p = math.lcm(*(abs(det) for det, _ in inverses))
     lengths: list[int | Fraction] = []
-    factor_of: list[int] = []
+    names: list[str] = []
     cartan = [[0] * n for _ in range(n)]
     inv = [[0] * n for _ in range(n)]
     pos = 0
     for f, ((t, r), blk, (det, adj)) in enumerate(
             zip(spec.factors, blocks, inverses)):
         lengths.extend(_length_block(t, r))
-        factor_of.extend([f] * r)
+        names.extend(f"alpha{i + 1}" if len(spec.factors) == 1
+                     else f"f{f + 1}.alpha{i + 1}" for i in range(r))
         for i in range(r):
             cartan[pos + i][pos:pos + r] = blk[i]
             inv[pos + i][pos:pos + r] = [x * (p // det) for x in adj[i]]
@@ -308,7 +305,7 @@ def build_root_data(spec: GroupSpec) -> RootData:
         spec=spec,
         cartan=tuple(tuple(row) for row in cartan),
         root_lengths=tuple(lengths),
-        factor_of=tuple(factor_of),
+        root_names=tuple(names),
         simple_roots=tuple(
             WeightVec(spec, tuple(row[i] for row in cartan) + central)
             for i in range(n)),

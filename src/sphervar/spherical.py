@@ -237,16 +237,17 @@ def elementary_forms(psi: SphericalRootSet) -> tuple[FormTag, ...]:
 def hidden_divisors(datum: LunaDatum) -> frozenset[str]:
     """Divisors on which every noninvertible monoid element pairs strictly
     positively (and the invertible part pairs to zero).  The minimal
-    generators and the units lie in the lattice, where a functional has
-    the sign of w.v for its integer form (d, w)."""
-    mins = [g.int_coords() for g in datum.monoid.minimal_generators]
-    units = datum.monoid.invertible_lattice.basis
+    generators and the units lie in the lattice, where a functional with
+    integer form (d, n) has the sign of n.c at basis coordinates c."""
+    X = datum.lattice
+    mins = [X.coords(g.int_coords()) for g in datum.monoid.minimal_generators]
+    units = [X.coords(b) for b in datum.monoid.invertible_lattice.basis]
     out = []
     for d in datum.divisors:
-        w = d.phi.integer_form[1]
-        if any(_dot(w, g) <= 0 for g in mins):
+        n = d.phi.integer_form[1]
+        if any(_dot(n, c) <= 0 for c in mins):
             continue
-        if any(_dot(w, b) for b in units):
+        if any(_dot(n, c) for c in units):
             continue
         out.append(d.divisor_id)
     return frozenset(out)

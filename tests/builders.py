@@ -147,6 +147,20 @@ def group_case_document(dynkin: str, n: int) -> dict:
     }
 
 
+def sl_so_document(n: int) -> dict:
+    """The document of SL_{n+1}/SO_{n+1}: the A_n monoid on the
+    2 omega_i with the spherical roots 2 alpha_i; alpha_i, in
+    fundamental-weight coordinates, is column i of the Cartan matrix."""
+    cartan = build_root_data(GroupSpec((("A", n),))).cartan
+    return {
+        "schema": 1,
+        "group": {"factors": [["A", n]], "central_rank": 0},
+        "monoid_generators": [[2 * (j == i) for j in range(n)]
+                              for i in range(n)],
+        "spherical_roots": [[2 * row[i] for row in cartan] for i in range(n)],
+    }
+
+
 def thin_to_elementary(psi: SphericalRootSet) -> SphericalRootSet:
     """Keep only the roots of one of the three elementary forms."""
     kept = tuple(g for g, t in zip(psi.roots, psi.forms)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cli_contract
-from builders import group_case_document
+from builders import group_case_document, sl_so_document
 from corpus import build_corpus, entry_to_document
 from sphervar import cli, spherical
 from sphervar.cli import ParseError, main, parse_input
@@ -559,6 +559,22 @@ def test_a_run_loads_no_openssl():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_canonical_run_builds_no_argument_parser():
+    """A canonical argv is read without the argument parser, whose help
+    formatter loads `shutil` and through it the compression modules, so
+    a recover in a fresh interpreter imports neither `shutil` nor
+    `lzma`."""
+    code = ('import sys; from sphervar import cli; '
+            'code = cli.main(["recover", "--format", "machine", '
+            '"--input", "data/so3_x1.json"]); '
+            'loaded = [m for m in ("shutil", "lzma") if m in sys.modules]; '
+            'sys.exit(code or (f"imported {loaded}" if loaded else 0))')
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bench_tracer_finds_every_traced_name():
     """The benchmark tracer wraps each traced function in the module that
     looks it up; a name that leaves its module, or a cached property it
@@ -971,13 +987,13 @@ def parse_outcome(parse, argv):
 @example(["recover", "-h"])
 def test_argv_reader_agrees_with_the_parser(argv):
     assert parse_outcome(cli._parse_argv, argv) == \
-        parse_outcome(cli.PARSER.parse_args, argv)
+        parse_outcome(cli._parser().parse_args, argv)
 
 
 def test_canonical_argv_skips_the_parser(monkeypatch):
     def refuse(argv=None):
         raise AssertionError(f"parser called on {argv}")
-    monkeypatch.setattr(cli.PARSER, "parse_args", refuse)
+    monkeypatch.setattr(cli, "_parser", refuse)
     args = cli._parse_argv(["compare", "--input", "a", "--format", "machine",
                             "--verbose", "--input", "b"])
     assert vars(args) == {"command": "compare", "input": ["a", "b"],
@@ -1083,6 +1099,34 @@ def test_group_case_of_type_a_matches_its_closed_form_at_any_rank(n):
     ("D", 5), ("D", 7), ("E", 6)])
 def test_group_case_matches_its_closed_form_at_every_type(tmp_path, dynkin, n):
     check_group_case(dynkin, n, tmp_path)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_sl_so_recovers_one_type_c_divisor_per_simple_root(tmp_path, n):
+    # SL_{n+1}/SO_{n+1}: divisor i is half the coroot of alpha_i, which is
+    # e_i on the basis 2 omega_j of the lattice, and is moved by alpha_i
+    # alone; the recovered document validates
+    path = write_doc(tmp_path, f"sl_so{n}.json", sl_so_document(n))
+    code, payload = machine_run(["recover", "--input", path])
+    assert code == 0
+    assert sorted((d["source"], d["dropped_simple_roots"], d["phi"])
+                  for d in payload["divisors"]) == \
+        [("type_c", [i], [int(j == i) for j in range(1, n + 1)])
+         for i in range(1, n + 1)]
+    path = write_doc(tmp_path, f"sl_so{n}_recovered.json",
+                     payload["document"])
+    assert machine_run(["validate", "--input", path]) == \
+        (0, {"exceptional_triple": None, "passed": True, "violations": []})
+
+
+def test_sl2_so2_refuses_twice_its_simple_root(tmp_path, capsys):
+    # at n = 1 the root 2 alpha = 4 omega is twice the basis vector 2 omega
+    # of the lattice; the spherical root of SL2/SO2 is alpha, of type b
+    # (data/so3_x1.json)
+    path = write_doc(tmp_path, "sl_so1.json", sl_so_document(1))
+    assert main(["recover", "--input", path]) == 1
+    assert capsys.readouterr().err == ("error: invalid datum: spherical "
+                                       "root is not primitive in the lattice\n")
 
 
 @settings(max_examples=15, deadline=None)

@@ -205,11 +205,7 @@ def test_lattice_coords_rejects_length_mismatch():
         Lattice.full(2).from_coords((1, 2, 3))
 
 
-def test_integer_form_and_in_span_reject_length_mismatch():
-    with pytest.raises(PolyhedralError):
-        Lattice.full(2).integer_form((1, 2, 3))
-    with pytest.raises(PolyhedralError):
-        Lattice.full(2).integer_form((1,))
+def test_in_span_rejects_length_mismatch():
     with pytest.raises(PolyhedralError):
         Lattice.span([(1, 0)], 2).in_span((0, 0, 5))
     with pytest.raises(PolyhedralError):

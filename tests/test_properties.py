@@ -5,7 +5,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 from pathlib import Path
 from random import Random
@@ -1387,10 +1387,9 @@ def functional_inputs(draw):
 def test_integer_form_evaluation_matches_the_coordinate_reference(data):
     phi, v = data
     lat = phi.lattice
-    d, w = phi.integer_form
-    assert d > 0 and gcd(d, *w) == 1
-    pivots = {next(j for j, x in enumerate(b) if x) for b in lat.basis}
-    assert all(x == 0 for j, x in enumerate(w) if j not in pivots)
+    d, n = phi.integer_form
+    assert d > 0 and gcd(d, *n) == 1
+    assert n == tuple(d * x for x in phi.values)
     try:
         expected = reference_evaluate(phi, v)
     except LunaError:
@@ -1417,9 +1416,7 @@ def test_from_covector_matches_the_reference(data, draw):
 # -- one representation of an exact rational ----------------------------------
 #
 # An exact rational is an `int` when it is integral and a `Fraction` with
-# denominator > 1 otherwise.  The reference below is `Lattice.integer_form`
-# as it was before it computed on integers: back substitution in Fractions,
-# then the denominators cleared.
+# denominator > 1 otherwise.
 
 rationals = st.one_of(st.integers(-6, 6),
                       st.fractions(-3, 3, max_denominator=4))
@@ -1436,20 +1433,6 @@ def assert_canonical(values, expected):
             assert type(x) is int, x
         else:
             assert type(x) is Fraction and x.denominator > 1, x
-
-
-def reference_integer_form(lattice, values):
-    piv = [next(j for j, x in enumerate(b) if x) for b in lattice.basis]
-    x = []
-    for b, p, val in zip(reversed(lattice.basis), reversed(piv),
-                         reversed(values)):
-        rest = sum(b[q] * y for q, y in zip(piv[len(piv) - len(x):], x))
-        x.insert(0, (Fraction(val) - rest) / b[p])
-    d = lcm(*(y.denominator for y in x))
-    w = [0] * lattice.dim
-    for p, y in zip(piv, x):
-        w[p] = int(y * d)
-    return d, tuple(w)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1523,15 +1506,6 @@ def lattice_values(draw):
     lat, v = draw(lattice_vectors())
     return lat, v, draw(st.lists(rationals, min_size=lat.rank,
                                  max_size=lat.rank))
-
-
-@settings(max_examples=300, deadline=None)
-@given(lattice_values())
-# the pivots 2 and 3 divide neither entry, so both rows scale (d, w)
-@example((Lattice.span([(2, 1, 0), (0, 3, 1)], 3), (0, 0, 0), [0, 1]))
-def test_integer_form_matches_the_fraction_reference(data):
-    lat, _, values = data
-    assert lat.integer_form(values) == reference_integer_form(lat, values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -2019,10 +1993,10 @@ def test_check_vi_matches_its_former_order_on_corpus_products():
             recover_divisors(*product(e1, e2)), (e1.name, e2.name))
 
 
-def test_the_cut_cone_confirms_the_identity_only_where_check_i_failed():
+def test_the_cone_over_the_functionals_confirms_the_identity_only_where_check_i_failed():
     # where every phi_D is >= 0 on M the facet table decides the identity
     # alone, so a cone(Phi) built inside it must refute it
-    cut_cones = mock.patch.object(RationalCone, "from_generators",
+    phi_cones = mock.patch.object(RationalCone, "from_generators",
                                   wraps=RationalCone.from_generators)
     data = [recover_entry(e) for e in build_corpus()] + [
         recover_divisors(*product(e1, e2)) for e1, e2 in
@@ -2034,7 +2008,7 @@ def test_the_cut_cone_confirms_the_identity_only_where_check_i_failed():
             variant = replace(datum, divisors=divisors)
             check_i = all(d.phi.evaluate(g) >= 0 for d in divisors
                           for g in variant.monoid.gen_vectors)
-            with cut_cones as built:
+            with phi_cones as built:
                 holds = _monoid_recovery_identity(variant)
             if built.called:
                 outcomes[check_i, holds] += 1
@@ -2165,13 +2139,14 @@ def test_coroot_columns_match_the_covector_reference_on_torus_monoids(data):
     _assert_columns_match_the_covector_reference(m, gens)
 
 
-# -- the integer form on unit pivots -------------------------------------------
+# -- coordinates on unit pivots -----------------------------------------------
 
 @st.composite
 def unit_pivot_lattices(draw):
     """(lattice, values): a lattice whose HNF basis has every pivot 1 and
     any entries in the columns that hold no pivot, so in general not the
-    identity on its support, and one rational per basis vector."""
+    identity on its support, and one rational coordinate per basis
+    vector."""
     dim = draw(st.integers(1, 5))
     pivots = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
     rows = []
@@ -2190,30 +2165,24 @@ def unit_pivot_lattices(draw):
           [Fraction(1, 2), Fraction(-2, 3)]))
 @example((Lattice.span([(0, 1, 0, -2), (0, 0, 1, 4)], 4),
           [Fraction(3, 4), Fraction(5, 6)]))
-def test_integer_form_on_unit_pivots_is_read_off_the_values(data):
+def test_coords_on_unit_pivots_are_read_off_the_pivot_columns(data):
+    # a lattice point, a rational point of the span and, below full rank,
+    # that point moved in a column with no pivot, which is off the span
     lat, values = data
     assert lat._unit_pivots
-    with mock.patch.object(Lattice, "_back_substitute",
-                           side_effect=AssertionError("back substitution")):
-        assert lat.integer_form(values) == reference_integer_form(lat, values)
-
-
-def test_integer_form_back_substitutes_exactly_off_unit_pivots():
-    calls = []
-    real = Lattice._back_substitute
-
-    def counted(self, d, rhs):
-        calls.append(self.basis)
-        return real(self, d, rhs)
-
-    with mock.patch.object(Lattice, "_back_substitute", counted):
-        for basis in [((1, 0), (0, 2)), ((2, 1, 0), (0, 3, 1)),
-                      ((1, 0, 2), (0, 1, 3)), ((1, 1),)]:
-            lat = Lattice.span(basis, len(basis[0]))
-            values = [Fraction(1, 3)] * lat.rank
-            assert lat.integer_form(values) == \
-                reference_integer_form(lat, values)
-    assert calls == [((1, 0), (0, 2)), ((2, 1, 0), (0, 3, 1))]
+    point = lat.from_coords(values)
+    points = [lat.from_coords([int(x) for x in values]), point]
+    free = sorted(set(range(lat.dim)) - set(lat._pivots))
+    if free:
+        j = free[0]
+        points.append(point[:j] + (point[j] + 1,) + point[j + 1:])
+    for v in points:
+        expected = reference_coords(lat, v)
+        if expected is None:
+            assert lat.coords(v) is None
+        else:
+            assert_canonical(lat.coords(v), expected)
+    assert (lat.coords(points[-1]) is None) == bool(free)
 
 
 # -- the d-partner search by coroot columns ------------------------------------
