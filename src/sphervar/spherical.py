@@ -239,15 +239,13 @@ def hidden_divisors(datum: LunaDatum) -> frozenset[str]:
     positively (and the invertible part pairs to zero).  The minimal
     generators and the units lie in the lattice, where a functional with
     integer form (d, n) has the sign of n.c at basis coordinates c."""
-    X = datum.lattice
-    mins = [X.coords(g.int_coords()) for g in datum.monoid.minimal_generators]
-    units = [X.coords(b) for b in datum.monoid.invertible_lattice.basis]
+    m = datum.monoid
     out = []
     for d in datum.divisors:
         n = d.phi.integer_form[1]
-        if any(_dot(n, c) <= 0 for c in mins):
+        if any(_dot(n, c) <= 0 for c in m.minimal_coords):
             continue
-        if any(_dot(n, c) for c in units):
+        if any(_dot(n, c) for c in m.unit_coords):
             continue
         out.append(d.divisor_id)
     return frozenset(out)

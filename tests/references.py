@@ -23,7 +23,9 @@ recovered divisor's stabilizer off the type-b pairings and cross-checks
 case-2 and type-c divisors against their half coroots
 (`reference_half_coroot`, a rational covector the records no longer
 carry), kept to judge the rule that reads the stabilizer off the
-divisor's origin.  `reference_normality_test` is
+divisor's origin.  `reference_facet_basis_rows` is the facet table
+on the lattice basis as it was read off an ambient cone, kept to judge
+cone(M) held in the lattice's coordinates.  `reference_normality_test` is
 `WeightMonoid.is_saturated` as it was before it read the Hilbert basis,
 the normality test on the pointed quotient and its parallelepiped
 points, kept to judge the rule that replaced it; it runs no Hilbert
@@ -339,7 +341,8 @@ def reference_normality_test(m):
     every such point: a generator, or found by a membership query."""
     if m.lattice.rank == 0:
         return True
-    quotient = PointedQuotient(m.cone, m.lattice)
+    quotient = PointedQuotient(
+        RationalCone.from_generators(m.gen_vectors, dim=m.dim), m.lattice)
     if quotient.units != m.invertible_lattice:
         return False
     qcone = quotient.pointed
@@ -354,6 +357,15 @@ def reference_normality_test(m):
     return all(p in gens or m.contains_vector(quotient.lift(p))
                for simplex in _triangulation(qcone)
                for p in _parallelepiped_points([rays[i] for i in simplex]))
+
+
+def reference_facet_basis_rows(m, cone):
+    """`WeightMonoid.facet_basis_rows` as it was while cone(M) was held in
+    ambient weight coordinates: the value of each facet normal of the
+    ambient cone over the generators on each basis vector of the
+    lattice X of m."""
+    return tuple(tuple(sum(x * y for x, y in zip(n, b)) for b in m.lattice.basis)
+                 for n in cone.facet_normals)
 
 
 def reference_roots_in_lattice(psi, lattice):

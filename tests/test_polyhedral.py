@@ -627,6 +627,30 @@ def test_membership_mixed_signs():
     assert monoid_membership((-4, 3), [(2, 0), (-2, 0), (0, 1)]) is True
 
 
+def test_membership_reads_the_target_into_the_lattice_before_any_table(monkeypatch):
+    # v is in the rational span of the generators, a pointed cone of rank 4
+    # with 5 free generators, but its last coordinate on their lattice is
+    # -4/3: the one read into the lattice refuses it, so no search table
+    # is built and no double description runs
+    v = (-5, 3, -3, -1)
+    gens = [(1, 0, 0, 3), (-2, 1, -3, -1), (0, 2, 1, -1), (1, -1, -2, -1),
+            (-1, -2, 0, 2)]
+    assert Lattice.span(gens).coords(v)[-1] == Fraction(-4, 3)
+    built, dd_calls = [], []
+    real_dd = polyhedral._dd
+
+    class CountingSearch(polyhedral.MonoidSearch):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedral, "MonoidSearch", CountingSearch)
+    monkeypatch.setattr(polyhedral, "_dd",
+                        lambda *a: dd_calls.append(a) or real_dd(*a))
+    assert monoid_membership(v, gens) is False
+    assert built == [] and dd_calls == []
+
+
 def test_membership_rejects_a_shorter_vector():
     # zip would drop the 5 and put (1,) in the monoid of (1, 5)
     with pytest.raises(PolyhedralError):

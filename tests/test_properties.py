@@ -19,6 +19,7 @@ from builders import (
     coroot,
     from_covector,
     fundamental_weight,
+    group_case_document,
     halfspace_datum,
     integer_kernel,
     localize_datum,
@@ -35,6 +36,7 @@ from references import (
     reference_classify_root_types,
     reference_cone,
     reference_det,
+    reference_facet_basis_rows,
     reference_half_coroot,
     reference_inequality_cone,
     reference_integer_solve,
@@ -50,6 +52,7 @@ from references import (
     reference_vertex_description,
 )
 from test_recovery import (
+    _pair_datum,
     recover_entry,
     reference_monoid_recovery_identity,
     reference_violations,
@@ -887,7 +890,8 @@ def generator_matrices(draw, max_dim=5, max_gens=6, entries=3):
 def test_membership_matches_the_per_query_reference(data):
     gens, v = data
     expected = reference_member(v, gens)
-    for query in (gens, MonoidSearch(gens, len(v))):
+    lattice = Lattice.span(gens, len(v))
+    for query in (gens, MonoidSearch(map(lattice.coords, gens), lattice)):
         assert monoid_membership(v, query) is expected
 
 
@@ -914,6 +918,68 @@ def test_membership_matches_reference_on_corpus_monoids(m, data):
                                 max_size=len(ext)))
     v = tuple(sum(c * g[i] for c, g in zip(coeffs, ext)) for i in range(m.dim))
     assert m.contains_vector(v) is reference_monoid_membership(v, ext)[0]
+
+
+@st.composite
+def sublattice_monoids(draw):
+    """(m, targets): a monoid whose lattice X has rank below the dimension
+    or a pivot above 1, and vectors in X, in span_Q(X) off X (when X is
+    not saturated) and off span_Q(X) (below full rank).  The monoid is a
+    torus monoid on a sublattice spanned by small vectors, with a unit in
+    about half the draws, k partnered pairs in A1^2k, or the group case
+    G×G/diag G at small rank."""
+    kind = draw(st.sampled_from(["torus", "pairs", "group"]))
+    if kind == "torus":
+        dim = draw(st.integers(2, 3))
+        basis = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * dim),
+                              min_size=1, max_size=dim))
+        basis[0] = tuple(draw(st.sampled_from([1, 2, 3])) * x for x in basis[0])
+        gens = draw(st.lists(st.lists(st.integers(-1, 1), min_size=len(basis),
+                                      max_size=len(basis)),
+                             min_size=1, max_size=3))
+        gens = [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(dim))
+                for cs in gens]
+        if draw(st.booleans()):  # a unit
+            gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
+        m = monoid_of(build_root_data(GroupSpec((), dim)), gens)
+    elif kind == "pairs":
+        m = _pair_datum(draw(st.integers(1, 2)))[0]
+    else:
+        dynkin, n = draw(st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("B", 2),
+                                          ("C", 2), ("D", 3), ("G", 2)]))
+        rd = build_root_data(GroupSpec(((dynkin, n), (dynkin, n))))
+        m = monoid_of(rd, group_case_document(dynkin, n)["monoid_generators"])
+    X = m.lattice
+    assume(X.rank < m.dim or not X._unit_pivots)
+    coeffs = draw(st.lists(st.integers(-1, 2), min_size=len(m.gen_vectors),
+                           max_size=len(m.gen_vectors)))
+    inside = tuple(sum(c * g[i] for c, g in zip(coeffs, m.gen_vectors))
+                   for i in range(m.dim))
+    targets = [inside]
+    off_lattice = [b for b in saturation(X).basis if not X.contains(b)]
+    if off_lattice:
+        w = draw(st.sampled_from(off_lattice))
+        targets.append(tuple(a + b for a, b in zip(inside, w)))
+    if X.rank < m.dim:
+        j = draw(st.sampled_from([j for j in range(m.dim)
+                                  if any(a[j] for a in X.annihilator)]))
+        targets.append(tuple(a + (i == j) for i, a in enumerate(inside)))
+    return m, targets
+
+
+@settings(max_examples=100, deadline=None)
+@given(sublattice_monoids())
+def test_cone_in_lattice_coordinates_matches_the_ambient_cone(data):
+    # cone(M) is held in the coordinates of X: its facet normals are the
+    # ambient facet normals read on the basis of X, made primitive, with
+    # the same lineality, and membership reads a target into X first
+    m, targets = data
+    ambient = reference_cone(m.gen_vectors, (), m.dim)
+    rows = reference_facet_basis_rows(m, ambient)
+    assert m.cone.facet_normals == tuple(sorted(map(primitive, rows)))
+    assert len(m.cone.lineality) == len(ambient.lineality)
+    for v in targets:
+        assert m.contains_vector(v) is reference_monoid_membership(v, m.gen_vectors)[0]
 
 
 # -- the triangulated Hilbert basis against the all-subsets reference --------
